@@ -51,6 +51,15 @@ func run(t *testing.T, bin string, args ...string) string {
 	return buf.String()
 }
 
+func loadTaxonomy(path string) (*shoal.Taxonomy, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return shoal.LoadTaxonomy(f)
+}
+
 func TestGenBuildPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles binaries; skipped in -short")
@@ -77,12 +86,14 @@ func TestGenBuildPipeline(t *testing.T) {
 	if !strings.Contains(out, "taxonomy:") {
 		t.Fatalf("shoal-build output: %q", out)
 	}
-	f, err := os.Open(taxPath)
-	if err != nil {
-		t.Fatal(err)
+	// -v breaks the post-clustering stages into their sub-stage spans
+	// with the counts that size them.
+	for _, want := range []string{"distinctQueries=", "candidatePairs=", "tokens="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("shoal-build -v did not report %s: %q", want, out)
+		}
 	}
-	defer f.Close()
-	tx, err := shoal.LoadTaxonomy(f)
+	tx, err := loadTaxonomy(taxPath)
 	if err != nil {
 		t.Fatalf("built taxonomy unreadable: %v", err)
 	}
@@ -95,17 +106,19 @@ func TestGenBuildPipeline(t *testing.T) {
 
 	// The -bsp flag routes clustering diffusion through the BSP engine;
 	// the built taxonomy must be identical and the engine stats printed.
+	// Both sides of the comparison run without embeddings: shoal-build
+	// trains word2vec Hogwild-style on every core, which no two runs
+	// reproduce.
+	run(t, build, "-corpus", corpusPath, "-out", taxPath, "-stop", "0.12", "-no-embeddings")
+	if tx, err = loadTaxonomy(taxPath); err != nil {
+		t.Fatalf("built taxonomy unreadable: %v", err)
+	}
 	bspPath := filepath.Join(dir, "tax-bsp.gob")
-	out = run(t, build, "-corpus", corpusPath, "-out", bspPath, "-stop", "0.12", "-bsp", "-v")
+	out = run(t, build, "-corpus", corpusPath, "-out", bspPath, "-stop", "0.12", "-no-embeddings", "-bsp", "-v")
 	if !strings.Contains(out, "bsp: supersteps=") {
 		t.Fatalf("shoal-build -bsp -v did not report engine stats: %q", out)
 	}
-	bf, err := os.Open(bspPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.Close()
-	btx, err := shoal.LoadTaxonomy(bf)
+	btx, err := loadTaxonomy(bspPath)
 	if err != nil {
 		t.Fatalf("BSP-built taxonomy unreadable: %v", err)
 	}

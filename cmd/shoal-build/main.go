@@ -96,8 +96,25 @@ func main() {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "config: shards=%d workers=%d frontier-density=%g bsp=%v\n",
 			b.Shards, b.Workers, b.FrontierDensity, b.BSPEnabled)
+		spans := b.Trace.Records()
 		for _, st := range b.StageTimings {
 			fmt.Fprintf(os.Stderr, "%-22s start=%-12v elapsed=%v\n", st.Stage, st.Start, st.Elapsed)
+			// Sub-stage spans of the post-clustering stages, with the
+			// counts that size their work (describe/score:
+			// distinctQueries, candidatePairs; search-index/build: tokens).
+			if st.Stage != "describe" && st.Stage != "search-index" {
+				continue
+			}
+			for _, sp := range spans {
+				if sp.Parent != st.Stage {
+					continue
+				}
+				line := fmt.Sprintf("  %-20s elapsed=%v", sp.Name, sp.Duration)
+				for _, a := range sp.Attrs {
+					line += fmt.Sprintf(" %s=%v", a.Key, a.Value)
+				}
+				fmt.Fprintln(os.Stderr, line)
+			}
 		}
 		if b.BSPStats != nil {
 			fmt.Fprintf(os.Stderr, "bsp: supersteps=%d messages=%d sends=%d combiner-hit-rate=%.3f\n",
@@ -172,6 +189,9 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 			if d := b.Delta; d != nil {
 				line += fmt.Sprintf(" dirty-items=%d dirty-rows=%d changed-edges=%d seeded-rows=%d replayed-rounds=%d replayed-merges=%d dense-fallback=%v",
 					d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.SeededRows, d.ReplayedRounds, d.ReplayedMerges, d.DenseFallback)
+				if d.DenseFallback {
+					line += " dense-fallback-reason=" + d.DenseFallbackReason
+				}
 				if d.ClusterCold != "" {
 					line += " cluster-cold=" + d.ClusterCold
 				}

@@ -196,12 +196,15 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 			h.Swaps(), time.Since(start).Round(time.Millisecond),
 			len(b.Taxonomy.Topics), stability)
 		if d := b.Delta; d != nil {
-			coldNote := ""
+			notes := ""
+			if d.DenseFallback {
+				notes += " dense-fallback-reason=" + d.DenseFallbackReason
+			}
 			if d.ClusterCold != "" {
-				coldNote = " cluster-cold=" + d.ClusterCold
+				notes += " cluster-cold=" + d.ClusterCold
 			}
 			log.Printf("refresh: delta dirty-items=%d dirty-rows=%d changed-edges=%d seeded-rows=%d replayed-rounds=%d replayed-merges=%d dense-fallback=%v%s",
-				d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.SeededRows, d.ReplayedRounds, d.ReplayedMerges, d.DenseFallback, coldNote)
+				d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.SeededRows, d.ReplayedRounds, d.ReplayedMerges, d.DenseFallback, notes)
 		}
 	}
 }

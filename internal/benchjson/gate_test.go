@@ -170,20 +170,20 @@ func TestObsOverheadCeiling(t *testing.T) {
 // outright — even when the old file never recorded the name — and,
 // unlike every other ceiling, this one does NOT widen with the gate's
 // relative threshold: the ratio's whole budget sits below 1.0, so the
-// 0.6 line holds even on wide-tolerance runner-side gates.
+// line holds even on wide-tolerance runner-side gates.
 func TestIncrementalVsFullCeiling(t *testing.T) {
 	var oldRes []Result // ratio brand new in this trajectory
-	got := Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.49}}, 0.25)
+	got := Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.64}}, 0.25)
 	if len(got) != 0 {
 		t.Fatalf("reference-shape margin gated: %v", got)
 	}
-	got = Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.60}}, 0.25)
+	got = Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: IncrementalVsFullCeiling}}, 0.25)
 	if len(got) != 1 || !strings.Contains(got[0], "lost its margin") {
 		t.Fatalf("at-ceiling ratio = %v, want one hard-gate entry", got)
 	}
 	// The runner-side 50% threshold widens the >1 ceilings to 1.5 —
-	// but not this one: 0.60 still fails at any tolerance.
-	got = Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.60}}, 0.5)
+	// but not this one: the ceiling still fails at any tolerance.
+	got = Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: IncrementalVsFullCeiling}}, 0.5)
 	if len(got) != 1 || !strings.Contains(got[0], "lost its margin") {
 		t.Fatalf("wide-threshold at-ceiling ratio = %v, want one hard-gate entry", got)
 	}

@@ -10,6 +10,7 @@ package bipartite
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"shoal/internal/model"
@@ -231,6 +232,20 @@ func (g *Graph) QuerySet(item model.ItemID) []model.QueryID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// ItemClicks iterates the queries that clicked into item, each with the
+// pair's in-window click mass, in unspecified order: QuerySet plus
+// ClickCount without the sort, the allocation and the second lookup, for
+// callers whose aggregation does not depend on the order.
+func (g *Graph) ItemClicks(item model.ItemID) iter.Seq2[model.QueryID, int32] {
+	return func(yield func(model.QueryID, int32) bool) {
+		for q, n := range g.itemQuery[item] {
+			if !yield(q, n) {
+				return
+			}
+		}
+	}
 }
 
 // ItemSet returns the ids of items clicked from query, sorted.

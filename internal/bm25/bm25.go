@@ -2,6 +2,17 @@
 // scoring. SHOAL's topic-description matching (paper §2.3) ranks candidate
 // queries by rel(q, D_k), the BM25 relevance of query q to the pseudo
 // document D_k formed by concatenating all item titles of topic k.
+//
+// The index lives on dense term ids: a vocabulary maps token strings to
+// ids, and postings are one CSR — term t's postings are the span
+// posts[terms[t].off:][:terms[t].df], ascending by document. Build interns
+// string documents into a vocabulary of its own; BuildIDs takes
+// documents already spelled in a caller's vocabulary (the corpus text
+// plane) and shares that vocabulary for query-time lookups. Both feed
+// one count-then-fill builder: no per-document map, no per-term slice
+// growth, no sorting — visiting documents in ascending order already
+// yields each term's postings in ascending document order, which is the
+// only order scoring depends on.
 package bm25
 
 import (
@@ -11,6 +22,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"shoal/internal/textutil"
 )
 
 // Config holds the standard Okapi parameters.
@@ -24,19 +37,43 @@ type Config struct {
 // DefaultConfig returns k1=1.2, b=0.75.
 func DefaultConfig() Config { return Config{K1: 1.2, B: 0.75} }
 
+func (cfg Config) validate() error {
+	if cfg.K1 < 0 {
+		return fmt.Errorf("bm25: K1 must be non-negative, got %f", cfg.K1)
+	}
+	if cfg.B < 0 || cfg.B > 1 {
+		return fmt.Errorf("bm25: B must be in [0,1], got %f", cfg.B)
+	}
+	return nil
+}
+
 type posting struct {
 	doc int32
 	tf  int32
 }
 
+// term is one vocabulary entry's view of the postings: its span in
+// Index.posts and its idf — a pure function of df, computed once at
+// build. One record per term keeps a query-time lookup to one cache line
+// past the vocabulary.
+type term struct {
+	off, df int32
+	idf     float64
+}
+
 // Index is an immutable BM25 index over a document collection. Documents
 // are token slices; tokens are arbitrary strings.
 type Index struct {
-	cfg      Config
-	postings map[string][]posting
-	docLen   []int
-	avgLen   float64
-	n        int
+	cfg Config
+	// vocab resolves a query token to its term id — one map lookup per
+	// distinct query term. Read-only here: BuildIDs shares the caller's.
+	vocab *textutil.Vocab
+	// terms (by term id) and posts are the CSR postings.
+	terms  []term
+	posts  []posting
+	docLen []int32
+	avgLen float64
+	n      int
 	// scratchPool recycles the dense per-query scoring state used by
 	// TopK, so the serving hot path allocates only the result slice.
 	scratchPool sync.Pool
@@ -56,38 +93,87 @@ type scratch struct {
 // Build indexes docs. Empty documents are permitted (they simply never
 // match). Build returns an error for an empty collection or invalid config.
 func Build(docs [][]string, cfg Config) (*Index, error) {
+	total := 0
+	for _, doc := range docs {
+		total += len(doc)
+	}
+	vocab := textutil.NewVocab()
+	flat := make([]uint32, 0, total)
+	ids := make([][]uint32, len(docs))
+	for d, doc := range docs {
+		from := len(flat)
+		for _, tok := range doc {
+			flat = append(flat, uint32(vocab.Add(tok)))
+		}
+		ids[d] = flat[from:len(flat):len(flat)]
+	}
+	return BuildIDs(ids, vocab, cfg)
+}
+
+// BuildIDs indexes documents whose tokens are already term ids of vocab
+// (every id must be below vocab.Size()). The index keeps vocab for
+// query-time lookups and never modifies it; the caller must not Add to
+// it while the index is in use. Scores equal those of Build over the
+// same documents spelled as strings, bit for bit.
+func BuildIDs(docs [][]uint32, vocab *textutil.Vocab, cfg Config) (*Index, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("bm25: empty document collection")
 	}
-	if cfg.K1 < 0 {
-		return nil, fmt.Errorf("bm25: K1 must be non-negative, got %f", cfg.K1)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.B < 0 || cfg.B > 1 {
-		return nil, fmt.Errorf("bm25: B must be in [0,1], got %f", cfg.B)
-	}
+	nTerms := vocab.Size()
 	idx := &Index{
-		cfg:      cfg,
-		postings: make(map[string][]posting),
-		docLen:   make([]int, len(docs)),
-		n:        len(docs),
+		cfg:    cfg,
+		vocab:  vocab,
+		terms:  make([]term, nTerms),
+		docLen: make([]int32, len(docs)),
+		n:      len(docs),
 	}
+
+	// Count: df per term. seen[t] holds the last document that counted t
+	// (offset by one so the zero value means "none").
+	seen := make([]int32, nTerms)
 	var total int
 	for d, doc := range docs {
-		idx.docLen[d] = len(doc)
+		idx.docLen[d] = int32(len(doc))
 		total += len(doc)
-		tf := make(map[string]int32, len(doc))
-		for _, tok := range doc {
-			tf[tok]++
-		}
-		terms := make([]string, 0, len(tf))
-		for tok := range tf {
-			terms = append(terms, tok)
-		}
-		sort.Strings(terms) // deterministic posting order
-		for _, tok := range terms {
-			idx.postings[tok] = append(idx.postings[tok], posting{doc: int32(d), tf: tf[tok]})
+		for _, t := range doc {
+			if int(t) >= nTerms {
+				return nil, fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, t, nTerms)
+			}
+			if seen[t] != int32(d)+1 {
+				seen[t] = int32(d) + 1
+				idx.terms[t].df++
+			}
 		}
 	}
+	// next[t] is where term t's next posting goes.
+	next := make([]int32, nTerms)
+	var nPosts int32
+	for t := range idx.terms {
+		e := &idx.terms[t]
+		e.off, e.idf = nPosts, idx.idfFromDF(int(e.df))
+		next[t] = nPosts
+		nPosts += e.df
+	}
+
+	// Fill: a term's first occurrence in a document claims the next slot
+	// of its span, repeats bump that slot's tf. seen is reused with the
+	// sign flipped, so no clearing pass sits between the two.
+	idx.posts = make([]posting, nPosts)
+	for d, doc := range docs {
+		for _, t := range doc {
+			if seen[t] != -int32(d)-1 {
+				seen[t] = -int32(d) - 1
+				idx.posts[next[t]] = posting{doc: int32(d), tf: 1}
+				next[t]++
+			} else {
+				idx.posts[next[t]-1].tf++
+			}
+		}
+	}
+
 	idx.avgLen = float64(total) / float64(len(docs))
 	if idx.avgLen == 0 {
 		idx.avgLen = 1
@@ -98,13 +184,8 @@ func Build(docs [][]string, cfg Config) (*Index, error) {
 // N returns the number of indexed documents.
 func (idx *Index) N() int { return idx.n }
 
-// idf is the BM25+ style idf, floored at 0 so scores are non-negative.
-func (idx *Index) idf(term string) float64 {
-	return idx.idfFromDF(len(idx.postings[term]))
-}
-
-// idfFromDF is idf computed from an already-known document frequency, so
-// scoring loops that hold the posting list never look the term up twice.
+// idfFromDF is the BM25+ style idf of a term with document frequency
+// df, floored at 0 so scores are non-negative.
 func (idx *Index) idfFromDF(df int) float64 {
 	if df == 0 {
 		return 0
@@ -116,6 +197,17 @@ func (idx *Index) idfFromDF(df int) float64 {
 	return v
 }
 
+// postings returns the term's posting span and idf; an unknown term has
+// an empty span.
+func (idx *Index) postings(term string) ([]posting, float64) {
+	t, ok := idx.vocab.ID(term)
+	if !ok {
+		return nil, 0
+	}
+	e := idx.terms[t]
+	return idx.posts[e.off:][:e.df], e.idf
+}
+
 // Score returns the BM25 relevance of the query tokens to document doc.
 // Unknown terms contribute zero. It returns an error for out-of-range doc.
 func (idx *Index) Score(query []string, doc int) (float64, error) {
@@ -124,17 +216,23 @@ func (idx *Index) Score(query []string, doc int) (float64, error) {
 	}
 	var s float64
 	for _, term := range dedup(query) {
-		plist := idx.postings[term]
-		if len(plist) == 0 {
-			continue
-		}
+		plist, idf := idx.postings(term)
 		i := sort.Search(len(plist), func(i int) bool { return plist[i].doc >= int32(doc) })
 		if i == len(plist) || plist[i].doc != int32(doc) {
 			continue
 		}
-		s += idx.termScore(term, plist[i])
+		s += idx.termScore(idf, plist[i])
 	}
 	return s, nil
+}
+
+// termScore is one posting's BM25 contribution — the one expression
+// every scoring path evaluates, so they all agree to the bit.
+func (idx *Index) termScore(idf float64, p posting) float64 {
+	tf := float64(p.tf)
+	dl := float64(idx.docLen[p.doc])
+	denom := tf + idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen)
+	return idf * tf * (idx.cfg.K1 + 1) / denom
 }
 
 // ScoreAll returns the BM25 relevance of the query against every document
@@ -148,51 +246,34 @@ func (idx *Index) Score(query []string, doc int) (float64, error) {
 func (idx *Index) ScoreAll(query []string) []Hit {
 	sc := idx.getScratch()
 	defer idx.putScratch(sc)
-	return idx.collectHits(sc, idx.scoreInto(sc, query, nil))
+	touched := idx.scoreInto(sc, query)
+	return idx.collectHits(sc, touched, make([]Hit, 0, len(touched)))
 }
 
 // scoreInto accumulates the query's BM25 scores into the dense scratch
 // and returns the touched-document list (unordered). Callers must reset
-// the touched entries before pooling the scratch. idfCache may be nil
-// (idf recomputed per call) or a per-term cache to populate — cached
-// values are exactly the recomputed ones (the index is immutable), so
-// every caller scores byte-identically.
-func (idx *Index) scoreInto(sc *scratch, query []string, idfCache map[string]float64) []int32 {
+// the touched entries before pooling the scratch. Terms accumulate in
+// first-occurrence order and each term's postings in ascending document
+// order, which fixes every score's float rounding.
+func (idx *Index) scoreInto(sc *scratch, query []string) []int32 {
 	touched := sc.touched[:0]
 	for _, term := range dedupOrdered(query, &sc.terms) {
-		plist := idx.postings[term]
-		if len(plist) == 0 {
-			continue
-		}
-		var idf float64
-		if idfCache == nil {
-			idf = idx.idfFromDF(len(plist))
-		} else {
-			var ok bool
-			if idf, ok = idfCache[term]; !ok {
-				idf = idx.idfFromDF(len(plist))
-				idfCache[term] = idf
-			}
-		}
+		plist, idf := idx.postings(term)
 		for _, p := range plist {
 			if !sc.marked[p.doc] {
 				sc.marked[p.doc] = true
 				touched = append(touched, p.doc)
 			}
-			tf := float64(p.tf)
-			dl := float64(idx.docLen[p.doc])
-			denom := tf + idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen)
-			sc.scores[p.doc] += idf * tf * (idx.cfg.K1 + 1) / denom
+			sc.scores[p.doc] += idx.termScore(idf, p)
 		}
 	}
 	return touched
 }
 
-// collectHits turns the touched list into ascending-document hits and
-// resets the scratch entries it read.
-func (idx *Index) collectHits(sc *scratch, touched []int32) []Hit {
+// collectHits appends the touched documents to hits in ascending
+// document order and resets the scratch entries it read.
+func (idx *Index) collectHits(sc *scratch, touched []int32, hits []Hit) []Hit {
 	slices.Sort(touched)
-	hits := make([]Hit, 0, len(touched))
 	for _, d := range touched {
 		hits = append(hits, Hit{Doc: int(d), Score: sc.scores[d]})
 		sc.scores[d] = 0
@@ -213,7 +294,7 @@ func (idx *Index) TopK(query []string, k int) []Hit {
 	}
 	sc := idx.getScratch()
 	defer idx.putScratch(sc)
-	touched := idx.scoreInto(sc, query, nil)
+	touched := idx.scoreInto(sc, query)
 
 	// Partial selection: keep the best k in a sorted prefix (best first,
 	// ties on lower doc id). k is small on the serving path, so ordered
@@ -252,29 +333,30 @@ func (idx *Index) TopK(query []string, k int) []Hit {
 }
 
 // Scorer is a batch scoring session over one index: it checks a dense
-// scratch out of the pool once for its whole lifetime and caches each
-// term's idf, so callers scoring many queries back to back (describe's
-// per-topic candidate sweeps) pay the pool round-trip once and the idf
-// math once per distinct term instead of once per query. Scores are
-// byte-identical to Index.ScoreAll — the accumulation order is the same
-// and a cached idf is exactly the recomputed value (the index is
-// immutable). Not safe for concurrent use; call Close when done to
-// return the scratch to the pool.
+// scratch out of the pool once for its whole lifetime and returns hits
+// in a buffer it owns, so callers scoring many queries back to back
+// (describe's per-query sweep) pay the pool round-trip once and allocate
+// nothing per query. Scores are byte-identical to Index.ScoreAll — the
+// accumulation order is the same. Not safe for concurrent use; call
+// Close when done to return the scratch to the pool.
 type Scorer struct {
-	idx *Index
-	sc  *scratch
-	idf map[string]float64
+	idx  *Index
+	sc   *scratch
+	hits []Hit
 }
 
-// NewScorer begins a batch scoring session.
+// NewScorer begins a batch scoring session. The hits buffer starts empty
+// but non-nil, so a query without hits answers like Index.ScoreAll does.
 func (idx *Index) NewScorer() *Scorer {
-	return &Scorer{idx: idx, sc: idx.getScratch(), idf: make(map[string]float64)}
+	return &Scorer{idx: idx, sc: idx.getScratch(), hits: []Hit{}}
 }
 
-// ScoreAll is Index.ScoreAll through the session's scratch and idf
-// cache: hits in ascending document order, absent documents score 0.
+// ScoreAll is Index.ScoreAll through the session's scratch: hits in
+// ascending document order, absent documents score 0. The returned
+// slice is the session's own buffer, valid until the next ScoreAll.
 func (s *Scorer) ScoreAll(query []string) []Hit {
-	return s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, query, s.idf))
+	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, query), s.hits[:0])
+	return s.hits
 }
 
 // Close returns the session's scratch to the pool. The Scorer must not
@@ -325,14 +407,6 @@ func dedupOrdered(terms []string, buf *[]string) []string {
 type Hit struct {
 	Doc   int
 	Score float64
-}
-
-func (idx *Index) termScore(term string, p posting) float64 {
-	idf := idx.idf(term)
-	tf := float64(p.tf)
-	dl := float64(idx.docLen[p.doc])
-	denom := tf + idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen)
-	return idf * tf * (idx.cfg.K1 + 1) / denom
 }
 
 func dedup(terms []string) []string {

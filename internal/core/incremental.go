@@ -9,7 +9,6 @@ import (
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/phac"
-	"shoal/internal/textutil"
 	"shoal/internal/word2vec"
 )
 
@@ -27,7 +26,8 @@ type DeltaStats struct {
 	// ChangedEdges is the number of kept entity-graph edges that
 	// appeared, disappeared or changed weight; DirtyRows the graph rows
 	// those changes touch — the rows the CSR patch rewrote and the
-	// clustering warm start re-seeded.
+	// clustering warm start re-seeded. Both are zero on a dense fallback
+	// decided before the delta was computed (see DenseFallbackReason).
 	ChangedEdges int
 	DirtyRows    int
 	// SeededRows is the number of rows handed to the clustering warm
@@ -46,10 +46,13 @@ type DeltaStats struct {
 	// ("no-memo", "node-count", "diffusion-rounds", "stop-threshold").
 	// Empty when the warm start engaged.
 	ClusterCold string
-	// DenseFallback is true when the entity-graph delta exceeded the
-	// patch density gate (or no previous state existed) and the graph
-	// was rebuilt from scratch.
-	DenseFallback bool
+	// DenseFallback is true when the entity-graph delta was judged too
+	// dense to patch (or no previous state existed) and the graph was
+	// rebuilt from scratch; DenseFallbackReason names the gate that
+	// decided it — "no-state", "dirty-entities", "pair-delta-volume" or
+	// "dirty-rows" (entitygraph.Fallback*), empty when the patch ran.
+	DenseFallback       bool
+	DenseFallbackReason string
 }
 
 // rebuildCache is the cross-build state one incremental rebuild hands
@@ -141,11 +144,7 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 	if cfg.TrainEmbeddings {
 		stages = append(stages, StageFunc("word2vec", nil, func(ctx context.Context, b *Build) error {
 			if !cache.haveEmb {
-				sentences := make([][]string, 0, len(b.Corpus.Items))
-				for i := range b.Corpus.Items {
-					sentences = append(sentences, textutil.Tokenize(b.Corpus.Items[i].Title))
-				}
-				m, err := word2vec.Train(ctx, sentences, cfg.Word2Vec)
+				m, err := word2vec.Train(ctx, titleSentences(b.Corpus), cfg.Word2Vec)
 				if err != nil {
 					return err
 				}
@@ -159,7 +158,12 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 
 	stages = append(stages,
 		StageFunc("entity-graph-delta", graphDeps, func(ctx context.Context, b *Build) error {
-			res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, cache.graphState, dirtyItems)
+			// The state changes hands for the call: a dense fallback
+			// drops it before building its replacement, and an error
+			// invalidates it anyway.
+			st := cache.graphState
+			cache.graphState = nil
+			res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
 			if err != nil {
 				return err
 			}
@@ -169,12 +173,13 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 			b.QuerySets = res.QuerySets
 			b.Shards = res.Graph.NumShards()
 			b.Delta = &DeltaStats{
-				Incremental:   true,
-				DirtyItems:    d.DirtyItems,
-				DirtyEntities: d.DirtyEntities,
-				ChangedEdges:  d.ChangedEdges,
-				DirtyRows:     len(d.DirtyRows),
-				DenseFallback: d.DenseFallback,
+				Incremental:         true,
+				DirtyItems:          d.DirtyItems,
+				DirtyEntities:       d.DirtyEntities,
+				ChangedEdges:        d.ChangedEdges,
+				DirtyRows:           len(d.DirtyRows),
+				DenseFallback:       d.DenseFallback,
+				DenseFallbackReason: d.FallbackReason,
 			}
 			sp := obs.SpanFromContext(ctx)
 			sp.SetAttr("dirtyItems", d.DirtyItems)
@@ -182,6 +187,9 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 			sp.SetAttr("changedEdges", d.ChangedEdges)
 			sp.SetAttr("dirtyRows", len(d.DirtyRows))
 			sp.SetAttr("denseFallback", d.DenseFallback)
+			if d.DenseFallback {
+				sp.SetAttr("denseFallbackReason", d.FallbackReason)
+			}
 			return nil
 		}),
 		StageFunc("parallel-hac", []string{"entity-graph-delta"}, func(ctx context.Context, b *Build) error {

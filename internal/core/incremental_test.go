@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,7 +44,8 @@ func gobBytes(t *testing.T, v any) []byte {
 // TestIncrementalRebuildMatchesFromScratch is the tentpole determinism
 // suite: slide a multi-day window through the incremental daily
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
-// stats) against a from-scratch build over the same window at EVERY
+// stats, the topic descriptions and the search index's hits with their
+// score bits) against a from-scratch build over the same window at EVERY
 // step, across shard/worker counts and both clustering execution paths.
 // Embeddings stay off: the Hogwild trainer is the one intentionally
 // nondeterministic stage, so the from-scratch baseline itself would not
@@ -52,6 +54,10 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
 	c := synth.Curated()
 	days := coreSlideDays(c, 8)
+	// Searched against both builds at every slide: corpus query texts,
+	// a stopword-only query, a duplicate-term query and a miss.
+	searchProbes := []string{c.Queries[0].Text, c.Queries[len(c.Queries)/2].Text, c.Queries[len(c.Queries)-1].Text,
+		"for the", "beach beach dress", "zzzz"}
 
 	for _, tc := range []struct {
 		name    string
@@ -82,6 +88,7 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 
 			sawSeeded := false
 			sawReplayed := false
+			searchHits := 0
 			for d := range days {
 				if err := p.IngestDay(days[d]); err != nil {
 					t.Fatal(err)
@@ -126,12 +133,27 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 				if !bytes.Equal(gobBytes(t, bInc.Descriptions), gobBytes(t, bFull.Descriptions)) {
 					t.Fatalf("day %d: topic descriptions diverged", d)
 				}
+				for _, q := range searchProbes {
+					hi, hf := bInc.Searcher.Search(q, 5), bFull.Searcher.Search(q, 5)
+					if len(hi) != len(hf) {
+						t.Fatalf("day %d: search %q: %d hits incremental, %d from scratch", d, q, len(hi), len(hf))
+					}
+					searchHits += len(hi)
+					for i := range hi {
+						if hi[i].Topic != hf[i].Topic || math.Float64bits(hi[i].Score) != math.Float64bits(hf[i].Score) {
+							t.Fatalf("day %d: search %q hit %d: %+v incremental, %+v from scratch", d, q, i, hi[i], hf[i])
+						}
+					}
+				}
 			}
 			if !sawSeeded {
 				t.Fatal("no slide warm-started clustering; the incremental path was never exercised")
 			}
 			if !sawReplayed {
 				t.Fatal("no slide replayed any merge round; dendrogram-prefix reuse was never exercised")
+			}
+			if searchHits == 0 {
+				t.Fatal("no probe query ever hit a topic; the search comparison is vacuous")
 			}
 		})
 	}

@@ -16,12 +16,22 @@
 // clustering warm-starts from the previous build's diffusion memo, and
 // Build.Delta reports what was actually recomputed — with output
 // byte-identical to a from-scratch rebuild of the same window.
+//
+// Determinism has one scoped exception: word2vec trains Hogwild-style
+// (lock-free updates from Word2Vec.Workers goroutines), so two builds
+// with embeddings on and Workers > 1 differ in their embeddings and in
+// everything downstream. Every byte-identity claim in this package —
+// schedules, shard and worker counts, BSP, incremental versus from
+// scratch — holds for Word2Vec.Workers = 1 or TrainEmbeddings = false,
+// and every test that compares two builds sets one of the two (race
+// builds clamp training to one worker on their own).
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"shoal/internal/bipartite"
@@ -130,8 +140,8 @@ type Build struct {
 	FrontierDensity float64
 	BSPEnabled      bool
 	Embeddings      *word2vec.Model
-	Dendrogram *dendrogram.Dendrogram
-	Rounds     []phac.RoundStat
+	Dendrogram      *dendrogram.Dendrogram
+	Rounds          []phac.RoundStat
 	// BSPStats is the aggregated BSP engine profile across clustering
 	// rounds when the BSP path ran (Config.BSP / HAC.UseBSP); nil
 	// otherwise. Carries the persistent-engine reuse counters
@@ -274,11 +284,7 @@ func pipelineStages(cfg Config, externalClicks bool) []Stage {
 
 	if cfg.TrainEmbeddings {
 		stages = append(stages, StageFunc("word2vec", nil, func(ctx context.Context, b *Build) error {
-			sentences := make([][]string, 0, len(b.Corpus.Items))
-			for i := range b.Corpus.Items {
-				sentences = append(sentences, textutil.Tokenize(b.Corpus.Items[i].Title))
-			}
-			m, err := word2vec.Train(ctx, sentences, cfg.Word2Vec)
+			m, err := word2vec.Train(ctx, titleSentences(b.Corpus), cfg.Word2Vec)
 			b.Embeddings = m
 			return err
 		}))
@@ -342,11 +348,37 @@ func downstreamStages(cfg Config) []Stage {
 			if len(b.Taxonomy.Topics) == 0 {
 				return nil
 			}
-			s, err := taxonomy.NewSearcher(ctx, b.Taxonomy, b.searchDocs(cfg.SearchDocTokenCap))
+			parent := obs.SpanFromContext(ctx)
+			sp := parent.Child("docs")
+			docs := b.searchDocs(cfg.SearchDocTokenCap)
+			sp.End()
+			sp = parent.Child("build")
+			tokens := 0
+			for _, doc := range docs {
+				tokens += len(doc)
+			}
+			sp.SetAttr("tokens", tokens)
+			s, err := taxonomy.NewSearcher(ctx, b.Taxonomy, docs)
+			sp.End()
 			b.Searcher = s
 			return err
 		}),
 	}
+}
+
+// titleSentences returns every item title as a token sentence — the
+// word2vec training input — read from the corpus text plane into one
+// shared backing array.
+func titleSentences(c *model.Corpus) [][]string {
+	text := c.Text()
+	flat := make([]string, 0, text.TitleTokens())
+	sentences := make([][]string, len(c.Items))
+	for i := range c.Items {
+		from := len(flat)
+		flat = text.AppendTerms(flat, text.Title(model.ItemID(i)))
+		sentences[i] = flat[from:len(flat):len(flat)]
+	}
+	return sentences
 }
 
 // SearchDocs builds the per-topic search documents exactly as the
@@ -355,57 +387,63 @@ func downstreamStages(cfg Config) []Stage {
 func (b *Build) SearchDocs(tokenCap int) [][]string { return b.searchDocs(tokenCap) }
 
 // searchDocs builds the per-topic search documents: description queries,
-// member query texts, category names, and member title tokens, each doc
-// capped at tokenCap tokens.
+// category names, member query texts and member title tokens, each doc
+// capped at tokenCap tokens. Token lists come from the corpus text plane
+// (a string-header copy per token); only a description string the corpus
+// does not contain — a taxonomy described elsewhere — is tokenized here.
 func (b *Build) searchDocs(tokenCap int) [][]string {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
+	text := b.Corpus.Text()
 	docs := make([][]string, len(b.Taxonomy.Topics))
+	// buf assembles one doc at a time so each doc is allocated once, at
+	// its final size. room is what the cap still admits.
+	var buf []string
+	room := func() int { return tokenCap - len(buf) }
+	add := func(ids []uint32) {
+		buf = text.AppendTerms(buf, ids[:min(len(ids), room())])
+	}
 	for i := range b.Taxonomy.Topics {
 		t := &b.Taxonomy.Topics[i]
-		var doc []string
+		buf = buf[:0]
 		for _, q := range t.DescQueries {
-			if len(doc) >= tokenCap {
+			if room() <= 0 {
 				break
 			}
-			doc = appendCapped(doc, tokenCap, textutil.TokenizeFiltered(q))
+			if id, ok := text.LookupQuery(q); ok {
+				add(text.Query(id))
+			} else {
+				toks := textutil.TokenizeFiltered(q)
+				buf = append(buf, toks[:min(len(toks), room())]...)
+			}
 		}
 		for _, c := range t.Categories {
-			if len(doc) >= tokenCap {
+			if room() <= 0 {
 				break
 			}
-			doc = appendCapped(doc, tokenCap, textutil.Tokenize(b.Corpus.Categories[c].Name))
+			add(text.Category(c))
 		}
 		for _, e := range t.Entities {
-			if len(doc) >= tokenCap {
+			if room() <= 0 {
 				break
 			}
 			for _, q := range b.QuerySets[e] {
-				doc = appendCapped(doc, tokenCap, textutil.TokenizeFiltered(b.Corpus.Queries[q].Text))
-				if len(doc) >= tokenCap {
+				if room() <= 0 {
 					break
 				}
+				add(text.Query(q))
 			}
 		}
 		for _, it := range t.Items {
-			if len(doc) >= tokenCap {
+			if room() <= 0 {
 				break
 			}
-			doc = appendCapped(doc, tokenCap, textutil.Tokenize(b.Corpus.Items[it].Title))
+			add(text.Title(it))
 		}
-		docs[i] = doc
+		if len(buf) > 0 {
+			docs[i] = slices.Clone(buf)
+		}
 	}
 	return docs
-}
-
-// appendCapped appends tokens to doc without ever letting it exceed limit.
-func appendCapped(doc []string, limit int, tokens []string) []string {
-	if room := limit - len(doc); room < len(tokens) {
-		if room <= 0 {
-			return doc
-		}
-		tokens = tokens[:room]
-	}
-	return append(doc, tokens...)
 }

@@ -201,6 +201,7 @@ func TestRunCuratedBeachScenario(t *testing.T) {
 func TestRunBSPPathIdentical(t *testing.T) {
 	corpus := smallCorpus(t)
 	cfg := testConfig()
+	cfg.Word2Vec.Workers = 1 // two builds compared: see the package doc on Hogwild
 	base, err := Run(corpus, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -104,3 +104,51 @@ func TestBuildTraceBSPRuns(t *testing.T) {
 			b.Workers, b.FrontierDensity, b.BSPEnabled)
 	}
 }
+
+// TestBuildTraceSubStages pins the sub-stage spans of the two stages
+// that close a window slide — where the time is once clustering is done
+// — and the attributes that size their work.
+func TestBuildTraceSubStages(t *testing.T) {
+	b, err := Run(smallCorpus(t), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ parent, name string }
+	attrs := map[key]map[string]any{}
+	for _, r := range b.Trace.Records() {
+		m := map[string]any{}
+		for _, a := range r.Attrs {
+			m[a.Key] = a.Value
+		}
+		attrs[key{r.Parent, r.Name}] = m
+	}
+	for _, want := range []struct {
+		k     key
+		attrs []string
+	}{
+		{key{"describe", "docs"}, []string{"tokens"}},
+		{key{"describe", "index"}, nil},
+		{key{"describe", "candidates"}, nil},
+		{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs"}},
+		{key{"describe", "rank"}, nil},
+		{key{"search-index", "docs"}, nil},
+		{key{"search-index", "build"}, []string{"tokens"}},
+	} {
+		got, ok := attrs[want.k]
+		if !ok {
+			t.Errorf("no span %q under stage %q", want.k.name, want.k.parent)
+			continue
+		}
+		for _, a := range want.attrs {
+			if n, _ := got[a].(int); n <= 0 {
+				t.Errorf("span %s/%s: attribute %q = %v, want a positive count", want.k.parent, want.k.name, a, got[a])
+			}
+		}
+	}
+	score := attrs[key{"describe", "score"}]
+	dq, _ := score["distinctQueries"].(int)
+	cp, _ := score["candidatePairs"].(int)
+	if dq > cp {
+		t.Errorf("distinctQueries %d exceeds candidatePairs %d", dq, cp)
+	}
+}

@@ -13,19 +13,33 @@
 // denominator of con sums over every topic: topics whose pseudo document
 // shares no term with q have rel = 0 and contribute exp(0) = 1 each, which
 // is added in closed form rather than scored individually.
+//
+// Evaluation order follows what each factor depends on. rel(q, ·) and the
+// denominator of con depend on q alone, and a query is a candidate of
+// every topic on the ancestor chain of the items it clicks (12-15 topics
+// on generated traffic), so scoring is query-major: one BM25 pass and one
+// denominator fold per distinct candidate query, con scattered to the
+// (topic, query) slots it belongs to, then a topic-major pass that only
+// computes pop, r and the ranking. The fold runs over hits in ascending
+// topic order whichever topic asks, so the result is bit-identical to
+// scoring each (topic, candidate) pair on its own; extra memory is one
+// float per candidate pair, never a per-query hit vector. Titles and
+// query texts are read as term ids from the corpus text plane
+// (model.Corpus.Text) and indexed with bm25.BuildIDs: nothing is
+// tokenized per call.
 package describe
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"shoal/internal/bipartite"
 	"shoal/internal/bm25"
 	"shoal/internal/model"
+	"shoal/internal/obs"
 	"shoal/internal/taxonomy"
-	"shoal/internal/textutil"
 )
 
 // Config controls description matching.
@@ -53,7 +67,8 @@ type Description struct {
 // Describe computes representative queries for every topic in tx and
 // writes them into the taxonomy (Topic.Description / Topic.DescQueries).
 // It returns the full ranked descriptions. Cancellation is checked
-// between per-topic scoring passes.
+// between per-query scoring passes. Under a traced context each phase
+// below is a child span of the caller's.
 func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config) ([]Description, error) {
 	if cfg.TopQueries <= 0 {
 		return nil, fmt.Errorf("describe: TopQueries must be positive, got %d", cfg.TopQueries)
@@ -61,138 +76,238 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k := len(tx.Topics)
-	if k == 0 {
+	if len(tx.Topics) == 0 {
 		return nil, nil
 	}
+	parent := obs.SpanFromContext(ctx)
+	text := corpus.Text()
 
-	// Pseudo documents: concatenated item titles per topic.
-	docs := make([][]string, k)
-	totalTokens := make([]float64, k) // tf(I_k): token mass of the topic
-	for t := range tx.Topics {
-		for _, it := range tx.Topics[t].Items {
-			toks := textutil.Tokenize(corpus.Items[it].Title)
-			docs[t] = append(docs[t], toks...)
-		}
-		totalTokens[t] = float64(len(docs[t]))
-	}
-	idx, err := bm25.Build(docs, cfg.BM25)
+	sp := parent.Child("docs")
+	docs, tokens := pseudoDocs(tx, text)
+	sp.SetAttr("tokens", tokens)
+	sp.End()
+
+	sp = parent.Child("index")
+	idx, err := bm25.BuildIDs(docs, text.Vocab(), cfg.BM25)
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("describe: %w", err)
 	}
 
-	// tf(q, I_k): click-weighted occurrences of query q with topic k's
-	// items. Collected sparsely by scanning each topic's items once.
-	type qtf struct {
-		query model.QueryID
-		tf    float64
-	}
-	perTopic := make([][]qtf, k)
-	for t := range tx.Topics {
-		acc := make(map[model.QueryID]float64)
-		for _, it := range tx.Topics[t].Items {
-			for _, q := range clicks.QuerySet(it) {
-				acc[q] += float64(clicks.ClickCount(q, it))
-			}
-		}
-		lst := make([]qtf, 0, len(acc))
-		for q, tf := range acc {
-			lst = append(lst, qtf{query: q, tf: tf})
-		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a].query < lst[b].query })
-		perTopic[t] = lst
+	sp = parent.Child("candidates")
+	cands := collectCandidates(tx, clicks, len(corpus.Queries))
+	sp.End()
+
+	sp = parent.Child("score")
+	con, distinct, err := cands.concentration(ctx, idx, text)
+	sp.SetAttr("distinctQueries", distinct)
+	sp.SetAttr("candidatePairs", len(cands.query))
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
 
-	// One batch scoring session for every candidate of every topic: the
-	// dense BM25 scratch is checked out of the pool once and each term's
-	// idf is computed once, instead of paying both per candidate query.
-	// Scores are byte-identical to per-candidate ScoreAll calls.
+	sp = parent.Child("rank")
+	defer sp.End()
+	return cands.rank(tx, corpus, docs, con, cfg.TopQueries), nil
+}
+
+// pseudoDocs returns D_k per topic — the concatenated titles of its
+// items, as term ids — carved out of one array, and their total length.
+func pseudoDocs(tx *taxonomy.Taxonomy, text *model.TextPlane) (docs [][]uint32, total int) {
+	for t := range tx.Topics {
+		for _, it := range tx.Topics[t].Items {
+			total += len(text.Title(it))
+		}
+	}
+	flat := make([]uint32, 0, total)
+	docs = make([][]uint32, len(tx.Topics))
+	for t := range tx.Topics {
+		from := len(flat)
+		for _, it := range tx.Topics[t].Items {
+			flat = append(flat, text.Title(it)...)
+		}
+		docs[t] = flat[from:len(flat):len(flat)]
+	}
+	return docs, total
+}
+
+// candidates is the sparse topic × query candidate matrix, one slot per
+// (topic, query) pair with tf(q, I_t) > 0, readable in both orders.
+type candidates struct {
+	// Topic t owns the slots topicOff[t]:topicOff[t+1], ascending by
+	// query. Per slot: its query, its tf(q, I_t) — the click-weighted
+	// occurrences of the query with the topic's items — and its topic.
+	topicOff []int32
+	query    []model.QueryID
+	tf       []float64
+	topic    []int32
+	// The transpose: query q is a candidate in the slots
+	// slots[queryOff[q]:queryOff[q+1]], ascending by topic.
+	queryOff []int32
+	slots    []int32
+}
+
+// collectCandidates scans each topic's items once, accumulating click
+// mass densely over the nq query ids.
+func collectCandidates(tx *taxonomy.Taxonomy, clicks *bipartite.Graph, nq int) *candidates {
+	k := len(tx.Topics)
+	c := &candidates{topicOff: make([]int32, k+1), queryOff: make([]int32, nq+1)}
+	acc := make([]float64, nq)
+	mark := make([]bool, nq)
+	var touched []model.QueryID
+	for t := range tx.Topics {
+		touched = touched[:0]
+		for _, it := range tx.Topics[t].Items {
+			for q, n := range clicks.ItemClicks(it) {
+				if !mark[q] {
+					mark[q] = true
+					touched = append(touched, q)
+				}
+				acc[q] += float64(n)
+			}
+		}
+		slices.Sort(touched)
+		for _, q := range touched {
+			c.query = append(c.query, q)
+			c.tf = append(c.tf, acc[q])
+			acc[q], mark[q] = 0, false
+			c.queryOff[q+1]++
+		}
+		c.topicOff[t+1] = int32(len(c.query))
+	}
+
+	// Transpose by counting: slots are numbered in topic order and placed
+	// in slot order, so each query's list comes out ascending by topic.
+	for q := 0; q < nq; q++ {
+		c.queryOff[q+1] += c.queryOff[q]
+	}
+	c.slots = make([]int32, len(c.query))
+	c.topic = make([]int32, len(c.query))
+	next := slices.Clone(c.queryOff[:nq])
+	for t := 0; t < k; t++ {
+		for s := c.topicOff[t]; s < c.topicOff[t+1]; s++ {
+			q := c.query[s]
+			c.slots[next[q]] = s
+			next[q]++
+			c.topic[s] = int32(t)
+		}
+	}
+	return c
+}
+
+// concentration returns con(q, t) per slot and the number of distinct
+// candidate queries, with one scoring pass per distinct query: softmax
+// of BM25 over the touched topics, the untouched mass added in closed
+// form. ScoreAll returns hits in ascending topic order, which fixes the
+// denominator's summation order (float addition is not associative) no
+// matter which topic the value is for; the query's candidate topics
+// ascend too, so one merge walk reads rel(q, D_t) for each of them out
+// of the same pass. Only con per slot is kept — never a hit vector.
+func (c *candidates) concentration(ctx context.Context, idx *bm25.Index, text *model.TextPlane) (con []float64, distinct int, err error) {
+	k := len(c.topicOff) - 1
 	scorer := idx.NewScorer()
 	defer scorer.Close()
-
-	// Candidate token cache: a query that clicks into many topics is a
-	// candidate for each of them, but its text never changes — tokenize
-	// it once on first sight and reuse the slice across topics. Indexed
-	// by dense query id; the nil/empty distinction is carried by a seen
-	// mark so empty token lists are cached too.
-	qToks := make([][]string, len(corpus.Queries))
-	qSeen := make([]bool, len(corpus.Queries))
-
-	out := make([]Description, 0, k)
-	for t := range tx.Topics {
-		if t%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cands := perTopic[t]
-		if len(cands) == 0 {
-			out = append(out, Description{Topic: tx.Topics[t].ID})
+	con = make([]float64, len(c.query))
+	var toks []string
+	for q := 0; q+1 < len(c.queryOff); q++ {
+		slots := c.slots[c.queryOff[q]:c.queryOff[q+1]]
+		if len(slots) == 0 {
 			continue
 		}
-		type scored struct {
-			text string
-			r    float64
-		}
-		ranked := make([]scored, 0, len(cands))
-		for _, c := range cands {
-			qText := corpus.Queries[c.query].Text
-			if !qSeen[c.query] {
-				qSeen[c.query] = true
-				qToks[c.query] = textutil.TokenizeFiltered(qText)
+		if distinct%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
 			}
-			toks := qToks[c.query]
+		}
+		distinct++
+		toks = text.AppendTerms(toks[:0], text.Query(model.QueryID(q)))
+		rels := scorer.ScoreAll(toks)
+		// con[s] first holds the numerator exp(rel(q, D_t)): exp(0) = 1
+		// unless the walk finds the slot's topic among the hits.
+		for _, s := range slots {
+			con[s] = 1
+		}
+		var den float64 = 1 // the "+1" of the formula
+		i := 0
+		for _, h := range rels {
+			e := math.Exp(h.Score)
+			den += e
+			for i < len(slots) && int(c.topic[slots[i]]) < h.Doc {
+				i++
+			}
+			if i < len(slots) && int(c.topic[slots[i]]) == h.Doc {
+				con[slots[i]] = e
+			}
+		}
+		den += float64(k - len(rels)) // exp(0) per untouched topic
+		for _, s := range slots {
+			con[s] /= den
+		}
+	}
+	return con, distinct, nil
+}
 
-			// Popularity.
+// rank computes r = sqrt(pop·con) per slot, keeps each topic's best
+// topQueries by (r descending, text ascending) and writes them into the
+// taxonomy. Every topic's lists are carved out of two shared arrays.
+func (c *candidates) rank(tx *taxonomy.Taxonomy, corpus *model.Corpus, docs [][]uint32, con []float64, topQueries int) []Description {
+	kept := 0
+	for t := range tx.Topics {
+		kept += min(topQueries, int(c.topicOff[t+1]-c.topicOff[t]))
+	}
+	allQueries := make([]string, 0, kept)
+	allScores := make([]float64, 0, kept)
+	type ranked struct {
+		text string
+		r    float64
+	}
+	var best []ranked
+	out := make([]Description, len(tx.Topics))
+	for t := range tx.Topics {
+		out[t].Topic = tx.Topics[t].ID
+		if c.topicOff[t] == c.topicOff[t+1] {
+			continue
+		}
+		logMass := 0.0 // log tf(I_k): the topic's token mass
+		if len(docs[t]) > 1 {
+			logMass = math.Log(float64(len(docs[t])))
+		}
+		best = best[:0]
+		for s := c.topicOff[t]; s < c.topicOff[t+1]; s++ {
 			pop := 0.0
-			if totalTokens[t] > 1 {
-				pop = (math.Log(c.tf) + 1) / math.Log(totalTokens[t])
+			if len(docs[t]) > 1 {
+				pop = (math.Log(c.tf[s]) + 1) / logMass
 			}
 			if pop > 1 {
 				pop = 1
 			}
-
-			// Concentration: softmax of BM25 over touched topics, with
-			// the untouched mass added in closed form. ScoreAll returns
-			// hits in ascending topic order, which fixes the denominator
-			// summation order: float addition is not associative, so
-			// summing in an arbitrary order would make scores vary run
-			// to run.
-			rels := scorer.ScoreAll(toks)
-			relK := 0.0
-			var den float64 = 1 // the "+1" of the formula
-			for _, h := range rels {
-				if h.Doc == t {
-					relK = h.Score
-				}
-				den += math.Exp(h.Score)
+			cand := ranked{text: corpus.Queries[c.query[s]].Text, r: math.Sqrt(pop * con[s])}
+			// Ordered insertion into the best-so-far prefix.
+			i := len(best)
+			for i > 0 && (best[i-1].r < cand.r || (best[i-1].r == cand.r && best[i-1].text > cand.text)) {
+				i--
 			}
-			den += float64(k - len(rels)) // exp(0) per untouched topic
-			con := math.Exp(relK) / den
-
-			ranked = append(ranked, scored{text: qText, r: math.Sqrt(pop * con)})
-		}
-		sort.Slice(ranked, func(a, b int) bool {
-			if ranked[a].r != ranked[b].r {
-				return ranked[a].r > ranked[b].r
+			if i == topQueries {
+				continue
 			}
-			return ranked[a].text < ranked[b].text
-		})
-		n := cfg.TopQueries
-		if n > len(ranked) {
-			n = len(ranked)
+			if len(best) < topQueries {
+				best = append(best, ranked{})
+			}
+			copy(best[i+1:], best[i:])
+			best[i] = cand
 		}
-		d := Description{Topic: tx.Topics[t].ID}
-		for i := 0; i < n; i++ {
-			d.Queries = append(d.Queries, ranked[i].text)
-			d.Scores = append(d.Scores, ranked[i].r)
+		from := len(allQueries)
+		for _, b := range best {
+			allQueries = append(allQueries, b.text)
+			allScores = append(allScores, b.r)
 		}
-		out = append(out, d)
+		to := len(allQueries)
+		out[t].Queries = allQueries[from:to:to]
+		out[t].Scores = allScores[from:to:to]
 
-		tx.Topics[t].DescQueries = d.Queries
-		if len(d.Queries) > 0 {
-			tx.Topics[t].Description = d.Queries[0]
-		}
+		tx.Topics[t].DescQueries = out[t].Queries
+		tx.Topics[t].Description = out[t].Queries[0]
 	}
-	return out, nil
+	return out
 }

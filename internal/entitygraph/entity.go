@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"shoal/internal/model"
-	"shoal/internal/textutil"
 )
 
 // Entity is one vertex of the item entity graph: a group of items with the
@@ -97,6 +96,7 @@ func BuildEntities(ctx context.Context, c *model.Corpus) (*EntitySet, error) {
 	}
 	sort.Slice(keys, func(a, b int) bool { return groups[keys[a]][0] < groups[keys[b]][0] })
 
+	text := c.Text()
 	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items))}
 	for _, k := range keys {
 		items := groups[k]
@@ -106,7 +106,7 @@ func BuildEntities(ctx context.Context, c *model.Corpus) (*EntitySet, error) {
 		scen := make(map[model.ScenarioID]int)
 		for _, it := range items {
 			es.ItemEntity[it] = id
-			ent.Tokens = append(ent.Tokens, textutil.Tokenize(c.Items[it].Title)...)
+			ent.Tokens = text.AppendTerms(ent.Tokens, text.Title(it))
 			scen[c.Items[it].Scenario]++
 		}
 		ent.Scenario = majorityScenario(scen)

@@ -117,12 +117,10 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 
 	// Entity query sets (dedup across member items): flat-sort-dedup —
 	// member query lists are concatenated into a reusable buffer, sorted
-	// and compacted, so no per-entity seen map exists. The query→entity
-	// index is accumulated the same way: packed (query, entity)
-	// associations in one flat slice, sorted into query groups below.
+	// and compacted, so no per-entity seen map exists.
 	querySets := make([][]model.QueryID, n)
 	var qbuf []model.QueryID
-	var assoc []uint64 // query<<32 | entity, one per (entity, query)
+	numQ := 0 // one past the largest clicked query id
 	for e := range es.Entities {
 		qbuf = qbuf[:0]
 		for _, it := range es.Entities[e].Items {
@@ -136,123 +134,111 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 			}
 		}
 		querySets[e] = qs
+		if len(qs) > 0 && int(qs[len(qs)-1]) >= numQ {
+			numQ = int(qs[len(qs)-1]) + 1
+		}
+	}
+	// The query→entity index, built by counting: packed (query, entity)
+	// associations in one flat slice, each query's entities a contiguous
+	// ascending run (entities are filled in ascending order) that
+	// qOff[q]:qOff[q+1] spans — the content a query→entities map would
+	// hold, without the map and without a sort.
+	qOff := make([]int32, numQ+1)
+	for _, qs := range querySets {
 		for _, q := range qs {
-			assoc = append(assoc, uint64(uint32(q))<<32|uint64(uint32(e)))
+			qOff[q+1]++
 		}
 	}
-	// Group the associations by query: after sorting, each query's
-	// entities form a contiguous ascending run — the exact content the
-	// former queryEntities map held, without the map.
-	slices.Sort(assoc)
-	qStart := make([]int32, 0, 64)
-	for i := range assoc {
-		if i == 0 || assoc[i]>>32 != assoc[i-1]>>32 {
-			qStart = append(qStart, int32(i))
+	for q := 0; q < numQ; q++ {
+		qOff[q+1] += qOff[q]
+	}
+	assoc := make([]uint64, qOff[numQ]) // query<<32 | entity, one per (entity, query)
+	next := slices.Clone(qOff[:numQ])
+	for e, qs := range querySets {
+		for _, q := range qs {
+			assoc[next[q]] = uint64(uint32(q))<<32 | uint64(uint32(e))
+			next[q]++
 		}
 	}
-	qStart = append(qStart, int32(len(assoc)))
 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Candidate pairs via shared queries, with fanout cap. Pairs are
-	// generated as packed uint64 keys and counted inside each worker: a
-	// worker sorts its own keys and run-length encodes them in place, so
-	// duplicate pairs collapse before anything crosses a goroutine
-	// boundary and the all-pairs concatenation+sort the old path
-	// materialized is gone. A k-way merge of the sorted per-worker runs
-	// then sums the counts — merge order is by key, so the result is
-	// deterministic regardless of which worker saw which query.
-	numQueries := len(qStart) - 1
-	type pairRun struct {
-		keys   []uint64
-		counts []int32
+	// Candidate pairs via shared queries, with fanout cap, generated row
+	// by row and count-then-fill: entity a's candidates are the entities
+	// after it in the runs of its own queries, and a worker-local stamp
+	// array collapses the duplicates (one per shared query) as they
+	// appear, so the raw per-query pair lists — twice the distinct pairs
+	// at catalog scale — are never materialized or sorted. The first pass
+	// sizes each row, the second fills the exactly sized arrays at the row
+	// offsets; rows are disjoint output spans, so the result is the
+	// ascending canonical pair list whichever worker handled which row.
+	partners := func(a int32, q model.QueryID) []uint64 {
+		run := assoc[qOff[q]:qOff[q+1]]
+		if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
+			return nil
+		}
+		i, _ := slices.BinarySearch(run, uint64(uint32(q))<<32|uint64(uint32(a)))
+		return run[i+1:]
 	}
-	runs := make([]pairRun, cfg.Workers)
-	{
+	// eachRow hands fn every entity a with its distinct partners b > a (in
+	// first-seen order) and count[b], the queries a and b share; rows are
+	// interleaved across workers (low rows have the most partners).
+	eachRow := func(fn func(a int32, bs, count []int32)) {
 		var wg sync.WaitGroup
 		for w := 0; w < cfg.Workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var out []uint64
+				stamp := make([]int32, n) // stamp[b] == a+1: b already seen in row a
+				count := make([]int32, n) // valid where stamped
+				var bs []int32
 				var sinceCheck int
-				for qi := w; qi < numQueries; qi += cfg.Workers {
+				for r := w; r < n; r += cfg.Workers {
 					if sinceCheck++; sinceCheck >= 256 {
 						sinceCheck = 0
 						if ctx.Err() != nil {
-							break
+							return
 						}
 					}
-					ents := assoc[qStart[qi]:qStart[qi+1]]
-					if cfg.MaxQueryFanout > 0 && len(ents) > cfg.MaxQueryFanout {
-						continue
-					}
-					for i := 0; i < len(ents); i++ {
-						for j := i + 1; j < len(ents); j++ {
-							// Entities within a run ascend, so the pair
-							// is already canonical.
-							a := ents[i] & 0xffffffff
-							b := ents[j] & 0xffffffff
-							out = append(out, a<<32|b)
+					a := int32(r)
+					bs = bs[:0]
+					for _, q := range querySets[a] {
+						for _, x := range partners(a, q) {
+							b := int32(uint32(x))
+							if stamp[b] != a+1 {
+								stamp[b] = a + 1
+								count[b] = 0
+								bs = append(bs, b)
+							}
+							count[b]++
 						}
 					}
+					fn(a, bs, count)
 				}
-				// Sort and run-length count in place: the write cursor
-				// never passes the read cursor, so the key list reuses
-				// the raw pair buffer.
-				slices.Sort(out)
-				keys := out[:0]
-				var counts []int32
-				for i := 0; i < len(out); {
-					k := out[i]
-					j := i
-					for ; j < len(out) && out[j] == k; j++ {
-					}
-					keys = append(keys, k)
-					counts = append(counts, int32(j-i))
-					i = j
-				}
-				runs[w] = pairRun{keys: keys, counts: counts}
 			}(w)
 		}
 		wg.Wait()
 	}
+	rowOff := make([]int, n+1) // pairs[rowOff[a]:rowOff[a+1]] are the (a, b>a)
+	eachRow(func(a int32, bs, _ []int32) { rowOff[a+1] = len(bs) })
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Merge the sorted per-worker runs, summing counts of equal keys.
-	// Workers partition queries, not pairs, so the same pair can appear
-	// in several runs; the min-key sweep emits each unique pair once, in
-	// ascending canonical order.
-	total := 0
-	for _, r := range runs {
-		total += len(r.keys)
+	for a := 0; a < n; a++ {
+		rowOff[a+1] += rowOff[a]
 	}
-	pairs := make([][2]int32, 0, total)
-	counts := make([]int32, 0, total)
-	idx := make([]int, len(runs))
-	for {
-		best := uint64(math.MaxUint64)
-		found := false
-		for w := range runs {
-			if i := idx[w]; i < len(runs[w].keys) && (!found || runs[w].keys[i] < best) {
-				best = runs[w].keys[i]
-				found = true
-			}
+	pairs := make([][2]int32, rowOff[n])
+	counts := make([]int32, rowOff[n])
+	eachRow(func(a int32, bs, count []int32) {
+		slices.Sort(bs)
+		for i, b := range bs {
+			pairs[rowOff[a]+i] = [2]int32{a, b}
+			counts[rowOff[a]+i] = count[b]
 		}
-		if !found {
-			break
-		}
-		var c int32
-		for w := range runs {
-			if i := idx[w]; i < len(runs[w].keys) && runs[w].keys[i] == best {
-				c += runs[w].counts[i]
-				idx[w] = i + 1
-			}
-		}
-		pairs = append(pairs, [2]int32{int32(best >> 32), int32(best & 0xffffffff)})
-		counts = append(counts, c)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
 	// Mean normalized word vectors per entity (Eq. 2 factored form).
@@ -294,23 +280,56 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	// would break symmetry). The per-side survival bits are kept (not just
 	// the union) so the incremental path can re-rank one endpoint without
 	// recomputing the other's verdict.
-	perNode := make([][]scored, n)
+	//
+	// A node's incident candidates are its own row of pairs plus the pairs
+	// of lower rows that name it second; only the latter need an index
+	// (rev, a CSR of pair indices by second endpoint), and one reusable
+	// list then ranks node after node.
+	revOff := make([]int32, n+1)
 	for i, p := range pairs {
 		if sims[i] < cfg.MinSimilarity {
 			continue
 		}
-		perNode[p[0]] = append(perNode[p[0]], scored{other: p[1], sim: sims[i], idx: i})
-		perNode[p[1]] = append(perNode[p[1]], scored{other: p[0], sim: sims[i], idx: i})
+		revOff[p[1]+1]++
+	}
+	for u := 0; u < n; u++ {
+		revOff[u+1] += revOff[u]
+	}
+	rev := make([]int32, revOff[n])
+	next = slices.Clone(revOff[:n])
+	for i, p := range pairs {
+		if sims[i] < cfg.MinSimilarity {
+			continue
+		}
+		rev[next[p[1]]] = int32(i)
+		next[p[1]]++
 	}
 	topU := make([]bool, len(pairs))
 	topV := make([]bool, len(pairs))
-	for u := range perNode {
-		rankNode(perNode[u], int32(u), pairs, topU, topV, cfg.TopK)
+	var lst []scored
+	for u := 0; u < n; u++ {
+		lst = lst[:0]
+		for _, i := range rev[revOff[u]:revOff[u+1]] {
+			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
+		}
+		for i := rowOff[u]; i < rowOff[u+1]; i++ {
+			if sims[i] < cfg.MinSimilarity {
+				continue
+			}
+			lst = append(lst, scored{other: pairs[i][1], sim: sims[i], idx: i})
+		}
+		rankNode(lst, int32(u), pairs, topU, topV, cfg.TopK)
 	}
 	// Emit sharded CSR directly: pairs are already canonical and sorted,
 	// so the kept subset is a valid FromEdges input, and the row-range
 	// shards are counted and filled concurrently.
-	kept := make([]wgraph.Edge, 0, len(pairs))
+	numKept := 0
+	for i := range pairs {
+		if topU[i] || topV[i] {
+			numKept++
+		}
+	}
+	kept := make([]wgraph.Edge, 0, numKept)
 	for i, p := range pairs {
 		if topU[i] || topV[i] {
 			kept = append(kept, wgraph.Edge{U: p[0], V: p[1], W: sims[i]})

@@ -29,9 +29,12 @@ package entitygraph
 // Output is byte-identical to the from-scratch build; the determinism
 // suite in internal/core locks this by gob-comparing whole taxonomies at
 // every step of a multi-day slide. When the changed fraction of rows (or
-// of entities) exceeds PatchDensityGate the patch degenerates, so the
-// build falls back to the dense path — a full BuildWithState — which is
-// trivially correct.
+// of entities) exceeds PatchDensityGate, or the pair replay of step 2
+// would emit more signed entries than the full build has candidate
+// pairs, the patch degenerates, so the build falls back to the dense
+// path — a full BuildWithState — which is trivially correct. The gates
+// are checked in order of cost, each before the work it makes pointless;
+// Delta.FallbackReason names the one that fired.
 
 import (
 	"cmp"
@@ -82,20 +85,44 @@ type IncState struct {
 	graph *shard.CSR
 }
 
+// Dense-fallback reasons, in the order BuildIncremental checks them.
+const (
+	// FallbackNoState: no usable retained state (first build, or one
+	// sized or configured differently).
+	FallbackNoState = "no-state"
+	// FallbackDirtyEntities: more than PatchDensityGate of the entities
+	// own a dirty item.
+	FallbackDirtyEntities = "dirty-entities"
+	// FallbackPairDeltaVolume: replaying the changed queries would emit
+	// (and sort) more signed pair entries than the previous build has
+	// candidate pairs — the delta costs more than the build it avoids.
+	FallbackPairDeltaVolume = "pair-delta-volume"
+	// FallbackDirtyRows: the patch was computed, but rewrites more than
+	// PatchDensityGate of the CSR rows.
+	FallbackDirtyRows = "dirty-rows"
+)
+
 // Delta summarizes what one incremental rebuild actually touched — the
 // per-rebuild observability payload threaded into core.Build, /api/stats
 // and the build trace.
 type Delta struct {
 	DirtyItems    int // items whose query-set membership changed
 	DirtyEntities int // entities whose query set really changed
-	ChangedPairs  int // candidate pairs added, removed or count-shifted
-	ChangedEdges  int // kept edges added, removed or reweighted
+	// ChangedPairs counts candidate pairs added, removed or
+	// count-shifted, ChangedEdges kept edges added, removed or
+	// reweighted. Both come out of the pair replay: a fallback that fires
+	// before it (every reason but dirty-rows) leaves them zero.
+	ChangedPairs int
+	ChangedEdges int
 	// DirtyRows are the CSR rows whose adjacency changed — the seed set
-	// for warm-starting the clustering cascade. Sorted ascending.
+	// for warm-starting the clustering cascade. Sorted ascending; nil on
+	// a dense fallback, which does not track rows.
 	DirtyRows []int32
-	// DenseFallback reports that the delta exceeded PatchDensityGate (or
-	// the retained state was unusable) and a full rebuild ran instead.
-	DenseFallback bool
+	// DenseFallback reports that a full rebuild ran instead of the patch;
+	// FallbackReason names the gate that decided it (one of the Fallback*
+	// constants, empty when the patch ran).
+	DenseFallback  bool
+	FallbackReason string
 }
 
 // pairDelta is one signed candidate-pair count adjustment.
@@ -110,21 +137,26 @@ type pairDelta struct {
 // BuildWithState or a previous BuildIncremental. If st is unusable
 // (nil, sized for a different entity set, built under different graph
 // semantics or embedding presence) or the delta is too dense, the full
-// build runs instead and Delta.DenseFallback reports it.
+// build runs instead and Delta.DenseFallback / FallbackReason report it.
+// st itself is only read, never written: the returned state is a new one.
 func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	d := &Delta{DirtyItems: len(dirtyItems)}
-	full := func() (*Result, *IncState, *Delta, error) {
+	full := func(reason string) (*Result, *IncState, *Delta, error) {
+		// The full build reads nothing of the previous state: let go of
+		// it first, so a caller that handed its only reference over does
+		// not hold two builds' arrays through the replacement's peak.
+		st = nil
 		res, nst, err := BuildWithState(ctx, es, clicks, emb, cfg)
-		d.DenseFallback = true
+		d.DenseFallback, d.FallbackReason = true, reason
 		d.DirtyRows = nil
 		return res, nst, d, err
 	}
 	if es == nil || st == nil || st.n != len(es.Entities) || st.hasEmb != (emb != nil) ||
 		!sameGraphSemantics(st.cfg, cfg) {
-		return full()
+		return full(FallbackNoState)
 	}
 	n := st.n
 
@@ -143,7 +175,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	}
 	slices.Sort(dirtyEnts)
 	if float64(len(dirtyEnts)) > PatchDensityGate*float64(n) {
-		return full()
+		return full(FallbackDirtyEntities)
 	}
 
 	// Recompute dirty entities' query sets (the exact flat-sort-dedup of
@@ -223,6 +255,13 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	for q, dq := range qd {
 		k := len(assocEntities(st.assoc, q))
 		pdCap += k*(k-1)/2 + (k+len(dq.joins))*(k+len(dq.joins)-1)/2
+	}
+	// Work-based gate: the replay emits, sorts and merges up to pdCap
+	// signed entries, the full build handles len(st.pairs) candidate pairs
+	// once. Past parity the replay loses — and a delta that large all but
+	// certainly trips the dirty-rows gate afterwards anyway.
+	if pdCap > len(st.pairs) {
+		return full(FallbackPairDeltaVolume)
 	}
 	pd := make([]pairDelta, 0, pdCap)
 	for q, dq := range qd {
@@ -452,7 +491,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	}
 	d.DirtyRows = dirtyRows
 	if float64(len(dirtyRows)) > PatchDensityGate*float64(n) {
-		return full()
+		return full(FallbackDirtyRows)
 	}
 
 	// Updated association index (single merge: old minus removals, plus

@@ -196,8 +196,9 @@ func TestIncrementalUnusableStateFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.DenseFallback {
-		t.Fatal("nil state must force the dense fallback")
+	if !delta.DenseFallback || delta.FallbackReason != FallbackNoState {
+		t.Fatalf("nil state must force the dense fallback with reason %q, got %v %q",
+			FallbackNoState, delta.DenseFallback, delta.FallbackReason)
 	}
 	if res == nil || st == nil || res.Graph.NumEdges() == 0 {
 		t.Fatal("fallback did not produce a usable build")
@@ -210,7 +211,114 @@ func TestIncrementalUnusableStateFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta2.DenseFallback {
-		t.Fatal("semantic config change must force the dense fallback")
+	if !delta2.DenseFallback || delta2.FallbackReason != FallbackNoState {
+		t.Fatalf("semantic config change must force the dense fallback with reason %q, got %v %q",
+			FallbackNoState, delta2.DenseFallback, delta2.FallbackReason)
+	}
+}
+
+// TestIncrementalFallsBackBeforeThePairReplay drives the early gates. A
+// high-churn slide — most queries each click one item they had not
+// clicked before — dirties a minority of the entities, so the
+// dirty-entity gate passes, but every touched query retracts and
+// re-emits all of its candidate pairs: the replay would sort more signed
+// entries than the full build has pairs. The build must take the dense
+// path before paying for that, say why, and still match Build exactly.
+func TestIncrementalFallsBackBeforeThePairReplay(t *testing.T) {
+	ctx := context.Background()
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 8
+	gen.ItemsPerScenario = 60
+	gen.QueriesPerScenario = 15
+	gen.NoiseItems = 30
+	gen.HeadQueries = 6
+	c, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := BuildEntities(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	clicks := bipartite.New(0)
+	if err := clicks.AddAll(c.Clicks); err != nil {
+		t.Fatal(err)
+	}
+	clicks.TakeChangedItems()
+	_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// fresh picks an item query q has not clicked yet.
+	fresh := func(q int) model.ItemID {
+		it := model.ItemID((q*7 + 13) % len(c.Items))
+		for clicks.ClickCount(model.QueryID(q), it) > 0 {
+			it = (it + 1) % model.ItemID(len(c.Items))
+		}
+		return it
+	}
+	var churn []model.ClickEvent
+	for q := range c.Queries {
+		if q%3 != 0 {
+			churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: fresh(q), Day: 1, Count: 1})
+		}
+	}
+	if err := clicks.AddAll(churn); err != nil {
+		t.Fatal(err)
+	}
+	dirty := clicks.TakeChangedItems()
+	if 2*len(dirty) >= len(es.Entities) {
+		t.Fatalf("%d dirty items over %d entities would trip the dirty-entity gate first", len(dirty), len(es.Entities))
+	}
+	res, nst, delta, err := BuildIncremental(ctx, es, clicks, nil, cfg, st, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !delta.DenseFallback || delta.FallbackReason != FallbackPairDeltaVolume {
+		t.Fatalf("fallback = %v, reason %q; want the %q gate", delta.DenseFallback, delta.FallbackReason, FallbackPairDeltaVolume)
+	}
+	if delta.DirtyItems != len(dirty) || delta.DirtyEntities == 0 {
+		t.Fatalf("delta lost the counts known before the gate: %+v", delta)
+	}
+	if delta.ChangedPairs != 0 || delta.ChangedEdges != 0 || delta.DirtyRows != nil {
+		t.Fatalf("delta reports replay results the early exit never computed: %+v", delta)
+	}
+	full, err := Build(ctx, es, clicks, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, "pair-delta-volume", res, full)
+
+	// The state the fallback returns is a full build's: patching a small
+	// delta on top of it works and matches again.
+	one := []model.ClickEvent{{Query: 0, Item: fresh(0), Day: 2, Count: 1}}
+	if err := clicks.AddAll(one); err != nil {
+		t.Fatal(err)
+	}
+	res, _, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, nst, clicks.TakeChangedItems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.DenseFallback || delta.DirtyEntities != 1 {
+		t.Fatalf("a one-click slide: fallback %v (%q), %d dirty entities; want a one-entity patch",
+			delta.DenseFallback, delta.FallbackReason, delta.DirtyEntities)
+	}
+	if full, err = Build(ctx, es, clicks, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, "patch-after-fallback", res, full)
+
+	// Every item dirty: the cheapest gate answers.
+	all := make([]model.ItemID, len(c.Items))
+	for i := range all {
+		all[i] = model.ItemID(i)
+	}
+	if _, _, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, nst, all); err != nil {
+		t.Fatal(err)
+	}
+	if !delta.DenseFallback || delta.FallbackReason != FallbackDirtyEntities {
+		t.Fatalf("fallback = %v, reason %q; want the %q gate", delta.DenseFallback, delta.FallbackReason, FallbackDirtyEntities)
 	}
 }

@@ -4,11 +4,17 @@
 // The types mirror the entities in the paper's query-item bipartite graph
 // (Fig. 2): users submit Queries, Queries lead to clicks on Items, Items
 // belong to ontology Categories, and SHOAL groups Items into Topics.
+//
+// The package also owns the corpus's text plane (TextPlane, reached
+// through Corpus.Text): the catalog's titles, query texts and category
+// names tokenized once and interned to term ids, shared by every stage
+// that needs token lists.
 package model
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ItemID identifies a single item (a product listing).
@@ -91,6 +97,13 @@ type ClickEvent struct {
 // Corpus is the full input to the SHOAL pipeline: the catalog, the query
 // dictionary and the click log. It is the in-memory equivalent of the
 // paper's seven-day Taobao snapshot.
+//
+// A Corpus is immutable once a pipeline has seen it: everything derived
+// from the catalog — entities, embeddings, the text plane below — is
+// computed once per *Corpus and reused across rebuilds, so Items,
+// Queries and Categories must not change after the first build (Clicks
+// is never read by derived state and may be dropped or replaced). Hold
+// and pass a Corpus by pointer; it carries a sync.Once.
 type Corpus struct {
 	Items      []Item
 	Queries    []Query
@@ -99,6 +112,11 @@ type Corpus struct {
 	// Scenarios names the ground-truth scenarios when the corpus is
 	// synthetic; empty otherwise.
 	Scenarios []string
+
+	// The lazily built text plane (see Text). Unexported, so the gob and
+	// JSON encodings of a corpus do not carry it.
+	textOnce sync.Once
+	text     *TextPlane
 }
 
 // Validate checks referential integrity: every click refers to an existing

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -122,6 +123,41 @@ func (t *Trace) SpanCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
+}
+
+// SpanRecord is a read-only copy of one recorded span.
+type SpanRecord struct {
+	Name string
+	// Parent is the enclosing span's name, empty for a root span.
+	Parent string
+	// Start is the offset from the trace start; Duration runs to now for
+	// a span still open.
+	Start, Duration time.Duration
+	Attrs           []Attr
+}
+
+// Records returns a copy of every span in open order, for callers that
+// report on a finished trace in-process (shoal-build -v) instead of
+// exporting it. Nil-safe.
+func (t *Trace) Records() []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	now := time.Since(t.start)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]SpanRecord, len(t.spans))
+	for i, sp := range t.spans {
+		end := sp.end
+		if end == 0 {
+			end = now
+		}
+		out[i] = SpanRecord{Name: sp.name, Start: sp.start, Duration: end - sp.start, Attrs: slices.Clone(sp.attrs)}
+		if sp.parent >= 0 {
+			out[i].Parent = t.spans[sp.parent].name
+		}
+	}
+	return out
 }
 
 // chromeEvent is one Chrome trace-event ("X" complete event, ts/dur in

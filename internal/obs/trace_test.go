@@ -105,3 +105,37 @@ func TestTraceNilSafety(t *testing.T) {
 		t.Fatal("context round-trip lost the span")
 	}
 }
+
+func TestTraceRecords(t *testing.T) {
+	var none *Trace
+	if none.Records() != nil {
+		t.Fatal("nil trace returned records")
+	}
+	tr := NewTrace("build")
+	a := tr.StartSpan("stage-a")
+	c := a.Child("docs")
+	c.SetAttr("tokens", 7)
+	c.End()
+	open := a.Child("still-open")
+	a.End()
+
+	recs := tr.Records()
+	if len(recs) != 3 {
+		t.Fatalf("records = %d, want 3", len(recs))
+	}
+	if recs[0].Name != "stage-a" || recs[0].Parent != "" {
+		t.Fatalf("root record = %+v", recs[0])
+	}
+	if recs[1].Name != "docs" || recs[1].Parent != "stage-a" ||
+		len(recs[1].Attrs) != 1 || recs[1].Attrs[0] != (Attr{Key: "tokens", Value: 7}) {
+		t.Fatalf("child record = %+v", recs[1])
+	}
+	if recs[2].Duration < 0 || recs[1].Start < recs[0].Start {
+		t.Fatalf("bad times: %+v", recs)
+	}
+	// Records are copies: later attrs do not show through.
+	open.SetAttr("late", 1)
+	if len(recs[2].Attrs) != 0 {
+		t.Fatal("record aliases the trace's attribute storage")
+	}
+}

@@ -240,6 +240,11 @@ type DeltaStat struct {
 	ReplayedMerges int    `json:"replayedMerges"`
 	ClusterCold    string `json:"clusterCold,omitempty"`
 	DenseFallback  bool   `json:"denseFallback"`
+	// DenseFallbackReason names the entity-graph gate that chose the
+	// full rebuild: no-state, dirty-entities, pair-delta-volume or
+	// dirty-rows. ChangedEdges and DirtyRows are zero for all but the
+	// last, which is the only one decided after the delta was computed.
+	DenseFallbackReason string `json:"denseFallbackReason,omitempty"`
 	// DroppedStale is the window's cumulative count of stale
 	// (already-evicted-day) events dropped at ingestion.
 	DroppedStale int64 `json:"droppedStale"`
@@ -397,15 +402,16 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	if b.Delta != nil {
 		out.Delta = &DeltaStat{
-			DirtyItems:     b.Delta.DirtyItems,
-			DirtyEntities:  b.Delta.DirtyEntities,
-			ChangedEdges:   b.Delta.ChangedEdges,
-			DirtyRows:      b.Delta.DirtyRows,
-			SeededRows:     b.Delta.SeededRows,
-			ReplayedRounds: b.Delta.ReplayedRounds,
-			ReplayedMerges: b.Delta.ReplayedMerges,
-			ClusterCold:    b.Delta.ClusterCold,
-			DenseFallback:  b.Delta.DenseFallback,
+			DirtyItems:          b.Delta.DirtyItems,
+			DirtyEntities:       b.Delta.DirtyEntities,
+			ChangedEdges:        b.Delta.ChangedEdges,
+			DirtyRows:           b.Delta.DirtyRows,
+			SeededRows:          b.Delta.SeededRows,
+			ReplayedRounds:      b.Delta.ReplayedRounds,
+			ReplayedMerges:      b.Delta.ReplayedMerges,
+			ClusterCold:         b.Delta.ClusterCold,
+			DenseFallback:       b.Delta.DenseFallback,
+			DenseFallbackReason: b.Delta.DenseFallbackReason,
 		}
 		out.Delta.DroppedStale = snap.droppedStale
 	}

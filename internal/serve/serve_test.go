@@ -418,3 +418,38 @@ func TestStatsBSPSection(t *testing.T) {
 		t.Fatalf("combiner hit rate out of range: %+v", stats.BSPStats)
 	}
 }
+
+// An incremental build must say in /api/stats not only that the entity
+// graph fell back to the full build but which gate decided it; the first
+// rebuild of a pipeline has no retained state to patch.
+func TestStatsDeltaFallbackReason(t *testing.T) {
+	c := synth.Curated()
+	cfg := core.DefaultConfig()
+	cfg.TrainEmbeddings = false
+	cfg.Incremental = true
+	cfg.Graph.MinSimilarity = 0.2
+	p, err := core.NewDailyPipeline(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.IngestDay(c.Clicks); err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Rebuild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHandler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	var stats Stats
+	if code := getJSON(t, srv.URL+"/api/stats", &stats); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	if stats.Delta == nil || !stats.Delta.DenseFallback || stats.Delta.DenseFallbackReason != "no-state" {
+		t.Fatalf("delta section = %+v, want a dense fallback with reason no-state", stats.Delta)
+	}
+}

@@ -70,6 +70,12 @@ func (v *Vocab) Count(id int) int64 {
 // Size returns the number of distinct tokens.
 func (v *Vocab) Size() int { return len(v.words) }
 
+// Words returns the id-indexed token table itself, for callers that turn
+// many ids back into strings and cannot afford Word's bounds check per
+// token. The slice is the vocabulary's own storage: read it, never
+// write it, and re-fetch it after an Add.
+func (v *Vocab) Words() []string { return v.words }
+
 // Total returns the number of token occurrences added.
 func (v *Vocab) Total() int64 { return v.total }
 
