@@ -200,11 +200,8 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 			if d.DenseFallback {
 				notes += " dense-fallback-reason=" + d.DenseFallbackReason
 			}
-			if d.ClusterCold != "" {
-				notes += " cluster-cold=" + d.ClusterCold
-			}
-			log.Printf("refresh: delta dirty-items=%d dirty-rows=%d changed-edges=%d seeded-rows=%d replayed-rounds=%d replayed-merges=%d dense-fallback=%v%s",
-				d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.SeededRows, d.ReplayedRounds, d.ReplayedMerges, d.DenseFallback, notes)
+			log.Printf("refresh: delta dirty-items=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
+				d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func main() {
 	}
 
 	fmt.Printf("streaming %d days of clicks through a %d-day window (incremental rebuilds)\n\n", gen.Days, cfg.WindowDays)
-	fmt.Printf("%-5s %-16s %-8s %-10s %s\n", "day", "window-queries", "topics", "stability", "delta (dirty-rows/seeded)")
+	fmt.Printf("%-5s %-16s %-8s %-10s %s\n", "day", "window-queries", "topics", "stability", "delta (dirty-items/dirty-rows)")
 	var prev *shoal.DailyBuild
 	for day := 0; day < gen.Days; day++ {
 		if err := pipeline.IngestDay(byDay[day]); err != nil {
@@ -80,10 +80,9 @@ func main() {
 		queries, _, _ := pipeline.WindowStats()
 		delta := "-"
 		if d := build.Delta; d != nil {
+			delta = fmt.Sprintf("%d/%d", d.DirtyItems, d.DirtyRows)
 			if d.DenseFallback {
-				delta = fmt.Sprintf("%d/%d (dense fallback)", d.DirtyRows, d.SeededRows)
-			} else {
-				delta = fmt.Sprintf("%d/%d", d.DirtyRows, d.SeededRows)
+				delta += " (dense fallback)"
 			}
 		}
 		fmt.Printf("%-5d %-16d %-8d %-10s %s\n", day, queries, len(build.Taxonomy.Topics), stability, delta)

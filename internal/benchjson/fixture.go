@@ -113,23 +113,16 @@ func deriveWorld(b *core.Build) (*bipartite.Graph, []int, error) {
 
 // slideWorld is the precomputed input of the daily-rebuild /
 // incremental-rebuild pair: one one-day slide of a seven-day window,
-// with the pre-slide entity-graph state and clustering memo already
-// captured. Both benchmarks rebuild the SAME post-slide window from the
-// same inputs — one from scratch, one delta-driven — so their ratio
+// with the pre-slide entity-graph state already captured. Both
+// benchmarks rebuild the SAME post-slide window from the same inputs —
+// one from scratch, one delta-driven — so their ratio
 // (incremental-vs-full) isolates what the delta path saves.
 type slideWorld struct {
 	window *bipartite.Graph // the post-slide window
 	dirty  []model.ItemID   // items the slide changed
 	st     *entitygraph.IncState
-	memo   *phac.Memo
 	gcfg   entitygraph.Config
 	hcfg   phac.Config
-	// post is the post-slide entity graph with postDirty as the rows the
-	// slide touched — the clustering-only warm-vs-cold pair's shared
-	// input, so its ratio isolates what the memo (round-0 seed plus
-	// trajectory replay) saves with the graph build factored out.
-	post      *shard.CSR
-	postDirty []int32
 }
 
 // buildSlideWorld replays the fixture corpus's clicks as a
@@ -138,7 +131,7 @@ type slideWorld struct {
 // neighborhood stays well under the patch density gate at this corpus
 // scale). It fills a seven-day window, captures the incremental state,
 // then slides one day.
-func buildSlideWorld(b *core.Build, sizes []int) (*slideWorld, error) {
+func buildSlideWorld(b *core.Build) (*slideWorld, error) {
 	const days, tail = 8, 400
 	byDay := make([][]model.ClickEvent, days)
 	for i, ev := range b.Corpus.Clicks {
@@ -164,32 +157,25 @@ func buildSlideWorld(b *core.Build, sizes []int) (*slideWorld, error) {
 		}
 	}
 	sw.window.TakeChangedItems() // first build is always cold
-	resA, stA, err := entitygraph.BuildWithState(ctx, b.Entities, sw.window, b.Embeddings, sw.gcfg)
+	_, st, err := entitygraph.BuildWithState(ctx, b.Entities, sw.window, b.Embeddings, sw.gcfg)
 	if err != nil {
 		return nil, err
 	}
-	_, memo, err := phac.ClusterWarm(ctx, resA.Graph, sizes, sw.hcfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	sw.st, sw.memo = stA, memo
+	sw.st = st
 	if err := sw.window.AddAll(byDay[days-1]); err != nil {
 		return nil, err
 	}
 	sw.dirty = sw.window.TakeChangedItems()
 	// The pair's contract is that the delta path actually runs: a slide
 	// dense enough to trip the patch gate would make both benchmarks
-	// measure the same full build and the ratio meaningless. The same
-	// validation build yields the post-slide graph and dirty rows the
-	// clustering-only warm-vs-cold pair clusters.
-	resB, _, d, err := entitygraph.BuildIncremental(ctx, b.Entities, sw.window, b.Embeddings, sw.gcfg, sw.st, sw.dirty)
+	// measure the same full build and the ratio meaningless.
+	_, _, d, err := entitygraph.BuildIncremental(ctx, b.Entities, sw.window, b.Embeddings, sw.gcfg, sw.st, sw.dirty)
 	if err != nil {
 		return nil, err
 	}
 	if d.DenseFallback {
 		return nil, fmt.Errorf("benchjson: slide fixture tripped the dense fallback (dirty items %d)", d.DirtyItems)
 	}
-	sw.post, sw.postDirty = resB.Graph, d.DirtyRows
 	return sw, nil
 }
 

@@ -22,7 +22,7 @@ type DailyPipeline struct {
 	last   *Build
 	// cache is the cross-build state of the incremental rebuild path
 	// (Config.Incremental): corpus-static artifacts plus the previous
-	// build's entity-graph state and clustering diffusion memo.
+	// build's entity-graph state.
 	cache rebuildCache
 }
 
@@ -82,10 +82,12 @@ func (p *DailyPipeline) Rebuild() (*Build, error) {
 // RebuildContext is Rebuild with cancellation: a canceled ctx aborts the
 // in-flight build without touching the last published one. With
 // Config.Incremental set it runs the delta-driven path: the window's
-// changed items are drained and only their downstream effects — entity
-// graph rows, clustering diffusion, and everything the taxonomy stages
-// derive from them — are recomputed, byte-identical to a from-scratch
-// rebuild.
+// changed items are drained and the entity graph is patched from them
+// instead of rebuilt; clustering and every later stage run as in a
+// from-scratch rebuild, so the output is byte-identical to one. A
+// failed incremental rebuild loses the drained delta, and the next one
+// rebuilds the graph from scratch (Delta.DenseFallbackReason
+// "no-state") before the patch path resumes.
 func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
 	if !p.cfg.Incremental {
 		b, err := RunWithClicksContext(ctx, p.corpus, p.clicks, p.cfg)
@@ -95,13 +97,15 @@ func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
 		p.last = b
 		return b, nil
 	}
+	cfg := resolveConfig(p.cfg)
 	dirty := p.clicks.TakeChangedItems()
-	b, err := runIncremental(ctx, p.corpus, p.clicks, p.cfg, &p.cache, dirty)
+	b, err := run(ctx, p.corpus, p.clicks, cfg, incrementalStages(cfg, &p.cache, dirty))
 	if err != nil {
 		// The drained delta is lost with the failed build: the cached
-		// graph state and memo no longer describe any window the next
-		// rebuild could diff against, so cold-start it.
-		p.cache.invalidate()
+		// graph state no longer describes any window the next rebuild
+		// could diff against, so cold-start it. The corpus-static
+		// artifacts (entities, embeddings) survive.
+		p.cache.graphState = nil
 		return nil, err
 	}
 	p.last = b

@@ -1,15 +1,22 @@
-package core
+package core_test
+
+// An external test package: TestIncrementalRebuildAfterFailure drives a
+// serve.Handler, and serve imports core.
 
 import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"shoal/internal/bipartite"
+	"shoal/internal/core"
 	"shoal/internal/model"
+	"shoal/internal/serve"
 	"shoal/internal/synth"
 )
 
@@ -41,6 +48,27 @@ func gobBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// sameSearchHits searches both builds for every probe and fails unless
+// the hits agree in topic and score bits; it returns the hit count so
+// callers can reject a vacuous comparison.
+func sameSearchHits(t *testing.T, day int, inc, full *core.Build, probes []string) int {
+	t.Helper()
+	hits := 0
+	for _, q := range probes {
+		hi, hf := inc.Searcher.Search(q, 5), full.Searcher.Search(q, 5)
+		if len(hi) != len(hf) {
+			t.Fatalf("day %d: search %q: %d hits incremental, %d from scratch", day, q, len(hi), len(hf))
+		}
+		hits += len(hi)
+		for i := range hi {
+			if hi[i].Topic != hf[i].Topic || math.Float64bits(hi[i].Score) != math.Float64bits(hf[i].Score) {
+				t.Fatalf("day %d: search %q hit %d: %+v incremental, %+v from scratch", day, q, i, hi[i], hf[i])
+			}
+		}
+	}
+	return hits
+}
+
 // TestIncrementalRebuildMatchesFromScratch is the tentpole determinism
 // suite: slide a multi-day window through the incremental daily
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
@@ -70,7 +98,7 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 		{"w2-s2-bsp", 2, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := core.DefaultConfig()
 			cfg.WindowDays = 4
 			cfg.TrainEmbeddings = false
 			cfg.Shards = tc.shards
@@ -81,13 +109,12 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 
 			incCfg := cfg
 			incCfg.Incremental = true
-			p, err := NewDailyPipeline(c, incCfg)
+			p, err := core.NewDailyPipeline(c, incCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			sawSeeded := false
-			sawReplayed := false
+			sawPatched := false
 			searchHits := 0
 			for d := range days {
 				if err := p.IngestDay(days[d]); err != nil {
@@ -100,15 +127,8 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 				if bInc.Delta == nil || !bInc.Delta.Incremental {
 					t.Fatalf("day %d: incremental build carries no delta stats", d)
 				}
-				if !bInc.Delta.DenseFallback && bInc.Delta.SeededRows > 0 {
-					sawSeeded = true
-				}
-				if bInc.Delta.ReplayedRounds > 0 {
-					if bInc.Delta.ClusterCold != "" {
-						t.Fatalf("day %d: replayed %d rounds but delta claims a cold clustering (%s)",
-							d, bInc.Delta.ReplayedRounds, bInc.Delta.ClusterCold)
-					}
-					sawReplayed = true
+				if !bInc.Delta.DenseFallback && bInc.Delta.DirtyRows > 0 {
+					sawPatched = true
 				}
 
 				full := bipartite.New(cfg.WindowDays)
@@ -117,7 +137,7 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				bFull, err := RunWithClicksContext(ctx, c, full, cfg)
+				bFull, err := core.RunWithClicksContext(ctx, c, full, cfg)
 				if err != nil {
 					t.Fatalf("day %d: from-scratch build: %v", d, err)
 				}
@@ -133,24 +153,10 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 				if !bytes.Equal(gobBytes(t, bInc.Descriptions), gobBytes(t, bFull.Descriptions)) {
 					t.Fatalf("day %d: topic descriptions diverged", d)
 				}
-				for _, q := range searchProbes {
-					hi, hf := bInc.Searcher.Search(q, 5), bFull.Searcher.Search(q, 5)
-					if len(hi) != len(hf) {
-						t.Fatalf("day %d: search %q: %d hits incremental, %d from scratch", d, q, len(hi), len(hf))
-					}
-					searchHits += len(hi)
-					for i := range hi {
-						if hi[i].Topic != hf[i].Topic || math.Float64bits(hi[i].Score) != math.Float64bits(hf[i].Score) {
-							t.Fatalf("day %d: search %q hit %d: %+v incremental, %+v from scratch", d, q, i, hi[i], hf[i])
-						}
-					}
-				}
+				searchHits += sameSearchHits(t, d, bInc, bFull, searchProbes)
 			}
-			if !sawSeeded {
-				t.Fatal("no slide warm-started clustering; the incremental path was never exercised")
-			}
-			if !sawReplayed {
-				t.Fatal("no slide replayed any merge round; dendrogram-prefix reuse was never exercised")
+			if !sawPatched {
+				t.Fatal("no slide patched the entity graph; the incremental path was never exercised")
 			}
 			if searchHits == 0 {
 				t.Fatal("no probe query ever hit a topic; the search comparison is vacuous")
@@ -167,7 +173,7 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	c := synth.Curated()
 	days := coreSlideDays(c, 6)
 
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.WindowDays = 3
 	cfg.TrainEmbeddings = false
 	cfg.Shards = 2
@@ -175,17 +181,17 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 
 	incCfg := cfg
 	incCfg.Incremental = true
-	pInc, err := NewDailyPipeline(c, incCfg)
+	pInc, err := core.NewDailyPipeline(c, incCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFull, err := NewDailyPipeline(c, cfg)
+	pFull, err := core.NewDailyPipeline(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var trajInc, trajFull []float64
-	var prevInc, prevFull *Build
+	var prevInc, prevFull *core.Build
 	for d := range days {
 		if err := pInc.IngestDay(days[d]); err != nil {
 			t.Fatal(err)
@@ -202,11 +208,11 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prevInc != nil {
-			si, err := Stability(prevInc, bInc)
+			si, err := core.Stability(prevInc, bInc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sf, err := Stability(prevFull, bFull)
+			sf, err := core.Stability(prevFull, bFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,5 +223,112 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	}
 	if !reflect.DeepEqual(trajInc, trajFull) {
 		t.Fatalf("stability trajectories diverged:\nincremental: %v\nfrom-scratch: %v", trajInc, trajFull)
+	}
+}
+
+// TestIncrementalRebuildAfterFailure drives the failed-rebuild path
+// through the real pipeline and handler: a rebuild that dies after
+// draining the window's delta must leave the published build alone, the
+// next rebuild must notice it has nothing to diff against and rebuild
+// the graph from scratch — identical to a from-scratch build of the
+// window — and the slide after that must be back on the patch path.
+func TestIncrementalRebuildAfterFailure(t *testing.T) {
+	c := synth.Curated()
+	days := coreSlideDays(c, 8)
+	cfg := core.DefaultConfig()
+	cfg.WindowDays = 4
+	cfg.TrainEmbeddings = false
+	cfg.Shards = 2
+	cfg.Graph.MinSimilarity = 0.15
+	incCfg := cfg
+	incCfg.Incremental = true
+	p, err := core.NewDailyPipeline(c, incCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slide := func(d int) *core.Build {
+		t.Helper()
+		if err := p.IngestDay(days[d]); err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Rebuild()
+		if err != nil {
+			t.Fatalf("day %d: %v", d, err)
+		}
+		return b
+	}
+
+	// The curated corpus is small enough that some slides trip a patch
+	// density gate on their own; failing on day 2 puts a slide that
+	// patches (days 1 and 3) on each side of the failure.
+	slide(0)
+	steady := slide(1)
+	if steady.Delta.DenseFallback {
+		t.Fatalf("day 1 fell back (%s); the pipeline never reached the patch path", steady.Delta.DenseFallbackReason)
+	}
+	h, err := serve.NewHandler(steady)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := p.IngestDay(days[2]); err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if b, err := p.RebuildContext(canceled); err == nil {
+		t.Fatalf("rebuild under a canceled context succeeded: %+v", b.Delta)
+	}
+	if p.Last() != steady {
+		t.Fatal("failed rebuild replaced the last published build")
+	}
+
+	recovered, err := p.Rebuild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recovered.Delta.DenseFallback || recovered.Delta.DenseFallbackReason != "no-state" {
+		t.Fatalf("rebuild after a failure: delta %+v, want a dense fallback with reason no-state", recovered.Delta)
+	}
+	window := bipartite.New(cfg.WindowDays)
+	for d := 0; d <= 2; d++ {
+		if err := window.AddAll(days[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := core.RunWithClicks(c, window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gobBytes(t, recovered.Taxonomy), gobBytes(t, full.Taxonomy)) {
+		t.Fatal("recovered taxonomy diverged from from-scratch")
+	}
+	probes := []string{c.Queries[0].Text, c.Queries[len(c.Queries)/2].Text, "beach beach dress", "zzzz"}
+	if sameSearchHits(t, 2, recovered, full, probes) == 0 {
+		t.Fatal("no probe query ever hit a topic; the search comparison is vacuous")
+	}
+
+	if err := h.Swap(recovered); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats", nil))
+	var stats serve.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("/api/stats: status %d: %v", rec.Code, err)
+	}
+	d := recovered.Delta
+	want := &serve.DeltaStat{
+		DirtyItems: d.DirtyItems, DirtyEntities: d.DirtyEntities,
+		ChangedEdges: d.ChangedEdges, DirtyRows: d.DirtyRows,
+		DenseFallback: true, DenseFallbackReason: "no-state",
+		DroppedStale: p.Window().DroppedStale,
+	}
+	if !reflect.DeepEqual(stats.Delta, want) {
+		t.Fatalf("/api/stats delta = %+v, want %+v", stats.Delta, want)
+	}
+
+	if next := slide(3); next.Delta.DenseFallback || next.Delta.DirtyRows == 0 {
+		t.Fatalf("slide after the recovery: delta %+v, want a patch over dirty rows", next.Delta)
 	}
 }

@@ -13,9 +13,11 @@
 // Config.Incremental (shoal-build/shoal-serve -incremental) switches its
 // rebuilds to the delta-driven path: the window's changed items are
 // drained each rebuild, the entity graph is patched rather than rebuilt,
-// clustering warm-starts from the previous build's diffusion memo, and
-// Build.Delta reports what was actually recomputed — with output
+// and Build.Delta reports what the patch touched — with output
 // byte-identical to a from-scratch rebuild of the same window.
+// Clustering and every stage after it run from scratch on every build,
+// as the paper's Parallel HAC does (ROADMAP, "Why clustering runs cold
+// on every slide").
 //
 // Determinism has one scoped exception: word2vec trains Hogwild-style
 // (lock-free updates from Word2Vec.Workers goroutines), so two builds
@@ -77,18 +79,17 @@ type Config struct {
 	BSP      bool
 	Word2Vec word2vec.Config
 	Graph    entitygraph.Config
-	// Incremental makes DailyPipeline.Rebuild reuse the previous build:
-	// the entity graph is patched from the window's changed items
-	// (entitygraph.BuildIncremental) and clustering warm-starts from the
-	// previous build's diffusion memo (phac.ClusterWarm), recomputing
-	// only what the slide touched. Output is byte-identical to a
-	// from-scratch rebuild at every step (locked by the determinism
-	// suite in incremental_test.go) — modulo embeddings, which are
-	// trained once and reused; with TrainEmbeddings and Workers > 1 the
-	// Hogwild trainer itself is not reproducible, so neither is the
-	// from-scratch baseline. Per-rebuild savings are reported in
-	// Build.Delta and /api/stats. Only DailyPipeline consults this knob;
-	// one-shot Run ignores it.
+	// Incremental makes DailyPipeline.Rebuild reuse the previous build's
+	// entity graph: it is patched from the window's changed items
+	// (entitygraph.BuildIncremental) instead of rebuilt; every later
+	// stage, clustering included, runs from scratch. Output is
+	// byte-identical to a from-scratch rebuild at every step (locked by
+	// the determinism suite in incremental_test.go) — modulo embeddings,
+	// which are trained once and reused; with TrainEmbeddings and
+	// Workers > 1 the Hogwild trainer itself is not reproducible, so
+	// neither is the from-scratch baseline. What each patch touched is
+	// reported in Build.Delta and /api/stats. Only DailyPipeline consults
+	// this knob; one-shot Run ignores it.
 	Incremental bool
 	// HAC also carries the frontier-pruned diffusion knob
 	// (HAC.FrontierDensity, surfaced as shoal-build/-serve -frontier):
@@ -183,7 +184,8 @@ func Run(corpus *model.Corpus, cfg Config) (*Build, error) {
 // RunContext is Run with cancellation: canceling ctx aborts in-flight
 // stages and returns the context error.
 func RunContext(ctx context.Context, corpus *model.Corpus, cfg Config) (*Build, error) {
-	return run(ctx, corpus, nil, cfg)
+	cfg = resolveConfig(cfg)
+	return run(ctx, corpus, nil, cfg, pipelineStages(cfg, false))
 }
 
 // RunWithClicks executes the pipeline over an externally maintained click
@@ -197,14 +199,17 @@ func RunWithClicksContext(ctx context.Context, corpus *model.Corpus, clicks *bip
 	if clicks == nil {
 		return nil, fmt.Errorf("core: nil click graph")
 	}
-	return run(ctx, corpus, clicks, cfg)
+	cfg = resolveConfig(cfg)
+	return run(ctx, corpus, clicks, cfg, pipelineStages(cfg, true))
 }
 
-func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config) (*Build, error) {
+// run is the one build driver: it executes stages — the from-scratch
+// graph or the incremental one, both declared over the same resolved
+// cfg — through the Engine and assembles the Build they fill in.
+func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, stages []Stage) (*Build, error) {
 	if err := corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	cfg = resolveConfig(cfg)
 	density := cfg.HAC.FrontierDensity
 	if density == 0 {
 		density = phac.DefaultFrontierDensity
@@ -216,7 +221,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		BSPEnabled:      cfg.HAC.UseBSP,
 		Trace:           obs.NewTrace("shoal-build"),
 	}
-	eng, err := NewEngine(pipelineStages(cfg, clicks != nil)...)
+	eng, err := NewEngine(stages...)
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +239,8 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 
 // resolveConfig resolves the defaulted knobs once so every stage (and
 // /api/stats) sees the same widths — shared by the from-scratch and
-// incremental drivers, which must resolve identically for the cross-
-// build caches to stay compatible.
+// incremental stage lists, which must resolve identically for the
+// cached entity-graph state to stay compatible.
 func resolveConfig(cfg Config) Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -302,28 +307,34 @@ func pipelineStages(cfg Config, externalClicks bool) []Stage {
 			b.Shards = res.Graph.NumShards()
 			return nil
 		}),
-		StageFunc("parallel-hac", []string{"entity-graph"}, func(ctx context.Context, b *Build) error {
-			sizes := make([]int, len(b.Entities.Entities))
-			for i := range sizes {
-				sizes[i] = b.Entities.Entities[i].Size()
-			}
-			res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
-			if err != nil {
-				return err
-			}
-			b.Dendrogram = res.Dendrogram
-			b.Rounds = res.Rounds
-			b.BSPStats = res.BSP
-			return nil
-		}),
+		clusterStage(cfg, "entity-graph"),
 	)
 	return append(stages, downstreamStages(cfg)...)
 }
 
+// clusterStage declares the "parallel-hac" stage behind graphStage, the
+// stage that publishes b.Graph: one from-scratch phac.Cluster per build,
+// whichever driver built the graph.
+func clusterStage(cfg Config, graphStage string) Stage {
+	return StageFunc("parallel-hac", []string{graphStage}, func(ctx context.Context, b *Build) error {
+		sizes := make([]int, len(b.Entities.Entities))
+		for i := range sizes {
+			sizes[i] = b.Entities.Entities[i].Size()
+		}
+		res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
+		if err != nil {
+			return err
+		}
+		b.Dendrogram = res.Dendrogram
+		b.Rounds = res.Rounds
+		b.BSPStats = res.BSP
+		return nil
+	})
+}
+
 // downstreamStages declares the post-clustering half of the build graph
 // — taxonomy assembly onward — shared verbatim by the from-scratch and
-// incremental drivers (both publish their dendrogram under the
-// "parallel-hac" stage name these depend on).
+// incremental stage lists.
 func downstreamStages(cfg Config) []Stage {
 	return []Stage{
 		StageFunc("taxonomy", []string{"parallel-hac"}, func(ctx context.Context, b *Build) error {

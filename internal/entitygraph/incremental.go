@@ -114,9 +114,9 @@ type Delta struct {
 	// before it (every reason but dirty-rows) leaves them zero.
 	ChangedPairs int
 	ChangedEdges int
-	// DirtyRows are the CSR rows whose adjacency changed — the seed set
-	// for warm-starting the clustering cascade. Sorted ascending; nil on
-	// a dense fallback, which does not track rows.
+	// DirtyRows are the CSR rows whose adjacency changed — the rows the
+	// patch rewrote. Sorted ascending; nil on a dense fallback, which
+	// does not track rows.
 	DirtyRows []int32
 	// DenseFallback reports that a full rebuild ran instead of the patch;
 	// FallbackReason names the gate that decided it (one of the Fallback*

@@ -12,8 +12,10 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"shoal/internal/model"
@@ -199,9 +201,15 @@ func (p *Partition) NMI() float64 {
 		pc[p.pred[i]]++
 		tc[p.truth[i]]++
 	}
+	// Summed in sorted key order, like entropy: float addition does not
+	// commute in the last bits, and map order would make them wobble from
+	// call to call.
+	cells := slices.SortedFunc(maps.Keys(joint), func(a, b [2]int) int {
+		return slices.Compare(a[:], b[:])
+	})
 	var mi float64
-	for k, nij := range joint {
-		pij := nij / n
+	for _, k := range cells {
+		pij := joint[k] / n
 		mi += pij * math.Log(pij/((pc[k[0]]/n)*(tc[k[1]]/n)))
 	}
 	hp := entropy(pc, n)
@@ -248,8 +256,8 @@ func (p *Partition) Purity() float64 {
 
 func entropy(counts map[int]float64, n float64) float64 {
 	var h float64
-	for _, c := range counts {
-		p := c / n
+	for _, k := range slices.Sorted(maps.Keys(counts)) {
+		p := counts[k] / n
 		if p > 0 {
 			h -= p * math.Log(p)
 		}

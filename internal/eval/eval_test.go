@@ -143,6 +143,29 @@ func TestNMIPerfectAndIndependent(t *testing.T) {
 	}
 }
 
+// TestNMIBitStable pins NMI's summation order: on a partition with
+// hundreds of clusters — where map-order sums differ in the last bits —
+// every call returns the same bit pattern.
+func TestNMIBitStable(t *testing.T) {
+	const n, clusters, labels = 5000, 240, 37
+	pred := make([]int32, n)
+	truth := make([]model.ScenarioID, n)
+	for i := range pred {
+		pred[i] = int32((i*7 + i/13) % clusters)
+		truth[i] = model.ScenarioID((i*13 + i/11) % labels)
+	}
+	p, err := LabelsPartition(pred, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(p.NMI())
+	for i := 1; i < 50; i++ {
+		if got := math.Float64bits(p.NMI()); got != want {
+			t.Fatalf("call %d: NMI bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestNMIBetterPartitionScoresHigher(t *testing.T) {
 	truth := []model.ScenarioID{0, 0, 0, 1, 1, 1}
 	good, err := LabelsPartition([]int32{0, 0, 0, 1, 1, 1}, truth)

@@ -312,11 +312,9 @@ func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.St
 	know := st.exStates[rounds]
 	selected := st.selected[:0]
 	// Dense fallback mirrors the shared path's density gate; the first
-	// (unseeded) round has no changed-rows contract yet and scans densely,
-	// as does the first round after a cross-build warm start (forceDense).
-	dense := !seeded || st.forceDense || st.density < 0 ||
+	// (unseeded) round has no changed-rows contract yet and scans densely.
+	dense := !seeded || st.density < 0 ||
 		float64(chN) > st.density*float64(st.aliveCount)
-	st.forceDense = false
 	if dense {
 		for u := int32(0); int(u) < n; u++ {
 			// Dead rows keep their stale fixed point (a retired pair

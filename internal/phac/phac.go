@@ -32,30 +32,6 @@
 // storage at degree zero — so a round costs O(touched adjacency), not
 // O(alive edges), and the diffusion inner loop never allocates and
 // never chases map buckets.
-//
-// # Warm-start invariants
-//
-// ClusterWarm seeds a build from the previous build's Memo and replays
-// its merge trajectory for as long as the replay is provably safe. The
-// proof has two independent layers. Selection is never assumed: every
-// round diffuses and matches over the live graph, and a round is
-// replayed only when its live matching equals the memoized one edge for
-// edge — minted cluster ids are positional, so any difference would
-// shift every later id, and the build instead continues with cold
-// merges from that round on. What taint propagation proves is the
-// cheaper claim that makes replay worthwhile: starting from the
-// dirty-row set (symmetric, since the CSR stores both directions of a
-// changed edge), each round's taint closure — surviving tainted rows
-// plus minted rows with a tainted member — bounds exactly the rows
-// whose CSR content can differ from the memoized build's, so every row
-// outside it is span-copied from the memo and only tainted rows are
-// recomputed entry by entry, in the cold path's contribution order, for
-// byte-identical floats. The fallback triggers per round: a selection
-// mismatch or a trajectory that ran out ends replay permanently, and a
-// taint closure past half the alive rows (replayTaintGate) refuses the
-// round — at round 0 that degrades to the round-0-only warm seed. A
-// linkage or leaf-size change disables replay entirely (the trajectory
-// depends on both; the diffusion seed does not).
 package phac
 
 import (
@@ -204,10 +180,9 @@ type Result struct {
 	// BSP is the aggregated engine profile across every clustering
 	// round's diffusion when Config.UseBSP is set; nil otherwise.
 	BSP *bsp.Stats
-	// ReplayedRounds and ReplayedMerges count the merge rounds (and the
-	// merges within them) a warm build replayed from the previous
-	// build's trajectory instead of recomputing (see replay.go); both
-	// are zero on a cold build.
+	// ReplayedRounds and ReplayedMerges are written by nothing and read
+	// only by the frozen benchmark/replay.go; the next
+	// benchmark-archetype PR deletes them with those reads.
 	ReplayedRounds int
 	ReplayedMerges int
 }
@@ -252,50 +227,19 @@ func better(a, b edgeRef) bool {
 // identical for a mutable graph and its frozen CSR.
 // Cancellation is checked between clustering rounds.
 func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Result, error) {
-	res, _, err := cluster(ctx, g, sizes, cfg, nil, nil, false)
-	return res, err
-}
-
-// cluster is the shared driver behind Cluster and ClusterWarm: a
-// compatible prev Memo seeds round 0's diffusion (dirtyRows naming the
-// rows whose adjacency changed since the build that captured it), and
-// capture snapshots a new Memo right after round 0's diffusion for the
-// next build.
-func cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config, prev *Memo, dirtyRows []int32, capture bool) (*Result, *Memo, error) {
 	n := g.NumNodes()
 	if n == 0 {
-		return nil, nil, fmt.Errorf("phac: empty graph")
+		return nil, fmt.Errorf("phac: empty graph")
 	}
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sizes != nil && len(sizes) != n {
-		return nil, nil, fmt.Errorf("phac: sizes length %d != nodes %d", len(sizes), n)
+		return nil, fmt.Errorf("phac: sizes length %d != nodes %d", len(sizes), n)
 	}
 
 	st := newState(wgraph.AsCSR(g), sizes, cfg)
 	defer st.release()
-	// replaying tracks whether the previous build's merge trajectory is
-	// still eligible for round-by-round replay; taint is the current
-	// round's sorted dirty-row closure (see replay.go), with taintSpare
-	// as the double buffer the next closure is built into.
-	replaying := false
-	var taint, taintSpare []int32
-	if prev.Compatible(n, cfg) {
-		for _, u := range dirtyRows {
-			if u < 0 || int(u) >= n {
-				return nil, nil, fmt.Errorf("phac: dirty row %d out of range [0,%d)", u, n)
-			}
-		}
-		st.seedFromMemo(prev, dirtyRows, cfg.UseBSP)
-		if prev.replayable(st, cfg) {
-			taint = append([]int32(nil), dirtyRows...)
-			slices.Sort(taint)
-			taint = slices.Compact(taint)
-			replaying = true
-		}
-	}
-	var memo *Memo
 	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n}}
 	if cfg.UseBSP {
 		res.BSP = &bsp.Stats{}
@@ -307,7 +251,7 @@ func cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config, prev *
 	psp := obs.SpanFromContext(ctx)
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if cfg.MaxRounds > 0 && round >= cfg.MaxRounds {
 			break
@@ -324,25 +268,10 @@ func cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config, prev *
 			selected, activeEdges, bestSim, err = st.selectLocalMaximaBSP(cfg.DiffusionRounds, cfg.StopThreshold, res.BSP, rsp)
 			if err != nil {
 				rsp.End()
-				return nil, nil, err
+				return nil, err
 			}
 		} else {
 			selected, activeEdges, bestSim = st.selectLocalMaxima(cfg.DiffusionRounds, cfg.Workers, cfg.StopThreshold)
-		}
-		if capture {
-			if round == 0 {
-				// Round 0's diffusion just ran over the original graph;
-				// the merge below would overwrite levels and mint ids,
-				// so this is the one point the cross-build snapshot can
-				// be taken.
-				memo = st.captureMemo(cfg)
-			} else if round-1 < replayCaptureDepth {
-				// The diffusion that just ran covers the previous
-				// round's contracted CSR: snapshot it into that round's
-				// trajectory entry so a future warm build can replay
-				// the merge and seed this round's diffusion from it.
-				memo.traj[round-1].captureLevels(st)
-			}
 		}
 		stat := RoundStat{
 			Round: round, ActiveClusters: st.aliveCount,
@@ -362,42 +291,15 @@ func cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config, prev *
 			// Cannot happen while an edge >= threshold exists (the
 			// global max is always mutual), but guard against it so a
 			// bug cannot loop forever.
-			return nil, nil, fmt.Errorf("phac: round %d selected no edges with best sim %f", round, bestSim)
+			return nil, fmt.Errorf("phac: round %d selected no edges with best sim %f", round, bestSim)
 		}
-
-		// Replay the memoized merge when the trajectory is still valid:
-		// the live selection (recomputed above from the live graph)
-		// must equal the memoized one, and the taint closure must stay
-		// under the density gate. Any refusal permanently drops back to
-		// cold merges — minted ids diverge from the memo from here on.
-		replayed := false
-		if replaying {
-			if round < len(prev.traj) {
-				if nt, ok := st.replayRound(selected, round, cfg, res.Dendrogram, &prev.traj[round], taint, taintSpare); ok {
-					replayed = true
-					taintSpare = taint[:0]
-					taint = nt
-					res.ReplayedRounds++
-					res.ReplayedMerges += len(selected)
-				}
-			}
-			if !replayed {
-				replaying = false
-			}
-		}
-		if !replayed {
-			st.mergeSelected(selected, round, cfg, res.Dendrogram)
-		}
-		if capture && round < replayCaptureDepth {
-			memo.traj = append(memo.traj, snapRound(st, selected))
-		}
-		rsp.SetAttr("replayed", replayed)
+		st.mergeSelected(selected, round, cfg, res.Dendrogram)
 		// The merge just stamped next round's dirty worklist — the frontier
 		// the memoized diffusion will start from.
 		rsp.SetAttr("frontierSize", len(st.dirtyList))
 		rsp.End()
 	}
-	return res, memo, nil
+	return res, nil
 }
 
 // state is the mutable clustering state. Cluster ids grow past n as merges
@@ -437,16 +339,10 @@ type state struct {
 	// through, afList between scatter and recompute), so finding the
 	// frontier costs O(frontier), not an O(alive) stamp scan per phase.
 	exStates  [][]edgeRef
-	haveCache bool // exStates/edgeCnt/bests hold the previous round
-	// forceDense makes the next BSP selection scan every alive row once,
-	// then clears itself: a cross-build warm start (seedFromMemo) seeds
-	// valid levels but no changed-rows contract — the previous build's
-	// selected pairs are alive again with unchanged finals, which the
-	// sparse chRows walk would never visit.
-	forceDense bool
-	afMark     []uint32 // id -> epoch it was marked for recomputation
-	epoch      uint32   // phase counter (never reset)
-	changed    int64    // parallel-phase change counter (atomic; lives on
+	haveCache bool     // exStates/edgeCnt/bests hold the previous round
+	afMark    []uint32 // id -> epoch it was marked for recomputation
+	epoch     uint32   // phase counter (never reset)
+	changed   int64    // parallel-phase change counter (atomic; lives on
 	// the state so closures capturing it never force a per-iteration
 	// heap allocation on the serial zero-alloc path)
 	nodes []int32 // aliveList scratch: the ascending alive ids when
@@ -507,22 +403,6 @@ type state struct {
 	hp        []int32       // k-way merge heap scratch (owner indices)
 	hpPos     []int32       // k-way merge per-owner cursor scratch
 	newEdges  []wgraph.Edge // aggregated >= threshold edges
-	// Trajectory-replay scratch (see replay.go): the propagated taint
-	// set's minted ids, the round's live patch worklist, and the
-	// per-partner coalescing state of a tainted row.
-	rpMinted []int32
-	rpDirty  []int32
-	rpPart   []int32
-	rpSums   []float64
-	rpMark   []uint32
-	rpEpoch  uint32
-	rpTail   []contrib
-	// lastPatched is the most recent merge round's patch worklist — every
-	// row whose span that round rewrote (dead member rows included,
-	// minted rows included) — aliasing dirtyList after a cold merge and
-	// rpDirty after a replayed one. snapRound reads it to capture the
-	// round's CSR delta.
-	lastPatched []int32
 }
 
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
@@ -617,8 +497,8 @@ func (st *state) release() {
 }
 
 // aliveList returns the ascending alive cluster ids. After the first
-// full build the list is maintained incrementally by the merge/replay
-// retire passes (compact the dead, append the minted — O(alive) per
+// full build the list is maintained incrementally by the merge's
+// retire pass (compact the dead, append the minted — O(alive) per
 // round, not O(total)), so this scan runs once per clustering.
 func (st *state) aliveList() []int32 {
 	if st.nodesValid {
@@ -1436,7 +1316,6 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	}
 	st.aliveCount -= len(selected)
 	st.retireNodes(base, int32(newTotal))
-	st.lastPatched = st.dirtyList
 	st.total = newTotal
 }
 

@@ -9,8 +9,8 @@
 //	GET /api/categories/{id}/related       scenario D: category correlations
 //	GET /api/stats                         build statistics + stage timings + serving telemetry
 //	                                       (+ a delta section for incremental rebuilds:
-//	                                       dirty items/rows, seeded rows, dense fallback,
-//	                                       dropped stale events)
+//	                                       dirty items/rows, changed edges, dense
+//	                                       fallback, dropped stale events)
 //	GET /api/trace                         build execution trace (Chrome trace-event JSON)
 //	GET /metrics                           Prometheus text exposition
 //
@@ -225,21 +225,13 @@ type BSPStat struct {
 // DeltaStat is the incremental-rebuild section of the stats payload,
 // present when the published build came from the delta-driven daily
 // path (core Config.Incremental): how much of the window changed and
-// how much of the pipeline was actually recomputed.
+// how much of the entity graph the patch rewrote.
 type DeltaStat struct {
-	DirtyItems    int `json:"dirtyItems"`
-	DirtyEntities int `json:"dirtyEntities"`
-	ChangedEdges  int `json:"changedEdges"`
-	DirtyRows     int `json:"dirtyRows"`
-	SeededRows    int `json:"seededRows"`
-	// ReplayedRounds/ReplayedMerges count the clustering merge rounds
-	// (and merges) replayed from the previous build's trajectory;
-	// ClusterCold names why clustering ignored the cross-build memo
-	// (empty when the warm start engaged).
-	ReplayedRounds int    `json:"replayedRounds"`
-	ReplayedMerges int    `json:"replayedMerges"`
-	ClusterCold    string `json:"clusterCold,omitempty"`
-	DenseFallback  bool   `json:"denseFallback"`
+	DirtyItems    int  `json:"dirtyItems"`
+	DirtyEntities int  `json:"dirtyEntities"`
+	ChangedEdges  int  `json:"changedEdges"`
+	DirtyRows     int  `json:"dirtyRows"`
+	DenseFallback bool `json:"denseFallback"`
 	// DenseFallbackReason names the entity-graph gate that chose the
 	// full rebuild: no-state, dirty-entities, pair-delta-volume or
 	// dirty-rows. ChangedEdges and DirtyRows are zero for all but the
@@ -406,10 +398,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 			DirtyEntities:       b.Delta.DirtyEntities,
 			ChangedEdges:        b.Delta.ChangedEdges,
 			DirtyRows:           b.Delta.DirtyRows,
-			SeededRows:          b.Delta.SeededRows,
-			ReplayedRounds:      b.Delta.ReplayedRounds,
-			ReplayedMerges:      b.Delta.ReplayedMerges,
-			ClusterCold:         b.Delta.ClusterCold,
 			DenseFallback:       b.Delta.DenseFallback,
 			DenseFallbackReason: b.Delta.DenseFallbackReason,
 		}
