@@ -87,8 +87,10 @@ func TestGenBuildPipeline(t *testing.T) {
 		t.Fatalf("shoal-build output: %q", out)
 	}
 	// -v breaks the post-clustering stages into their sub-stage spans
-	// with the counts that size them.
-	for _, want := range []string{"distinctQueries=", "candidatePairs=", "tokens="} {
+	// with the counts that size them, and sums the clustering's round
+	// counts onto its stage line.
+	for _, want := range []string{"distinctQueries=", "candidatePairs=", "tokens=",
+		"recomputedRows=", "candidates="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("shoal-build -v did not report %s: %q", want, out)
 		}

@@ -98,7 +98,28 @@ func main() {
 			b.Shards, b.Workers, b.FrontierDensity, b.BSPEnabled)
 		spans := b.Trace.Records()
 		for _, st := range b.StageTimings {
-			fmt.Fprintf(os.Stderr, "%-22s start=%-12v elapsed=%v\n", st.Stage, st.Start, st.Elapsed)
+			line := fmt.Sprintf("%-22s start=%-12v elapsed=%v", st.Stage, st.Start, st.Elapsed)
+			if st.Stage == "parallel-hac" {
+				// What the clustering's time went into, summed over its
+				// round spans: rows the diffusion phases recomputed,
+				// mutual-best pairs selection verified, pairs merged.
+				total := map[string]int{}
+				for _, sp := range spans {
+					if sp.Parent != st.Stage {
+						continue
+					}
+					for _, a := range sp.Attrs {
+						if n, ok := a.Value.(int); ok {
+							total[a.Key] += n
+						}
+					}
+				}
+				line += fmt.Sprintf(" rounds=%d", len(b.Rounds))
+				for _, key := range []string{"recomputedRows", "candidates", "selected"} {
+					line += fmt.Sprintf(" %s=%d", key, total[key])
+				}
+			}
+			fmt.Fprintln(os.Stderr, line)
 			// Sub-stage spans of the post-clustering stages, with the
 			// counts that size their work (describe/score:
 			// distinctQueries, candidatePairs; search-index/build: tokens).

@@ -233,24 +233,18 @@ func Run() ([]Result, error) {
 		}
 		return nil
 	})
-	// Shard-count sweep: the same diffusion / clustering / construction
-	// work at increasing partition widths, so each BENCH_*.json records
-	// how the partition-parallel paths scale on the fixed corpus.
+	// Shard-count sweep: the same diffusion / construction work at
+	// increasing partition widths, so each BENCH_*.json records how the
+	// partition-parallel paths scale on the fixed corpus. (Shared-memory
+	// clustering reads no shard count: phac-cluster is its only entry.)
 	for _, s := range []int{2, 4, 8} {
 		sg := shard.Partition(base, s)
 		benches[fmt.Sprintf("diffuse-r2-shards%d", s)] = record(func() error {
 			_, err := phac.Diffuse(sg, 2, 0.12, 0)
 			return err
 		})
-		shards := s
-		benches[fmt.Sprintf("phac-cluster-shards%d", s)] = record(func() error {
-			_, err := phac.Cluster(ctx, g, sizes, phac.Config{
-				StopThreshold: 0.12, DiffusionRounds: 2, Workers: shards, Shards: shards,
-			})
-			return err
-		})
 		benches[fmt.Sprintf("csr-from-edges-shards%d", s)] = record(func() error {
-			_, err := shard.FromEdges(g.NumNodes(), edges, shards)
+			_, err := shard.FromEdges(g.NumNodes(), edges, s)
 			return err
 		})
 	}
@@ -497,7 +491,7 @@ const BspVsSharedCeiling = 1.45
 // diffusion ceiling because the full clustering run also pays the
 // engine Rebind/remap tax every merge round. The PR-7 cross-round
 // memoization work (seeded supersteps over the previous round's fixed
-// point, changed-rows selection, incremental round stats) brought the
+// point, incremental round stats) brought the
 // ratio to ~1.26; PR-10's in-place contracted CSR then sped the
 // shared-memory denominator ~31% while the BSP twin — which still
 // rebuilds per-round segments for placement — kept only ~16%, moving
@@ -526,12 +520,13 @@ const ObsOverheadCeiling = 1.10
 // (build + cluster): at or above the ceiling the sort-merge CSR patch
 // no longer beats rebuilding the entity graph by a real margin, and
 // the incremental path has lost its reason to exist. At reference the
-// fixture pays ≈4 ms to patch or ≈17 ms to build ahead of ≈26 ms of
-// clustering, a paired ratio of 0.66-0.69 (BENCH_18.json), and the line
-// sits at 0.75 to leave that the headroom for runner noise the other
-// ceilings have; a faster clustering or a slower full build moves the
-// ratio without the patch changing, which is why it has a ceiling and
-// no relative gate.
+// fixture pays ≈4 ms to patch or ≈17 ms to build ahead of ≈12 ms of
+// clustering, a paired ratio of 0.56-0.57 (BENCH_20.json; 0.66-0.69 in
+// BENCH_18.json, when the clustering cost ≈26 ms), and the line stays
+// at 0.75, which leaves it more headroom for runner noise than the
+// other ceilings have; a faster clustering or a slower full build moves
+// the ratio without the patch changing, which is why it has a ceiling
+// and no relative gate.
 // Unlike the >1 ceilings above, this one does NOT widen with the gate's
 // relative threshold: the ratio's whole budget sits below 1.0, so
 // adding the threshold on top would let the win silently evaporate on

@@ -65,8 +65,8 @@ type Config struct {
 	Sequential bool
 	// Shards is the row-range shard count of the graph substrate: the
 	// entity graph is emitted as that many edge-balanced CSR shards and
-	// the partition-parallel clustering paths (diffusion, contracted
-	// rebuild) schedule one worker per shard. 0 means GOMAXPROCS.
+	// BSP clustering places rows on that many engine shards (shared-
+	// memory clustering runs inline and ignores it). 0 means GOMAXPROCS.
 	// Results are byte-identical for every value; recorded in
 	// /api/stats. Per-stage overrides (Graph.Shards, HAC.Shards) win
 	// when set.

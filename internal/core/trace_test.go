@@ -57,6 +57,49 @@ func TestBuildTraceCoverage(t *testing.T) {
 	}
 }
 
+// TestBuildTraceClusterRounds pins the counts that let a round span
+// explain its own cost, on both clustering paths: round 0 recomputes
+// every row at least once (nothing is memoized yet) and selection
+// verifies at least the pairs it selects.
+func TestBuildTraceClusterRounds(t *testing.T) {
+	for _, bsp := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.BSP = bsp
+		b, err := Run(smallCorpus(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 0
+		for _, r := range b.Trace.Records() {
+			if r.Parent != "parallel-hac" {
+				continue
+			}
+			rounds++
+			n := map[string]int{}
+			for _, a := range r.Attrs {
+				if v, ok := a.Value.(int); ok {
+					n[a.Key] = v
+				}
+			}
+			for _, key := range []string{"recomputedRows", "candidates"} {
+				if _, ok := n[key]; !ok {
+					t.Fatalf("bsp=%v %s: span missing count %q", bsp, r.Name, key)
+				}
+			}
+			if n["candidates"] < n["selected"] {
+				t.Errorf("bsp=%v %s: candidates=%d selected=%d", bsp, r.Name, n["candidates"], n["selected"])
+			}
+			if r.Name == "round-0" && (n["selected"] == 0 || n["recomputedRows"] < n["aliveRows"]) {
+				t.Errorf("bsp=%v round-0: selected=%d recomputedRows=%d aliveRows=%d", bsp,
+					n["selected"], n["recomputedRows"], n["aliveRows"])
+			}
+		}
+		if rounds != len(b.Rounds)+1 { // the round that finds nothing left to merge has a span too
+			t.Errorf("bsp=%v: %d round spans for %d merge rounds", bsp, rounds, len(b.Rounds))
+		}
+	}
+}
+
 // TestBuildTraceBSPRuns pins the third trace level: with clustering on
 // the BSP engine, each merge round records its engine runs beneath it.
 func TestBuildTraceBSPRuns(t *testing.T) {

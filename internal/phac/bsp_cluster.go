@@ -1,38 +1,40 @@
 package phac
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"shoal/internal/bsp"
 	"shoal/internal/obs"
 )
 
-// clusterDiffusionProgram is one clustering round's diffusion+selection
-// as a BSP vertex program over the contracted CSR, memoized across merge
-// rounds like the shared-memory path. It is the in-round twin of
-// diffusionProgram — max-combiner, changed-only sends, vote-to-halt —
-// plus the round-statistics side outputs (per-id edge counts and best
-// incident edge regardless of threshold) that selectLocalMaxima computes
-// during its init scan. One program value lives on the state and is
-// re-pointed at each round's contracted CSR before the engine rebind.
+// clusterDiffusionProgram is one clustering round's diffusion as a BSP
+// vertex program over the contracted CSR, memoized across merge rounds
+// like the shared-memory path and stopping where it stops: supersteps
+// 0 .. r-1 materialize levels 0 .. r-1, and the r-th exchange is
+// selectVerified's neighbor pass over the few mutual-best pairs, so the
+// widest superstep and its messages never run. It is the in-round twin
+// of diffusionProgram — max-combiner, changed-only sends, vote-to-halt
+// — plus the round-statistics side outputs (per-id edge counts and best
+// incident edge regardless of threshold) that selectLocalMaxima
+// computes during its init scan. One program value lives on the state
+// and is re-pointed at each round's contracted CSR before the engine
+// rebind.
 type clusterDiffusionProgram struct {
 	offsets   []int32
 	deg       []int32 // live row lengths: row u spans offsets[u] .. offsets[u]+deg[u]
 	nbrs      []int32
 	wts       []float64
-	rounds    int
 	threshold float64
 	// lvl aliases st.exStates: lvl[0] is the init state (best incident
 	// >= threshold edge) and lvl[s] the state after exchange iteration
-	// s, one level per superstep. Compute at superstep s pulls its
-	// inputs from lvl[s-1] — frozen for the whole superstep, since
-	// writes go to lvl[s] only — and messages carry no authoritative
-	// state, just changed-value pings that reactivate the neighborhood.
-	// Pulling keeps the memoized levels correct across rounds: a
-	// cross-round decrease (a dominating edge retired by a merge) can
-	// never be expressed as a max-folded message, but a recompute over
-	// the current adjacency reads right past it.
+	// s, one level per superstep, len(lvl) supersteps per run. Compute at
+	// superstep s pulls its inputs from lvl[s-1] — frozen for the whole
+	// superstep, since writes go to lvl[s] only — and messages carry no
+	// authoritative state, just changed-value pings that reactivate the
+	// neighborhood. Pulling keeps the memoized levels correct across
+	// rounds: a cross-round decrease (a dominating edge retired by a
+	// merge) can never be expressed as a max-folded message, but a
+	// recompute over the current adjacency reads right past it.
 	lvl     [][]edgeRef
 	edgeCnt []int64
 	bests   []edgeRef
@@ -41,18 +43,11 @@ type clusterDiffusionProgram struct {
 	// level must be recomputed even where no input value changed yet.
 	dirty      []uint32
 	dirtyEpoch uint32
-	// chRows collects the rows whose final-level value changed this run,
-	// claimed via atomic cursor (order is scheduling-dependent, the id
-	// set is not; the consumer sorts). It is the selection worklist: a
-	// locally-maximal pair between alive rows always has an endpoint
-	// whose final know changed this round, because an unchanged mutual
-	// pair would have been selected — and retired — last round.
-	chRows []int32
-	chN    atomic.Int64
 	// bcRows collects the rows whose best incident edge (bests) changed
-	// at superstep 0, same claiming scheme as chRows. The global-best
-	// heap pushes only these rows: an unchanged row's existing heap
-	// entry is still its current value, so re-pushing it would only pile
+	// at superstep 0, claimed via atomic cursor (order is
+	// scheduling-dependent, the id set is not). The global-best heap
+	// pushes only these rows: an unchanged row's existing heap entry is
+	// still its current value, so re-pushing it would only pile
 	// duplicate entries onto the hot top of the heap.
 	bcRows []int32
 	bcN    atomic.Int64
@@ -111,11 +106,8 @@ func (p *clusterDiffusionProgram) Compute(step int, v bsp.VertexID, _ []edgeRef,
 	if changed {
 		cur[u] = next
 	}
-	if step >= p.rounds {
-		if changed {
-			p.chRows[p.chN.Add(1)-1] = u
-		}
-		return true
+	if step+1 >= len(p.lvl) {
+		return true // last level: selection reads it in place, nobody to ping
 	}
 	if changed {
 		out.SendMany(p.nbrs[rl:rh], next)
@@ -192,19 +184,19 @@ func (st *state) bspHeapBest() edgeRef {
 // maintained incrementally: a merge retires a known set of rows, so the
 // running edge total subtracts exactly the retired and re-seeded rows,
 // and the global best comes from a lazy-deletion heap instead of an
-// O(alive) rescan. Selection walks the run's changed-rows worklist (an
-// unchanged mutual pair would have been selected and retired last
-// round), with the shared path's density-gated dense fallback. Every
-// output stays byte-identical to the shared-memory scans (max-exchange
-// over frozen levels reaches the same fixed point under any execution
-// order); agg accumulates the engine profile across rounds, carrying the
-// lifetime reuse counters.
+// O(alive) rescan. Selection is the shared path's own routine over the
+// levels the engine left in st.exStates. Every output stays
+// byte-identical to the shared-memory scans (max-exchange over frozen
+// levels reaches the same fixed point under any execution order); agg
+// accumulates the engine profile across rounds, carrying the lifetime
+// reuse counters.
 //
-// The changed-rows selection contract assumes strict select → merge
-// alternation with a constant rounds/threshold, which is how Cluster
-// drives it: every selected pair is retired before the next selection.
+// The incremental round statistics assume strict select → merge
+// alternation, which is how Cluster drives it: every selected pair is
+// retired before the next selection.
 func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.Stats, span *obs.Span) ([]edgeRef, int, float64, error) {
 	n := st.total
+	st.recomputed = 0
 	// Diffusion before any merge must see an all-clean dirty map (fresh
 	// zero stamps never equal a positive dirtyEpoch).
 	for len(st.dirty) < n {
@@ -215,9 +207,9 @@ func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.St
 	}
 	prog := st.bspProg
 	// Config is re-read on every call, not just at program creation, so
-	// a future per-round rounds/threshold change cannot silently reuse
-	// the first round's values.
-	prog.rounds, prog.threshold = rounds, threshold
+	// a future per-round threshold change cannot silently reuse the
+	// first round's value.
+	prog.threshold = threshold
 	prog.offsets = st.offsets[:n]
 	prog.deg = st.deg[:n]
 	prog.nbrs, prog.wts = st.nbrs, st.wts
@@ -226,15 +218,12 @@ func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.St
 	prog.bests = st.bests[:n]
 	prog.dirty = st.dirty[:n]
 	prog.dirtyEpoch = st.dirtyEpoch
-	if cap(prog.chRows) < n {
+	if cap(prog.bcRows) < n {
 		// Like the level arrays, capacity 2n outlasts every mint.
-		prog.chRows = make([]int32, n, 2*n)
 		prog.bcRows = make([]int32, n, 2*n)
 	} else {
-		prog.chRows = prog.chRows[:n]
 		prog.bcRows = prog.bcRows[:n]
 	}
-	prog.chN.Store(0)
 	prog.bcN.Store(0)
 	if st.bspEng == nil {
 		eng, err := bsp.New[edgeRef](n, prog, bsp.Config{Workers: st.shards, Chaos: st.bspChaos})
@@ -282,6 +271,9 @@ func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.St
 	}
 	st.haveCache = true
 	agg.Add(stats)
+	for _, a := range stats.ActivePerStep {
+		st.recomputed += a
+	}
 
 	// Superstep 0 recomputed edgeCnt for exactly the seeded rows (or
 	// every row on the first round): fold them back in, and push the
@@ -304,66 +296,5 @@ func (st *state) selectLocalMaximaBSP(rounds int, threshold float64, agg *bsp.St
 			}
 		}
 	}
-	activeEdges := st.bspActiveEdges
-	globalBest := st.bspHeapBest()
-
-	// Selection: an edge whose both endpoints know it is locally maximal.
-	chN := int(prog.chN.Load())
-	know := st.exStates[rounds]
-	selected := st.selected[:0]
-	// Dense fallback mirrors the shared path's density gate; the first
-	// (unseeded) round has no changed-rows contract yet and scans densely.
-	dense := !seeded || st.density < 0 ||
-		float64(chN) > st.density*float64(st.aliveCount)
-	if dense {
-		for u := int32(0); int(u) < n; u++ {
-			// Dead rows keep their stale fixed point (a retired pair
-			// still mutually knows its merged edge): skip them.
-			if !st.alive[u] {
-				continue
-			}
-			e := know[u]
-			if e.U() != u || e.sim < threshold {
-				continue
-			}
-			if know[e.V()] == e {
-				selected = append(selected, e)
-			}
-		}
-	} else {
-		ch := prog.chRows[:chN]
-		st.epoch++
-		mark := st.afMark
-		for _, w := range ch {
-			mark[w] = st.epoch
-		}
-		for _, w := range ch {
-			e := know[w]
-			if e.sim < threshold {
-				continue
-			}
-			u, v := e.U(), e.V()
-			// Emit at the smaller endpoint, or at the larger one when
-			// the smaller endpoint didn't change this round — never both.
-			if w != u && (w != v || mark[u] == st.epoch) {
-				continue
-			}
-			if know[u] == e && know[v] == e {
-				selected = append(selected, e)
-			}
-		}
-		slices.SortFunc(selected, func(a, b edgeRef) int {
-			// Keys are unique (node-disjoint matching), so this is the
-			// canonical (u,v) order.
-			switch {
-			case a.key < b.key:
-				return -1
-			case a.key > b.key:
-				return 1
-			}
-			return 0
-		})
-	}
-	st.selected = selected
-	return selected, int(activeEdges), globalBest.sim, nil
+	return st.selectVerified(rounds, threshold), int(st.bspActiveEdges), st.bspHeapBest().sim, nil
 }

@@ -14,9 +14,9 @@ import (
 // round — level arrays back to noEdge, haveCache cleared — so the twin's
 // engine runs a cold, full-activation recompute each round exactly like
 // the pre-memoization program did. The memoized state (seeded runs,
-// incremental edge totals, lazy-deletion global-best heap, changed-rows
-// selection) must stay byte-identical to that cold recompute at every
-// round: same matching, same edge count, same best similarity.
+// incremental edge totals, lazy-deletion global-best heap) must stay
+// byte-identical to that cold recompute at every round: same matching,
+// same edge count, same best similarity.
 func TestClusterBSPMemoizedMatchesCold(t *testing.T) {
 	const rounds, threshold = 2, 0.25
 	cfg := Config{StopThreshold: threshold, DiffusionRounds: rounds}

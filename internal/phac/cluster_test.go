@@ -154,22 +154,26 @@ func TestClusterLinkageAblation(t *testing.T) {
 	}
 }
 
+// TestClusterDeterministicAcrossWorkers: Workers only reaches the BSP
+// engine (as the default shard count), so both paths take the sweep.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := randomGraph(120, 300, seed)
 		var first *Result
-		for _, workers := range []int{1, 2, 7} {
-			cfg := Config{StopThreshold: 0.3, DiffusionRounds: 2, Workers: workers}
-			res, err := Cluster(context.Background(), g, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = res
-				continue
-			}
-			if !reflect.DeepEqual(first.Dendrogram, res.Dendrogram) {
-				t.Fatalf("seed %d: workers=%d changed the dendrogram", seed, workers)
+		for _, useBSP := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 7} {
+				cfg := Config{StopThreshold: 0.3, DiffusionRounds: 2, Workers: workers, UseBSP: useBSP}
+				res, err := Cluster(context.Background(), g, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+					continue
+				}
+				if !reflect.DeepEqual(first.Dendrogram, res.Dendrogram) {
+					t.Fatalf("seed %d: bsp=%v workers=%d changed the dendrogram", seed, useBSP, workers)
+				}
 			}
 		}
 	}
@@ -485,7 +489,8 @@ func TestClusterBSPMatches(t *testing.T) {
 				// is the only all-rows one, and the whole trajectory
 				// computes strictly less than the recompute-everything
 				// model (each run visiting every alive row for all
-				// DiffusionRounds+1 supersteps).
+				// DiffusionRounds supersteps — levels 0 .. r-1; level r
+				// is verified at the candidates, not computed).
 				if got.BSP.SeededRuns != got.BSP.RunsServed-1 {
 					t.Fatalf("seed %d shards %d: SeededRuns = %d over %d runs — every round after the first must seed",
 						seed, shards, got.BSP.SeededRuns, got.BSP.RunsServed)
@@ -499,7 +504,7 @@ func TestClusterBSPMatches(t *testing.T) {
 					for _, a := range got.BSP.ActivePerStep {
 						computed += int64(a)
 					}
-					const per = 3 // DiffusionRounds+1 supersteps per run
+					const per = 2 // DiffusionRounds supersteps per run
 					var naive int64
 					for _, r := range got.Rounds {
 						naive += int64(r.ActiveClusters) * per

@@ -71,17 +71,21 @@ func TestClusteringIdenticalOnCSR(t *testing.T) {
 }
 
 // TestClusterZeroAllocDiffusion locks in the tentpole win: once the
-// state CSR is built, a diffusion pass over it must not allocate.
+// state CSR is built, a diffusion pass over it must not allocate — at
+// any Workers × Shards, since no phase forks (no goroutines, no
+// closures).
 func TestClusterZeroAllocDiffusion(t *testing.T) {
 	g := randomGraph(512, 1024, 3)
 	c := g.Freeze()
-	st := newState(c, nil, Config{StopThreshold: 0.1, DiffusionRounds: 2, Workers: 1})
-	// Warm the scratch buffers once.
-	st.selectLocalMaxima(2, 1, 0.1)
-	allocs := testing.AllocsPerRun(20, func() {
-		st.selectLocalMaxima(2, 1, 0.1)
-	})
-	if allocs > 0 {
-		t.Fatalf("diffusion+selection allocated %.1f objects per round, want 0", allocs)
+	for _, width := range []int{1, 4} {
+		st := newState(c, nil, Config{StopThreshold: 0.1, DiffusionRounds: 2, Workers: width, Shards: width})
+		// Warm the scratch buffers once.
+		st.selectLocalMaxima(2, 0.1)
+		allocs := testing.AllocsPerRun(20, func() {
+			st.selectLocalMaxima(2, 0.1)
+		})
+		if allocs > 0 {
+			t.Fatalf("workers=shards=%d: diffusion+selection allocated %.1f objects per round, want 0", width, allocs)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // frontier density extremes: -1 disables pruning entirely (every
-// iteration dense), 2 prunes every iteration after the mandatory dense
-// first one (the changed fraction can never exceed 2).
+// iteration dense), 2 prunes every iteration that can be (the changed
+// fraction can never exceed 2; Diffuse's first one is always dense).
 var densities = []float64{-1, 0, 2}
 
 // TestFrontierMatchesDense is the frontier half of the determinism

@@ -13,7 +13,12 @@
 //     of its endpoints still consider it the best edge they have heard
 //     of. Locally maximal edges form a node-disjoint matching: they can
 //     all be merged in parallel. Smaller r ⇒ more selected edges ⇒ more
-//     parallelism (the paper fixes r = 2).
+//     parallelism (the paper fixes r = 2). Cluster never materializes
+//     the last exchange: what a node knows only improves, so an edge
+//     survives iteration r at both endpoints iff it is mutual-best after
+//     iteration r-1 and no neighbor of either endpoint knows a better
+//     one then — checked at the few mutual-best pairs instead of
+//     recomputed for every row (see state.exStates).
 //  3. Merge + update — each selected pair becomes a new cluster; the
 //     neighborhood similarities are recomputed with the √-normalized rule
 //     of Eq. 4, treating missing edges as 0. When both endpoints of an old
@@ -42,7 +47,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"shoal/internal/bsp"
 	"shoal/internal/dendrogram"
@@ -98,21 +102,22 @@ type Config struct {
 	// DiffusionRounds is r, the number of max-exchange iterations per
 	// round. The paper sets 2.
 	DiffusionRounds int
-	// Workers is the number of goroutines; 0 means GOMAXPROCS.
+	// Workers is only the default for Shards; 0 means GOMAXPROCS. The
+	// shared-memory path runs every phase of every round inline on the
+	// caller's goroutine: forking them lost to one worker at every size
+	// and grain measured (ROADMAP, "Partition-parallel consumers").
 	Workers int
-	// Shards is the partition-parallel width: the diffusion scans split
-	// the alive rows into this many edge-balanced ranges, and the
-	// per-round contracted-CSR rebuild counts and fills that many row
-	// ranges concurrently. 0 means Workers. Results are byte-identical
-	// for every shard count.
+	// Shards is the number of shards the BSP engine places rows on
+	// (UseBSP); the shared-memory path does not read it. 0 means Workers.
+	// Results are byte-identical for every shard count.
 	Shards int
 	// FrontierDensity tunes frontier-pruned diffusion: an exchange
 	// iteration recomputes only nodes with a changed neighbor when the
-	// previous iteration changed at most this fraction of the scanned
-	// nodes, and falls back to the dense scan above it (the first
-	// iteration is always dense). 0 means the default (0.25); a negative
-	// value disables pruning entirely. Results are byte-identical for
-	// every setting — pruning skips only provably unchanged recomputes.
+	// previous phase changed at most this fraction of the alive nodes,
+	// and falls back to the dense scan above it. 0 means the default
+	// (0.25); a negative value disables pruning entirely. Results are
+	// byte-identical for every setting — pruning skips only provably
+	// unchanged recomputes.
 	FrontierDensity float64
 	// MaxRounds caps clustering rounds; 0 means unlimited.
 	MaxRounds int
@@ -271,7 +276,7 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 				return nil, err
 			}
 		} else {
-			selected, activeEdges, bestSim = st.selectLocalMaxima(cfg.DiffusionRounds, cfg.Workers, cfg.StopThreshold)
+			selected, activeEdges, bestSim = st.selectLocalMaxima(cfg.DiffusionRounds, cfg.StopThreshold)
 		}
 		stat := RoundStat{
 			Round: round, ActiveClusters: st.aliveCount,
@@ -282,12 +287,12 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 		rsp.SetAttr("selected", stat.Selected)
 		rsp.SetAttr("bestSim", stat.BestSim)
 		if activeEdges == 0 || bestSim < cfg.StopThreshold {
-			rsp.End()
+			st.endRound(rsp)
 			break
 		}
 		res.Rounds = append(res.Rounds, stat)
 		if len(selected) == 0 {
-			rsp.End()
+			st.endRound(rsp)
 			// Cannot happen while an edge >= threshold exists (the
 			// global max is always mutual), but guard against it so a
 			// bug cannot loop forever.
@@ -297,9 +302,21 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 		// The merge just stamped next round's dirty worklist — the frontier
 		// the memoized diffusion will start from.
 		rsp.SetAttr("frontierSize", len(st.dirtyList))
-		rsp.End()
+		st.endRound(rsp)
 	}
 	return res, nil
+}
+
+// endRound closes a round's span with the counts that explain its cost:
+// rows the init and exchange phases recomputed and mutual-best pairs the
+// selection verified. Both are list lengths the phases already had.
+func (st *state) endRound(rsp *obs.Span) {
+	if rsp == nil {
+		return // untraced: skip boxing the counts
+	}
+	rsp.SetAttr("recomputedRows", st.recomputed)
+	rsp.SetAttr("candidates", st.candidates)
+	rsp.End()
 }
 
 // state is the mutable clustering state. Cluster ids grow past n as merges
@@ -324,12 +341,18 @@ type state struct {
 	size       []float64
 	alive      []bool
 	aliveCount int
-	workers    int
-	shards     int     // partition-parallel width (cfg.Shards)
+	shards     int     // BSP engine width (cfg.Shards)
 	density    float64 // frontier density threshold (cfg.FrontierDensity)
-	// exStates memoizes the full diffusion cascade across merge rounds:
-	// exStates[0] holds every node's init state (best incident edge) and
-	// exStates[it+1] the state after exchange iteration it. Between
+	// exStates memoizes the diffusion cascade across merge rounds, all of
+	// it that is ever materialized: exStates[0] holds every node's init
+	// state (best incident >= threshold edge) and exStates[k] the state
+	// after exchange iteration k, for k up to r-1 — max(r, 1) levels.
+	// Level r is never computed. A level only improves with k and a
+	// node's own incident edges enter at level 0, so edge e = (u, v) is
+	// known to both endpoints at level r iff it is at level r-1 and no
+	// neighbor of u or v knows a better edge at level r-1: selectVerified
+	// checks that at the mutual-best pairs of the last level, a few dozen
+	// per round where level r was recomputed for most alive rows. Between
 	// rounds only rows whose adjacency the last merge touched (dirty)
 	// and the neighborhoods of cross-round-changed values can differ, so
 	// each phase recomputes just that frontier and reuses every other
@@ -342,18 +365,21 @@ type state struct {
 	haveCache bool     // exStates/edgeCnt/bests hold the previous round
 	afMark    []uint32 // id -> epoch it was marked for recomputation
 	epoch     uint32   // phase counter (never reset)
-	changed   int64    // parallel-phase change counter (atomic; lives on
-	// the state so closures capturing it never force a per-iteration
-	// heap allocation on the serial zero-alloc path)
-	nodes []int32 // aliveList scratch: the ascending alive ids when
+	// nodes is the aliveList scratch: the ascending alive ids when
 	// nodesValid (maintained incrementally by the per-round retire
-	// passes), arbitrary otherwise
+	// passes), arbitrary otherwise.
+	nodes      []int32
 	nodesValid bool
 	edgeCnt    []int64   // id -> round-stat edge count (owned at min id)
 	bests      []edgeRef // id -> best incident edge regardless of threshold
 	selected   []edgeRef // selection output, reused per round
 	mergeTo    []int32   // id -> new id this round, -1 otherwise
 	coef       []float64 // id -> Eq. 4 coefficient this round
+	// recomputed and candidates profile the current round for its trace
+	// span (endRound): the first is reset by each selection, the second
+	// by selectVerified.
+	recomputed int
+	candidates int
 	// dirty stamps ids whose adjacency the current merge round changed:
 	// dirty[id] == dirtyEpoch means dirty. Marks are written inside the
 	// contribution-generation pass (which already walks every merged
@@ -362,28 +388,20 @@ type state struct {
 	dirty      []uint32
 	dirtyEpoch uint32
 	// dirtyList is the explicit worklist matching the dirty stamps: the
-	// ids stamped with the current dirtyEpoch, deduplicated at stamp time
-	// (CAS winners append into per-worker buckets, concatenated after the
-	// pass), so the memoized diffusion finds its work in O(|dirty|)
-	// instead of scanning every alive row. Under parallel merges the
-	// entry order is scheduling-dependent but the id set is not; every
-	// consumer does per-id independent work, so results stay
-	// byte-identical for any order.
+	// ids stamped with the current dirtyEpoch, appended once each as they
+	// are stamped, so the memoized diffusion finds its work in O(|dirty|)
+	// instead of scanning every alive row.
 	dirtyList []int32
-	dirtyBkts [][]int32 // per-worker dirty collection scratch
 	// chList/chNext are the per-phase changed-row worklists: each phase
 	// (init or exchange iteration) appends the rows whose value it
 	// changed to chNext, which becomes chList — the input frontier of the
 	// next iteration's scatter. Duplicate-free by construction (each row
 	// is recomputed once per phase). afList is the scatter output — the
 	// rows the pruned iteration must recompute — deduplicated via the
-	// afMark epoch stamps. The *Bkts slices are per-range collection
-	// scratch for the parallel phases.
+	// afMark epoch stamps.
 	chList []int32
 	chNext []int32
-	chBkts [][]int32
 	afList []int32
-	afBkts [][]int32
 	// The UseBSP path's cross-round memoization scratch: bspSeed is the
 	// alive dirty rows handed to RunFrom as the superstep-0 frontier,
 	// bspActiveEdges the running Σ edgeCnt over alive rows (adjusted
@@ -399,10 +417,15 @@ type state struct {
 	bspChaos  *bsp.Chaos
 	perOwner  [][]contrib
 	perOwnerB [][]contrib   // minted-minted tail scratch per owner
-	bounds    []int32       // edge-balanced range scratch (diffusion + rebuild)
 	hp        []int32       // k-way merge heap scratch (owner indices)
 	hpPos     []int32       // k-way merge per-owner cursor scratch
 	newEdges  []wgraph.Edge // aggregated >= threshold edges
+	// edgeAt indexes newEdges by U for the in-place patch: an entry
+	// dirtyEpoch<<32 | k says the id's run of coalesced edges starts at
+	// newEdges[k] this round; any other epoch means it has none. Stamped
+	// in one pass over the (U, V)-sorted list, so a dirty row finds its
+	// run without searching and nothing is cleared between rounds.
+	edgeAt []uint64
 }
 
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
@@ -433,12 +456,12 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		size:       make([]float64, n, 2*n),
 		alive:      make([]bool, n, 2*n),
 		aliveCount: n,
-		workers:    cfg.Workers,
 		shards:     cfg.Shards,
 		density:    cfg.FrontierDensity,
 		bspChaos:   cfg.BSPChaos,
-		exStates:   make([][]edgeRef, cfg.DiffusionRounds+1),
+		exStates:   make([][]edgeRef, max(cfg.DiffusionRounds, 1)),
 		afMark:     make([]uint32, n, 2*n),
+		edgeAt:     make([]uint64, n, 2*n),
 		edgeCnt:    make([]int64, n, 2*n),
 		bests:      make([]edgeRef, n, 2*n),
 		mergeTo:    make([]int32, n, 2*n),
@@ -543,15 +566,10 @@ func (st *state) retireNodes(base, newTotal int32) {
 // is memoized across merge rounds (see state.exStates): after the first
 // round, init recomputes only dirty rows and each exchange iteration
 // only the frontier of cross-round changes — with a dense fallback when
-// the frontier outgrows the density threshold. No allocation per
-// diffusion iteration.
-func (st *state) selectLocalMaxima(rounds, workers int, threshold float64) ([]edgeRef, int, float64) {
+// the frontier outgrows the density threshold. Every phase runs inline
+// on the calling goroutine; no allocation per diffusion iteration.
+func (st *state) selectLocalMaxima(rounds int, threshold float64) ([]edgeRef, int, float64) {
 	nodes := st.aliveList()
-	serial := workers <= 1 || len(nodes) < 64
-	var bounds []int32
-	if !serial {
-		bounds = st.nodeRangeBounds(nodes)
-	}
 	// Repeated diffusion without an intervening merge (no dirty scratch
 	// yet) must see an all-clean dirty map, not an out-of-range one —
 	// fresh zero stamps never equal a positive dirtyEpoch.
@@ -564,38 +582,16 @@ func (st *state) selectLocalMaxima(rounds, workers int, threshold float64) ([]ed
 	// Cached entries are reused — only dirty rows (adjacency touched by
 	// the last merge, minted rows included) can differ from last round,
 	// and the last merge left them in dirtyList, so the phase iterates
-	// the worklist instead of scanning every alive row for stamps.
+	// the worklist instead of scanning every alive row for stamps. The
+	// first round has no cache: its worklist is every row, against level
+	// arrays that start out all noEdge.
 	st.epoch++
-	init := st.exStates[0]
-	prevChanged := int64(-1) // unknown frontier: forces dense iterations
-	if st.haveCache {
-		ch := st.chNext[:0]
-		if serial {
-			ch, prevChanged = st.initDirtyList(st.dirtyList, threshold, init, ch)
-		} else {
-			st.ensureBkts()
-			st.resetChBkts()
-			st.changed = 0
-			st.runListChunks(st.dirtyList, func(ci int, part []int32) {
-				b, c := st.initDirtyList(part, threshold, init, st.chBkts[ci][:0])
-				st.chBkts[ci] = b
-				atomic.AddInt64(&st.changed, c)
-			})
-			ch = st.concatChBkts(ch)
-			prevChanged = st.changed
-		}
-		st.chNext = ch
-		st.chList, st.chNext = st.chNext, st.chList
-	} else {
-		if serial {
-			st.initAll(nodes, 0, len(nodes), threshold, init)
-		} else {
-			runRanges(bounds, func(lo, hi int) {
-				st.initAll(nodes, lo, hi, threshold, init)
-			})
-		}
-		st.haveCache = true
+	list := st.dirtyList
+	if !st.haveCache {
+		list, st.haveCache = nodes, true
 	}
+	st.recomputed = len(list)
+	st.chList = st.initRows(list, threshold, st.exStates[0], st.chList[:0])
 	var activeEdges int64
 	globalBest := noEdge
 	for _, u := range nodes {
@@ -605,201 +601,80 @@ func (st *state) selectLocalMaxima(rounds, workers int, threshold float64) ([]ed
 		}
 	}
 
-	// r exchange iterations: take the max over own and neighbors' known
+	// r-1 exchange iterations: take the max over own and neighbors' known
 	// edges, reading level it and writing level it+1 so reads only see
 	// the previous level. A level entry is recomputed when the node is
 	// dirty (its input set changed) or any input value changed cross-
 	// round; everything else provably equals the memoized value. The
 	// previous phase's changed rows arrive in chList; the scatter walks
 	// that list (plus the dirty list) to build afList, and the pruned
-	// recompute walks afList — no per-phase stamp scans anywhere.
-	for it := 0; it < rounds; it++ {
+	// recompute walks afList — no per-phase stamp scans anywhere. Above
+	// the density threshold the scatter would mark most rows anyway, so
+	// the iteration recomputes the whole alive list instead. The r-th
+	// exchange is selectVerified's neighbor pass.
+	for it := 0; it+1 < rounds; it++ {
 		st.epoch++
-		src, dst := st.exStates[it], st.exStates[it+1]
-		dense := prevChanged < 0 || st.density < 0 ||
-			float64(prevChanged) > st.density*float64(len(nodes))
-		ch := st.chNext[:0]
-		st.changed = 0
-		switch {
-		case dense && serial:
-			ch, st.changed = st.denseIter(nodes, 0, len(nodes), src, dst, ch)
-		case dense:
-			st.ensureBkts()
-			st.resetChBkts()
-			runRangesIdx(bounds, func(ci, lo, hi int) {
-				b, c := st.denseIter(nodes, lo, hi, src, dst, st.chBkts[ci][:0])
-				st.chBkts[ci] = b
-				atomic.AddInt64(&st.changed, c)
-			})
-			ch = st.concatChBkts(ch)
-		case serial:
-			af := st.scatterList(st.chList, st.dirtyList, st.afList[:0])
-			st.afList = af
-			ch, st.changed = st.prunedIterList(af, src, dst, ch)
-		default:
-			st.ensureBkts()
-			af := st.scatterListAtomic(st.afList[:0])
-			st.afList = af
-			st.resetChBkts()
-			st.runListChunks(af, func(ci int, part []int32) {
-				b, c := st.prunedIterList(part, src, dst, st.chBkts[ci][:0])
-				st.chBkts[ci] = b
-				atomic.AddInt64(&st.changed, c)
-			})
-			ch = st.concatChBkts(ch)
+		rows := nodes
+		if st.density >= 0 && float64(len(st.chList)) <= st.density*float64(len(nodes)) {
+			st.afList = st.scatterList(st.chList, st.dirtyList, st.afList[:0])
+			rows = st.afList
 		}
-		st.chNext = ch
+		st.recomputed += len(rows)
+		st.chNext = st.exchangeRows(rows, st.exStates[it], st.exStates[it+1], st.chNext[:0])
 		st.chList, st.chNext = st.chNext, st.chList
-		prevChanged = st.changed
 	}
-	final := st.exStates[rounds]
+	return st.selectVerified(rounds, threshold), int(activeEdges), globalBest.sim
+}
 
-	// Selection: an edge whose both endpoints know it is locally maximal.
-	var selected []edgeRef
-	if serial {
-		selected = st.diffuseSelectSerial(nodes, threshold, final, st.selected[:0])
-	} else {
-		sink := &selectSink{buf: st.selected[:0]}
-		runRanges(bounds, func(lo, hi int) {
-			st.diffuseSelectInto(nodes, lo, hi, threshold, final, sink)
-		})
-		selected = sink.buf
-	}
-	slices.SortFunc(selected, func(a, b edgeRef) int {
-		// Keys are unique (node-disjoint matching), so this is the
-		// canonical (u,v) order.
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
+// selectVerified is the round's selection, the one routine behind the
+// shared-memory and the BSP path. know is the last materialized level,
+// r-1 (level 0 when r = 0). A candidate is an edge both endpoints know
+// there, found at its smaller endpoint; at r = 0 every candidate is
+// selected, and for r >= 1 it is selected iff the r-th exchange would
+// leave it in place — no neighbor of either endpoint knows a better
+// edge (see state.exStates) — which one early-exit pass over the two
+// rows decides. Alive rows only list alive neighbors, so stale entries
+// of dead rows are never read. The alive list ascends and a row emits
+// at most its own edge, so the matching comes out in canonical (u, v)
+// order.
+func (st *state) selectVerified(rounds int, threshold float64) []edgeRef {
+	know := st.exStates[len(st.exStates)-1]
+	selected := st.selected[:0]
+	st.candidates = 0
+	for _, u := range st.aliveList() {
+		e := know[u]
+		if e.U() != u || e.sim < threshold || know[e.V()] != e {
+			continue
 		}
-		return 0
-	})
+		st.candidates++
+		if rounds == 0 || !(st.outbid(u, e, know) || st.outbid(e.V(), e, know)) {
+			selected = append(selected, e)
+		}
+	}
 	st.selected = selected
-	return selected, int(activeEdges), globalBest.sim
+	return selected
 }
 
-// nodeRangeBounds fills the reusable bounds scratch with st.shards+1 cut
-// points into the alive node list, balanced by adjacency entries rather
-// than node count (each node weighs its degree plus one), so skewed
-// degree distributions still split into even per-worker work. Bounds
-// only partition work — results are identical for any split.
-func (st *state) nodeRangeBounds(nodes []int32) []int32 {
-	shards := st.shards
-	if shards < 1 {
-		shards = 1
-	}
-	for len(st.bounds) < shards+1 {
-		st.bounds = append(st.bounds, 0)
-	}
-	bounds := st.bounds[:shards+1]
-	deg := st.deg
-	var total int64
-	for _, u := range nodes {
-		total += int64(deg[u]) + 1
-	}
-	bounds[0] = 0
-	bounds[shards] = int32(len(nodes))
-	var prefix int64
-	next := 1
-	for i, u := range nodes {
-		if next >= shards {
-			break
-		}
-		prefix += int64(deg[u]) + 1
-		for next < shards && prefix*int64(shards) >= total*int64(next) {
-			bounds[next] = int32(i + 1)
-			next++
+// outbid reports whether any neighbor of u knows an edge better than e.
+func (st *state) outbid(u int32, e edgeRef, know []edgeRef) bool {
+	for j, end := st.offsets[u], st.offsets[u]+st.deg[u]; j < end; j++ {
+		if better(know[st.nbrs[j]], e) {
+			return true
 		}
 	}
-	for ; next < shards; next++ {
-		bounds[next] = int32(len(nodes))
-	}
-	return bounds
+	return false
 }
 
-// runRanges runs fn over each non-empty range [bounds[i], bounds[i+1])
-// in its own goroutine and waits for all of them. Callers on the
-// zero-alloc path must only construct the fn closure inside their
-// parallel branch (and capture fresh bindings, not variables reassigned
-// later), so the serial branch stays allocation-free.
-func runRanges(bounds []int32, fn func(lo, hi int)) {
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := int(bounds[i]), int(bounds[i+1])
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// runRangesIdx is runRanges passing each range's index to fn — for
-// phases that collect into per-range buckets.
-func runRangesIdx(bounds []int32, fn func(ci, lo, hi int)) {
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := int(bounds[i]), int(bounds[i+1])
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			fn(ci, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-}
-
-// initAll is the uncached init phase over nodes[lo:hi]: each node's
-// best incident >= threshold edge into init, plus the per-id round
-// statistics (edge endpoints counted once, at the smaller id). Pure CSR
-// array scans — no allocation.
-func (st *state) initAll(nodes []int32, lo, hi int, threshold float64, init []edgeRef) {
-	offsets, nbrs, wts, deg := st.offsets, st.nbrs, st.wts, st.deg
-	for i := lo; i < hi; i++ {
-		u := nodes[i]
-		best := noEdge
-		edges := int64(0)
-		bestAny := noEdge
-		for j, end := offsets[u], offsets[u]+deg[u]; j < end; j++ {
-			v, w := nbrs[j], wts[j]
-			if u < v {
-				edges++
-			}
-			cand := mkEdgeRef(u, v, w)
-			if better(cand, bestAny) {
-				bestAny = cand
-			}
-			if w < threshold {
-				continue
-			}
-			if better(cand, best) {
-				best = cand
-			}
-		}
-		init[u] = best
-		st.edgeCnt[u] = edges
-		st.bests[u] = bestAny
-	}
-}
-
-// initDirtyList is the memoized init phase over a slice of the dirty
-// worklist: only those rows — whose adjacency the last merge changed —
-// are recomputed; every other cached entry is provably identical to a
-// full recomputation. Dead list entries (merged-away ids stamped as
+// initRows is the init phase over a worklist: each listed row's best
+// incident >= threshold edge into init, plus the per-id round statistics
+// (edge endpoints counted once, at the smaller id). After the first
+// round the list is the dirty worklist — the rows whose adjacency the
+// last merge changed; every other cached entry is provably identical to
+// a full recomputation. Dead list entries (merged-away ids stamped as
 // neighbors) are skipped. Rows whose init state actually changed append
-// to out (the next iteration's frontier); returns out and the count.
-func (st *state) initDirtyList(list []int32, threshold float64, init []edgeRef, out []int32) ([]int32, int64) {
+// to out, the next iteration's frontier. Pure CSR array scans.
+func (st *state) initRows(list []int32, threshold float64, init []edgeRef, out []int32) []int32 {
 	offsets, nbrs, wts, deg := st.offsets, st.nbrs, st.wts, st.deg
-	var cnt int64
 	for _, u := range list {
 		if !st.alive[u] {
 			continue
@@ -828,33 +703,9 @@ func (st *state) initDirtyList(list []int32, threshold float64, init []edgeRef, 
 		if best != init[u] {
 			init[u] = best
 			out = append(out, u)
-			cnt++
 		}
 	}
-	return out, cnt
-}
-
-// denseIter recomputes level it+1 for every node of nodes[lo:hi] from
-// level it, appending cross-round changes (new value differs from the
-// memoized one) to out and returning out plus the change count.
-func (st *state) denseIter(nodes []int32, lo, hi int, src, dst []edgeRef, out []int32) ([]int32, int64) {
-	offsets, nbrs, deg := st.offsets, st.nbrs, st.deg
-	var cnt int64
-	for i := lo; i < hi; i++ {
-		u := nodes[i]
-		best := src[u]
-		for j, end := offsets[u], offsets[u]+deg[u]; j < end; j++ {
-			if v := nbrs[j]; better(src[v], best) {
-				best = src[v]
-			}
-		}
-		if best != dst[u] {
-			dst[u] = best
-			out = append(out, u)
-			cnt++
-		}
-	}
-	return out, cnt
+	return out
 }
 
 // scatterList builds the recompute worklist for the current level: every
@@ -887,52 +738,14 @@ func (st *state) scatterList(ch, dirty []int32, out []int32) []int32 {
 	return out
 }
 
-// scatterListAtomic is scatterList for the parallel path: list chunks
-// race to stamp shared neighbors, the CAS winner appends to its chunk's
-// bucket, and the buckets concatenate into out. The marked id set is
-// deterministic (every worker stamps the same epoch); the order ids land
-// in out is not, which is safe — the pruned recompute's work is per-id
-// independent, so the diffusion result is byte-identical for any order.
-func (st *state) scatterListAtomic(out []int32) []int32 {
+// exchangeRows recomputes one level for the listed rows — the whole
+// alive list, or the scatter worklist, in which case every row not on it
+// keeps its memoized value, provably what the dense recomputation would
+// produce (identical inputs to last round). dst[u] becomes the best of
+// src over u and its neighbors; cross-round changes (new value differs
+// from the memoized one) append to out.
+func (st *state) exchangeRows(list []int32, src, dst []edgeRef, out []int32) []int32 {
 	offsets, nbrs, deg := st.offsets, st.nbrs, st.deg
-	epoch := st.epoch
-	st.resetAfBkts()
-	st.runListChunks(st.chList, func(ci int, part []int32) {
-		bkt := st.afBkts[ci]
-		for _, u := range part {
-			if casMark32(&st.afMark[u], epoch) {
-				bkt = append(bkt, u)
-			}
-			for j, end := offsets[u], offsets[u]+deg[u]; j < end; j++ {
-				if v := nbrs[j]; casMark32(&st.afMark[v], epoch) {
-					bkt = append(bkt, v)
-				}
-			}
-		}
-		st.afBkts[ci] = bkt
-	})
-	out = st.concatAfBkts(out)
-	st.resetAfBkts()
-	st.runListChunks(st.dirtyList, func(ci int, part []int32) {
-		bkt := st.afBkts[ci]
-		for _, u := range part {
-			if st.alive[u] && casMark32(&st.afMark[u], epoch) {
-				bkt = append(bkt, u)
-			}
-		}
-		st.afBkts[ci] = bkt
-	})
-	return st.concatAfBkts(out)
-}
-
-// prunedIterList recomputes exactly the rows of the scatter worklist
-// slice; every row not on the list keeps its memoized level value, which
-// is provably what the dense recomputation would produce (identical
-// inputs to last round). Cross-round changes append to out and are
-// counted.
-func (st *state) prunedIterList(list []int32, src, dst []edgeRef, out []int32) ([]int32, int64) {
-	offsets, nbrs, deg := st.offsets, st.nbrs, st.deg
-	var cnt int64
 	for _, u := range list {
 		best := src[u]
 		for j, end := offsets[u], offsets[u]+deg[u]; j < end; j++ {
@@ -943,131 +756,9 @@ func (st *state) prunedIterList(list []int32, src, dst []edgeRef, out []int32) (
 		if best != dst[u] {
 			dst[u] = best
 			out = append(out, u)
-			cnt++
 		}
-	}
-	return out, cnt
-}
-
-// casMark32 stamps *p with epoch and reports whether this caller won the
-// stamp — exactly one concurrent marker of the same epoch wins, which
-// keeps worklist entries duplicate-free without a second dedup pass.
-func casMark32(p *uint32, epoch uint32) bool {
-	for {
-		cur := atomic.LoadUint32(p)
-		if cur == epoch {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(p, cur, epoch) {
-			return true
-		}
-	}
-}
-
-// ensureBkts sizes the per-range worklist collection buckets to the
-// partition width. Parallel-only scratch: the serial path never touches
-// it, keeping that path allocation-free.
-func (st *state) ensureBkts() {
-	for len(st.chBkts) < st.shards {
-		st.chBkts = append(st.chBkts, nil)
-	}
-	for len(st.afBkts) < st.shards {
-		st.afBkts = append(st.afBkts, nil)
-	}
-}
-
-func (st *state) resetChBkts() {
-	for i := range st.chBkts {
-		st.chBkts[i] = st.chBkts[i][:0]
-	}
-}
-
-func (st *state) resetAfBkts() {
-	for i := range st.afBkts {
-		st.afBkts[i] = st.afBkts[i][:0]
-	}
-}
-
-// concatChBkts appends every chunk bucket to out in chunk order.
-func (st *state) concatChBkts(out []int32) []int32 {
-	for i := range st.chBkts {
-		out = append(out, st.chBkts[i]...)
 	}
 	return out
-}
-
-func (st *state) concatAfBkts(out []int32) []int32 {
-	for i := range st.afBkts {
-		out = append(out, st.afBkts[i]...)
-	}
-	return out
-}
-
-// runListChunks splits list into up to st.shards contiguous chunks and
-// runs fn(chunkIndex, chunk) concurrently over the non-empty ones.
-// Chunks only partition work; consumers write per-id state and collect
-// into per-chunk buckets, so results do not depend on the split.
-func (st *state) runListChunks(list []int32, fn func(ci int, part []int32)) {
-	k := st.shards
-	if k < 1 {
-		k = 1
-	}
-	if k == 1 || len(list) < 64 {
-		fn(0, list)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		lo, hi := i*len(list)/k, (i+1)*len(list)/k
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int, part []int32) {
-			defer wg.Done()
-			fn(ci, part)
-		}(i, list[lo:hi])
-	}
-	wg.Wait()
-}
-
-// diffuseSelectSerial appends the locally-maximal edges (each edge
-// evaluated once, at its smaller endpoint) to buf and returns it. Kept
-// free of shared state so the single-worker path allocates nothing.
-func (st *state) diffuseSelectSerial(nodes []int32, threshold float64, know []edgeRef, buf []edgeRef) []edgeRef {
-	for _, u := range nodes {
-		e := know[u]
-		if e.U() != u || e.sim < threshold {
-			continue
-		}
-		if know[e.V()] == e {
-			buf = append(buf, e)
-		}
-	}
-	return buf
-}
-
-// selectSink is the shared selection output for the parallel path.
-type selectSink struct {
-	mu  sync.Mutex
-	buf []edgeRef
-}
-
-// diffuseSelectInto is diffuseSelectSerial over nodes[lo:hi] appending
-// into the shared sink.
-func (st *state) diffuseSelectInto(nodes []int32, lo, hi int, threshold float64, know []edgeRef, sink *selectSink) {
-	for i := lo; i < hi; i++ {
-		u := nodes[i]
-		e := know[u]
-		if e.U() != u || e.sim < threshold {
-			continue
-		}
-		if know[e.V()] == e {
-			sink.mu.Lock()
-			sink.buf = append(sink.buf, e)
-			sink.mu.Unlock()
-		}
-	}
 }
 
 // contrib is one old-edge contribution to a new edge's Eq. 4 sum, tagged
@@ -1080,8 +771,8 @@ type contrib struct {
 
 // mergeSelected applies a round's matching: mints new cluster ids, emits
 // dendrogram merges, and sort-merges the surviving and coalesced edges
-// into the next round's CSR. Deterministic regardless of worker count:
-// contributions are aggregated in sorted origin order.
+// into the next round's CSR. Contributions are aggregated in sorted
+// origin order.
 func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *dendrogram.Dendrogram) {
 	base := int32(st.total)
 	newTotal := st.total + len(selected)
@@ -1091,6 +782,7 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	for len(st.mergeTo) < newTotal {
 		st.mergeTo = append(st.mergeTo, -1)
 		st.afMark = append(st.afMark, 0)
+		st.edgeAt = append(st.edgeAt, 0)
 		st.edgeCnt = append(st.edgeCnt, 0)
 		st.bests = append(st.bests, noEdge)
 	}
@@ -1134,11 +826,8 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	// The pass also stamps the round's dirty rows for the rebuild and the
 	// next round's memoized diffusion: every visited neighbor (the walk
 	// covers both members' whole adjacency) plus the owner's minted row.
-	// Shared neighbors may be raced for by several owners — the CAS
-	// winner appends the id to its worker's bucket, so the buckets
-	// concatenate into a duplicate-free dirtyList whose id set is
-	// deterministic (order under parallel merges is not, which is safe:
-	// every dirtyList consumer does per-id independent work).
+	// A neighbor shared by several owners is stamped by the first one, so
+	// dirtyList comes out duplicate-free.
 	offsets, nbrs, wts, deg := st.offsets, st.nbrs, st.wts, st.deg
 	for len(st.perOwner) < len(selected) {
 		st.perOwner = append(st.perOwner, nil)
@@ -1147,32 +836,20 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	for len(st.dirty) < newTotal {
 		st.dirty = append(st.dirty, 0)
 	}
-	nw := st.workers
-	if nw < 1 {
-		nw = 1
-	}
-	for len(st.dirtyBkts) < nw {
-		st.dirtyBkts = append(st.dirtyBkts, nil)
-	}
-	for i := range st.dirtyBkts {
-		st.dirtyBkts[i] = st.dirtyBkts[i][:0]
-	}
 	st.dirtyEpoch++
-	dirtyEpoch := st.dirtyEpoch
-	perOwner, perOwnerB, dirtyBkts := st.perOwner, st.perOwnerB, st.dirtyBkts
-	parallelIdxW(len(selected), st.workers, func(wid, i int) {
-		e := selected[i]
+	dirty, dirtyEpoch := st.dirty, st.dirtyEpoch
+	dl := st.dirtyList[:0]
+	perOwner, perOwnerB := st.perOwner, st.perOwnerB
+	for i, e := range selected {
 		w := base + int32(i)
 		eu, ev := e.U(), e.V()
 		out := perOwner[i][:0]
 		tail := perOwnerB[i][:0]
-		bkt := dirtyBkts[wid]
 		jU, endU := offsets[eu], offsets[eu]+deg[eu]
 		jV, endV := offsets[ev], offsets[ev]+deg[ev]
 		wu, wv := st.coef[eu], st.coef[ev]
-		if casMark32(&st.dirty[w], dirtyEpoch) { // minted rows are always fresh
-			bkt = append(bkt, w)
-		}
+		dirty[w] = dirtyEpoch // minted rows are always fresh
+		dl = append(dl, w)
 		for jU < endU || jV < endV {
 			var member, nb int32
 			var wm, s float64
@@ -1186,8 +863,9 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 				member, nb, wm, s = ev, nbrs[jV], wv, wts[jV]
 				jV++
 			}
-			if casMark32(&st.dirty[nb], dirtyEpoch) {
-				bkt = append(bkt, nb)
+			if dirty[nb] != dirtyEpoch {
+				dirty[nb] = dirtyEpoch
+				dl = append(dl, nb)
 			}
 			mappedNb := st.mergeTo[nb]
 			if mappedNb < 0 {
@@ -1204,11 +882,6 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 		slices.SortFunc(tail, cmpContrib)
 		perOwner[i] = append(out, tail...)
 		perOwnerB[i] = tail[:0]
-		dirtyBkts[wid] = bkt
-	})
-	dl := st.dirtyList[:0]
-	for i := range dirtyBkts {
-		dl = append(dl, dirtyBkts[i]...)
 	}
 	st.dirtyList = dl
 
@@ -1237,6 +910,10 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 		st.deg = append(st.deg, 0)
 	}
 	offsets, nbrs, wts, deg = st.offsets, st.nbrs, st.wts, st.deg
+	for k := len(newEdges) - 1; k >= 0; k-- {
+		// Descending, so each U is left holding its run's first index.
+		st.edgeAt[newEdges[k].U] = uint64(dirtyEpoch)<<32 | uint64(k)
+	}
 	for _, u := range st.dirtyList {
 		if u >= base || st.mergeTo[u] >= 0 {
 			continue // minted rows fill below; members retire below
@@ -1249,9 +926,11 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 				wi++
 			}
 		}
-		for k := searchEdgeU(newEdges, u); k < len(newEdges) && newEdges[k].U == u; k++ {
-			nbrs[wi], wts[wi] = newEdges[k].V, newEdges[k].W
-			wi++
+		if at := st.edgeAt[u]; uint32(at>>32) == dirtyEpoch {
+			for k := int(uint32(at)); k < len(newEdges) && newEdges[k].U == u; k++ {
+				nbrs[wi], wts[wi] = newEdges[k].V, newEdges[k].W
+				wi++
+			}
 		}
 		deg[u] = wi - lo
 	}
@@ -1405,7 +1084,9 @@ func (st *state) kwayMergeSum(lists [][]contrib, threshold float64) []wgraph.Edg
 	return newEdges
 }
 
-// runRanges32 is runRanges over int32 row bounds.
+// runRanges32 runs fn(lo, hi) over each non-empty range
+// [bounds[i], bounds[i+1]) in its own goroutine and waits for all of
+// them (standalone Diffuse's partition-parallel scans).
 func runRanges32(bounds []int32, fn func(lo, hi int32)) {
 	var wg sync.WaitGroup
 	for i := 0; i+1 < len(bounds); i++ {
@@ -1422,48 +1103,9 @@ func runRanges32(bounds []int32, fn func(lo, hi int32)) {
 	wg.Wait()
 }
 
-// searchEdgeU returns the first index whose edge has U >= x (edges are
-// sorted by canonical (U,V)). Hand-rolled so the zero-alloc serial
-// rebuild path never builds a search closure.
-func searchEdgeU(edges []wgraph.Edge, x int32) int {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if edges[mid].U >= x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 func canon(u, v int32) (int32, int32) {
 	if u < v {
 		return u, v
 	}
 	return v, u
-}
-
-// parallelIdxW runs fn over [0,n) with the given parallelism, passing
-// the executing worker's index (0..workers-1; always 0 on the serial
-// path) so callers can collect into per-worker buckets without locks.
-func parallelIdxW(n, workers int, fn func(w, i int)) {
-	if workers <= 1 || n < 16 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -66,9 +66,9 @@ func TestShardedObservationallyIdentical(t *testing.T) {
 }
 
 // TestShardedRebuildForcedParallel drives Cluster with many shards on a
-// graph large enough to cross the sharded-rebuild threshold, so the
-// partition-parallel count/fill path is actually exercised (not just the
-// serial fallback), and compares against the single-shard run.
+// larger graph — long worklists, dozens of merges per round — so every
+// BSP shard holds real work in every round, and compares against the
+// single-shard shared-memory run (which reads no shard count at all).
 func TestShardedRebuildForcedParallel(t *testing.T) {
 	g := randomGraph(700, 2400, 42)
 	base := g.Freeze()
@@ -79,13 +79,16 @@ func TestShardedRebuildForcedParallel(t *testing.T) {
 	}
 	refBytes := gobBytes(t, ref)
 	for _, s := range []int{2, 6, 16} {
-		res, err := Cluster(context.Background(), base, nil,
-			Config{StopThreshold: 0.1, DiffusionRounds: 2, Workers: 4, Shards: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gobBytes(t, res), refBytes) {
-			t.Fatalf("shards=%d: forced-parallel rebuild differs from single-shard", s)
+		for _, useBSP := range []bool{false, true} {
+			res, err := Cluster(context.Background(), base, nil,
+				Config{StopThreshold: 0.1, DiffusionRounds: 2, Workers: 4, Shards: s, UseBSP: useBSP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.BSP = nil // the engine's profile, not clustering output
+			if !bytes.Equal(gobBytes(t, res), refBytes) {
+				t.Fatalf("shards=%d bsp=%v: differs from single-shard", s, useBSP)
+			}
 		}
 	}
 }
