@@ -41,7 +41,6 @@ func main() {
 		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")
 		shards     = flag.Int("shards", 0, "row-range shards of the graph substrate (0: GOMAXPROCS); output is identical for any value")
 		frontier   = flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
-		bspMode    = flag.Bool("bsp", false, "route clustering diffusion through the shard-native BSP engine; output is identical, engine stats are reported")
 		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, rebuilding each day with the delta-driven path; the final day's taxonomy is saved (per-day delta stats with -v)")
 		tracePath  = flag.String("trace", "", "write the build's execution trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		pprofAddr  = flag.String("pprof", "", "side listener address exposing net/http/pprof during the build (e.g. localhost:6060; empty disables)")
@@ -76,7 +75,6 @@ func main() {
 	cfg.Sequential = *sequential
 	cfg.Shards = *shards
 	cfg.HAC.FrontierDensity = *frontier
-	cfg.BSP = *bspMode
 	cfg.Word2Vec.Epochs = 2
 	cfg.Word2Vec.Dim = 24
 	if *stop < cfg.Taxonomy.Levels[0] {
@@ -94,8 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "config: shards=%d workers=%d frontier-density=%g bsp=%v\n",
-			b.Shards, b.Workers, b.FrontierDensity, b.BSPEnabled)
+		fmt.Fprintf(os.Stderr, "config: shards=%d frontier-density=%g\n", b.Shards, b.FrontierDensity)
 		spans := b.Trace.Records()
 		for _, st := range b.StageTimings {
 			line := fmt.Sprintf("%-22s start=%-12v elapsed=%v", st.Stage, st.Start, st.Elapsed)
@@ -136,12 +133,6 @@ func main() {
 				}
 				fmt.Fprintln(os.Stderr, line)
 			}
-		}
-		if b.BSPStats != nil {
-			fmt.Fprintf(os.Stderr, "bsp: supersteps=%d messages=%d sends=%d combiner-hit-rate=%.3f\n",
-				b.BSPStats.Supersteps, b.BSPStats.Messages, b.BSPStats.Sends, b.BSPStats.CombinerHitRate())
-			fmt.Fprintf(os.Stderr, "bsp: runs-served=%d seeded-runs=%d rebinds=%d peak-retained=%dB\n",
-				b.BSPStats.RunsServed, b.BSPStats.SeededRuns, b.BSPStats.Rebinds, b.BSPStats.PeakRetainedBytes)
 		}
 	}
 	if *tracePath != "" {

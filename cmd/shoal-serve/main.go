@@ -50,7 +50,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "side listener address exposing net/http/pprof (e.g. localhost:6060; empty disables)")
 	shards := flag.Int("shards", 0, "row-range shards of the graph substrate (0: GOMAXPROCS); reported in /api/stats")
 	frontier := flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
-	bspMode := flag.Bool("bsp", false, "route clustering diffusion through the shard-native BSP engine; output is identical, engine stats land in /api/stats")
 	incremental := flag.Bool("incremental", false, "delta-driven rebuilds: each refresh recomputes only what the window slide changed (byte-identical output; delta stats land in /api/stats)")
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 	cfg.CatCorr.MinStrength = 0
 	cfg.Shards = *shards
 	cfg.HAC.FrontierDensity = *frontier
-	cfg.BSP = *bspMode
 	cfg.Incremental = *incremental
 	if *corpusPath != "" {
 		var err error

@@ -1,15 +1,13 @@
 // Scaling demonstrates why the paper needed Parallel HAC (§2.2): the
 // sequential baseline merges one pair per iteration, while Parallel HAC
-// merges every locally-maximal edge per round. The example times both on
-// the same entity graph across worker counts and prints the round-level
-// parallelism profile.
+// merges every locally-maximal edge of a round at once. The example
+// builds one taxonomy and prints the round-level profile: how many
+// node-disjoint merges each round offered.
 package main
 
 import (
 	"fmt"
 	"log"
-	"runtime"
-	"time"
 
 	"shoal"
 )
@@ -26,43 +24,26 @@ func main() {
 	}
 	fmt.Printf("corpus: %s\n", corpus.Stats())
 
-	base := shoal.DefaultConfig()
-	base.Word2Vec.Epochs = 2
-	base.HAC.StopThreshold = 0.12
-	base.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
-
-	// Time the whole pipeline at increasing worker counts. The clustering
-	// and similarity stages parallelize; generation and bookkeeping do
-	// not, so expect sub-linear but clearly positive scaling.
-	maxW := runtime.GOMAXPROCS(0)
-	fmt.Printf("\n%-8s %-12s %-12s\n", "workers", "build-time", "speedup")
-	var first time.Duration
-	for w := 1; w <= maxW; w *= 2 {
-		cfg := base
-		cfg.HAC.Workers = w
-		cfg.Graph.Workers = w
-		cfg.Word2Vec.Workers = w
-		start := time.Now()
-		sys, err := shoal.Build(corpus, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if first == 0 {
-			first = elapsed
-		}
-		fmt.Printf("%-8d %-12v %.2fx   (%s)\n", w, elapsed.Round(time.Millisecond),
-			first.Seconds()/elapsed.Seconds(), sys.Stats())
-	}
-
-	// Round-level profile: how much parallel work each round offered.
-	sys, err := shoal.Build(corpus, base)
+	cfg := shoal.DefaultConfig()
+	cfg.Word2Vec.Epochs = 2
+	cfg.HAC.StopThreshold = 0.12
+	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
+	sys, err := shoal.Build(corpus, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("built:  %s\n", sys.Stats())
+
+	// Every merge of a round is independent of the others (the selected
+	// edges are node-disjoint), so a round's "merged" column is the work
+	// it offers in parallel; a sequential HAC spends one iteration per
+	// merge.
 	fmt.Println("\nParallel HAC round profile (diffusion r=2):")
 	fmt.Printf("%-6s %-16s %-14s %-10s\n", "round", "active-clusters", "active-edges", "merged")
+	merges := 0
 	for _, r := range sys.Rounds() {
 		fmt.Printf("%-6d %-16d %-14d %-10d\n", r.Round, r.ActiveClusters, r.ActiveEdges, r.Selected)
+		merges += r.Selected
 	}
+	fmt.Printf("\n%d merges in %d rounds; sequential HAC needs one iteration per merge\n", merges, len(sys.Rounds()))
 }

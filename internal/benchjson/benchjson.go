@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"shoal/internal/bm25"
-	"shoal/internal/bsp"
 	"shoal/internal/describe"
 	"shoal/internal/entitygraph"
 	"shoal/internal/hac"
@@ -90,24 +89,16 @@ func Run() ([]Result, error) {
 		}
 	}
 	base := g.BaseCSR()
-	sharedClusterOp := func() error {
-		_, err := phac.Cluster(ctx, g, sizes, phac.Config{StopThreshold: 0.12, DiffusionRounds: 2})
-		return err
-	}
-	bspClusterOp := func() error {
-		_, err := phac.Cluster(ctx, g, sizes, phac.Config{
-			StopThreshold: 0.12, DiffusionRounds: 2, UseBSP: true,
-		})
-		return err
-	}
 	benches := map[string]func(*testing.B){
-		// Single-worker, single-shard baseline — comparable across every
-		// BENCH_*.json generation.
+		// Comparable across every BENCH_*.json generation.
 		"diffuse-r2": record(func() error {
-			_, err := phac.Diffuse(base, 2, 0.12, 0)
+			_, err := phac.Diffuse(base, 2, 0.12)
 			return err
 		}),
-		"phac-cluster": record(sharedClusterOp),
+		"phac-cluster": record(func() error {
+			_, err := phac.Cluster(ctx, g, sizes, phac.Config{StopThreshold: 0.12, DiffusionRounds: 2})
+			return err
+		}),
 		"hac-sequential": record(func() error {
 			_, err := hac.Cluster(g, sizes, hac.Config{StopThreshold: 0.12})
 			return err
@@ -132,7 +123,7 @@ func Run() ([]Result, error) {
 		// converge, so this point tracks what frontier pruning saves once
 		// the changed set collapses.
 		"diffuse-r6": record(func() error {
-			_, err := phac.Diffuse(base, 6, 0.12, 0)
+			_, err := phac.Diffuse(base, 6, 0.12)
 			return err
 		}),
 		// Per-slide rebuild cost of topic descriptions, text plane warm:
@@ -141,25 +132,6 @@ func Run() ([]Result, error) {
 			_, err := describe.Describe(ctx, b.Taxonomy, b.Corpus, clicks, describe.DefaultConfig())
 			return err
 		}),
-		// Diffusion on the shard-native BSP engine — the distributed
-		// execution model. Tracked next to diffuse-r{2,6} so the derived
-		// bsp-diffuse-r{2,6}-vs-shared ratios record the gap to the
-		// shared-memory path across PRs.
-		"bsp-diffuse-r2": record(func() error {
-			_, err := phac.DiffuseBSP(base, 2, 0.12, bsp.Config{})
-			return err
-		}),
-		"bsp-diffuse-r6": record(func() error {
-			_, err := phac.DiffuseBSP(base, 6, 0.12, bsp.Config{})
-			return err
-		}),
-		// Full clustering on the BSP engine (core -bsp): every merge
-		// round's diffusion served by one persistent engine rebound to
-		// each round's contracted CSR. Tracked next to phac-cluster so
-		// the derived phac-cluster-bsp-vs-shared ratio records the
-		// end-to-end cost of the distributed execution model, not just
-		// the standalone-diffusion gap.
-		"phac-cluster-bsp": record(bspClusterOp),
 	}
 	// Serving hot path through the full instrumented handler (middleware,
 	// per-route histograms, status-class counters) versus the same mux
@@ -221,45 +193,23 @@ func Run() ([]Result, error) {
 	}
 	benches["daily-rebuild"] = record(dailyOp)
 	benches["incremental-rebuild"] = record(incOp)
-	// Segment wire format: encode + decode every shard of a 4-way
-	// partition (the multi-host placement cost per shard hand-off).
-	segSrc := shard.Partition(base, 4)
-	segs := segSrc.Segments()
-	benches["segment-roundtrip"] = record(func() error {
-		for _, seg := range segs {
-			if _, err := shard.DecodeSegment(seg.Encode()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// Shard-count sweep: the same diffusion / construction work at
-	// increasing partition widths, so each BENCH_*.json records how the
-	// partition-parallel paths scale on the fixed corpus. (Shared-memory
-	// clustering reads no shard count: phac-cluster is its only entry.)
+	// Shard-count sweep: the same construction work at increasing
+	// partition widths, so each BENCH_*.json records how the chunked
+	// FromEdges scales on the fixed corpus.
 	for _, s := range []int{2, 4, 8} {
-		sg := shard.Partition(base, s)
-		benches[fmt.Sprintf("diffuse-r2-shards%d", s)] = record(func() error {
-			_, err := phac.Diffuse(sg, 2, 0.12, 0)
-			return err
-		})
 		benches[fmt.Sprintf("csr-from-edges-shards%d", s)] = record(func() error {
 			_, err := shard.FromEdges(g.NumNodes(), edges, s)
 			return err
 		})
 	}
 
-	// The paired gated ratios are measured before the best-of-three sweep,
+	// The paired gated ratio is measured before the best-of-three sweep,
 	// on the same small live heap every run (fixture + slide world only):
 	// the sweep leaves a large heap behind, and GC assists over it
-	// systematically inflate the allocation-heavier side of each pair by a
-	// few percent — real money for gates whose margin is single-digit
+	// systematically inflate the allocation-heavier side of the pair by a
+	// few percent — real money for a gate whose margin is single-digit
 	// percent.
 	incRatio, err := pairedRatio(dailyOp, incOp)
-	if err != nil {
-		return nil, err
-	}
-	bspRatio, err := pairedRatio(sharedClusterOp, bspClusterOp)
 	if err != nil {
 		return nil, err
 	}
@@ -314,28 +264,6 @@ func Run() ([]Result, error) {
 			})
 		}
 	}
-	// bsp-vs-shared: BSP-engine diffusion time over shared-memory
-	// diffusion time at the same exchange budget (dimensionless, lower
-	// is better; 1.0 means the distributed twin matches the shared path).
-	// Committed in the trajectory so the gap is tracked PR over PR.
-	for _, pair := range [][2]string{
-		{"bsp-diffuse-r2", "diffuse-r2"},
-		{"bsp-diffuse-r6", "diffuse-r6"},
-	} {
-		if bb, ok := byName[pair[0]]; ok {
-			if sh, ok := byName[pair[1]]; ok && sh.NsPerOp > 0 {
-				out = append(out, Result{
-					Name:    pair[0] + "-vs-shared",
-					NsPerOp: bb.NsPerOp / sh.NsPerOp,
-				})
-			}
-		}
-	}
-	// The end-to-end cluster gap is measured paired like
-	// incremental-vs-full: its ceiling leaves little slack above the structural value,
-	// so the drift between two independently timed windows — harmless on
-	// the roomy diffusion ratios above — is enough to flake the gate.
-	out = append(out, Result{Name: "phac-cluster-bsp-vs-shared", NsPerOp: bspRatio})
 	// incremental-vs-full: delta-driven slide rebuild time over the
 	// from-scratch rebuild of the same window (dimensionless, lower is
 	// better; 1.0 means incrementality saves nothing). Hard-gated at
@@ -472,37 +400,6 @@ func ReadFile(path string) ([]Result, error) {
 // can never come back silently.
 const VsSerialCeiling = 1.10
 
-// BspVsSharedCeiling is the hard ceiling for the bsp-diffuse-*-vs-shared
-// derived ratios: BSP-engine diffusion time over shared-memory diffusion
-// time at the same exchange budget. A ratio at or above it means the
-// distributed execution model has fallen behind the shared path by more
-// than the accepted envelope, which the gate fails outright — the PR-6
-// gap-closing work (persistent engines across rounds, O(frontier)
-// combiner scratch, dense-mode inbox scans) brought the ratios to
-// ~1.2-1.25, and this ceiling keeps the gap from silently reopening
-// toward the ~2x it started at. Like VsSerialCeiling, the effective
-// ceiling widens to 1 + threshold when the gate runs with a larger
-// relative tolerance (noisy shared runners), while the
-// committed-trajectory gate stays strict.
-const BspVsSharedCeiling = 1.45
-
-// ClusterBspVsSharedCeiling is the hard ceiling for the end-to-end
-// phac-cluster-bsp-vs-shared ratio. It is looser than the standalone
-// diffusion ceiling because the full clustering run also pays the
-// engine Rebind/remap tax every merge round. The PR-7 cross-round
-// memoization work (seeded supersteps over the previous round's fixed
-// point, incremental round stats) brought the
-// ratio to ~1.26; PR-10's in-place contracted CSR then sped the
-// shared-memory denominator ~31% while the BSP twin — which still
-// rebuilds per-round segments for placement — kept only ~16%, moving
-// the structural (paired) ratio to ~1.46, so the ceiling sits at 1.8:
-// anything
-// at or above it means the vertex program has fallen back to
-// recomputing whole rounds from scratch — the ~2.5x shape this gate
-// exists to keep out. Widens to 1 + threshold on wide-tolerance gates,
-// like the other ceilings.
-const ClusterBspVsSharedCeiling = 1.8
-
 // ObsOverheadCeiling is the hard ceiling for the obs-overhead-vs-bare
 // derived ratio: instrumented search serving time over the bare-mux
 // time. At or above it the request telemetry (middleware, per-route
@@ -549,10 +446,6 @@ var ratioGates = []struct {
 }{
 	{func(n string) bool { return strings.HasSuffix(n, "-vs-serial") },
 		VsSerialCeiling, true, "parallel construction lost to serial"},
-	{func(n string) bool { return strings.HasPrefix(n, "bsp-diffuse-") && strings.HasSuffix(n, "-vs-shared") },
-		BspVsSharedCeiling, true, "BSP engine fell behind the shared-memory path"},
-	{func(n string) bool { return n == "phac-cluster-bsp-vs-shared" },
-		ClusterBspVsSharedCeiling, true, "BSP clustering lost its cross-round memoization win"},
 	{func(n string) bool { return n == "obs-overhead-vs-bare" },
 		ObsOverheadCeiling, true, "request instrumentation blew its search hot-path budget"},
 	{func(n string) bool { return n == "incremental-vs-full" },

@@ -70,66 +70,6 @@ func TestVsSerialCeiling(t *testing.T) {
 	}
 }
 
-// TestBspVsSharedCeiling pins the BSP-gap assertions: a
-// bsp-diffuse-*-vs-shared entry at or above BspVsSharedCeiling and a
-// phac-cluster-bsp-vs-shared entry at or above
-// ClusterBspVsSharedCeiling fail outright — even when the old file
-// never recorded the name — while sub-ceiling ratios pass whatever the
-// old file recorded and a wide runner-side threshold widens every
-// ceiling to 1 + threshold.
-func TestBspVsSharedCeiling(t *testing.T) {
-	var oldRes []Result // ratio names brand new in this trajectory
-	newRes := []Result{
-		{Name: "bsp-diffuse-r2-vs-shared", NsPerOp: 1.25},   // post-PR-6 shape: allowed
-		{Name: "bsp-diffuse-r6-vs-shared", NsPerOp: 1.45},   // at ceiling: gap reopened
-		{Name: "bsp-diffuse-r4-vs-shared", NsPerOp: 2.02},   // the PR-5 gap shape
-		{Name: "phac-cluster-bsp-vs-shared", NsPerOp: 2.52}, // the pre-memoization shape
-	}
-	got := Regressions(oldRes, newRes, 0.25)
-	if len(got) != 3 {
-		t.Fatalf("Regressions = %v, want the three above-ceiling ratios", got)
-	}
-	for _, line := range got {
-		if strings.Contains(line, "phac-cluster-bsp") {
-			if !strings.Contains(line, "cross-round memoization") {
-				t.Fatalf("cluster ratio reported against the wrong ceiling: %q", line)
-			}
-			continue
-		}
-		if !strings.Contains(line, "fell behind the shared-memory path") {
-			t.Fatalf("unexpected report line %q", line)
-		}
-	}
-	// Runner-side slack: a 60% threshold widens the diffusion ceiling to
-	// 1.6 (the cluster ceiling already sits at 1.8), so the at-ceiling r6
-	// parity case passes while the 2x diffusion shape and the 2.5x
-	// cluster shape still fail.
-	got = Regressions(oldRes, newRes, 0.6)
-	if len(got) != 2 || !strings.Contains(got[0], "bsp-diffuse-r4") ||
-		!strings.Contains(got[1], "phac-cluster-bsp") {
-		t.Fatalf("wide-threshold gate = %v, want the r4 and cluster ratios", got)
-	}
-	// The post-PR-10 paired cluster shape (~1.46 after the shared-memory
-	// denominator's in-place-CSR speedup) sits under its ceiling even
-	// with noise on top; a ratio at the ceiling fails outright.
-	got = Regressions(nil, []Result{{Name: "phac-cluster-bsp-vs-shared", NsPerOp: 1.60}}, 0.25)
-	if len(got) != 0 {
-		t.Fatalf("memoized cluster shape gated: %v", got)
-	}
-	got = Regressions(nil, []Result{{Name: "phac-cluster-bsp-vs-shared", NsPerOp: 1.80}}, 0.25)
-	if len(got) != 1 || !strings.Contains(got[0], "cross-round memoization") {
-		t.Fatalf("at-ceiling cluster ratio = %v, want one hard-gate entry", got)
-	}
-	// Under the ceiling, the relative trajectory comparison does not
-	// apply: the ratio's two sides are gated under their own names.
-	got = Regressions(
-		[]Result{{Name: "bsp-diffuse-r2-vs-shared", NsPerOp: 1.10}},
-		[]Result{{Name: "bsp-diffuse-r2-vs-shared", NsPerOp: 1.40}}, 0.25)
-	if len(got) != 0 {
-		t.Fatalf("relative gate applied to a sub-ceiling ratio: %v", got)
-	}
-}
-
 // TestObsOverheadCeiling pins the observability budget: an
 // obs-overhead-vs-bare entry at or above ObsOverheadCeiling fails
 // outright — even when the old file never recorded the name — while a

@@ -1,21 +1,17 @@
 // Package bsp implements a Pregel-style vertex-centric bulk-synchronous
 // parallel engine. The paper runs Parallel HAC "on the Alibaba distributed
 // graph platform (ODPS)"; this engine is the in-process stand-in
-// (DESIGN.md §1.3) and the distributed twin of the shared-memory
-// diffusion path: vertices are partitioned into contiguous row-range
-// shards (shard.Plan is the unit of placement), compute proceeds in
-// supersteps separated by barriers, and messages produced in superstep s
-// are delivered at superstep s+1.
+// (DESIGN.md §1.3), kept for experiment E9 — the diffusion protocol as a
+// vertex program, proven byte-identical to phac.Diffuse — and imported by
+// internal/experiments only: no product build runs it. Vertices are
+// partitioned into contiguous row-range shards (shard.Plan is the unit of
+// placement), compute proceeds in supersteps separated by barriers, and
+// messages produced in superstep s are delivered at superstep s+1.
 //
 // Execution model:
 //
-//   - Lifecycle: an engine is persistent. New → Run → (Rebind → Run)* →
-//     Close: workers, channels, transport, inbox accumulators and
-//     combiner scratch survive across Runs, and Rebind swaps in a new
-//     vertex count and program — growing or shrinking the row ranges in
-//     place — without discarding any of them. Callers that run one BSP
-//     job per clustering round (phac.Cluster) therefore pay for engine
-//     construction exactly once per clustering, not once per round.
+//   - Lifecycle: New → Run* → Close. Workers, channels, inbox
+//     accumulators and combiner scratch survive across Runs.
 //   - Placement: Config.Plan (or a uniform split into Config.Workers
 //     ranges) assigns each shard's contiguous vertex rows to one worker.
 //     One persistent goroutine per shard, spawned on the first Run and
@@ -28,11 +24,7 @@
 //     frontier covers most of a shard the fill skips the worklist sort
 //     and the next compute scans the row range by generation stamp
 //     instead (same ascending visit order, cheaper than sorting).
-//     Run's superstep 0 visits every row (all vertices start active);
-//     RunFrom seeds superstep 0 with a caller-supplied frontier instead,
-//     and vote-to-halt reactivation handles the ripple exactly as it
-//     does mid-run — the partial-activation hook for iterated jobs whose
-//     cross-run changes touch few rows.
+//     Superstep 0 visits every row (all vertices start active).
 //   - Message layout: for combining programs the inbox is a per-row
 //     accumulator — messages fold into acc[row] on arrival and Compute
 //     receives the single folded message — double-buffered across
@@ -41,14 +33,12 @@
 //     plus per-row segments) rebuilt per superstep from the touched rows
 //     only. Either way steady-state supersteps allocate no message-buffer
 //     memory at all (locked by TestSteadyStateAllocFree).
-//   - Transport: each worker batches its outgoing messages per
-//     (source shard, dest shard) pair and hands them to a Transport at
-//     the superstep barrier. The in-process Loopback transport moves the
-//     batches by reference; a network transport plugs into the same seam
-//     by serializing them (see transport.go). A single-shard engine
-//     running a combining program skips envelopes and transport entirely:
-//     sends fold straight into the next superstep's accumulator, which is
-//     the same fold the two-stage path computes.
+//   - Delivery: each worker batches its outgoing messages per
+//     (source shard, dest shard) pair and leaves them in the engine's
+//     mailbox matrix at the superstep barrier, by reference. A
+//     single-shard engine running a combining program skips envelopes
+//     and mailbox entirely: sends fold straight into the next superstep's
+//     accumulator, which is the same fold the two-stage path computes.
 //   - Determinism: each worker owns an ascending contiguous vertex range
 //     and emits messages in (vertex, send order); destination shards fold
 //     or fill their inboxes from source batches in ascending source-shard
@@ -67,8 +57,8 @@
 //   - Vote-to-halt: a vertex that returns halt stops being scheduled
 //     until a message arrives for it; the run ends when every vertex has
 //     halted and no messages are in flight. Converged regions therefore
-//     stop computing and sending entirely — the BSP mirror of the
-//     shared-memory path's frontier pruning.
+//     stop computing and sending entirely — the BSP mirror of
+//     phac.Diffuse's frontier pruning.
 package bsp
 
 import (
@@ -77,9 +67,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"unsafe"
 
-	"shoal/internal/obs"
 	"shoal/internal/shard"
 )
 
@@ -150,8 +138,7 @@ type Chaos struct {
 	StallBatches bool
 }
 
-// Stats reports one run's execution profile plus the engine's lifetime
-// reuse counters as of that run.
+// Stats reports one run's execution profile.
 type Stats struct {
 	Supersteps int
 	// Messages is the total number of envelopes delivered (after any
@@ -164,46 +151,6 @@ type Stats struct {
 	CombinerHits int64
 	// ActivePerStep is the number of vertices computed per superstep.
 	ActivePerStep []int
-	// RunsServed is how many Runs this engine has completed over its
-	// lifetime, counting this one — >1 means the engine was reused.
-	RunsServed int
-	// SeededRuns is how many of those runs were RunFrom (partial
-	// activation) runs.
-	SeededRuns int
-	// Rebinds is how many times Rebind swapped a new topology into this
-	// engine over its lifetime.
-	Rebinds int
-	// PeakRetainedBytes is the high-water mark of buffer memory the
-	// engine keeps alive between Runs (inboxes, batches, worklists,
-	// combiner scratch).
-	PeakRetainedBytes int64
-}
-
-// CombinerHitRate is the fraction of sends absorbed by the combiner.
-func (s *Stats) CombinerHitRate() float64 {
-	if s.Sends == 0 {
-		return 0
-	}
-	return float64(s.CombinerHits) / float64(s.Sends)
-}
-
-// Add accumulates another run's profile (used by callers that run one
-// BSP job per clustering round and report the aggregate). Per-run
-// counters sum; the engine-lifetime reuse counters keep the maximum, so
-// aggregating a reused engine's rounds reports its final totals.
-func (s *Stats) Add(o *Stats) {
-	if o == nil {
-		return
-	}
-	s.Supersteps += o.Supersteps
-	s.Messages += o.Messages
-	s.Sends += o.Sends
-	s.CombinerHits += o.CombinerHits
-	s.ActivePerStep = append(s.ActivePerStep, o.ActivePerStep...)
-	s.RunsServed = max(s.RunsServed, o.RunsServed)
-	s.SeededRuns = max(s.SeededRuns, o.SeededRuns)
-	s.Rebinds = max(s.Rebinds, o.Rebinds)
-	s.PeakRetainedBytes = max(s.PeakRetainedBytes, o.PeakRetainedBytes)
 }
 
 // inboxBuf is one shard's inbox for one superstep generation. rowGen
@@ -259,7 +206,7 @@ type Outbox[M any] struct {
 	// Batch path: owner routes destinations to shards (nil means a
 	// single shard), ci is the epoch-stamped sparse combiner index.
 	owner []int32
-	out   [][]Envelope[M]
+	out   [][]envelope[M]
 	ci    combIndex
 
 	err         error
@@ -299,7 +246,7 @@ func (o *Outbox[M]) Send(to VertexID, m M) {
 			return
 		}
 	}
-	o.out[d] = append(o.out[d], Envelope[M]{To: to, Msg: m})
+	o.out[d] = append(o.out[d], envelope[M]{To: to, Msg: m})
 }
 
 // SendMany sends m to every vertex id in to, in order — the broadcast
@@ -411,15 +358,14 @@ func (c *combIndex) grow() {
 	}
 }
 
-// Engine executes a Program over a fixed set of vertices. It is
-// persistent: Run may be called repeatedly, Rebind swaps in a new vertex
-// count and program between Runs, and Close retires the workers.
+// Engine executes a Program over a fixed set of vertices. Run may be
+// called repeatedly; Close retires the workers.
 type Engine[M any] struct {
 	n    int
 	prog Program[M]
 	comb Combiner[M]
 	cfg  Config
-	tr   Transport[M]
+	mail mailbox[M]
 
 	bounds []int32 // shard row bounds, len S+1
 	S      int
@@ -428,22 +374,11 @@ type Engine[M any] struct {
 	initialized bool
 	closed      bool
 	fast        bool // single shard + combiner: fold sends directly
-	seeded      bool // current run was seeded (RunFrom): no full step-0 scan
 	ws          []workerState[M]
 	in, nxt     []inboxBuf[M]
 	cmds        []chan wcmd
 	done        chan struct{}
-	gen         uint32 // inbox generation, monotonic across Runs and Rebinds
-
-	runs         int
-	seededRuns   int
-	rebinds      int
-	peakRetained int64
-
-	// span, when set, parents one child span per Run/RunFrom carrying the
-	// run's superstep and message totals — how BSP runs hang beneath each
-	// clustering merge round in the build trace.
-	span *obs.Span
+	gen         uint32 // inbox generation, monotonic across Runs
 }
 
 // wcmd drives a persistent shard worker through one phase.
@@ -499,73 +434,8 @@ func New[M any](n int, prog Program[M], cfg Config) (*Engine[M], error) {
 	return e, nil
 }
 
-// Shards returns the number of worker shards the engine runs with.
-func (e *Engine[M]) Shards() int { return e.S }
-
-// SetTransport replaces the default in-process Loopback with a custom
-// transport (the multi-host seam). Must be called before the first Run.
-// The batches handed to Send are owned by the engine and reused after
-// the next superstep's barrier — a remote transport must copy or
-// serialize them inside Send. A single-shard engine running a combining
-// program delivers locally and bypasses the transport entirely (a
-// one-host deployment has no wire to cross).
-func (e *Engine[M]) SetTransport(t Transport[M]) { e.tr = t }
-
-// Rebind swaps a new vertex count and program into the engine between
-// Runs, repartitioning the rows uniformly across the same workers.
-// Everything expensive survives: worker goroutines, channels, transport,
-// inbox buffers, worklists and combiner scratch are kept and re-sliced
-// (growing amortized when n grows, shrink-only otherwise). This is the
-// per-round hook for iterated jobs like phac's merge rounds, where each
-// round's contracted topology replaces the last. The program's
-// combiner-ness must not change across rebinds (the two message layouts
-// are incompatible).
-func (e *Engine[M]) Rebind(n int, prog Program[M]) error {
-	if e.closed {
-		return errors.New("bsp: engine is closed")
-	}
-	if n <= 0 {
-		return errors.New("bsp: vertex count must be positive")
-	}
-	if prog == nil {
-		return errors.New("bsp: nil program")
-	}
-	comb, _ := prog.(Combiner[M])
-	if e.initialized && (comb == nil) != (e.comb == nil) {
-		return errors.New("bsp: Rebind cannot change whether the program combines")
-	}
-	e.n, e.prog, e.comb = n, prog, comb
-	for i := 0; i <= e.S; i++ {
-		e.bounds[i] = int32(i * n / e.S)
-	}
-	e.rebinds++
-	if !e.initialized {
-		return nil
-	}
-	if e.S > 1 {
-		if cap(e.owner) < n {
-			e.owner = make([]int32, n)
-		} else {
-			e.owner = e.owner[:n]
-		}
-		for s := 0; s < e.S; s++ {
-			for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
-				e.owner[v] = int32(s)
-			}
-		}
-	}
-	for s := 0; s < e.S; s++ {
-		e.sizeShard(s)
-		ob := &e.ws[s].ob
-		ob.n = int32(n)
-		ob.comb = comb
-		ob.owner = e.owner
-	}
-	return nil
-}
-
-// Close retires the persistent shard workers. The engine cannot Run or
-// Rebind afterwards. Safe to call more than once; single-shard engines
+// Close retires the persistent shard workers. The engine cannot Run
+// afterwards. Safe to call more than once; single-shard engines
 // have no goroutines and Close is then a pure marker.
 func (e *Engine[M]) Close() {
 	if e.closed {
@@ -585,9 +455,7 @@ func (e *Engine[M]) init() {
 		return
 	}
 	e.initialized = true
-	if e.tr == nil {
-		e.tr = NewLoopback[M](e.S)
-	}
+	e.mail = newMailbox[M](e.S)
 	e.fast = e.comb != nil && e.S == 1
 	if e.S > 1 {
 		e.owner = make([]int32, e.n)
@@ -601,12 +469,22 @@ func (e *Engine[M]) init() {
 	e.in = make([]inboxBuf[M], e.S)
 	e.nxt = make([]inboxBuf[M], e.S)
 	for s := 0; s < e.S; s++ {
-		e.sizeShard(s)
+		rows := int(e.bounds[s+1] - e.bounds[s])
+		for _, b := range [2]*inboxBuf[M]{&e.in[s], &e.nxt[s]} {
+			b.rowGen = make([]uint32, rows)
+			if e.comb != nil {
+				b.acc = make([]M, rows)
+			} else {
+				b.start = make([]int32, rows)
+				b.cnt = make([]int32, rows)
+				b.cur = make([]int32, rows)
+			}
+		}
 		ob := &e.ws[s].ob
 		ob.n = int32(e.n)
 		ob.comb = e.comb
 		ob.owner = e.owner
-		ob.out = make([][]Envelope[M], e.S)
+		ob.out = make([][]envelope[M], e.S)
 		if e.comb != nil && !e.fast {
 			ob.ci.init(8)
 		}
@@ -621,91 +499,16 @@ func (e *Engine[M]) init() {
 	}
 }
 
-// sizeShard (re)sizes shard s's per-row inbox arrays to its current row
-// range. Growth appends zeroed tails (stale generation stamps can never
-// match: generations are monotonic and never reset), shrink re-slices;
-// capacities are amortized across rebinds either way.
-func (e *Engine[M]) sizeShard(s int) {
-	rows := int(e.bounds[s+1] - e.bounds[s])
-	for _, b := range [2]*inboxBuf[M]{&e.in[s], &e.nxt[s]} {
-		b.rowGen = growN(b.rowGen, rows)
-		if e.comb != nil {
-			b.acc = growN(b.acc, rows)
-		} else {
-			b.start = growN(b.start, rows)
-			b.cnt = growN(b.cnt, rows)
-			b.cur = growN(b.cur, rows)
-		}
-	}
-}
-
-// growN re-slices b to length n, allocating only when capacity is short;
-// preserved prefixes keep their (stale, harmless) contents. Growth takes
-// at least 3/2 headroom so iterated jobs whose vertex count creeps up a
-// little every Rebind (phac mints merge ids each round) reallocate
-// O(log n) times per engine lifetime, not once per round.
-func growN[T any](b []T, n int) []T {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	nb := make([]T, n, max(n, 3*cap(b)/2))
-	copy(nb, b)
-	return nb
-}
-
 // Run executes supersteps until every vertex halts with no messages in
 // flight, or MaxSupersteps is exceeded (an error). Run may be called
 // repeatedly; the engine reuses its buffers, so steady-state supersteps
 // — message layout, worklists and combiner scratch included — are
 // allocation-free once capacities have grown.
 func (e *Engine[M]) Run() (*Stats, error) {
-	return e.run(nil, false)
-}
-
-// RunFrom is Run with partial activation: superstep 0 computes only the
-// given vertices (deduplicated; any order) instead of all n, and
-// vote-to-halt reactivation carries the ripple outward exactly as it
-// does mid-run. It is the seeded-run hook for iterated jobs that
-// memoize state across runs — a caller whose cross-run changes touched
-// only `active` rows restarts the cascade from those rows and pays
-// O(frontier), not O(n), per superstep. An empty seed is a zero-
-// superstep no-op. Like Run, steady-state seeded runs are allocation-
-// free once the seed-routing worklists have grown.
-func (e *Engine[M]) RunFrom(active []VertexID) (*Stats, error) {
-	return e.run(active, true)
-}
-
-// SetSpan installs the trace span under which subsequent Runs record
-// themselves; nil detaches. Callers re-point it per merge round.
-func (e *Engine[M]) SetSpan(s *obs.Span) { e.span = s }
-
-// run wraps runSteps with the engine's per-run trace span when one is
-// installed; without one it adds nothing to the steady-state path.
-func (e *Engine[M]) run(seed []VertexID, seeded bool) (*Stats, error) {
-	if e.span == nil {
-		return e.runSteps(seed, seeded)
-	}
-	name := "bsp-run"
-	if seeded {
-		name = "bsp-run-seeded"
-	}
-	rs := e.span.Child(name)
-	stats, err := e.runSteps(seed, seeded)
-	if stats != nil {
-		rs.SetAttr("supersteps", stats.Supersteps)
-		rs.SetAttr("messages", stats.Messages)
-		rs.SetAttr("sends", stats.Sends)
-	}
-	rs.End()
-	return stats, err
-}
-
-func (e *Engine[M]) runSteps(seed []VertexID, seeded bool) (*Stats, error) {
 	if e.closed {
 		return nil, errors.New("bsp: engine is closed")
 	}
 	e.init()
-	e.seeded = seeded
 	for s := 0; s < e.S; s++ {
 		ws := &e.ws[s]
 		ws.ob.err, ws.ob.sends, ws.ob.hits = nil, 0, 0
@@ -714,38 +517,11 @@ func (e *Engine[M]) runSteps(seed []VertexID, seeded bool) (*Stats, error) {
 		// stamp: the engine generation is bumped before first use).
 		e.in[s].gen, e.nxt[s].gen = 0, 0
 		// A previous Run that aborted between its send and fill phases
-		// may have left undelivered batches in the transport; drain them
+		// may have left undelivered batches in the mailbox; drain them
 		// so they cannot surface as phantom superstep-0 messages.
-		if _, err := e.tr.Recv(0, s); err != nil {
-			return nil, err
-		}
+		e.mail.recv(s)
 	}
-	activeCnt := e.n // Run's superstep 0 computes every vertex
-	if seeded {
-		// Route the seed into the per-shard active worklists; superstep 0
-		// then runs the ordinary worklist branch (with no inbox) over
-		// exactly these rows. Each shard's list is sorted and deduped so
-		// the compute order stays canonical regardless of seed order.
-		for _, v := range seed {
-			t := int32(v)
-			if uint32(t) >= uint32(e.n) {
-				return nil, fmt.Errorf("bsp: seed vertex %d out of range [0,%d)", v, e.n)
-			}
-			s := 0
-			if e.owner != nil {
-				s = int(e.owner[t])
-			}
-			e.ws[s].actCur = append(e.ws[s].actCur, t)
-		}
-		activeCnt = 0
-		for s := 0; s < e.S; s++ {
-			ws := &e.ws[s]
-			slices.Sort(ws.actCur)
-			ws.actCur = slices.Compact(ws.actCur)
-			activeCnt += len(ws.actCur)
-		}
-		e.seededRuns++
-	}
+	activeCnt := e.n // superstep 0 computes every vertex
 	pending := int64(0)
 
 	stats := &Stats{}
@@ -786,36 +562,7 @@ func (e *Engine[M]) runSteps(seed []VertexID, seeded bool) (*Stats, error) {
 		stats.Sends += e.ws[s].ob.sends
 		stats.CombinerHits += e.ws[s].ob.hits
 	}
-	e.runs++
-	if rb := e.retainedBytes(); rb > e.peakRetained {
-		e.peakRetained = rb
-	}
-	stats.RunsServed = e.runs
-	stats.SeededRuns = e.seededRuns
-	stats.Rebinds = e.rebinds
-	stats.PeakRetainedBytes = e.peakRetained
 	return stats, nil
-}
-
-// retainedBytes sums the buffer memory the engine keeps alive between
-// Runs — the price of persistence, surfaced in Stats.
-func (e *Engine[M]) retainedBytes() int64 {
-	esz := int64(unsafe.Sizeof(Envelope[M]{}))
-	msz := int64(unsafe.Sizeof(*new(M)))
-	total := int64(cap(e.owner))*4 + int64(cap(e.bounds))*4
-	for s := range e.ws {
-		ws := &e.ws[s]
-		total += int64(cap(ws.actCur)+cap(ws.actNext)) * 4
-		for d := range ws.ob.out {
-			total += int64(cap(ws.ob.out[d])) * esz
-		}
-		total += int64(len(ws.ob.ci.keys)) * 12
-		for _, b := range [2]*inboxBuf[M]{&e.in[s], &e.nxt[s]} {
-			total += int64(cap(b.rowGen)+cap(b.touched)+cap(b.start)+cap(b.cnt)+cap(b.cur)) * 4
-			total += int64(cap(b.acc)+cap(b.msgs)) * msz
-		}
-	}
-	return total
 }
 
 // phase runs one barrier-delimited phase on every shard — inline when
@@ -854,13 +601,12 @@ func (e *Engine[M]) runPhase(s int, c wcmd) {
 }
 
 // computeShard runs the superstep's compute over shard s's eligible rows
-// and hands the resulting per-destination batches to the transport (the
-// fast path folded its sends directly and ships nothing). An unseeded
-// run's superstep 0 visits every row; a seeded run's superstep 0 and all
-// later supersteps visit the sorted merge of the active worklist and the
-// inbox's touched rows — O(frontier) — still in ascending row order, so
-// the shard's emission stream stays in canonical (sender, seq) order by
-// construction.
+// and leaves the resulting per-destination batches in the mailbox (the
+// fast path folded its sends directly and ships nothing). Superstep 0
+// visits every row; later supersteps visit the sorted merge of the
+// active worklist and the inbox's touched rows — O(frontier) — still in
+// ascending row order, so the shard's emission stream stays in canonical
+// (sender, seq) order by construction.
 func (e *Engine[M]) computeShard(s, step int) {
 	ws := &e.ws[s]
 	ob := &ws.ob
@@ -884,7 +630,7 @@ func (e *Engine[M]) computeShard(s, step int) {
 	chaos := e.cfg.Chaos
 	nextAct := ws.actNext[:0]
 	folded := ob.comb != nil
-	if step == 0 && !e.seeded {
+	if step == 0 {
 		for v := lo; v < hi; v++ {
 			if halt := e.prog.Compute(step, VertexID(v), nil, ob); !halt {
 				nextAct = append(nextAct, v)
@@ -894,7 +640,7 @@ func (e *Engine[M]) computeShard(s, step int) {
 			}
 		}
 		ws.computed = int(hi - lo)
-	} else if in.gen != 0 && in.dense {
+	} else if in.dense {
 		// Dense frontier: the fill phase left touched unsorted because
 		// most rows received messages; an ascending range scan over the
 		// generation stamps (with a pointer walking the sorted active
@@ -935,9 +681,6 @@ func (e *Engine[M]) computeShard(s, step int) {
 		ws.computed = n
 	} else {
 		act, tch := ws.actCur, in.touched
-		if in.gen == 0 {
-			tch = nil
-		}
 		i, j, n := 0, 0, 0
 		for i < len(act) || j < len(tch) {
 			var v int32
@@ -960,7 +703,7 @@ func (e *Engine[M]) computeShard(s, step int) {
 				j++
 			}
 			var inbox []M
-			if r := v - lo; in.gen != 0 && in.rowGen[r] == in.gen {
+			if r := v - lo; in.rowGen[r] == in.gen {
 				if folded {
 					inbox = in.acc[r : r+1 : r+1]
 				} else {
@@ -991,17 +734,13 @@ func (e *Engine[M]) computeShard(s, step int) {
 		return
 	}
 	for d := 0; d < e.S; d++ {
-		if len(ob.out[d]) == 0 {
-			continue
-		}
-		if err := e.tr.Send(step, s, d, ob.out[d]); err != nil {
-			ob.err = err
-			return
+		if len(ob.out[d]) > 0 {
+			e.mail.send(s, d, ob.out[d])
 		}
 	}
 }
 
-// fillShard builds shard d's next-superstep inbox from the transport's
+// fillShard builds shard d's next-superstep inbox from the mailbox's
 // batches — folding them into the row accumulator for combining
 // programs, or laying them out CSR-style otherwise. Batches arrive in
 // ascending source-shard order and envelopes in emission order, so the
@@ -1024,11 +763,7 @@ func (e *Engine[M]) fillShard(d, step int) {
 		ws.delivered = int64(len(nb.touched))
 		return
 	}
-	batches, err := e.tr.Recv(step, d)
-	if err != nil {
-		ws.ob.err = err
-		return
-	}
+	batches := e.mail.recv(d)
 	chaos := e.cfg.Chaos
 	if chaos != nil && chaos.StallBatches && len(batches) > 1 {
 		rng := rand.New(rand.NewPCG(chaos.Seed^0x57A11ED, uint64(step)<<32|uint64(uint32(d))))

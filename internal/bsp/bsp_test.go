@@ -118,8 +118,8 @@ func TestPlanPlacementInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", eng.Shards(), shards)
+		if eng.S != shards {
+			t.Fatalf("engine runs %d shards, want %d", eng.S, shards)
 		}
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -374,8 +374,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Shards() != 2 {
-		t.Fatalf("shards = %d, want clamped to 2", eng.Shards())
+	if eng.S != 2 {
+		t.Fatalf("shards = %d, want clamped to 2", eng.S)
 	}
 	// A plan that does not cover the vertex range is rejected.
 	if _, err := New[int64](10, spinProg{}, Config{Plan: shard.PlanCounts(make([]int32, 5), 2)}); err == nil {
@@ -412,13 +412,11 @@ func (p *combPulseProg) Combine(acc, m int64) int64 {
 // TestSteadyStateAllocFree pins the engine's allocation contract: once
 // an engine's buffers have grown (one warmup run), a subsequent run
 // allocates no message-buffer memory per superstep — with or without a
-// combiner, and across Rebind — so the allocation count of a warmed run
-// must not scale with its superstep count (the few remaining
-// allocations are the Stats value itself). The rebind case is the
-// multi-round reuse contract: Rebind → Run on a warmed engine keeps the
-// combiner scratch alive, so steady-state rounds stay alloc-free too.
+// combiner — so the allocation count of a warmed run must not scale
+// with its superstep count (the few remaining allocations are the Stats
+// value itself).
 func TestSteadyStateAllocFree(t *testing.T) {
-	measure := func(steps int, combine, rebind bool) float64 {
+	measure := func(steps int, combine bool) float64 {
 		var prog Program[int64]
 		if combine {
 			prog = &combPulseProg{pulseProg{n: 32, steps: steps}}
@@ -433,47 +431,19 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
-			if rebind {
-				if err := eng.Rebind(32, prog); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if _, err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	// Seeded (RunFrom) runs share the same contract: once the seed-routing
-	// worklists have grown, a steady-state seeded run allocates no engine
-	// memory beyond the Stats value either.
-	measureSeeded := func(steps int) float64 {
-		prog := &combPulseProg{pulseProg{n: 32, steps: steps}}
-		eng, err := New[int64](32, prog, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := []VertexID{3, 17, 3, 9} // duplicates on purpose
-		if _, err := eng.RunFrom(seed); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if err := eng.Rebind(32, prog); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.RunFrom(seed); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 	for _, tc := range []struct {
-		name            string
-		combine, rebind bool
+		name    string
+		combine bool
 	}{
-		{"messages", false, false},
-		{"combiner", true, false},
-		{"rebind-combiner", true, true},
+		{"messages", false},
+		{"combiner", true},
 	} {
-		short, long := measure(16, tc.combine, tc.rebind), measure(256, tc.combine, tc.rebind)
+		short, long := measure(16, tc.combine), measure(256, tc.combine)
 		// 240 extra supersteps may only add the O(log) Stats.ActivePerStep
 		// growth, never per-superstep message-buffer or combiner allocations.
 		if long > short+8 {
@@ -481,57 +451,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				tc.name, 16, short, 256, long)
 		}
 	}
-	short, long := measureSeeded(16), measureSeeded(256)
-	if long > short+8 {
-		t.Errorf("seeded: allocations scale with supersteps: %d steps -> %.0f allocs, %d steps -> %.0f allocs",
-			16, short, 256, long)
-	}
 }
 
-// copyTransport exercises the multi-host seam: a transport that deep
-// copies every batch (as a serializing network transport would) must
-// produce the same fixed point as the zero-copy loopback.
-type copyTransport struct {
-	inner *Loopback[int64]
-	sends atomic.Int64
-}
-
-func (c *copyTransport) Send(step, src, dst int, batch []Envelope[int64]) error {
-	c.sends.Add(1)
-	cp := make([]Envelope[int64], len(batch))
-	copy(cp, batch)
-	return c.inner.Send(step, src, dst, cp)
-}
-
-func (c *copyTransport) Recv(step, dst int) ([][]Envelope[int64], error) {
-	return c.inner.Recv(step, dst)
-}
-
-func TestCustomTransport(t *testing.T) {
-	plain, _ := ringMax(t, 29, 3, nil)
-	p := newMaxProg(29)
-	eng, err := New[int64](29, p, Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &copyTransport{inner: NewLoopback[int64](eng.Shards())}
-	eng.SetTransport(tr)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for v := range plain.best {
-		if plain.best[v] != p.best[v] {
-			t.Fatalf("vertex %d: copying transport changed result", v)
-		}
-	}
-	if tr.sends.Load() == 0 {
-		t.Fatal("custom transport saw no batches")
-	}
-}
-
-// staleProg drives the transport-drain regression: in failing mode,
+// staleProg drives the mailbox-drain regression: in failing mode,
 // shard 0's vertices send cross-shard and then shard 1 errors before the
-// fill phase, stranding shard 0's batches in the transport. A later
+// fill phase, stranding shard 0's batches in the mailbox. A later
 // well-behaved run must never see them.
 type staleProg struct {
 	fail    bool
@@ -552,7 +476,7 @@ func (p *staleProg) Compute(step int, v VertexID, inbox []int64, out *Outbox[int
 	return true
 }
 
-// An aborted run must not leave batches in the transport for the next
+// An aborted run must not leave batches in the mailbox for the next
 // run to deliver as phantom messages.
 func TestAbortedRunLeavesNoStaleBatches(t *testing.T) {
 	p := &staleProg{fail: true}
@@ -576,7 +500,8 @@ func TestAbortedRunLeavesNoStaleBatches(t *testing.T) {
 	}
 }
 
-// Run must be repeatable on one engine (buffers are reused, state reset).
+// Run must be repeatable on one engine (buffers are reused, state reset)
+// until Close, which is idempotent and final.
 func TestRunReusable(t *testing.T) {
 	p := &pulseProg{n: 16, steps: 8}
 	eng, err := New[int64](16, p, Config{Workers: 4})
@@ -594,181 +519,9 @@ func TestRunReusable(t *testing.T) {
 	if s1.Supersteps != s2.Supersteps || s1.Messages != s2.Messages {
 		t.Fatalf("repeated runs differ: %+v vs %+v", s1, s2)
 	}
-}
-
-// Rebind must reject every invalid transition: bad vertex counts, nil
-// programs, flipping combiner-ness on an initialized engine, and any use
-// after Close. Close itself is idempotent.
-func TestRebindValidation(t *testing.T) {
-	p := newMaxProg(16)
-	eng, err := New[int64](16, p, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Rebind(0, p); err == nil {
-		t.Fatal("Rebind accepted zero vertex count")
-	}
-	if err := eng.Rebind(16, nil); err == nil {
-		t.Fatal("Rebind accepted nil program")
-	}
-	if err := eng.Rebind(16, &combMaxProg{*newMaxProg(16)}); err == nil {
-		t.Fatal("Rebind accepted a combiner-ness change on an initialized engine")
-	}
 	eng.Close()
-	eng.Close() // idempotent
-	if err := eng.Rebind(16, p); err == nil {
-		t.Fatal("Rebind accepted a closed engine")
-	}
+	eng.Close()
 	if _, err := eng.Run(); err == nil {
 		t.Fatal("Run accepted a closed engine")
-	}
-}
-
-// One engine rebound across a shrinking-and-growing sequence of
-// topologies must produce exactly what a fresh engine produces for each,
-// while the lifetime counters record the reuse: RunsServed counts every
-// Run, Rebinds every swap, and the retained high-water mark is the
-// buffer memory the reuse actually saved.
-func TestRebindReuseMatchesFresh(t *testing.T) {
-	var eng *Engine[int64]
-	var err error
-	for i, n := range []int{40, 25, 33, 12} {
-		p := newMaxProg(n)
-		if eng == nil {
-			if eng, err = New[int64](n, p, Config{Workers: 3}); err != nil {
-				t.Fatal(err)
-			}
-		} else if err = eng.Rebind(n, p); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := newMaxProg(n)
-		feng, err := New[int64](n, fresh, Config{Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := feng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		feng.Close()
-		for v := range fresh.best {
-			if p.best[v] != fresh.best[v] {
-				t.Fatalf("n=%d vertex %d: rebound engine diverged from fresh: %d vs %d",
-					n, v, p.best[v], fresh.best[v])
-			}
-		}
-		if stats.RunsServed != i+1 {
-			t.Fatalf("run %d: RunsServed = %d, want %d", i, stats.RunsServed, i+1)
-		}
-		if stats.Rebinds != i {
-			t.Fatalf("run %d: Rebinds = %d, want %d", i, stats.Rebinds, i)
-		}
-		if stats.PeakRetainedBytes <= 0 {
-			t.Fatalf("run %d: PeakRetainedBytes = %d, want > 0", i, stats.PeakRetainedBytes)
-		}
-	}
-	eng.Close()
-}
-
-// RunFrom with every vertex in the seed is Run by another name: the
-// same rows compute at superstep 0, so the trajectory and fixed point
-// must match exactly — the engine-level memoized-vs-fresh equivalence.
-func TestRunFromFullSeedMatchesRun(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		full, fstats := ringMax(t, 47, workers, nil)
-		p := newMaxProg(47)
-		eng, err := New[int64](47, p, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := make([]VertexID, 47)
-		for i := range seed {
-			seed[i] = VertexID(46 - i) // order must not matter
-		}
-		stats, err := eng.RunFrom(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		for v := range full.best {
-			if full.best[v] != p.best[v] {
-				t.Fatalf("workers=%d vertex %d: full-seed RunFrom diverged: %d vs %d",
-					workers, v, p.best[v], full.best[v])
-			}
-		}
-		if stats.Supersteps != fstats.Supersteps || stats.Messages != fstats.Messages {
-			t.Fatalf("workers=%d: full-seed trajectory differs: %+v vs %+v", workers, stats, fstats)
-		}
-		if stats.SeededRuns != 1 {
-			t.Fatalf("workers=%d: SeededRuns = %d, want 1", workers, stats.SeededRuns)
-		}
-		if fstats.SeededRuns != 0 {
-			t.Fatalf("workers=%d: unseeded run reported SeededRuns = %d", workers, fstats.SeededRuns)
-		}
-	}
-}
-
-// A partial seed computes only the seeded rows at superstep 0 and lets
-// vote-to-halt reactivation carry the ripple: seeding just the vertex
-// holding the global max still converges the whole ring to it.
-func TestRunFromPartialSeedRipples(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := newMaxProg(50)
-		src := 0
-		for v := range p.best {
-			if p.best[v] > p.best[src] {
-				src = v
-			}
-		}
-		eng, err := New[int64](50, p, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := eng.RunFrom([]VertexID{VertexID(src), VertexID(src)}) // dup deduped
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		want := globalMax(p.best)
-		for v, got := range p.best {
-			if got != want {
-				t.Fatalf("workers=%d vertex %d: converged to %d, want %d", workers, v, got, want)
-			}
-		}
-		if stats.ActivePerStep[0] != 1 {
-			t.Fatalf("workers=%d: superstep 0 computed %d rows, want only the seed", workers, stats.ActivePerStep[0])
-		}
-	}
-}
-
-func TestRunFromValidation(t *testing.T) {
-	p := newMaxProg(8)
-	eng, err := New[int64](8, p, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RunFrom([]VertexID{8}); err == nil {
-		t.Fatal("RunFrom accepted an out-of-range seed")
-	}
-	if _, err := eng.RunFrom([]VertexID{-1}); err == nil {
-		t.Fatal("RunFrom accepted a negative seed")
-	}
-	// An empty seed is a zero-superstep no-op, not an error.
-	stats, err := eng.RunFrom(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Supersteps != 0 {
-		t.Fatalf("empty-seed run took %d supersteps, want 0", stats.Supersteps)
-	}
-	eng.Close()
-	if _, err := eng.RunFrom([]VertexID{0}); err == nil {
-		t.Fatal("RunFrom accepted a closed engine")
 	}
 }

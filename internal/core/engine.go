@@ -160,7 +160,7 @@ func (e *Engine) Execute(ctx context.Context, b *Build, maxConcurrent int) ([]St
 		go func() {
 			st := e.stages[i]
 			// One trace span per stage; downstream packages hang their
-			// own spans (merge rounds, BSP runs) off it via the context.
+			// own spans (merge rounds) off it via the context.
 			sp := b.Trace.StartSpan(st.Name())
 			s := time.Now()
 			err := ctx.Err()

@@ -74,7 +74,7 @@ func sameSearchHits(t *testing.T, day int, inc, full *core.Build, probes []strin
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
 // stats, the topic descriptions and the search index's hits with their
 // score bits) against a from-scratch build over the same window at EVERY
-// step, across shard/worker counts and both clustering execution paths.
+// step, across shard/worker counts.
 // Embeddings stay off: the Hogwild trainer is the one intentionally
 // nondeterministic stage, so the from-scratch baseline itself would not
 // reproduce with them on.
@@ -91,19 +91,16 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 		name    string
 		workers int
 		shards  int
-		bsp     bool
 	}{
-		{"w1-s1", 1, 1, false},
-		{"w4-s3", 4, 3, false},
-		{"w2-s2-bsp", 2, 2, true},
+		{"w1-s1", 1, 1},
+		{"w4-s3", 4, 3},
+		{"w2-s2", 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.WindowDays = 4
 			cfg.TrainEmbeddings = false
 			cfg.Shards = tc.shards
-			cfg.BSP = tc.bsp
-			cfg.HAC.Workers = tc.workers
 			cfg.Graph.Workers = tc.workers
 			cfg.Graph.MinSimilarity = 0.15
 

@@ -23,8 +23,8 @@
 // (lock-free updates from Word2Vec.Workers goroutines), so two builds
 // with embeddings on and Workers > 1 differ in their embeddings and in
 // everything downstream. Every byte-identity claim in this package —
-// schedules, shard and worker counts, BSP, incremental versus from
-// scratch — holds for Word2Vec.Workers = 1 or TrainEmbeddings = false,
+// schedules, shard and worker counts, incremental versus from scratch —
+// holds for Word2Vec.Workers = 1 or TrainEmbeddings = false,
 // and every test that compares two builds sets one of the two (race
 // builds clamp training to one worker on their own).
 package core
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"shoal/internal/bipartite"
-	"shoal/internal/bsp"
 	"shoal/internal/catcorr"
 	"shoal/internal/dendrogram"
 	"shoal/internal/describe"
@@ -64,19 +63,11 @@ type Config struct {
 	// the debugging / benchmark baseline.
 	Sequential bool
 	// Shards is the row-range shard count of the graph substrate: the
-	// entity graph is emitted as that many edge-balanced CSR shards and
-	// BSP clustering places rows on that many engine shards (shared-
-	// memory clustering runs inline and ignores it). 0 means GOMAXPROCS.
-	// Results are byte-identical for every value; recorded in
-	// /api/stats. Per-stage overrides (Graph.Shards, HAC.Shards) win
-	// when set.
-	Shards int
-	// BSP routes clustering diffusion through the shard-native BSP
-	// engine (internal/bsp) — the distributed execution model — instead
-	// of the shared-memory scans. Output is byte-identical either way;
-	// the engine profile is recorded in Build.BSPStats and /api/stats.
-	// Equivalent to setting HAC.UseBSP.
-	BSP      bool
+	// entity graph is built by, and emitted as, that many edge-balanced
+	// CSR shards (clustering runs inline and ignores it). 0 means
+	// GOMAXPROCS. Results are byte-identical for every value; recorded
+	// in /api/stats. The per-stage override Graph.Shards wins when set.
+	Shards   int
 	Word2Vec word2vec.Config
 	Graph    entitygraph.Config
 	// Incremental makes DailyPipeline.Rebuild reuse the previous build's
@@ -132,23 +123,18 @@ type Build struct {
 	// with (Graph.NumShards() — per-stage overrides and tiny-graph
 	// clamping included), recorded by the entity-graph stage.
 	Shards int
-	// Workers is the resolved clustering worker count (HAC.Workers
-	// after defaulting), FrontierDensity the resolved frontier-pruning
-	// density gate, and BSPEnabled whether clustering diffusion ran on
-	// the BSP engine — the build configuration that explains the
-	// numbers next to it in /api/stats and shoal-build -v.
-	Workers         int
+	// FrontierDensity is the resolved frontier-pruning density gate —
+	// the build configuration that explains the numbers next to it in
+	// /api/stats and shoal-build -v.
 	FrontierDensity float64
-	BSPEnabled      bool
-	Embeddings      *word2vec.Model
-	Dendrogram      *dendrogram.Dendrogram
-	Rounds          []phac.RoundStat
-	// BSPStats is the aggregated BSP engine profile across clustering
-	// rounds when the BSP path ran (Config.BSP / HAC.UseBSP); nil
-	// otherwise. Carries the persistent-engine reuse counters
-	// (RunsServed, Rebinds, PeakRetainedBytes) alongside the message
-	// totals. Reported by /api/stats.
-	BSPStats *bsp.Stats
+	// Workers and BSPStats are read by nothing, written only by the
+	// frozen benchmark/replay.go; the next benchmark-archetype PR deletes
+	// them.
+	Workers    int
+	BSPStats   *phac.NoStats
+	Embeddings *word2vec.Model
+	Dendrogram *dendrogram.Dendrogram
+	Rounds     []phac.RoundStat
 	// Delta summarizes what an incremental rebuild actually recomputed;
 	// nil on from-scratch builds. Reported by /api/stats.
 	Delta        *DeltaStats
@@ -161,8 +147,7 @@ type Build struct {
 	StageTimings []StageTiming
 	// Trace is the build's hierarchical execution trace: one span per
 	// pipeline stage, one per clustering merge round beneath the
-	// parallel-hac stage, one per BSP engine run beneath each round.
-	// Exported as Chrome trace-event JSON by shoal-build -trace and
+	// parallel-hac stage. Exported as Chrome trace-event JSON by shoal-build -trace and
 	// GET /api/trace.
 	Trace *obs.Trace
 }
@@ -216,9 +201,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	}
 	b := &Build{
 		Corpus: corpus, Clicks: clicks,
-		Workers:         cfg.HAC.Workers,
 		FrontierDensity: density,
-		BSPEnabled:      cfg.HAC.UseBSP,
 		Trace:           obs.NewTrace("shoal-build"),
 	}
 	eng, err := NewEngine(stages...)
@@ -247,15 +230,6 @@ func resolveConfig(cfg Config) Config {
 	}
 	if cfg.Graph.Shards <= 0 {
 		cfg.Graph.Shards = cfg.Shards
-	}
-	if cfg.HAC.Shards <= 0 {
-		cfg.HAC.Shards = cfg.Shards
-	}
-	if cfg.BSP {
-		cfg.HAC.UseBSP = true
-	}
-	if cfg.HAC.Workers <= 0 {
-		cfg.HAC.Workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg
 }
@@ -327,7 +301,6 @@ func clusterStage(cfg Config, graphStage string) Stage {
 		}
 		b.Dendrogram = res.Dendrogram
 		b.Rounds = res.Rounds
-		b.BSPStats = res.BSP
 		return nil
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"shoal/internal/eval"
@@ -194,36 +193,4 @@ func TestRunCuratedBeachScenario(t *testing.T) {
 		t.Fatalf("no cross-category beach topic found; roots: %v", b.Taxonomy.Roots())
 	}
 	_ = taxonomy.NoTopic
-}
-
-// Routing diffusion through the BSP engine (Config.BSP) must leave the
-// build byte-identical and record the engine profile.
-func TestRunBSPPathIdentical(t *testing.T) {
-	corpus := smallCorpus(t)
-	cfg := testConfig()
-	cfg.Word2Vec.Workers = 1 // two builds compared: see the package doc on Hogwild
-	base, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.BSPStats != nil {
-		t.Fatal("shared-memory build reported BSP stats")
-	}
-	cfg.BSP = true
-	viaBSP, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaBSP.BSPStats == nil || viaBSP.BSPStats.Supersteps == 0 {
-		t.Fatalf("BSP build did not record engine stats: %+v", viaBSP.BSPStats)
-	}
-	if !reflect.DeepEqual(base.Dendrogram, viaBSP.Dendrogram) {
-		t.Fatal("BSP path changed the dendrogram")
-	}
-	if !reflect.DeepEqual(base.Taxonomy, viaBSP.Taxonomy) {
-		t.Fatal("BSP path changed the taxonomy")
-	}
-	if !reflect.DeepEqual(base.Rounds, viaBSP.Rounds) {
-		t.Fatal("BSP path changed the round stats")
-	}
 }

@@ -58,93 +58,41 @@ func TestBuildTraceCoverage(t *testing.T) {
 }
 
 // TestBuildTraceClusterRounds pins the counts that let a round span
-// explain its own cost, on both clustering paths: round 0 recomputes
-// every row at least once (nothing is memoized yet) and selection
-// verifies at least the pairs it selects.
+// explain its own cost: round 0 recomputes every row at least once
+// (nothing is memoized yet) and selection verifies at least the pairs it
+// selects.
 func TestBuildTraceClusterRounds(t *testing.T) {
-	for _, bsp := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.BSP = bsp
-		b, err := Run(smallCorpus(t), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds := 0
-		for _, r := range b.Trace.Records() {
-			if r.Parent != "parallel-hac" {
-				continue
-			}
-			rounds++
-			n := map[string]int{}
-			for _, a := range r.Attrs {
-				if v, ok := a.Value.(int); ok {
-					n[a.Key] = v
-				}
-			}
-			for _, key := range []string{"recomputedRows", "candidates"} {
-				if _, ok := n[key]; !ok {
-					t.Fatalf("bsp=%v %s: span missing count %q", bsp, r.Name, key)
-				}
-			}
-			if n["candidates"] < n["selected"] {
-				t.Errorf("bsp=%v %s: candidates=%d selected=%d", bsp, r.Name, n["candidates"], n["selected"])
-			}
-			if r.Name == "round-0" && (n["selected"] == 0 || n["recomputedRows"] < n["aliveRows"]) {
-				t.Errorf("bsp=%v round-0: selected=%d recomputedRows=%d aliveRows=%d", bsp,
-					n["selected"], n["recomputedRows"], n["aliveRows"])
-			}
-		}
-		if rounds != len(b.Rounds)+1 { // the round that finds nothing left to merge has a span too
-			t.Errorf("bsp=%v: %d round spans for %d merge rounds", bsp, rounds, len(b.Rounds))
-		}
-	}
-}
-
-// TestBuildTraceBSPRuns pins the third trace level: with clustering on
-// the BSP engine, each merge round records its engine runs beneath it.
-func TestBuildTraceBSPRuns(t *testing.T) {
-	corpus := smallCorpus(t)
-	cfg := testConfig()
-	cfg.BSP = true
-	b, err := Run(corpus, cfg)
+	b, err := Run(smallCorpus(t), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := b.Trace.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var f struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	for _, ev := range f.TraceEvents {
-		if ev.Name != "bsp-run" && ev.Name != "bsp-run-seeded" {
+	rounds := 0
+	for _, r := range b.Trace.Records() {
+		if r.Parent != "parallel-hac" {
 			continue
 		}
-		runs++
-		if _, ok := ev.Args["supersteps"]; !ok {
-			t.Fatalf("bsp run span missing supersteps: %+v", ev.Args)
+		rounds++
+		n := map[string]int{}
+		for _, a := range r.Attrs {
+			if v, ok := a.Value.(int); ok {
+				n[a.Key] = v
+			}
+		}
+		for _, key := range []string{"recomputedRows", "candidates"} {
+			if _, ok := n[key]; !ok {
+				t.Fatalf("%s: span missing count %q", r.Name, key)
+			}
+		}
+		if n["candidates"] < n["selected"] {
+			t.Errorf("%s: candidates=%d selected=%d", r.Name, n["candidates"], n["selected"])
+		}
+		if r.Name == "round-0" && (n["selected"] == 0 || n["recomputedRows"] < n["aliveRows"]) {
+			t.Errorf("round-0: selected=%d recomputedRows=%d aliveRows=%d",
+				n["selected"], n["recomputedRows"], n["aliveRows"])
 		}
 	}
-	if b.BSPStats == nil {
-		t.Fatal("BSP build carries no engine stats")
-	}
-	if runs != b.BSPStats.RunsServed {
-		t.Fatalf("trace records %d bsp runs, engine served %d", runs, b.BSPStats.RunsServed)
-	}
-
-	// The resolved configuration travels on the build for /api/stats.
-	if !b.BSPEnabled || b.Workers <= 0 || b.FrontierDensity <= 0 {
-		t.Fatalf("resolved config not recorded: workers=%d density=%f bsp=%v",
-			b.Workers, b.FrontierDensity, b.BSPEnabled)
+	if rounds != len(b.Rounds)+1 { // the round that finds nothing left to merge has a span too
+		t.Errorf("%d round spans for %d merge rounds", rounds, len(b.Rounds))
 	}
 }
 

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"shoal/internal/bsp"
+	"shoal/internal/phac"
+	"shoal/internal/shard"
+	"shoal/internal/wgraph"
 )
 
 // The experiment functions are exercised at Small scale with one seed so
@@ -149,6 +156,61 @@ func TestE9BSPIdentical(t *testing.T) {
 	for _, row := range tab.Rows {
 		if row[1] == "bsp(+chaos)" && row[4] != "true" {
 			t.Fatalf("BSP result differs from shared-memory: %v", row)
+		}
+	}
+
+	// The acceptance matrix of the vertex program: max-combiner,
+	// changed-only sends and vote-to-halt must keep it byte-identical to
+	// phac.Diffuse at every diffusion depth, for every engine width
+	// (edge-balanced row ranges, so shard sizes are uneven) and under
+	// every delivery pathology the engine can inject. The threshold
+	// leaves sub-threshold edges in the graphs: they carry messages but
+	// never enter a vertex's state.
+	fig3, err := Figure3Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*wgraph.CSR{fig3.Freeze()}
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		g := wgraph.New(80)
+		for i := 0; i < 280; i++ {
+			u, v := int32(rng.IntN(80)), int32(rng.IntN(80))
+			if i < 80 {
+				u, v = int32(i), int32((i+1)%80) // a ring first, so no vertex is isolated
+			}
+			if u == v {
+				continue
+			}
+			if err := g.SetEdge(u, v, 0.05+0.9*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		graphs = append(graphs, g.Freeze())
+	}
+	const threshold = 0.2
+	for gi, c := range graphs {
+		for _, r := range []int{0, 1, 2, 3} {
+			want, err := phac.Diffuse(c, r, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 3, 8} {
+				for _, chaos := range []*bsp.Chaos{
+					nil,
+					{Seed: uint64(gi + 1), ShuffleInbox: true},
+					{Seed: uint64(gi + 1), StallBatches: true},
+					{Seed: uint64(gi + 1), ShuffleInbox: true, StallBatches: true},
+				} {
+					got, err := diffuseBSP(c, r, threshold, bsp.Config{Plan: shard.PlanRows(c, shards), Chaos: chaos})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("graph %d r=%d shards=%d chaos=%+v:\n%v\ndiffers from phac.Diffuse\n%v", gi, r, shards, chaos, got, want)
+					}
+				}
+			}
 		}
 	}
 }

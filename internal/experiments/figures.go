@@ -56,7 +56,7 @@ func F3LocalMaxima() (*Table, error) {
 		Header:     []string{"r", "selected-edges"},
 	}
 	for r := 0; r <= 3; r++ {
-		sel, err := phac.Diffuse(g, r, 0.3, 1)
+		sel, err := phac.Diffuse(g, r, 0.3)
 		if err != nil {
 			return nil, err
 		}

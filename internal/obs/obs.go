@@ -3,7 +3,7 @@
 // serving instrumentation, a runtime sampler, and a hierarchical span
 // recorder for build traces. It has no dependencies outside the standard
 // library and no dependencies on the rest of the repo, so every layer —
-// serving, pipeline, clustering, the BSP engine — can report into it.
+// serving, pipeline, clustering — can report into it.
 //
 // Three pillars:
 //
@@ -23,8 +23,8 @@
 //     listener.
 //
 //   - Build tracing: Trace records a tree of Spans (one per pipeline
-//     stage, per clustering merge round, per BSP engine run) and exports
-//     Chrome trace-event JSON loadable in chrome://tracing / Perfetto.
+//     stage, per clustering merge round) and exports Chrome trace-event
+//     JSON loadable in chrome://tracing / Perfetto.
 //     Span methods are nil-safe, so instrumented code pays nothing when
 //     no trace is installed.
 package obs

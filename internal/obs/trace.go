@@ -13,8 +13,7 @@ import (
 
 // Trace records a hierarchy of timed spans — one build's execution
 // tree: pipeline stages at the roots, clustering merge rounds under the
-// parallel-hac stage, BSP engine runs under each round. It is safe for
-// concurrent spans (stages run in parallel) and exports Chrome
+// parallel-hac stage. It is safe for concurrent spans (stages run in parallel) and exports Chrome
 // trace-event JSON loadable in chrome://tracing / Perfetto.
 //
 // All Span methods and Trace.StartSpan are nil-receiver-safe no-ops, so

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"shoal/internal/bsp"
 	"shoal/internal/dendrogram"
 	"shoal/internal/hac"
-	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 )
 
@@ -154,31 +152,6 @@ func TestClusterLinkageAblation(t *testing.T) {
 	}
 }
 
-// TestClusterDeterministicAcrossWorkers: Workers only reaches the BSP
-// engine (as the default shard count), so both paths take the sweep.
-func TestClusterDeterministicAcrossWorkers(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomGraph(120, 300, seed)
-		var first *Result
-		for _, useBSP := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 7} {
-				cfg := Config{StopThreshold: 0.3, DiffusionRounds: 2, Workers: workers, UseBSP: useBSP}
-				res, err := Cluster(context.Background(), g, nil, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first == nil {
-					first = res
-					continue
-				}
-				if !reflect.DeepEqual(first.Dendrogram, res.Dendrogram) {
-					t.Fatalf("seed %d: bsp=%v workers=%d changed the dendrogram", seed, useBSP, workers)
-				}
-			}
-		}
-	}
-}
-
 func TestClusterStopThreshold(t *testing.T) {
 	g := twoClusters(t)
 	res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.95, DiffusionRounds: 2})
@@ -305,7 +278,7 @@ func TestClusterWellFormedProperty(t *testing.T) {
 func TestClusterFirstRoundMatchesDiffuse(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := randomGraph(60, 150, seed)
-		sel, err := Diffuse(g, 2, 0.3, 2)
+		sel, err := Diffuse(g, 2, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,217 +296,13 @@ func TestClusterFirstRoundMatchesDiffuse(t *testing.T) {
 	}
 }
 
-func TestDiffuseBSPUnderChaos(t *testing.T) {
-	g := figure3(t)
-	want, err := Diffuse(g, 2, 0.3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, chaos := range []*bsp.Chaos{
-			{Seed: seed, ShuffleInbox: true},
-			{Seed: seed, StallBatches: true},
-			{Seed: seed, ShuffleInbox: true, StallBatches: true},
-		} {
-			got, err := DiffuseBSP(g, 2, 0.3, bsp.Config{Workers: 3, Chaos: chaos})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("chaos seed %d %+v changed diffusion result: %v vs %v", seed, chaos, got, want)
-			}
-		}
-	}
-}
-
-// Combiner + vote-to-halt must keep DiffuseBSP byte-identical under
-// adversarial delivery for every shard count × worker count × chaos seed
-// combination on larger random graphs — the acceptance matrix of the
-// shard-native engine.
-func TestDiffuseBSPChaosMatrix(t *testing.T) {
-	for gseed := uint64(1); gseed <= 3; gseed++ {
-		g := randomGraph(60, 150, gseed)
-		base := g.Freeze()
-		want, err := Diffuse(base, 2, 0.3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 2, 5} {
-			sc := shard.Partition(base, shards)
-			for seed := uint64(1); seed <= 3; seed++ {
-				got, err := DiffuseBSP(sc, 2, 0.3, bsp.Config{
-					Chaos: &bsp.Chaos{Seed: seed, ShuffleInbox: true, StallBatches: true},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("graph %d shards %d chaos %d: result changed", gseed, shards, seed)
-				}
-			}
-		}
-		// Worker dimension: a plain CSR is partitioned by cfg.Workers, so
-		// this leg varies the engine width independently of the shard leg
-		// above (and workers=1 exercises the pooled single-shard path).
-		for _, workers := range []int{1, 3} {
-			for seed := uint64(1); seed <= 2; seed++ {
-				var chaos *bsp.Chaos
-				if workers > 1 {
-					chaos = &bsp.Chaos{Seed: seed, ShuffleInbox: true, StallBatches: true}
-				}
-				got, err := DiffuseBSP(base, 2, 0.3, bsp.Config{Workers: workers, Chaos: chaos})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("graph %d workers %d chaos seed %d: result changed", gseed, workers, seed)
-				}
-			}
-		}
-	}
-}
-
-// Repeated single-shard DiffuseBSP calls are served by pooled persistent
-// engines rebound to each call's graph. Pooled reuse must be invisible
-// in the output — every call byte-identical to the first — and visible
-// in the stats: once a pooled engine is picked up again its lifetime
-// RunsServed exceeds 1.
-func TestDiffuseBSPPooledReuse(t *testing.T) {
-	g := randomGraph(50, 120, 7)
-	base := g.Freeze()
-	want, stats, err := DiffuseBSPStats(base, 2, 0.3, bsp.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxRuns := stats.RunsServed
-	for i := 0; i < 20; i++ {
-		// Alternate graph sizes so reuse exercises the rebind path in
-		// both directions, not just a same-shape rerun.
-		gi := base
-		wanti := want
-		if i%2 == 1 {
-			gi = randomGraph(30, 60, 9).Freeze()
-			if wanti, err = Diffuse(gi, 2, 0.3, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, stats, err := DiffuseBSPStats(gi, 2, 0.3, bsp.Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wanti, got) {
-			t.Fatalf("call %d: pooled engine changed the result", i)
-		}
-		if stats.RunsServed > maxRuns {
-			maxRuns = stats.RunsServed
-		}
-	}
-	// The pool is a sync.Pool, so any single item can be GC-dropped; over
-	// 21 sequential calls at least one reuse must have happened.
-	if maxRuns < 2 {
-		t.Fatalf("no pooled engine was ever reused: max RunsServed = %d", maxRuns)
-	}
-}
-
-// Routing every clustering round's diffusion through the BSP engine must
-// leave the clustering byte-identical, for any partition width and under
-// adversarial delivery — and the whole clustering must be served by ONE
-// persistent engine carried across merge rounds through Rebind, so the
-// aggregated stats record rounds-1 rebinds and a run per round.
-func TestClusterBSPMatches(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		g := randomGraph(70, 200, seed)
-		want, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.25, DiffusionRounds: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.BSP != nil {
-			t.Fatalf("seed %d: shared-memory run reported BSP stats", seed)
-		}
-		for _, shards := range []int{1, 3} {
-			for _, chaos := range []*bsp.Chaos{
-				nil,
-				{Seed: seed, ShuffleInbox: true, StallBatches: true},
-			} {
-				got, err := Cluster(context.Background(), g, nil, Config{
-					StopThreshold: 0.25, DiffusionRounds: 2, Shards: shards,
-					UseBSP: true, BSPChaos: chaos,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Dendrogram, got.Dendrogram) {
-					t.Fatalf("seed %d shards %d chaos %v: BSP clustering dendrogram differs", seed, shards, chaos)
-				}
-				if !reflect.DeepEqual(want.Rounds, got.Rounds) {
-					t.Fatalf("seed %d shards %d chaos %v: BSP round stats differ: %v vs %v",
-						seed, shards, chaos, want.Rounds, got.Rounds)
-				}
-				if got.BSP == nil || got.BSP.Supersteps == 0 {
-					t.Fatalf("seed %d shards %d: BSP stats not aggregated", seed, shards)
-				}
-				rounds := len(got.Rounds)
-				if got.BSP.RunsServed < rounds {
-					t.Fatalf("seed %d shards %d: engine served %d runs over %d rounds — a fresh engine per round",
-						seed, shards, got.BSP.RunsServed, rounds)
-				}
-				if got.BSP.Rebinds < rounds-1 {
-					t.Fatalf("seed %d shards %d: %d rebinds over %d rounds — rounds did not reuse the engine",
-						seed, shards, got.BSP.Rebinds, rounds)
-				}
-				if rounds > 1 && got.BSP.PeakRetainedBytes <= 0 {
-					t.Fatalf("seed %d shards %d: reused engine retained no buffers", seed, shards)
-				}
-				// Cross-round memoization: every run after the first is
-				// seeded from the merge's dirty rows, the first superstep
-				// is the only all-rows one, and the whole trajectory
-				// computes strictly less than the recompute-everything
-				// model (each run visiting every alive row for all
-				// DiffusionRounds supersteps — levels 0 .. r-1; level r
-				// is verified at the candidates, not computed).
-				if got.BSP.SeededRuns != got.BSP.RunsServed-1 {
-					t.Fatalf("seed %d shards %d: SeededRuns = %d over %d runs — every round after the first must seed",
-						seed, shards, got.BSP.SeededRuns, got.BSP.RunsServed)
-				}
-				if got.BSP.ActivePerStep[0] != 70 {
-					t.Fatalf("seed %d shards %d: first superstep computed %d rows, want all 70",
-						seed, shards, got.BSP.ActivePerStep[0])
-				}
-				if rounds >= 2 {
-					var computed int64
-					for _, a := range got.BSP.ActivePerStep {
-						computed += int64(a)
-					}
-					const per = 2 // DiffusionRounds supersteps per run
-					var naive int64
-					for _, r := range got.Rounds {
-						naive += int64(r.ActiveClusters) * per
-					}
-					last := got.Rounds[rounds-1]
-					naive += int64(last.ActiveClusters-last.Selected) * per // final, non-merging run
-					if computed >= naive {
-						t.Fatalf("seed %d shards %d: %d rows computed >= %d of the all-rows model — trajectory did not shrink after round 1",
-							seed, shards, computed, naive)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDiffuseErrors(t *testing.T) {
 	g := figure3(t)
-	if _, err := Diffuse(wgraph.New(0), 2, 0.3, 1); err == nil {
+	if _, err := Diffuse(wgraph.New(0), 2, 0.3); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	if _, err := Diffuse(g, -1, 0.3, 1); err == nil {
+	if _, err := Diffuse(g, -1, 0.3); err == nil {
 		t.Fatal("negative rounds accepted")
-	}
-	if _, err := DiffuseBSP(wgraph.New(0), 2, 0.3, bsp.Config{}); err == nil {
-		t.Fatal("empty graph accepted by BSP variant")
-	}
-	if _, err := DiffuseBSP(g, -2, 0.3, bsp.Config{}); err == nil {
-		t.Fatal("negative rounds accepted by BSP variant")
 	}
 }
 

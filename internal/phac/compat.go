@@ -1,8 +1,9 @@
 // compat.go is the whole of what remains of the cross-build clustering
-// warm start: the names the frozen benchmark/replay.go still compiles
-// against, with nothing behind them. Nothing in the root module calls
+// warm start and of the BSP clustering twin: the names the frozen
+// benchmark/replay.go still compiles against, with nothing behind them. Nothing in the root module calls
 // them (CI enforces it); the next benchmark-archetype PR deletes this
 // file together with those calls.
+
 package phac
 
 import (
@@ -10,6 +11,10 @@ import (
 
 	"shoal/internal/wgraph"
 )
+
+// NoStats carries nothing: it is the type of Result.BSP and of core
+// Build's BSPStats field, both always nil.
+type NoStats struct{}
 
 // Memo carries nothing: every clustering starts from scratch.
 type Memo struct{}

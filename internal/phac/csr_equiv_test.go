@@ -29,11 +29,11 @@ func TestClusteringIdenticalOnCSR(t *testing.T) {
 		c := g.Clone().Freeze() // independent snapshot: no shared memo
 
 		for _, r := range []int{0, 1, 2, 4} {
-			selG, err := Diffuse(g, r, 0.1, 4)
+			selG, err := Diffuse(g, r, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			selC, err := Diffuse(c, r, 0.1, 4)
+			selC, err := Diffuse(c, r, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestClusteringIdenticalOnCSR(t *testing.T) {
 			}
 		}
 
-		cfg := Config{StopThreshold: 0.15, DiffusionRounds: 2, Workers: 4}
+		cfg := Config{StopThreshold: 0.15, DiffusionRounds: 2}
 		resG, err := Cluster(context.Background(), g, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -71,21 +71,18 @@ func TestClusteringIdenticalOnCSR(t *testing.T) {
 }
 
 // TestClusterZeroAllocDiffusion locks in the tentpole win: once the
-// state CSR is built, a diffusion pass over it must not allocate — at
-// any Workers × Shards, since no phase forks (no goroutines, no
-// closures).
+// state CSR is built, a diffusion pass over it must not allocate — no
+// phase forks (no goroutines, no closures).
 func TestClusterZeroAllocDiffusion(t *testing.T) {
 	g := randomGraph(512, 1024, 3)
 	c := g.Freeze()
-	for _, width := range []int{1, 4} {
-		st := newState(c, nil, Config{StopThreshold: 0.1, DiffusionRounds: 2, Workers: width, Shards: width})
-		// Warm the scratch buffers once.
+	st := newState(c, nil, Config{StopThreshold: 0.1, DiffusionRounds: 2})
+	// Warm the scratch buffers once.
+	st.selectLocalMaxima(2, 0.1)
+	allocs := testing.AllocsPerRun(20, func() {
 		st.selectLocalMaxima(2, 0.1)
-		allocs := testing.AllocsPerRun(20, func() {
-			st.selectLocalMaxima(2, 0.1)
-		})
-		if allocs > 0 {
-			t.Fatalf("workers=shards=%d: diffusion+selection allocated %.1f objects per round, want 0", width, allocs)
-		}
+	})
+	if allocs > 0 {
+		t.Fatalf("diffusion+selection allocated %.1f objects per round, want 0", allocs)
 	}
 }

@@ -3,11 +3,7 @@ package phac
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"shoal/internal/bsp"
-	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 )
 
@@ -27,116 +23,74 @@ const DefaultFrontierDensity = 0.25
 
 // Diffuse runs one diffusion+selection pass over a static graph and
 // returns the locally-maximal matching, sorted by (U,V). This is the
-// standalone form of Parallel HAC's step 1–2, exposed for experiment E5
-// (iterations vs. parallelism) and the BSP equivalence check (E9).
-// Edges below threshold do not participate. The graph is scanned in its
-// CSR form (a mutable graph is frozen once up front). Late exchange
+// standalone, eager form of Parallel HAC's step 1–2 — every one of the r
+// levels materialized, on one goroutine: the oracle Cluster's memoized,
+// lazily verified selection is checked against at every merge round
+// (TestClusterSelectionMatchesDiffuseEveryRound), the reference the
+// vertex-program formulation must reproduce (experiment E9), and the
+// subject of E5 (iterations vs. parallelism). Edges below threshold do
+// not participate. The graph is scanned in its CSR form (a mutable graph
+// is frozen once up front, a sharded view unwrapped). Late exchange
 // iterations are frontier-pruned: a node is recomputed only when a
 // neighbor's known edge changed in the previous iteration, the stable
 // majority moves by whole-span copy, and an empty frontier ends the
 // loop — all without changing a single output byte (see
-// TestFrontierMatchesDense). With workers <= 0 ("pick for me") a
-// *shard.CSR input takes the partition-parallel path — one worker per
-// shard, with a selection merge that is byte-identical to the
-// single-shard result for any shard count; an explicit workers count is
-// always honored (workers == 1 stays serial even on sharded input).
-func Diffuse(g wgraph.View, rounds int, threshold float64, workers int) ([]Edge, error) {
-	return diffuse(g, rounds, threshold, workers, 0)
+// TestFrontierMatchesDense).
+func Diffuse(g wgraph.View, rounds int, threshold float64) ([]Edge, error) {
+	return diffuse(g, rounds, threshold, 0)
 }
 
 // diffuse is Diffuse with an explicit frontier density (0 = default,
 // negative = pruning disabled; the dense/pruned property tests pin the
 // two byte-identical).
-func diffuse(g wgraph.View, rounds int, threshold float64, workers int, density float64) ([]Edge, error) {
+func diffuse(g wgraph.View, rounds int, threshold float64, density float64) ([]Edge, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("phac: empty graph")
 	}
 	if rounds < 0 {
 		return nil, fmt.Errorf("phac: negative diffusion rounds %d", rounds)
 	}
-	if sc, ok := g.(*shard.CSR); ok && sc.NumShards() > 1 && workers <= 0 {
-		return diffuseSharded(sc, rounds, threshold, density), nil
-	}
-	if workers <= 0 {
-		workers = 1
-	}
 	c := wgraph.AsCSR(g)
 	offsets, nbrs, wts := c.Adj()
 	n := int32(c.NumNodes())
 	know := make([]edgeRef, n)
-	next := make([]edgeRef, n)
-	var bounds []int32
-	if workers > 1 && int(n) >= 64 {
-		bounds = rowBoundsByEntries(offsets, int(n), workers)
-	} else {
-		bounds = []int32{0, n}
-	}
-	initRange := func(lo, hi int32) {
-		for u := lo; u < hi; u++ {
-			best := noEdge
-			for j := offsets[u]; j < offsets[u+1]; j++ {
-				v, w := nbrs[j], wts[j]
-				if w < threshold {
-					continue
-				}
-				cand := mkEdgeRef(u, v, w)
-				if better(cand, best) {
-					best = cand
-				}
+	for u := int32(0); u < n; u++ {
+		best := noEdge
+		for j := offsets[u]; j < offsets[u+1]; j++ {
+			v, w := nbrs[j], wts[j]
+			if w < threshold {
+				continue
 			}
-			know[u] = best
+			cand := mkEdgeRef(u, v, w)
+			if better(cand, best) {
+				best = cand
+			}
 		}
+		know[u] = best
 	}
-	if len(bounds) == 2 {
-		initRange(0, n)
-	} else {
-		runRanges32(bounds, initRange)
-	}
-	know = exchangeRows(offsets, nbrs, know, next, bounds, rounds, density)
+	know = exchangeRows(offsets, nbrs, know, make([]edgeRef, n), rounds, density)
 	return collectSelected(know, threshold), nil
 }
 
-// rowBoundsByEntries splits the rows [0,n) into k contiguous ranges
-// balanced by adjacency entries (each row weighs its degree plus one).
-func rowBoundsByEntries(offsets []int32, n, k int) []int32 {
-	bounds := make([]int32, k+1)
-	bounds[k] = int32(n)
-	total := int64(offsets[n]) + int64(n)
-	next := 1
-	var prefix int64
-	for u := 0; u < n && next < k; u++ {
-		prefix += int64(offsets[u+1]-offsets[u]) + 1
-		for next < k && prefix*int64(k) >= total*int64(next) {
-			bounds[next] = int32(u + 1)
-			next++
-		}
-	}
-	for ; next < k; next++ {
-		bounds[next] = int32(n)
-	}
-	return bounds
-}
-
-// exchangeRows runs `rounds` max-exchange iterations over all rows,
-// splitting each phase by the given row bounds, and returns the buffer
-// holding the final known edges. Iteration 1 is always dense (everything
-// just changed during init); iteration t+1 recomputes only rows with a
-// neighbor whose know entry changed in iteration t — every skipped row's
-// result is provably identical (its own entry already dominates its
-// unchanged neighborhood by the monotonicity of max-exchange), so the
-// output is byte-identical to the dense loop. An empty frontier ends the
-// loop early: every remaining iteration would be the identity.
-func exchangeRows(offsets, nbrs []int32, know, next []edgeRef, bounds []int32, rounds int, density float64) []edgeRef {
+// exchangeRows runs `rounds` max-exchange iterations over all rows and
+// returns the buffer holding the final known edges. Iteration 1 is always
+// dense (everything just changed during init); iteration t+1 recomputes
+// only rows with a neighbor whose know entry changed in iteration t —
+// every skipped row's result is provably identical (its own entry already
+// dominates its unchanged neighborhood by the monotonicity of
+// max-exchange), so the output is byte-identical to the dense loop. An
+// empty frontier ends the loop early: every remaining iteration would be
+// the identity.
+func exchangeRows(offsets, nbrs []int32, know, next []edgeRef, rounds int, density float64) []edgeRef {
 	if rounds == 0 {
 		return know
 	}
 	if density == 0 {
 		density = DefaultFrontierDensity
 	}
-	n := int(bounds[len(bounds)-1])
+	n := len(know)
 	chMark := make([]uint32, n)
 	afMark := make([]uint32, n)
-	serial := len(bounds) == 2
 	prev := -1 // changed count of the previous iteration; -1 forces dense
 	var epoch uint32
 	for it := 0; it < rounds; it++ {
@@ -144,44 +98,22 @@ func exchangeRows(offsets, nbrs []int32, know, next []edgeRef, bounds []int32, r
 			break
 		}
 		epoch++
-		dense := prev < 0 || density < 0 || float64(prev) > density*float64(n)
-		var changed int64
-		if dense {
-			if serial {
-				changed = denseExchangeRows(offsets, nbrs, know, next, 0, int32(n), chMark, epoch)
-			} else {
-				e := epoch
-				k, nx := know, next
-				runRanges32(bounds, func(lo, hi int32) {
-					atomic.AddInt64(&changed, denseExchangeRows(offsets, nbrs, k, nx, lo, hi, chMark, e))
-				})
-			}
+		if prev < 0 || density < 0 || float64(prev) > density*float64(n) {
+			prev = denseExchangeRows(offsets, nbrs, know, next, chMark, epoch)
 		} else {
-			if serial {
-				scatterRows(offsets, nbrs, chMark, afMark, 0, int32(n), epoch)
-				changed = prunedExchangeRows(offsets, nbrs, know, next, 0, int32(n), chMark, afMark, epoch)
-			} else {
-				e := epoch
-				runRanges32(bounds, func(lo, hi int32) {
-					scatterRowsAtomic(offsets, nbrs, chMark, afMark, lo, hi, e)
-				})
-				k, nx := know, next
-				runRanges32(bounds, func(lo, hi int32) {
-					atomic.AddInt64(&changed, prunedExchangeRows(offsets, nbrs, k, nx, lo, hi, chMark, afMark, e))
-				})
-			}
+			scatterRows(offsets, nbrs, chMark, afMark, epoch)
+			prev = prunedExchangeRows(offsets, nbrs, know, next, chMark, afMark, epoch)
 		}
 		know, next = next, know
-		prev = int(changed)
 	}
 	return know
 }
 
-// denseExchangeRows recomputes every row in [lo,hi), stamping chMark for
-// rows whose known edge changed and returning the change count.
-func denseExchangeRows(offsets, nbrs []int32, know, next []edgeRef, lo, hi int32, chMark []uint32, epoch uint32) int64 {
-	var cnt int64
-	for u := lo; u < hi; u++ {
+// denseExchangeRows recomputes every row, stamping chMark for rows whose
+// known edge changed and returning the change count.
+func denseExchangeRows(offsets, nbrs []int32, know, next []edgeRef, chMark []uint32, epoch uint32) int {
+	cnt := 0
+	for u := range know {
 		best := know[u]
 		for j := offsets[u]; j < offsets[u+1]; j++ {
 			if v := nbrs[j]; better(know[v], best) {
@@ -199,8 +131,8 @@ func denseExchangeRows(offsets, nbrs []int32, know, next []edgeRef, lo, hi int32
 
 // scatterRows marks the neighbors of every row that changed in the
 // previous iteration (chMark == epoch-1) for recomputation.
-func scatterRows(offsets, nbrs []int32, chMark, afMark []uint32, lo, hi int32, epoch uint32) {
-	for u := lo; u < hi; u++ {
+func scatterRows(offsets, nbrs []int32, chMark, afMark []uint32, epoch uint32) {
+	for u := range chMark {
 		if chMark[u] != epoch-1 {
 			continue
 		}
@@ -210,26 +142,12 @@ func scatterRows(offsets, nbrs []int32, chMark, afMark []uint32, lo, hi int32, e
 	}
 }
 
-// scatterRowsAtomic is scatterRows with atomic mark stores: concurrent
-// range workers may mark the same neighbor, and the stores all carry the
-// same epoch value, so the marks are deterministic.
-func scatterRowsAtomic(offsets, nbrs []int32, chMark, afMark []uint32, lo, hi int32, epoch uint32) {
-	for u := lo; u < hi; u++ {
-		if chMark[u] != epoch-1 {
-			continue
-		}
-		for j := offsets[u]; j < offsets[u+1]; j++ {
-			atomic.StoreUint32(&afMark[nbrs[j]], epoch)
-		}
-	}
-}
-
 // prunedExchangeRows whole-span-copies the stable majority and
-// recomputes only the marked rows of [lo,hi).
-func prunedExchangeRows(offsets, nbrs []int32, know, next []edgeRef, lo, hi int32, chMark, afMark []uint32, epoch uint32) int64 {
-	copy(next[lo:hi], know[lo:hi])
-	var cnt int64
-	for u := lo; u < hi; u++ {
+// recomputes only the marked rows.
+func prunedExchangeRows(offsets, nbrs []int32, know, next []edgeRef, chMark, afMark []uint32, epoch uint32) int {
+	copy(next, know)
+	cnt := 0
+	for u := range know {
 		if afMark[u] != epoch {
 			continue
 		}
@@ -246,259 +164,6 @@ func prunedExchangeRows(offsets, nbrs []int32, know, next []edgeRef, lo, hi int3
 		}
 	}
 	return cnt
-}
-
-// diffuseSharded is the partition-parallel Diffuse: every phase — the
-// init scan, each exchange iteration, and the selection — runs one
-// worker per shard over that shard's row range (the exchange iterations
-// through the same frontier-pruned engine as every other path).
-// know/next entries are written only by the owner of their row, and
-// per-shard selection lists (ascending u within a shard) concatenate in
-// shard order into the globally sorted matching, so the merged output is
-// byte-identical to the serial path for any shard count.
-func diffuseSharded(sc *shard.CSR, rounds int, threshold float64, density float64) []Edge {
-	c := sc.BaseCSR()
-	offsets, nbrs, wts := c.Adj()
-	n := c.NumNodes()
-	know := make([]edgeRef, n)
-	next := make([]edgeRef, n)
-	plan := sc.Plan()
-	bounds := make([]int32, plan.NumShards()+1)
-	for i := 0; i < plan.NumShards(); i++ {
-		bounds[i], _ = plan.Bounds(i)
-	}
-	bounds[plan.NumShards()] = int32(n)
-
-	runRanges32(bounds, func(lo, hi int32) {
-		for u := lo; u < hi; u++ {
-			best := noEdge
-			for j := offsets[u]; j < offsets[u+1]; j++ {
-				v, w := nbrs[j], wts[j]
-				if w < threshold {
-					continue
-				}
-				cand := mkEdgeRef(u, v, w)
-				if better(cand, best) {
-					best = cand
-				}
-			}
-			know[u] = best
-		}
-	})
-	know = exchangeRows(offsets, nbrs, know, next, bounds, rounds, density)
-
-	// Per-shard selection, merged in shard order. A node contributes at
-	// most one edge (its know entry, evaluated at the smaller endpoint),
-	// so each shard's list is strictly ascending in U and the
-	// concatenation needs no sort.
-	parts := make([][]Edge, plan.NumShards())
-	var wg sync.WaitGroup
-	for i := 0; i < plan.NumShards(); i++ {
-		lo, hi := plan.Bounds(i)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, lo, hi int32) {
-			defer wg.Done()
-			var out []Edge
-			for u := lo; u < hi; u++ {
-				e := know[u]
-				if e.U() != u || e.sim < threshold {
-					continue
-				}
-				if know[e.V()] == e {
-					out = append(out, Edge{U: e.U(), V: e.V(), Sim: e.sim})
-				}
-			}
-			parts[i] = out
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil // match the serial path's nil for an empty matching
-	}
-	out := make([]Edge, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// DiffuseBSP computes the same matching as Diffuse but runs the exchange
-// protocol on the shard-native BSP engine (internal/bsp) — the execution
-// model the paper deploys on ODPS. The graph is partitioned by its
-// shard.Plan (a *shard.CSR keeps its own plan; anything else is
-// partitioned by cfg.Workers), each shard's topology is consumed through
-// its self-contained shard.Segment, and the program uses a max-combiner
-// with changed-only sends — yet the output is byte-identical to Diffuse
-// for every shard count, worker count and chaos seed (E9 and the
-// TestDiffuseBSP* family).
-func DiffuseBSP(g wgraph.View, rounds int, threshold float64, cfg bsp.Config) ([]Edge, error) {
-	sel, _, err := DiffuseBSPStats(g, rounds, threshold, cfg)
-	return sel, err
-}
-
-// pooledDiffusion is a (program, engine) pair kept in bspDiffusePool so
-// repeated single-shard DiffuseBSP calls reuse one persistent engine —
-// inbox accumulators, generation stamps, worklists and the know array
-// survive across calls, re-bound to each call's graph. The pool holds
-// only single-shard engines (no worker goroutines, safe for the GC to
-// drop) built from a default Config, so a pooled engine is
-// interchangeable with a fresh one for every call that qualifies.
-type pooledDiffusion struct {
-	prog diffusionProgram
-	eng  *bsp.Engine[edgeRef]
-}
-
-var bspDiffusePool sync.Pool
-
-// DiffuseBSPStats is DiffuseBSP surfacing the engine's execution profile
-// (supersteps, messages, per-step active counts, combiner hit rate, and
-// the lifetime reuse counters — a pooled engine reports RunsServed > 1).
-func DiffuseBSPStats(g wgraph.View, rounds int, threshold float64, cfg bsp.Config) ([]Edge, *bsp.Stats, error) {
-	if g.NumNodes() == 0 {
-		return nil, nil, fmt.Errorf("phac: empty graph")
-	}
-	if rounds < 0 {
-		return nil, nil, fmt.Errorf("phac: negative diffusion rounds %d", rounds)
-	}
-	sc, ok := g.(*shard.CSR)
-	if !ok {
-		sc = shard.Partition(wgraph.AsCSR(g), cfg.Workers)
-	}
-	if cfg.Plan.NumShards() == 0 {
-		cfg.Plan = sc.Plan()
-	}
-	segs := sc.Segments()
-	plan := sc.Plan()
-	bounds := make([]int32, plan.NumShards()+1)
-	for i := 0; i < plan.NumShards(); i++ {
-		bounds[i], bounds[i+1] = plan.Bounds(i)
-	}
-	n := g.NumNodes()
-	poolable := plan.NumShards() == 1 && cfg.Chaos == nil && cfg.MaxSupersteps <= 0
-	var pd *pooledDiffusion
-	if poolable {
-		pd, _ = bspDiffusePool.Get().(*pooledDiffusion)
-	}
-	if pd == nil {
-		pd = &pooledDiffusion{}
-	}
-	prog := &pd.prog
-	prog.segs = segs
-	prog.bounds = bounds
-	prog.rounds = rounds
-	prog.threshold = threshold
-	if cap(prog.know) < n {
-		prog.know = make([]edgeRef, n)
-	} else {
-		prog.know = prog.know[:n] // stale entries: superstep 0 writes every row
-	}
-	var err error
-	if pd.eng == nil {
-		if pd.eng, err = bsp.New[edgeRef](n, prog, cfg); err != nil {
-			return nil, nil, err
-		}
-	} else if err = pd.eng.Rebind(n, prog); err != nil {
-		pd.eng.Close()
-		return nil, nil, err
-	}
-	stats, err := pd.eng.Run()
-	if err != nil {
-		pd.eng.Close()
-		return nil, nil, err
-	}
-	sel := collectSelected(prog.know, threshold)
-	if poolable {
-		prog.segs = nil // the pool keeps scratch alive, never the graph
-		bspDiffusePool.Put(pd)
-	} else {
-		pd.eng.Close()
-	}
-	return sel, stats, nil
-}
-
-// diffusionProgram is the vertex-centric formulation over per-shard
-// segments: superstep 0 initializes each vertex with its best incident
-// >= threshold edge and broadcasts it; supersteps 1..rounds fold the
-// inbox maximum and re-broadcast only when the fold changed the vertex's
-// known edge (every neighbor already folded the old value, and
-// max-exchange is monotone, so suppressed resends are provably
-// absorbing). A vertex with nothing new votes to halt and is reactivated
-// by the next incoming message. The fold is order-independent, so the
-// program is correct under chaotic delivery, and Combine gives the
-// engine the sender-side max-fold.
-type diffusionProgram struct {
-	segs      []*shard.Segment
-	bounds    []int32 // plan row bounds, len shards+1 (hand-rolled Find)
-	rounds    int
-	threshold float64
-	know      []edgeRef
-}
-
-// Combine is the sender-side max-fold (bsp.Combiner).
-func (p *diffusionProgram) Combine(acc, m edgeRef) edgeRef {
-	if better(m, acc) {
-		return m
-	}
-	return acc
-}
-
-// seg returns the segment owning row u: an inlined branchless-probe
-// binary search over the plan bounds — plan.Find's sort.Search closure
-// was a measurable cost at one lookup per vertex per superstep.
-func (p *diffusionProgram) seg(u int32) *shard.Segment {
-	if len(p.segs) == 1 {
-		return p.segs[0]
-	}
-	b := p.bounds
-	lo, hi := 0, len(b)-1
-	for hi-lo > 1 {
-		if mid := (lo + hi) >> 1; u >= b[mid] {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return p.segs[lo]
-}
-
-func (p *diffusionProgram) Compute(step int, v bsp.VertexID, inbox []edgeRef, out *bsp.Outbox[edgeRef]) bool {
-	u := int32(v)
-	nbrs, wts := p.seg(u).Row(u)
-	changed := false
-	if step == 0 {
-		best := noEdge
-		for i, nb := range nbrs {
-			w := wts[i]
-			if w < p.threshold {
-				continue
-			}
-			cand := mkEdgeRef(u, nb, w)
-			if better(cand, best) {
-				best = cand
-			}
-		}
-		p.know[u] = best
-		changed = best != noEdge
-	} else {
-		for _, m := range inbox {
-			if better(m, p.know[u]) {
-				p.know[u] = m
-				changed = true
-			}
-		}
-	}
-	if changed && step < p.rounds {
-		out.SendMany(nbrs, p.know[u])
-		return false
-	}
-	return true
 }
 
 // collectSelected extracts the mutual locally-maximal edges from know.

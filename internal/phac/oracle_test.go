@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"shoal/internal/bsp"
 	"shoal/internal/dendrogram"
 	"shoal/internal/wgraph"
 )
@@ -29,71 +28,51 @@ func contracted(t *testing.T, st *state) *wgraph.Graph {
 }
 
 // TestClusterSelectionMatchesDiffuseEveryRound is the eager oracle for
-// the lazily verified last exchange: at every merge round, on every
-// path, the matching Cluster's selection returns must equal — edge for
+// the lazily verified last exchange: at every merge round the matching
+// Cluster's selection returns must equal — edge for
 // edge — what the standalone Diffuse computes by materializing all r
 // levels over the same contracted graph. The threshold leaves
 // sub-threshold edges in the graph (they carry diffusion but never
 // merge) and sizes are non-unit, so Eq. 4 weights differ per merge.
 func TestClusterSelectionMatchesDiffuseEveryRound(t *testing.T) {
 	const threshold = 0.3
-	paths := []struct {
-		name string
-		cfg  Config
-	}{
-		{"shared", Config{}},
-		{"bsp-chaos", Config{Shards: 3, UseBSP: true,
-			BSPChaos: &bsp.Chaos{Seed: 5, ShuffleInbox: true, StallBatches: true}}},
-	}
 	for _, r := range []int{0, 1, 2, 3, 6} {
-		for _, p := range paths {
-			t.Run(fmt.Sprintf("r%d/%s", r, p.name), func(t *testing.T) {
-				for seed := uint64(1); seed <= 3; seed++ {
-					g := randomGraph(80, 220, seed)
-					rng := rand.New(rand.NewPCG(seed, 99))
-					sizes := make([]int, 80)
-					for i := range sizes {
-						sizes[i] = 1 + rng.IntN(5)
-					}
-					cfg := p.cfg
-					cfg.StopThreshold, cfg.DiffusionRounds = threshold, r
-					st := newState(wgraph.AsCSR(g), sizes, cfg)
-					defer st.release()
-					d := &dendrogram.Dendrogram{Leaves: 80}
-					var agg bsp.Stats
-					for round := 0; ; round++ {
-						want, err := Diffuse(contracted(t, st), r, threshold, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var selected []edgeRef
-						if cfg.UseBSP {
-							if selected, _, _, err = st.selectLocalMaximaBSP(r, threshold, &agg, nil); err != nil {
-								t.Fatal(err)
-							}
-						} else {
-							selected, _, _ = st.selectLocalMaxima(r, threshold)
-						}
-						var got []Edge
-						for _, e := range selected {
-							got = append(got, Edge{U: e.U(), V: e.V(), Sim: e.sim})
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d round %d: selection\n%v\ndiffers from eager Diffuse\n%v", seed, round, got, want)
-						}
-						if st.candidates < len(selected) {
-							t.Fatalf("seed %d round %d: %d candidates verified for %d selected", seed, round, st.candidates, len(selected))
-						}
-						if len(selected) == 0 {
-							if round < 3 {
-								t.Fatalf("seed %d: clustering ended after %d rounds — the oracle saw no memoized round", seed, round)
-							}
-							break
-						}
-						st.mergeSelected(selected, round, cfg, d)
-					}
+		t.Run(fmt.Sprintf("r%d", r), func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g := randomGraph(80, 220, seed)
+				rng := rand.New(rand.NewPCG(seed, 99))
+				sizes := make([]int, 80)
+				for i := range sizes {
+					sizes[i] = 1 + rng.IntN(5)
 				}
-			})
-		}
+				cfg := Config{StopThreshold: threshold, DiffusionRounds: r}
+				st := newState(wgraph.AsCSR(g), sizes, cfg)
+				d := &dendrogram.Dendrogram{Leaves: 80}
+				for round := 0; ; round++ {
+					want, err := Diffuse(contracted(t, st), r, threshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					selected, _, _ := st.selectLocalMaxima(r, threshold)
+					var got []Edge
+					for _, e := range selected {
+						got = append(got, Edge{U: e.U(), V: e.V(), Sim: e.sim})
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d round %d: selection\n%v\ndiffers from eager Diffuse\n%v", seed, round, got, want)
+					}
+					if st.candidates < len(selected) {
+						t.Fatalf("seed %d round %d: %d candidates verified for %d selected", seed, round, st.candidates, len(selected))
+					}
+					if len(selected) == 0 {
+						if round < 3 {
+							t.Fatalf("seed %d: clustering ended after %d rounds — the oracle saw no memoized round", seed, round)
+						}
+						break
+					}
+					st.mergeSelected(selected, round, cfg, d)
+				}
+			}
+		})
 	}
 }

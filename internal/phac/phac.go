@@ -37,18 +37,41 @@
 // storage at degree zero — so a round costs O(touched adjacency), not
 // O(alive edges), and the diffusion inner loop never allocates and
 // never chases map buckets.
+//
+// What of the paper's scalability claim this repository reproduces. The
+// claim has two halves. Reproduced: Parallel HAC needs far fewer, far
+// wider rounds than sequential HAC's one merge per iteration — on the
+// E4-large entity graph (15 874 entities; 13 048 sequential iterations
+// against 183 rounds at r = 2 and 13 at r = 0) it is 1.8-1.9x faster than
+// internal/hac at the paper's r = 2 and 4.0-4.5x at r = 0, and E5's table
+// shows the rounds widening as r falls. Not reproduced at <= 155 k
+// entities on two cores: rounds getting faster with workers. Cluster
+// runs every phase of every round inline on the calling goroutine,
+// because one frontier-memoized goroutine beat every parallel variant
+// built here — forked phases at every grain (PR 20), and the same
+// memoized protocol as a Pregel vertex program on a BSP engine, last
+// measured before its deletion (shoal-gen -scenarios N -items 200
+// -queries 40, shoal-build -no-embeddings -v, the parallel-hac stage in
+// ms, every run made, variants alternated, identical rounds / candidates
+// / selected throughout):
+//
+//	entities   inline                            BSP, 1 shard                      BSP, 2 shards
+//	 41 555    334* 128 130 143 110 117 114      198 202 205 256 164 165 185       219 202 200 176 177 177 170
+//	155 538    663 411                           1 019 705                         1 441 1 443
+//
+// (* first run after generating the corpus.) The vertex-program
+// formulation survives as experiment E9 (internal/experiments), which
+// proves it byte-identical to Diffuse under every shard count and
+// delivery pathology; no product build contains it.
 package phac
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 
-	"shoal/internal/bsp"
 	"shoal/internal/dendrogram"
 	"shoal/internal/obs"
 	"shoal/internal/wgraph"
@@ -102,15 +125,11 @@ type Config struct {
 	// DiffusionRounds is r, the number of max-exchange iterations per
 	// round. The paper sets 2.
 	DiffusionRounds int
-	// Workers is only the default for Shards; 0 means GOMAXPROCS. The
-	// shared-memory path runs every phase of every round inline on the
-	// caller's goroutine: forking them lost to one worker at every size
-	// and grain measured (ROADMAP, "Partition-parallel consumers").
+	// Workers and Shards are read by nothing, written only by the frozen
+	// benchmark/replay.go: every phase of every round runs inline on the
+	// caller's goroutine. The next benchmark-archetype PR deletes them.
 	Workers int
-	// Shards is the number of shards the BSP engine places rows on
-	// (UseBSP); the shared-memory path does not read it. 0 means Workers.
-	// Results are byte-identical for every shard count.
-	Shards int
+	Shards  int
 	// FrontierDensity tunes frontier-pruned diffusion: an exchange
 	// iteration recomputes only nodes with a changed neighbor when the
 	// previous phase changed at most this fraction of the alive nodes,
@@ -123,18 +142,6 @@ type Config struct {
 	MaxRounds int
 	// Linkage is the merge update rule; zero value is the paper's Eq. 4.
 	Linkage Linkage
-	// UseBSP routes every round's diffusion+selection through the
-	// shard-native BSP engine (internal/bsp) instead of the shared-memory
-	// scans — the execution model the paper deploys on ODPS. The
-	// clustering result is byte-identical either way (locked by
-	// TestClusterBSPMatches); Result.BSP carries the aggregated engine
-	// profile.
-	UseBSP bool
-	// BSPChaos, when non-nil with UseBSP, injects the engine's failure
-	// modes (shuffled delivery, stalled batches) into every clustering
-	// round — exercising the rebind path under chaos. The dendrogram must
-	// stay byte-identical (locked by TestClusterBSPMatches).
-	BSPChaos *bsp.Chaos
 }
 
 // DefaultConfig mirrors the paper: r=2, threshold 0.35.
@@ -148,12 +155,6 @@ func (c *Config) validate() error {
 	}
 	if c.DiffusionRounds < 0 {
 		return fmt.Errorf("phac: DiffusionRounds must be non-negative, got %d", c.DiffusionRounds)
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards <= 0 {
-		c.Shards = c.Workers
 	}
 	if c.FrontierDensity == 0 {
 		c.FrontierDensity = DefaultFrontierDensity
@@ -182,12 +183,10 @@ type RoundStat struct {
 type Result struct {
 	Dendrogram *dendrogram.Dendrogram
 	Rounds     []RoundStat
-	// BSP is the aggregated engine profile across every clustering
-	// round's diffusion when Config.UseBSP is set; nil otherwise.
-	BSP *bsp.Stats
-	// ReplayedRounds and ReplayedMerges are written by nothing and read
-	// only by the frozen benchmark/replay.go; the next
+	// BSP, ReplayedRounds and ReplayedMerges are written by nothing and
+	// read only by the frozen benchmark/replay.go; the next
 	// benchmark-archetype PR deletes them with those reads.
+	BSP            *NoStats
 	ReplayedRounds int
 	ReplayedMerges int
 }
@@ -228,8 +227,8 @@ func better(a, b edgeRef) bool {
 // Cluster runs Parallel HAC over g with initial cluster sizes (nil means
 // all 1); g is read once (frozen to CSR if mutable) and never modified.
 // Leaf ids in the dendrogram are graph node ids.
-// The result is deterministic and independent of cfg.Workers, and
-// identical for a mutable graph and its frozen CSR.
+// The result is deterministic, and identical for a mutable graph and its
+// frozen CSR.
 // Cancellation is checked between clustering rounds.
 func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Result, error) {
 	n := g.NumNodes()
@@ -244,11 +243,7 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 	}
 
 	st := newState(wgraph.AsCSR(g), sizes, cfg)
-	defer st.release()
 	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n}}
-	if cfg.UseBSP {
-		res.BSP = &bsp.Stats{}
-	}
 
 	// One child span per merge round when the caller's context carries a
 	// build-trace span; psp == nil composes through the nil-safe span
@@ -265,19 +260,7 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 		if psp != nil {
 			rsp = psp.Child("round-" + strconv.Itoa(round))
 		}
-		var selected []edgeRef
-		var activeEdges int
-		var bestSim float64
-		if cfg.UseBSP {
-			var err error
-			selected, activeEdges, bestSim, err = st.selectLocalMaximaBSP(cfg.DiffusionRounds, cfg.StopThreshold, res.BSP, rsp)
-			if err != nil {
-				rsp.End()
-				return nil, err
-			}
-		} else {
-			selected, activeEdges, bestSim = st.selectLocalMaxima(cfg.DiffusionRounds, cfg.StopThreshold)
-		}
+		selected, activeEdges, bestSim := st.selectLocalMaxima(cfg.DiffusionRounds, cfg.StopThreshold)
 		stat := RoundStat{
 			Round: round, ActiveClusters: st.aliveCount,
 			ActiveEdges: activeEdges, BestSim: bestSim, Selected: len(selected),
@@ -341,7 +324,6 @@ type state struct {
 	size       []float64
 	alive      []bool
 	aliveCount int
-	shards     int     // BSP engine width (cfg.Shards)
 	density    float64 // frontier density threshold (cfg.FrontierDensity)
 	// exStates memoizes the diffusion cascade across merge rounds, all of
 	// it that is ever materialized: exStates[0] holds every node's init
@@ -399,22 +381,9 @@ type state struct {
 	// is recomputed once per phase). afList is the scatter output — the
 	// rows the pruned iteration must recompute — deduplicated via the
 	// afMark epoch stamps.
-	chList []int32
-	chNext []int32
-	afList []int32
-	// The UseBSP path's cross-round memoization scratch: bspSeed is the
-	// alive dirty rows handed to RunFrom as the superstep-0 frontier,
-	// bspActiveEdges the running Σ edgeCnt over alive rows (adjusted
-	// only for retired and re-seeded rows each round), and bspHeap the
-	// lazy-deletion heap behind the incremental global-best tracker.
-	bspSeed        []bsp.VertexID
-	bspHeap        []bspBest
-	bspActiveEdges int64
-	// bspEng/bspProg persist across merge rounds on the UseBSP path: one
-	// engine per clustering, rebound to each round's contracted CSR.
-	bspEng    *bsp.Engine[edgeRef]
-	bspProg   *clusterDiffusionProgram
-	bspChaos  *bsp.Chaos
+	chList    []int32
+	chNext    []int32
+	afList    []int32
 	perOwner  [][]contrib
 	perOwnerB [][]contrib   // minted-minted tail scratch per owner
 	hp        []int32       // k-way merge heap scratch (owner indices)
@@ -431,14 +400,8 @@ type state struct {
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 	n := c.NumNodes()
 	offsets, nbrs, wts := c.Adj()
-	// Normalize here too so direct constructions (tests) get sane widths
-	// without going through validate.
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
+	// Normalize here too so direct constructions (tests) get the default
+	// density without going through validate.
 	if cfg.FrontierDensity == 0 {
 		cfg.FrontierDensity = DefaultFrontierDensity
 	}
@@ -456,9 +419,7 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		size:       make([]float64, n, 2*n),
 		alive:      make([]bool, n, 2*n),
 		aliveCount: n,
-		shards:     cfg.Shards,
 		density:    cfg.FrontierDensity,
-		bspChaos:   cfg.BSPChaos,
 		exStates:   make([][]edgeRef, max(cfg.DiffusionRounds, 1)),
 		afMark:     make([]uint32, n, 2*n),
 		edgeAt:     make([]uint64, n, 2*n),
@@ -509,14 +470,6 @@ func (st *state) ensureOwned() {
 	copy(wts, st.wts[:half])
 	st.offsets, st.nbrs, st.wts = offsets, nbrs, wts
 	st.ownsCur = true
-}
-
-// release retires any resources the state holds beyond its own memory —
-// today the persistent BSP engine's shard workers.
-func (st *state) release() {
-	if st.bspEng != nil {
-		st.bspEng.Close()
-	}
 }
 
 // aliveList returns the ascending alive cluster ids. After the first
@@ -626,14 +579,13 @@ func (st *state) selectLocalMaxima(rounds int, threshold float64) ([]edgeRef, in
 	return st.selectVerified(rounds, threshold), int(activeEdges), globalBest.sim
 }
 
-// selectVerified is the round's selection, the one routine behind the
-// shared-memory and the BSP path. know is the last materialized level,
-// r-1 (level 0 when r = 0). A candidate is an edge both endpoints know
-// there, found at its smaller endpoint; at r = 0 every candidate is
-// selected, and for r >= 1 it is selected iff the r-th exchange would
-// leave it in place — no neighbor of either endpoint knows a better
-// edge (see state.exStates) — which one early-exit pass over the two
-// rows decides. Alive rows only list alive neighbors, so stale entries
+// selectVerified is the round's selection. know is the last
+// materialized level, r-1 (level 0 when r = 0). A candidate is an edge
+// both endpoints know there, found at its smaller endpoint; at r = 0
+// every candidate is selected, and for r >= 1 it is selected iff the
+// r-th exchange would leave it in place — no neighbor of either endpoint
+// knows a better edge (see state.exStates) — which one early-exit pass
+// over the two rows decides. Alive rows only list alive neighbors, so stale entries
 // of dead rows are never read. The alive list ascends and a row emits
 // at most its own edge, so the matching comes out in canonical (u, v)
 // order.
@@ -1082,25 +1034,6 @@ func (st *state) kwayMergeSum(lists [][]contrib, threshold float64) []wgraph.Edg
 	}
 	st.newEdges = newEdges
 	return newEdges
-}
-
-// runRanges32 runs fn(lo, hi) over each non-empty range
-// [bounds[i], bounds[i+1]) in its own goroutine and waits for all of
-// them (standalone Diffuse's partition-parallel scans).
-func runRanges32(bounds []int32, fn func(lo, hi int32)) {
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func canon(u, v int32) (int32, int32) {

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"shoal/internal/bsp"
-	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 )
 
@@ -49,7 +47,7 @@ func figure3(t testing.TB) *wgraph.Graph {
 
 func TestFigure3LocalMaximaAfterTwoIterations(t *testing.T) {
 	g := figure3(t)
-	sel, err := Diffuse(g, 2, 0.3, 4)
+	sel, err := Diffuse(g, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestDiffuseMatchingIsNodeDisjoint(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		g := randomGraph(80, 160, seed)
 		for _, r := range []int{0, 1, 2, 4} {
-			sel, err := Diffuse(g, r, 0.1, 4)
+			sel, err := Diffuse(g, r, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +123,7 @@ func TestDiffuseSelectionShrinksWithIterations(t *testing.T) {
 		g := randomGraph(100, 250, seed)
 		prev := map[[2]int32]bool{}
 		for r := 0; r <= 4; r++ {
-			sel, err := Diffuse(g, r, 0.1, 3)
+			sel, err := Diffuse(g, r, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +155,7 @@ func TestDiffuseAlwaysSelectsGlobalMax(t *testing.T) {
 			}
 		}
 		for _, r := range []int{0, 2, 6} {
-			sel, err := Diffuse(g, r, 0.1, 2)
+			sel, err := Diffuse(g, r, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,59 +167,6 @@ func TestDiffuseAlwaysSelectsGlobalMax(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("seed %d r=%d: global max %v not selected", seed, r, best)
-			}
-		}
-	}
-}
-
-func TestDiffuseBSPEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		g := randomGraph(70, 140, seed)
-		for _, r := range []int{0, 1, 2, 3} {
-			direct, err := Diffuse(g, r, 0.2, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3, 8} {
-				viaBSP, err := DiffuseBSP(g, r, 0.2, bsp.Config{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(direct, viaBSP) {
-					t.Fatalf("seed %d r=%d workers=%d: Diffuse=%v DiffuseBSP=%v", seed, r, workers, direct, viaBSP)
-				}
-			}
-		}
-	}
-}
-
-// The shard-partitioned engine must be byte-identical to Diffuse when
-// the input is a sharded CSR: placement follows the shard.Plan and the
-// topology is consumed through the per-shard Segments.
-func TestDiffuseBSPShardedEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		g := randomGraph(80, 200, seed)
-		base := g.Freeze()
-		for _, r := range []int{0, 2, 6} {
-			direct, err := Diffuse(base, r, 0.2, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 2, 3, 7} {
-				sc := shard.Partition(base, shards)
-				viaBSP, stats, err := DiffuseBSPStats(sc, r, 0.2, bsp.Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(direct, viaBSP) {
-					t.Fatalf("seed %d r=%d shards=%d: Diffuse=%v DiffuseBSP=%v", seed, r, shards, direct, viaBSP)
-				}
-				if stats == nil || stats.Supersteps == 0 {
-					t.Fatalf("seed %d r=%d shards=%d: stats not populated", seed, r, shards)
-				}
-				if r >= 2 && shards > 1 && stats.CombinerHits == 0 {
-					t.Fatalf("seed %d r=%d shards=%d: max-combiner absorbed nothing", seed, r, shards)
-				}
 			}
 		}
 	}

@@ -157,8 +157,7 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 // TestStatsHTTPSection checks the serving telemetry lands in /api/stats:
-// per-route latency digests, the resolved build configuration, and the
-// bsp-enabled marker.
+// per-route latency digests and the resolved build configuration.
 func TestStatsHTTPSection(t *testing.T) {
 	srv, _ := newInstrumentedServer(t)
 	for i := 0; i < 3; i++ {
@@ -170,8 +169,8 @@ func TestStatsHTTPSection(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/api/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
-	if stats.Workers <= 0 {
-		t.Fatalf("workers = %d, want > 0", stats.Workers)
+	if stats.Shards <= 0 {
+		t.Fatalf("shards = %d, want > 0", stats.Shards)
 	}
 	if stats.FrontierDensity <= 0 {
 		t.Fatalf("frontierDensity = %f, want > 0", stats.FrontierDensity)

@@ -201,27 +201,6 @@ type StageStat struct {
 	ElapsedMs float64 `json:"elapsedMs"`
 }
 
-// BSPStat is the BSP engine profile in the stats payload, present when
-// clustering diffusion ran on the shard-native BSP engine (core
-// Config.BSP): total supersteps and message counts across rounds, the
-// sender-side combiner hit rate, the per-superstep active-vertex
-// trajectory (vote-to-halt makes it collapse as regions converge), and
-// the engine-reuse counters — runs served, seeded partial-activation
-// runs, rebinds, and the peak bytes of scratch retained across rounds
-// by the persistent engine.
-type BSPStat struct {
-	Supersteps        int     `json:"supersteps"`
-	Messages          int64   `json:"messages"`
-	Sends             int64   `json:"sends"`
-	CombinerHits      int64   `json:"combinerHits"`
-	CombinerHitRate   float64 `json:"combinerHitRate"`
-	ActivePerStep     []int   `json:"activePerStep"`
-	RunsServed        int     `json:"runsServed"`
-	SeededRuns        int     `json:"seededRuns"`
-	Rebinds           int     `json:"rebinds"`
-	PeakRetainedBytes int64   `json:"peakRetainedBytes"`
-}
-
 // DeltaStat is the incremental-rebuild section of the stats payload,
 // present when the published build came from the delta-driven daily
 // path (core Config.Incremental): how much of the window changed and
@@ -252,18 +231,12 @@ type Stats struct {
 	RootTopics   int `json:"rootTopics"`
 	Correlations int `json:"correlations"`
 	// Shards is the row-range shard count the build's graph substrate
-	// was partitioned into (core.Config.Shards); Workers the resolved
-	// clustering worker count and FrontierDensity the resolved
-	// frontier-pruning gate — the build configuration that explains the
-	// stage timings next to it.
+	// was partitioned into (core.Config.Shards) and FrontierDensity the
+	// resolved frontier-pruning gate — the build configuration that
+	// explains the stage timings next to it.
 	Shards          int     `json:"shards"`
-	Workers         int     `json:"workers"`
 	FrontierDensity float64 `json:"frontierDensity"`
 	Swaps           int64   `json:"swaps"`
-	// BSP reports whether clustering diffusion ran on the BSP engine;
-	// the engine profile itself is BSPStats.
-	BSP      bool     `json:"bsp"`
-	BSPStats *BSPStat `json:"bspStats,omitempty"`
 	// Delta is present when the build came from an incremental rebuild.
 	Delta  *DeltaStat      `json:"delta,omitempty"`
 	Stages []StageStat     `json:"stages"`
@@ -383,10 +356,8 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		Topics:          len(b.Taxonomy.Topics),
 		RootTopics:      len(b.Taxonomy.Roots()),
 		Shards:          b.Shards,
-		Workers:         b.Workers,
 		FrontierDensity: b.FrontierDensity,
 		Swaps:           snap.swaps,
-		BSP:             b.BSPEnabled,
 		HTTP:            h.metrics.Summary(),
 	}
 	if b.Correlations != nil {
@@ -402,21 +373,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 			DenseFallbackReason: b.Delta.DenseFallbackReason,
 		}
 		out.Delta.DroppedStale = snap.droppedStale
-	}
-	if b.BSPStats != nil {
-		out.BSPStats = &BSPStat{
-			Supersteps:      b.BSPStats.Supersteps,
-			Messages:        b.BSPStats.Messages,
-			Sends:           b.BSPStats.Sends,
-			CombinerHits:    b.BSPStats.CombinerHits,
-			CombinerHitRate: b.BSPStats.CombinerHitRate(),
-			ActivePerStep:   b.BSPStats.ActivePerStep,
-
-			RunsServed:        b.BSPStats.RunsServed,
-			SeededRuns:        b.BSPStats.SeededRuns,
-			Rebinds:           b.BSPStats.Rebinds,
-			PeakRetainedBytes: b.BSPStats.PeakRetainedBytes,
-		}
 	}
 	for _, st := range b.StageTimings {
 		out.Stages = append(out.Stages, StageStat{

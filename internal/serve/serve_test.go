@@ -369,56 +369,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// A build whose clustering ran on the BSP engine must surface the engine
-// profile in /api/stats; builds from the shared-memory path must omit it.
-func TestStatsBSPSection(t *testing.T) {
-	srv := newServer(t)
-	var stats Stats
-	if code := getJSON(t, srv.URL+"/api/stats", &stats); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if stats.BSP {
-		t.Fatal("shared-memory build reported bsp enabled")
-	}
-	if stats.BSPStats != nil {
-		t.Fatalf("shared-memory build surfaced BSP stats: %+v", stats.BSPStats)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Word2Vec.Epochs = 1
-	cfg.Word2Vec.MinCount = 1
-	cfg.Graph.MinSimilarity = 0.2
-	cfg.HAC.StopThreshold = 0.12
-	cfg.Taxonomy.Levels = []float64{0.12, 0.4}
-	cfg.CatCorr.MinStrength = 0
-	cfg.BSP = true
-	b, err := core.Run(synth.Curated(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHandler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsrv := httptest.NewServer(h)
-	defer bsrv.Close()
-	if code := getJSON(t, bsrv.URL+"/api/stats", &stats); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if !stats.BSP {
-		t.Fatal("BSP build did not report bsp enabled")
-	}
-	if stats.BSPStats == nil {
-		t.Fatal("BSP build did not surface engine stats")
-	}
-	if stats.BSPStats.Supersteps <= 0 || stats.BSPStats.Sends <= 0 || len(stats.BSPStats.ActivePerStep) == 0 {
-		t.Fatalf("implausible BSP stats: %+v", stats.BSPStats)
-	}
-	if stats.BSPStats.CombinerHitRate < 0 || stats.BSPStats.CombinerHitRate > 1 {
-		t.Fatalf("combiner hit rate out of range: %+v", stats.BSPStats)
-	}
-}
-
 // An incremental build must say in /api/stats not only that the entity
 // graph fell back to the full build but which gate decided it; the first
 // rebuild of a pipeline has no retained state to patch.

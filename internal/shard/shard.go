@@ -1,6 +1,6 @@
 // Package shard partitions the immutable CSR graph substrate into
-// contiguous row-range shards — the scaling primitive for multi-worker
-// (and, later, multi-host) clustering of larger corpora.
+// contiguous row-range shards — the unit of work of the multi-worker
+// entity-graph construction.
 //
 // A shard.CSR is a zero-copy view over one *wgraph.CSR: each shard owns
 // the rows [lo,hi) of a Plan that balances shards by adjacency entries
@@ -8,14 +8,14 @@
 // yield even per-worker work. Per-shard aggregates (entry, edge and
 // weight totals) are cached at construction. The whole thing satisfies
 // wgraph.View and unwraps to its base CSR through wgraph.CSRBacked, so
-// every existing consumer works unchanged while partition-parallel
-// consumers (phac.Diffuse, phac.Cluster's contracted rebuild,
-// entitygraph.Build) schedule one worker per shard.
+// every consumer of a plain CSR works unchanged; clustering reads the
+// base CSR and never looks at the plan.
 //
 // Determinism contract: sharding never changes any observable result.
-// Every partition-parallel consumer produces output byte-identical to
-// the single-shard run (see the TestShardedObservationallyIdentical
-// family at the wgraph, phac and taxonomy levels).
+// The construction is byte-identical for every shard count, and so is
+// everything computed over the view (see the
+// TestShardedObservationallyIdentical family at the shard, phac and
+// core levels).
 package shard
 
 import (
@@ -149,10 +149,8 @@ type Shard struct {
 }
 
 // CSR is a sharded view of an immutable wgraph.CSR. It satisfies
-// wgraph.View by delegating every observation to the base CSR — sharding
-// is invisible to single-threaded consumers — while partition-parallel
-// consumers iterate Shards() and schedule one worker per shard. The
-// per-shard aggregate caches are computed on first access (they are
+// wgraph.View by delegating every observation to the base CSR, so
+// sharding is invisible to its consumers. The per-shard aggregate caches are computed on first access (they are
 // diagnostics, not hot-path state, so construction never pays for them);
 // the sync.Once guard keeps a shard.CSR safe for concurrent use.
 type CSR struct {
@@ -160,10 +158,6 @@ type CSR struct {
 	plan   Plan
 	once   sync.Once
 	shards []Shard
-	// segOnce/segs lazily cache the serializable per-shard Segments
-	// (see segment.go) — derived immutable views, like shards above.
-	segOnce sync.Once
-	segs    []*Segment
 }
 
 var (
