@@ -117,10 +117,12 @@ func main() {
 				}
 			}
 			fmt.Fprintln(os.Stderr, line)
-			// Sub-stage spans of the post-clustering stages, with the
-			// counts that size their work (describe/score:
+			// Sub-stage spans of the stages around clustering, with the
+			// counts that size their work (entity-graph/candidates: pairs,
+			// rank: pairsAboveMin, nodesRanked; describe/score:
 			// distinctQueries, candidatePairs; search-index/build: tokens).
-			if st.Stage != "describe" && st.Stage != "search-index" {
+			// The clustering's round spans are summed on its line above.
+			if st.Stage == "parallel-hac" {
 				continue
 			}
 			for _, sp := range spans {

@@ -123,10 +123,15 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      h,
-		ReadTimeout:  5 * time.Second,
-		WriteTimeout: 10 * time.Second,
+		Addr:    *addr,
+		Handler: h,
+		// Every route is a GET with a short query string: a client gets 2 s
+		// and 16 KB for its request line and headers, not ReadTimeout's 5 s
+		// and net/http's default 1 MB.
+		ReadHeaderTimeout: 2 * time.Second,
+		MaxHeaderBytes:    16 << 10,
+		ReadTimeout:       5 * time.Second,
+		WriteTimeout:      10 * time.Second,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

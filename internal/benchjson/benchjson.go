@@ -417,18 +417,22 @@ const ObsOverheadCeiling = 1.10
 // (build + cluster): at or above the ceiling the sort-merge CSR patch
 // no longer beats rebuilding the entity graph by a real margin, and
 // the incremental path has lost its reason to exist. At reference the
-// fixture pays ≈4 ms to patch or ≈17 ms to build ahead of ≈12 ms of
-// clustering, a paired ratio of 0.56-0.57 (BENCH_20.json; 0.66-0.69 in
-// BENCH_18.json, when the clustering cost ≈26 ms), and the line stays
-// at 0.75, which leaves it more headroom for runner noise than the
-// other ceilings have; a faster clustering or a slower full build moves
-// the ratio without the patch changing, which is why it has a ceiling
-// and no relative gate.
+// fixture pays ≈3.5 ms to patch or ≈10 ms to build ahead of ≈12.8 ms
+// of clustering, a paired ratio of 0.70-0.72 over five cuts
+// (BENCH_22.json). The ratio has two ways to rise with the patch no
+// slower — a faster clustering and a faster full build — and PR 22 was
+// the second: 0.56 in BENCH_21.json, when the same patch (≈4.4 ms) ran
+// against an ≈18 ms build, under a line of 0.75. The line is re-based
+// to 0.80, which keeps what it allowed then — a patch costing up to
+// ≈0.55 of the build it replaces (0.35 today) — and leaves the paired
+// ratio 0.08 of headroom for runner noise, more than the other
+// ceilings have. That is why this ratio has a ceiling and no relative
+// gate, and why the ceiling moves when its denominator does.
 // Unlike the >1 ceilings above, this one does NOT widen with the gate's
 // relative threshold: the ratio's whole budget sits below 1.0, so
 // adding the threshold on top would let the win silently evaporate on
 // wide-tolerance runners.
-const IncrementalVsFullCeiling = 0.75
+const IncrementalVsFullCeiling = 0.80
 
 // ratioGates lists the derived ratios and the hard ceiling each is
 // judged by. A ratio answers to its ceiling and nothing else: its

@@ -114,7 +114,7 @@ func TestObsOverheadCeiling(t *testing.T) {
 // line holds even on wide-tolerance runner-side gates.
 func TestIncrementalVsFullCeiling(t *testing.T) {
 	var oldRes []Result // ratio brand new in this trajectory
-	got := Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.64}}, 0.25)
+	got := Regressions(oldRes, []Result{{Name: "incremental-vs-full", NsPerOp: 0.71}}, 0.25)
 	if len(got) != 0 {
 		t.Fatalf("reference-shape margin gated: %v", got)
 	}
@@ -129,24 +129,24 @@ func TestIncrementalVsFullCeiling(t *testing.T) {
 		t.Fatalf("wide-threshold at-ceiling ratio = %v, want one hard-gate entry", got)
 	}
 	// The ceiling is the only verdict. A faster from-scratch build moves
-	// the ratio 0.52 -> 0.65 (+25%) with the delta path no slower: under
-	// the line, so it passes, and the numerator's own relative gate is
-	// what catches a slower incremental-rebuild. 0.52 -> 0.76 fails, on
-	// the ceiling.
-	oldRes = []Result{{Name: "incremental-vs-full", NsPerOp: 0.52}, {Name: "incremental-rebuild", NsPerOp: 31e6}}
+	// the ratio 0.56 -> 0.71 (+27%, BENCH_21 -> BENCH_22) with the delta
+	// path no slower: under the line, so it passes, and the numerator's
+	// own relative gate is what catches a slower incremental-rebuild.
+	// 0.56 -> 0.81 fails, on the ceiling.
+	oldRes = []Result{{Name: "incremental-vs-full", NsPerOp: 0.56}, {Name: "incremental-rebuild", NsPerOp: 17e6}}
 	got = Regressions(oldRes, []Result{
-		{Name: "incremental-vs-full", NsPerOp: 0.65},
-		{Name: "incremental-rebuild", NsPerOp: 31e6},
+		{Name: "incremental-vs-full", NsPerOp: 0.71},
+		{Name: "incremental-rebuild", NsPerOp: 17e6},
 	}, 0.2)
 	if len(got) != 0 {
 		t.Fatalf("relative gate applied to a sub-ceiling ratio: %v", got)
 	}
 	got = Regressions(oldRes, []Result{
-		{Name: "incremental-vs-full", NsPerOp: 0.76},
-		{Name: "incremental-rebuild", NsPerOp: 40e6},
+		{Name: "incremental-vs-full", NsPerOp: 0.81},
+		{Name: "incremental-rebuild", NsPerOp: 22e6},
 	}, 0.25)
 	if len(got) != 2 || !strings.Contains(got[0], "ns/op") || !strings.Contains(got[1], "lost its margin") {
-		t.Fatalf("0.52 -> 0.76 with a slower numerator = %v, want the numerator's trajectory entry and the ceiling entry", got)
+		t.Fatalf("0.56 -> 0.81 with a slower numerator = %v, want the numerator's trajectory entry and the ceiling entry", got)
 	}
 }
 

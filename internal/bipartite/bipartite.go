@@ -11,6 +11,7 @@ package bipartite
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 
 	"shoal/internal/model"
@@ -34,8 +35,9 @@ type Graph struct {
 	// the last TakeChangedItems drain: an (item, query) pair count crossed
 	// zero in either direction, from ingestion or eviction. Count-only
 	// changes (a pair going 3 -> 5 clicks) do not alter QuerySet and are
-	// deliberately not tracked — nothing downstream of the click graph
-	// reads raw counts.
+	// deliberately not tracked: the entity graph, the one consumer of this
+	// set, reads membership only. (describe reads the raw counts, through
+	// ItemClicks, and recomputes from the whole window on every build.)
 	changed map[model.ItemID]struct{}
 
 	// droppedStale counts clicks discarded because they arrived for a day
@@ -175,7 +177,7 @@ func (g *Graph) TakeChangedItems() []model.ItemID {
 	for it := range g.changed {
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	g.changed = make(map[model.ItemID]struct{})
 	return out
 }
@@ -225,13 +227,20 @@ func (g *Graph) Items() int { return len(g.itemQuery) }
 
 // QuerySet returns the ids of queries that clicked into item, sorted.
 func (g *Graph) QuerySet(item model.ItemID) []model.QueryID {
-	m := g.itemQuery[item]
-	out := make([]model.QueryID, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := g.AppendQuerySet(nil, item)
+	slices.Sort(out)
 	return out
+}
+
+// AppendQuerySet appends the ids of queries that clicked into item to dst
+// in unspecified order and returns the extended slice: QuerySet without
+// the sort and the allocation, for callers that union several items' sets
+// into one buffer and order that.
+func (g *Graph) AppendQuerySet(dst []model.QueryID, item model.ItemID) []model.QueryID {
+	for q := range g.itemQuery[item] {
+		dst = append(dst, q)
+	}
+	return dst
 }
 
 // ItemClicks iterates the queries that clicked into item, each with the
@@ -255,7 +264,7 @@ func (g *Graph) ItemSet(query model.QueryID) []model.ItemID {
 	for it := range m {
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package bipartite
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +226,42 @@ func TestCoClickIntersectionMatchesJaccardNumerator(t *testing.T) {
 		if got := g.Jaccard(p.U, p.V); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Jaccard(%d,%d)=%f, want %f from pair counts", p.U, p.V, got, want)
 		}
+	}
+}
+
+// TestAppendQuerySetMatchesQuerySet pins the unordered accessor to the
+// sorted one: the same set for every item, appended after what dst
+// already held, before and after a day falls out of the window.
+func TestAppendQuerySetMatchesQuerySet(t *testing.T) {
+	g := New(2)
+	check := func(tag string) {
+		t.Helper()
+		for it := model.ItemID(0); it < 6; it++ {
+			got := g.AppendQuerySet([]model.QueryID{99}, it)
+			if got[0] != 99 {
+				t.Fatalf("%s: item %d: AppendQuerySet overwrote dst: %v", tag, it, got)
+			}
+			got = got[1:]
+			slices.Sort(got)
+			if want := g.QuerySet(it); !slices.Equal(got, want) {
+				t.Fatalf("%s: item %d: AppendQuerySet %v, QuerySet %v", tag, it, got, want)
+			}
+		}
+	}
+	for _, e := range []model.ClickEvent{ev(0, 1, 0, 1), ev(1, 1, 0, 2), ev(2, 1, 1, 1), ev(2, 2, 1, 1), ev(0, 3, 1, 4)} {
+		if err := g.Add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("full window")
+	if len(g.QuerySet(1)) != 3 {
+		t.Fatalf("QuerySet(1) = %v, want three queries", g.QuerySet(1))
+	}
+	if err := g.Add(ev(3, 2, 2, 1)); err != nil { // day 0 leaves the window
+		t.Fatal(err)
+	}
+	check("after eviction")
+	if got := g.QuerySet(1); !slices.Equal(got, []model.QueryID{2}) {
+		t.Fatalf("QuerySet(1) after eviction = %v, want [2]", got)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"shoal/internal/model"
+	"shoal/internal/synth"
 )
 
 // TestBuildTraceCoverage locks the build-trace contract: every executed
@@ -96,17 +99,50 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 	}
 }
 
-// TestBuildTraceSubStages pins the sub-stage spans of the two stages
-// that close a window slide — where the time is once clustering is done
-// — and the attributes that size their work.
+// TestBuildTraceSubStages pins the sub-stage spans of the stage that
+// opens a window slide — the entity graph, built or patched — and of the
+// two that close it, with the attributes that size their work.
 func TestBuildTraceSubStages(t *testing.T) {
 	b, err := Run(smallCorpus(t), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A slide that patches: most click pairs of the curated corpus recur
+	// on both days, a rotating seventh lives on one (the slide shape of
+	// TestIncrementalRebuildMatchesFromScratch).
+	c := synth.Curated()
+	cfg := testConfig()
+	cfg.TrainEmbeddings = false
+	cfg.Incremental = true
+	cfg.Graph.MinSimilarity = 0.15
+	p, err := NewDailyPipeline(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patched *Build
+	for d := int32(0); d < 2; d++ {
+		var day []model.ClickEvent
+		for i, ev := range c.Clicks {
+			if i%7 != 0 || int32(i/7)%8 == d {
+				ev.Day = d
+				day = append(day, ev)
+			}
+		}
+		if err := p.IngestDay(day); err != nil {
+			t.Fatal(err)
+		}
+		if patched, err = p.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if patched.Delta.DenseFallback {
+		t.Fatalf("the slide fell back (%s): no patch to trace", patched.Delta.DenseFallbackReason)
+	}
+
 	type key struct{ parent, name string }
 	attrs := map[key]map[string]any{}
-	for _, r := range b.Trace.Records() {
+	for _, r := range append(b.Trace.Records(), patched.Trace.Records()...) {
 		m := map[string]any{}
 		for _, a := range r.Attrs {
 			m[a.Key] = a.Value
@@ -117,6 +153,16 @@ func TestBuildTraceSubStages(t *testing.T) {
 		k     key
 		attrs []string
 	}{
+		{key{"entity-graph", "query-sets"}, nil},
+		{key{"entity-graph", "candidates"}, []string{"pairs"}},
+		{key{"entity-graph", "score"}, nil},
+		{key{"entity-graph", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
+		{key{"entity-graph", "emit"}, []string{"kept"}},
+		{key{"entity-graph-delta", "dirty-map"}, []string{"dirtyEntities"}},
+		{key{"entity-graph-delta", "replay"}, []string{"pairDeltas"}},
+		{key{"entity-graph-delta", "merge"}, []string{"rescored"}},
+		{key{"entity-graph-delta", "rank"}, []string{"nodesRanked"}},
+		{key{"entity-graph-delta", "patch"}, []string{"dirtyRows"}},
 		{key{"describe", "docs"}, []string{"tokens"}},
 		{key{"describe", "index"}, nil},
 		{key{"describe", "candidates"}, nil},
@@ -141,5 +187,15 @@ func TestBuildTraceSubStages(t *testing.T) {
 	cp, _ := score["candidatePairs"].(int)
 	if dq > cp {
 		t.Errorf("distinctQueries %d exceeds candidatePairs %d", dq, cp)
+	}
+	pairs, _ := attrs[key{"entity-graph", "candidates"}]["pairs"].(int)
+	above, _ := attrs[key{"entity-graph", "rank"}]["pairsAboveMin"].(int)
+	kept, _ := attrs[key{"entity-graph", "emit"}]["kept"].(int)
+	if kept != b.Graph.NumEdges() || kept > above || above > pairs {
+		t.Errorf("entity-graph: %d pairs, %d above MinSimilarity, %d kept, %d edges in the graph",
+			pairs, above, kept, b.Graph.NumEdges())
+	}
+	if rows, _ := attrs[key{"entity-graph-delta", "patch"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
+		t.Errorf("entity-graph-delta/patch: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
 	}
 }

@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"shoal/internal/model"
+	"shoal/internal/word2vec"
 )
 
 // Entity is one vertex of the item entity graph: a group of items with the
@@ -36,11 +38,39 @@ type Entity struct {
 func (e *Entity) Size() int { return len(e.Items) }
 
 // EntitySet is the result of entity formation: entities plus the
-// item-to-entity mapping.
+// item-to-entity mapping. It is immutable once a graph build has seen it
+// and is handled by pointer: it carries the cache below.
 type EntitySet struct {
 	Entities []Entity
 	// ItemEntity maps every item id to its entity id.
 	ItemEntity []model.EntityID
+
+	// The per-entity mean vectors under the embedding model last built
+	// with (see meanVectors). They depend on the entities' tokens and the
+	// model alone, so they live here rather than in an IncState a dense
+	// fallback drops. Unexported, so a gob-encoded set does not carry them.
+	meansMu  sync.Mutex
+	meansFor *word2vec.Model
+	means    [][]float32
+}
+
+// meanVectors returns every entity's mean normalized word vector under emb
+// (Eq. 2 factored form; nil for an entity with no token in vocabulary, all
+// nil for a nil model), computed on first use per model and shared
+// read-only by every later full build and patch over this set.
+func (es *EntitySet) meanVectors(emb *word2vec.Model) [][]float32 {
+	es.meansMu.Lock()
+	defer es.meansMu.Unlock()
+	if es.means == nil || es.meansFor != emb {
+		means := make([][]float32, len(es.Entities))
+		if emb != nil {
+			for e := range es.Entities {
+				means[e] = meanNormVector(emb, es.Entities[e].Tokens)
+			}
+		}
+		es.means, es.meansFor = means, emb
+	}
+	return es.means
 }
 
 // priceBandWidth controls "near-equivalent price": prices within the same

@@ -1,0 +1,167 @@
+package entitygraph
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"shoal/internal/bipartite"
+	"shoal/internal/synth"
+)
+
+// sortRankNode is the full-sort TopK rankNode replaced: order the whole
+// list (sim desc, other asc), stamp the first k. Kept here as the
+// reference the selection is checked against.
+func sortRankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) {
+	slices.SortFunc(lst, func(a, b scored) int {
+		if a.sim != b.sim {
+			if a.sim > b.sim {
+				return -1
+			}
+			return 1
+		}
+		return int(a.other) - int(b.other)
+	})
+	if k > 0 && k < len(lst) {
+		lst = lst[:k]
+	}
+	for _, c := range lst {
+		if pairs[c.idx][0] == u {
+			topU[c.idx] = true
+		} else {
+			topV[c.idx] = true
+		}
+	}
+}
+
+// TestRankNodeSelectsLikeSort pins the bounded-insertion selection to the
+// full sort it replaced: same side bits on randomized incidence lists
+// with heavily tied similarities, node u on either side of its pairs, at
+// every k around the list length.
+func TestRankNodeSelectsLikeSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const u = int32(1000)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		pairs := make([][2]int32, n)
+		lst := make([]scored, n)
+		for i, o := range rng.Perm(2 * int(u))[:n] { // distinct others, below and above u
+			other := int32(o)
+			if other >= u {
+				other++
+			}
+			pairs[i] = [2]int32{min(u, other), max(u, other)}
+			// Few distinct values: most ranks are decided by the tie-break.
+			lst[i] = scored{other: other, sim: float64(rng.Intn(5)) / 4, idx: i}
+		}
+		for _, k := range []int{0, 1, DefaultConfig().TopK, n - 1, n, n + 1} {
+			wantU, wantV := make([]bool, n), make([]bool, n)
+			sortRankNode(slices.Clone(lst), u, pairs, wantU, wantV, k)
+			gotU, gotV := make([]bool, n), make([]bool, n)
+			rankNode(slices.Clone(lst), u, pairs, gotU, gotV, k)
+			if !slices.Equal(gotU, wantU) || !slices.Equal(gotV, wantV) {
+				t.Fatalf("trial %d, %d candidates, k=%d: side bits differ from the full sort\n got U %v V %v\nwant U %v V %v",
+					trial, n, k, gotU, gotV, wantU, wantV)
+			}
+		}
+	}
+}
+
+// oracleWorld is the corpus of TestBuildStateMatchesReference: entities
+// and an unwindowed click graph.
+func oracleWorld(t testing.TB) (*EntitySet, *bipartite.Graph) {
+	t.Helper()
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 6
+	gen.ItemsPerScenario = 50
+	gen.QueriesPerScenario = 12
+	gen.NoiseItems = 25
+	gen.HeadQueries = 5
+	c, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := BuildEntities(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clicks := bipartite.New(0)
+	if err := clicks.AddAll(c.Clicks); err != nil {
+		t.Fatal(err)
+	}
+	return es, clicks
+}
+
+// TestMeanVectorsComputedOnce pins the mean-vector cache on the entity
+// set: one computation per model, shared by every later caller — the
+// first callers may arrive together — and redone for another model.
+func TestMeanVectorsComputedOnce(t *testing.T) {
+	es, _ := oracleWorld(t)
+	es.Entities[0].Tokens = []string{"beach", "sun"} // in trainTiny's vocabulary
+	emb := trainTiny(t)
+
+	var wg sync.WaitGroup
+	first := make([][][]float32, 4)
+	for i := range first {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first[i] = es.meanVectors(emb)
+		}()
+	}
+	wg.Wait()
+	means := es.meanVectors(emb)
+	for i, m := range first {
+		if &m[0] != &means[0] {
+			t.Fatalf("concurrent caller %d got its own mean vectors", i)
+		}
+	}
+	if len(means) != len(es.Entities) {
+		t.Fatalf("%d mean vectors for %d entities", len(means), len(es.Entities))
+	}
+	if want := meanNormVector(emb, es.Entities[0].Tokens); want == nil || !slices.Equal(means[0], want) {
+		t.Fatalf("entity 0: cached mean %v, computed %v", means[0], want)
+	}
+
+	other := trainTiny(t)
+	if again := es.meanVectors(other); &again[0] == &means[0] {
+		t.Fatal("mean vectors of one model served for another")
+	}
+	none := es.meanVectors(nil)
+	if len(none) != len(es.Entities) {
+		t.Fatalf("nil model: %d mean vectors for %d entities", len(none), len(es.Entities))
+	}
+	for e, m := range none {
+		if m != nil {
+			t.Fatalf("nil model: entity %d has a mean vector", e)
+		}
+	}
+	if again := es.meanVectors(nil); &again[0] != &none[0] {
+		t.Fatal("nil-model mean vectors recomputed")
+	}
+}
+
+// TestFullBuildAllocs keeps the full build's allocation count at one
+// query-set slice per entity plus a fixed number of arrays (222 for 169
+// entities and 325 items here): no per-item query set, no per-node
+// candidate list, no recomputed mean vectors.
+func TestFullBuildAllocs(t *testing.T) {
+	es, clicks := oracleWorld(t)
+	emb := trainTiny(t)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	ctx := context.Background()
+	build := func() {
+		if _, _, err := BuildWithState(ctx, es, clicks, emb, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // the one build that computes the mean vectors
+	ceiling := float64(len(es.Entities) + 100)
+	if allocs := testing.AllocsPerRun(5, build); allocs > ceiling {
+		t.Errorf("full build allocated %.0f objects for %d entities (%d items), want <= %.0f",
+			allocs, len(es.Entities), len(es.ItemEntity), ceiling)
+	}
+}

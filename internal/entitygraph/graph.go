@@ -10,6 +10,7 @@ import (
 
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
+	"shoal/internal/obs"
 	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
@@ -92,8 +93,9 @@ type Result struct {
 //  4. filter by MinSimilarity and keep the TopK strongest edges per node.
 //
 // The embedding model may be nil, in which case Alpha is effectively 1.
-// Cancellation is checked between construction phases and inside the
-// scoring workers.
+// Cancellation is checked between construction phases and inside their
+// loops. Under a traced context each phase is a child span of the
+// caller's (query-sets, candidates, score, rank, emit).
 func Build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, error) {
 	res, _, err := BuildWithState(ctx, es, clicks, emb, cfg)
 	return res, err
@@ -114,25 +116,15 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 		return nil, nil, fmt.Errorf("entitygraph: empty entity set")
 	}
 	n := len(es.Entities)
+	ph := phases{parent: obs.SpanFromContext(ctx)}
+	defer ph.end()
 
-	// Entity query sets (dedup across member items): flat-sort-dedup —
-	// member query lists are concatenated into a reusable buffer, sorted
-	// and compacted, so no per-entity seen map exists.
+	ph.next("query-sets")
 	querySets := make([][]model.QueryID, n)
 	var qbuf []model.QueryID
 	numQ := 0 // one past the largest clicked query id
 	for e := range es.Entities {
-		qbuf = qbuf[:0]
-		for _, it := range es.Entities[e].Items {
-			qbuf = append(qbuf, clicks.QuerySet(it)...)
-		}
-		slices.Sort(qbuf)
-		qs := make([]model.QueryID, 0, len(qbuf))
-		for i, q := range qbuf {
-			if i == 0 || q != qbuf[i-1] {
-				qs = append(qs, q)
-			}
-		}
+		qs := entityQuerySet(&es.Entities[e], clicks, &qbuf)
 		querySets[e] = qs
 		if len(qs) > 0 && int(qs[len(qs)-1]) >= numQ {
 			numQ = int(qs[len(qs)-1]) + 1
@@ -164,6 +156,7 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	sp := ph.next("candidates")
 	// Candidate pairs via shared queries, with fanout cap, generated row
 	// by row and count-then-fill: entity a's candidates are the entities
 	// after it in the runs of its own queries, and a worker-local stamp
@@ -240,15 +233,10 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	sp.SetAttr("pairs", len(pairs))
 
-	// Mean normalized word vectors per entity (Eq. 2 factored form).
-	means := make([][]float32, n)
-	if emb != nil {
-		for e := range es.Entities {
-			means[e] = meanNormVector(emb, es.Entities[e].Tokens)
-		}
-	}
-
+	ph.next("score")
+	means := es.meanVectors(emb)
 	// Score all candidates in parallel; deterministic because each pair
 	// is scored independently and written to its own slot.
 	sims := make([]float64, len(pairs))
@@ -275,6 +263,7 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 		return nil, nil, err
 	}
 
+	sp = ph.next("rank")
 	// Filter + TopK sparsification. An edge survives TopK if it ranks in
 	// the top K of *either* endpoint (keeping it in only-one direction
 	// would break symmetry). The per-side survival bits are kept (not just
@@ -306,8 +295,15 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	}
 	topU := make([]bool, len(pairs))
 	topV := make([]bool, len(pairs))
+	sp.SetAttr("pairsAboveMin", len(rev))
 	var lst []scored
+	nodesRanked := 0
 	for u := 0; u < n; u++ {
+		if u%256 == 255 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
 		lst = lst[:0]
 		for _, i := range rev[revOff[u]:revOff[u+1]] {
 			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
@@ -318,8 +314,14 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 			}
 			lst = append(lst, scored{other: pairs[i][1], sim: sims[i], idx: i})
 		}
-		rankNode(lst, int32(u), pairs, topU, topV, cfg.TopK)
+		if len(lst) > 0 {
+			nodesRanked++
+			rankNode(lst, int32(u), pairs, topU, topV, cfg.TopK)
+		}
 	}
+	sp.SetAttr("nodesRanked", nodesRanked)
+
+	sp = ph.next("emit")
 	// Emit sharded CSR directly: pairs are already canonical and sorted,
 	// so the kept subset is a valid FromEdges input, and the row-range
 	// shards are counted and filled concurrently.
@@ -339,11 +341,12 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	if err != nil {
 		return nil, nil, err
 	}
+	sp.SetAttr("kept", len(kept))
 
 	st := &IncState{
 		cfg:       cfg,
 		n:         n,
-		hasEmb:    emb != nil,
+		emb:       emb,
 		querySets: querySets,
 		assoc:     assoc,
 		pairs:     pairs,
@@ -351,10 +354,43 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 		sims:      sims,
 		topU:      topU,
 		topV:      topV,
-		means:     means,
 		graph:     g,
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, st, nil
+}
+
+// phases opens a build's sub-stage spans one after another under the
+// caller's span; every call no-ops when the context carries none.
+type phases struct{ parent, cur *obs.Span }
+
+// next ends the open phase and opens its successor.
+func (p *phases) next(name string) *obs.Span {
+	p.cur.End()
+	p.cur = p.parent.Child(name)
+	return p.cur
+}
+
+func (p *phases) end() { p.cur.End() }
+
+// entityQuerySet returns entity e's query set — the Qu of Eq. 1: the
+// member items' query ids concatenated into the caller's reusable scratch
+// buffer, sorted, and compacted into a fresh slice, so neither a
+// per-entity seen map nor a per-item sorted slice exists. The full build
+// and the patch both come through here.
+func entityQuerySet(e *Entity, clicks *bipartite.Graph, scratch *[]model.QueryID) []model.QueryID {
+	qbuf := (*scratch)[:0]
+	for _, it := range e.Items {
+		qbuf = clicks.AppendQuerySet(qbuf, it)
+	}
+	*scratch = qbuf
+	slices.Sort(qbuf)
+	qs := make([]model.QueryID, 0, len(qbuf))
+	for i, q := range qbuf {
+		if i == 0 || q != qbuf[i-1] {
+			qs = append(qs, q)
+		}
+	}
+	return qs
 }
 
 // scored is one incident candidate edge in a node's TopK ranking.
@@ -364,31 +400,43 @@ type scored struct {
 	idx   int
 }
 
-// rankNode sorts node u's incident candidates (sim desc, then other asc —
-// a total order, so the outcome is unique) and stamps the side bit of the
-// pairs ranking in the top K. The list must already be filtered by
-// MinSimilarity. Both the full build and the incremental re-rank go
-// through here, so their verdicts cannot drift.
+// before reports whether a ranks ahead of b in a node's TopK order: sim
+// descending, then other ascending — a total order, since a node's
+// candidates have distinct other endpoints.
+func (a scored) before(b scored) bool {
+	return a.sim > b.sim || (a.sim == b.sim && a.other < b.other)
+}
+
+// rankNode stamps the side bit of the pairs ranking in the top K of node
+// u's incident candidates (k = 0: all of them). The order is total, so the
+// top-K set is unique and selecting it replaces sorting the list: lst[:k]
+// holds the best k seen so far, in order, by bounded insertion, and one
+// comparison against its last slot rejects most later candidates. lst is
+// reordered; it must already be filtered by MinSimilarity. Both the full
+// build and the incremental re-rank go through here, so their verdicts
+// cannot drift.
 func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) {
-	slices.SortFunc(lst, func(a, b scored) int {
-		if a.sim != b.sim {
-			if a.sim > b.sim {
-				return -1
+	if k > 0 && k < len(lst) {
+		for i := 1; i < len(lst); i++ {
+			c, j := lst[i], min(i, k)
+			if j == k {
+				if !c.before(lst[k-1]) {
+					continue
+				}
+				j--
 			}
-			return 1
+			for ; j > 0 && c.before(lst[j-1]); j-- {
+				lst[j] = lst[j-1]
+			}
+			lst[j] = c
 		}
-		return int(a.other) - int(b.other)
-	})
-	limit := len(lst)
-	if k > 0 && k < limit {
-		limit = k
+		lst = lst[:k]
 	}
-	for i := 0; i < limit; i++ {
-		idx := lst[i].idx
-		if pairs[idx][0] == u {
-			topU[idx] = true
+	for _, c := range lst {
+		if pairs[c.idx][0] == u {
+			topU[c.idx] = true
 		} else {
-			topV[idx] = true
+			topV[c.idx] = true
 		}
 	}
 }

@@ -45,6 +45,7 @@ import (
 
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
+	"shoal/internal/obs"
 	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
@@ -63,9 +64,11 @@ const PatchDensityGate = 0.5
 // returned: an incremental build emits a fresh IncState, sharing whatever
 // it did not touch.
 type IncState struct {
-	cfg    Config
-	n      int
-	hasEmb bool
+	cfg Config
+	n   int
+	// emb is the embedding model the scores were computed under (nil:
+	// none); the mean vectors themselves live on the EntitySet.
+	emb *word2vec.Model
 	// querySets[e] is entity e's sorted query set.
 	querySets [][]model.QueryID
 	// assoc is the sorted packed (query<<32 | entity) association list —
@@ -79,10 +82,7 @@ type IncState struct {
 	// topU/topV mark pairs ranking in the TopK of their U (resp. V)
 	// endpoint; a pair is kept iff either bit is set.
 	topU, topV []bool
-	// means are the per-entity mean normalized word vectors (static:
-	// they depend only on the corpus and the embedding model).
-	means [][]float32
-	graph *shard.CSR
+	graph      *shard.CSR
 }
 
 // Dense-fallback reasons, in the order BuildIncremental checks them.
@@ -136,15 +136,21 @@ type pairDelta struct {
 // to a from-scratch Build over the same click graph. st may come from
 // BuildWithState or a previous BuildIncremental. If st is unusable
 // (nil, sized for a different entity set, built under different graph
-// semantics or embedding presence) or the delta is too dense, the full
+// semantics or another embedding model) or the delta is too dense, the full
 // build runs instead and Delta.DenseFallback / FallbackReason report it.
 // st itself is only read, never written: the returned state is a new one.
+// Under a traced context the patch's phases are child spans of the
+// caller's (dirty-map, replay, merge, rank, patch), followed by the full
+// build's when a gate fires.
 func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
 	}
 	d := &Delta{DirtyItems: len(dirtyItems)}
+	ph := phases{parent: obs.SpanFromContext(ctx)}
+	defer ph.end()
 	full := func(reason string) (*Result, *IncState, *Delta, error) {
+		ph.end()
 		// The full build reads nothing of the previous state: let go of
 		// it first, so a caller that handed its only reference over does
 		// not hold two builds' arrays through the replacement's peak.
@@ -154,12 +160,13 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		d.DirtyRows = nil
 		return res, nst, d, err
 	}
-	if es == nil || st == nil || st.n != len(es.Entities) || st.hasEmb != (emb != nil) ||
+	if es == nil || st == nil || st.n != len(es.Entities) || st.emb != emb ||
 		!sameGraphSemantics(st.cfg, cfg) {
 		return full(FallbackNoState)
 	}
 	n := st.n
 
+	sp := ph.next("dirty-map")
 	// Dirty items → dirty entities.
 	entDirty := make([]bool, n)
 	var dirtyEnts []int32
@@ -178,24 +185,14 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		return full(FallbackDirtyEntities)
 	}
 
-	// Recompute dirty entities' query sets (the exact flat-sort-dedup of
-	// the full build) and drop false positives: an item-level membership
+	// Recompute dirty entities' query sets (through the full build's
+	// routine) and drop false positives: an item-level membership
 	// change that another member item masks leaves the entity set equal.
 	newQS := make(map[int32][]model.QueryID, len(dirtyEnts))
 	realDirty := make([]int32, 0, len(dirtyEnts))
 	var qbuf []model.QueryID
 	for _, e := range dirtyEnts {
-		qbuf = qbuf[:0]
-		for _, it := range es.Entities[e].Items {
-			qbuf = append(qbuf, clicks.QuerySet(it)...)
-		}
-		slices.Sort(qbuf)
-		qs := make([]model.QueryID, 0, len(qbuf))
-		for i, q := range qbuf {
-			if i == 0 || q != qbuf[i-1] {
-				qs = append(qs, q)
-			}
-		}
+		qs := entityQuerySet(&es.Entities[e], clicks, &qbuf)
 		if slices.Equal(qs, st.querySets[e]) {
 			entDirty[e] = false
 			continue
@@ -204,6 +201,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		realDirty = append(realDirty, e)
 	}
 	d.DirtyEntities = len(realDirty)
+	sp.SetAttr("dirtyEntities", len(realDirty))
 	if len(realDirty) == 0 {
 		// Nothing really moved: the previous build is the current build.
 		return &Result{Set: es, Graph: st.graph, QuerySets: st.querySets}, st, d, nil
@@ -246,6 +244,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		}
 	}
 
+	sp = ph.next("replay")
 	// Signed candidate-pair deltas: each changed query retracts its old
 	// C(k,2) contribution and contributes its new one, each side subject
 	// to the same fanout cap as the full build. Queries not in qd have
@@ -290,10 +289,12 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		}
 	}
 	pd = pd[:w]
+	sp.SetAttr("pairDeltas", len(pd))
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
 
+	sp = ph.next("merge")
 	// Updated query sets (copy-on-write: the previous build's Result still
 	// aliases the old slice).
 	qsNew := make([][]model.QueryID, n)
@@ -409,63 +410,83 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	// Rescore the touched pairs; a score that actually moved re-ranks
 	// both endpoints (this also catches MinSimilarity boundary crossings:
 	// an unchanged score cannot change filter status).
+	means, rescored := es.meanVectors(emb), 0
 	for i := range newPairs {
 		if !touched[i] {
 			continue
 		}
+		rescored++
 		u, v := newPairs[i][0], newPairs[i][1]
-		s := scorePair(qsNew, st.means, st.hasEmb, cfg.Alpha, u, v, newCounts[i])
+		s := scorePair(qsNew, means, emb != nil, cfg.Alpha, u, v, newCounts[i])
 		newSims[i] = s
 		if oi := oldIdx[i]; oi < 0 || s != st.sims[oi] {
 			markRank(u, v)
 		}
 	}
+	sp.SetAttr("rescored", rescored)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
 
+	sp = ph.next("rank")
 	// Re-rank only the dirty nodes, through the full build's rankNode.
-	// Incidence lists are collected unfiltered so stale side bits of
-	// pairs that dropped below MinSimilarity get cleared too.
-	var rankDirty []int32
+	// Their incidence lists are built by counting, like the full build's
+	// rev: one flat array of pair indices, node u's at
+	// inc[incOff[u]:incOff[u+1]] (empty for a clean node). They are
+	// collected unfiltered so stale side bits of pairs that dropped below
+	// MinSimilarity get cleared too.
+	incOff := make([]int32, n+1)
+	for _, p := range newPairs {
+		if rankDirtyB[p[0]] {
+			incOff[p[0]+1]++
+		}
+		if rankDirtyB[p[1]] {
+			incOff[p[1]+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		incOff[u+1] += incOff[u]
+	}
+	inc := make([]int32, incOff[n])
+	next := slices.Clone(incOff[:n])
+	for i, p := range newPairs {
+		if rankDirtyB[p[0]] {
+			inc[next[p[0]]] = int32(i)
+			next[p[0]]++
+		}
+		if rankDirtyB[p[1]] {
+			inc[next[p[1]]] = int32(i)
+			next[p[1]]++
+		}
+	}
+	var lst []scored
+	nodesRanked := 0
 	for u := int32(0); int(u) < n; u++ {
-		if rankDirtyB[u] {
-			rankDirty = append(rankDirty, u)
+		if !rankDirtyB[u] {
+			continue
 		}
+		nodesRanked++
+		lst = lst[:0]
+		for _, pi := range inc[incOff[u]:incOff[u+1]] {
+			if newPairs[pi][0] == u {
+				nTopU[pi] = false
+			} else {
+				nTopV[pi] = false
+			}
+			if newSims[pi] < cfg.MinSimilarity {
+				continue
+			}
+			other := newPairs[pi][0]
+			if other == u {
+				other = newPairs[pi][1]
+			}
+			lst = append(lst, scored{other: other, sim: newSims[pi], idx: int(pi)})
+		}
+		rankNode(lst, u, newPairs, nTopU, nTopV, cfg.TopK)
 	}
-	if len(rankDirty) > 0 {
-		incAll := make([][]int32, n)
-		for i := range newPairs {
-			u, v := newPairs[i][0], newPairs[i][1]
-			if rankDirtyB[u] {
-				incAll[u] = append(incAll[u], int32(i))
-			}
-			if rankDirtyB[v] {
-				incAll[v] = append(incAll[v], int32(i))
-			}
-		}
-		var lst []scored
-		for _, u := range rankDirty {
-			lst = lst[:0]
-			for _, pi := range incAll[u] {
-				if newPairs[pi][0] == u {
-					nTopU[pi] = false
-				} else {
-					nTopV[pi] = false
-				}
-				if newSims[pi] < cfg.MinSimilarity {
-					continue
-				}
-				other := newPairs[pi][0]
-				if other == u {
-					other = newPairs[pi][1]
-				}
-				lst = append(lst, scored{other: other, sim: newSims[pi], idx: int(pi)})
-			}
-			rankNode(lst, u, newPairs, nTopU, nTopV, cfg.TopK)
-		}
-	}
+	sp.SetAttr("nodesRanked", nodesRanked)
 
+	sp = ph.next("patch")
 	// Kept-edge changes → dirty CSR rows; the same pass counts the next
 	// CSR's row degrees so patchCSR never re-derives keep status.
 	deg := make([]int32, n)
@@ -490,6 +511,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		}
 	}
 	d.DirtyRows = dirtyRows
+	sp.SetAttr("dirtyRows", len(dirtyRows))
 	if float64(len(dirtyRows)) > PatchDensityGate*float64(n) {
 		return full(FallbackDirtyRows)
 	}
@@ -512,7 +534,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	nst := &IncState{
 		cfg:       st.cfg,
 		n:         n,
-		hasEmb:    st.hasEmb,
+		emb:       emb,
 		querySets: qsNew,
 		assoc:     newAssoc,
 		pairs:     newPairs,
@@ -520,7 +542,6 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 		sims:      newSims,
 		topU:      nTopU,
 		topV:      nTopV,
-		means:     st.means,
 		graph:     g,
 	}
 	return &Result{Set: es, Graph: g, QuerySets: qsNew}, nst, d, nil

@@ -215,6 +215,21 @@ func TestIncrementalUnusableStateFallsBack(t *testing.T) {
 		t.Fatalf("semantic config change must force the dense fallback with reason %q, got %v %q",
 			FallbackNoState, delta2.DenseFallback, delta2.FallbackReason)
 	}
+
+	// So does another embedding model: retained scores and the set's mean
+	// vectors would come from two models.
+	_, stEmb, err := BuildWithState(ctx, es, clicks, trainTiny(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, delta3, err := BuildIncremental(ctx, es, clicks, trainTiny(t), cfg, stEmb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !delta3.DenseFallback || delta3.FallbackReason != FallbackNoState {
+		t.Fatalf("a changed embedding model must force the dense fallback with reason %q, got %v %q",
+			FallbackNoState, delta3.DenseFallback, delta3.FallbackReason)
+	}
 }
 
 // TestIncrementalFallsBackBeforeThePairReplay drives the early gates. A
