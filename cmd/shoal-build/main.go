@@ -118,9 +118,12 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 			// Sub-stage spans of the stages around clustering, with the
-			// counts that size their work (entity-graph/candidates: pairs,
-			// rank: pairsAboveMin, nodesRanked; describe/score:
-			// distinctQueries, candidatePairs; search-index/build: tokens).
+			// counts that size their work (entity-graph and
+			// entity-graph-delta alike: query-sets dirtyEntities,
+			// candidates pairs regenerated, score rescored, rank
+			// pairsAboveMin nodesRanked, emit dirtyRows kept;
+			// describe/score: distinctQueries, candidatePairs;
+			// search-index/build: tokens).
 			// The clustering's round spans are summed on its line above.
 			if st.Stage == "parallel-hac" {
 				continue

@@ -23,8 +23,7 @@ type DeltaStats struct {
 	// ChangedEdges is the number of kept entity-graph edges that
 	// appeared, disappeared or changed weight; DirtyRows the graph rows
 	// those changes touch — the rows the CSR patch rewrote. Both are zero
-	// on a dense fallback decided before the delta was computed (see
-	// DenseFallbackReason).
+	// on a dense fallback, which has nothing to compare against.
 	ChangedEdges int
 	DirtyRows    int
 	// SeededRows, ReplayedRounds, ReplayedMerges and ClusterCold are
@@ -37,9 +36,9 @@ type DeltaStats struct {
 	ClusterCold    string
 	// DenseFallback is true when the entity-graph delta was judged too
 	// dense to patch (or no previous state existed) and the graph was
-	// rebuilt from scratch; DenseFallbackReason names the gate that
-	// decided it — "no-state", "dirty-entities", "pair-delta-volume" or
-	// "dirty-rows" (entitygraph.Fallback*), empty when the patch ran.
+	// built with every entity dirty; DenseFallbackReason says which —
+	// "no-state" or "dirty-pairs" (entitygraph.Fallback*), empty when
+	// the patch ran.
 	DenseFallback       bool
 	DenseFallbackReason string
 }

@@ -153,16 +153,16 @@ func TestBuildTraceSubStages(t *testing.T) {
 		k     key
 		attrs []string
 	}{
-		{key{"entity-graph", "query-sets"}, nil},
-		{key{"entity-graph", "candidates"}, []string{"pairs"}},
-		{key{"entity-graph", "score"}, nil},
+		{key{"entity-graph", "query-sets"}, []string{"dirtyEntities"}},
+		{key{"entity-graph", "candidates"}, []string{"pairs", "regenerated"}},
+		{key{"entity-graph", "score"}, []string{"rescored"}},
 		{key{"entity-graph", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
-		{key{"entity-graph", "emit"}, []string{"kept"}},
-		{key{"entity-graph-delta", "dirty-map"}, []string{"dirtyEntities"}},
-		{key{"entity-graph-delta", "replay"}, []string{"pairDeltas"}},
-		{key{"entity-graph-delta", "merge"}, []string{"rescored"}},
-		{key{"entity-graph-delta", "rank"}, []string{"nodesRanked"}},
-		{key{"entity-graph-delta", "patch"}, []string{"dirtyRows"}},
+		{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
+		{key{"entity-graph-delta", "query-sets"}, []string{"dirtyEntities"}},
+		{key{"entity-graph-delta", "candidates"}, []string{"pairs", "regenerated"}},
+		{key{"entity-graph-delta", "score"}, []string{"rescored"}},
+		{key{"entity-graph-delta", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
+		{key{"entity-graph-delta", "emit"}, []string{"dirtyRows", "kept"}},
 		{key{"describe", "docs"}, []string{"tokens"}},
 		{key{"describe", "index"}, nil},
 		{key{"describe", "candidates"}, nil},
@@ -195,7 +195,7 @@ func TestBuildTraceSubStages(t *testing.T) {
 		t.Errorf("entity-graph: %d pairs, %d above MinSimilarity, %d kept, %d edges in the graph",
 			pairs, above, kept, b.Graph.NumEdges())
 	}
-	if rows, _ := attrs[key{"entity-graph-delta", "patch"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
-		t.Errorf("entity-graph-delta/patch: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
+	if rows, _ := attrs[key{"entity-graph-delta", "emit"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
+		t.Errorf("entity-graph-delta/emit: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shoal/internal/bipartite"
+	"shoal/internal/model"
 	"shoal/internal/synth"
 )
 
@@ -163,5 +164,58 @@ func TestFullBuildAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, build); allocs > ceiling {
 		t.Errorf("full build allocated %.0f objects for %d entities (%d items), want <= %.0f",
 			allocs, len(es.Entities), len(es.ItemEntity), ceiling)
+	}
+}
+
+// TestPatchAllocs holds a BuildIncremental to the same shape: a fixed
+// number of arrays plus one query-set slice per dirty entity — nothing
+// per changed query, per pair or per node — whether three queries moved
+// or a quarter of them, so a slide allocates like a build that skipped
+// the clean entities.
+func TestPatchAllocs(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	for _, every := range []int{24, 4} {
+		es, clicks := oracleWorld(t)
+		clicks.TakeChangedItems()
+		res, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every every-th query clicks an item of an entity it had not reached.
+		var slide []model.ClickEvent
+		numQ := 0
+		for _, qs := range res.QuerySets {
+			for _, q := range qs {
+				numQ = max(numQ, int(q)+1)
+			}
+		}
+		for q := 0; q < numQ; q += every {
+			it := q * 5 % len(es.ItemEntity)
+			for slices.Contains(res.QuerySets[es.ItemEntity[it]], model.QueryID(q)) {
+				it = (it + 1) % len(es.ItemEntity)
+			}
+			slide = append(slide, model.ClickEvent{Query: model.QueryID(q), Item: model.ItemID(it), Count: 1})
+		}
+		if err := clicks.AddAll(slide); err != nil {
+			t.Fatal(err)
+		}
+		dirty := clicks.TakeChangedItems()
+		var delta *Delta
+		patch := func() {
+			if _, _, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, st, dirty); err != nil {
+				t.Fatal(err)
+			}
+		}
+		patch()
+		if delta.DenseFallback || delta.DirtyEntities < len(slide)/2 || len(delta.DirtyRows) == 0 {
+			t.Fatalf("%d clicks: delta %+v, want a patch", len(slide), delta)
+		}
+		ceiling := float64(delta.DirtyEntities + 100)
+		if allocs := testing.AllocsPerRun(5, patch); allocs > ceiling {
+			t.Errorf("a patch of %d entities (%d changed queries) allocated %.0f objects, want <= %.0f",
+				delta.DirtyEntities, len(slide), allocs, ceiling)
+		}
 	}
 }

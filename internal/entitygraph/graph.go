@@ -6,13 +6,13 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/shard"
-	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
 
@@ -32,9 +32,9 @@ type Config struct {
 	MaxQueryFanout int
 	// Workers parallelizes similarity computation; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the row-range shard count of the emitted CSR (the
-	// partition-parallel unit downstream clustering schedules on); 0
-	// means Workers.
+	// Shards is the row-range shard count of the emitted CSR's plan; 0
+	// means Workers. Clustering runs inline and ignores the plan: it is
+	// recorded in /api/stats and places experiment E9's vertex program.
 	Shards int
 }
 
@@ -70,10 +70,8 @@ func (c *Config) validate() error {
 
 // Result bundles the entity graph with the entity metadata it was built
 // over. The wgraph node ids equal entity ids. The graph is emitted
-// directly in sharded frozen CSR form — the build path's sorted pair
-// arrays are its natural input and the row-range shards are filled
-// concurrently — so downstream clustering never touches a map and
-// partition-parallel consumers get their shard plan for free.
+// directly in sharded frozen CSR form — the build's sorted pair arrays
+// are its natural input — so downstream clustering never touches a map.
 type Result struct {
 	Set   *EntitySet
 	Graph *shard.CSR
@@ -97,35 +95,95 @@ type Result struct {
 // loops. Under a traced context each phase is a child span of the
 // caller's (query-sets, candidates, score, rank, emit).
 func Build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, error) {
-	res, _, err := BuildWithState(ctx, es, clicks, emb, cfg)
+	res, _, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
 	return res, err
 }
 
 // BuildWithState is Build, additionally returning the retained
-// intermediate state (candidate pairs, scores, TopK side bits, query→
-// entity index) that BuildIncremental patches on the next window slide.
+// intermediate state (query sets, candidate pairs, scores, TopK side
+// bits) that BuildIncremental patches on the next window slide.
 // The state aliases the build's own arrays, so capturing it is free.
 func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, *IncState, error) {
+	res, st, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
+	return res, st, err
+}
+
+// build is the one entity-graph routine: the four steps of Build,
+// restricted to what a set of dirty entities can reach. st is the
+// previous build's retained state and dirtyItems the items whose query-set
+// membership changed since; with no usable st every entity is dirty, and
+// that is the full build. What no dirty entity reaches is carried over: a
+// clean entity's query set; the count, score and TopK verdicts of a pair of
+// two clean entities none of whose queries crossed the fan-out cap (same
+// integer inputs through the same expression ⇒ same bits, so copying is
+// exact); the ranking of a node none of whose
+// pairs appeared, vanished or changed score; the CSR span of a row none of
+// whose kept edges changed. Whatever is recomputed comes out of the same
+// loops whichever entities are dirty, so a patch cannot drift from a full
+// build. st is only read: the returned state is a new one, sharing what it
+// did not touch.
+func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if es == nil || len(es.Entities) == 0 {
-		return nil, nil, fmt.Errorf("entitygraph: empty entity set")
+		return nil, nil, nil, fmt.Errorf("entitygraph: empty entity set")
 	}
 	n := len(es.Entities)
+	d := &Delta{DirtyItems: len(dirtyItems)}
 	ph := phases{parent: obs.SpanFromContext(ctx)}
 	defer ph.end()
 
-	ph.next("query-sets")
+	sp := ph.next("query-sets")
+	if st != nil && (st.n != n || st.emb != emb || !sameGraphSemantics(st.cfg, cfg)) {
+		st = nil
+	}
+	// dirty[e]: entity e regenerates its pairs — its query set changed or,
+	// once the index below is built, a query of its crossed the fan-out cap.
+	dirty := make([]bool, n)
 	querySets := make([][]model.QueryID, n)
+	if st == nil {
+		d.DenseFallback, d.FallbackReason = true, FallbackNoState
+		setAll(dirty)
+	} else {
+		// Copy-on-write: the previous build's Result aliases the old slice.
+		copy(querySets, st.querySets)
+		for _, it := range dirtyItems {
+			if it < 0 || int(it) >= len(es.ItemEntity) {
+				continue // item outside the entity set (e.g. unknown id)
+			}
+			dirty[es.ItemEntity[it]] = true
+		}
+	}
+	numDirty := 0
 	var qbuf []model.QueryID
-	numQ := 0 // one past the largest clicked query id
 	for e := range es.Entities {
+		if !dirty[e] {
+			continue
+		}
 		qs := entityQuerySet(&es.Entities[e], clicks, &qbuf)
+		if st != nil && slices.Equal(qs, st.querySets[e]) {
+			// False positive: an item-level membership change that another
+			// member item masks leaves the entity's set equal.
+			dirty[e] = false
+			continue
+		}
 		querySets[e] = qs
+		numDirty++
+	}
+	sp.SetAttr("dirtyEntities", numDirty)
+	if st != nil {
+		d.DirtyEntities = numDirty
+		if numDirty == 0 {
+			// Nothing really moved: the previous build is the current build.
+			return &Result{Set: es, Graph: st.graph, QuerySets: st.querySets}, st, d, nil
+		}
+	}
+	numQ := 0 // one past the largest clicked query id
+	for _, qs := range querySets {
 		if len(qs) > 0 && int(qs[len(qs)-1]) >= numQ {
 			numQ = int(qs[len(qs)-1]) + 1
 		}
@@ -144,40 +202,92 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	for q := 0; q < numQ; q++ {
 		qOff[q+1] += qOff[q]
 	}
-	assoc := make([]uint64, qOff[numQ]) // query<<32 | entity, one per (entity, query)
+	assoc := make([]uint64, qOff[numQ]) // one per (entity, query)
 	next := slices.Clone(qOff[:numQ])
 	for e, qs := range querySets {
 		for _, q := range qs {
-			assoc[next[q]] = uint64(uint32(q))<<32 | uint64(uint32(e))
+			assoc[next[q]] = packAssoc(q, int32(e))
 			next[q]++
 		}
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp := ph.next("candidates")
-	// Candidate pairs via shared queries, with fanout cap, generated row
-	// by row and count-then-fill: entity a's candidates are the entities
-	// after it in the runs of its own queries, and a worker-local stamp
-	// array collapses the duplicates (one per shared query) as they
-	// appear, so the raw per-query pair lists — twice the distinct pairs
-	// at catalog scale — are never materialized or sorted. The first pass
-	// sizes each row, the second fills the exactly sized arrays at the row
-	// offsets; rows are disjoint output spans, so the result is the
-	// ascending canonical pair list whichever worker handled which row.
-	partners := func(a int32, q model.QueryID) []uint64 {
-		run := assoc[qOff[q]:qOff[q+1]]
-		if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
-			return nil
+	stale := 0 // retained pairs with a dirty endpoint: the ones regenerated
+	if st != nil {
+		if cfg.MaxQueryFanout > 0 {
+			// A dirty entity joining or leaving a query can move its run
+			// across the fan-out cap, and then every pair inside the run
+			// gains or loses a shared query, the pairs of two clean entities
+			// included. The entities of such a run regenerate their pairs
+			// like the dirty ones (its clean entities are the same before
+			// and after); their query sets stand, so a pair the flip did not
+			// reach rescores to the bits it had. The fill left next[q] at the
+			// end of q's run: moved back by the dirty entities' joins and
+			// forward by their leaves, it ends a run of the previous length.
+			for e := range dirty {
+				if !dirty[e] {
+					continue
+				}
+				for _, q := range querySets[e] {
+					next[q]--
+				}
+				for _, q := range st.querySets[e] {
+					if int(q) < numQ {
+						next[q]++
+					}
+				}
+			}
+			for q := 0; q < numQ; q++ {
+				was, run := int(next[q]-qOff[q]), assoc[qOff[q]:qOff[q+1]]
+				if (was > cfg.MaxQueryFanout) != (len(run) > cfg.MaxQueryFanout) {
+					for _, x := range run {
+						dirty[int32(uint32(x))] = true
+					}
+				}
+			}
 		}
-		i, _ := slices.BinarySearch(run, uint64(uint32(q))<<32|uint64(uint32(a)))
-		return run[i+1:]
+		for _, p := range st.pairs {
+			if dirty[p[0]] || dirty[p[1]] {
+				stale++
+			}
+		}
+		if float64(stale) > PatchDensityGate*float64(len(st.pairs)) {
+			// The one density gate. Past it, filtering and merging is pure
+			// overhead over emitting every row in order. The query sets and
+			// their index stand — the dirty-item set is exact on membership —
+			// but the previous state is let go of before its replacement's
+			// pair arrays are allocated, so a caller that handed its only
+			// reference over does not hold two builds' through the peak.
+			d.DenseFallback, d.FallbackReason = true, FallbackDirtyPairs
+			st = nil
+			setAll(dirty)
+		}
 	}
-	// eachRow hands fn every entity a with its distinct partners b > a (in
-	// first-seen order) and count[b], the queries a and b share; rows are
-	// interleaved across workers (low rows have the most partners).
-	eachRow := func(fn func(a int32, bs, count []int32)) {
+
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	sp = ph.next("candidates")
+	// Candidate pairs via shared queries, with fanout cap, regenerated for
+	// the dirty entities row by row and count-then-fill: dirty entity a's
+	// candidates are the other entities in the runs of its own queries,
+	// and a worker-local stamp array collapses the duplicates (one per
+	// shared query) as they appear, so the raw per-query pair lists — twice
+	// the distinct pairs at catalog scale — are never materialized. The
+	// first pass sizes each row, the second fills the exactly sized arrays
+	// at the row offsets; rows are disjoint output spans, so the result
+	// does not depend on which worker handled which row.
+	rows := make([]int32, 0, n)
+	for e := range dirty {
+		if dirty[e] {
+			rows = append(rows, int32(e))
+		}
+	}
+	// eachRow hands fn the r-th dirty entity a with its distinct partners
+	// (in first-seen order) and count[b], the uncapped queries a and b
+	// share. A pair of two dirty entities belongs to the lower one's row, a
+	// pair with a clean entity to the dirty one's; rows are interleaved
+	// across workers (low rows have the most partners).
+	eachRow := func(fn func(r int, a int32, bs, count []int32)) {
 		var wg sync.WaitGroup
 		for w := 0; w < cfg.Workers; w++ {
 			wg.Add(1)
@@ -187,17 +297,26 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 				count := make([]int32, n) // valid where stamped
 				var bs []int32
 				var sinceCheck int
-				for r := w; r < n; r += cfg.Workers {
+				for r := w; r < len(rows); r += cfg.Workers {
 					if sinceCheck++; sinceCheck >= 256 {
 						sinceCheck = 0
 						if ctx.Err() != nil {
 							return
 						}
 					}
-					a := int32(r)
+					a := rows[r]
 					bs = bs[:0]
 					for _, q := range querySets[a] {
-						for _, x := range partners(a, q) {
+						run := assoc[qOff[q]:qOff[q+1]]
+						if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
+							continue
+						}
+						if st == nil {
+							// Every lower partner is dirty as well.
+							at, _ := slices.BinarySearch(run, packAssoc(q, a))
+							run = run[at+1:]
+						}
+						for _, x := range run {
 							b := int32(uint32(x))
 							if stamp[b] != a+1 {
 								stamp[b] = a + 1
@@ -207,39 +326,128 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 							count[b]++
 						}
 					}
-					fn(a, bs, count)
+					if st != nil {
+						// The whole runs were walked: drop a itself and the
+						// dirty lower partners.
+						k := 0
+						for _, b := range bs {
+							if b > a || (b < a && !dirty[b]) {
+								bs[k] = b
+								k++
+							}
+						}
+						bs = bs[:k]
+					}
+					fn(r, a, bs, count)
 				}
 			}(w)
 		}
 		wg.Wait()
 	}
-	rowOff := make([]int, n+1) // pairs[rowOff[a]:rowOff[a+1]] are the (a, b>a)
-	eachRow(func(a int32, bs, _ []int32) { rowOff[a+1] = len(bs) })
+	genOff := make([]int, len(rows)+1) // row r regenerates pairs[genOff[r]:genOff[r+1]]
+	eachRow(func(r int, _ int32, bs, _ []int32) { genOff[r+1] = len(bs) })
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	for a := 0; a < n; a++ {
-		rowOff[a+1] += rowOff[a]
+	for r := range rows {
+		genOff[r+1] += genOff[r]
 	}
-	pairs := make([][2]int32, rowOff[n])
-	counts := make([]int32, rowOff[n])
-	eachRow(func(a int32, bs, count []int32) {
+	pairs := make([][2]int32, genOff[len(rows)])
+	counts := make([]int32, len(pairs))
+	eachRow(func(r int, a int32, bs, count []int32) {
 		slices.Sort(bs)
 		for i, b := range bs {
-			pairs[rowOff[a]+i] = [2]int32{a, b}
-			counts[rowOff[a]+i] = count[b]
+			pairs[genOff[r]+i] = [2]int32{min(a, b), max(a, b)}
+			counts[genOff[r]+i] = count[b]
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	regenerated := len(pairs)
+	// rank[u]: node u is incident to an added, removed or rescored pair and
+	// re-ranks its TopK; rowDirty[u]: a kept edge of row u changed.
+	rank, rowDirty := make([]bool, n), make([]bool, n)
+	var sims []float64
+	var topU, topV []bool
+	var oldIdx []int32 // a pair's index in st.pairs, -1 for a new pair
+	if st == nil {
+		// Every entity dirty: ascending rows of ascending (a, b > a) are the
+		// canonical candidate list as generated. Scores and side bits are
+		// allocated below where they are first written: allocated here they
+		// cost the row passes 3 ms of 16 on a 300 k-pair build.
+		setAll(rank)
+		setAll(rowDirty)
+	} else {
+		// A dirty row also emitted the pairs of its clean lower partners,
+		// which sort into those partners' rows.
+		sort.Sort(byPair{pairs, counts})
+		gen, genCounts := pairs, counts
+		total := len(st.pairs) - stale + len(gen)
+		pairs, counts = make([][2]int32, total), make([]int32, total)
+		sims = make([]float64, total)
+		topU, topV = make([]bool, total), make([]bool, total)
+		oldIdx = make([]int32, total)
+		// Merge walk over the retained pairs and the regenerated ones, both
+		// in canonical order: it drops the retained pairs with a dirty
+		// endpoint and sees the old and the new entry of every key side by
+		// side.
+		for i, g, w := 0, 0, 0; i < len(st.pairs) || g < len(gen); {
+			switch {
+			case g < len(gen) && (i == len(st.pairs) || pairKey(gen[g]) < pairKey(st.pairs[i])):
+				// Brand-new candidate pair.
+				pairs[w], counts[w], oldIdx[w] = gen[g], genCounts[g], -1
+				rank[gen[g][0]], rank[gen[g][1]] = true, true
+				w++
+				g++
+			case !dirty[st.pairs[i][0]] && !dirty[st.pairs[i][1]]:
+				// Maximal clean run below the next regenerated key: the
+				// five retained arrays move as block copies.
+				j := i + 1
+				for j < len(st.pairs) && !dirty[st.pairs[j][0]] && !dirty[st.pairs[j][1]] &&
+					(g == len(gen) || pairKey(st.pairs[j]) < pairKey(gen[g])) {
+					j++
+				}
+				copy(pairs[w:], st.pairs[i:j])
+				copy(counts[w:], st.counts[i:j])
+				copy(sims[w:], st.sims[i:j])
+				copy(topU[w:], st.topU[i:j])
+				copy(topV[w:], st.topV[i:j])
+				for ; i < j; i++ {
+					oldIdx[w] = int32(i)
+					w++
+				}
+			case g < len(gen) && gen[g] == st.pairs[i]:
+				// Regenerated in place; its side bits stand unless an
+				// endpoint re-ranks.
+				pairs[w], counts[w], oldIdx[w] = gen[g], genCounts[g], int32(i)
+				topU[w], topV[w] = st.topU[i], st.topV[i]
+				w++
+				g++
+				i++
+			default:
+				// Pair vanished. Its endpoints re-rank; if it was a kept
+				// edge, both CSR rows change too.
+				u, v := st.pairs[i][0], st.pairs[i][1]
+				rank[u], rank[v] = true, true
+				if st.topU[i] || st.topV[i] {
+					d.ChangedEdges++
+					rowDirty[u], rowDirty[v] = true, true
+				}
+				i++
+			}
+		}
 	}
 	sp.SetAttr("pairs", len(pairs))
+	sp.SetAttr("regenerated", regenerated)
 
-	ph.next("score")
+	sp = ph.next("score")
+	if st == nil {
+		sims = make([]float64, len(pairs))
+	}
 	means := es.meanVectors(emb)
-	// Score all candidates in parallel; deterministic because each pair
-	// is scored independently and written to its own slot.
-	sims := make([]float64, len(pairs))
+	// Score the pairs with a dirty endpoint in parallel; deterministic
+	// because each pair is scored independently and written to its own slot.
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -247,39 +455,67 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 			defer wg.Done()
 			var sinceCheck int
 			for i := w; i < len(pairs); i += cfg.Workers {
+				u, v := pairs[i][0], pairs[i][1]
+				if !dirty[u] && !dirty[v] {
+					continue
+				}
 				if sinceCheck++; sinceCheck >= 1024 {
 					sinceCheck = 0
 					if ctx.Err() != nil {
 						return
 					}
 				}
-				sims[i] = scorePair(querySets, means, emb != nil, cfg.Alpha,
-					pairs[i][0], pairs[i][1], counts[i])
+				sims[i] = scorePair(querySets, means, emb != nil, cfg.Alpha, u, v, counts[i])
 			}
 		}(w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	rescored := len(pairs) // pairs whose score is new or moved
+	if st != nil {
+		rescored = 0
+		for i, oi := range oldIdx {
+			if oi < 0 {
+				rescored++
+			} else if sims[i] != st.sims[oi] {
+				// A score that actually moved re-ranks both endpoints, which
+				// restamp the pair if it still passes the filter: an unchanged
+				// score cannot change filter status, so a pair below
+				// MinSimilarity never carries a bit.
+				rescored++
+				topU[i], topV[i] = false, false
+				rank[pairs[i][0]], rank[pairs[i][1]] = true, true
+			}
+		}
+	}
+	sp.SetAttr("rescored", rescored)
 
 	sp = ph.next("rank")
 	// Filter + TopK sparsification. An edge survives TopK if it ranks in
 	// the top K of *either* endpoint (keeping it in only-one direction
 	// would break symmetry). The per-side survival bits are kept (not just
-	// the union) so the incremental path can re-rank one endpoint without
-	// recomputing the other's verdict.
-	//
+	// the union) so one endpoint can re-rank without recomputing the
+	// other's verdict.
 	// A node's incident candidates are its own row of pairs plus the pairs
 	// of lower rows that name it second; only the latter need an index
-	// (rev, a CSR of pair indices by second endpoint), and one reusable
-	// list then ranks node after node.
+	// (rev, a CSR of pair indices by second endpoint, of the re-ranking
+	// nodes only), and one reusable list then ranks node after node. A
+	// re-ranking node's side bits are cleared where its pairs are indexed
+	// or walked.
+	if st == nil {
+		topU, topV = make([]bool, len(pairs)), make([]bool, len(pairs))
+	}
 	revOff := make([]int32, n+1)
+	aboveMin := 0
 	for i, p := range pairs {
-		if sims[i] < cfg.MinSimilarity {
-			continue
+		if sims[i] >= cfg.MinSimilarity {
+			aboveMin++
+			if rank[p[1]] {
+				revOff[p[1]+1]++
+			}
 		}
-		revOff[p[1]+1]++
 	}
 	for u := 0; u < n; u++ {
 		revOff[u+1] += revOff[u]
@@ -287,68 +523,94 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 	rev := make([]int32, revOff[n])
 	next = slices.Clone(revOff[:n])
 	for i, p := range pairs {
-		if sims[i] < cfg.MinSimilarity {
-			continue
+		if sims[i] >= cfg.MinSimilarity && rank[p[1]] {
+			topV[i] = false
+			rev[next[p[1]]] = int32(i)
+			next[p[1]]++
 		}
-		rev[next[p[1]]] = int32(i)
-		next[p[1]]++
 	}
-	topU := make([]bool, len(pairs))
-	topV := make([]bool, len(pairs))
-	sp.SetAttr("pairsAboveMin", len(rev))
+	sp.SetAttr("pairsAboveMin", aboveMin)
 	var lst []scored
 	nodesRanked := 0
-	for u := 0; u < n; u++ {
+	for u, row := int32(0), 0; int(u) < n; u++ {
 		if u%256 == 255 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
+		}
+		own := row // pairs[own:row] are u's own row, the (u, v>u)
+		for row < len(pairs) && pairs[row][0] == u {
+			row++
+		}
+		if !rank[u] {
+			continue
 		}
 		lst = lst[:0]
 		for _, i := range rev[revOff[u]:revOff[u+1]] {
 			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
 		}
-		for i := rowOff[u]; i < rowOff[u+1]; i++ {
-			if sims[i] < cfg.MinSimilarity {
-				continue
+		for i := own; i < row; i++ {
+			topU[i] = false
+			if sims[i] >= cfg.MinSimilarity {
+				lst = append(lst, scored{other: pairs[i][1], sim: sims[i], idx: i})
 			}
-			lst = append(lst, scored{other: pairs[i][1], sim: sims[i], idx: i})
 		}
 		if len(lst) > 0 {
 			nodesRanked++
-			rankNode(lst, int32(u), pairs, topU, topV, cfg.TopK)
+			rankNode(lst, u, pairs, topU, topV, cfg.TopK)
 		}
 	}
 	sp.SetAttr("nodesRanked", nodesRanked)
 
 	sp = ph.next("emit")
-	// Emit sharded CSR directly: pairs are already canonical and sorted,
-	// so the kept subset is a valid FromEdges input, and the row-range
-	// shards are counted and filled concurrently.
-	numKept := 0
-	for i := range pairs {
-		if topU[i] || topV[i] {
-			numKept++
-		}
-	}
-	kept := make([]wgraph.Edge, 0, numKept)
+	// Row degrees of the next CSR and, against the previous build, the
+	// kept edges that appeared, disappeared or changed weight: their rows
+	// are the ones patchCSR rewrites.
+	deg := make([]int32, n)
+	kept := 0
 	for i, p := range pairs {
-		if topU[i] || topV[i] {
-			kept = append(kept, wgraph.Edge{U: p[0], V: p[1], W: sims[i]})
+		keep := topU[i] || topV[i]
+		if keep {
+			kept++
+			deg[p[0]]++
+			deg[p[1]]++
+		}
+		if st == nil {
+			continue
+		}
+		oi := oldIdx[i]
+		was := oi >= 0 && (st.topU[oi] || st.topV[oi])
+		if keep != was || (keep && sims[i] != st.sims[oi]) {
+			d.ChangedEdges++
+			rowDirty[p[0]], rowDirty[p[1]] = true, true
 		}
 	}
-	g, err := shard.FromEdges(n, kept, cfg.Shards)
-	if err != nil {
-		return nil, nil, err
+	var prev *shard.CSR
+	dirtyRows := n
+	if st != nil {
+		prev = st.graph
+		for u := range rowDirty {
+			if rowDirty[u] {
+				d.DirtyRows = append(d.DirtyRows, int32(u))
+			}
+		}
+		dirtyRows = len(d.DirtyRows)
 	}
-	sp.SetAttr("kept", len(kept))
+	g := prev
+	if dirtyRows > 0 {
+		var err error
+		if g, err = patchCSR(prev, n, pairs, sims, topU, topV, rowDirty, deg, cfg.Shards); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	sp.SetAttr("dirtyRows", dirtyRows)
+	sp.SetAttr("kept", kept)
 
-	st := &IncState{
+	nst := &IncState{
 		cfg:       cfg,
 		n:         n,
 		emb:       emb,
 		querySets: querySets,
-		assoc:     assoc,
 		pairs:     pairs,
 		counts:    counts,
 		sims:      sims,
@@ -356,7 +618,33 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 		topV:      topV,
 		graph:     g,
 	}
-	return &Result{Set: es, Graph: g, QuerySets: querySets}, st, nil
+	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
+}
+
+// byPair co-sorts candidate pairs and their shared-query counts into
+// canonical (U,V) order.
+type byPair struct {
+	pairs  [][2]int32
+	counts []int32
+}
+
+func (s byPair) Len() int           { return len(s.pairs) }
+func (s byPair) Less(i, j int) bool { return pairKey(s.pairs[i]) < pairKey(s.pairs[j]) }
+func (s byPair) Swap(i, j int) {
+	s.pairs[i], s.pairs[j] = s.pairs[j], s.pairs[i]
+	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
+}
+
+func pairKey(p [2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
+
+func packAssoc(q model.QueryID, e int32) uint64 {
+	return uint64(uint32(q))<<32 | uint64(uint32(e))
+}
+
+func setAll(b []bool) {
+	for i := range b {
+		b[i] = true
+	}
 }
 
 // phases opens a build's sub-stage spans one after another under the

@@ -2,6 +2,8 @@ package entitygraph
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"shoal/internal/bipartite"
@@ -232,14 +234,15 @@ func TestIncrementalUnusableStateFallsBack(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallsBackBeforeThePairReplay drives the early gates. A
-// high-churn slide — most queries each click one item they had not
-// clicked before — dirties a minority of the entities, so the
-// dirty-entity gate passes, but every touched query retracts and
-// re-emits all of its candidate pairs: the replay would sort more signed
-// entries than the full build has pairs. The build must take the dense
-// path before paying for that, say why, and still match Build exactly.
-func TestIncrementalFallsBackBeforeThePairReplay(t *testing.T) {
+// TestPatchDegradesIntoFullBuild sweeps one catalog's slide from a single
+// click to every item dirty, each step's clicks a superset of the one
+// before. The patch must match Build at every step, on either side of
+// the one density gate; the gate must fire exactly where more than
+// PatchDensityGate of the retained pairs have a dirty endpoint, hence
+// once along the sweep; a gated build still reports the counts known
+// before the gate, and the state it returns is a full build's. Swept at
+// the default fan-out cap and at one the churn pushes query runs across.
+func TestPatchDegradesIntoFullBuild(t *testing.T) {
 	ctx := context.Background()
 	gen := synth.DefaultConfig()
 	gen.Scenarios = 8
@@ -255,85 +258,272 @@ func TestIncrementalFallsBackBeforeThePairReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	clicks := bipartite.New(0)
-	if err := clicks.AddAll(c.Clicks); err != nil {
-		t.Fatal(err)
-	}
-	clicks.TakeChangedItems()
-	_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
-	if err != nil {
+	base := bipartite.New(0)
+	if err := base.AddAll(c.Clicks); err != nil {
 		t.Fatal(err)
 	}
 
-	// fresh picks an item query q has not clicked yet.
-	fresh := func(q int) model.ItemID {
-		it := model.ItemID((q*7 + 13) % len(c.Items))
-		for clicks.ClickCount(model.QueryID(q), it) > 0 {
+	// fresh picks an item query q has not clicked in g, starting at from.
+	fresh := func(g *bipartite.Graph, q, from int) model.ItemID {
+		it := model.ItemID(from % len(c.Items))
+		for g.ClickCount(model.QueryID(q), it) > 0 {
 			it = (it + 1) % model.ItemID(len(c.Items))
 		}
 		return it
 	}
+	// The churn: every query clicks one item it had not clicked, then every
+	// item is clicked by one query that had not clicked it.
 	var churn []model.ClickEvent
 	for q := range c.Queries {
-		if q%3 != 0 {
-			churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: fresh(q), Day: 1, Count: 1})
+		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: fresh(base, q, q*7+13), Day: 1, Count: 1})
+	}
+	nq := len(churn)
+	for it := range c.Items {
+		q := (it*3 + 1) % len(c.Queries)
+		for base.ClickCount(model.QueryID(q), model.ItemID(it)) > 0 || churn[q].Item == model.ItemID(it) {
+			q = (q + 1) % len(c.Queries)
+		}
+		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: model.ItemID(it), Day: 1, Count: 1})
+	}
+
+	// runLens counts the entities each query reaches.
+	runLens := func(querySets [][]model.QueryID) map[model.QueryID]int {
+		lens := map[model.QueryID]int{}
+		for _, qs := range querySets {
+			for _, q := range qs {
+				lens[q]++
+			}
+		}
+		return lens
+	}
+	// At the default cap no query of this catalog is capped. The second
+	// cap sits on the run of the last query the second step churns, so that
+	// step's patch pushes the run across it (a run only grows here;
+	// TestPatchFollowsFanoutCapFlips covers the way back), and with every
+	// candidate pair kept as an edge each shared-query count shows in a
+	// weight.
+	probe, err := Build(ctx, es, base, nil, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := DefaultConfig()
+	capped.MaxQueryFanout = runLens(probe.QuerySets)[churn[nq/16-1].Query]
+	capped.MinSimilarity, capped.TopK = 0, 0
+	for _, cfg := range []Config{DefaultConfig(), capped} {
+		fanout := cfg.MaxQueryFanout
+		t.Run(fmt.Sprintf("fanout%d", fanout), func(t *testing.T) {
+			res0, st0, err := BuildWithState(ctx, es, base, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flips, wasGated, crossed := 0, false, false
+			var gated *IncState
+			var gatedRes *Result
+			var gatedClicks *bipartite.Graph
+			for _, k := range []int{1, nq / 16, nq / 8, nq / 4, nq / 2, 3 * nq / 4, nq, nq + len(c.Items)/2, len(churn)} {
+				clicks := bipartite.New(0)
+				if err := clicks.AddAll(c.Clicks); err != nil {
+					t.Fatal(err)
+				}
+				clicks.TakeChangedItems()
+				if err := clicks.AddAll(churn[:k]); err != nil {
+					t.Fatal(err)
+				}
+				dirty := clicks.TakeChangedItems()
+				res, nst, delta, err := BuildIncremental(ctx, es, clicks, nil, cfg, st0, dirty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := Build(ctx, es, clicks, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameGraph(t, fmt.Sprintf("%d churn clicks", k), res, full)
+
+				// What the gate looks at, recomputed from the two builds' outputs.
+				// An entity regenerates its pairs when its query set moved or
+				// one of its queries' runs crossed the cap.
+				was, now := runLens(res0.QuerySets), runLens(full.QuerySets)
+				moved := make([]bool, len(es.Entities))
+				entities := 0
+				for e := range moved {
+					if moved[e] = !slices.Equal(full.QuerySets[e], res0.QuerySets[e]); moved[e] {
+						entities++
+					}
+					for _, q := range full.QuerySets[e] {
+						if (was[q] > fanout) != (now[q] > fanout) {
+							moved[e] = true
+							crossed = crossed || !delta.DenseFallback
+						}
+					}
+				}
+				stale := 0
+				for _, p := range st0.pairs {
+					if moved[p[0]] || moved[p[1]] {
+						stale++
+					}
+				}
+				want := float64(stale) > PatchDensityGate*float64(len(st0.pairs))
+				if delta.DenseFallback != want {
+					t.Fatalf("%d churn clicks: %d of %d retained pairs have a dirty endpoint, fallback = %v (%q)",
+						k, stale, len(st0.pairs), delta.DenseFallback, delta.FallbackReason)
+				}
+				if delta.DirtyItems != len(dirty) || delta.DirtyEntities != entities {
+					t.Fatalf("%d churn clicks: delta %+v, want %d dirty items and %d dirty entities", k, delta, len(dirty), entities)
+				}
+				if want {
+					if delta.FallbackReason != FallbackDirtyPairs || delta.ChangedEdges != 0 || delta.DirtyRows != nil {
+						t.Fatalf("%d churn clicks: gated delta %+v, want reason %q and no patch counts", k, delta, FallbackDirtyPairs)
+					}
+					if gated == nil {
+						gated, gatedRes, gatedClicks = nst, res, clicks
+					}
+				} else if delta.FallbackReason != "" || len(delta.DirtyRows) == 0 || delta.ChangedEdges == 0 {
+					t.Fatalf("%d churn clicks: patch delta %+v, want dirty rows and changed edges", k, delta)
+				}
+				if want != wasGated {
+					flips, wasGated = flips+1, want
+				}
+			}
+			if flips != 1 || gated == nil {
+				t.Fatalf("the gate flipped %d times along the sweep, want once (off, then on)", flips)
+			}
+			if crossed != (fanout != DefaultConfig().MaxQueryFanout) {
+				t.Fatalf("cap %d: a patch saw a run cross the cap = %v", fanout, crossed)
+			}
+
+			// The state a gated build returns is a full build's: a one-click slide
+			// on top of it — query 0 clicking an item of an entity it had not
+			// reached — patches one entity and matches again.
+			it := 0
+			for slices.Contains(gatedRes.QuerySets[es.ItemEntity[it]], 0) {
+				it++
+			}
+			one := []model.ClickEvent{{Query: 0, Item: model.ItemID(it), Day: 2, Count: 1}}
+			if err := gatedClicks.AddAll(one); err != nil {
+				t.Fatal(err)
+			}
+			res, _, delta, err := BuildIncremental(ctx, es, gatedClicks, nil, cfg, gated, gatedClicks.TakeChangedItems())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delta.DenseFallback || delta.DirtyEntities != 1 {
+				t.Fatalf("a one-click slide: fallback %v (%q), %d dirty entities; want a one-entity patch",
+					delta.DenseFallback, delta.FallbackReason, delta.DirtyEntities)
+			}
+			full, err := Build(ctx, es, gatedClicks, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, "patch-after-fallback", res, full)
+		})
+	}
+}
+
+// TestPatchFollowsFanoutCapFlips moves one query's run across
+// MaxQueryFanout, in both directions, by one entity joining or leaving
+// it. Only that entity's query set changes, but every pair inside the run
+// gains or loses a shared query — pairs of two clean entities included —
+// and the patch must follow.
+func TestPatchFollowsFanoutCapFlips(t *testing.T) {
+	ctx := context.Background()
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 8
+	gen.ItemsPerScenario = 60
+	gen.QueriesPerScenario = 15
+	gen.NoiseItems = 30
+	gen.HeadQueries = 6
+	c, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := BuildEntities(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A six-day window holding the corpus on day 5; a click on day 0 is
+	// evicted by the first event of day 6.
+	base := slices.Clone(c.Clicks)
+	for i := range base {
+		base[i].Day = 5
+	}
+	clicks := bipartite.New(6)
+	if err := clicks.AddAll(base); err != nil {
+		t.Fatal(err)
+	}
+	res0, err := Build(ctx, es, clicks, nil, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runLen := func(r *Result, q model.QueryID) (n int) {
+		for _, qs := range r.QuerySets {
+			if slices.Contains(qs, q) {
+				n++
+			}
+		}
+		return n
+	}
+	// The cap sits exactly on the run of the query with the smallest run of
+	// five entities or more; joiner is an item of an entity outside it.
+	q, cap := model.QueryID(-1), len(es.Entities)
+	for cand := range c.Queries {
+		if l := runLen(res0, model.QueryID(cand)); l >= 5 && l < cap {
+			q, cap = model.QueryID(cand), l
 		}
 	}
-	if err := clicks.AddAll(churn); err != nil {
-		t.Fatal(err)
+	joiner := model.ItemID(0)
+	for slices.Contains(res0.QuerySets[es.ItemEntity[joiner]], q) {
+		joiner++
 	}
-	dirty := clicks.TakeChangedItems()
-	if 2*len(dirty) >= len(es.Entities) {
-		t.Fatalf("%d dirty items over %d entities would trip the dirty-entity gate first", len(dirty), len(es.Entities))
-	}
-	res, nst, delta, err := BuildIncremental(ctx, es, clicks, nil, cfg, st, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !delta.DenseFallback || delta.FallbackReason != FallbackPairDeltaVolume {
-		t.Fatalf("fallback = %v, reason %q; want the %q gate", delta.DenseFallback, delta.FallbackReason, FallbackPairDeltaVolume)
-	}
-	if delta.DirtyItems != len(dirty) || delta.DirtyEntities == 0 {
-		t.Fatalf("delta lost the counts known before the gate: %+v", delta)
-	}
-	if delta.ChangedPairs != 0 || delta.ChangedEdges != 0 || delta.DirtyRows != nil {
-		t.Fatalf("delta reports replay results the early exit never computed: %+v", delta)
-	}
-	full, err := Build(ctx, es, clicks, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGraph(t, "pair-delta-volume", res, full)
+	// Every candidate pair is a kept edge, so every count shows in a weight.
+	cfg := DefaultConfig()
+	cfg.MaxQueryFanout = cap
+	cfg.MinSimilarity = 0
+	cfg.TopK = 0
 
-	// The state the fallback returns is a full build's: patching a small
-	// delta on top of it works and matches again.
-	one := []model.ClickEvent{{Query: 0, Item: fresh(0), Day: 2, Count: 1}}
-	if err := clicks.AddAll(one); err != nil {
+	// Start over the cap: the joiner's click is in the window's oldest day.
+	join := model.ClickEvent{Query: q, Item: joiner, Day: 0, Count: 1}
+	if err := clicks.AddAll([]model.ClickEvent{join}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, nst, clicks.TakeChangedItems())
+	clicks.TakeChangedItems()
+	res, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.DenseFallback || delta.DirtyEntities != 1 {
-		t.Fatalf("a one-click slide: fallback %v (%q), %d dirty entities; want a one-entity patch",
-			delta.DenseFallback, delta.FallbackReason, delta.DirtyEntities)
+	if got := runLen(res, q); got != cap+1 {
+		t.Fatalf("query %d reaches %d entities with the joiner, want %d", q, got, cap+1)
 	}
-	if full, err = Build(ctx, es, clicks, nil, cfg); err != nil {
-		t.Fatal(err)
-	}
-	requireSameGraph(t, "patch-after-fallback", res, full)
-
-	// Every item dirty: the cheapest gate answers.
-	all := make([]model.ItemID, len(c.Items))
-	for i := range all {
-		all[i] = model.ItemID(i)
-	}
-	if _, _, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, nst, all); err != nil {
-		t.Fatal(err)
-	}
-	if !delta.DenseFallback || delta.FallbackReason != FallbackDirtyEntities {
-		t.Fatalf("fallback = %v, reason %q; want the %q gate", delta.DenseFallback, delta.FallbackReason, FallbackDirtyEntities)
+	// Day 6 opens with a click the window already holds (no membership
+	// change of its own) and evicts the joiner's: the run drops under the
+	// cap. Then the joiner clicks again and the run is over it once more.
+	again := base[0]
+	again.Day = 6
+	join.Day = 6
+	for _, step := range []struct {
+		name string
+		ev   model.ClickEvent
+		want int
+	}{{"leaves", again, cap}, {"joins", join, cap + 1}} {
+		if err := clicks.AddAll([]model.ClickEvent{step.ev}); err != nil {
+			t.Fatal(err)
+		}
+		var delta *Delta
+		res, st, delta, err = BuildIncremental(ctx, es, clicks, nil, cfg, st, clicks.TakeChangedItems())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runLen(res, q); got != step.want {
+			t.Fatalf("%s: query %d reaches %d entities, want %d", step.name, q, got, step.want)
+		}
+		if delta.DenseFallback || delta.DirtyEntities != 1 {
+			t.Fatalf("%s: fallback %v (%q), %d dirty entities; want a one-entity patch",
+				step.name, delta.DenseFallback, delta.FallbackReason, delta.DirtyEntities)
+		}
+		full, err := Build(ctx, es, clicks, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, step.name, res, full)
 	}
 }

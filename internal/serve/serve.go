@@ -211,10 +211,10 @@ type DeltaStat struct {
 	ChangedEdges  int  `json:"changedEdges"`
 	DirtyRows     int  `json:"dirtyRows"`
 	DenseFallback bool `json:"denseFallback"`
-	// DenseFallbackReason names the entity-graph gate that chose the
-	// full rebuild: no-state, dirty-entities, pair-delta-volume or
-	// dirty-rows. ChangedEdges and DirtyRows are zero for all but the
-	// last, which is the only one decided after the delta was computed.
+	// DenseFallbackReason says why the entity graph was built in full:
+	// no-state or dirty-pairs (more than half of the retained candidate
+	// pairs touch a changed entity). ChangedEdges and DirtyRows are zero
+	// on a fallback.
 	DenseFallbackReason string `json:"denseFallbackReason,omitempty"`
 	// DroppedStale is the window's cumulative count of stale
 	// (already-evicted-day) events dropped at ingestion.
