@@ -105,14 +105,16 @@ func TestGenBuildPipeline(t *testing.T) {
 		t.Fatalf("taxonomy covers %d items, corpus has %d", len(tx.ItemTopic), len(corpus.Items))
 	}
 
-	// The one identity claim the CLI still makes: the shard count never
-	// changes the output file. Both sides run without embeddings:
-	// shoal-build trains word2vec Hogwild-style on every core, which no
-	// two runs reproduce.
+	// The one identity claim the CLI still makes: the worker count — the
+	// entity graph splits candidate rows and scoring by GOMAXPROCS, the
+	// one width left that varies a build's execution — never changes the
+	// output file. Both sides run without embeddings: shoal-build trains
+	// word2vec Hogwild-style on every core, which no two runs reproduce.
 	var ref []byte
-	for _, shards := range []string{"1", "3"} {
-		path := filepath.Join(dir, "tax-s"+shards+".gob")
-		run(t, build, "-corpus", corpusPath, "-out", path, "-stop", "0.12", "-no-embeddings", "-shards", shards)
+	for _, procs := range []string{"1", "3"} {
+		path := filepath.Join(dir, "tax-p"+procs+".gob")
+		t.Setenv("GOMAXPROCS", procs) // read by the child's runtime at start; this process has read its own
+		run(t, build, "-corpus", corpusPath, "-out", path, "-stop", "0.12", "-no-embeddings")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +122,7 @@ func TestGenBuildPipeline(t *testing.T) {
 		if ref == nil {
 			ref = data
 		} else if !bytes.Equal(ref, data) {
-			t.Fatal("-shards 3 changed the built taxonomy file")
+			t.Fatal("GOMAXPROCS=3 changed the built taxonomy file")
 		}
 	}
 }

@@ -10,11 +10,10 @@
 //	shoal-bench -benchgate BENCH_2.json,BENCH_3.json # regression gate
 //
 // -benchjson runs the graph-substrate micro-benchmarks at a fixed larger
-// synthetic scale (including the shard-count sweep) and writes ns/op +
-// allocs/op per benchmark, so each PR can record a comparable
-// BENCH_<pr>.json trajectory point. -benchgate compares two such files
-// and exits non-zero when any shared benchmark's ns/op regressed past
-// -gate-threshold — the CI regression gate.
+// synthetic scale and writes ns/op + allocs/op per benchmark, so each PR
+// can record a comparable BENCH_<pr>.json trajectory point. -benchgate
+// compares two such files and exits non-zero when any shared benchmark's
+// ns/op regressed past -gate-threshold — the CI regression gate.
 package main
 
 import (
@@ -40,7 +39,7 @@ func main() {
 		noFail    = flag.Bool("keep-going", true, "continue after a failing experiment")
 		benchJSON = flag.String("benchjson", "", "run substrate benchmarks at a fixed scale and write JSON results to this path")
 		benchGate = flag.String("benchgate", "", "compare two benchjson files OLD,NEW and fail on ns/op regressions in shared benchmarks")
-		gateTol   = flag.Float64("gate-threshold", 0.25, "fractional ns/op regression tolerated by -benchgate")
+		gateTol   = flag.Float64("gate-threshold", benchjson.DefaultThreshold, "fractional ns/op regression tolerated by -benchgate; above the default the > 1 ratio ceiling widens to 1 + threshold")
 	)
 	flag.Parse()
 

@@ -39,7 +39,6 @@ func main() {
 		minSim     = flag.Float64("minsim", 0.25, "entity-graph edge filter")
 		noEmbed    = flag.Bool("no-embeddings", false, "skip word2vec (query-driven similarity only)")
 		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")
-		shards     = flag.Int("shards", 0, "row-range shards of the graph substrate (0: GOMAXPROCS); output is identical for any value")
 		frontier   = flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
 		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, rebuilding each day with the delta-driven path; the final day's taxonomy is saved (per-day delta stats with -v)")
 		tracePath  = flag.String("trace", "", "write the build's execution trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
@@ -73,7 +72,6 @@ func main() {
 	cfg.HAC.DiffusionRounds = *diffusion
 	cfg.TrainEmbeddings = !*noEmbed
 	cfg.Sequential = *sequential
-	cfg.Shards = *shards
 	cfg.HAC.FrontierDensity = *frontier
 	cfg.Word2Vec.Epochs = 2
 	cfg.Word2Vec.Dim = 24
@@ -92,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "config: shards=%d frontier-density=%g\n", b.Shards, b.FrontierDensity)
+		fmt.Fprintf(os.Stderr, "config: frontier-density=%g\n", b.FrontierDensity)
 		spans := b.Trace.Records()
 		for _, st := range b.StageTimings {
 			line := fmt.Sprintf("%-22s start=%-12v elapsed=%v", st.Stage, st.Start, st.Elapsed)

@@ -48,7 +48,6 @@ func main() {
 	corpusPath := flag.String("corpus", "", "corpus to build from (empty: curated mini corpus)")
 	refresh := flag.Duration("refresh", 0, "interval between background rebuilds hot-swapped into the handler (0 disables)")
 	pprofAddr := flag.String("pprof", "", "side listener address exposing net/http/pprof (e.g. localhost:6060; empty disables)")
-	shards := flag.Int("shards", 0, "row-range shards of the graph substrate (0: GOMAXPROCS); reported in /api/stats")
 	frontier := flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
 	incremental := flag.Bool("incremental", false, "delta-driven rebuilds: each refresh recomputes only what the window slide changed (byte-identical output; delta stats land in /api/stats)")
 	flag.Parse()
@@ -76,7 +75,6 @@ func main() {
 	cfg.HAC.StopThreshold = 0.12
 	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
 	cfg.CatCorr.MinStrength = 0
-	cfg.Shards = *shards
 	cfg.HAC.FrontierDensity = *frontier
 	cfg.Incremental = *incremental
 	if *corpusPath != "" {

@@ -14,7 +14,6 @@ import (
 	"shoal/internal/entitygraph"
 	"shoal/internal/model"
 	"shoal/internal/phac"
-	"shoal/internal/shard"
 	"shoal/internal/synth"
 	"shoal/internal/taxonomy"
 	"shoal/internal/wgraph"
@@ -181,15 +180,15 @@ func buildSlideWorld(b *core.Build) (*slideWorld, error) {
 
 // fixtureFile is the gob wire form of the fixture: the corpus and every
 // expensive pipeline product the benchmarks read. The graph ships as its
-// canonical edge list and is rebuilt with shard.FromEdges — byte-
-// identical to the original arrays by the construction determinism
-// contract. Descriptions, correlations and stage timings are derived or
-// unread by the benchmarks and are not cached.
+// canonical edge list and is rebuilt with wgraph.FromEdges — byte-
+// identical to the original arrays (entitygraph's
+// TestEmitMatchesCanonicalBuilder). Descriptions, correlations and
+// stage timings are derived or unread by the benchmarks and are not
+// cached.
 type fixtureFile struct {
 	Corpus            *model.Corpus
 	Entities          *entitygraph.EntitySet
 	QuerySets         [][]model.QueryID
-	Shards            int
 	NumNodes          int
 	Edges             []wgraph.Edge
 	Dendrogram        *dendrogram.Dendrogram
@@ -205,7 +204,6 @@ func saveFixture(path string, b *core.Build) error {
 		Corpus:            b.Corpus,
 		Entities:          b.Entities,
 		QuerySets:         b.QuerySets,
-		Shards:            b.Shards,
 		NumNodes:          b.Graph.NumNodes(),
 		Edges:             b.Graph.Edges(),
 		Dendrogram:        b.Dendrogram,
@@ -232,7 +230,7 @@ func saveFixture(path string, b *core.Build) error {
 }
 
 // loadFixture reads a fixture cache and reassembles the build: the
-// sharded CSR from the canonical edge list, the searcher from the same
+// CSR from the canonical edge list, the searcher from the same
 // search documents the pipeline indexes. Any error means "rebuild".
 func loadFixture(path string) (*core.Build, error) {
 	data, err := os.ReadFile(path)
@@ -246,7 +244,7 @@ func loadFixture(path string) (*core.Build, error) {
 	if err := f.Corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("benchjson: fixture corpus: %w", err)
 	}
-	g, err := shard.FromEdges(f.NumNodes, f.Edges, f.Shards)
+	g, err := wgraph.FromEdges(f.NumNodes, f.Edges)
 	if err != nil {
 		return nil, fmt.Errorf("benchjson: fixture graph: %w", err)
 	}
@@ -259,7 +257,6 @@ func loadFixture(path string) (*core.Build, error) {
 		Entities:   f.Entities,
 		Graph:      g,
 		QuerySets:  f.QuerySets,
-		Shards:     g.NumShards(),
 		Dendrogram: f.Dendrogram,
 		Rounds:     f.Rounds,
 		Taxonomy:   tx,

@@ -41,13 +41,10 @@ func TestFixtureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wo, wn, ww := b.Graph.BaseCSR().Adj()
-	go_, gn, gw := got.Graph.BaseCSR().Adj()
+	wo, wn, ww := b.Graph.Adj()
+	go_, gn, gw := got.Graph.Adj()
 	if !reflect.DeepEqual(wo, go_) || !reflect.DeepEqual(wn, gn) || !reflect.DeepEqual(ww, gw) {
 		t.Fatal("graph CSR arrays differ after fixture round trip")
-	}
-	if got.Graph.NumShards() != b.Graph.NumShards() {
-		t.Fatalf("shards %d != %d", got.Graph.NumShards(), b.Graph.NumShards())
 	}
 	if !reflect.DeepEqual(b.Dendrogram, got.Dendrogram) {
 		t.Fatal("dendrogram differs after fixture round trip")

@@ -4,7 +4,7 @@
 // (DESIGN.md §1.3), kept for experiment E9 — the diffusion protocol as a
 // vertex program, proven byte-identical to phac.Diffuse — and imported by
 // internal/experiments only: no product build runs it. Vertices are
-// partitioned into contiguous row-range shards (shard.Plan is the unit of
+// partitioned into contiguous row-range shards (Config.Bounds is the
 // placement), compute proceeds in supersteps separated by barriers, and
 // messages produced in superstep s are delivered at superstep s+1.
 //
@@ -12,7 +12,7 @@
 //
 //   - Lifecycle: New → Run* → Close. Workers, channels, inbox
 //     accumulators and combiner scratch survive across Runs.
-//   - Placement: Config.Plan (or a uniform split into Config.Workers
+//   - Placement: Config.Bounds (or a uniform split into Config.Workers
 //     ranges) assigns each shard's contiguous vertex rows to one worker.
 //     One persistent goroutine per shard, spawned on the first Run and
 //     retired by Close; workers are driven over channels, so steady-state
@@ -67,8 +67,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-
-	"shoal/internal/shard"
 )
 
 // VertexID identifies a vertex; ids are dense 0..N-1.
@@ -108,13 +106,14 @@ type Combiner[M any] interface {
 
 // Config controls engine execution.
 type Config struct {
-	// Workers is the number of shards (= worker goroutines) when no Plan
-	// is given; 0 means GOMAXPROCS. Clamped to the vertex count.
+	// Workers is the number of shards (= worker goroutines) when no
+	// Bounds are given; 0 means GOMAXPROCS. Clamped to the vertex count.
 	Workers int
-	// Plan, when non-empty, is the row-range placement: shard i's worker
-	// owns vertices [Plan.Bounds(i)). The plan must cover [0, n) exactly.
-	// Workers is ignored when a plan is supplied.
-	Plan shard.Plan
+	// Bounds, when non-empty, is the row-range placement: shard i's
+	// worker owns vertices [Bounds[i], Bounds[i+1]). The bounds must
+	// ascend and cover [0, n) exactly (an empty shard is fine). Workers
+	// is ignored when bounds are supplied; the slice is only read.
+	Bounds []int32
 	// MaxSupersteps aborts runs that fail to converge; 0 means 1<<20.
 	MaxSupersteps int
 	// Chaos, when non-nil, enables failure injection.
@@ -400,21 +399,16 @@ func New[M any](n int, prog Program[M], cfg Config) (*Engine[M], error) {
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 1 << 20
 	}
-	var bounds []int32
-	if cfg.Plan.NumShards() > 0 {
-		p := cfg.Plan
-		S := p.NumShards()
-		bounds = make([]int32, S+1)
+	bounds := cfg.Bounds
+	if len(bounds) > 0 {
+		S := len(bounds) - 1
 		for i := 0; i < S; i++ {
-			lo, hi := p.Bounds(i)
-			if lo > hi {
-				return nil, fmt.Errorf("bsp: plan shard %d has inverted bounds [%d,%d)", i, lo, hi)
+			if bounds[i] > bounds[i+1] {
+				return nil, fmt.Errorf("bsp: shard %d has inverted bounds [%d,%d)", i, bounds[i], bounds[i+1])
 			}
-			bounds[i] = lo
-			bounds[i+1] = hi
 		}
-		if bounds[0] != 0 || int(bounds[S]) != n {
-			return nil, fmt.Errorf("bsp: plan covers [%d,%d), want [0,%d)", bounds[0], bounds[S], n)
+		if S == 0 || bounds[0] != 0 || int(bounds[S]) != n {
+			return nil, fmt.Errorf("bsp: bounds cover [%d,%d), want [0,%d)", bounds[0], bounds[S], n)
 		}
 	} else {
 		w := cfg.Workers

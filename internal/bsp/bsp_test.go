@@ -3,8 +3,6 @@ package bsp
 import (
 	"sync/atomic"
 	"testing"
-
-	"shoal/internal/shard"
 )
 
 // maxProg propagates the maximum seen value along a ring of n vertices.
@@ -104,17 +102,15 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// An explicit shard.Plan placement must give the same fixed point as the
+// An explicit Bounds placement must give the same fixed point as the
 // engine's uniform split.
 func TestPlanPlacementInvariance(t *testing.T) {
 	p1, _ := ringMax(t, 41, 1, nil)
-	counts := make([]int32, 41)
-	for i := range counts {
-		counts[i] = int32(1 + i%5) // skewed: plan bounds land unevenly
-	}
-	for _, shards := range []int{2, 3, 6} {
+	// Uneven ranges, one of them empty.
+	for _, bounds := range [][]int32{{0, 7, 41}, {0, 3, 30, 41}, {0, 1, 9, 9, 22, 40, 41}} {
+		shards := len(bounds) - 1
 		p := newMaxProg(41)
-		eng, err := New[int64](41, p, Config{Plan: shard.PlanCounts(counts, shards)})
+		eng, err := New[int64](41, p, Config{Bounds: bounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,9 +373,12 @@ func TestNewValidation(t *testing.T) {
 	if eng.S != 2 {
 		t.Fatalf("shards = %d, want clamped to 2", eng.S)
 	}
-	// A plan that does not cover the vertex range is rejected.
-	if _, err := New[int64](10, spinProg{}, Config{Plan: shard.PlanCounts(make([]int32, 5), 2)}); err == nil {
-		t.Fatal("short plan accepted")
+	// Bounds that do not cover the vertex range, or do not ascend, are
+	// rejected.
+	for _, bounds := range [][]int32{{0, 2, 5}, {1, 5, 10}, {0, 7, 4, 10}, {0}} {
+		if _, err := New[int64](10, spinProg{}, Config{Bounds: bounds}); err == nil {
+			t.Fatalf("bounds %v accepted", bounds)
+		}
 	}
 }
 

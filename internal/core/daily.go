@@ -97,9 +97,8 @@ func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
 		p.last = b
 		return b, nil
 	}
-	cfg := resolveConfig(p.cfg)
 	dirty := p.clicks.TakeChangedItems()
-	b, err := run(ctx, p.corpus, p.clicks, cfg, incrementalStages(cfg, &p.cache, dirty))
+	b, err := run(ctx, p.corpus, p.clicks, p.cfg, incrementalStages(p.cfg, &p.cache, dirty))
 	if err != nil {
 		// The drained delta is lost with the failed build: the cached
 		// graph state no longer describes any window the next rebuild

@@ -1,0 +1,79 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestWorkersObservationallyIdentical is the taxonomy-level half of the
+// width determinism contract: the one width left that varies a build's
+// execution is the entity graph's worker count (it splits candidate rows
+// and scoring), and the full pipeline must produce byte-identical
+// graphs, dendrograms, taxonomies and descriptions for every value of
+// it, from a single worker up past GOMAXPROCS.
+func TestWorkersObservationallyIdentical(t *testing.T) {
+	corpus := smallCorpus(t)
+	baseCfg := testConfig()
+	// Word2vec's Hogwild updates are racy by design; pin to one worker
+	// so cross-run comparisons isolate the graph build's width.
+	baseCfg.Word2Vec.Workers = 1
+	baseCfg.Graph.Workers = 1
+	ref, err := Run(corpus, baseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0) + 3} {
+		cfg := testConfig()
+		cfg.Word2Vec.Workers = 1
+		cfg.Graph.Workers = w
+		b, err := Run(corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gobEqual(t, b.Graph.Edges(), ref.Graph.Edges()) {
+			t.Fatalf("workers=%d: entity graph differs from single-worker", w)
+		}
+		if !gobEqual(t, b.Dendrogram, ref.Dendrogram) {
+			t.Fatalf("workers=%d: dendrogram differs from single-worker", w)
+		}
+		if !gobEqual(t, b.Taxonomy, ref.Taxonomy) {
+			t.Fatalf("workers=%d: taxonomy differs from single-worker", w)
+		}
+		if !gobEqual(t, b.Descriptions, ref.Descriptions) {
+			t.Fatalf("workers=%d: descriptions differ from single-worker", w)
+		}
+	}
+}
+
+// TestFrontierObservationallyIdentical is the taxonomy-level half of the
+// frontier determinism contract: the full pipeline must produce
+// byte-identical dendrograms, taxonomies and descriptions with frontier
+// pruning disabled (-1), default, and forced on every iteration (2).
+func TestFrontierObservationallyIdentical(t *testing.T) {
+	corpus := smallCorpus(t)
+	baseCfg := testConfig()
+	baseCfg.Word2Vec.Workers = 1
+	baseCfg.HAC.FrontierDensity = -1 // dense reference
+	ref, err := Run(corpus, baseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []float64{0, 2} {
+		cfg := testConfig()
+		cfg.Word2Vec.Workers = 1
+		cfg.HAC.FrontierDensity = d
+		b, err := Run(corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gobEqual(t, b.Dendrogram, ref.Dendrogram) {
+			t.Fatalf("density=%v: dendrogram differs from dense", d)
+		}
+		if !gobEqual(t, b.Taxonomy, ref.Taxonomy) {
+			t.Fatalf("density=%v: taxonomy differs from dense", d)
+		}
+		if !gobEqual(t, b.Descriptions, ref.Descriptions) {
+			t.Fatalf("density=%v: descriptions differ from dense", d)
+		}
+	}
+}

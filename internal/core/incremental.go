@@ -107,7 +107,6 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 			cache.graphState = nst
 			b.Graph = res.Graph
 			b.QuerySets = res.QuerySets
-			b.Shards = res.Graph.NumShards()
 			b.Delta = &DeltaStats{
 				Incremental:         true,
 				DirtyItems:          d.DirtyItems,

@@ -74,7 +74,7 @@ func sameSearchHits(t *testing.T, day int, inc, full *core.Build, probes []strin
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
 // stats, the topic descriptions and the search index's hits with their
 // score bits) against a from-scratch build over the same window at EVERY
-// step, across shard/worker counts.
+// step, across worker counts.
 // Embeddings stay off: the Hogwild trainer is the one intentionally
 // nondeterministic stage, so the from-scratch baseline itself would not
 // reproduce with them on.
@@ -90,17 +90,18 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		shards  int
 	}{
-		{"w1-s1", 1, 1},
-		{"w4-s3", 4, 3},
-		{"w2-s2", 2, 2},
+		// The -sN suffixes are the shard widths these cases also varied
+		// until internal/shard was deleted; the names stay so the suite's
+		// test ids do.
+		{"w1-s1", 1},
+		{"w4-s3", 4},
+		{"w2-s2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.WindowDays = 4
 			cfg.TrainEmbeddings = false
-			cfg.Shards = tc.shards
 			cfg.Graph.Workers = tc.workers
 			cfg.Graph.MinSimilarity = 0.15
 
@@ -173,7 +174,6 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.WindowDays = 3
 	cfg.TrainEmbeddings = false
-	cfg.Shards = 2
 	cfg.Graph.MinSimilarity = 0.15
 
 	incCfg := cfg
@@ -235,7 +235,6 @@ func TestIncrementalRebuildAfterFailure(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.WindowDays = 4
 	cfg.TrainEmbeddings = false
-	cfg.Shards = 2
 	cfg.Graph.MinSimilarity = 0.15
 	incCfg := cfg
 	incCfg.Incremental = true

@@ -23,7 +23,7 @@
 // (lock-free updates from Word2Vec.Workers goroutines), so two builds
 // with embeddings on and Workers > 1 differ in their embeddings and in
 // everything downstream. Every byte-identity claim in this package —
-// schedules, shard and worker counts, incremental versus from scratch —
+// schedules, worker counts, incremental versus from scratch —
 // holds for Word2Vec.Workers = 1 or TrainEmbeddings = false,
 // and every test that compares two builds sets one of the two (race
 // builds clamp training to one worker on their own).
@@ -32,7 +32,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -44,9 +43,9 @@ import (
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/phac"
-	"shoal/internal/shard"
 	"shoal/internal/taxonomy"
 	"shoal/internal/textutil"
+	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
 
@@ -62,11 +61,9 @@ type Config struct {
 	// instead of concurrently. Output is identical either way; this is
 	// the debugging / benchmark baseline.
 	Sequential bool
-	// Shards is the row-range shard count of the graph substrate: the
-	// entity graph is built by, and emitted as, that many edge-balanced
-	// CSR shards (clustering runs inline and ignores it). 0 means
-	// GOMAXPROCS. Results are byte-identical for every value; recorded
-	// in /api/stats. The per-stage override Graph.Shards wins when set.
+	// Shards is read by nothing, written only by the frozen
+	// benchmark/replay.go: the graph substrate is one CSR. The next
+	// benchmark-archetype PR deletes it.
 	Shards   int
 	Word2Vec word2vec.Config
 	Graph    entitygraph.Config
@@ -117,11 +114,10 @@ type Build struct {
 	Corpus    *model.Corpus
 	Clicks    *bipartite.Graph
 	Entities  *entitygraph.EntitySet
-	Graph     *shard.CSR
+	Graph     *wgraph.CSR
 	QuerySets [][]model.QueryID
-	// Shards is the shard count the graph substrate was actually built
-	// with (Graph.NumShards() — per-stage overrides and tiny-graph
-	// clamping included), recorded by the entity-graph stage.
+	// Shards is read by nothing, written only by the frozen
+	// benchmark/replay.go; the next benchmark-archetype PR deletes it.
 	Shards int
 	// FrontierDensity is the resolved frontier-pruning density gate —
 	// the build configuration that explains the numbers next to it in
@@ -169,7 +165,6 @@ func Run(corpus *model.Corpus, cfg Config) (*Build, error) {
 // RunContext is Run with cancellation: canceling ctx aborts in-flight
 // stages and returns the context error.
 func RunContext(ctx context.Context, corpus *model.Corpus, cfg Config) (*Build, error) {
-	cfg = resolveConfig(cfg)
 	return run(ctx, corpus, nil, cfg, pipelineStages(cfg, false))
 }
 
@@ -184,13 +179,12 @@ func RunWithClicksContext(ctx context.Context, corpus *model.Corpus, clicks *bip
 	if clicks == nil {
 		return nil, fmt.Errorf("core: nil click graph")
 	}
-	cfg = resolveConfig(cfg)
 	return run(ctx, corpus, clicks, cfg, pipelineStages(cfg, true))
 }
 
 // run is the one build driver: it executes stages — the from-scratch
-// graph or the incremental one, both declared over the same resolved
-// cfg — through the Engine and assembles the Build they fill in.
+// graph or the incremental one, both declared over the same cfg —
+// through the Engine and assembles the Build they fill in.
 func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, stages []Stage) (*Build, error) {
 	if err := corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -218,20 +212,6 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	}
 	b.StageTimings = timings
 	return b, nil
-}
-
-// resolveConfig resolves the defaulted knobs once so every stage (and
-// /api/stats) sees the same widths — shared by the from-scratch and
-// incremental stage lists, which must resolve identically for the
-// cached entity-graph state to stay compatible.
-func resolveConfig(cfg Config) Config {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Graph.Shards <= 0 {
-		cfg.Graph.Shards = cfg.Shards
-	}
-	return cfg
 }
 
 // pipelineStages declares the SHOAL build graph. Dependency edges encode
@@ -278,7 +258,6 @@ func pipelineStages(cfg Config, externalClicks bool) []Stage {
 			}
 			b.Graph = res.Graph
 			b.QuerySets = res.QuerySets
-			b.Shards = res.Graph.NumShards()
 			return nil
 		}),
 		clusterStage(cfg, "entity-graph"),

@@ -12,7 +12,7 @@ import (
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
 	"shoal/internal/obs"
-	"shoal/internal/shard"
+	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
 
@@ -32,9 +32,9 @@ type Config struct {
 	MaxQueryFanout int
 	// Workers parallelizes similarity computation; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the row-range shard count of the emitted CSR's plan; 0
-	// means Workers. Clustering runs inline and ignores the plan: it is
-	// recorded in /api/stats and places experiment E9's vertex program.
+	// Shards is read by nothing, written only by the frozen
+	// benchmark/replay.go: the build emits one CSR, not a partition of
+	// one. The next benchmark-archetype PR deletes it.
 	Shards int
 }
 
@@ -62,19 +62,16 @@ func (c *Config) validate() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Shards <= 0 {
-		c.Shards = c.Workers
-	}
 	return nil
 }
 
 // Result bundles the entity graph with the entity metadata it was built
 // over. The wgraph node ids equal entity ids. The graph is emitted
-// directly in sharded frozen CSR form — the build's sorted pair arrays
-// are its natural input — so downstream clustering never touches a map.
+// directly in frozen CSR form — the build's sorted pair arrays are its
+// natural input — so downstream clustering never touches a map.
 type Result struct {
 	Set   *EntitySet
-	Graph *shard.CSR
+	Graph *wgraph.CSR
 	// QuerySets[e] is the sorted query-id set of entity e, the Qu of
 	// Eq. 1. Exposed for description matching (§2.3).
 	QuerySets [][]model.QueryID
@@ -585,7 +582,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			rowDirty[p[0]], rowDirty[p[1]] = true, true
 		}
 	}
-	var prev *shard.CSR
+	var prev *wgraph.CSR
 	dirtyRows := n
 	if st != nil {
 		prev = st.graph
@@ -599,7 +596,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	g := prev
 	if dirtyRows > 0 {
 		var err error
-		if g, err = patchCSR(prev, n, pairs, sims, topU, topV, rowDirty, deg, cfg.Shards); err != nil {
+		if g, err = patchCSR(prev, n, pairs, sims, topU, topV, rowDirty, deg); err != nil {
 			return nil, nil, nil, err
 		}
 	}

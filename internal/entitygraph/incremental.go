@@ -26,7 +26,6 @@ import (
 
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
-	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
@@ -59,7 +58,7 @@ type IncState struct {
 	// topU/topV mark pairs ranking in the TopK of their U (resp. V)
 	// endpoint; a pair is kept iff either bit is set.
 	topU, topV []bool
-	graph      *shard.CSR
+	graph      *wgraph.CSR
 }
 
 // Dense-fallback reasons.
@@ -107,7 +106,7 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 	return build(ctx, es, clicks, emb, cfg, st, dirtyItems)
 }
 
-// patchCSR materializes the next frozen sharded CSR from the kept pairs,
+// patchCSR materializes the next frozen CSR from the kept pairs,
 // copying untouched row spans (adjacency, weights and the cached
 // weighted-degree floats) wholesale from the previous CSR and refilling
 // only dirty rows; with no previous CSR every row must be dirty. The kept
@@ -115,13 +114,12 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 // ascending neighbor lists, the canonical per-row weighted-degree fold
 // order (a row's V-side addends precede its U-side addends) and the
 // canonical blocked total-weight summation — every float byte-identical
-// to shard.FromEdges over the same kept edges.
-func patchCSR(prevG *shard.CSR, n int, pairs [][2]int32, sims []float64, topU, topV []bool, dirty []bool, deg []int32, shards int) (*shard.CSR, error) {
-	var prev *wgraph.CSR
+// to wgraph.FromEdges over the same kept edges
+// (TestEmitMatchesCanonicalBuilder).
+func patchCSR(prev *wgraph.CSR, n int, pairs [][2]int32, sims []float64, topU, topV []bool, dirty []bool, deg []int32) (*wgraph.CSR, error) {
 	var pOff, pNbrs []int32
 	var pWts []float64
-	if prevG != nil {
-		prev = prevG.BaseCSR()
+	if prev != nil {
 		pOff, pNbrs, pWts = prev.Adj()
 	}
 
@@ -196,13 +194,13 @@ func patchCSR(prevG *shard.CSR, n int, pairs [][2]int32, sims []float64, topU, t
 	if bcnt > 0 {
 		total += partial
 	}
-	return shard.CSRFromParts(offsets, nbrs, wts, wdeg, total, shards)
+	return wgraph.FromParts(offsets, nbrs, wts, wdeg, total)
 }
 
-// sameGraphSemantics reports whether two configs produce the same graph
-// (Workers is execution-only and deliberately excluded).
+// sameGraphSemantics reports whether two configs produce the same graph.
+// Workers is execution-only and Shards inert: both are deliberately
+// excluded, so retained state never depends on a width.
 func sameGraphSemantics(a, b Config) bool {
 	return a.Alpha == b.Alpha && a.MinSimilarity == b.MinSimilarity &&
-		a.TopK == b.TopK && a.MaxQueryFanout == b.MaxQueryFanout &&
-		a.Shards == b.Shards
+		a.TopK == b.TopK && a.MaxQueryFanout == b.MaxQueryFanout
 }

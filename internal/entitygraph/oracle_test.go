@@ -10,6 +10,8 @@ import (
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
 	"shoal/internal/synth"
+	"shoal/internal/wgraph"
+	"shoal/internal/word2vec"
 )
 
 // referenceState is the map-based candidate generation and TopK ranking
@@ -136,5 +138,94 @@ func TestBuildStateMatchesReference(t *testing.T) {
 	open, _, _, _ := referenceState(es, clicks, Config{}, nil)
 	if len(capped) >= len(open) {
 		t.Fatalf("fanout cap 12 skipped no query (%d vs %d pairs)", len(capped), len(open))
+	}
+}
+
+// TestEmitMatchesCanonicalBuilder holds patchCSR's dense emit to the
+// canonical builder: the CSR a full build emits equals wgraph.FromEdges
+// over its own kept edges — adjacency arrays, every cached weighted degree
+// and the blocked weight total, bit for bit. The last case keeps every
+// candidate pair of a larger catalog, enough edges for the total to cross
+// a summation block.
+func TestEmitMatchesCanonicalBuilder(t *testing.T) {
+	ctx := context.Background()
+	es, clicks := oracleWorld(t)
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 8
+	gen.ItemsPerScenario = 60
+	gen.QueriesPerScenario = 15
+	gen.NoiseItems = 30
+	gen.HeadQueries = 6
+	big, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigES, err := BuildEntities(ctx, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigClicks := bipartite.New(0)
+	if err := bigClicks.AddAll(big.Clicks); err != nil {
+		t.Fatal(err)
+	}
+	sents := make([][]string, len(es.Entities))
+	for i := range es.Entities {
+		sents[i] = es.Entities[i].Tokens
+	}
+	w2v := word2vec.DefaultConfig()
+	w2v.Dim, w2v.Epochs, w2v.MinCount, w2v.Workers = 12, 2, 1, 1
+	emb, err := word2vec.Train(ctx, sents, w2v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := DefaultConfig()
+	ranked.MinSimilarity, ranked.TopK = 0.1, 3
+	every := DefaultConfig()
+	every.MinSimilarity, every.TopK, every.MaxQueryFanout = 0, 0, 0
+	for _, tc := range []struct {
+		name     string
+		es       *EntitySet
+		clicks   *bipartite.Graph
+		emb      *word2vec.Model
+		cfg      Config
+		minEdges int
+	}{
+		{"noemb", es, clicks, nil, ranked, 1},
+		{"emb", es, clicks, emb, ranked, 1},
+		{"every-pair", bigES, bigClicks, nil, every, wgraph.WeightSumBlockSize + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Build(ctx, tc.es, tc.clicks, tc.emb, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := res.Graph
+			kept := g.Edges()
+			if len(kept) < tc.minEdges {
+				t.Fatalf("%d kept edges, the case wants at least %d", len(kept), tc.minEdges)
+			}
+			want, err := wgraph.FromEdges(g.NumNodes(), kept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go_, gn, gw := g.Adj()
+			wo, wn, ww := want.Adj()
+			if !slices.Equal(go_, wo) || !slices.Equal(gn, wn) {
+				t.Fatal("adjacency differs from wgraph.FromEdges over the kept edges")
+			}
+			for i := range gw {
+				if math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
+					t.Fatalf("weight %d = %v, FromEdges %v", i, gw[i], ww[i])
+				}
+			}
+			for u := int32(0); int(u) < g.NumNodes(); u++ {
+				if math.Float64bits(g.WeightedDegree(u)) != math.Float64bits(want.WeightedDegree(u)) {
+					t.Fatalf("wdeg[%d] = %v, FromEdges %v", u, g.WeightedDegree(u), want.WeightedDegree(u))
+				}
+			}
+			if math.Float64bits(g.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+				t.Fatalf("total weight %v, FromEdges %v", g.TotalWeight(), want.TotalWeight())
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"shoal/internal/bsp"
 	"shoal/internal/phac"
-	"shoal/internal/shard"
 	"shoal/internal/wgraph"
 )
 
@@ -202,7 +201,7 @@ func TestE9BSPIdentical(t *testing.T) {
 					{Seed: uint64(gi + 1), StallBatches: true},
 					{Seed: uint64(gi + 1), ShuffleInbox: true, StallBatches: true},
 				} {
-					got, err := diffuseBSP(c, r, threshold, bsp.Config{Plan: shard.PlanRows(c, shards), Chaos: chaos})
+					got, err := diffuseBSP(c, r, threshold, bsp.Config{Bounds: edgeBalancedBounds(c, shards), Chaos: chaos})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -33,12 +33,8 @@ type WeightedGraph interface {
 // Accumulation is deterministic: labels are remapped to dense ids in
 // first-appearance order and every sum runs in ascending node/neighbor
 // order, so a mutable graph and its frozen CSR produce byte-identical
-// results. A *wgraph.CSR input is scanned through its flat arrays;
-// CSR-backed wrappers (shard.CSR) are unwrapped onto the same path.
+// results. A *wgraph.CSR input is scanned through its flat arrays.
 func Compute(g WeightedGraph, labels []int32) (float64, error) {
-	if b, ok := g.(wgraph.CSRBacked); ok {
-		g = b.BaseCSR()
-	}
 	n := g.NumNodes()
 	if len(labels) != n {
 		return 0, fmt.Errorf("modularity: labels length %d != nodes %d", len(labels), n)

@@ -30,7 +30,7 @@ const DefaultFrontierDensity = 0.25
 // vertex-program formulation must reproduce (experiment E9), and the
 // subject of E5 (iterations vs. parallelism). Edges below threshold do
 // not participate. The graph is scanned in its CSR form (a mutable graph
-// is frozen once up front, a sharded view unwrapped). Late exchange
+// is frozen once up front). Late exchange
 // iterations are frontier-pruned: a node is recomputed only when a
 // neighbor's known edge changed in the previous iteration, the stable
 // majority moves by whole-span copy, and an empty frontier ends the

@@ -55,13 +55,13 @@
 // ms, every run made, variants alternated, identical rounds / candidates
 // / selected throughout):
 //
-//	entities   inline                            BSP, 1 shard                      BSP, 2 shards
+//	entities   inline                            BSP engine, 1 worker              BSP engine, 2 workers
 //	 41 555    334* 128 130 143 110 117 114      198 202 205 256 164 165 185       219 202 200 176 177 177 170
 //	155 538    663 411                           1 019 705                         1 441 1 443
 //
 // (* first run after generating the corpus.) The vertex-program
 // formulation survives as experiment E9 (internal/experiments), which
-// proves it byte-identical to Diffuse under every shard count and
+// proves it byte-identical to Diffuse under every engine width and
 // delivery pathology; no product build contains it.
 package phac
 

@@ -169,9 +169,6 @@ func TestStatsHTTPSection(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/api/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status = %d", code)
 	}
-	if stats.Shards <= 0 {
-		t.Fatalf("shards = %d, want > 0", stats.Shards)
-	}
 	if stats.FrontierDensity <= 0 {
 		t.Fatalf("frontierDensity = %f, want > 0", stats.FrontierDensity)
 	}

@@ -230,11 +230,8 @@ type Stats struct {
 	Topics       int `json:"topics"`
 	RootTopics   int `json:"rootTopics"`
 	Correlations int `json:"correlations"`
-	// Shards is the row-range shard count the build's graph substrate
-	// was partitioned into (core.Config.Shards) and FrontierDensity the
-	// resolved frontier-pruning gate — the build configuration that
-	// explains the stage timings next to it.
-	Shards          int     `json:"shards"`
+	// FrontierDensity is the resolved frontier-pruning gate — the build
+	// configuration that explains the stage timings next to it.
 	FrontierDensity float64 `json:"frontierDensity"`
 	Swaps           int64   `json:"swaps"`
 	// Delta is present when the build came from an incremental rebuild.
@@ -355,7 +352,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		Entities:        len(b.Entities.Entities),
 		Topics:          len(b.Taxonomy.Topics),
 		RootTopics:      len(b.Taxonomy.Roots()),
-		Shards:          b.Shards,
 		FrontierDensity: b.FrontierDensity,
 		Swaps:           snap.swaps,
 		HTTP:            h.metrics.Summary(),

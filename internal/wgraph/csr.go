@@ -91,9 +91,8 @@ func FromEdges(n int, edges []Edge) (*CSR, error) {
 		wdeg:    make([]float64, n),
 	}
 	deg := make([]int32, n)
-	// Validation is fused into the counting pass (same checks and error
-	// text as ValidateEdges) so the hot construction path scans the
-	// input exactly once.
+	// Validation is fused into the counting pass so the construction scans
+	// the input exactly once; the first offending index is what is reported.
 	for i, e := range edges {
 		if e.U >= e.V {
 			return nil, fmt.Errorf("wgraph: FromEdges edge %d (%d,%d) not canonical", i, e.U, e.V)
@@ -112,7 +111,7 @@ func FromEdges(n int, edges []Edge) (*CSR, error) {
 		deg[u] = c.offsets[u] // reuse as fill cursor
 	}
 	// The total accumulates through the canonical blocked summation (see
-	// sum.go) so parallel builders can reproduce it byte for byte.
+	// sum.go), the shape every other holder of the total reproduces.
 	var sums []float64
 	partial, bcnt := 0.0, 0
 	for _, e := range edges {
@@ -137,55 +136,14 @@ func FromEdges(n int, edges []Edge) (*CSR, error) {
 	return c, nil
 }
 
-// ValidateEdgeAt checks the single edge at index i of a canonical edge
-// list (canonical orientation, range, strict (U,V) order against its
-// predecessor). Factoring the per-index check out lets fused or parallel
-// validators (shard.FromEdges) cover disjoint index ranges while
-// reporting the exact error text a serial scan would. The happy path is
-// one fused condition with the error construction outlined, so the
-// check inlines into per-edge construction loops.
-func ValidateEdgeAt(n int, edges []Edge, i int) error {
-	e := edges[i]
-	if e.U >= e.V || e.U < 0 || int(e.V) >= n ||
-		(i > 0 && (e.U < edges[i-1].U || (e.U == edges[i-1].U && e.V <= edges[i-1].V))) {
-		return edgeErrorAt(n, edges, i)
-	}
-	return nil
-}
-
-// edgeErrorAt builds the deterministic error for the offending index i.
-func edgeErrorAt(n int, edges []Edge, i int) error {
-	e := edges[i]
-	if e.U >= e.V {
-		return fmt.Errorf("wgraph: FromEdges edge %d (%d,%d) not canonical", i, e.U, e.V)
-	}
-	if e.U < 0 || int(e.V) >= n {
-		return fmt.Errorf("wgraph: FromEdges edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
-	}
-	return fmt.Errorf("wgraph: FromEdges edges not sorted at %d", i)
-}
-
-// ValidateEdges checks that edges is a canonical edge list for n nodes:
-// every edge once with U < V (so self-loops are rejected), endpoints in
-// [0,n), strictly sorted by (U,V) (so duplicates are rejected). The
-// error for a given input is deterministic: the first offending index is
-// always reported.
-func ValidateEdges(n int, edges []Edge) error {
-	for i := range edges {
-		if err := ValidateEdgeAt(n, edges, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FromParts assembles a CSR from prebuilt arrays: offsets of length n+1,
 // parallel nbrs/wts with every undirected edge in both endpoint rows in
 // ascending id order, per-node weighted degrees, and the total edge
 // weight. The arrays are adopted, not copied — the caller must never
-// mutate them afterwards. This is the escape hatch for builders (see
-// internal/shard) that fill the arrays themselves, e.g. concurrently per
-// row range; only cheap structural length checks are performed here.
+// mutate them afterwards. This is the escape hatch for a builder that
+// fills the arrays itself (entitygraph's patch copies the previous CSR's
+// clean row spans and refills only dirty rows); only cheap structural
+// length checks are performed here.
 func FromParts(offsets []int32, nbrs []int32, wts []float64, wdeg []float64, total float64) (*CSR, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("wgraph: FromParts needs offsets of length n+1, got 0")
@@ -203,23 +161,14 @@ func FromParts(offsets []int32, nbrs []int32, wts []float64, wdeg []float64, tot
 	return &CSR{offsets: offsets, nbrs: nbrs, wts: wts, wdeg: wdeg, total: total}, nil
 }
 
-// CSRBacked is implemented by read-only views that are thin wrappers
-// around a frozen CSR (e.g. shard.CSR); AsCSR unwraps them for free.
-type CSRBacked interface {
-	BaseCSR() *CSR
-}
-
 // AsCSR returns g itself when already frozen, otherwise freezes the
-// mutable builder; CSR-backed wrappers are unwrapped, and any other View
-// is snapshotted through its edge list.
+// mutable builder; any other View is snapshotted through its edge list.
 func AsCSR(g View) *CSR {
 	switch v := g.(type) {
 	case *CSR:
 		return v
 	case *Graph:
 		return v.Freeze()
-	case CSRBacked:
-		return v.BaseCSR()
 	default:
 		edges := g.Edges()
 		c, err := FromEdges(g.NumNodes(), edges)

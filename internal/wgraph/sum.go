@@ -3,17 +3,17 @@ package wgraph
 // Canonical edge-weight summation.
 //
 // Every holder of the "total edge weight" aggregate — the mutable
-// builder, Freeze, FromEdges, and the partition-parallel shard builder —
-// must produce byte-identical float64 values, or the observational-
-// equivalence contracts break. Float addition is not associative, so the
-// summation *shape* is part of the contract: addends are the canonical
+// builder, Freeze, FromEdges, and entitygraph's CSR patch, which fills
+// its arrays itself and hands them to FromParts — must produce
+// byte-identical float64 values, or the observational-equivalence
+// contracts break. Float addition is not associative, so the summation
+// *shape* is part of the contract: addends are the canonical
 // (U,V)-sorted edge weights, left-folded within fixed blocks of
 // WeightSumBlockSize addends, and the block partials are left-folded in
-// block order. The shape depends only on the addend sequence — never on
-// worker or shard count — so a parallel builder that computes block
-// partials concurrently and folds them in order reproduces the serial
-// value exactly (the deterministic tree reduction behind
-// shard.FromEdges).
+// block order. The shape depends only on the addend sequence, so a
+// builder that streams the kept edges in canonical order reproduces the
+// FromEdges value exactly (pinned by entitygraph's
+// TestEmitMatchesCanonicalBuilder).
 
 // WeightSumBlockSize is the fixed addend-block width of the canonical
 // total-weight summation.
@@ -55,7 +55,7 @@ func SumEdgeWeights(edges []Edge) float64 {
 
 // FoldWeightBlocks left-folds per-block partial sums in block order —
 // the reduction half of the canonical summation, exposed for builders
-// that compute the block partials concurrently (each block a left fold
+// that accumulate the block partials themselves (each block a left fold
 // over its WeightSumBlockSize addends, the final block possibly short).
 func FoldWeightBlocks(sums []float64) float64 {
 	var t float64
