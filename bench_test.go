@@ -30,7 +30,6 @@ import (
 	"shoal/internal/serve"
 	"shoal/internal/synth"
 	"shoal/internal/textutil"
-	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
 
@@ -264,20 +263,7 @@ func BenchmarkE9BSP(b *testing.B) {
 
 // BenchmarkF3Figure replays the paper's Fig. 3 worked example.
 func BenchmarkF3Figure(b *testing.B) {
-	g := wgraph.New(13)
-	edges := []wgraph.Edge{
-		{U: 0, V: 1, W: 0.90}, {U: 4, V: 5, W: 0.91}, {U: 10, V: 1, W: 0.74},
-		{U: 0, V: 2, W: 0.70}, {U: 0, V: 3, W: 0.67}, {U: 2, V: 3, W: 0.62},
-		{U: 7, V: 1, W: 0.65}, {U: 7, V: 8, W: 0.61}, {U: 3, V: 8, W: 0.58},
-		{U: 2, V: 9, W: 0.64}, {U: 4, V: 6, W: 0.68}, {U: 5, V: 6, W: 0.65},
-		{U: 5, V: 9, W: 0.61}, {U: 6, V: 11, W: 0.68}, {U: 11, V: 12, W: 0.63},
-		{U: 9, V: 11, W: 0.58}, {U: 9, V: 6, W: 0.53},
-	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			b.Fatal(err)
-		}
-	}
+	g := experiments.Figure3Graph()
 	var selected int
 	for i := 0; i < b.N; i++ {
 		sel, err := phac.Diffuse(g, 2, 0.3)

@@ -1,9 +1,48 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/gob"
 	"runtime"
 	"testing"
+
+	"shoal/internal/phac"
 )
+
+func gobEqual(t *testing.T, a, b any) bool {
+	t.Helper()
+	var ba, bb bytes.Buffer
+	if err := gob.NewEncoder(&ba).Encode(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&bb).Encode(b); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ba.Bytes(), bb.Bytes())
+}
+
+// TestDendrogramIsClusterOfBuildGraph pins what the parallel-hac stage
+// feeds the clusterer: re-running phac.Cluster over the build's own
+// graph, entity sizes and HAC config reproduces the build's dendrogram.
+func TestDendrogramIsClusterOfBuildGraph(t *testing.T) {
+	cfg := testConfig()
+	b, err := Run(smallCorpus(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, len(b.Entities.Entities))
+	for i := range sizes {
+		sizes[i] = b.Entities.Entities[i].Size()
+	}
+	res, err := phac.Cluster(context.Background(), b.Graph, sizes, cfg.HAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gobEqual(t, b.Dendrogram, res.Dendrogram) {
+		t.Fatal("pipeline dendrogram differs from re-clustering the build's graph")
+	}
+}
 
 // TestWorkersObservationallyIdentical is the taxonomy-level half of the
 // width determinism contract: the one width left that varies a build's

@@ -11,6 +11,7 @@ import (
 	"shoal/internal/bsp"
 	"shoal/internal/phac"
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
 // The experiment functions are exercised at Small scale with one seed so
@@ -165,14 +166,10 @@ func TestE9BSPIdentical(t *testing.T) {
 	// every delivery pathology the engine can inject. The threshold
 	// leaves sub-threshold edges in the graphs: they carry messages but
 	// never enter a vertex's state.
-	fig3, err := Figure3Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := []*wgraph.CSR{fig3.Freeze()}
+	graphs := []*wgraph.CSR{Figure3Graph()}
 	for seed := uint64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 17))
-		g := wgraph.New(80)
+		var edges []wgraph.Edge
 		for i := 0; i < 280; i++ {
 			u, v := int32(rng.IntN(80)), int32(rng.IntN(80))
 			if i < 80 {
@@ -181,11 +178,9 @@ func TestE9BSPIdentical(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if err := g.SetEdge(u, v, 0.05+0.9*rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, wgraph.Edge{U: u, V: v, W: 0.05 + 0.9*rng.Float64()})
 		}
-		graphs = append(graphs, g.Freeze())
+		graphs = append(graphs, wgraphtest.Build(t, 80, edges...))
 	}
 	const threshold = 0.2
 	for gi, c := range graphs {

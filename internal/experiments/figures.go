@@ -10,44 +10,39 @@ import (
 // Figure3Graph reconstructs the 13-node worked example of paper Fig. 3
 // (node names A..M map to ids 0..12). The exact adjacency is not published
 // machine-readably; this reconstruction uses the figure's weight vocabulary
-// and reproduces the described behaviour.
-func Figure3Graph() (*wgraph.Graph, error) {
-	g := wgraph.New(13)
-	edges := []wgraph.Edge{
+// and reproduces the described behaviour. The literal is in the canonical
+// (U, V) order wgraph.FromEdges takes.
+func Figure3Graph() *wgraph.CSR {
+	g, err := wgraph.FromEdges(13, []wgraph.Edge{
 		{U: 0, V: 1, W: 0.90},   // A-B
-		{U: 4, V: 5, W: 0.91},   // E-F
-		{U: 10, V: 1, W: 0.74},  // K-B
 		{U: 0, V: 2, W: 0.70},   // A-C
 		{U: 0, V: 3, W: 0.67},   // A-D
+		{U: 1, V: 7, W: 0.65},   // B-H
+		{U: 1, V: 10, W: 0.74},  // B-K
 		{U: 2, V: 3, W: 0.62},   // C-D
-		{U: 7, V: 1, W: 0.65},   // H-B
-		{U: 7, V: 8, W: 0.61},   // H-I
-		{U: 3, V: 8, W: 0.58},   // D-I
 		{U: 2, V: 9, W: 0.64},   // C-J
+		{U: 3, V: 8, W: 0.58},   // D-I
+		{U: 4, V: 5, W: 0.91},   // E-F
 		{U: 4, V: 6, W: 0.68},   // E-G
 		{U: 5, V: 6, W: 0.65},   // F-G
 		{U: 5, V: 9, W: 0.61},   // F-J
+		{U: 6, V: 9, W: 0.53},   // G-J
 		{U: 6, V: 11, W: 0.68},  // G-L
-		{U: 11, V: 12, W: 0.63}, // L-M
+		{U: 7, V: 8, W: 0.61},   // H-I
 		{U: 9, V: 11, W: 0.58},  // J-L
-		{U: 9, V: 6, W: 0.53},   // J-G
+		{U: 11, V: 12, W: 0.63}, // L-M
+	})
+	if err != nil {
+		panic("experiments: Figure3Graph literal is not canonical: " + err.Error())
 	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return g
 }
 
 // F3LocalMaxima replays the paper's Fig. 3 narrative: after two diffusion
 // iterations, (A,B) and (E,F) are the locally-maximal edges and merge in
 // parallel.
 func F3LocalMaxima() (*Table, error) {
-	g, err := Figure3Graph()
-	if err != nil {
-		return nil, err
-	}
+	g := Figure3Graph()
 	names := "ABCDEFGHIJKLM"
 	t := &Table{
 		ID:         "F3",

@@ -35,11 +35,11 @@ type Config struct {
 // DefaultConfig stops at similarity 0.35.
 func DefaultConfig() Config { return Config{StopThreshold: 0.35} }
 
-// Cluster runs HAC over a copy of g (the input graph is not modified) with
-// initial cluster sizes sizes[i] (nil means all 1). It returns the merge
-// dendrogram; leaf ids are graph node ids. The input graph is scanned
-// exactly once (a frozen CSR scans allocation-free).
-func Cluster(g wgraph.View, sizes []int, cfg Config) (*dendrogram.Dendrogram, error) {
+// Cluster runs HAC over g with initial cluster sizes sizes[i] (nil means
+// all 1). It returns the merge dendrogram; leaf ids are graph node ids. The
+// graph is not modified: its rows are read once, into the per-cluster
+// neighbor maps the merges rewrite.
+func Cluster(g *wgraph.CSR, sizes []int, cfg Config) (*dendrogram.Dendrogram, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("hac: empty graph")
@@ -75,20 +75,24 @@ func Cluster(g wgraph.View, sizes []int, cfg Config) (*dendrogram.Dendrogram, er
 			st.size[i] = float64(sizes[i])
 		}
 	}
-	// One edge scan feeds both the adjacency state and the heap; the
-	// second full Edges() materialization is gone.
-	edges := g.Edges()
-	pq := make(edgeHeap, 0, len(edges))
-	for _, e := range edges {
-		if st.adj[e.U] == nil {
-			st.adj[e.U] = make(map[int32]float64)
+	// One row scan feeds both the adjacency state and the heap; the
+	// u < v entries of ascending rows are the canonical (U, V) edge order.
+	offsets, nbrs, wts := g.Adj()
+	pq := make(edgeHeap, 0, g.NumEdges())
+	for u := int32(0); int(u) < n; u++ {
+		lo, hi := offsets[u], offsets[u+1]
+		if lo == hi {
+			continue
 		}
-		if st.adj[e.V] == nil {
-			st.adj[e.V] = make(map[int32]float64)
+		row := make(map[int32]float64, hi-lo)
+		for j := lo; j < hi; j++ {
+			v, w := nbrs[j], wts[j]
+			row[v] = w
+			if u < v {
+				pq = append(pq, heapEdge{u: u, v: v, sim: w})
+			}
 		}
-		st.adj[e.U][e.V] = e.W
-		st.adj[e.V][e.U] = e.W
-		pq = append(pq, heapEdge{u: e.U, v: e.V, sim: e.W})
+		st.adj[u] = row
 	}
 	heap.Init(&pq)
 

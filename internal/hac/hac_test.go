@@ -6,24 +6,18 @@ import (
 	"testing"
 
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
 // twoClusters builds a graph with two tight triangles joined by one weak
 // edge: {0,1,2} at 0.9, {3,4,5} at 0.8, bridge (2,3) at 0.2.
-func twoClusters(t *testing.T) *wgraph.Graph {
+func twoClusters(t *testing.T) *wgraph.CSR {
 	t.Helper()
-	g := wgraph.New(6)
-	edges := []wgraph.Edge{
+	return wgraphtest.Build(t, 6, []wgraph.Edge{
 		{U: 0, V: 1, W: 0.9}, {U: 1, V: 2, W: 0.9}, {U: 0, V: 2, W: 0.9},
 		{U: 3, V: 4, W: 0.8}, {U: 4, V: 5, W: 0.8}, {U: 3, V: 5, W: 0.8},
 		{U: 2, V: 3, W: 0.2},
-	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+	}...)
 }
 
 func TestClusterTwoCommunities(t *testing.T) {
@@ -84,14 +78,8 @@ func TestClusterMergesHighestFirst(t *testing.T) {
 // TestEq4Update verifies the √-normalized similarity update on the paper's
 // own scenario: merge A,B and check S(AB,C).
 func TestEq4Update(t *testing.T) {
-	g := wgraph.New(3)
 	// A=0, B=1, C=2. S(A,B)=0.9, S(A,C)=0.6, S(B,C) missing (=0).
-	if err := g.SetEdge(0, 1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(0, 2, 0.6); err != nil {
-		t.Fatal(err)
-	}
+	g := wgraphtest.Build(t, 3, wgraph.Edge{U: 0, V: 1, W: 0.9}, wgraph.Edge{U: 0, V: 2, W: 0.6})
 	d, err := Cluster(g, nil, Config{StopThreshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -115,16 +103,7 @@ func TestEq4Update(t *testing.T) {
 // TestEq4UpdateWeighted checks the size weighting with unequal sizes:
 // nA=4, nB=1 -> weights 2/3, 1/3.
 func TestEq4UpdateWeighted(t *testing.T) {
-	g := wgraph.New(3)
-	if err := g.SetEdge(0, 1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(0, 2, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(1, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
+	g := wgraphtest.Build(t, 3, []wgraph.Edge{{U: 0, V: 1, W: 0.9}, {U: 0, V: 2, W: 0.6}, {U: 1, V: 2, W: 0.3}}...)
 	d, err := Cluster(g, []int{4, 1, 1}, Config{StopThreshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +130,7 @@ func TestClusterMaxMerges(t *testing.T) {
 
 func TestClusterErrors(t *testing.T) {
 	g := twoClusters(t)
-	if _, err := Cluster(wgraph.New(0), nil, DefaultConfig()); err == nil {
+	if _, err := Cluster(wgraphtest.Build(t, 0), nil, DefaultConfig()); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if _, err := Cluster(g, nil, Config{StopThreshold: -0.5}); err == nil {

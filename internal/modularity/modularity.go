@@ -17,24 +17,14 @@ import (
 	"shoal/internal/wgraph"
 )
 
-// WeightedGraph is the read-only view modularity needs. *wgraph.Graph
-// and *wgraph.CSR both satisfy it.
-type WeightedGraph interface {
-	NumNodes() int
-	TotalWeight() float64
-	WeightedDegree(u int32) float64
-	ForEachNeighbor(u int32, fn func(v int32, w float64))
-}
-
 // Compute returns the modularity of the partition labels over g.
 // labels[i] is the cluster of node i; label values are arbitrary.
 // Graphs with no edges have undefined modularity and return an error.
 //
 // Accumulation is deterministic: labels are remapped to dense ids in
 // first-appearance order and every sum runs in ascending node/neighbor
-// order, so a mutable graph and its frozen CSR produce byte-identical
-// results. A *wgraph.CSR input is scanned through its flat arrays.
-func Compute(g WeightedGraph, labels []int32) (float64, error) {
+// order over the CSR's flat arrays.
+func Compute(g *wgraph.CSR, labels []int32) (float64, error) {
 	n := g.NumNodes()
 	if len(labels) != n {
 		return 0, fmt.Errorf("modularity: labels length %d != nodes %d", len(labels), n)
@@ -58,26 +48,14 @@ func Compute(g WeightedGraph, labels []int32) (float64, error) {
 	within := make([]float64, len(dense))
 	degree := make([]float64, len(dense))
 
-	if c, ok := g.(*wgraph.CSR); ok {
-		offsets, nbrs, wts := c.Adj()
-		for u := 0; u < n; u++ {
-			lu := id[u]
-			degree[lu] += c.WeightedDegree(int32(u))
-			for j := offsets[u]; j < offsets[u+1]; j++ {
-				if v := nbrs[j]; id[v] == lu && int32(u) < v {
-					within[lu] += wts[j]
-				}
+	offsets, nbrs, wts := g.Adj()
+	for u := 0; u < n; u++ {
+		lu := id[u]
+		degree[lu] += g.WeightedDegree(int32(u))
+		for j := offsets[u]; j < offsets[u+1]; j++ {
+			if v := nbrs[j]; id[v] == lu && int32(u) < v {
+				within[lu] += wts[j]
 			}
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			lu := id[u]
-			degree[lu] += g.WeightedDegree(int32(u))
-			g.ForEachNeighbor(int32(u), func(v int32, w float64) {
-				if id[v] == lu && int32(u) < v {
-					within[lu] += w
-				}
-			})
 		}
 	}
 	var q float64

@@ -7,19 +7,17 @@ import (
 	"testing/quick"
 
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
 // twoTriangles builds two unit-weight triangles joined by one bridge.
-func twoTriangles(t testing.TB) *wgraph.Graph {
+func twoTriangles(t testing.TB) *wgraph.CSR {
 	t.Helper()
-	g := wgraph.New(6)
-	edges := [][2]int32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}}
-	for _, e := range edges {
-		if err := g.SetEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
+	var edges []wgraph.Edge
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
+		edges = append(edges, wgraph.Edge{U: e[0], V: e[1], W: 1})
 	}
-	return g
+	return wgraphtest.Build(t, 6, edges...)
 }
 
 func TestComputeHandValue(t *testing.T) {
@@ -78,10 +76,7 @@ func TestGoodPartitionBeatsBad(t *testing.T) {
 }
 
 func TestComputeWeighted(t *testing.T) {
-	g := wgraph.New(4)
-	_ = g.SetEdge(0, 1, 10)
-	_ = g.SetEdge(2, 3, 10)
-	_ = g.SetEdge(1, 2, 0.1)
+	g := wgraphtest.Build(t, 4, []wgraph.Edge{{U: 0, V: 1, W: 10}, {U: 2, V: 3, W: 10}, {U: 1, V: 2, W: 0.1}}...)
 	q, err := Compute(g, []int32{0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +91,7 @@ func TestComputeErrors(t *testing.T) {
 	if _, err := Compute(g, []int32{0, 0}); err == nil {
 		t.Fatal("wrong label length accepted")
 	}
-	empty := wgraph.New(3)
+	empty := wgraphtest.Build(t, 3)
 	if _, err := Compute(empty, []int32{0, 1, 2}); err == nil {
 		t.Fatal("edgeless graph accepted")
 	}
@@ -107,10 +102,12 @@ func TestComputeBoundedProperty(t *testing.T) {
 	f := func(seed uint64, k uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		const n = 20
-		g := wgraph.New(n)
+		var edges []wgraph.Edge
 		for v := 1; v < n; v++ {
-			_ = g.SetEdge(int32(rng.IntN(v)), int32(v), rng.Float64()+0.01)
+			u := rng.IntN(v)
+			edges = append(edges, wgraph.Edge{U: int32(u), V: int32(v), W: rng.Float64() + 0.01})
 		}
+		g := wgraphtest.Build(t, n, edges...)
 		labels := make([]int32, n)
 		groups := int32(k%5) + 1
 		for i := range labels {

@@ -10,21 +10,15 @@ import (
 	"shoal/internal/dendrogram"
 	"shoal/internal/hac"
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
-func twoClusters(t testing.TB) *wgraph.Graph {
-	g := wgraph.New(6)
-	edges := []wgraph.Edge{
+func twoClusters(t testing.TB) *wgraph.CSR {
+	return wgraphtest.Build(t, 6, []wgraph.Edge{
 		{U: 0, V: 1, W: 0.9}, {U: 1, V: 2, W: 0.85}, {U: 0, V: 2, W: 0.88},
 		{U: 3, V: 4, W: 0.8}, {U: 4, V: 5, W: 0.78}, {U: 3, V: 5, W: 0.82},
 		{U: 2, V: 3, W: 0.2},
-	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+	}...)
 }
 
 func TestClusterTwoCommunities(t *testing.T) {
@@ -52,13 +46,7 @@ func TestClusterTwoCommunities(t *testing.T) {
 func TestClusterEq4Update(t *testing.T) {
 	// A=0,B=1,C=2: S(A,B)=0.9, S(A,C)=0.6, S(B,C) missing.
 	// Round 0 merges (A,B); S(AB,C) = 0.5*0.6 + 0.5*0 = 0.3.
-	g := wgraph.New(3)
-	if err := g.SetEdge(0, 1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(0, 2, 0.6); err != nil {
-		t.Fatal(err)
-	}
+	g := wgraphtest.Build(t, 3, wgraph.Edge{U: 0, V: 1, W: 0.9}, wgraph.Edge{U: 0, V: 2, W: 0.6})
 	res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.05, DiffusionRounds: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -75,17 +63,11 @@ func TestClusterBothEndpointsMergedCompose(t *testing.T) {
 	// Two pairs merge in the same round: (0,1) and (2,3), with cross
 	// edges. Sequential Eq. 4 applied twice gives
 	// S(01,23) = 0.5*0.5*(S02+S03+S12+S13).
-	g := wgraph.New(4)
-	edges := []wgraph.Edge{
+	g := wgraphtest.Build(t, 4, []wgraph.Edge{
 		{U: 0, V: 1, W: 0.9}, {U: 2, V: 3, W: 0.88},
 		{U: 0, V: 2, W: 0.4}, {U: 0, V: 3, W: 0.36},
 		{U: 1, V: 2, W: 0.44}, {U: 1, V: 3, W: 0.4},
-	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}...)
 	res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.05, DiffusionRounds: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -109,10 +91,7 @@ func TestClusterBothEndpointsMergedCompose(t *testing.T) {
 
 func TestClusterWeightedSizes(t *testing.T) {
 	// nA=4, nB=1: weights 2/3, 1/3. S(AB,C) = 2/3*0.6 + 1/3*0.3 = 0.5.
-	g := wgraph.New(3)
-	_ = g.SetEdge(0, 1, 0.9)
-	_ = g.SetEdge(0, 2, 0.6)
-	_ = g.SetEdge(1, 2, 0.3)
+	g := wgraphtest.Build(t, 3, []wgraph.Edge{{U: 0, V: 1, W: 0.9}, {U: 0, V: 2, W: 0.6}, {U: 1, V: 2, W: 0.3}}...)
 	res, err := Cluster(context.Background(), g, []int{4, 1, 1}, Config{StopThreshold: 0.05, DiffusionRounds: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +106,7 @@ func TestClusterWeightedSizes(t *testing.T) {
 }
 
 func TestClusterLinkageAblation(t *testing.T) {
-	g := wgraph.New(3)
-	_ = g.SetEdge(0, 1, 0.9)
-	_ = g.SetEdge(0, 2, 0.6)
-	_ = g.SetEdge(1, 2, 0.3)
+	g := wgraphtest.Build(t, 3, []wgraph.Edge{{U: 0, V: 1, W: 0.9}, {U: 0, V: 2, W: 0.6}, {U: 1, V: 2, W: 0.3}}...)
 	sizes := []int{4, 1, 1}
 	cases := []struct {
 		linkage Linkage
@@ -176,7 +152,7 @@ func TestClusterMaxRounds(t *testing.T) {
 
 func TestClusterErrors(t *testing.T) {
 	g := twoClusters(t)
-	if _, err := Cluster(context.Background(), wgraph.New(0), nil, DefaultConfig()); err == nil {
+	if _, err := Cluster(context.Background(), wgraphtest.Build(t, 0), nil, DefaultConfig()); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if _, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 2, DiffusionRounds: 1}); err == nil {
@@ -209,7 +185,7 @@ func TestClusterDoesNotModifyInput(t *testing.T) {
 // agree with sequential HAC's merge set.
 func TestClusterAgreesWithSequentialAtHighR(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomGraph(24, 40, seed)
+		g := wgraphtest.Random(24, 40, seed)
 		pres, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.4, DiffusionRounds: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +228,7 @@ func samePartition(a, b []int32) bool {
 // always well-formed on random graphs.
 func TestClusterWellFormedProperty(t *testing.T) {
 	f := func(seed uint64, rRaw uint8) bool {
-		g := randomGraph(40, 80, seed)
+		g := wgraphtest.Random(40, 80, seed)
 		r := int(rRaw % 5)
 		res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.25, DiffusionRounds: r})
 		if err != nil {
@@ -277,7 +253,7 @@ func TestClusterWellFormedProperty(t *testing.T) {
 // the same graph (integration between the two code paths).
 func TestClusterFirstRoundMatchesDiffuse(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomGraph(60, 150, seed)
+		g := wgraphtest.Random(60, 150, seed)
 		sel, err := Diffuse(g, 2, 0.3)
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +274,7 @@ func TestClusterFirstRoundMatchesDiffuse(t *testing.T) {
 
 func TestDiffuseErrors(t *testing.T) {
 	g := figure3(t)
-	if _, err := Diffuse(wgraph.New(0), 2, 0.3); err == nil {
+	if _, err := Diffuse(wgraphtest.Build(t, 0), 2, 0.3); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if _, err := Diffuse(g, -1, 0.3); err == nil {
@@ -327,6 +303,21 @@ func TestClusterSizeBookkeeping(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("size mass = %d, want %d", total, want)
+	}
+}
+
+// TestClusterZeroAllocDiffusion locks in the tentpole win: once the
+// state CSR is built, a diffusion pass over it must not allocate — no
+// phase forks (no goroutines, no closures).
+func TestClusterZeroAllocDiffusion(t *testing.T) {
+	st := newState(wgraphtest.Random(512, 1024, 3), nil, Config{StopThreshold: 0.1, DiffusionRounds: 2})
+	// Warm the scratch buffers once.
+	st.selectLocalMaxima(2, 0.1)
+	allocs := testing.AllocsPerRun(20, func() {
+		st.selectLocalMaxima(2, 0.1)
+	})
+	if allocs > 0 {
+		t.Fatalf("diffusion+selection allocated %.1f objects per round, want 0", allocs)
 	}
 }
 

@@ -24,7 +24,7 @@ func (*Memo) IncompatibleReason(int, Config) string { return "no-memo" }
 
 // ClusterWarm is Cluster; prev and dirtyRows are ignored and the
 // returned Memo is always nil.
-func ClusterWarm(ctx context.Context, g wgraph.View, sizes []int, cfg Config, _ *Memo, _ []int32) (*Result, *Memo, error) {
+func ClusterWarm(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config, _ *Memo, _ []int32) (*Result, *Memo, error) {
 	res, err := Cluster(ctx, g, sizes, cfg)
 	return res, nil, err
 }

@@ -29,28 +29,25 @@ const DefaultFrontierDensity = 0.25
 // (TestClusterSelectionMatchesDiffuseEveryRound), the reference the
 // vertex-program formulation must reproduce (experiment E9), and the
 // subject of E5 (iterations vs. parallelism). Edges below threshold do
-// not participate. The graph is scanned in its CSR form (a mutable graph
-// is frozen once up front). Late exchange
-// iterations are frontier-pruned: a node is recomputed only when a
-// neighbor's known edge changed in the previous iteration, the stable
-// majority moves by whole-span copy, and an empty frontier ends the
-// loop — all without changing a single output byte (see
-// TestFrontierMatchesDense).
-func Diffuse(g wgraph.View, rounds int, threshold float64) ([]Edge, error) {
+// not participate. Late exchange iterations are frontier-pruned: a node
+// is recomputed only when a neighbor's known edge changed in the
+// previous iteration, the stable majority moves by whole-span copy, and
+// an empty frontier ends the loop — all without changing a single output
+// byte (see TestFrontierMatchesDense).
+func Diffuse(g *wgraph.CSR, rounds int, threshold float64) ([]Edge, error) {
 	return diffuse(g, rounds, threshold, 0)
 }
 
 // diffuse is Diffuse with an explicit frontier density (0 = default,
 // negative = pruning disabled; the dense/pruned property tests pin the
 // two byte-identical).
-func diffuse(g wgraph.View, rounds int, threshold float64, density float64) ([]Edge, error) {
-	if g.NumNodes() == 0 {
+func diffuse(c *wgraph.CSR, rounds int, threshold float64, density float64) ([]Edge, error) {
+	if c.NumNodes() == 0 {
 		return nil, fmt.Errorf("phac: empty graph")
 	}
 	if rounds < 0 {
 		return nil, fmt.Errorf("phac: negative diffusion rounds %d", rounds)
 	}
-	c := wgraph.AsCSR(g)
 	offsets, nbrs, wts := c.Adj()
 	n := int32(c.NumNodes())
 	know := make([]edgeRef, n)

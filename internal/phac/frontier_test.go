@@ -3,11 +3,22 @@ package phac
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
+
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // frontier density extremes: -1 disables pruning entirely (every
 // iteration dense), 2 prunes every iteration that can be (the changed
@@ -19,8 +30,7 @@ var densities = []float64{-1, 0, 2}
 // byte-identical matchings for every rounds × density combination.
 func TestFrontierMatchesDense(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		g := randomGraph(90, 220, seed)
-		base := g.Freeze()
+		base := wgraphtest.Random(90, 220, seed)
 		for _, r := range []int{0, 1, 2, 4, 7} {
 			want, err := diffuse(base, r, 0.1, -1) // dense reference
 			if err != nil {
@@ -44,8 +54,7 @@ func TestFrontierMatchesDense(t *testing.T) {
 // reproduce the dense recomputation exactly.
 func TestClusterFrontierMatchesDense(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomGraph(120, 320, seed)
-		base := g.Freeze()
+		base := wgraphtest.Random(120, 320, seed)
 		ref, err := Cluster(context.Background(), base, nil,
 			Config{StopThreshold: 0.12, DiffusionRounds: 2, FrontierDensity: -1})
 		if err != nil {
@@ -73,21 +82,18 @@ func TestClusterFrontierMatchesDense(t *testing.T) {
 func TestFrontierCollapseMidRound(t *testing.T) {
 	// Perfect matching: node 2i — 2i+1 only. Every node knows its own
 	// edge after init; no exchange ever changes anything.
-	match := wgraph.New(20)
+	var match, chain []wgraph.Edge
 	for i := int32(0); i < 20; i += 2 {
-		if err := match.SetEdge(i, i+1, 0.5+float64(i)/100); err != nil {
-			t.Fatal(err)
-		}
+		match = append(match, wgraph.Edge{U: i, V: i + 1, W: 0.5 + float64(i)/100})
 	}
 	// Chain: values stop propagating after a few hops.
-	chain := wgraph.New(9)
 	for i := int32(0); i+1 < 9; i++ {
-		if err := chain.SetEdge(i, i+1, 0.3+float64(i)/20); err != nil {
-			t.Fatal(err)
-		}
+		chain = append(chain, wgraph.Edge{U: i, V: i + 1, W: 0.3 + float64(i)/20})
 	}
-	for name, g := range map[string]*wgraph.Graph{"matching": match, "chain": chain} {
-		base := g.Freeze()
+	for name, base := range map[string]*wgraph.CSR{
+		"matching": wgraphtest.Build(t, 20, match...),
+		"chain":    wgraphtest.Build(t, 9, chain...),
+	} {
 		for _, r := range []int{1, 2, 6, 12} {
 			want, err := diffuse(base, r, 0.1, -1)
 			if err != nil {

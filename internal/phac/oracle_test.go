@@ -8,23 +8,22 @@ import (
 
 	"shoal/internal/dendrogram"
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
 // contracted materializes the state's current graph for the eager
 // oracle: the alive rows as they stand, dead ids left isolated.
-func contracted(t *testing.T, st *state) *wgraph.Graph {
+func contracted(t *testing.T, st *state) *wgraph.CSR {
 	t.Helper()
-	g := wgraph.New(st.total)
+	var edges []wgraph.Edge
 	for _, u := range st.aliveList() {
 		for j, end := st.offsets[u], st.offsets[u]+st.deg[u]; j < end; j++ {
 			if v := st.nbrs[j]; u < v {
-				if err := g.SetEdge(u, v, st.wts[j]); err != nil {
-					t.Fatal(err)
-				}
+				edges = append(edges, wgraph.Edge{U: u, V: v, W: st.wts[j]})
 			}
 		}
 	}
-	return g
+	return wgraphtest.Build(t, st.total, edges...)
 }
 
 // TestClusterSelectionMatchesDiffuseEveryRound is the eager oracle for
@@ -39,14 +38,14 @@ func TestClusterSelectionMatchesDiffuseEveryRound(t *testing.T) {
 	for _, r := range []int{0, 1, 2, 3, 6} {
 		t.Run(fmt.Sprintf("r%d", r), func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				g := randomGraph(80, 220, seed)
+				g := wgraphtest.Random(80, 220, seed)
 				rng := rand.New(rand.NewPCG(seed, 99))
 				sizes := make([]int, 80)
 				for i := range sizes {
 					sizes[i] = 1 + rng.IntN(5)
 				}
 				cfg := Config{StopThreshold: threshold, DiffusionRounds: r}
-				st := newState(wgraph.AsCSR(g), sizes, cfg)
+				st := newState(g, sizes, cfg)
 				d := &dendrogram.Dendrogram{Leaves: 80}
 				for round := 0; ; round++ {
 					want, err := Diffuse(contracted(t, st), r, threshold)

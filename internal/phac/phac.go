@@ -225,12 +225,10 @@ func better(a, b edgeRef) bool {
 }
 
 // Cluster runs Parallel HAC over g with initial cluster sizes (nil means
-// all 1); g is read once (frozen to CSR if mutable) and never modified.
-// Leaf ids in the dendrogram are graph node ids.
-// The result is deterministic, and identical for a mutable graph and its
-// frozen CSR.
-// Cancellation is checked between clustering rounds.
-func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Result, error) {
+// all 1); g is read once and never modified. Leaf ids in the dendrogram
+// are graph node ids. The result is deterministic. Cancellation is
+// checked between clustering rounds.
+func Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("phac: empty graph")
@@ -242,7 +240,7 @@ func Cluster(ctx context.Context, g wgraph.View, sizes []int, cfg Config) (*Resu
 		return nil, fmt.Errorf("phac: sizes length %d != nodes %d", len(sizes), n)
 	}
 
-	st := newState(wgraph.AsCSR(g), sizes, cfg)
+	st := newState(g, sizes, cfg)
 	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n}}
 
 	// One child span per merge round when the caller's context carries a

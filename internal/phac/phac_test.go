@@ -2,11 +2,11 @@ package phac
 
 import (
 	"context"
-	"math/rand/v2"
 	"reflect"
 	"testing"
 
 	"shoal/internal/wgraph"
+	"shoal/internal/wgraph/wgraphtest"
 )
 
 // figure3 reconstructs the 13-node example of paper Fig. 3. The figure's
@@ -16,9 +16,8 @@ import (
 // and (E,F) are the locally-maximal edges.
 //
 // Node ids: A=0 B=1 C=2 D=3 E=4 F=5 G=6 H=7 I=8 J=9 K=10 L=11 M=12.
-func figure3(t testing.TB) *wgraph.Graph {
-	g := wgraph.New(13)
-	edges := []wgraph.Edge{
+func figure3(t testing.TB) *wgraph.CSR {
+	return wgraphtest.Build(t, 13, []wgraph.Edge{
 		{U: 0, V: 1, W: 0.90},   // A-B
 		{U: 4, V: 5, W: 0.91},   // E-F
 		{U: 10, V: 1, W: 0.74},  // K-B
@@ -36,13 +35,7 @@ func figure3(t testing.TB) *wgraph.Graph {
 		{U: 11, V: 12, W: 0.63}, // L-M
 		{U: 9, V: 11, W: 0.58},  // J-L
 		{U: 9, V: 6, W: 0.53},   // J-G
-	}
-	for _, e := range edges {
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+	}...)
 }
 
 func TestFigure3LocalMaximaAfterTwoIterations(t *testing.T) {
@@ -75,27 +68,9 @@ func TestFigure3FirstRoundMergesABAndEF(t *testing.T) {
 	}
 }
 
-// randomGraph builds a connected-ish random weighted graph.
-func randomGraph(n, extraEdges int, seed uint64) *wgraph.Graph {
-	rng := rand.New(rand.NewPCG(seed, 17))
-	g := wgraph.New(n)
-	for v := 1; v < n; v++ {
-		u := rng.IntN(v)
-		_ = g.SetEdge(int32(u), int32(v), 0.05+0.9*rng.Float64())
-	}
-	for i := 0; i < extraEdges; i++ {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u == v {
-			continue
-		}
-		_ = g.SetEdge(int32(u), int32(v), 0.05+0.9*rng.Float64())
-	}
-	return g
-}
-
 func TestDiffuseMatchingIsNodeDisjoint(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		g := randomGraph(80, 160, seed)
+		g := wgraphtest.Random(80, 160, seed)
 		for _, r := range []int{0, 1, 2, 4} {
 			sel, err := Diffuse(g, r, 0.1)
 			if err != nil {
@@ -120,7 +95,7 @@ func TestDiffuseMatchingIsNodeDisjoint(t *testing.T) {
 // strong form is a subset relation, which we assert exactly.
 func TestDiffuseSelectionShrinksWithIterations(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		g := randomGraph(100, 250, seed)
+		g := wgraphtest.Random(100, 250, seed)
 		prev := map[[2]int32]bool{}
 		for r := 0; r <= 4; r++ {
 			sel, err := Diffuse(g, r, 0.1)
@@ -147,7 +122,7 @@ func TestDiffuseSelectionShrinksWithIterations(t *testing.T) {
 // selects at least one edge while any edge meets the threshold.
 func TestDiffuseAlwaysSelectsGlobalMax(t *testing.T) {
 	for seed := uint64(1); seed <= 15; seed++ {
-		g := randomGraph(60, 120, seed)
+		g := wgraphtest.Random(60, 120, seed)
 		best := wgraph.Edge{W: -1}
 		for _, e := range g.Edges() {
 			if e.W > best.W {

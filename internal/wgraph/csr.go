@@ -1,32 +1,19 @@
+// Package wgraph provides the sparse weighted undirected graph shared by
+// the clustering stages (sequential HAC, Parallel HAC, modularity). Nodes
+// are dense int32 ids; each edge carries a float64 similarity weight.
+//
+// There is one representation, the immutable CSR: FromEdges builds it
+// from a canonical sorted edge list and FromParts adopts arrays a
+// builder filled itself. Nothing edits a graph after construction.
 package wgraph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// View is the read-only graph interface shared by every clustering
-// consumer (phac, hac, modularity). Both the mutable *Graph builder and
-// the frozen *CSR satisfy it, so algorithms accept either; the hot paths
-// additionally type-switch to *CSR (see AsCSR) for allocation-free
-// neighbor scans.
-type View interface {
-	NumNodes() int
-	NumEdges() int
-	Weight(u, v int32) (float64, bool)
-	Degree(u int32) int
-	WeightedDegree(u int32) float64
-	TotalWeight() float64
-	Neighbors(u int32) []int32
-	ForEachNeighbor(u int32, fn func(v int32, w float64))
-	Edges() []Edge
-	Components() []int32
+// Edge is a canonical undirected edge (U < V).
+type Edge struct {
+	U, V int32
+	W    float64
 }
-
-var (
-	_ View = (*Graph)(nil)
-	_ View = (*CSR)(nil)
-)
 
 // CSR is an immutable compressed-sparse-row snapshot of a weighted
 // undirected graph. Row u's neighbors are nbrs[offsets[u]:offsets[u+1]]
@@ -35,46 +22,14 @@ var (
 // edge weight are cached at construction, so all observations are O(1)
 // or a single contiguous scan — no per-call allocation anywhere.
 //
-// A CSR is safe for concurrent use: it is never mutated after Freeze /
-// FromEdges return.
+// A CSR is safe for concurrent use: it is never mutated after FromEdges /
+// FromParts return.
 type CSR struct {
 	offsets []int32
 	nbrs    []int32
 	wts     []float64
 	wdeg    []float64
 	total   float64
-}
-
-// Freeze snapshots the builder into its CSR form. The result is
-// memoized on g and reused until the next mutation, so repeated freezes
-// at a stage boundary are free.
-func (g *Graph) Freeze() *CSR {
-	if g.frozen != nil {
-		return g.frozen
-	}
-	n := len(g.adj)
-	c := &CSR{
-		offsets: make([]int32, n+1),
-		nbrs:    make([]int32, 0, 2*g.numEdges),
-		wts:     make([]float64, 0, 2*g.numEdges),
-		wdeg:    make([]float64, n),
-	}
-	var total weightSummer
-	for u := 0; u < n; u++ {
-		for _, v := range g.sortedNeighbors(int32(u)) {
-			w := g.adj[u][v]
-			c.nbrs = append(c.nbrs, v)
-			c.wts = append(c.wts, w)
-			c.wdeg[u] += w
-			if int32(u) < v {
-				total.add(w)
-			}
-		}
-		c.offsets[u+1] = int32(len(c.nbrs))
-	}
-	c.total = total.total()
-	g.frozen = c
-	return c
 }
 
 // FromEdges builds a CSR directly from a canonical edge list: every
@@ -111,7 +66,7 @@ func FromEdges(n int, edges []Edge) (*CSR, error) {
 		deg[u] = c.offsets[u] // reuse as fill cursor
 	}
 	// The total accumulates through the canonical blocked summation (see
-	// sum.go), the shape every other holder of the total reproduces.
+	// sum.go), the shape entitygraph's patch reproduces.
 	var sums []float64
 	partial, bcnt := 0.0, 0
 	for _, e := range edges {
@@ -161,61 +116,16 @@ func FromParts(offsets []int32, nbrs []int32, wts []float64, wdeg []float64, tot
 	return &CSR{offsets: offsets, nbrs: nbrs, wts: wts, wdeg: wdeg, total: total}, nil
 }
 
-// AsCSR returns g itself when already frozen, otherwise freezes the
-// mutable builder; any other View is snapshotted through its edge list.
-func AsCSR(g View) *CSR {
-	switch v := g.(type) {
-	case *CSR:
-		return v
-	case *Graph:
-		return v.Freeze()
-	default:
-		edges := g.Edges()
-		c, err := FromEdges(g.NumNodes(), edges)
-		if err != nil {
-			panic("wgraph: View returned non-canonical edge list: " + err.Error())
-		}
-		return c
-	}
-}
-
 // NumNodes returns the number of nodes (including isolated ones).
 func (c *CSR) NumNodes() int { return len(c.offsets) - 1 }
 
 // NumEdges returns the number of undirected edges.
 func (c *CSR) NumEdges() int { return len(c.nbrs) / 2 }
 
-// Row returns the neighbor ids and weights of u as zero-copy views into
-// the CSR arrays. Callers must not modify them.
-func (c *CSR) Row(u int32) ([]int32, []float64) {
-	if u < 0 || int(u) >= c.NumNodes() {
-		return nil, nil
-	}
-	lo, hi := c.offsets[u], c.offsets[u+1]
-	return c.nbrs[lo:hi], c.wts[lo:hi]
-}
-
 // Adj exposes the raw CSR arrays for allocation-free inner loops
 // (offsets has NumNodes()+1 entries). Read-only.
 func (c *CSR) Adj() (offsets []int32, nbrs []int32, wts []float64) {
 	return c.offsets, c.nbrs, c.wts
-}
-
-// Weight returns the weight of edge (u,v) and whether it exists, by
-// binary search within u's sorted row.
-func (c *CSR) Weight(u, v int32) (float64, bool) {
-	nbrs, wts := c.Row(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	if i < len(nbrs) && nbrs[i] == v {
-		return wts[i], true
-	}
-	return 0, false
-}
-
-// Degree returns the number of neighbors of u.
-func (c *CSR) Degree(u int32) int {
-	nbrs, _ := c.Row(u)
-	return len(nbrs)
 }
 
 // WeightedDegree returns the cached sum of incident edge weights of u.
@@ -230,64 +140,15 @@ func (c *CSR) WeightedDegree(u int32) float64 {
 // once).
 func (c *CSR) TotalWeight() float64 { return c.total }
 
-// Neighbors returns the neighbor ids of u in ascending order as a
-// zero-copy view. Callers must not modify the result.
-func (c *CSR) Neighbors(u int32) []int32 {
-	nbrs, _ := c.Row(u)
-	return nbrs
-}
-
-// ForEachNeighbor calls fn for every neighbor of u in ascending id
-// order.
-func (c *CSR) ForEachNeighbor(u int32, fn func(v int32, w float64)) {
-	nbrs, wts := c.Row(u)
-	for i, v := range nbrs {
-		fn(v, wts[i])
-	}
-}
-
 // Edges returns every edge once, sorted by (U,V).
 func (c *CSR) Edges() []Edge {
 	out := make([]Edge, 0, c.NumEdges())
-	n := c.NumNodes()
-	for u := 0; u < n; u++ {
-		nbrs, wts := c.Row(int32(u))
-		for i, v := range nbrs {
-			if int32(u) < v {
-				out = append(out, Edge{U: int32(u), V: v, W: wts[i]})
+	for u := int32(0); int(u) < c.NumNodes(); u++ {
+		for j := c.offsets[u]; j < c.offsets[u+1]; j++ {
+			if v := c.nbrs[j]; u < v {
+				out = append(out, Edge{U: u, V: v, W: c.wts[j]})
 			}
 		}
 	}
 	return out
-}
-
-// Components returns a partition id per node, labeling connected
-// components; labels are the smallest node id in each component.
-func (c *CSR) Components() []int32 {
-	n := c.NumNodes()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int32
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		root := int32(s)
-		stack = append(stack[:0], root)
-		comp[s] = root
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nbrs, _ := c.Row(u)
-			for _, v := range nbrs {
-				if comp[v] == -1 {
-					comp[v] = root
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return comp
 }

@@ -1,112 +1,126 @@
 package wgraph
 
 import (
+	"math"
 	"math/rand/v2"
-	"reflect"
+	"slices"
 	"testing"
 )
 
-// randomGraph builds a connected-ish random weighted graph.
-func randomGraph(n, extraEdges int, seed uint64) *Graph {
+// dense is the reference model the CSR is held to: a symmetric n×n
+// weight matrix in which zero means "no edge".
+type dense [][]float64
+
+func newDense(n int) dense {
+	m := make(dense, n)
+	for u := range m {
+		m[u] = make([]float64, n)
+	}
+	return m
+}
+
+func (m dense) set(u, v int32, w float64) { m[u][v], m[v][u] = w, w }
+
+// edges lists the upper triangle in canonical (U, V) order.
+func (m dense) edges() []Edge {
+	var out []Edge
+	for u := range m {
+		for v := u + 1; v < len(m); v++ {
+			if m[u][v] != 0 {
+				out = append(out, Edge{U: int32(u), V: int32(v), W: m[u][v]})
+			}
+		}
+	}
+	return out
+}
+
+// randomDense keeps each of the n(n-1)/2 pairs with probability p.
+func randomDense(n int, p float64, seed uint64) dense {
 	rng := rand.New(rand.NewPCG(seed, 17))
-	g := New(n)
-	for v := 1; v < n; v++ {
-		u := rng.IntN(v)
-		_ = g.SetEdge(int32(u), int32(v), 0.05+0.9*rng.Float64())
-	}
-	for i := 0; i < extraEdges; i++ {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u == v {
-			continue
+	m := newDense(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				m.set(int32(u), int32(v), 0.05+0.9*rng.Float64())
+			}
 		}
-		_ = g.SetEdge(int32(u), int32(v), 0.05+0.9*rng.Float64())
 	}
-	return g
+	return m
 }
 
-// TestCSRObservationallyIdentical is the substrate property test: a
-// frozen CSR must be indistinguishable from its source builder through
-// every View observation — including byte-equal floats for the cached
-// aggregates.
-func TestCSRObservationallyIdentical(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		g := randomGraph(60, int(seed*13%120), seed)
-		c := g.Freeze()
-
-		if c.NumNodes() != g.NumNodes() {
-			t.Fatalf("seed %d: NumNodes %d != %d", seed, c.NumNodes(), g.NumNodes())
+// blockedTotal is the canonical summation of sum.go written the other
+// way round: slice the addends into blocks, fold each, fold the folds.
+func blockedTotal(edges []Edge) float64 {
+	var total float64
+	for lo := 0; lo < len(edges); lo += WeightSumBlockSize {
+		var partial float64
+		for _, e := range edges[lo:min(lo+WeightSumBlockSize, len(edges))] {
+			partial += e.W
 		}
-		if c.NumEdges() != g.NumEdges() {
-			t.Fatalf("seed %d: NumEdges %d != %d", seed, c.NumEdges(), g.NumEdges())
-		}
-		if c.TotalWeight() != g.TotalWeight() {
-			t.Fatalf("seed %d: TotalWeight %v != %v", seed, c.TotalWeight(), g.TotalWeight())
-		}
-		if !reflect.DeepEqual(c.Components(), g.Components()) {
-			t.Fatalf("seed %d: Components differ", seed)
-		}
-		if !reflect.DeepEqual(c.Edges(), g.Edges()) {
-			t.Fatalf("seed %d: Edges differ", seed)
-		}
-		for u := int32(0); int(u) < g.NumNodes(); u++ {
-			gn, cn := g.Neighbors(u), c.Neighbors(u)
-			if len(gn) != len(cn) {
-				t.Fatalf("seed %d node %d: Neighbors len %d != %d", seed, u, len(cn), len(gn))
-			}
-			for i := range gn {
-				if gn[i] != cn[i] {
-					t.Fatalf("seed %d node %d: Neighbors[%d] %d != %d", seed, u, i, cn[i], gn[i])
-				}
-			}
-			if g.Degree(u) != c.Degree(u) {
-				t.Fatalf("seed %d node %d: Degree differs", seed, u)
-			}
-			if g.WeightedDegree(u) != c.WeightedDegree(u) {
-				t.Fatalf("seed %d node %d: WeightedDegree %v != %v",
-					seed, u, c.WeightedDegree(u), g.WeightedDegree(u))
-			}
-			for _, v := range gn {
-				gw, gok := g.Weight(u, v)
-				cw, cok := c.Weight(u, v)
-				if gok != cok || gw != cw {
-					t.Fatalf("seed %d: Weight(%d,%d) = %v,%v vs %v,%v", seed, u, v, cw, cok, gw, gok)
-				}
-			}
-			// A non-neighbor probe must miss on both.
-			if _, ok := c.Weight(u, u); ok {
-				t.Fatalf("seed %d: self-loop reported on node %d", seed, u)
-			}
-		}
-		// ForEachNeighbor visits the same (v, w) sequence.
-		for u := int32(0); int(u) < g.NumNodes(); u++ {
-			type vw struct {
-				v int32
-				w float64
-			}
-			var a, b []vw
-			g.ForEachNeighbor(u, func(v int32, w float64) { a = append(a, vw{v, w}) })
-			c.ForEachNeighbor(u, func(v int32, w float64) { b = append(b, vw{v, w}) })
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d node %d: ForEachNeighbor sequences differ", seed, u)
-			}
-		}
+		total += partial
 	}
+	return total
 }
 
-func TestFromEdgesMatchesFreeze(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		g := randomGraph(40, 80, seed)
-		viaFreeze := g.Freeze()
-		viaEdges, err := FromEdges(g.NumNodes(), g.Edges())
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestFromEdgesMatchesDenseReference is the substrate test: every
+// observation of a FromEdges CSR must be what the matrix says, floats
+// bit for bit. The last case has more than two summation blocks and a
+// ragged tail.
+func TestFromEdgesMatchesDenseReference(t *testing.T) {
+	cases := []struct {
+		name string
+		m    dense
+	}{
+		{"no-nodes", newDense(0)},
+		{"no-edges", newDense(3)},
+		{"sparse", randomDense(60, 0.05, 1)},
+		{"medium", randomDense(40, 0.4, 2)},
+		{"three-blocks", randomDense(150, 0.8, 3)},
+	}
+	for _, tc := range cases {
+		n, edges := len(tc.m), tc.m.edges()
+		c, err := FromEdges(n, edges)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(viaFreeze, viaEdges) {
-			t.Fatalf("seed %d: FromEdges CSR differs from Freeze CSR", seed)
+		if c.NumNodes() != n || c.NumEdges() != len(edges) {
+			t.Fatalf("%s: %d nodes, %d edges, want %d, %d", tc.name, c.NumNodes(), c.NumEdges(), n, len(edges))
 		}
-		if viaFreeze.TotalWeight() != viaEdges.TotalWeight() {
-			t.Fatalf("seed %d: totals differ", seed)
+		offsets, nbrs, wts := c.Adj()
+		for u := 0; u < n; u++ {
+			// The row is the matrix row's non-zeros, ascending: both
+			// directions of every edge are present.
+			var wantNbrs []int32
+			var wantWts []float64
+			var wdeg float64
+			for v, w := range tc.m[u] {
+				if w != 0 {
+					wantNbrs, wantWts = append(wantNbrs, int32(v)), append(wantWts, w)
+					wdeg += w
+				}
+			}
+			lo, hi := offsets[u], offsets[u+1]
+			if !slices.Equal(nbrs[lo:hi], wantNbrs) || !slices.Equal(wts[lo:hi], wantWts) {
+				t.Fatalf("%s: row %d = %v %v, want %v %v", tc.name, u, nbrs[lo:hi], wts[lo:hi], wantNbrs, wantWts)
+			}
+			if got := c.WeightedDegree(int32(u)); !sameBits(got, wdeg) {
+				t.Fatalf("%s: WeightedDegree(%d) = %v, want %v", tc.name, u, got, wdeg)
+			}
 		}
+		if c.WeightedDegree(-1) != 0 || c.WeightedDegree(int32(n)) != 0 {
+			t.Fatalf("%s: out-of-range WeightedDegree not zero", tc.name)
+		}
+		if !slices.Equal(c.Edges(), edges) {
+			t.Fatalf("%s: Edges() does not round-trip", tc.name)
+		}
+		if got, want := c.TotalWeight(), blockedTotal(edges); !sameBits(got, want) {
+			t.Fatalf("%s: TotalWeight = %v, want blocked fold %v", tc.name, got, want)
+		}
+	}
+	if e := len(cases[len(cases)-1].m.edges()); e <= 2*WeightSumBlockSize || e%WeightSumBlockSize == 0 {
+		t.Fatalf("three-blocks case has %d edges: not two full blocks and a ragged tail", e)
 	}
 }
 
@@ -157,144 +171,68 @@ func TestFromEdgesRejectsBadInput(t *testing.T) {
 
 // TestFromEdgesAcceptsCanonicalizedAdversarialInput is the positive
 // half: an adversarial edge soup (unsorted, duplicated, self-looped)
-// canonicalized through the mutable builder must round-trip into the
-// same CSR as the directly constructed graph.
+// canonicalized through the reference matrix is accepted, and the CSR
+// holds the last write.
 func TestFromEdgesAcceptsCanonicalizedAdversarialInput(t *testing.T) {
-	soup := []Edge{
+	m := newDense(5)
+	for _, e := range []Edge{
 		{U: 3, V: 1, W: 0.9}, // non-canonical order
-		{U: 1, V: 3, W: 0.4}, // duplicate of the above (last write wins)
-		{U: 2, V: 2, W: 0.7}, // self-loop: dropped by the builder
+		{U: 1, V: 3, W: 0.4}, // the same pair again (last write wins)
+		{U: 2, V: 2, W: 0.7}, // self-loop: the upper triangle never lists it
 		{U: 0, V: 4, W: 0.6},
 		{U: 0, V: 1, W: 0.3},
+	} {
+		m.set(e.U, e.V, e.W)
 	}
-	g := New(5)
-	for _, e := range soup {
-		if e.U == e.V {
-			if err := g.SetEdge(e.U, e.V, e.W); err == nil {
-				t.Fatal("builder accepted a self-loop")
-			}
-			continue
-		}
-		if err := g.SetEdge(e.U, e.V, e.W); err != nil {
-			t.Fatal(err)
-		}
-	}
-	canonical := g.Edges()
-	c, err := FromEdges(5, canonical)
+	c, err := FromEdges(5, m.edges())
 	if err != nil {
 		t.Fatalf("canonicalized edges rejected: %v", err)
 	}
-	if !reflect.DeepEqual(c, g.Freeze()) {
-		t.Fatal("canonicalized FromEdges CSR differs from Freeze")
-	}
-	if w, ok := c.Weight(1, 3); !ok || w != 0.4 {
-		t.Fatalf("duplicate edge did not keep the last write: %v %v", w, ok)
+	want := []Edge{{U: 0, V: 1, W: 0.3}, {U: 0, V: 4, W: 0.6}, {U: 1, V: 3, W: 0.4}}
+	if !slices.Equal(c.Edges(), want) {
+		t.Fatalf("Edges() = %v, want %v", c.Edges(), want)
 	}
 }
 
-func TestFreezeMemoizedAndInvalidated(t *testing.T) {
-	g := randomGraph(20, 30, 7)
-	c1 := g.Freeze()
-	if c2 := g.Freeze(); c1 != c2 {
-		t.Fatal("Freeze not memoized between mutations")
-	}
-	if err := g.SetEdge(0, 19, 0.42); err != nil {
-		t.Fatal(err)
-	}
-	c3 := g.Freeze()
-	if c3 == c1 {
-		t.Fatal("Freeze memo not invalidated by SetEdge")
-	}
-	if w, ok := c3.Weight(0, 19); !ok || w != 0.42 {
-		t.Fatalf("new edge missing from refrozen CSR: %v %v", w, ok)
-	}
-	g.RemoveEdge(0, 19)
-	if _, ok := g.Freeze().Weight(0, 19); ok {
-		t.Fatal("Freeze memo not invalidated by RemoveEdge")
-	}
-}
-
-func TestNumEdgesIncremental(t *testing.T) {
-	g := New(5)
-	if g.NumEdges() != 0 {
-		t.Fatal("fresh graph has edges")
-	}
-	if err := g.SetEdge(0, 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(0, 1, 0.9); err != nil { // overwrite, not a new edge
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(1, 2, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
-	}
-	g.RemoveEdge(0, 1)
-	g.RemoveEdge(0, 1) // absent: no-op
-	g.RemoveEdge(3, 4) // absent: no-op
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
-	}
-}
-
-// TestSortedAdjacencyCacheAfterMutation ensures the cached sorted
-// neighbor lists used by ForEachNeighbor are invalidated correctly.
-func TestSortedAdjacencyCacheAfterMutation(t *testing.T) {
-	g := New(4)
-	mustSet := func(u, v int32, w float64) {
-		t.Helper()
-		if err := g.SetEdge(u, v, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSet(0, 2, 0.5)
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int32{2}) {
-		t.Fatalf("Neighbors(0) = %v", got)
-	}
-	mustSet(0, 1, 0.4) // mutate after the cache was built
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int32{1, 2}) {
-		t.Fatalf("Neighbors(0) after insert = %v", got)
-	}
-	var seen []int32
-	g.ForEachNeighbor(0, func(v int32, _ float64) { seen = append(seen, v) })
-	if !reflect.DeepEqual(seen, []int32{1, 2}) {
-		t.Fatalf("ForEachNeighbor order = %v", seen)
-	}
-	g.RemoveEdge(0, 2)
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int32{1}) {
-		t.Fatalf("Neighbors(0) after remove = %v", got)
-	}
-	// Callers may mutate the Neighbors copy without corrupting the cache.
-	n := g.Neighbors(1)
-	if len(n) > 0 {
-		n[0] = 99
-	}
-	if got := g.Neighbors(1); !reflect.DeepEqual(got, []int32{0}) {
-		t.Fatalf("Neighbors(1) corrupted by caller mutation: %v", got)
-	}
-}
-
-// TestCanonicalBlockedTotal pins the canonical-summation contract: the
-// builder, its frozen CSR, FromEdges, and the exported SumEdgeWeights
-// helper (the reduction parallel builders replicate) must all produce
-// the same float64 bit pattern for the total edge weight.
-func TestCanonicalBlockedTotal(t *testing.T) {
-	g := randomGraph(200, 700, 11)
-	edges := g.Edges()
-	want := SumEdgeWeights(edges)
-	if got := g.TotalWeight(); got != want {
-		t.Fatalf("builder total %v != SumEdgeWeights %v", got, want)
-	}
-	if got := g.Freeze().TotalWeight(); got != want {
-		t.Fatalf("frozen total %v != SumEdgeWeights %v", got, want)
-	}
-	c, err := FromEdges(g.NumNodes(), edges)
+// TestNeighborsSortedAndDegrees writes the layout out by hand once: a
+// star on node 0 listed as (0,1) (0,3) (0,4).
+func TestNeighborsSortedAndDegrees(t *testing.T) {
+	c, err := FromEdges(5, []Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 3, W: 3}, {U: 0, V: 4, W: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalWeight(); got != want {
-		t.Fatalf("FromEdges total %v != SumEdgeWeights %v", got, want)
+	offsets, nbrs, wts := c.Adj()
+	if !slices.Equal(offsets, []int32{0, 3, 4, 4, 5, 6}) ||
+		!slices.Equal(nbrs, []int32{1, 3, 4, 0, 0, 0}) ||
+		!slices.Equal(wts, []float64{1, 3, 4, 1, 3, 4}) {
+		t.Fatalf("Adj() = %v %v %v", offsets, nbrs, wts)
+	}
+	if c.WeightedDegree(0) != 8 || c.WeightedDegree(2) != 0 || c.WeightedDegree(4) != 4 || c.TotalWeight() != 8 {
+		t.Fatalf("weighted degrees %v %v %v, total %v", c.WeightedDegree(0), c.WeightedDegree(2), c.WeightedDegree(4), c.TotalWeight())
+	}
+}
+
+// TestCanonicalBlockedTotal walks the edge count across the block
+// boundaries of the canonical summation: FromEdges must flush a full
+// block exactly once and fold a short tail last.
+func TestCanonicalBlockedTotal(t *testing.T) {
+	all := randomDense(150, 0.9, 11).edges()
+	for _, k := range []int{0, 1, WeightSumBlockSize - 1, WeightSumBlockSize, WeightSumBlockSize + 1, 2 * WeightSumBlockSize, len(all)} {
+		c, err := FromEdges(150, all[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.TotalWeight(), blockedTotal(all[:k]); !sameBits(got, want) {
+			t.Fatalf("%d edges: TotalWeight = %v, want blocked fold %v", k, got, want)
+		}
+	}
+	// The shape matters: one flat left fold of the same addends lands on
+	// another float.
+	var flat float64
+	for _, e := range all {
+		flat += e.W
+	}
+	if sameBits(flat, blockedTotal(all)) {
+		t.Fatal("fixture cannot tell the blocked fold from a flat one")
 	}
 }
