@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation, one per experiment id
-// (DESIGN.md §4). Custom metrics carry the experiment's headline number
-// (precision, lift, modularity, …) so `go test -bench` output alone shows
-// whether the paper's shape holds. cmd/shoal-bench prints the full tables.
+// (internal/experiments). Custom metrics carry the experiment's headline
+// number (precision, lift, modularity, …) so `go test -bench` output alone
+// shows whether the paper's shape holds. cmd/shoal-bench prints the full
+// tables.
 package shoal_test
 
 import (
@@ -244,19 +245,13 @@ func BenchmarkE8Linkage(b *testing.B) {
 }
 
 // BenchmarkE9BSP regenerates the ODPS-substitution check: the diffusion
-// protocol as a vertex program on the Pregel-style BSP engine must select
-// exactly what phac.Diffuse selects. Each iteration is the whole
-// experiment, corpus and build included.
+// protocol as a Pregel vertex program must select exactly what
+// phac.Diffuse selects, or E9BSP returns an error. Each iteration is the
+// whole experiment, corpus and build included.
 func BenchmarkE9BSP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.E9BSP(experiments.Small, 1)
-		if err != nil {
+		if _, err := experiments.E9BSP(experiments.Small, 1); err != nil {
 			b.Fatal(err)
-		}
-		for _, row := range tab.Rows {
-			if row[1] == "bsp(+chaos)" && row[4] != "true" {
-				b.Fatalf("BSP result differs from phac.Diffuse: %v", row)
-			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command shoal-bench regenerates the paper's evaluation: one table per
-// experiment id (see DESIGN.md §4 and EXPERIMENTS.md).
+// experiment id (see internal/experiments and PAPER.md).
 //
 // Usage:
 //
@@ -32,7 +32,7 @@ func main() {
 	log.SetPrefix("shoal-bench: ")
 
 	var (
-		run       = flag.String("run", "all", "comma-separated experiment ids (E1..E9,F3) or 'all'")
+		run       = flag.String("run", "all", "comma-separated experiment ids (E1..E11,F3) or 'all'")
 		scale     = flag.String("scale", "medium", "corpus scale: small|medium|large")
 		users     = flag.Int("users", 200_000, "simulated users for E2")
 		seeds     = flag.String("seeds", "1,2,3", "comma-separated corpus seeds")

@@ -1,8 +1,8 @@
 // Package experiments regenerates every quantitative claim and figure of
-// the paper's evaluation (see DESIGN.md §4 and EXPERIMENTS.md). Each
-// experiment builds its own inputs from the synthetic corpus generator,
-// runs the relevant pipeline stages, and returns a Table whose rows mirror
-// what the paper reports. cmd/shoal-bench prints these tables; the root
+// the paper's evaluation (PAPER.md has its abstract). Each experiment
+// builds its own inputs from the synthetic corpus generator, runs the
+// relevant pipeline stages, and returns a Table whose rows mirror what
+// the paper reports. cmd/shoal-bench prints these tables; the root
 // bench_test.go wraps them in testing.B benchmarks.
 package experiments
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"shoal/internal/bsp"
 	"shoal/internal/phac"
 	"shoal/internal/wgraph"
 	"shoal/internal/wgraph/wgraphtest"
@@ -149,21 +148,15 @@ func TestE8LinkageRows(t *testing.T) {
 }
 
 func TestE9BSPIdentical(t *testing.T) {
-	tab, err := E9BSP(Small, 1)
-	if err != nil {
+	if _, err := E9BSP(Small, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tab.Rows {
-		if row[1] == "bsp(+chaos)" && row[4] != "true" {
-			t.Fatalf("BSP result differs from shared-memory: %v", row)
-		}
-	}
 
-	// The acceptance matrix of the vertex program: max-combiner,
+	// The acceptance matrix of the vertex program: the max fold,
 	// changed-only sends and vote-to-halt must keep it byte-identical to
-	// phac.Diffuse at every diffusion depth, for every engine width
+	// phac.Diffuse at every diffusion depth, for every placement
 	// (edge-balanced row ranges, so shard sizes are uneven) and under
-	// every delivery pathology the engine can inject. The threshold
+	// every delivery disorder the barrier can inject. The threshold
 	// leaves sub-threshold edges in the graphs: they carry messages but
 	// never enter a vertex's state.
 	graphs := []*wgraph.CSR{Figure3Graph()}
@@ -190,21 +183,58 @@ func TestE9BSPIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 3, 8} {
-				for _, chaos := range []*bsp.Chaos{
-					nil,
-					{Seed: uint64(gi + 1), ShuffleInbox: true},
-					{Seed: uint64(gi + 1), StallBatches: true},
-					{Seed: uint64(gi + 1), ShuffleInbox: true, StallBatches: true},
+				for _, ch := range []chaos{
+					{},
+					{seed: uint64(gi + 1), shuffle: true},
+					{seed: uint64(gi + 1), stall: true},
+					{seed: uint64(gi + 1), shuffle: true, stall: true},
 				} {
-					got, err := diffuseBSP(c, r, threshold, bsp.Config{Bounds: edgeBalancedBounds(c, shards), Chaos: chaos})
+					got, computed, messages, err := diffuseBSP(c, r, threshold, edgeBalancedBounds(c, shards), ch)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("graph %d r=%d shards=%d chaos=%+v:\n%v\ndiffers from phac.Diffuse\n%v", gi, r, shards, chaos, got, want)
+						t.Fatalf("graph %d r=%d shards=%d chaos=%+v:\n%v\ndiffers from phac.Diffuse\n%v", gi, r, shards, ch, got, want)
+					}
+					// The protocol's cost: something is in flight whenever
+					// r >= 1 (so shuffle and stall have envelopes to
+					// permute, one shard included), the run quiesces by
+					// superstep r, and changed-only sends stay under the
+					// broadcast-everything bound r*2E — strictly once
+					// r >= 2, since the endpoints of the globally best
+					// edge never re-broadcast.
+					bound := r * 2 * c.NumEdges()
+					switch {
+					case r == 0 && (len(computed) != 1 || messages != 0):
+						t.Fatalf("graph %d r=0 shards=%d: %d supersteps, %d messages, want 1 and 0", gi, shards, len(computed), messages)
+					case r >= 1 && messages == 0:
+						t.Fatalf("graph %d r=%d shards=%d: no message sent", gi, r, shards)
+					case len(computed) > r+1:
+						t.Fatalf("graph %d r=%d shards=%d: %d supersteps, want <= %d", gi, r, shards, len(computed), r+1)
+					case messages > bound || r >= 2 && messages == bound:
+						t.Fatalf("graph %d r=%d shards=%d: %d messages against the broadcast bound %d", gi, r, shards, messages, bound)
 					}
 				}
 			}
+		}
+	}
+
+	// Vote-to-halt and reactivation on the path 0-1-2-3-4: vertex 1 learns
+	// nothing at superstep 1 and votes to halt, (3,4) reaches vertex 2
+	// meanwhile, and its re-broadcast wakes vertex 1 at superstep 2.
+	path := wgraphtest.Build(t, 5,
+		wgraph.Edge{U: 0, V: 1, W: 0.3}, wgraph.Edge{U: 1, V: 2, W: 0.5},
+		wgraph.Edge{U: 2, V: 3, W: 0.4}, wgraph.Edge{U: 3, V: 4, W: 0.9})
+	for _, shards := range []int{1, 2, 5} {
+		sel, computed, messages, err := diffuseBSP(path, 3, threshold, edgeBalancedBounds(path, shards), chaos{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []phac.Edge{{U: 3, V: 4, Sim: 0.9}}; !reflect.DeepEqual(sel, want) {
+			t.Fatalf("path shards=%d: selected %v, want %v", shards, sel, want)
+		}
+		if want := []int{5, 5, 4, 3}; !reflect.DeepEqual(computed, want) || messages != 13 {
+			t.Fatalf("path shards=%d: computed %v with %d messages, want %v with 13", shards, computed, messages, want)
 		}
 	}
 }

@@ -61,8 +61,9 @@
 //
 // (* first run after generating the corpus.) The vertex-program
 // formulation survives as experiment E9 (internal/experiments), which
-// proves it byte-identical to Diffuse under every engine width and
-// delivery pathology; no product build contains it.
+// proves it byte-identical to Diffuse under every row placement and
+// delivery order on a serial superstep loop; the engine is deleted and
+// no product build contains either.
 package phac
 
 import (
