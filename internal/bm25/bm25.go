@@ -66,7 +66,7 @@ type term struct {
 type Index struct {
 	cfg Config
 	// vocab resolves a query token to its term id — one map lookup per
-	// distinct query term. Read-only here: BuildIDs shares the caller's.
+	// query token. Read-only here: BuildIDs shares the caller's.
 	vocab *textutil.Vocab
 	// terms (by term id) and posts are the CSR postings.
 	terms  []term
@@ -87,7 +87,7 @@ type scratch struct {
 	scores  []float64
 	marked  []bool
 	touched []int32
-	terms   []string
+	terms   []uint32
 }
 
 // Build indexes docs. Empty documents are permitted (they simply never
@@ -197,15 +197,26 @@ func (idx *Index) idfFromDF(df int) float64 {
 	return v
 }
 
-// postings returns the term's posting span and idf; an unknown term has
-// an empty span.
-func (idx *Index) postings(term string) ([]posting, float64) {
-	t, ok := idx.vocab.ID(term)
-	if !ok {
-		return nil, 0
-	}
+// Vocab is the vocabulary the index resolves query tokens in: term ids
+// passed to AppendTopK are its ids. Shared and frozen — look up, never
+// Add.
+func (idx *Index) Vocab() *textutil.Vocab { return idx.vocab }
+
+// postings returns the term's posting span and idf.
+func (idx *Index) postings(t uint32) ([]posting, float64) {
 	e := idx.terms[t]
 	return idx.posts[e.off:][:e.df], e.idf
+}
+
+// resolve appends to buf the term ids of the query's known tokens, in
+// query order; unknown tokens have no postings and are dropped.
+func (idx *Index) resolve(query []string, buf []uint32) []uint32 {
+	for _, tok := range query {
+		if t, ok := idx.vocab.ID(tok); ok {
+			buf = append(buf, uint32(t))
+		}
+	}
+	return buf
 }
 
 // Score returns the BM25 relevance of the query tokens to document doc.
@@ -215,8 +226,12 @@ func (idx *Index) Score(query []string, doc int) (float64, error) {
 		return 0, fmt.Errorf("bm25: document %d out of range [0,%d)", doc, idx.n)
 	}
 	var s float64
-	for _, term := range dedup(query) {
-		plist, idf := idx.postings(term)
+	terms := idx.resolve(query, nil)
+	for j, t := range terms {
+		if slices.Contains(terms[:j], t) {
+			continue // a repeated term counts once
+		}
+		plist, idf := idx.postings(t)
 		i := sort.Search(len(plist), func(i int) bool { return plist[i].doc >= int32(doc) })
 		if i == len(plist) || plist[i].doc != int32(doc) {
 			continue
@@ -246,19 +261,25 @@ func (idx *Index) termScore(idf float64, p posting) float64 {
 func (idx *Index) ScoreAll(query []string) []Hit {
 	sc := idx.getScratch()
 	defer idx.putScratch(sc)
-	touched := idx.scoreInto(sc, query)
+	sc.terms = idx.resolve(query, sc.terms[:0])
+	touched := idx.scoreInto(sc, sc.terms)
 	return idx.collectHits(sc, touched, make([]Hit, 0, len(touched)))
 }
 
-// scoreInto accumulates the query's BM25 scores into the dense scratch
-// and returns the touched-document list (unordered). Callers must reset
-// the touched entries before pooling the scratch. Terms accumulate in
-// first-occurrence order and each term's postings in ascending document
-// order, which fixes every score's float rounding.
-func (idx *Index) scoreInto(sc *scratch, query []string) []int32 {
+// scoreInto accumulates the BM25 scores of the query terms into the
+// dense scratch and returns the touched-document list (unordered).
+// Callers must reset the touched entries before pooling the scratch.
+// A repeated term counts once, at its first occurrence: terms accumulate
+// in first-occurrence order and each term's postings in ascending
+// document order, which fixes every score's float rounding. Query terms
+// are few, so the repeat check scans instead of keeping a set.
+func (idx *Index) scoreInto(sc *scratch, terms []uint32) []int32 {
 	touched := sc.touched[:0]
-	for _, term := range dedupOrdered(query, &sc.terms) {
-		plist, idf := idx.postings(term)
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
+			continue
+		}
+		plist, idf := idx.postings(t)
 		for _, p := range plist {
 			if !sc.marked[p.doc] {
 				sc.marked[p.doc] = true
@@ -284,43 +305,63 @@ func (idx *Index) collectHits(sc *scratch, touched []int32, hits []Hit) []Hit {
 }
 
 // TopK returns the k highest-scoring documents for the query, best first;
-// ties break on lower document id. Scoring accumulates into a pooled
-// dense array with a touched-doc list (no per-query map), and selection
-// keeps a partial top-k instead of sorting every hit, so the only
-// allocation on the hot path is the returned slice.
+// ties break on lower document id. It resolves the tokens to term ids
+// and runs AppendTopK's selection, so the only allocation is the
+// returned slice.
 func (idx *Index) TopK(query []string, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
 	sc := idx.getScratch()
 	defer idx.putScratch(sc)
-	touched := idx.scoreInto(sc, query)
+	sc.terms = idx.resolve(query, sc.terms[:0])
+	return idx.topK(sc, sc.terms, nil, k)
+}
 
-	// Partial selection: keep the best k in a sorted prefix (best first,
-	// ties on lower doc id). k is small on the serving path, so ordered
-	// insertion beats a full sort of every touched doc.
+// AppendTopK appends to dst the k highest-scoring documents for a query
+// spelled as term ids of Vocab, best first, ties on lower document id.
+// Repeated ids count once, at their first occurrence, so the result
+// equals TopK over the same tokens hit for hit and bit for bit. Scoring
+// accumulates into a pooled dense array with a touched-doc list (no
+// per-query map), and selection keeps a partial top-k instead of sorting
+// every hit: with a reused dst it allocates nothing.
+func (idx *Index) AppendTopK(dst []Hit, terms []uint32, k int) []Hit {
+	if k <= 0 {
+		return dst
+	}
+	sc := idx.getScratch()
+	defer idx.putScratch(sc)
+	return idx.topK(sc, terms, dst, k)
+}
+
+// topK is the one selection: it scores the terms and appends the best k
+// to dst, growing it at most once.
+func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
+	touched := idx.scoreInto(sc, terms)
+
+	// Partial selection: keep the best k in a sorted prefix by bounded
+	// insertion. The order (score desc, doc asc) is total, so the top-k is
+	// unique. k is small on the serving path, so shifting a few entries
+	// beats a full sort of every touched doc, and one comparison against
+	// the worst kept hit rejects most of them.
 	if k > len(touched) {
 		k = len(touched)
 	}
-	hits := make([]Hit, 0, k)
+	base := len(dst)
+	dst = slices.Grow(dst, k)
+	hits := dst[base : base : base+k]
 	for _, d := range touched {
 		h := Hit{Doc: int(d), Score: sc.scores[d]}
-		if len(hits) == cap(hits) {
-			worst := hits[len(hits)-1]
-			if h.Score < worst.Score || (h.Score == worst.Score && h.Doc > worst.Doc) {
-				continue
-			}
-			hits = hits[:len(hits)-1]
+		n := len(hits)
+		if n < k {
+			hits = hits[:n+1]
+		} else if n--; !h.before(hits[n]) {
+			continue
 		}
-		i := sort.Search(len(hits), func(i int) bool {
-			if hits[i].Score != h.Score {
-				return hits[i].Score < h.Score
-			}
-			return hits[i].Doc > h.Doc
-		})
-		hits = append(hits, Hit{})
-		copy(hits[i+1:], hits[i:])
-		hits[i] = h
+		for ; n > 0 && h.before(hits[n-1]); n-- {
+			hits[n] = hits[n-1]
+		}
+		hits[n] = h
 	}
 
 	// Reset only what this query touched before pooling the scratch.
@@ -329,7 +370,7 @@ func (idx *Index) TopK(query []string, k int) []Hit {
 		sc.marked[d] = false
 	}
 	sc.touched = touched[:0]
-	return hits
+	return dst[:base+len(hits)]
 }
 
 // Scorer is a batch scoring session over one index: it checks a dense
@@ -355,7 +396,8 @@ func (idx *Index) NewScorer() *Scorer {
 // ascending document order, absent documents score 0. The returned
 // slice is the session's own buffer, valid until the next ScoreAll.
 func (s *Scorer) ScoreAll(query []string) []Hit {
-	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, query), s.hits[:0])
+	s.sc.terms = s.idx.resolve(query, s.sc.terms[:0])
+	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, s.sc.terms), s.hits[:0])
 	return s.hits
 }
 
@@ -381,45 +423,13 @@ func (idx *Index) getScratch() *scratch {
 
 func (idx *Index) putScratch(sc *scratch) { idx.scratchPool.Put(sc) }
 
-// dedupOrdered is dedup preserving first-occurrence order (so score
-// accumulation order — and therefore float rounding — matches Score and
-// ScoreAll exactly) without allocating a set: query terms are few, so a
-// quadratic scan into the pooled terms buffer wins.
-func dedupOrdered(terms []string, buf *[]string) []string {
-	out := (*buf)[:0]
-	for _, t := range terms {
-		dup := false
-		for _, seen := range out {
-			if seen == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, t)
-		}
-	}
-	*buf = out
-	return out
-}
-
 // Hit is a scored document.
 type Hit struct {
 	Doc   int
 	Score float64
 }
 
-func dedup(terms []string) []string {
-	if len(terms) <= 1 {
-		return terms
-	}
-	seen := make(map[string]bool, len(terms))
-	out := terms[:0:0]
-	for _, t := range terms {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
+// before is TopK's order: higher score first, ties on lower document id.
+func (h Hit) before(o Hit) bool {
+	return h.Score > o.Score || h.Score == o.Score && h.Doc < o.Doc
 }

@@ -124,6 +124,26 @@ func TestScoreAllPooledScratch(t *testing.T) {
 	}
 }
 
+// TestAppendTopKAllocFree: the id form with a reused dst is what a
+// search request runs, and it allocates nothing.
+func TestAppendTopKAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool caching is disabled under the race detector")
+	}
+	idx := buildIdx(t)
+	var terms []uint32
+	for _, tok := range []string{"beach", "swimwear", "beach"} {
+		id, _ := idx.Vocab().ID(tok)
+		terms = append(terms, uint32(id))
+	}
+	dst := idx.AppendTopK(nil, terms, 5) // warm the pool, size dst
+	if allocs := testing.AllocsPerRun(50, func() {
+		dst = idx.AppendTopK(dst[:0], terms, 5)
+	}); allocs != 0 {
+		t.Fatalf("AppendTopK allocated %.1f objects per call, want 0", allocs)
+	}
+}
+
 func TestScoreDedupsQueryTerms(t *testing.T) {
 	idx := buildIdx(t)
 	s1, _ := idx.Score([]string{"beach"}, 0)

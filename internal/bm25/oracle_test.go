@@ -177,6 +177,21 @@ func TestIndexMatchesReference(t *testing.T) {
 				if err := sameHits(idx.TopK(query, k), ref.topK(query, k)); err != nil {
 					t.Fatalf("trial %d %s TopK(%v, %d): %v", trial, name, query, k, err)
 				}
+				// The id form: known terms with their repeats, appended
+				// behind a prefix it must keep.
+				var ids []uint32
+				for _, tok := range query {
+					if id, ok := idx.Vocab().ID(tok); ok {
+						ids = append(ids, uint32(id))
+					}
+				}
+				got := idx.AppendTopK([]Hit{{Doc: -1}}, ids, k)
+				if got[0].Doc != -1 {
+					t.Fatalf("trial %d %s AppendTopK overwrote its prefix: %v", trial, name, got)
+				}
+				if err := sameHits(got[1:], ref.topK(query, k)); err != nil {
+					t.Fatalf("trial %d %s AppendTopK(%v, %d): %v", trial, name, ids, k, err)
+				}
 				byDoc := make(map[int]float64, len(want))
 				for _, h := range want {
 					byDoc[h.Doc] = h.Score

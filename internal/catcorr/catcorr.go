@@ -9,8 +9,10 @@
 package catcorr
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"shoal/internal/model"
@@ -111,12 +113,14 @@ func (g *Graph) Related(c model.CategoryID) []Correlation {
 		}
 		out = append(out, Correlation{A: a, B: b, Strength: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Strength != out[j].Strength {
-			return out[i].Strength > out[j].Strength
+	// The order is total (other endpoints are distinct), so any sort
+	// yields it; SortFunc does without sort.Slice's reflection, and a
+	// request for related categories allocates only out.
+	slices.SortFunc(out, func(x, y Correlation) int {
+		if x.Strength != y.Strength {
+			return cmp.Compare(y.Strength, x.Strength)
 		}
-		oi, oj := other(out[i], c), other(out[j], c)
-		return oi < oj
+		return cmp.Compare(other(x, c), other(y, c))
 	})
 	return out
 }

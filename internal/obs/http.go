@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +48,7 @@ type HTTPMetrics struct {
 	// served from.
 	Generation func() int64
 	generation *Gauge
+	panics     *Counter
 
 	mu        sync.Mutex
 	routes    []*routeMetrics
@@ -59,6 +62,7 @@ func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 		reg:        reg,
 		InFlight:   reg.Gauge("shoal_http_in_flight", "", "requests currently being served"),
 		generation: reg.Gauge("shoal_build_generation", "", "snapshot swap count at the last observation"),
+		panics:     reg.Counter("shoal_http_panics_total", "", "handler panics recovered by the middleware"),
 	}
 	m.pool.New = func() any { return &statusWriter{} }
 	m.unmatched = m.routeMetrics(UnmatchedRoute)
@@ -127,38 +131,61 @@ func (m *HTTPMetrics) Route(route string, h http.HandlerFunc) http.HandlerFunc {
 
 // WrapMux instruments the whole mux. Every response is observed exactly
 // once: under its route when a Route-wrapped handler ran, under
-// UnmatchedRoute when the mux answered itself.
+// UnmatchedRoute when the mux answered itself. The bookkeeping is
+// deferred, so a panicking handler is observed too (see finish).
 func (m *HTTPMetrics) WrapMux(mux http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := m.pool.Get().(*statusWriter)
 		sw.ResponseWriter, sw.status, sw.rm = w, 0, nil
 
 		m.InFlight.Add(1)
-		start := time.Now()
+		defer m.finish(sw, r, time.Now())
 		mux.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		m.InFlight.Add(-1)
-
-		rm := sw.rm
-		if rm == nil {
-			rm = m.unmatched
-		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		rm.latency.Observe(elapsed.Seconds())
-		rm.requests.Inc()
-		if ci := status/100 - 2; ci >= 0 && ci < len(statusClasses) {
-			rm.byClass[ci].Inc()
-		}
-		if m.Generation != nil {
-			m.generation.Set(m.Generation())
-		}
-
-		sw.ResponseWriter, sw.rm = nil, nil
-		m.pool.Put(sw)
 	})
+}
+
+// finish ends a request: in-flight accounting and observation. A handler
+// panic is recovered here and counted in shoal_http_panics_total and as
+// a 5xx. If nothing was written yet it answers 500 and the panic stops
+// here (logged with its stack, as net/http would); otherwise the
+// response cannot be repaired and the panic continues to net/http, which
+// aborts the connection — as does http.ErrAbortHandler, always.
+func (m *HTTPMetrics) finish(sw *statusWriter, r *http.Request, start time.Time) {
+	p := recover()
+	elapsed := time.Since(start)
+	m.InFlight.Add(-1)
+
+	rm := sw.rm
+	if rm == nil {
+		rm = m.unmatched
+	}
+	status := sw.status
+	repanic := p == http.ErrAbortHandler || p != nil && status != 0
+	if p != nil {
+		m.panics.Inc()
+		if !repanic {
+			log.Printf("http: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+			http.Error(sw.ResponseWriter, "internal server error", http.StatusInternalServerError)
+		}
+		status = http.StatusInternalServerError
+	}
+	if status == 0 {
+		status = http.StatusOK
+	}
+	rm.latency.Observe(elapsed.Seconds())
+	rm.requests.Inc()
+	if ci := status/100 - 2; ci >= 0 && ci < len(statusClasses) {
+		rm.byClass[ci].Inc()
+	}
+	if m.Generation != nil {
+		m.generation.Set(m.Generation())
+	}
+
+	sw.ResponseWriter, sw.rm = nil, nil
+	m.pool.Put(sw)
+	if repanic {
+		panic(p)
+	}
 }
 
 // RouteSummary is one route's latency digest in the JSON stats payload.

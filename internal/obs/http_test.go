@@ -47,8 +47,8 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	}
 	do("GET", "/bad", 400)
 	do("GET", "/boom", 500)
-	do("GET", "/missing", 404)  // mux-answered: unmatched
-	do("POST", "/ok", 405)      // wrong method: unmatched
+	do("GET", "/missing", 404) // mux-answered: unmatched
+	do("POST", "/ok", 405)     // wrong method: unmatched
 	gen = 7
 	do("GET", "/ok", 200)
 
@@ -95,6 +95,62 @@ func TestHTTPMetricsCounting(t *testing.T) {
 		if !strings.Contains(text, want+"\n") {
 			t.Fatalf("missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestPanicRecoveredAndCounted drives a panicking route through a real
+// server: the client gets a 500, the request is counted as one 5xx and
+// one recovered panic, and the in-flight gauge comes back to 0.
+// http.ErrAbortHandler is counted too and still aborts.
+func TestPanicRecoveredAndCounted(t *testing.T) {
+	reg := NewRegistry()
+	m := NewHTTPMetrics(reg)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /panic", m.Route("/panic", func(w http.ResponseWriter, r *http.Request) {
+		panic("handler bug")
+	}))
+	mux.HandleFunc("GET /abort", m.Route("/abort", func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	h := m.WrapMux(mux)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET /panic = %d, want 500", resp.StatusCode)
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Fatalf("GET /abort: recovered %v, want http.ErrAbortHandler re-panicked", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
+	}()
+
+	sum := m.Summary()
+	if sum.InFlight != 0 {
+		t.Fatalf("in-flight = %d after the panics, want 0", sum.InFlight)
+	}
+	for _, r := range sum.Routes {
+		if r.Requests != 1 || r.ByClass["5xx"] != 1 {
+			t.Fatalf("%s summary = %+v, want one 5xx", r.Route, r)
+		}
+	}
+	if len(sum.Routes) != 2 {
+		t.Fatalf("routes = %+v, want /panic and /abort", sum.Routes)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "shoal_http_panics_total 2\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("missing %q in:\n%s", want, sb.String())
 	}
 }
 

@@ -30,7 +30,8 @@ func newInstrumentedServer(t *testing.T) (*httptest.Server, *Handler) {
 // TestErrorPathsCounted drives every handler error branch and asserts
 // both the status code and that the response landed in the right route's
 // status-class counters — including mux-answered 404/405s, which no
-// handler ever sees.
+// handler ever sees. The length bound on q is a branch too: its last
+// admitted length is a case beside the first refused one.
 func TestErrorPathsCounted(t *testing.T) {
 	srv, h := newInstrumentedServer(t)
 
@@ -46,6 +47,8 @@ func TestErrorPathsCounted(t *testing.T) {
 		{"k zero", "GET", "/api/search?q=x&k=0", 400, "/api/search", "4xx"},
 		{"k too large", "GET", "/api/search?q=x&k=101", 400, "/api/search", "4xx"},
 		{"k not a number", "GET", "/api/search?q=x&k=boom", 400, "/api/search", "4xx"},
+		{"q over 1024 bytes", "GET", "/api/search?q=" + strings.Repeat("ab+", 341) + "ab", 400, "/api/search", "4xx"},
+		{"q of 1024 bytes", "GET", "/api/search?q=" + strings.Repeat("ab+", 341) + "a", 200, "/api/search", "2xx"},
 		{"topic id not a number", "GET", "/api/topics/boom", 400, "/api/topics/{id}", "4xx"},
 		{"unknown topic", "GET", "/api/topics/99999", 404, "/api/topics/{id}", "4xx"},
 		{"unknown filter category", "GET", "/api/topics/0/items?category=99999", 400, "/api/topics/{id}/items", "4xx"},

@@ -240,15 +240,25 @@ type Stats struct {
 	HTTP   obs.HTTPSummary `json:"http"`
 }
 
+// maxQueryBytes bounds a search's q. Term de-duplication is quadratic in
+// the query's terms, and the server's header limit alone admits ≈16 KB.
+const maxQueryBytes = 1024
+
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	b := h.cur.Load().build
-	q := r.URL.Query().Get("q")
+	var p [2]string
+	queryParams(r.URL.RawQuery, []string{"q", "k"}, p[:])
+	q, ks := p[0], p[1]
 	if q == "" {
 		httpError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
+	if len(q) > maxQueryBytes {
+		httpError(w, http.StatusBadRequest, "query parameter q is longer than "+strconv.Itoa(maxQueryBytes)+" bytes")
+		return
+	}
 	k := 5
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v <= 0 || v > 100 {
 			httpError(w, http.StatusBadRequest, "k must be an integer in [1,100]")
@@ -260,12 +270,10 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	if b.Searcher != nil {
 		hits = b.Searcher.Search(q, k)
 	}
-	out := make([]TopicSummary, 0, len(hits))
-	for _, hit := range hits {
-		t := &b.Taxonomy.Topics[hit.Topic]
-		out = append(out, summarize(t, hit.Score))
-	}
-	writeJSON(w, out)
+	bp := body()
+	send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
+		return append(openSummary(dst, &b.Taxonomy.Topics[hits[i].Topic], hits[i].Score), '}')
+	}))
 }
 
 func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
@@ -274,19 +282,21 @@ func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	detail := TopicDetail{
-		TopicSummary: summarize(t, 0),
-		Queries:      t.DescQueries,
-	}
-	for _, c := range t.Children {
-		detail.SubTopics = append(detail.SubTopics, summarize(&b.Taxonomy.Topics[c], 0))
-	}
-	for _, cat := range t.Categories {
-		detail.Categories = append(detail.Categories, CategoryRef{
-			ID: cat, Name: b.Corpus.Categories[cat].Name,
-		})
-	}
-	writeJSON(w, detail)
+	// As encoding/json writes TopicDetail: queries is null only for nil
+	// DescQueries, subTopics and categoryRefs whenever they are empty.
+	bp := body()
+	out := append(openSummary((*bp)[:0], t, 0), `,"queries":`...)
+	out = appendArray(out, len(t.DescQueries), t.DescQueries == nil, func(dst []byte, i int) []byte {
+		return appendJSONString(dst, t.DescQueries[i])
+	})
+	out = appendArray(append(out, `,"subTopics":`...), len(t.Children), len(t.Children) == 0, func(dst []byte, i int) []byte {
+		return append(openSummary(dst, &b.Taxonomy.Topics[t.Children[i]], 0), '}')
+	})
+	out = appendArray(append(out, `,"categoryRefs":`...), len(t.Categories), len(t.Categories) == 0, func(dst []byte, i int) []byte {
+		cat := t.Categories[i]
+		return append(openRef(dst, int64(cat), "name", b.Corpus.Categories[cat].Name), '}')
+	})
+	send(w, bp, append(out, '}'))
 }
 
 func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request) {
@@ -295,26 +305,33 @@ func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	items := t.Items
-	if cs := r.URL.Query().Get("category"); cs != "" {
-		cat, err := strconv.Atoi(cs)
-		if err != nil || cat < 0 || cat >= len(b.Corpus.Categories) {
+	var p [1]string
+	queryParams(r.URL.RawQuery, []string{"category"}, p[:])
+	cat := -1 // no filter
+	if cs := p[0]; cs != "" {
+		v, err := strconv.Atoi(cs)
+		if err != nil || v < 0 || v >= len(b.Corpus.Categories) {
 			httpError(w, http.StatusBadRequest, "unknown category")
 			return
 		}
-		filtered, err := b.Taxonomy.ItemsInCategory(t.ID, model.CategoryID(cat), b.Corpus)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		items = filtered
+		cat = v
 	}
-	out := make([]ItemRef, 0, len(items))
-	for _, it := range items {
+	bp := body()
+	out := append((*bp)[:0], '[')
+	n := 0
+	for _, it := range t.Items {
 		item := &b.Corpus.Items[it]
-		out = append(out, ItemRef{ID: it, Title: item.Title, Category: item.Category})
+		if cat >= 0 && int(item.Category) != cat {
+			continue
+		}
+		if n > 0 {
+			out = append(out, ',')
+		}
+		out = append(openRef(out, int64(it), "title", item.Title), `,"category":`...)
+		out = append(strconv.AppendInt(out, int64(item.Category), 10), '}')
+		n++
 	}
-	writeJSON(w, out)
+	send(w, bp, append(out, ']'))
 }
 
 func (h *Handler) related(w http.ResponseWriter, r *http.Request) {
@@ -328,18 +345,15 @@ func (h *Handler) related(w http.ResponseWriter, r *http.Request) {
 	if b.Correlations != nil {
 		rel = b.Correlations.Related(model.CategoryID(id))
 	}
-	out := make([]RelatedCategory, 0, len(rel))
-	for _, c := range rel {
-		other := c.A
+	bp := body()
+	send(w, bp, appendArray((*bp)[:0], len(rel), false, func(dst []byte, i int) []byte {
+		other := rel[i].A
 		if other == model.CategoryID(id) {
-			other = c.B
+			other = rel[i].B
 		}
-		out = append(out, RelatedCategory{
-			CategoryRef: CategoryRef{ID: other, Name: b.Corpus.Categories[other].Name},
-			Strength:    c.Strength,
-		})
-	}
-	writeJSON(w, out)
+		dst = append(openRef(dst, int64(other), "name", b.Corpus.Categories[other].Name), `,"strength":`...)
+		return append(strconv.AppendInt(dst, int64(rel[i].Strength), 10), '}')
+	}))
 }
 
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
@@ -407,25 +421,16 @@ func topicFromPath(w http.ResponseWriter, r *http.Request, b *core.Build) (*taxo
 	return t, true
 }
 
-func summarize(t *taxonomy.Topic, score float64) TopicSummary {
-	return TopicSummary{
-		ID: t.ID, Description: t.Description, Level: t.Level,
-		Items: len(t.Items), Categories: len(t.Categories), Score: score,
-	}
-}
-
+// writeJSON encodes v compactly with encoding/json — the routes off the
+// request hot path (/api/stats).
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers already sent; nothing more we can do.
-		return
-	}
+	w.Header()["Content-Type"] = jsonContentType
+	// An encoding error leaves nothing to do: the header is sent.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

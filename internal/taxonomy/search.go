@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"encoding/gob"
 	"encoding/json"
@@ -51,12 +52,51 @@ type Hit struct {
 	Score float64
 }
 
-// Search returns the k best-matching topics for a free-text query.
+// searchScratch is one request's tokenizer output, resolved term ids and
+// index hits, pooled so that a search allocates only what it returns.
+type searchScratch struct {
+	buf   []byte
+	ends  []int
+	terms []uint32
+	hits  []bm25.Hit
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// Search returns the k best-matching topics for a free-text query: the
+// index's top k for textutil.TokenizeFiltered(query), hit for hit and
+// bit for bit, computed without spelling a token as a string. The only
+// allocation is the returned slice.
 func (s *Searcher) Search(query string, k int) []Hit {
-	toks := textutil.TokenizeFiltered(query)
-	hits := s.idx.TopK(toks, k)
-	out := make([]Hit, len(hits))
-	for i, h := range hits {
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
+	sc.buf, sc.ends = textutil.AppendTokens(sc.buf[:0], sc.ends[:0], query)
+	// TokenizeFiltered drops stopwords unless every token is one.
+	allStop, start := true, 0
+	for _, end := range sc.ends {
+		if !textutil.StopwordBytes(sc.buf[start:end]) {
+			allStop = false
+			break
+		}
+		start = end
+	}
+	vocab := s.idx.Vocab()
+	terms, start := sc.terms[:0], 0
+	for _, end := range sc.ends {
+		tok := sc.buf[start:end]
+		start = end
+		if !allStop && textutil.StopwordBytes(tok) {
+			continue
+		}
+		if t, ok := vocab.IDBytes(tok); ok {
+			terms = append(terms, uint32(t))
+		}
+	}
+	sc.terms = terms
+	// AppendTopK counts a repeated term once, at its first occurrence.
+	sc.hits = s.idx.AppendTopK(sc.hits[:0], terms, k)
+	out := make([]Hit, len(sc.hits))
+	for i, h := range sc.hits {
 		out[i] = Hit{Topic: s.topics[h.Doc], Score: h.Score}
 	}
 	return out

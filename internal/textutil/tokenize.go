@@ -9,36 +9,59 @@
 package textutil
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lowercase word tokens. Letters and digits form
 // tokens; everything else separates them. CJK ideographs are emitted as
 // single-rune tokens, which approximates character-level segmentation for
-// Chinese titles.
+// Chinese titles. It is AppendTokens with the tokens spelled as strings.
 func Tokenize(s string) []string {
-	var toks []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			toks = append(toks, b.String())
-			b.Reset()
-		}
+	buf, ends := AppendTokens(nil, nil, s)
+	if len(ends) == 0 {
+		return nil
 	}
+	all := string(buf)
+	toks := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		toks[i] = all[start:end]
+		start = end
+	}
+	return toks
+}
+
+// AppendTokens is the tokenizer: it appends the lowercased tokens of s
+// to buf back to back and the end offset in buf of each to ends. Pass
+// both empty and token i is buf[ends[i-1]:ends[i]] (the first starts at
+// 0). Reusing the two buffers across calls makes tokenizing
+// allocation-free.
+func AppendTokens(buf []byte, ends []int, s string) ([]byte, []int) {
+	open := false // a letter/digit run is being appended
 	for _, r := range s {
 		switch {
 		case unicode.In(r, unicode.Han):
-			flush()
-			toks = append(toks, string(unicode.ToLower(r)))
+			if open {
+				ends = append(ends, len(buf))
+			}
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			ends = append(ends, len(buf))
+			open = false
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			open = true
 		default:
-			flush()
+			if open {
+				ends = append(ends, len(buf))
+			}
+			open = false
 		}
 	}
-	flush()
-	return toks
+	if open {
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
 }
 
 // defaultStopwords are high-frequency function words that carry no shopping
@@ -52,6 +75,10 @@ var defaultStopwords = map[string]bool{
 
 // Stopword reports whether tok is in the default stopword list.
 func Stopword(tok string) bool { return defaultStopwords[tok] }
+
+// StopwordBytes is Stopword for a token in an AppendTokens buffer; the
+// lookup does not allocate.
+func StopwordBytes(tok []byte) bool { return defaultStopwords[string(tok)] }
 
 // TokenizeFiltered tokenizes s and drops stopwords. If every token is a
 // stopword the unfiltered tokens are returned instead, so short queries are

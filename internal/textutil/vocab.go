@@ -50,6 +50,13 @@ func (v *Vocab) ID(tok string) (int, bool) {
 	return id, ok
 }
 
+// IDBytes is ID for a token in an AppendTokens buffer; the lookup does
+// not allocate.
+func (v *Vocab) IDBytes(tok []byte) (int, bool) {
+	id, ok := v.ids[string(tok)]
+	return id, ok
+}
+
 // Word returns the token for id. It panics on out-of-range ids, which always
 // indicates a programming error.
 func (v *Vocab) Word(id int) string {
