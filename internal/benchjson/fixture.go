@@ -269,7 +269,8 @@ func loadFixture(path string) (*core.Build, error) {
 		b.Embeddings = m
 	}
 	if len(tx.Topics) > 0 {
-		s, err := taxonomy.NewSearcher(context.Background(), tx, b.SearchDocs(f.SearchDocTokenCap))
+		docs, vocab := b.SearchDocIDs(f.SearchDocTokenCap)
+		s, err := taxonomy.NewSearcherIDs(context.Background(), tx, docs, vocab)
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: fixture searcher: %w", err)
 		}

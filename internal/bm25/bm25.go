@@ -93,20 +93,7 @@ type scratch struct {
 // Build indexes docs. Empty documents are permitted (they simply never
 // match). Build returns an error for an empty collection or invalid config.
 func Build(docs [][]string, cfg Config) (*Index, error) {
-	total := 0
-	for _, doc := range docs {
-		total += len(doc)
-	}
-	vocab := textutil.NewVocab()
-	flat := make([]uint32, 0, total)
-	ids := make([][]uint32, len(docs))
-	for d, doc := range docs {
-		from := len(flat)
-		for _, tok := range doc {
-			flat = append(flat, uint32(vocab.Add(tok)))
-		}
-		ids[d] = flat[from:len(flat):len(flat)]
-	}
+	ids, vocab := textutil.Intern(docs)
 	return BuildIDs(ids, vocab, cfg)
 }
 

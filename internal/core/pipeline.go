@@ -32,7 +32,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"shoal/internal/bipartite"
@@ -313,7 +312,7 @@ func downstreamStages(cfg Config) []Stage {
 			}
 			parent := obs.SpanFromContext(ctx)
 			sp := parent.Child("docs")
-			docs := b.searchDocs(cfg.SearchDocTokenCap)
+			docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
 			sp.End()
 			sp = parent.Child("build")
 			tokens := 0
@@ -321,7 +320,7 @@ func downstreamStages(cfg Config) []Stage {
 				tokens += len(doc)
 			}
 			sp.SetAttr("tokens", tokens)
-			s, err := taxonomy.NewSearcher(ctx, b.Taxonomy, docs)
+			s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
 			sp.End()
 			b.Searcher = s
 			return err
@@ -344,69 +343,123 @@ func titleSentences(c *model.Corpus) [][]string {
 	return sentences
 }
 
-// SearchDocs builds the per-topic search documents exactly as the
-// search-index stage does — exported for callers that reconstruct a
-// Searcher outside the pipeline (e.g. the bench fixture cache).
-func (b *Build) SearchDocs(tokenCap int) [][]string { return b.searchDocs(tokenCap) }
+// SearchDocs is SearchDocIDs spelled as tokens, for callers that index
+// strings (taxonomy.NewSearcher); an empty document is nil.
+func (b *Build) SearchDocs(tokenCap int) [][]string {
+	ids, vocab := b.SearchDocIDs(tokenCap)
+	words := vocab.Words()
+	total := 0
+	for _, doc := range ids {
+		total += len(doc)
+	}
+	flat := make([]string, 0, total)
+	docs := make([][]string, len(ids))
+	for i, doc := range ids {
+		if len(doc) == 0 {
+			continue
+		}
+		from := len(flat)
+		for _, id := range doc {
+			flat = append(flat, words[id])
+		}
+		docs[i] = flat[from:len(flat):len(flat)]
+	}
+	return docs
+}
 
-// searchDocs builds the per-topic search documents: description queries,
-// category names, member query texts and member title tokens, each doc
-// capped at tokenCap tokens. Token lists come from the corpus text plane
-// (a string-header copy per token); only a description string the corpus
-// does not contain — a taxonomy described elsewhere — is tokenized here.
-func (b *Build) searchDocs(tokenCap int) [][]string {
+// SearchDocIDs assembles the per-topic search documents the search-index
+// stage indexes — description queries, category names, member query
+// texts and member title tokens, each doc capped at tokenCap tokens — as
+// term ids of the returned vocabulary, in one flat array sized by a
+// counting pass. Token lists come from the corpus text plane and the
+// vocabulary is the plane's. Only a description string the corpus does
+// not contain — a taxonomy described elsewhere — is tokenized here, and
+// only a token of it the plane lacks makes the vocabulary a clone of the
+// plane's with that token added.
+func (b *Build) SearchDocIDs(tokenCap int) ([][]uint32, *textutil.Vocab) {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
 	text := b.Corpus.Text()
-	docs := make([][]string, len(b.Taxonomy.Topics))
-	// buf assembles one doc at a time so each doc is allocated once, at
-	// its final size. room is what the cap still admits.
-	var buf []string
-	room := func() int { return tokenCap - len(buf) }
-	add := func(ids []uint32) {
-		buf = text.AppendTerms(buf, ids[:min(len(ids), room())])
+	a := docAssembler{text: text, vocab: text.Vocab(), querySets: b.QuerySets, tokenCap: tokenCap}
+	topics := b.Taxonomy.Topics
+	total := 0
+	for i := range topics {
+		a.walk(&topics[i], func(ids []uint32) { total += len(ids) })
 	}
-	for i := range b.Taxonomy.Topics {
-		t := &b.Taxonomy.Topics[i]
-		buf = buf[:0]
-		for _, q := range t.DescQueries {
-			if room() <= 0 {
-				break
-			}
-			if id, ok := text.LookupQuery(q); ok {
-				add(text.Query(id))
-			} else {
-				toks := textutil.TokenizeFiltered(q)
-				buf = append(buf, toks[:min(len(toks), room())]...)
-			}
-		}
-		for _, c := range t.Categories {
-			if room() <= 0 {
-				break
-			}
-			add(text.Category(c))
-		}
-		for _, e := range t.Entities {
-			if room() <= 0 {
-				break
-			}
-			for _, q := range b.QuerySets[e] {
-				if room() <= 0 {
-					break
-				}
-				add(text.Query(q))
-			}
-		}
-		for _, it := range t.Items {
-			if room() <= 0 {
-				break
-			}
-			add(text.Title(it))
-		}
-		if len(buf) > 0 {
-			docs[i] = slices.Clone(buf)
+	flat := make([]uint32, 0, total)
+	docs := make([][]uint32, len(topics))
+	for i := range topics {
+		from := len(flat)
+		a.walk(&topics[i], func(ids []uint32) { flat = append(flat, ids...) })
+		docs[i] = flat[from:len(flat):len(flat)]
+	}
+	return docs, a.vocab
+}
+
+// docAssembler walks topics' search documents for SearchDocIDs.
+type docAssembler struct {
+	text      *model.TextPlane
+	vocab     *textutil.Vocab
+	querySets [][]model.QueryID
+	tokenCap  int
+	desc      []uint32 // ids of the last corpus-unknown description
+}
+
+// walk feeds topic t's document to part as id lists in document order,
+// the last one cut to the token cap, and stops once the cap is reached.
+func (a *docAssembler) walk(t *taxonomy.Topic, part func(ids []uint32)) {
+	room := a.tokenCap
+	// feed passes ids on and reports whether the document is full.
+	feed := func(ids []uint32) bool {
+		ids = ids[:min(len(ids), room)]
+		room -= len(ids)
+		part(ids)
+		return room == 0
+	}
+	for _, q := range t.DescQueries {
+		if feed(a.descIDs(q)) {
+			return
 		}
 	}
-	return docs
+	for _, c := range t.Categories {
+		if feed(a.text.Category(c)) {
+			return
+		}
+	}
+	for _, e := range t.Entities {
+		for _, q := range a.querySets[e] {
+			if feed(a.text.Query(q)) {
+				return
+			}
+		}
+	}
+	for _, it := range t.Items {
+		if feed(a.text.Title(it)) {
+			return
+		}
+	}
+}
+
+// descIDs returns a description query's term ids: the corpus query's
+// list when the corpus carries the text, else TokenizeFiltered(q)
+// resolved in a.vocab — which becomes a clone of the plane's vocabulary
+// on the first token the plane lacks. The slice is valid until the next
+// call.
+func (a *docAssembler) descIDs(q string) []uint32 {
+	if id, ok := a.text.LookupQuery(q); ok {
+		return a.text.Query(id)
+	}
+	a.desc = a.desc[:0]
+	for _, tok := range textutil.TokenizeFiltered(q) {
+		id, ok := a.vocab.ID(tok)
+		if !ok {
+			if a.vocab == a.text.Vocab() {
+				a.vocab = a.vocab.Clone()
+			}
+			id = a.vocab.Add(tok)
+		}
+		a.desc = append(a.desc, uint32(id))
+	}
+	return a.desc
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"shoal/internal/describe"
+	"shoal/internal/taxonomy"
 	"shoal/internal/textutil"
 )
 
@@ -68,11 +70,81 @@ func TestSearchDocsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestSearcherIDsMatchesStrings holds the search-index stage's searcher —
+// id documents in the text plane's vocabulary, indexed by
+// NewSearcherIDs — to NewSearcher over the same documents spelled as
+// strings and interned afresh: same hits, same score bits, for every
+// corpus query, titles, garbage, stopword-only and corpus-unknown
+// strings, before and after a corpus-unknown description forces the
+// vocabulary to be cloned.
+func TestSearcherIDsMatchesStrings(t *testing.T) {
+	corpus := smallCorpus(t)
+	cfg := testConfig()
+	cfg.TrainEmbeddings = false
+	b, err := Run(corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	plane := corpus.Text().Vocab()
+	planeSize := plane.Size()
+	probes := []string{"", "for the", "of and THE", "zzzz qqqq", "spf 50 2024", "防晒霜 spf50",
+		"a phrase for the corpus-unknown", "Phrase", "unknown beach"}
+	for i := range corpus.Queries {
+		probes = append(probes, corpus.Queries[i].Text, "the "+corpus.Queries[i].Text)
+	}
+	for i := 0; i < len(corpus.Items); i += 7 {
+		probes = append(probes, corpus.Items[i].Title)
+	}
+	compare := func(stage string, wantCloned bool) {
+		t.Helper()
+		docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
+		if cloned := vocab != plane; cloned != wantCloned {
+			t.Fatalf("%s: vocabulary cloned = %v, want %v", stage, cloned, wantCloned)
+		}
+		ids, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strs, err := taxonomy.NewSearcher(ctx, b.Taxonomy, b.SearchDocs(cfg.SearchDocTokenCap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := 0
+		for _, p := range probes {
+			for _, k := range []int{1, 5, 100} {
+				got, want := ids.Search(p, k), strs.Search(p, k)
+				if len(got) != len(want) {
+					t.Fatalf("%s: Search(%q, %d): %d hits, string-built searcher %d", stage, p, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Topic != want[i].Topic || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("%s: Search(%q, %d)[%d] = %+v, string-built searcher %+v", stage, p, k, i, got[i], want[i])
+					}
+				}
+				hits += len(got)
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no probe matched anything", stage)
+		}
+		if plane.Size() != planeSize {
+			t.Fatalf("%s: the text plane's vocabulary grew from %d to %d terms", stage, planeSize, plane.Size())
+		}
+	}
+	compare("pipeline build", false)
+	// A taxonomy described elsewhere: the phrase's tokens are not in the
+	// plane, so assembly clones the vocabulary and adds them there.
+	b.Taxonomy.Topics[0].DescQueries = append([]string{"A Phrase for the Corpus-Unknown"}, b.Taxonomy.Topics[0].DescQueries...)
+	compare("corpus-unknown description", true)
+}
+
 // TestSlideTailDoesNoTextWork is the regression lock on the text plane:
 // with the plane warm, describe and search-doc assembly allocate a
 // handful of arrays per call, not per token or per topic-candidate pair
 // (the string-tokenizing implementations took 15 197 and 23 866
-// allocations on this corpus; these take 73 and 107).
+// allocations on this corpus; describe takes 73, and the id documents
+// two — one flat array and its per-topic headers).
 func TestSlideTailDoesNoTextWork(t *testing.T) {
 	corpus := smallCorpus(t)
 	cfg := testConfig()
@@ -82,7 +154,6 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	topics := float64(len(b.Taxonomy.Topics))
 
 	if allocs := testing.AllocsPerRun(5, func() {
 		if _, err := describe.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe); err != nil {
@@ -91,8 +162,11 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 	}); allocs > 200 {
 		t.Errorf("warm Describe allocated %.0f objects, want <= 200", allocs)
 	}
-	// One allocation per non-empty doc plus the fixed few.
-	if allocs := testing.AllocsPerRun(5, func() { b.SearchDocs(cfg.SearchDocTokenCap) }); allocs > topics+10 {
-		t.Errorf("warm SearchDocs allocated %.0f objects for %.0f topics, want <= topics+10", allocs, topics)
+	if allocs := testing.AllocsPerRun(5, func() { b.SearchDocIDs(cfg.SearchDocTokenCap) }); allocs > 2 {
+		t.Errorf("warm SearchDocIDs allocated %.0f objects for %d topics, want <= 2", allocs, len(b.Taxonomy.Topics))
+	}
+	// The string view adds one flat array of tokens and its headers.
+	if allocs := testing.AllocsPerRun(5, func() { b.SearchDocs(cfg.SearchDocTokenCap) }); allocs > 4 {
+		t.Errorf("warm SearchDocs allocated %.0f objects for %d topics, want <= 4", allocs, len(b.Taxonomy.Topics))
 	}
 }

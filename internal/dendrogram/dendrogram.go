@@ -31,7 +31,7 @@ func (d *Dendrogram) Validate() error {
 	if d.Leaves < 0 {
 		return fmt.Errorf("dendrogram: negative leaf count %d", d.Leaves)
 	}
-	merged := make(map[int32]bool)
+	merged := make([]bool, d.Leaves+len(d.Merges))
 	for i, m := range d.Merges {
 		want := int32(d.Leaves + i)
 		if m.New != want {
@@ -167,18 +167,19 @@ func (uf *unionFind) unionInto(x, into int32) {
 }
 
 // leafLabels returns, for each leaf, the smallest leaf id within its final
-// cluster — a canonical partition labeling.
+// cluster — a canonical partition labeling. Leaves are visited in
+// ascending order, so the first leaf that reaches a root is that
+// cluster's smallest: one dense pass, indexed by root.
 func (uf *unionFind) leafLabels(leaves int) []int32 {
-	minLeaf := make(map[int32]int32)
-	for l := int32(0); l < int32(leaves); l++ {
-		r := uf.find(l)
-		if cur, ok := minLeaf[r]; !ok || l < cur {
-			minLeaf[r] = l
-		}
-	}
+	// minLeaf[r] is 1 + the smallest leaf under root r, 0 while unseen.
+	minLeaf := make([]int32, len(uf.parent))
 	out := make([]int32, leaves)
 	for l := int32(0); l < int32(leaves); l++ {
-		out[l] = minLeaf[uf.find(l)]
+		r := uf.find(l)
+		if minLeaf[r] == 0 {
+			minLeaf[r] = l + 1
+		}
+		out[l] = minLeaf[r] - 1
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dendrogram
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,70 @@ func TestChildrenAndSim(t *testing.T) {
 	}
 	if d.Sim(6) != 0.8 {
 		t.Fatalf("Sim(6) = %f, want 0.8", d.Sim(6))
+	}
+}
+
+// cutAtReference is the map-keyed labeling CutAt replaced: union the
+// merges at or above threshold, then label each leaf with the smallest
+// leaf sharing its root, found by a full scan per root.
+func cutAtReference(d *Dendrogram, threshold float64) []int32 {
+	uf := newUnionFind(d.Leaves + len(d.Merges))
+	for _, m := range d.Merges {
+		if m.Sim >= threshold {
+			uf.unionInto(m.A, m.New)
+			uf.unionInto(m.B, m.New)
+		}
+	}
+	minLeaf := make(map[int32]int32)
+	for l := int32(0); l < int32(d.Leaves); l++ {
+		r := uf.find(l)
+		if cur, ok := minLeaf[r]; !ok || l < cur {
+			minLeaf[r] = l
+		}
+	}
+	out := make([]int32, d.Leaves)
+	for l := range out {
+		out[l] = minLeaf[uf.find(int32(l))]
+	}
+	return out
+}
+
+// randomDendrogram merges random pairs of the live clusters of n leaves
+// at sims drawn from a few repeated values, so thresholds hit ties.
+func randomDendrogram(rng *rand.Rand, n int) *Dendrogram {
+	d := &Dendrogram{Leaves: n}
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	merges := rng.Intn(n)
+	for i := 0; i < merges; i++ {
+		a := rng.Intn(len(live))
+		live[a], live[len(live)-1] = live[len(live)-1], live[a]
+		b := rng.Intn(len(live) - 1)
+		id := int32(n + i)
+		d.Merges = append(d.Merges, Merge{A: live[len(live)-1], B: live[b], New: id, Sim: float64(rng.Intn(8)) / 8, Round: int32(i)})
+		live[b] = id
+		live = live[:len(live)-1]
+	}
+	return d
+}
+
+func TestCutAtMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		d := randomDendrogram(rng, 1+rng.Intn(60))
+		if err := d.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, th := range []float64{-1, 0, 0.125, 0.3, 0.5, 0.875, 1, 2} {
+			if got, want := d.CutAt(th), cutAtReference(d, th); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d CutAt(%v) = %v, reference %v", trial, th, got, want)
+			}
+		}
+	}
+	if got := (&Dendrogram{}).CutAt(0.5); len(got) != 0 {
+		t.Fatalf("CutAt on an empty dendrogram = %v", got)
 	}
 }
 

@@ -218,9 +218,9 @@ type Registry struct {
 // family groups series sharing a metric name, emitted under one # TYPE
 // header in registration order.
 type family struct {
-	name string
-	typ  string // "counter" | "gauge" | "histogram"
-	help string
+	name   string
+	typ    string // "counter" | "gauge" | "histogram"
+	help   string
 	series []*series
 }
 

@@ -24,8 +24,20 @@ type Searcher struct {
 // NewSearcher indexes one token document per topic. topicDocs[i] is the
 // document of tx.Topics[i] (typically: description queries + member query
 // texts + category names). Topics with empty documents are searchable but
-// never match.
+// never match. It interns the tokens into a vocabulary of its own and
+// calls NewSearcherIDs.
 func NewSearcher(ctx context.Context, tx *Taxonomy, topicDocs [][]string) (*Searcher, error) {
+	ids, vocab := textutil.Intern(topicDocs)
+	return NewSearcherIDs(ctx, tx, ids, vocab)
+}
+
+// NewSearcherIDs is NewSearcher over documents already spelled as term
+// ids of vocab — the corpus text plane's vocabulary in a pipeline build.
+// The searcher resolves query tokens in vocab, which must not change
+// while it is in use. Hits and scores equal NewSearcher's over the same
+// documents spelled as strings, bit for bit: BM25 depends on which
+// tokens match, not on how terms are numbered.
+func NewSearcherIDs(ctx context.Context, tx *Taxonomy, topicDocs [][]uint32, vocab *textutil.Vocab) (*Searcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -35,7 +47,7 @@ func NewSearcher(ctx context.Context, tx *Taxonomy, topicDocs [][]string) (*Sear
 	if len(topicDocs) == 0 {
 		return nil, fmt.Errorf("taxonomy: no topics to index")
 	}
-	idx, err := bm25.Build(topicDocs, bm25.DefaultConfig())
+	idx, err := bm25.BuildIDs(topicDocs, vocab, bm25.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package taxonomy
 import (
 	"bytes"
 	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // fixture builds a small world: 6 entities (one item each), a dendrogram
 // merging {0,1} and {2,3} tightly (0.8), then together loosely (0.5),
 // with {4,5} a separate root pair (0.7).
-func fixture(t *testing.T) (*dendrogram.Dendrogram, *entitygraph.EntitySet, *model.Corpus) {
+func fixture(t testing.TB) (*dendrogram.Dendrogram, *entitygraph.EntitySet, *model.Corpus) {
 	t.Helper()
 	corpus := &model.Corpus{
 		Categories: []model.Category{
@@ -277,13 +278,92 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := LoadJSON(bytes.NewBufferString("{")); err == nil {
 		t.Fatal("corrupt JSON accepted")
 	}
-	// Structurally invalid but decodable taxonomy.
-	bad := &Taxonomy{Topics: []Topic{{ID: 5}}}
-	var buf bytes.Buffer
-	if err := bad.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
+	// Structurally invalid but decodable taxonomies, each one edit away
+	// from a valid build: roots 0 {0,1,2,3} and 1 {4,5}, topics 2 {0,1}
+	// and 3 {2,3} below root 0; entity i holds item i.
+	corruptions := map[string]func(tx *Taxonomy){
+		"id off its index":           func(tx *Taxonomy) { tx.Topics[0].ID = 5 },
+		"parent below NoTopic":       func(tx *Taxonomy) { tx.Topics[2].Parent = -2 },
+		"parent out of range":        func(tx *Taxonomy) { tx.Topics[2].Parent = 9 },
+		"own parent":                 func(tx *Taxonomy) { tx.Topics[2].Parent = 2 },
+		"level skips":                func(tx *Taxonomy) { tx.Topics[2].Level = 2 },
+		"root off level 0":           func(tx *Taxonomy) { tx.Topics[0].Level = 1 },
+		"parent cycle":               func(tx *Taxonomy) { tx.Topics[0].Parent, tx.Topics[0].Level = 2, 2 },
+		"child out of range":         func(tx *Taxonomy) { tx.Topics[0].Children[1] = 7 },
+		"child below NoTopic":        func(tx *Taxonomy) { tx.Topics[0].Children[0] = -3 },
+		"child not pointing back":    func(tx *Taxonomy) { tx.Topics[0].Children[0] = 1 },
+		"child repeated":             func(tx *Taxonomy) { tx.Topics[0].Children[1] = 2 },
+		"child missing":              func(tx *Taxonomy) { tx.Topics[0].Children = tx.Topics[0].Children[:1] },
+		"member missing from parent": func(tx *Taxonomy) { tx.Topics[2].Entities[1] = 4 },
+		"entity out of range":        func(tx *Taxonomy) { tx.Topics[1].Entities[1] = 6 },
+		"entities descending":        func(tx *Taxonomy) { tx.Topics[1].Entities[0], tx.Topics[1].Entities[1] = 5, 4 },
+		"items descending":           func(tx *Taxonomy) { tx.Topics[0].Items[0], tx.Topics[0].Items[1] = 1, 0 },
+		"item repeated":              func(tx *Taxonomy) { tx.Topics[0].Items[1] = 0 },
+		"item out of range":          func(tx *Taxonomy) { tx.Topics[1].Items[1] = 6 },
+		"categories descending":      func(tx *Taxonomy) { tx.Topics[0].Categories[0], tx.Topics[0].Categories[1] = 1, 0 },
+		"category negative":          func(tx *Taxonomy) { tx.Topics[0].Categories[0] = -1 },
+		"entity topic below NoTopic": func(tx *Taxonomy) { tx.EntityTopic[0] = -3 },
+		"entity topic out of range":  func(tx *Taxonomy) { tx.EntityTopic[0] = 4 },
+		"entity placed elsewhere":    func(tx *Taxonomy) { tx.EntityTopic[0] = 3 },
+		"item topic below NoTopic":   func(tx *Taxonomy) { tx.ItemTopic[0] = -2 },
+		"item topic out of range":    func(tx *Taxonomy) { tx.ItemTopic[0] = 4 },
+		"item placed elsewhere":      func(tx *Taxonomy) { tx.ItemTopic[0] = 3 },
+		"item placed under no topic": func(tx *Taxonomy) { tx.ItemTopic[5] = NoTopic },
 	}
-	if _, err := LoadJSON(&buf); err == nil {
-		t.Fatal("invalid taxonomy accepted on load")
+	for name, corrupt := range corruptions {
+		tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+		if len(tx.Topics) != 4 || !reflect.DeepEqual(tx.Topics[0].Children, []model.TopicID{2, 3}) || tx.Topics[1].Parent != NoTopic {
+			t.Fatalf("fixture taxonomy changed shape: %+v", tx.Topics)
+		}
+		corrupt(tx)
+		var gb, jb bytes.Buffer
+		if err := tx.Save(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.SaveJSON(&jb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&gb); err == nil {
+			t.Errorf("%s: corrupt gob taxonomy accepted", name)
+		}
+		if _, err := LoadJSON(&jb); err == nil {
+			t.Errorf("%s: corrupt JSON taxonomy accepted", name)
+		}
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to both decoders: neither may panic,
+// and whatever Validate lets through must be a forest — RootOf answers
+// for every topic.
+func FuzzLoad(f *testing.F) {
+	d, es, corpus := fixture(f)
+	tx, err := Build(context.Background(), d, es, corpus, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tx.Topics[0].Description, tx.Topics[0].DescQueries = "beach trip", []string{"beach trip", "sunblock"}
+	var gb, jb bytes.Buffer
+	if err := tx.Save(&gb); err != nil {
+		f.Fatal(err)
+	}
+	if err := tx.SaveJSON(&jb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gb.Bytes())
+	f.Add(jb.Bytes())
+	f.Add(bytes.Replace(jb.Bytes(), []byte(`"Parent": 0`), []byte(`"Parent": -2`), 1))
+	f.Add([]byte(`{"Topics":[{"ID":0,"Parent":-1,"Children":[5]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, load := range []func(io.Reader) (*Taxonomy, error){Load, LoadJSON} {
+			tx, err := load(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			for i := range tx.Topics {
+				if _, err := tx.RootOf(model.TopicID(i)); err != nil {
+					t.Fatalf("accepted taxonomy: RootOf(%d): %v", i, err)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,8 @@ package textutil
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -32,6 +34,33 @@ func (v *Vocab) Add(tok string) int {
 	v.counts = append(v.counts, 1)
 	v.total++
 	return id
+}
+
+// Clone returns an independent copy: the same ids, words and counts,
+// open to Adds that the original never sees.
+func (v *Vocab) Clone() *Vocab {
+	return &Vocab{ids: maps.Clone(v.ids), words: slices.Clone(v.words), counts: slices.Clone(v.counts), total: v.total}
+}
+
+// Intern spells token documents as term ids of a new vocabulary built
+// from them, ids in first-occurrence order, into one shared backing
+// array.
+func Intern(docs [][]string) ([][]uint32, *Vocab) {
+	total := 0
+	for _, doc := range docs {
+		total += len(doc)
+	}
+	v := NewVocab()
+	flat := make([]uint32, 0, total)
+	ids := make([][]uint32, len(docs))
+	for d, doc := range docs {
+		from := len(flat)
+		for _, tok := range doc {
+			flat = append(flat, uint32(v.Add(tok)))
+		}
+		ids[d] = flat[from:len(flat):len(flat)]
+	}
+	return ids, v
 }
 
 // AddAll inserts every token and returns their ids.
