@@ -108,13 +108,12 @@ func TestGenBuildPipeline(t *testing.T) {
 	// The one identity claim the CLI still makes: the worker count — the
 	// entity graph splits candidate rows and scoring by GOMAXPROCS, the
 	// one width left that varies a build's execution — never changes the
-	// output file. Both sides run without embeddings: shoal-build trains
-	// word2vec Hogwild-style on every core, which no two runs reproduce.
+	// output file, embeddings included.
 	var ref []byte
 	for _, procs := range []string{"1", "3"} {
 		path := filepath.Join(dir, "tax-p"+procs+".gob")
 		t.Setenv("GOMAXPROCS", procs) // read by the child's runtime at start; this process has read its own
-		run(t, build, "-corpus", corpusPath, "-out", path, "-stop", "0.12", "-no-embeddings")
+		run(t, build, "-corpus", corpusPath, "-out", path, "-stop", "0.12")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

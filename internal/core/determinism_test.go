@@ -53,9 +53,6 @@ func TestDendrogramIsClusterOfBuildGraph(t *testing.T) {
 func TestWorkersObservationallyIdentical(t *testing.T) {
 	corpus := smallCorpus(t)
 	baseCfg := testConfig()
-	// Word2vec's Hogwild updates are racy by design; pin to one worker
-	// so cross-run comparisons isolate the graph build's width.
-	baseCfg.Word2Vec.Workers = 1
 	baseCfg.Graph.Workers = 1
 	ref, err := Run(corpus, baseCfg)
 	if err != nil {
@@ -63,7 +60,6 @@ func TestWorkersObservationallyIdentical(t *testing.T) {
 	}
 	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0) + 3} {
 		cfg := testConfig()
-		cfg.Word2Vec.Workers = 1
 		cfg.Graph.Workers = w
 		b, err := Run(corpus, cfg)
 		if err != nil {
@@ -91,7 +87,6 @@ func TestWorkersObservationallyIdentical(t *testing.T) {
 func TestFrontierObservationallyIdentical(t *testing.T) {
 	corpus := smallCorpus(t)
 	baseCfg := testConfig()
-	baseCfg.Word2Vec.Workers = 1
 	baseCfg.HAC.FrontierDensity = -1 // dense reference
 	ref, err := Run(corpus, baseCfg)
 	if err != nil {
@@ -99,7 +94,6 @@ func TestFrontierObservationallyIdentical(t *testing.T) {
 	}
 	for _, d := range []float64{0, 2} {
 		cfg := testConfig()
-		cfg.Word2Vec.Workers = 1
 		cfg.HAC.FrontierDensity = d
 		b, err := Run(corpus, cfg)
 		if err != nil {

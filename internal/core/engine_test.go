@@ -195,9 +195,7 @@ func engineTestConfig() Config {
 // TestConcurrentMatchesSequential is the engine's determinism guarantee:
 // the concurrent schedule must produce a byte-identical taxonomy (same
 // topics, same order) and identical descriptions and correlations to the
-// sequential schedule. Word2vec is pinned to one worker because its
-// Hogwild updates are racy by design; the comparison isolates engine-level
-// scheduling effects.
+// sequential schedule, with embeddings on.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	gen := synth.DefaultConfig()
 	gen.Scenarios = 8
@@ -210,8 +208,6 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := engineTestConfig()
-	cfg.Word2Vec.Workers = 1
-
 	cfg.Sequential = true
 	seq, err := Run(corpus, cfg)
 	if err != nil {

@@ -74,10 +74,8 @@ func sameSearchHits(t *testing.T, day int, inc, full *core.Build, probes []strin
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
 // stats, the topic descriptions and the search index's hits with their
 // score bits) against a from-scratch build over the same window at EVERY
-// step, across worker counts.
-// Embeddings stay off: the Hogwild trainer is the one intentionally
-// nondeterministic stage, so the from-scratch baseline itself would not
-// reproduce with them on.
+// step, across worker counts, with embeddings on as the default
+// configuration trains them.
 func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
 	c := synth.Curated()

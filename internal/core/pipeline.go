@@ -19,14 +19,10 @@
 // as the paper's Parallel HAC does (ROADMAP, "Why clustering runs cold
 // on every slide").
 //
-// Determinism has one scoped exception: word2vec trains Hogwild-style
-// (lock-free updates from Word2Vec.Workers goroutines), so two builds
-// with embeddings on and Workers > 1 differ in their embeddings and in
-// everything downstream. Every byte-identity claim in this package —
-// schedules, worker counts, incremental versus from scratch —
-// holds for Word2Vec.Workers = 1 or TrainEmbeddings = false,
-// and every test that compares two builds sets one of the two (race
-// builds clamp training to one worker on their own).
+// Every build is deterministic: a corpus and a Config determine the
+// output byte for byte — word2vec included, which trains serially from
+// its seed — whatever the schedule, the entity graph's worker count,
+// GOMAXPROCS, or incremental versus from scratch.
 package core
 
 import (
@@ -71,10 +67,8 @@ type Config struct {
 	// (entitygraph.BuildIncremental) instead of rebuilt; every later
 	// stage, clustering included, runs from scratch. Output is
 	// byte-identical to a from-scratch rebuild at every step (locked by
-	// the determinism suite in incremental_test.go) — modulo embeddings,
-	// which are trained once and reused; with TrainEmbeddings and
-	// Workers > 1 the Hogwild trainer itself is not reproducible, so
-	// neither is the from-scratch baseline. What each patch touched is
+	// the determinism suite in incremental_test.go), embeddings on or off;
+	// embeddings are trained once and reused. What each patch touched is
 	// reported in Build.Delta and /api/stats. Only DailyPipeline consults
 	// this knob; one-shot Run ignores it.
 	Incremental bool

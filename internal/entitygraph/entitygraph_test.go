@@ -244,9 +244,8 @@ func TestBuildConfigValidation(t *testing.T) {
 }
 
 func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
-	// Train the embedding once and share it: word2vec's Hogwild updates
-	// are documented as racy, so determinism is asserted for the graph
-	// construction itself, over fixed inputs.
+	// The embedding is trained once and shared: the comparison varies
+	// only the graph construction's worker count.
 	c := synth.Curated()
 	es, err := BuildEntities(context.Background(), c)
 	if err != nil {
@@ -262,7 +261,6 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	w2vCfg := word2vec.DefaultConfig()
 	w2vCfg.MinCount = 1
-	w2vCfg.Workers = 1
 	emb, err := word2vec.Train(context.Background(), sentences, w2vCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,6 @@ func TestIncrementalMatchesFullOverSlide(t *testing.T) {
 	}
 	w2vCfg := word2vec.DefaultConfig()
 	w2vCfg.MinCount = 1
-	w2vCfg.Workers = 1
 	w2vCfg.Epochs = 2
 	emb, err := word2vec.Train(ctx, sentences, w2vCfg)
 	if err != nil {

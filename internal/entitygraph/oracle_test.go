@@ -173,7 +173,7 @@ func TestEmitMatchesCanonicalBuilder(t *testing.T) {
 		sents[i] = es.Entities[i].Tokens
 	}
 	w2v := word2vec.DefaultConfig()
-	w2v.Dim, w2v.Epochs, w2v.MinCount, w2v.Workers = 12, 2, 1, 1
+	w2v.Dim, w2v.Epochs, w2v.MinCount = 12, 2, 1
 	emb, err := word2vec.Train(ctx, sents, w2v)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@
 
 package serve
 
-// raceEnabled mirrors the word2vec pattern: allocation assertions are
-// meaningless under the race detector (sync.Pool drops items randomly
-// there to surface races).
+// raceEnabled reports whether the race detector is compiled in (its twin
+// race_on_test.go says true): allocation assertions are meaningless under
+// it (sync.Pool drops items randomly there to surface races).
 const raceEnabled = false

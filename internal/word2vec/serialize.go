@@ -33,7 +33,8 @@ func Load(r io.Reader) (*Model, error) {
 	if wire.Dim <= 0 {
 		return nil, fmt.Errorf("word2vec: decoded model has dimension %d", wire.Dim)
 	}
-	if len(wire.Vecs) != len(wire.Words)*wire.Dim {
+	// Divide rather than multiply: len(Words)*Dim can overflow to match.
+	if len(wire.Vecs)%wire.Dim != 0 || len(wire.Vecs)/wire.Dim != len(wire.Words) {
 		return nil, fmt.Errorf("word2vec: decoded model has %d floats for %d words of dim %d",
 			len(wire.Vecs), len(wire.Words), wire.Dim)
 	}

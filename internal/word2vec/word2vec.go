@@ -4,10 +4,10 @@
 // uses a pre-trained model, this package trains one in-process from the
 // corpus titles so the repository has no external dependency.
 //
-// The trainer is deterministic for a fixed seed and worker count: the
-// sentence stream is sharded per worker with worker-local RNGs, and updates
-// are applied Hogwild-style (racy float updates are benign for SGD and the
-// tests only rely on statistical properties, never on exact weights).
+// The trainer is one serial SGD loop over the sentences in index order,
+// driven by one seeded RNG: a Config and a corpus determine the model bit
+// for bit, whatever GOMAXPROCS is and whether or not the race detector is
+// on.
 package word2vec
 
 import (
@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Config controls training.
@@ -39,7 +37,8 @@ type Config struct {
 	// (probability of keeping w is min(1, sqrt(t/f(w)) + t/f(w))).
 	// Zero disables subsampling.
 	Subsample float64
-	// Workers is the number of training goroutines; 0 means GOMAXPROCS.
+	// Workers is read by nothing, written only by the frozen
+	// benchmark/run.go: training is serial (ROADMAP item 8 deletes it).
 	Workers int
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -55,7 +54,6 @@ func DefaultConfig() Config {
 		LR:        0.05,
 		MinCount:  2,
 		Subsample: 1e-3,
-		Workers:   0,
 		Seed:      1,
 	}
 }
@@ -72,14 +70,6 @@ func (c *Config) validate() error {
 		return errors.New("word2vec: Epochs must be positive")
 	case c.LR <= 0:
 		return errors.New("word2vec: LR must be positive")
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if raceEnabled {
-		// Hogwild updates are benign data races; under the race detector
-		// they would be flagged, so train single-threaded there.
-		c.Workers = 1
 	}
 	return nil
 }
@@ -191,8 +181,8 @@ func (m *Model) Nearest(word string, k int) ([]Neighbor, error) {
 
 // Train learns embeddings from sentences (token slices). Tokens rarer than
 // cfg.MinCount are ignored. It returns an error on empty effective input.
-// Cancellation is checked between worker sentence batches; a canceled ctx
-// aborts training and returns the context error.
+// Cancellation is checked every 256 sentences; a canceled ctx aborts
+// training and returns the context error.
 func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -271,57 +261,38 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	sigm := newSigmoidTable()
 
 	totalSteps := int64(cfg.Epochs) * totalTokens
-	var wg sync.WaitGroup
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(cfg.Seed, uint64(wk)+1))
-			grad := make([]float32, dim)
-			var done int64
-			var sinceCheck int
-			for ep := 0; ep < cfg.Epochs; ep++ {
-				for si := wk; si < len(encoded); si += cfg.Workers {
-					if sinceCheck++; sinceCheck >= 256 {
-						sinceCheck = 0
-						if ctx.Err() != nil {
-							return
-						}
-					}
-					sent := encoded[si]
-					// Subsample this sentence.
-					kept := make([]int32, 0, len(sent))
-					for _, w := range sent {
-						if keep[w] >= 1 || rng.Float64() < keep[w] {
-							kept = append(kept, w)
-						}
-					}
-					for pos, w := range kept {
-						win := 1 + rng.IntN(cfg.Window)
-						lo, hi := pos-win, pos+win
-						if lo < 0 {
-							lo = 0
-						}
-						if hi >= len(kept) {
-							hi = len(kept) - 1
-						}
-						lr := cfg.LR * (1 - 0.9*float64(done)/float64(max64(totalSteps/int64(cfg.Workers), 1)))
-						if lr < cfg.LR*0.1 {
-							lr = cfg.LR * 0.1
-						}
-						for cp := lo; cp <= hi; cp++ {
-							if cp == pos {
-								continue
-							}
-							trainPair(vecs, ctxs, int(kept[cp]), int(w), dim, lr, cfg.Negative, table, rng, grad, sigm)
-						}
-						done++
-					}
+	rng := rand.New(rand.NewPCG(cfg.Seed, 1))
+	grad := make([]float32, dim)
+	var kept []int32
+	var done int64
+	for ep := 0; ep < cfg.Epochs; ep++ {
+		for si, sent := range encoded {
+			if si%256 == 255 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
 			}
-		}(wk)
+			// Subsample this sentence.
+			kept = kept[:0]
+			for _, w := range sent {
+				if keep[w] >= 1 || rng.Float64() < keep[w] {
+					kept = append(kept, w)
+				}
+			}
+			for pos, w := range kept {
+				win := 1 + rng.IntN(cfg.Window)
+				lo, hi := max(pos-win, 0), min(pos+win, len(kept)-1)
+				lr := max(cfg.LR*(1-0.9*float64(done)/float64(totalSteps)), cfg.LR*0.1)
+				for cp := lo; cp <= hi; cp++ {
+					if cp == pos {
+						continue
+					}
+					trainPair(vecs, ctxs, int(kept[cp]), int(w), dim, lr, cfg.Negative, table, rng, grad, sigm)
+				}
+				done++
+			}
+		}
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -415,11 +386,4 @@ func (t *sigmoidTable) at(x float64) float32 {
 		i = len(t.vals) - 1
 	}
 	return t.vals[i]
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

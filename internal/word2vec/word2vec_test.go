@@ -1,9 +1,13 @@
 package word2vec
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,13 +39,40 @@ func trainTestModel(t *testing.T) *Model {
 	cfg := DefaultConfig()
 	cfg.Dim = 16
 	cfg.Epochs = 8
-	cfg.Workers = 2
 	cfg.MinCount = 1
 	m, err := Train(context.Background(), syntheticSentences(400, 7), cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	return m
+}
+
+// goldenDefaultSHA256 is the SHA-256 of the Save bytes of a DefaultConfig()
+// model trained on syntheticSentences(400, 7) by the single-worker trainer
+// that predates the serial one. Equality proves the serial loop reproduces
+// it bit for bit, so embeddings trained with that configuration did not move.
+const goldenDefaultSHA256 = "630aaa71e89c61ff30fd3008802d7597d0bb91bdce7e520856c8384fd831c13b"
+
+func TestTrainReproducible(t *testing.T) {
+	saved := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m, err := Train(context.Background(), syntheticSentences(400, 7), DefaultConfig())
+		if err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	one, four := saved(1), saved(4)
+	if !bytes.Equal(one, four) {
+		t.Fatal("model bytes differ between GOMAXPROCS=1 and GOMAXPROCS=4")
+	}
+	if sum := sha256.Sum256(one); hex.EncodeToString(sum[:]) != goldenDefaultSHA256 {
+		t.Fatalf("model SHA-256 = %x, want %s", sum, goldenDefaultSHA256)
+	}
 }
 
 func TestTrainSeparatesClusters(t *testing.T) {
