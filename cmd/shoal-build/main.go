@@ -202,8 +202,8 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 			line := fmt.Sprintf("day %-3d rebuilt in %-10v topics=%d", day,
 				time.Since(start).Round(time.Millisecond), len(b.Taxonomy.Topics))
 			if d := b.Delta; d != nil {
-				line += fmt.Sprintf(" dirty-items=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
-					d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
+				line += fmt.Sprintf(" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
+					d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
 				if d.DenseFallback {
 					line += " dense-fallback-reason=" + d.DenseFallbackReason
 				}

@@ -201,8 +201,8 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 			if d.DenseFallback {
 				notes += " dense-fallback-reason=" + d.DenseFallbackReason
 			}
-			log.Printf("refresh: delta dirty-items=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
-				d.DirtyItems, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
+			log.Printf("refresh: delta dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
+				d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
 		}
 	}
 }

@@ -26,6 +26,9 @@ type DeltaStats struct {
 	// on a dense fallback, which has nothing to compare against.
 	ChangedEdges int
 	DirtyRows    int
+	// RankedNodes is the number of entity-graph nodes that re-ranked
+	// their TopK: on a patch, those a changed pair could cross.
+	RankedNodes int
 	// SeededRows, ReplayedRounds, ReplayedMerges and ClusterCold are
 	// written by nothing in this module and read only by the frozen
 	// benchmark/replay.go, which fills them on its own builds; the next
@@ -113,6 +116,7 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 				DirtyEntities:       d.DirtyEntities,
 				ChangedEdges:        d.ChangedEdges,
 				DirtyRows:           len(d.DirtyRows),
+				RankedNodes:         d.RankedNodes,
 				DenseFallback:       d.DenseFallback,
 				DenseFallbackReason: d.FallbackReason,
 			}
@@ -121,6 +125,7 @@ func incrementalStages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemI
 			sp.SetAttr("dirtyEntities", d.DirtyEntities)
 			sp.SetAttr("changedEdges", d.ChangedEdges)
 			sp.SetAttr("dirtyRows", len(d.DirtyRows))
+			sp.SetAttr("rankedNodes", d.RankedNodes)
 			sp.SetAttr("denseFallback", d.DenseFallback)
 			if d.DenseFallback {
 				sp.SetAttr("denseFallbackReason", d.FallbackReason)

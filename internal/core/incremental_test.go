@@ -314,7 +314,7 @@ func TestIncrementalRebuildAfterFailure(t *testing.T) {
 	d := recovered.Delta
 	want := &serve.DeltaStat{
 		DirtyItems: d.DirtyItems, DirtyEntities: d.DirtyEntities,
-		ChangedEdges: d.ChangedEdges, DirtyRows: d.DirtyRows,
+		ChangedEdges: d.ChangedEdges, DirtyRows: d.DirtyRows, RankedNodes: d.RankedNodes,
 		DenseFallback: true, DenseFallbackReason: "no-state",
 		DroppedStale: p.Window().DroppedStale,
 	}

@@ -198,4 +198,7 @@ func TestBuildTraceSubStages(t *testing.T) {
 	if rows, _ := attrs[key{"entity-graph-delta", "emit"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
 		t.Errorf("entity-graph-delta/emit: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
 	}
+	if ranked, _ := attrs[key{"entity-graph-delta", "rank"}]["nodesRanked"].(int); ranked != patched.Delta.RankedNodes {
+		t.Errorf("entity-graph-delta/rank: nodesRanked %d, build delta says %d", ranked, patched.Delta.RankedNodes)
+	}
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // sortRankNode is the full-sort TopK rankNode replaced: order the whole
-// list (sim desc, other asc), stamp the first k. Kept here as the
-// reference the selection is checked against.
-func sortRankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) {
+// list (sim desc, other asc), stamp the first k and return the k-th
+// (noKth if there are fewer). Kept here as the reference the selection
+// is checked against.
+func sortRankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) kthBest {
 	slices.SortFunc(lst, func(a, b scored) int {
 		if a.sim != b.sim {
 			if a.sim > b.sim {
@@ -25,8 +26,10 @@ func sortRankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k 
 		}
 		return int(a.other) - int(b.other)
 	})
-	if k > 0 && k < len(lst) {
+	bar := noKth
+	if k > 0 && k <= len(lst) {
 		lst = lst[:k]
+		bar = kthBest{sim: lst[k-1].sim, other: lst[k-1].other}
 	}
 	for _, c := range lst {
 		if pairs[c.idx][0] == u {
@@ -35,12 +38,13 @@ func sortRankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k 
 			topV[c.idx] = true
 		}
 	}
+	return bar
 }
 
 // TestRankNodeSelectsLikeSort pins the bounded-insertion selection to the
-// full sort it replaced: same side bits on randomized incidence lists
-// with heavily tied similarities, node u on either side of its pairs, at
-// every k around the list length.
+// full sort it replaced: same side bits and the same K-th candidate on
+// randomized incidence lists with heavily tied similarities, node u on
+// either side of its pairs, at every k around the list length.
 func TestRankNodeSelectsLikeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const u = int32(1000)
@@ -59,12 +63,15 @@ func TestRankNodeSelectsLikeSort(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, DefaultConfig().TopK, n - 1, n, n + 1} {
 			wantU, wantV := make([]bool, n), make([]bool, n)
-			sortRankNode(slices.Clone(lst), u, pairs, wantU, wantV, k)
+			wantBar := sortRankNode(slices.Clone(lst), u, pairs, wantU, wantV, k)
 			gotU, gotV := make([]bool, n), make([]bool, n)
-			rankNode(slices.Clone(lst), u, pairs, gotU, gotV, k)
+			gotBar := rankNode(slices.Clone(lst), u, pairs, gotU, gotV, k)
 			if !slices.Equal(gotU, wantU) || !slices.Equal(gotV, wantV) {
 				t.Fatalf("trial %d, %d candidates, k=%d: side bits differ from the full sort\n got U %v V %v\nwant U %v V %v",
 					trial, n, k, gotU, gotV, wantU, wantV)
+			}
+			if gotBar != wantBar {
+				t.Fatalf("trial %d, %d candidates, k=%d: K-th %+v, the full sort's %+v", trial, n, k, gotBar, wantBar)
 			}
 		}
 	}

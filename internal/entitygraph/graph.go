@@ -113,8 +113,11 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 // clean entity's query set; the count, score and TopK verdicts of a pair of
 // two clean entities none of whose queries crossed the fan-out cap (same
 // integer inputs through the same expression ⇒ same bits, so copying is
-// exact); the ranking of a node none of whose
-// pairs appeared, vanished or changed score; the CSR span of a row none of
+// exact); the ranking of a node whose top K no changed pair can cross —
+// none of its retained top-K pairs vanished or changed score, and no new
+// or re-scored pair above MinSimilarity ranks ahead of its previous K-th
+// candidate (with fewer than K candidates, any above-min one would) — for
+// then its top K is the same pairs; the CSR span of a row none of
 // whose kept edges changed. Whatever is recomputed comes out of the same
 // loops whichever entities are dirty, so a patch cannot drift from a full
 // build. st is only read: the returned state is a new one, sharing what it
@@ -242,8 +245,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 			}
 		}
-		for _, p := range st.pairs {
-			if dirty[p[0]] || dirty[p[1]] {
+		for i := range st.pairs {
+			if dirty[st.pairs[i][0]] || dirty[st.pairs[i][1]] {
 				stale++
 			}
 		}
@@ -362,8 +365,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		return nil, nil, nil, err
 	}
 	regenerated := len(pairs)
-	// rank[u]: node u is incident to an added, removed or rescored pair and
-	// re-ranks its TopK; rowDirty[u]: a kept edge of row u changed.
+	// rank[u]: a changed pair can cross node u's top K, so u re-ranks it;
+	// rowDirty[u]: a kept edge of row u changed.
 	rank, rowDirty := make([]bool, n), make([]bool, n)
 	var sims []float64
 	var topU, topV []bool
@@ -388,13 +391,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		// Merge walk over the retained pairs and the regenerated ones, both
 		// in canonical order: it drops the retained pairs with a dirty
 		// endpoint and sees the old and the new entry of every key side by
-		// side.
+		// side. Whom a new pair re-ranks waits for its score.
 		for i, g, w := 0, 0, 0; i < len(st.pairs) || g < len(gen); {
 			switch {
-			case g < len(gen) && (i == len(st.pairs) || pairKey(gen[g]) < pairKey(st.pairs[i])):
+			case g < len(gen) && (i == len(st.pairs) || pairKey(&gen[g]) < pairKey(&st.pairs[i])):
 				// Brand-new candidate pair.
 				pairs[w], counts[w], oldIdx[w] = gen[g], genCounts[g], -1
-				rank[gen[g][0]], rank[gen[g][1]] = true, true
 				w++
 				g++
 			case !dirty[st.pairs[i][0]] && !dirty[st.pairs[i][1]]:
@@ -402,7 +404,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				// five retained arrays move as block copies.
 				j := i + 1
 				for j < len(st.pairs) && !dirty[st.pairs[j][0]] && !dirty[st.pairs[j][1]] &&
-					(g == len(gen) || pairKey(st.pairs[j]) < pairKey(gen[g])) {
+					(g == len(gen) || pairKey(&st.pairs[j]) < pairKey(&gen[g])) {
 					j++
 				}
 				copy(pairs[w:], st.pairs[i:j])
@@ -423,10 +425,11 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				g++
 				i++
 			default:
-				// Pair vanished. Its endpoints re-rank; if it was a kept
-				// edge, both CSR rows change too.
+				// Pair vanished. The endpoints whose top K it was in re-rank;
+				// if it was a kept edge, both CSR rows change too.
 				u, v := st.pairs[i][0], st.pairs[i][1]
-				rank[u], rank[v] = true, true
+				rank[u] = rank[u] || st.topU[i]
+				rank[v] = rank[v] || st.topV[i]
 				if st.topU[i] || st.topV[i] {
 					d.ChangedEdges++
 					rowDirty[u], rowDirty[v] = true, true
@@ -474,16 +477,24 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	if st != nil {
 		rescored = 0
 		for i, oi := range oldIdx {
-			if oi < 0 {
-				rescored++
-			} else if sims[i] != st.sims[oi] {
-				// A score that actually moved re-ranks both endpoints, which
-				// restamp the pair if it still passes the filter: an unchanged
-				// score cannot change filter status, so a pair below
-				// MinSimilarity never carries a bit.
-				rescored++
+			if oi >= 0 && sims[i] == st.sims[oi] {
+				continue
+			}
+			// A new or re-scored pair. An endpoint re-ranks if the pair was
+			// in its top K (a moved score clears both bits, and may take the
+			// pair out) or now ranks ahead of its previous K-th. An
+			// unchanged score cannot change filter status, so a pair below
+			// MinSimilarity never carries a bit.
+			rescored++
+			u, v := pairs[i][0], pairs[i][1]
+			if oi >= 0 {
+				rank[u] = rank[u] || st.topU[oi]
+				rank[v] = rank[v] || st.topV[oi]
 				topU[i], topV[i] = false, false
-				rank[pairs[i][0]], rank[pairs[i][1]] = true, true
+			}
+			if sims[i] >= cfg.MinSimilarity {
+				rank[u] = rank[u] || st.kth[u].admits(sims[i], v)
+				rank[v] = rank[v] || st.kth[v].admits(sims[i], u)
 			}
 		}
 	}
@@ -494,7 +505,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// the top K of *either* endpoint (keeping it in only-one direction
 	// would break symmetry). The per-side survival bits are kept (not just
 	// the union) so one endpoint can re-rank without recomputing the
-	// other's verdict.
+	// other's verdict, and so is each node's K-th candidate, the bar the
+	// next patch holds a changed pair to.
 	// A node's incident candidates are its own row of pairs plus the pairs
 	// of lower rows that name it second; only the latter need an index
 	// (rev, a CSR of pair indices by second endpoint, of the re-ranking
@@ -504,13 +516,19 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	if st == nil {
 		topU, topV = make([]bool, len(pairs)), make([]bool, len(pairs))
 	}
+	var kth []kthBest
+	if st == nil {
+		kth = make([]kthBest, n) // every node ranks and writes its own
+	} else {
+		kth = slices.Clone(st.kth)
+	}
 	revOff := make([]int32, n+1)
 	aboveMin := 0
-	for i, p := range pairs {
+	for i := range pairs {
 		if sims[i] >= cfg.MinSimilarity {
 			aboveMin++
-			if rank[p[1]] {
-				revOff[p[1]+1]++
+			if v := pairs[i][1]; rank[v] {
+				revOff[v+1]++
 			}
 		}
 	}
@@ -519,11 +537,11 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	}
 	rev := make([]int32, revOff[n])
 	next = slices.Clone(revOff[:n])
-	for i, p := range pairs {
-		if sims[i] >= cfg.MinSimilarity && rank[p[1]] {
+	for i := range pairs {
+		if v := pairs[i][1]; rank[v] && sims[i] >= cfg.MinSimilarity {
 			topV[i] = false
-			rev[next[p[1]]] = int32(i)
-			next[p[1]]++
+			rev[next[v]] = int32(i)
+			next[v]++
 		}
 	}
 	sp.SetAttr("pairsAboveMin", aboveMin)
@@ -535,29 +553,31 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				return nil, nil, nil, err
 			}
 		}
-		own := row // pairs[own:row] are u's own row, the (u, v>u)
-		for row < len(pairs) && pairs[row][0] == u {
-			row++
-		}
 		if !rank[u] {
 			continue
+		}
+		if row < len(pairs) && pairs[row][0] < u {
+			// Rows of nodes that did not re-rank lie in between: find u's
+			// own row, the (u, v>u), by binary search.
+			row += sort.Search(len(pairs)-row, func(j int) bool { return pairs[row+j][0] >= u })
 		}
 		lst = lst[:0]
 		for _, i := range rev[revOff[u]:revOff[u+1]] {
 			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
 		}
-		for i := own; i < row; i++ {
-			topU[i] = false
-			if sims[i] >= cfg.MinSimilarity {
-				lst = append(lst, scored{other: pairs[i][1], sim: sims[i], idx: i})
+		for ; row < len(pairs) && pairs[row][0] == u; row++ {
+			topU[row] = false
+			if sims[row] >= cfg.MinSimilarity {
+				lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
 			}
 		}
 		if len(lst) > 0 {
 			nodesRanked++
-			rankNode(lst, u, pairs, topU, topV, cfg.TopK)
 		}
+		kth[u] = rankNode(lst, u, pairs, topU, topV, cfg.TopK)
 	}
 	sp.SetAttr("nodesRanked", nodesRanked)
+	d.RankedNodes = nodesRanked
 
 	sp = ph.next("emit")
 	// Row degrees of the next CSR and, against the previous build, the
@@ -565,12 +585,13 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// are the ones patchCSR rewrites.
 	deg := make([]int32, n)
 	kept := 0
-	for i, p := range pairs {
+	for i := range pairs {
+		u, v := pairs[i][0], pairs[i][1]
 		keep := topU[i] || topV[i]
 		if keep {
 			kept++
-			deg[p[0]]++
-			deg[p[1]]++
+			deg[u]++
+			deg[v]++
 		}
 		if st == nil {
 			continue
@@ -579,7 +600,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		was := oi >= 0 && (st.topU[oi] || st.topV[oi])
 		if keep != was || (keep && sims[i] != st.sims[oi]) {
 			d.ChangedEdges++
-			rowDirty[p[0]], rowDirty[p[1]] = true, true
+			rowDirty[u], rowDirty[v] = true, true
 		}
 	}
 	var prev *wgraph.CSR
@@ -613,6 +634,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		sims:      sims,
 		topU:      topU,
 		topV:      topV,
+		kth:       kth,
 		graph:     g,
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
@@ -626,13 +648,19 @@ type byPair struct {
 }
 
 func (s byPair) Len() int           { return len(s.pairs) }
-func (s byPair) Less(i, j int) bool { return pairKey(s.pairs[i]) < pairKey(s.pairs[j]) }
+func (s byPair) Less(i, j int) bool { return pairKey(&s.pairs[i]) < pairKey(&s.pairs[j]) }
 func (s byPair) Swap(i, j int) {
 	s.pairs[i], s.pairs[j] = s.pairs[j], s.pairs[i]
 	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
 }
 
-func pairKey(p [2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
+// pairKey is a pair's sort key. It takes a pointer, and the loops over
+// every pair index pairs[i] instead of ranging over copies, because a
+// [2]int32 value round-trips through a stack slot that, where it straddles
+// a cache line, stalls every iteration on a failed store forward: ≈10 ns
+// a pair, enough to add a millisecond to a lowchurn patch's walk of its
+// ≈100 k retained pairs.
+func pairKey(p *[2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
 
 func packAssoc(q model.QueryID, e int32) uint64 {
 	return uint64(uint32(q))<<32 | uint64(uint32(e))
@@ -692,16 +720,34 @@ func (a scored) before(b scored) bool {
 	return a.sim > b.sim || (a.sim == b.sim && a.other < b.other)
 }
 
+// kthBest is a node's K-th best candidate in its TopK order, the bar a
+// changed pair must clear to enter the node's top K. noKth (sim −Inf)
+// stands for fewer than K candidates above MinSimilarity: any above-min
+// candidate enters.
+type kthBest struct {
+	sim   float64
+	other int32
+}
+
+var noKth = kthBest{sim: math.Inf(-1)}
+
+// admits reports whether a candidate (sim, other) ranks ahead of the bar.
+func (b kthBest) admits(sim float64, other int32) bool {
+	return scored{other: other, sim: sim}.before(scored{other: b.other, sim: b.sim})
+}
+
 // rankNode stamps the side bit of the pairs ranking in the top K of node
-// u's incident candidates (k = 0: all of them). The order is total, so the
+// u's incident candidates (k = 0: all of them) and returns the K-th of
+// them, or noKth if there are fewer than K. The order is total, so the
 // top-K set is unique and selecting it replaces sorting the list: lst[:k]
 // holds the best k seen so far, in order, by bounded insertion, and one
 // comparison against its last slot rejects most later candidates. lst is
 // reordered; it must already be filtered by MinSimilarity. Both the full
 // build and the incremental re-rank go through here, so their verdicts
 // cannot drift.
-func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) {
-	if k > 0 && k < len(lst) {
+func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int) kthBest {
+	bar := noKth
+	if k > 0 && k <= len(lst) {
 		for i := 1; i < len(lst); i++ {
 			c, j := lst[i], min(i, k)
 			if j == k {
@@ -716,6 +762,7 @@ func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int)
 			lst[j] = c
 		}
 		lst = lst[:k]
+		bar = kthBest{sim: lst[k-1].sim, other: lst[k-1].other}
 	}
 	for _, c := range lst {
 		if pairs[c.idx][0] == u {
@@ -724,6 +771,7 @@ func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int)
 			topV[c.idx] = true
 		}
 	}
+	return bar
 }
 
 // meanNormVector returns the mean of the L2-normalized embeddings of the

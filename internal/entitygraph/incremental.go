@@ -58,7 +58,12 @@ type IncState struct {
 	// topU/topV mark pairs ranking in the TopK of their U (resp. V)
 	// endpoint; a pair is kept iff either bit is set.
 	topU, topV []bool
-	graph      *wgraph.CSR
+	// kth[u] is node u's K-th best candidate above MinSimilarity, noKth
+	// if it has fewer than K (always, when TopK is 0): the next patch
+	// re-ranks u only for a changed pair that ranks ahead of it or leaves
+	// u's top K.
+	kth   []kthBest
+	graph *wgraph.CSR
 }
 
 // Dense-fallback reasons.
@@ -85,6 +90,10 @@ type Delta struct {
 	// zero and nil.
 	ChangedEdges int
 	DirtyRows    []int32
+	// RankedNodes counts the nodes that re-ranked their TopK over a
+	// non-empty candidate list: on a patch, those a changed pair could
+	// cross; on a dense run, every node with a candidate.
+	RankedNodes int
 	// DenseFallback reports that the build ran with every entity dirty
 	// instead of patching; FallbackReason names why (one of the Fallback*
 	// constants, empty when the patch ran).

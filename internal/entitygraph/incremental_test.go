@@ -263,47 +263,8 @@ func TestIncrementalUnusableStateFallsBack(t *testing.T) {
 // the default fan-out cap and at one the churn pushes query runs across.
 func TestPatchDegradesIntoFullBuild(t *testing.T) {
 	ctx := context.Background()
-	gen := synth.DefaultConfig()
-	gen.Scenarios = 8
-	gen.ItemsPerScenario = 60
-	gen.QueriesPerScenario = 15
-	gen.NoiseItems = 30
-	gen.HeadQueries = 6
-	c, err := synth.Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := BuildEntities(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := bipartite.New(0)
-	if err := base.AddAll(c.Clicks); err != nil {
-		t.Fatal(err)
-	}
-
-	// fresh picks an item query q has not clicked in g, starting at from.
-	fresh := func(g *bipartite.Graph, q, from int) model.ItemID {
-		it := model.ItemID(from % len(c.Items))
-		for g.ClickCount(model.QueryID(q), it) > 0 {
-			it = (it + 1) % model.ItemID(len(c.Items))
-		}
-		return it
-	}
-	// The churn: every query clicks one item it had not clicked, then every
-	// item is clicked by one query that had not clicked it.
-	var churn []model.ClickEvent
-	for q := range c.Queries {
-		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: fresh(base, q, q*7+13), Day: 1, Count: 1})
-	}
-	nq := len(churn)
-	for it := range c.Items {
-		q := (it*3 + 1) % len(c.Queries)
-		for base.ClickCount(model.QueryID(q), model.ItemID(it)) > 0 || churn[q].Item == model.ItemID(it) {
-			q = (q + 1) % len(c.Queries)
-		}
-		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: model.ItemID(it), Day: 1, Count: 1})
-	}
+	sw := newChurnSweep(t)
+	es, base, churn, nq := sw.es, sw.base, sw.churn, sw.nq
 
 	// runLens counts the entities each query reaches.
 	runLens := func(querySets [][]model.QueryID) map[model.QueryID]int {
@@ -339,16 +300,8 @@ func TestPatchDegradesIntoFullBuild(t *testing.T) {
 			var gated *IncState
 			var gatedRes *Result
 			var gatedClicks *bipartite.Graph
-			for _, k := range []int{1, nq / 16, nq / 8, nq / 4, nq / 2, 3 * nq / 4, nq, nq + len(c.Items)/2, len(churn)} {
-				clicks := bipartite.New(0)
-				if err := clicks.AddAll(c.Clicks); err != nil {
-					t.Fatal(err)
-				}
-				clicks.TakeChangedItems()
-				if err := clicks.AddAll(churn[:k]); err != nil {
-					t.Fatal(err)
-				}
-				dirty := clicks.TakeChangedItems()
+			for _, k := range sw.steps {
+				clicks, dirty := sw.slide(t, k)
 				res, nst, delta, err := BuildIncremental(ctx, es, clicks, nil, cfg, st0, dirty)
 				if err != nil {
 					t.Fatal(err)
@@ -437,6 +390,81 @@ func TestPatchDegradesIntoFullBuild(t *testing.T) {
 			requireSameGraph(t, "patch-after-fallback", res, full)
 		})
 	}
+}
+
+// churnSweep is the catalog and the nested slide of
+// TestPatchDegradesIntoFullBuild: the corpus clicks, then churn[:k] on
+// top of them for each k of steps, from one click to every item dirty.
+// The churn: every query clicks one item it had not clicked, then every
+// item is clicked by one query that had not clicked it; nq is the length
+// of the first part.
+type churnSweep struct {
+	c     *model.Corpus
+	es    *EntitySet
+	base  *bipartite.Graph
+	churn []model.ClickEvent
+	nq    int
+	steps []int
+}
+
+func newChurnSweep(t *testing.T) churnSweep {
+	t.Helper()
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 8
+	gen.ItemsPerScenario = 60
+	gen.QueriesPerScenario = 15
+	gen.NoiseItems = 30
+	gen.HeadQueries = 6
+	c, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := BuildEntities(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bipartite.New(0)
+	if err := base.AddAll(c.Clicks); err != nil {
+		t.Fatal(err)
+	}
+
+	// fresh picks an item query q has not clicked in g, starting at from.
+	fresh := func(g *bipartite.Graph, q, from int) model.ItemID {
+		it := model.ItemID(from % len(c.Items))
+		for g.ClickCount(model.QueryID(q), it) > 0 {
+			it = (it + 1) % model.ItemID(len(c.Items))
+		}
+		return it
+	}
+	var churn []model.ClickEvent
+	for q := range c.Queries {
+		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: fresh(base, q, q*7+13), Day: 1, Count: 1})
+	}
+	nq := len(churn)
+	for it := range c.Items {
+		q := (it*3 + 1) % len(c.Queries)
+		for base.ClickCount(model.QueryID(q), model.ItemID(it)) > 0 || churn[q].Item == model.ItemID(it) {
+			q = (q + 1) % len(c.Queries)
+		}
+		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: model.ItemID(it), Day: 1, Count: 1})
+	}
+	steps := []int{1, nq / 16, nq / 8, nq / 4, nq / 2, 3 * nq / 4, nq, nq + len(c.Items)/2, len(churn)}
+	return churnSweep{c: c, es: es, base: base, churn: churn, nq: nq, steps: steps}
+}
+
+// slide returns a fresh click graph holding the corpus clicks and
+// churn[:k], with the items churn[:k] changed.
+func (sw churnSweep) slide(t *testing.T, k int) (*bipartite.Graph, []model.ItemID) {
+	t.Helper()
+	clicks := bipartite.New(0)
+	if err := clicks.AddAll(sw.c.Clicks); err != nil {
+		t.Fatal(err)
+	}
+	clicks.TakeChangedItems()
+	if err := clicks.AddAll(sw.churn[:k]); err != nil {
+		t.Fatal(err)
+	}
+	return clicks, clicks.TakeChangedItems()
 }
 
 // TestPatchFollowsFanoutCapFlips moves one query's run across

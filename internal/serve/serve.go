@@ -210,6 +210,7 @@ type DeltaStat struct {
 	DirtyEntities int  `json:"dirtyEntities"`
 	ChangedEdges  int  `json:"changedEdges"`
 	DirtyRows     int  `json:"dirtyRows"`
+	RankedNodes   int  `json:"rankedNodes"`
 	DenseFallback bool `json:"denseFallback"`
 	// DenseFallbackReason says why the entity graph was built in full:
 	// no-state or dirty-pairs (more than half of the retained candidate
@@ -379,6 +380,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 			DirtyEntities:       b.Delta.DirtyEntities,
 			ChangedEdges:        b.Delta.ChangedEdges,
 			DirtyRows:           b.Delta.DirtyRows,
+			RankedNodes:         b.Delta.RankedNodes,
 			DenseFallback:       b.Delta.DenseFallback,
 			DenseFallbackReason: b.Delta.DenseFallbackReason,
 		}
