@@ -359,18 +359,6 @@ func BenchmarkBM25TopK(b *testing.B) {
 	}
 }
 
-func BenchmarkCoClickPairs(b *testing.B) {
-	w := getWorld(b)
-	clicks := bipartite.New(7)
-	if err := clicks.AddAll(w.corpus.Clicks); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clicks.CoClickPairs(400)
-	}
-}
-
 // BenchmarkServeSearch measures the online serving path (§1: "millions of
 // searches per day"): one query→topic search through the HTTP handler.
 func BenchmarkServeSearch(b *testing.B) {

@@ -190,17 +190,19 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 	}
 	var b *core.Build
 	for day, events := range byDay {
+		start := time.Now()
 		if err := pipe.IngestDay(events); err != nil {
 			return nil, err
 		}
-		start := time.Now()
+		ingest := time.Since(start)
+		start = time.Now()
 		b, err = pipe.RebuildContext(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if verbose {
-			line := fmt.Sprintf("day %-3d rebuilt in %-10v topics=%d", day,
-				time.Since(start).Round(time.Millisecond), len(b.Taxonomy.Topics))
+			line := fmt.Sprintf("day %-3d rebuilt in %-10v ingest=%-9v topics=%d", day,
+				time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond), len(b.Taxonomy.Topics))
 			if d := b.Delta; d != nil {
 				line += fmt.Sprintf(" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
 					d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)

@@ -171,12 +171,14 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 			next[i] = ev
 			next[i].Day = ev.Day + shift
 		}
+		start := time.Now()
 		if err := pipe.IngestDay(next); err != nil {
 			log.Printf("refresh: ingest failed: %v", err)
 			continue
 		}
+		ingest := time.Since(start)
 		prev := pipe.Last()
-		start := time.Now()
+		start = time.Now()
 		b, err := pipe.RebuildContext(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -193,8 +195,8 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 			log.Printf("refresh: swap rejected: %v", err)
 			continue
 		}
-		log.Printf("refresh: swapped build #%d in %v (topics=%d stability=%.3f)",
-			h.Swaps(), time.Since(start).Round(time.Millisecond),
+		log.Printf("refresh: swapped build #%d in %v ingest=%v (topics=%d stability=%.3f)",
+			h.Swaps(), time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond),
 			len(b.Taxonomy.Topics), stability)
 		if d := b.Delta; d != nil {
 			notes := ""

@@ -208,6 +208,14 @@ func Run() ([]Result, error) {
 	}
 	benches["daily-rebuild"] = record(dailyOp)
 	benches["incremental-rebuild"] = record(incOp)
+	// One steady-state day of the click window: a day's clicks merged
+	// into the full seven-day window, the oldest day merged out, and the
+	// changed items drained — the slide's bipartite.ingest layer.
+	iw, err := newIngestWorld(sw.days)
+	if err != nil {
+		return nil, err
+	}
+	benches["window-ingest"] = record(iw.slide)
 
 	// The paired gated ratios are measured before the best-of-three sweep,
 	// on the same small live heap every run (fixture + slide world only):

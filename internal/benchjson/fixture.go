@@ -117,8 +117,9 @@ func deriveWorld(b *core.Build) (*bipartite.Graph, []int, error) {
 // one from scratch, one delta-driven — so their ratio
 // (incremental-vs-full) isolates what the delta path saves.
 type slideWorld struct {
-	window *bipartite.Graph // the post-slide window
-	dirty  []model.ItemID   // items the slide changed
+	window *bipartite.Graph     // the post-slide window
+	dirty  []model.ItemID       // items the slide changed
+	days   [][]model.ClickEvent // the stream's eight days, for ingestWorld
 	st     *entitygraph.IncState
 	gcfg   entitygraph.Config
 	hcfg   phac.Config
@@ -146,6 +147,7 @@ func buildSlideWorld(b *core.Build) (*slideWorld, error) {
 	}
 	sw := &slideWorld{
 		window: bipartite.New(days - 1),
+		days:   byDay,
 		gcfg:   fixedWorldConfig().Graph,
 		hcfg:   phac.Config{StopThreshold: 0.12, DiffusionRounds: 2},
 	}
@@ -176,6 +178,43 @@ func buildSlideWorld(b *core.Build) (*slideWorld, error) {
 		return nil, fmt.Errorf("benchjson: slide fixture tripped the dense fallback (dirty items %d)", d.DirtyItems)
 	}
 	return sw, nil
+}
+
+// ingestWorld is the window-ingest benchmark's input: the slide world's
+// days streamed round-robin through a seven-day window, each renumbered as
+// the day after the newest, so every slide is one steady-state day — a
+// day's clicks in, the oldest day out.
+type ingestWorld struct {
+	window *bipartite.Graph
+	days   [][]model.ClickEvent
+	next   int32
+}
+
+// newIngestWorld fills a seven-day window from days (which it renumbers
+// in place from then on).
+func newIngestWorld(days [][]model.ClickEvent) (*ingestWorld, error) {
+	w := &ingestWorld{window: bipartite.New(7), days: days}
+	for range 7 {
+		if err := w.slide(); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+// slide ingests the next day and drains the changed items, as a daily
+// pipeline's IngestDay and incremental rebuild do.
+func (w *ingestWorld) slide() error {
+	evs := w.days[int(w.next)%len(w.days)]
+	for i := range evs {
+		evs[i].Day = w.next
+	}
+	w.next++
+	if err := w.window.AddAll(evs); err != nil {
+		return err
+	}
+	w.window.TakeChangedItems()
+	return nil
 }
 
 // fixtureFile is the gob wire form of the fixture: the corpus and every

@@ -3,6 +3,7 @@ package bipartite
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,10 +31,10 @@ func randEvents(rng *rand.Rand, n int) []model.ClickEvent {
 	return evs
 }
 
-// Property: the batched AddAll fast path leaves the graph in exactly the
-// state a sequential Add replay would — same aggregates, same retained raw
-// days, same max day — for any interleaving of in-order, out-of-order, and
-// stale events.
+// Property: the batched AddAll leaves the graph in exactly the state a
+// sequential Add replay would — same rows and counts, same Queries, Items
+// and max day — for any interleaving of in-order, out-of-order and stale
+// events.
 func TestAddAllMatchesSequential(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 41))
@@ -49,10 +50,17 @@ func TestAddAllMatchesSequential(t *testing.T) {
 		if err := bat.AddAll(evs); err != nil {
 			return false
 		}
-		return bat.maxDay == seq.maxDay &&
-			reflect.DeepEqual(bat.queryItems, seq.queryItems) &&
-			reflect.DeepEqual(bat.itemQuery, seq.itemQuery) &&
-			reflect.DeepEqual(bat.byDay, seq.byDay)
+		if bat.MaxDay() != seq.MaxDay() || bat.Queries() != seq.Queries() || bat.Items() != seq.Items() {
+			return false
+		}
+		for it := model.ItemID(0); it < 9; it++ {
+			bq, bn := bat.Row(it)
+			sq, sn := seq.Row(it)
+			if !slices.Equal(bq, sq) || !slices.Equal(bn, sn) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -73,7 +81,8 @@ func TestChangedItemsTracksQuerySetMembership(t *testing.T) {
 		g.TakeChangedItems()
 		before := make(map[model.ItemID][]model.QueryID)
 		for it := model.ItemID(0); it < 9; it++ {
-			before[it] = g.QuerySet(it)
+			before[it], _ = g.Row(it)
+			before[it] = slices.Clone(before[it])
 		}
 		// Perturb phase.
 		if err := g.AddAll(randEvents(rng, 60)); err != nil {
@@ -84,7 +93,7 @@ func TestChangedItemsTracksQuerySetMembership(t *testing.T) {
 			changed[it] = true
 		}
 		for it := model.ItemID(0); it < 9; it++ {
-			if moved := !reflect.DeepEqual(before[it], g.QuerySet(it)); moved && !changed[it] {
+			if qs, _ := g.Row(it); !slices.Equal(before[it], qs) && !changed[it] {
 				return false // a real membership change was missed
 			}
 		}
@@ -195,28 +204,8 @@ func benchDay(day int32, events int) []model.ClickEvent {
 	return evs
 }
 
-// BenchmarkIngestDaySequential is the old per-event path: every event that
-// bumps the max day re-runs the eviction scan.
-func BenchmarkIngestDaySequential(b *testing.B) {
-	days := make([][]model.ClickEvent, 30)
-	for d := range days {
-		days[d] = benchDay(int32(d), 2000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(7)
-		for _, evs := range days {
-			for _, ev := range evs {
-				if err := g.Add(ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkIngestDayBatch is the AddAll fast path: one eviction pass per
-// ingested day.
+// BenchmarkIngestDayBatch streams 30 days through a seven-day window, one
+// AddAll (one merge) per day.
 func BenchmarkIngestDayBatch(b *testing.B) {
 	days := make([][]model.ClickEvent, 30)
 	for d := range days {

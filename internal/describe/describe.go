@@ -148,8 +148,8 @@ type candidates struct {
 	slots    []int32
 }
 
-// collectCandidates scans each topic's items once, accumulating click
-// mass densely over the nq query ids.
+// collectCandidates scans the click-window rows of each topic's items,
+// in item order, accumulating click mass densely over the nq query ids.
 func collectCandidates(tx *taxonomy.Taxonomy, clicks *bipartite.Graph, nq int) *candidates {
 	k := len(tx.Topics)
 	c := &candidates{topicOff: make([]int32, k+1), queryOff: make([]int32, nq+1)}
@@ -159,12 +159,13 @@ func collectCandidates(tx *taxonomy.Taxonomy, clicks *bipartite.Graph, nq int) *
 	for t := range tx.Topics {
 		touched = touched[:0]
 		for _, it := range tx.Topics[t].Items {
-			for q, n := range clicks.ItemClicks(it) {
+			qs, ns := clicks.Row(it)
+			for j, q := range qs {
 				if !mark[q] {
 					mark[q] = true
 					touched = append(touched, q)
 				}
-				acc[q] += float64(n)
+				acc[q] += float64(ns[j])
 			}
 		}
 		slices.Sort(touched)

@@ -40,8 +40,9 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 	for t := range tx.Topics {
 		acc := make(map[model.QueryID]float64)
 		for _, it := range tx.Topics[t].Items {
-			for _, q := range clicks.QuerySet(it) {
-				acc[q] += float64(clicks.ClickCount(q, it))
+			qs, ns := clicks.Row(it)
+			for j, q := range qs {
+				acc[q] += float64(ns[j])
 			}
 		}
 		if len(acc) == 0 {

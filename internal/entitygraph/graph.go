@@ -685,15 +685,21 @@ func (p *phases) next(name string) *obs.Span {
 
 func (p *phases) end() { p.cur.End() }
 
-// entityQuerySet returns entity e's query set — the Qu of Eq. 1: the
-// member items' query ids concatenated into the caller's reusable scratch
-// buffer, sorted, and compacted into a fresh slice, so neither a
-// per-entity seen map nor a per-item sorted slice exists. The full build
-// and the patch both come through here.
+// entityQuerySet returns entity e's query set — the Qu of Eq. 1 — as a
+// fresh slice. A one-item entity's set is its click-window row, already
+// sorted, copied. A larger entity's member rows are concatenated into the
+// caller's reusable scratch buffer, sorted and compacted, so neither a
+// per-entity seen map nor a k-way merge exists. The full build and the
+// patch both come through here.
 func entityQuerySet(e *Entity, clicks *bipartite.Graph, scratch *[]model.QueryID) []model.QueryID {
+	if len(e.Items) == 1 {
+		row, _ := clicks.Row(e.Items[0])
+		return append(make([]model.QueryID, 0, len(row)), row...)
+	}
 	qbuf := (*scratch)[:0]
 	for _, it := range e.Items {
-		qbuf = clicks.AppendQuerySet(qbuf, it)
+		row, _ := clicks.Row(it)
+		qbuf = append(qbuf, row...)
 	}
 	*scratch = qbuf
 	slices.Sort(qbuf)

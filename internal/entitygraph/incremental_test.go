@@ -407,6 +407,13 @@ type churnSweep struct {
 	steps []int
 }
 
+// clicked reports whether query q has an in-window click into item it.
+func clicked(g *bipartite.Graph, q model.QueryID, it model.ItemID) bool {
+	qs, _ := g.Row(it)
+	_, ok := slices.BinarySearch(qs, q)
+	return ok
+}
+
 func newChurnSweep(t *testing.T) churnSweep {
 	t.Helper()
 	gen := synth.DefaultConfig()
@@ -431,7 +438,7 @@ func newChurnSweep(t *testing.T) churnSweep {
 	// fresh picks an item query q has not clicked in g, starting at from.
 	fresh := func(g *bipartite.Graph, q, from int) model.ItemID {
 		it := model.ItemID(from % len(c.Items))
-		for g.ClickCount(model.QueryID(q), it) > 0 {
+		for clicked(g, model.QueryID(q), it) {
 			it = (it + 1) % model.ItemID(len(c.Items))
 		}
 		return it
@@ -443,7 +450,7 @@ func newChurnSweep(t *testing.T) churnSweep {
 	nq := len(churn)
 	for it := range c.Items {
 		q := (it*3 + 1) % len(c.Queries)
-		for base.ClickCount(model.QueryID(q), model.ItemID(it)) > 0 || churn[q].Item == model.ItemID(it) {
+		for clicked(base, model.QueryID(q), model.ItemID(it)) || churn[q].Item == model.ItemID(it) {
 			q = (q + 1) % len(c.Queries)
 		}
 		churn = append(churn, model.ClickEvent{Query: model.QueryID(q), Item: model.ItemID(it), Day: 1, Count: 1})

@@ -25,7 +25,8 @@ func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config, sims []f
 	for e := range es.Entities {
 		seen := map[model.QueryID]bool{}
 		for _, it := range es.Entities[e].Items {
-			for _, q := range clicks.QuerySet(it) {
+			qs, _ := clicks.Row(it)
+			for _, q := range qs {
 				if !seen[q] {
 					seen[q] = true
 					byQuery[q] = append(byQuery[q], int32(e))
