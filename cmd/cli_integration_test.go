@@ -124,6 +124,29 @@ func TestGenBuildPipeline(t *testing.T) {
 			t.Fatal("GOMAXPROCS=3 changed the built taxonomy file")
 		}
 	}
+
+	// The day-by-day replay patches each day's rebuild from the previous
+	// day's and saves the file a one-shot build of the final window saves;
+	// its first day has no previous build to patch.
+	incPath := filepath.Join(dir, "tax-incremental.gob")
+	out = run(t, build, "-corpus", corpusPath, "-out", incPath, "-stop", "0.12", "-incremental", "-v")
+	inc, err := os.ReadFile(incPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref, inc) {
+		t.Fatal("shoal-build -incremental saved a different taxonomy file than shoal-build")
+	}
+	firstDay := ""
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "day ") {
+			firstDay = line
+			break
+		}
+	}
+	if !strings.Contains(firstDay, "dense-fallback-reason=no-state") {
+		t.Fatalf("first -incremental day line %q does not report a no-state fallback:\n%s", firstDay, out)
+	}
 }
 
 func TestGenCurated(t *testing.T) {

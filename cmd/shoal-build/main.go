@@ -40,7 +40,7 @@ func main() {
 		noEmbed    = flag.Bool("no-embeddings", false, "skip word2vec (query-driven similarity only)")
 		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")
 		frontier   = flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
-		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, rebuilding each day with the delta-driven path; the final day's taxonomy is saved (per-day delta stats with -v)")
+		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, each day's rebuild patching the previous day's entity graph; the final day's taxonomy is saved (per-day delta stats with -v)")
 		tracePath  = flag.String("trace", "", "write the build's execution trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		pprofAddr  = flag.String("pprof", "", "side listener address exposing net/http/pprof during the build (e.g. localhost:6060; empty disables)")
 		verbose    = flag.Bool("v", false, "print stage timings, resolved configuration and statistics")
@@ -81,7 +81,6 @@ func main() {
 
 	var b *core.Build
 	if *increment {
-		cfg.Incremental = true
 		b, err = buildIncremental(ctx, corpus, cfg, *verbose)
 	} else {
 		b, err = core.RunContext(ctx, corpus, cfg)
@@ -116,10 +115,9 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 			// Sub-stage spans of the stages around clustering, with the
-			// counts that size their work (entity-graph and
-			// entity-graph-delta alike: query-sets dirtyEntities,
-			// candidates pairs regenerated, score rescored, rank
-			// pairsAboveMin nodesRanked, emit dirtyRows kept;
+			// counts that size their work (entity-graph: query-sets
+			// dirtyEntities, candidates pairs regenerated, score rescored,
+			// rank pairsAboveMin nodesRanked, emit dirtyRows kept;
 			// describe/score: distinctQueries, candidatePairs;
 			// search-index/build: tokens).
 			// The clustering's round spans are summed on its line above.
@@ -168,10 +166,10 @@ func main() {
 }
 
 // buildIncremental replays the corpus click log day by day through the
-// sliding-window pipeline: every day is ingested and rebuilt with the
-// delta-driven path, so each rebuild recomputes only what that day's
-// slide changed. Returns the final day's build — byte-identical to a
-// from-scratch build over the final window.
+// sliding-window pipeline: every day is ingested and rebuilt, each
+// rebuild patching the previous day's entity graph, so it recomputes only
+// what that day's slide changed. Returns the final day's build —
+// byte-identical to a from-scratch build over the final window.
 func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config, verbose bool) (*core.Build, error) {
 	var maxDay int32
 	for _, ev := range corpus.Clicks {
@@ -203,12 +201,11 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 		if verbose {
 			line := fmt.Sprintf("day %-3d rebuilt in %-10v ingest=%-9v topics=%d", day,
 				time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond), len(b.Taxonomy.Topics))
-			if d := b.Delta; d != nil {
-				line += fmt.Sprintf(" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
-					d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
-				if d.DenseFallback {
-					line += " dense-fallback-reason=" + d.DenseFallbackReason
-				}
+			d := b.Delta
+			line += fmt.Sprintf(" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
+				d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
+			if d.DenseFallback {
+				line += " dense-fallback-reason=" + d.DenseFallbackReason
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}

@@ -7,7 +7,6 @@
 //	shoal-serve -addr :8080                       # curated mini corpus
 //	shoal-serve -addr :8080 -corpus corpus.json.gz
 //	shoal-serve -addr :8080 -refresh 24h          # daily rebuild + hot swap
-//	shoal-serve -addr :8080 -refresh 24h -incremental  # delta-driven rebuilds
 //
 // Endpoints: /api/search?q=..., /api/topics/{id},
 // /api/topics/{id}/items[?category=N], /api/categories/{id}/related,
@@ -16,8 +15,10 @@
 // /metrics (Prometheus text, including runtime health gauges).
 //
 // With -refresh the server mirrors the production operation mode: the
-// sliding-window pipeline rebuilds in the background and each finished
-// build is atomically swapped into the running handler — requests in
+// sliding-window pipeline rebuilds in the background, each rebuild
+// patching the entity graph from the window's changed items over the
+// entities and embeddings built at start-up, and each finished build is
+// atomically swapped into the running handler — requests in
 // flight keep their snapshot, new requests see the new taxonomy, and the
 // listener never goes down.
 package main
@@ -49,7 +50,6 @@ func main() {
 	refresh := flag.Duration("refresh", 0, "interval between background rebuilds hot-swapped into the handler (0 disables)")
 	pprofAddr := flag.String("pprof", "", "side listener address exposing net/http/pprof (e.g. localhost:6060; empty disables)")
 	frontier := flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
-	incremental := flag.Bool("incremental", false, "delta-driven rebuilds: each refresh recomputes only what the window slide changed (byte-identical output; delta stats land in /api/stats)")
 	flag.Parse()
 
 	// Profiling stays off the serving listener: a dedicated mux on a side
@@ -76,7 +76,6 @@ func main() {
 	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
 	cfg.CatCorr.MinStrength = 0
 	cfg.HAC.FrontierDensity = *frontier
-	cfg.Incremental = *incremental
 	if *corpusPath != "" {
 		var err error
 		corpus, err = store.LoadCorpus(*corpusPath)
@@ -198,13 +197,12 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 		log.Printf("refresh: swapped build #%d in %v ingest=%v (topics=%d stability=%.3f)",
 			h.Swaps(), time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond),
 			len(b.Taxonomy.Topics), stability)
-		if d := b.Delta; d != nil {
-			notes := ""
-			if d.DenseFallback {
-				notes += " dense-fallback-reason=" + d.DenseFallbackReason
-			}
-			log.Printf("refresh: delta dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
-				d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
+		d := b.Delta
+		notes := ""
+		if d.DenseFallback {
+			notes = " dense-fallback-reason=" + d.DenseFallbackReason
 		}
+		log.Printf("refresh: delta dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
+			d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
 	}
 }

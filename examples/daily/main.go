@@ -1,10 +1,10 @@
 // Daily demonstrates the production operating mode (paper §3): SHOAL is
 // built from a sliding window over the last seven days of search queries
 // and refreshed as new days of click logs arrive. The example streams two
-// weeks of synthetic clicks through the window with Config.Incremental
-// set, so each day's rebuild recomputes only what the window slide
-// changed (byte-identical to from-scratch), and reports the per-day
-// delta alongside topics and day-over-day structural stability.
+// weeks of synthetic clicks through the window; each day's rebuild
+// recomputes only what the window slide changed (byte-identical to
+// from-scratch), and the example reports the per-day delta alongside
+// topics and day-over-day structural stability.
 package main
 
 import (
@@ -49,7 +49,6 @@ func main() {
 	cfg.Word2Vec.Epochs = 2
 	cfg.HAC.StopThreshold = 0.12
 	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
-	cfg.Incremental = true
 	pipeline, err := shoal.NewDailyPipeline(corpus, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -78,12 +77,10 @@ func main() {
 			stability = fmt.Sprintf("%.3f", s)
 		}
 		queries, _, _ := pipeline.WindowStats()
-		delta := "-"
-		if d := build.Delta; d != nil {
-			delta = fmt.Sprintf("%d/%d", d.DirtyItems, d.DirtyRows)
-			if d.DenseFallback {
-				delta += " (dense fallback)"
-			}
+		d := build.Delta
+		delta := fmt.Sprintf("%d/%d", d.DirtyItems, d.DirtyRows)
+		if d.DenseFallback {
+			delta += " (dense fallback)"
 		}
 		fmt.Printf("%-5d %-16d %-8d %-10s %s\n", day, queries, len(build.Taxonomy.Topics), stability, delta)
 		prev = build

@@ -20,9 +20,8 @@ type DailyPipeline struct {
 	clicks *bipartite.Graph
 	days   int
 	last   *Build
-	// cache is the cross-build state of the incremental rebuild path
-	// (Config.Incremental): corpus-static artifacts plus the previous
-	// build's entity-graph state.
+	// cache is what each rebuild patches from: corpus-static artifacts
+	// plus the previous build's entity-graph state.
 	cache rebuildCache
 }
 
@@ -73,32 +72,22 @@ func (p *DailyPipeline) Window() bipartite.WindowStats {
 	return p.clicks.Stats()
 }
 
-// Rebuild runs the full pipeline over the current window and remembers the
+// Rebuild runs the pipeline over the current window and remembers the
 // result for Stability comparisons.
 func (p *DailyPipeline) Rebuild() (*Build, error) {
 	return p.RebuildContext(context.Background())
 }
 
 // RebuildContext is Rebuild with cancellation: a canceled ctx aborts the
-// in-flight build without touching the last published one. With
-// Config.Incremental set it runs the delta-driven path: the window's
+// in-flight build without touching the last published one. The window's
 // changed items are drained and the entity graph is patched from them
 // instead of rebuilt; clustering and every later stage run as in a
-// from-scratch rebuild, so the output is byte-identical to one. A
-// failed incremental rebuild loses the drained delta, and the next one
-// rebuilds the graph from scratch (Delta.DenseFallbackReason
-// "no-state") before the patch path resumes.
+// one-shot build, so the output is byte-identical to one. A failed
+// rebuild loses the drained delta, and the next one rebuilds the graph
+// from scratch (Delta.DenseFallbackReason "no-state") before the patch
+// path resumes.
 func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
-	if !p.cfg.Incremental {
-		b, err := RunWithClicksContext(ctx, p.corpus, p.clicks, p.cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.last = b
-		return b, nil
-	}
-	dirty := p.clicks.TakeChangedItems()
-	b, err := run(ctx, p.corpus, p.clicks, p.cfg, incrementalStages(p.cfg, &p.cache, dirty))
+	b, err := run(ctx, p.corpus, p.clicks, p.cfg, &p.cache, p.clicks.TakeChangedItems())
 	if err != nil {
 		// The drained delta is lost with the failed build: the cached
 		// graph state no longer describes any window the next rebuild

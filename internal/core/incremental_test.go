@@ -103,9 +103,7 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 			cfg.Graph.Workers = tc.workers
 			cfg.Graph.MinSimilarity = 0.15
 
-			incCfg := cfg
-			incCfg.Incremental = true
-			p, err := core.NewDailyPipeline(c, incCfg)
+			p, err := core.NewDailyPipeline(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +118,7 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("day %d: incremental rebuild: %v", d, err)
 				}
-				if bInc.Delta == nil || !bInc.Delta.Incremental {
+				if bInc.Delta == nil {
 					t.Fatalf("day %d: incremental build carries no delta stats", d)
 				}
 				if !bInc.Delta.DenseFallback && bInc.Delta.DirtyRows > 0 {
@@ -161,9 +159,9 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestStabilityTrajectoryIncremental locks core.Stability under
-// incremental rebuilds: the day-over-day stability trajectory of the
-// incremental pipeline equals the from-scratch pipeline's exactly.
+// TestStabilityTrajectoryIncremental locks core.Stability under patched
+// rebuilds: the day-over-day stability trajectory of the daily pipeline
+// equals, exactly, that of from-scratch builds over each day's window.
 func TestStabilityTrajectoryIncremental(t *testing.T) {
 	ctx := context.Background()
 	c := synth.Curated()
@@ -174,13 +172,7 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	cfg.TrainEmbeddings = false
 	cfg.Graph.MinSimilarity = 0.15
 
-	incCfg := cfg
-	incCfg.Incremental = true
-	pInc, err := core.NewDailyPipeline(c, incCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pFull, err := core.NewDailyPipeline(c, cfg)
+	p, err := core.NewDailyPipeline(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +180,20 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	var trajInc, trajFull []float64
 	var prevInc, prevFull *core.Build
 	for d := range days {
-		if err := pInc.IngestDay(days[d]); err != nil {
+		if err := p.IngestDay(days[d]); err != nil {
 			t.Fatal(err)
 		}
-		if err := pFull.IngestDay(days[d]); err != nil {
-			t.Fatal(err)
-		}
-		bInc, err := pInc.RebuildContext(ctx)
+		bInc, err := p.RebuildContext(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bFull, err := pFull.RebuildContext(ctx)
+		full := bipartite.New(cfg.WindowDays)
+		for fd := 0; fd <= d; fd++ {
+			if err := full.AddAll(days[fd]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bFull, err := core.RunWithClicksContext(ctx, c, full, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,9 +229,7 @@ func TestIncrementalRebuildAfterFailure(t *testing.T) {
 	cfg.WindowDays = 4
 	cfg.TrainEmbeddings = false
 	cfg.Graph.MinSimilarity = 0.15
-	incCfg := cfg
-	incCfg.Incremental = true
-	p, err := core.NewDailyPipeline(c, incCfg)
+	p, err := core.NewDailyPipeline(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,20 @@
 // topic descriptions → category correlations. Each stage is an internal
 // package; this package owns the stage graph, configuration and timing.
 //
-// Stages are declared as a dependency graph (see pipelineStages) and
-// executed by the Engine: independent stages — e.g. word2vec next to the
-// click-graph and entity formation — run concurrently, while every
-// read-after-write relation is an explicit edge, so the concurrent
-// schedule produces output identical to the sequential one.
+// Stages are declared as a dependency graph (see stages) and executed by
+// the Engine: independent stages — e.g. word2vec next to the click-graph
+// and entity formation — run concurrently, while every read-after-write
+// relation is an explicit edge, so the concurrent schedule produces
+// output identical to the sequential one.
 //
-// DailyPipeline maintains the production sliding-window operation, and
-// Config.Incremental (shoal-build/shoal-serve -incremental) switches its
-// rebuilds to the delta-driven path: the window's changed items are
-// drained each rebuild, the entity graph is patched rather than rebuilt,
-// and Build.Delta reports what the patch touched — with output
-// byte-identical to a from-scratch rebuild of the same window.
+// Every build is a rebuild over a cache: the corpus-static entities and
+// embeddings plus the previous build's entity-graph state. A one-shot
+// build (Run, RunWithClicks) starts from an empty cache, so its entity
+// graph is built with every entity dirty. DailyPipeline, the production
+// sliding-window operation, keeps its cache across rebuilds: the
+// window's changed items are drained each rebuild and the entity graph
+// is patched from them, with output byte-identical to a one-shot build
+// of the same window. Build.Delta reports what each build touched.
 // Clustering and every stage after it run from scratch on every build,
 // as the paper's Parallel HAC does (ROADMAP, "Why clustering runs cold
 // on every slide").
@@ -22,7 +24,7 @@
 // Every build is deterministic: a corpus and a Config determine the
 // output byte for byte — word2vec included, which trains serially from
 // its seed — whatever the schedule, the entity graph's worker count,
-// GOMAXPROCS, or incremental versus from scratch.
+// GOMAXPROCS, or the cache it started from.
 package core
 
 import (
@@ -62,15 +64,9 @@ type Config struct {
 	Shards   int
 	Word2Vec word2vec.Config
 	Graph    entitygraph.Config
-	// Incremental makes DailyPipeline.Rebuild reuse the previous build's
-	// entity graph: it is patched from the window's changed items
-	// (entitygraph.BuildIncremental) instead of rebuilt; every later
-	// stage, clustering included, runs from scratch. Output is
-	// byte-identical to a from-scratch rebuild at every step (locked by
-	// the determinism suite in incremental_test.go), embeddings on or off;
-	// embeddings are trained once and reused. What each patch touched is
-	// reported in Build.Delta and /api/stats. Only DailyPipeline consults
-	// this knob; one-shot Run ignores it.
+	// Incremental is read by nothing, written only by the frozen
+	// benchmark/run.go: every DailyPipeline rebuild patches the entity
+	// graph. The next benchmark-archetype PR deletes it.
 	Incremental bool
 	// HAC also carries the frontier-pruned diffusion knob
 	// (HAC.FrontierDensity, surfaced as shoal-build/-serve -frontier):
@@ -124,8 +120,9 @@ type Build struct {
 	Embeddings *word2vec.Model
 	Dendrogram *dendrogram.Dendrogram
 	Rounds     []phac.RoundStat
-	// Delta summarizes what an incremental rebuild actually recomputed;
-	// nil on from-scratch builds. Reported by /api/stats.
+	// Delta summarizes what the build recomputed of the previous one; a
+	// one-shot build, having no previous one, reads as a "no-state"
+	// dense fallback. Reported by /api/stats.
 	Delta        *DeltaStats
 	Taxonomy     *taxonomy.Taxonomy
 	Descriptions []describe.Description
@@ -158,7 +155,7 @@ func Run(corpus *model.Corpus, cfg Config) (*Build, error) {
 // RunContext is Run with cancellation: canceling ctx aborts in-flight
 // stages and returns the context error.
 func RunContext(ctx context.Context, corpus *model.Corpus, cfg Config) (*Build, error) {
-	return run(ctx, corpus, nil, cfg, pipelineStages(cfg, false))
+	return run(ctx, corpus, nil, cfg, &rebuildCache{}, nil)
 }
 
 // RunWithClicks executes the pipeline over an externally maintained click
@@ -172,13 +169,13 @@ func RunWithClicksContext(ctx context.Context, corpus *model.Corpus, clicks *bip
 	if clicks == nil {
 		return nil, fmt.Errorf("core: nil click graph")
 	}
-	return run(ctx, corpus, clicks, cfg, pipelineStages(cfg, true))
+	return run(ctx, corpus, clicks, cfg, &rebuildCache{}, nil)
 }
 
-// run is the one build driver: it executes stages — the from-scratch
-// graph or the incremental one, both declared over the same cfg —
-// through the Engine and assembles the Build they fill in.
-func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, stages []Stage) (*Build, error) {
+// run is the one build driver: it executes the stage graph over cache
+// through the Engine and assembles the Build the stages fill in. A nil
+// clicks makes the build ingest the corpus's own click log.
+func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, cache *rebuildCache, dirtyItems []model.ItemID) (*Build, error) {
 	if err := corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -191,7 +188,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		FrontierDensity: density,
 		Trace:           obs.NewTrace("shoal-build"),
 	}
-	eng, err := NewEngine(stages...)
+	eng, err := NewEngine(stages(cfg, cache, dirtyItems, clicks != nil)...)
 	if err != nil {
 		return nil, err
 	}
@@ -207,81 +204,109 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	return b, nil
 }
 
-// pipelineStages declares the SHOAL build graph. Dependency edges encode
-// every read-after-write relation between stages:
+// stages declares the SHOAL build graph. Dependency edges encode every
+// read-after-write relation between stages:
 //
 //	click-graph ─┬─▶ entity-graph ─▶ parallel-hac ─▶ taxonomy ─┬─▶ describe ─▶ search-index
 //	entities ────┤                                             └─▶ category-correlation
 //	word2vec ────┘
 //
 // click-graph is omitted when the caller supplies an external click graph,
-// and word2vec when embeddings are disabled.
-func pipelineStages(cfg Config, externalClicks bool) []Stage {
-	var stages []Stage
+// and word2vec when embeddings are disabled. The stages ahead of
+// clustering consult the cross-build cache: entities and embeddings are
+// corpus-static and computed once per cache, and the entity graph is
+// patched from dirtyItems against the cached previous build — with no
+// previous build every entity is dirty, which is the full build.
+// Clustering and everything downstream run from scratch. cache is
+// updated in place as stages succeed; on error the caller must drop its
+// graphState.
+func stages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemID, externalClicks bool) []Stage {
+	var list []Stage
 	graphDeps := []string{"entities"}
 
 	if !externalClicks {
-		stages = append(stages, StageFunc("click-graph", nil, func(ctx context.Context, b *Build) error {
+		list = append(list, StageFunc("click-graph", nil, func(ctx context.Context, b *Build) error {
 			b.Clicks = bipartite.New(cfg.WindowDays)
 			return b.Clicks.AddAll(b.Corpus.Clicks)
 		}))
 		graphDeps = append(graphDeps, "click-graph")
 	}
 
-	stages = append(stages, StageFunc("entities", nil, func(ctx context.Context, b *Build) error {
-		es, err := entitygraph.BuildEntities(ctx, b.Corpus)
-		b.Entities = es
-		return err
+	list = append(list, StageFunc("entities", nil, func(ctx context.Context, b *Build) error {
+		if cache.entities == nil {
+			es, err := entitygraph.BuildEntities(ctx, b.Corpus)
+			if err != nil {
+				return err
+			}
+			cache.entities = es
+		}
+		b.Entities = cache.entities
+		return nil
 	}))
 
 	if cfg.TrainEmbeddings {
-		stages = append(stages, StageFunc("word2vec", nil, func(ctx context.Context, b *Build) error {
-			m, err := word2vec.Train(ctx, titleSentences(b.Corpus), cfg.Word2Vec)
-			b.Embeddings = m
-			return err
+		list = append(list, StageFunc("word2vec", nil, func(ctx context.Context, b *Build) error {
+			if !cache.haveEmb {
+				m, err := word2vec.Train(ctx, titleSentences(b.Corpus), cfg.Word2Vec)
+				if err != nil {
+					return err
+				}
+				cache.embeddings, cache.haveEmb = m, true
+			}
+			b.Embeddings = cache.embeddings
+			return nil
 		}))
 		graphDeps = append(graphDeps, "word2vec")
 	}
 
-	stages = append(stages,
+	return append(list,
 		StageFunc("entity-graph", graphDeps, func(ctx context.Context, b *Build) error {
-			res, err := entitygraph.Build(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph)
+			// The state changes hands for the call: a dense fallback
+			// drops it before building its replacement, and an error
+			// invalidates it anyway.
+			st := cache.graphState
+			cache.graphState = nil
+			res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
 			if err != nil {
 				return err
 			}
+			cache.graphState = nst
 			b.Graph = res.Graph
 			b.QuerySets = res.QuerySets
+			b.Delta = &DeltaStats{
+				DirtyItems:          d.DirtyItems,
+				DirtyEntities:       d.DirtyEntities,
+				ChangedEdges:        d.ChangedEdges,
+				DirtyRows:           len(d.DirtyRows),
+				RankedNodes:         d.RankedNodes,
+				DenseFallback:       d.DenseFallback,
+				DenseFallbackReason: d.FallbackReason,
+			}
+			sp := obs.SpanFromContext(ctx)
+			sp.SetAttr("dirtyItems", d.DirtyItems)
+			sp.SetAttr("dirtyEntities", d.DirtyEntities)
+			sp.SetAttr("changedEdges", d.ChangedEdges)
+			sp.SetAttr("dirtyRows", len(d.DirtyRows))
+			sp.SetAttr("rankedNodes", d.RankedNodes)
+			sp.SetAttr("denseFallback", d.DenseFallback)
+			if d.DenseFallback {
+				sp.SetAttr("denseFallbackReason", d.FallbackReason)
+			}
 			return nil
 		}),
-		clusterStage(cfg, "entity-graph"),
-	)
-	return append(stages, downstreamStages(cfg)...)
-}
-
-// clusterStage declares the "parallel-hac" stage behind graphStage, the
-// stage that publishes b.Graph: one from-scratch phac.Cluster per build,
-// whichever driver built the graph.
-func clusterStage(cfg Config, graphStage string) Stage {
-	return StageFunc("parallel-hac", []string{graphStage}, func(ctx context.Context, b *Build) error {
-		sizes := make([]int, len(b.Entities.Entities))
-		for i := range sizes {
-			sizes[i] = b.Entities.Entities[i].Size()
-		}
-		res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
-		if err != nil {
-			return err
-		}
-		b.Dendrogram = res.Dendrogram
-		b.Rounds = res.Rounds
-		return nil
-	})
-}
-
-// downstreamStages declares the post-clustering half of the build graph
-// — taxonomy assembly onward — shared verbatim by the from-scratch and
-// incremental stage lists.
-func downstreamStages(cfg Config) []Stage {
-	return []Stage{
+		StageFunc("parallel-hac", []string{"entity-graph"}, func(ctx context.Context, b *Build) error {
+			sizes := make([]int, len(b.Entities.Entities))
+			for i := range sizes {
+				sizes[i] = b.Entities.Entities[i].Size()
+			}
+			res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
+			if err != nil {
+				return err
+			}
+			b.Dendrogram = res.Dendrogram
+			b.Rounds = res.Rounds
+			return nil
+		}),
 		StageFunc("taxonomy", []string{"parallel-hac"}, func(ctx context.Context, b *Build) error {
 			tx, err := taxonomy.Build(ctx, b.Dendrogram, b.Entities, b.Corpus, cfg.Taxonomy)
 			b.Taxonomy = tx
@@ -319,7 +344,7 @@ func downstreamStages(cfg Config) []Stage {
 			b.Searcher = s
 			return err
 		}),
-	}
+	)
 }
 
 // titleSentences returns every item title as a token sentence — the

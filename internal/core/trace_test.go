@@ -101,11 +101,17 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 
 // TestBuildTraceSubStages pins the sub-stage spans of the stage that
 // opens a window slide — the entity graph, built or patched — and of the
-// two that close it, with the attributes that size their work.
+// two that close it, with the attributes that size their work, on a
+// one-shot build and on a patched slide.
 func TestBuildTraceSubStages(t *testing.T) {
 	b, err := Run(smallCorpus(t), testConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A one-shot build runs over an empty cache: nothing drained and no
+	// previous state to patch.
+	if d := b.Delta; d == nil || !d.DenseFallback || d.DenseFallbackReason != "no-state" || d.DirtyItems != 0 {
+		t.Fatalf("one-shot build delta = %+v, want a no-state dense fallback over no dirty items", d)
 	}
 
 	// A slide that patches: most click pairs of the curated corpus recur
@@ -114,7 +120,6 @@ func TestBuildTraceSubStages(t *testing.T) {
 	c := synth.Curated()
 	cfg := testConfig()
 	cfg.TrainEmbeddings = false
-	cfg.Incremental = true
 	cfg.Graph.MinSimilarity = 0.15
 	p, err := NewDailyPipeline(c, cfg)
 	if err != nil {
@@ -140,65 +145,71 @@ func TestBuildTraceSubStages(t *testing.T) {
 		t.Fatalf("the slide fell back (%s): no patch to trace", patched.Delta.DenseFallbackReason)
 	}
 
+	// Both builds run the same stages under the same names, so each build's
+	// spans go in a map of their own.
 	type key struct{ parent, name string }
-	attrs := map[key]map[string]any{}
-	for _, r := range append(b.Trace.Records(), patched.Trace.Records()...) {
-		m := map[string]any{}
-		for _, a := range r.Attrs {
-			m[a.Key] = a.Value
+	attrsOf := func(b *Build) map[key]map[string]any {
+		attrs := map[key]map[string]any{}
+		for _, r := range b.Trace.Records() {
+			m := map[string]any{}
+			for _, a := range r.Attrs {
+				m[a.Key] = a.Value
+			}
+			attrs[key{r.Parent, r.Name}] = m
 		}
-		attrs[key{r.Parent, r.Name}] = m
+		return attrs
 	}
-	for _, want := range []struct {
-		k     key
-		attrs []string
-	}{
-		{key{"entity-graph", "query-sets"}, []string{"dirtyEntities"}},
-		{key{"entity-graph", "candidates"}, []string{"pairs", "regenerated"}},
-		{key{"entity-graph", "score"}, []string{"rescored"}},
-		{key{"entity-graph", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
-		{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
-		{key{"entity-graph-delta", "query-sets"}, []string{"dirtyEntities"}},
-		{key{"entity-graph-delta", "candidates"}, []string{"pairs", "regenerated"}},
-		{key{"entity-graph-delta", "score"}, []string{"rescored"}},
-		{key{"entity-graph-delta", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
-		{key{"entity-graph-delta", "emit"}, []string{"dirtyRows", "kept"}},
-		{key{"describe", "docs"}, []string{"tokens"}},
-		{key{"describe", "index"}, nil},
-		{key{"describe", "candidates"}, nil},
-		{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs"}},
-		{key{"describe", "rank"}, nil},
-		{key{"search-index", "docs"}, nil},
-		{key{"search-index", "build"}, []string{"tokens"}},
-	} {
-		got, ok := attrs[want.k]
-		if !ok {
-			t.Errorf("no span %q under stage %q", want.k.name, want.k.parent)
-			continue
-		}
-		for _, a := range want.attrs {
-			if n, _ := got[a].(int); n <= 0 {
-				t.Errorf("span %s/%s: attribute %q = %v, want a positive count", want.k.parent, want.k.name, a, got[a])
+	built, slid := attrsOf(b), attrsOf(patched)
+	for _, tc := range []struct {
+		build string
+		attrs map[key]map[string]any
+	}{{"one-shot build", built}, {"patched slide", slid}} {
+		for _, want := range []struct {
+			k     key
+			attrs []string
+		}{
+			{key{"entity-graph", "query-sets"}, []string{"dirtyEntities"}},
+			{key{"entity-graph", "candidates"}, []string{"pairs", "regenerated"}},
+			{key{"entity-graph", "score"}, []string{"rescored"}},
+			{key{"entity-graph", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
+			{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
+			{key{"describe", "docs"}, []string{"tokens"}},
+			{key{"describe", "index"}, nil},
+			{key{"describe", "candidates"}, nil},
+			{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs"}},
+			{key{"describe", "rank"}, nil},
+			{key{"search-index", "docs"}, nil},
+			{key{"search-index", "build"}, []string{"tokens"}},
+		} {
+			got, ok := tc.attrs[want.k]
+			if !ok {
+				t.Errorf("%s: no span %q under stage %q", tc.build, want.k.name, want.k.parent)
+				continue
+			}
+			for _, a := range want.attrs {
+				if n, _ := got[a].(int); n <= 0 {
+					t.Errorf("%s: span %s/%s: attribute %q = %v, want a positive count", tc.build, want.k.parent, want.k.name, a, got[a])
+				}
 			}
 		}
+		score := tc.attrs[key{"describe", "score"}]
+		dq, _ := score["distinctQueries"].(int)
+		cp, _ := score["candidatePairs"].(int)
+		if dq > cp {
+			t.Errorf("%s: distinctQueries %d exceeds candidatePairs %d", tc.build, dq, cp)
+		}
 	}
-	score := attrs[key{"describe", "score"}]
-	dq, _ := score["distinctQueries"].(int)
-	cp, _ := score["candidatePairs"].(int)
-	if dq > cp {
-		t.Errorf("distinctQueries %d exceeds candidatePairs %d", dq, cp)
-	}
-	pairs, _ := attrs[key{"entity-graph", "candidates"}]["pairs"].(int)
-	above, _ := attrs[key{"entity-graph", "rank"}]["pairsAboveMin"].(int)
-	kept, _ := attrs[key{"entity-graph", "emit"}]["kept"].(int)
+	pairs, _ := built[key{"entity-graph", "candidates"}]["pairs"].(int)
+	above, _ := built[key{"entity-graph", "rank"}]["pairsAboveMin"].(int)
+	kept, _ := built[key{"entity-graph", "emit"}]["kept"].(int)
 	if kept != b.Graph.NumEdges() || kept > above || above > pairs {
 		t.Errorf("entity-graph: %d pairs, %d above MinSimilarity, %d kept, %d edges in the graph",
 			pairs, above, kept, b.Graph.NumEdges())
 	}
-	if rows, _ := attrs[key{"entity-graph-delta", "emit"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
-		t.Errorf("entity-graph-delta/emit: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
+	if rows, _ := slid[key{"entity-graph", "emit"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
+		t.Errorf("patched entity-graph/emit: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)
 	}
-	if ranked, _ := attrs[key{"entity-graph-delta", "rank"}]["nodesRanked"].(int); ranked != patched.Delta.RankedNodes {
-		t.Errorf("entity-graph-delta/rank: nodesRanked %d, build delta says %d", ranked, patched.Delta.RankedNodes)
+	if ranked, _ := slid[key{"entity-graph", "rank"}]["nodesRanked"].(int); ranked != patched.Delta.RankedNodes {
+		t.Errorf("patched entity-graph/rank: nodesRanked %d, build delta says %d", ranked, patched.Delta.RankedNodes)
 	}
 }

@@ -201,10 +201,10 @@ type StageStat struct {
 	ElapsedMs float64 `json:"elapsedMs"`
 }
 
-// DeltaStat is the incremental-rebuild section of the stats payload,
-// present when the published build came from the delta-driven daily
-// path (core Config.Incremental): how much of the window changed and
-// how much of the entity graph the patch rewrote.
+// DeltaStat is the delta section of the stats payload: how much of the
+// window changed since the previous build and how much of the entity
+// graph the patch rewrote. A one-shot build, having no previous one,
+// reads as a no-state dense fallback.
 type DeltaStat struct {
 	DirtyItems    int  `json:"dirtyItems"`
 	DirtyEntities int  `json:"dirtyEntities"`
@@ -235,7 +235,8 @@ type Stats struct {
 	// configuration that explains the stage timings next to it.
 	FrontierDensity float64 `json:"frontierDensity"`
 	Swaps           int64   `json:"swaps"`
-	// Delta is present when the build came from an incremental rebuild.
+	// Delta is present when the build reports one; core sets it on every
+	// build.
 	Delta  *DeltaStat      `json:"delta,omitempty"`
 	Stages []StageStat     `json:"stages"`
 	HTTP   obs.HTTPSummary `json:"http"`

@@ -366,14 +366,13 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// An incremental build must say in /api/stats not only that the entity
-// graph fell back to the full build but which gate decided it; the first
-// rebuild of a pipeline has no retained state to patch.
+// A build must say in /api/stats not only that the entity graph fell
+// back to the full build but which gate decided it; the first rebuild of
+// a pipeline has no retained state to patch.
 func TestStatsDeltaFallbackReason(t *testing.T) {
 	c := synth.Curated()
 	cfg := core.DefaultConfig()
 	cfg.TrainEmbeddings = false
-	cfg.Incremental = true
 	cfg.Graph.MinSimilarity = 0.2
 	p, err := core.NewDailyPipeline(c, cfg)
 	if err != nil {

@@ -90,8 +90,8 @@ type (
 	DailyPipeline = core.DailyPipeline
 	// DailyBuild is the output of one DailyPipeline rebuild.
 	DailyBuild = core.Build
-	// DeltaStats summarizes what an incremental rebuild recomputed
-	// (Config.Incremental); nil on from-scratch builds.
+	// DeltaStats summarizes what a build recomputed of the previous one
+	// (Build.Delta); a one-shot build reads as a "no-state" dense fallback.
 	DeltaStats = core.DeltaStats
 )
 
