@@ -300,12 +300,12 @@ func benchPipeline(b *testing.B, sequential bool) {
 	}
 }
 
-// BenchmarkPipelineSequential runs the stage graph one stage at a time —
-// the pre-engine baseline schedule.
+// BenchmarkPipelineSequential runs the pipeline one stage at a time
+// (Config.Sequential).
 func BenchmarkPipelineSequential(b *testing.B) { benchPipeline(b, true) }
 
-// BenchmarkPipelineConcurrent lets the engine overlap independent stages
-// (word2vec next to click-graph/entities). Output is identical to the
+// BenchmarkPipelineConcurrent overlaps the stages that read none of each
+// other's output (word2vec next to click-graph/entities). Output is identical to the
 // sequential schedule; only wall-clock differs.
 func BenchmarkPipelineConcurrent(b *testing.B) { benchPipeline(b, false) }
 

@@ -39,11 +39,10 @@ func main() {
 		minSim     = flag.Float64("minsim", 0.25, "entity-graph edge filter")
 		noEmbed    = flag.Bool("no-embeddings", false, "skip word2vec (query-driven similarity only)")
 		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")
-		frontier   = flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
 		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, each day's rebuild patching the previous day's entity graph; the final day's taxonomy is saved (per-day delta stats with -v)")
 		tracePath  = flag.String("trace", "", "write the build's execution trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		pprofAddr  = flag.String("pprof", "", "side listener address exposing net/http/pprof during the build (e.g. localhost:6060; empty disables)")
-		verbose    = flag.Bool("v", false, "print stage timings, resolved configuration and statistics")
+		verbose    = flag.Bool("v", false, "print stage timings and statistics")
 	)
 	flag.Parse()
 
@@ -72,7 +71,6 @@ func main() {
 	cfg.HAC.DiffusionRounds = *diffusion
 	cfg.TrainEmbeddings = !*noEmbed
 	cfg.Sequential = *sequential
-	cfg.HAC.FrontierDensity = *frontier
 	cfg.Word2Vec.Epochs = 2
 	cfg.Word2Vec.Dim = 24
 	if *stop < cfg.Taxonomy.Levels[0] {
@@ -89,7 +87,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "config: frontier-density=%g\n", b.FrontierDensity)
 		spans := b.Trace.Records()
 		for _, st := range b.StageTimings {
 			line := fmt.Sprintf("%-22s start=%-12v elapsed=%v", st.Stage, st.Start, st.Elapsed)
@@ -209,9 +206,6 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-	}
-	if b == nil {
-		return nil, fmt.Errorf("corpus has no click events to replay")
 	}
 	return b, nil
 }

@@ -49,7 +49,6 @@ func main() {
 	corpusPath := flag.String("corpus", "", "corpus to build from (empty: curated mini corpus)")
 	refresh := flag.Duration("refresh", 0, "interval between background rebuilds hot-swapped into the handler (0 disables)")
 	pprofAddr := flag.String("pprof", "", "side listener address exposing net/http/pprof (e.g. localhost:6060; empty disables)")
-	frontier := flag.Float64("frontier", 0, "frontier density of pruned diffusion (0: default 0.25, negative: dense); output is identical for any value")
 	flag.Parse()
 
 	// Profiling stays off the serving listener: a dedicated mux on a side
@@ -75,7 +74,6 @@ func main() {
 	cfg.HAC.StopThreshold = 0.12
 	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
 	cfg.CatCorr.MinStrength = 0
-	cfg.HAC.FrontierDensity = *frontier
 	if *corpusPath != "" {
 		var err error
 		corpus, err = store.LoadCorpus(*corpusPath)

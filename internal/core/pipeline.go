@@ -1,13 +1,13 @@
 // Package core orchestrates the SHOAL framework end to end (paper §2):
 // click logs → item entity graph → Parallel HAC → hierarchical topics →
 // topic descriptions → category correlations. Each stage is an internal
-// package; this package owns the stage graph, configuration and timing.
+// package; this package owns the schedule, configuration and timing.
 //
-// Stages are declared as a dependency graph (see stages) and executed by
-// the Engine: independent stages — e.g. word2vec next to the click-graph
-// and entity formation — run concurrently, while every read-after-write
-// relation is an explicit edge, so the concurrent schedule produces
-// output identical to the sequential one.
+// run writes the schedule out as one fork-join: independent stages —
+// word2vec next to the click-graph and entity formation, describe next
+// to category correlation — run concurrently, and a stage is called only
+// after every stage it reads has returned, so the concurrent schedule
+// produces output identical to the sequential one.
 //
 // Every build is a rebuild over a cache: the corpus-static entities and
 // embeddings plus the previous build's entity-graph state. A one-shot
@@ -54,9 +54,9 @@ type Config struct {
 	// TrainEmbeddings enables the word2vec content signal. When false,
 	// similarity is query-driven only (entitygraph handles the blend).
 	TrainEmbeddings bool
-	// Sequential forces stages to run one at a time in topological order
-	// instead of concurrently. Output is identical either way; this is
-	// the debugging / benchmark baseline.
+	// Sequential runs stages one at a time, in schedule order, instead of
+	// concurrently. Output is identical either way; this is the
+	// debugging / benchmark baseline.
 	Sequential bool
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go: the graph substrate is one CSR. The next
@@ -68,11 +68,11 @@ type Config struct {
 	// benchmark/run.go: every DailyPipeline rebuild patches the entity
 	// graph. The next benchmark-archetype PR deletes it.
 	Incremental bool
-	// HAC also carries the frontier-pruned diffusion knob
-	// (HAC.FrontierDensity, surfaced as shoal-build/-serve -frontier):
-	// clustering recomputes only changed diffusion frontiers when the
-	// changed fraction stays under it, with byte-identical output for
-	// every setting.
+	// HAC also carries the frontier-pruned diffusion gate
+	// (HAC.FrontierDensity, 0 = the default 0.25): clustering recomputes
+	// only changed diffusion frontiers when the changed fraction stays
+	// under it, with byte-identical output for every setting — tests set
+	// it negative for the dense oracle.
 	HAC      phac.Config
 	Taxonomy taxonomy.Config
 	Describe describe.Config
@@ -108,9 +108,9 @@ type Build struct {
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go; the next benchmark-archetype PR deletes it.
 	Shards int
-	// FrontierDensity is the resolved frontier-pruning density gate —
-	// the build configuration that explains the numbers next to it in
-	// /api/stats and shoal-build -v.
+	// FrontierDensity is the resolved frontier-pruning density gate,
+	// reported by /api/stats (and written by the frozen
+	// benchmark/replay.go).
 	FrontierDensity float64
 	// Workers and BSPStats are read by nothing, written only by the
 	// frozen benchmark/replay.go; the next benchmark-archetype PR deletes
@@ -172,40 +172,10 @@ func RunWithClicksContext(ctx context.Context, corpus *model.Corpus, clicks *bip
 	return run(ctx, corpus, clicks, cfg, &rebuildCache{}, nil)
 }
 
-// run is the one build driver: it executes the stage graph over cache
-// through the Engine and assembles the Build the stages fill in. A nil
-// clicks makes the build ingest the corpus's own click log.
-func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, cache *rebuildCache, dirtyItems []model.ItemID) (*Build, error) {
-	if err := corpus.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	density := cfg.HAC.FrontierDensity
-	if density == 0 {
-		density = phac.DefaultFrontierDensity
-	}
-	b := &Build{
-		Corpus: corpus, Clicks: clicks,
-		FrontierDensity: density,
-		Trace:           obs.NewTrace("shoal-build"),
-	}
-	eng, err := NewEngine(stages(cfg, cache, dirtyItems, clicks != nil)...)
-	if err != nil {
-		return nil, err
-	}
-	maxConcurrent := 0 // full graph parallelism
-	if cfg.Sequential {
-		maxConcurrent = 1
-	}
-	timings, err := eng.Execute(ctx, b, maxConcurrent)
-	if err != nil {
-		return nil, err
-	}
-	b.StageTimings = timings
-	return b, nil
-}
-
-// stages declares the SHOAL build graph. Dependency edges encode every
-// read-after-write relation between stages:
+// run is the one build driver: it declares the stages over cache, runs
+// them on the schedule below and assembles the Build they fill in. A nil
+// clicks makes the build ingest the corpus's own click log. Each stage
+// starts once the stages it reads have finished:
 //
 //	click-graph ─┬─▶ entity-graph ─▶ parallel-hac ─▶ taxonomy ─┬─▶ describe ─▶ search-index
 //	entities ────┤                                             └─▶ category-correlation
@@ -220,21 +190,31 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 // Clustering and everything downstream run from scratch. cache is
 // updated in place as stages succeed; on error the caller must drop its
 // graphState.
-func stages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemID, externalClicks bool) []Stage {
-	var list []Stage
-	graphDeps := []string{"entities"}
-
-	if !externalClicks {
-		list = append(list, StageFunc("click-graph", nil, func(ctx context.Context, b *Build) error {
-			b.Clicks = bipartite.New(cfg.WindowDays)
-			return b.Clicks.AddAll(b.Corpus.Clicks)
-		}))
-		graphDeps = append(graphDeps, "click-graph")
+func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config, cache *rebuildCache, dirtyItems []model.ItemID) (*Build, error) {
+	if err := corpus.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-
-	list = append(list, StageFunc("entities", nil, func(ctx context.Context, b *Build) error {
+	density := cfg.HAC.FrontierDensity
+	if density == 0 {
+		density = phac.DefaultFrontierDensity
+	}
+	b := &Build{
+		Corpus: corpus, Clicks: clicks,
+		FrontierDensity: density,
+		Trace:           obs.NewTrace("shoal-build"),
+	}
+	// Declaration order is the order of b.StageTimings.
+	fj := newForkJoin(ctx, b.Trace, cfg.Sequential)
+	var inputs []func()
+	if clicks == nil {
+		inputs = append(inputs, fj.stage("click-graph", func(context.Context) error {
+			b.Clicks = bipartite.New(cfg.WindowDays)
+			return b.Clicks.AddAll(corpus.Clicks)
+		}))
+	}
+	inputs = append(inputs, fj.stage("entities", func(ctx context.Context) error {
 		if cache.entities == nil {
-			es, err := entitygraph.BuildEntities(ctx, b.Corpus)
+			es, err := entitygraph.BuildEntities(ctx, corpus)
 			if err != nil {
 				return err
 			}
@@ -243,11 +223,10 @@ func stages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemID, external
 		b.Entities = cache.entities
 		return nil
 	}))
-
 	if cfg.TrainEmbeddings {
-		list = append(list, StageFunc("word2vec", nil, func(ctx context.Context, b *Build) error {
+		inputs = append(inputs, fj.stage("word2vec", func(ctx context.Context) error {
 			if !cache.haveEmb {
-				m, err := word2vec.Train(ctx, titleSentences(b.Corpus), cfg.Word2Vec)
+				m, err := word2vec.Train(ctx, titleSentences(corpus), cfg.Word2Vec)
 				if err != nil {
 					return err
 				}
@@ -256,95 +235,103 @@ func stages(cfg Config, cache *rebuildCache, dirtyItems []model.ItemID, external
 			b.Embeddings = cache.embeddings
 			return nil
 		}))
-		graphDeps = append(graphDeps, "word2vec")
 	}
+	entityGraph := fj.stage("entity-graph", func(ctx context.Context) error {
+		// The state changes hands for the call: a dense fallback drops
+		// it before building its replacement, and an error invalidates
+		// it anyway.
+		st := cache.graphState
+		cache.graphState = nil
+		res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
+		if err != nil {
+			return err
+		}
+		cache.graphState = nst
+		b.Graph = res.Graph
+		b.QuerySets = res.QuerySets
+		b.Delta = &DeltaStats{
+			DirtyItems:          d.DirtyItems,
+			DirtyEntities:       d.DirtyEntities,
+			ChangedEdges:        d.ChangedEdges,
+			DirtyRows:           len(d.DirtyRows),
+			RankedNodes:         d.RankedNodes,
+			DenseFallback:       d.DenseFallback,
+			DenseFallbackReason: d.FallbackReason,
+		}
+		sp := obs.SpanFromContext(ctx)
+		sp.SetAttr("dirtyItems", d.DirtyItems)
+		sp.SetAttr("dirtyEntities", d.DirtyEntities)
+		sp.SetAttr("changedEdges", d.ChangedEdges)
+		sp.SetAttr("dirtyRows", len(d.DirtyRows))
+		sp.SetAttr("rankedNodes", d.RankedNodes)
+		sp.SetAttr("denseFallback", d.DenseFallback)
+		if d.DenseFallback {
+			sp.SetAttr("denseFallbackReason", d.FallbackReason)
+		}
+		return nil
+	})
+	cluster := fj.stage("parallel-hac", func(ctx context.Context) error {
+		sizes := make([]int, len(b.Entities.Entities))
+		for i := range sizes {
+			sizes[i] = b.Entities.Entities[i].Size()
+		}
+		res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
+		if err != nil {
+			return err
+		}
+		b.Dendrogram = res.Dendrogram
+		b.Rounds = res.Rounds
+		return nil
+	})
+	cut := fj.stage("taxonomy", func(ctx context.Context) error {
+		tx, err := taxonomy.Build(ctx, b.Dendrogram, b.Entities, corpus, cfg.Taxonomy)
+		b.Taxonomy = tx
+		return err
+	})
+	// describe writes Topic.Description/DescQueries while
+	// category-correlation reads only Topic.Categories, so the two can
+	// share the taxonomy concurrently.
+	describeTopics := fj.stage("describe", func(ctx context.Context) error {
+		descs, err := describe.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe)
+		b.Descriptions = descs
+		return err
+	})
+	correlate := fj.stage("category-correlation", func(ctx context.Context) error {
+		g, err := catcorr.Mine(ctx, b.Taxonomy, cfg.CatCorr)
+		b.Correlations = g
+		return err
+	})
+	index := fj.stage("search-index", func(ctx context.Context) error {
+		if len(b.Taxonomy.Topics) == 0 {
+			return nil
+		}
+		parent := obs.SpanFromContext(ctx)
+		sp := parent.Child("docs")
+		docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
+		sp.End()
+		sp = parent.Child("build")
+		tokens := 0
+		for _, doc := range docs {
+			tokens += len(doc)
+		}
+		sp.SetAttr("tokens", tokens)
+		s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
+		sp.End()
+		b.Searcher = s
+		return err
+	})
 
-	return append(list,
-		StageFunc("entity-graph", graphDeps, func(ctx context.Context, b *Build) error {
-			// The state changes hands for the call: a dense fallback
-			// drops it before building its replacement, and an error
-			// invalidates it anyway.
-			st := cache.graphState
-			cache.graphState = nil
-			res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
-			if err != nil {
-				return err
-			}
-			cache.graphState = nst
-			b.Graph = res.Graph
-			b.QuerySets = res.QuerySets
-			b.Delta = &DeltaStats{
-				DirtyItems:          d.DirtyItems,
-				DirtyEntities:       d.DirtyEntities,
-				ChangedEdges:        d.ChangedEdges,
-				DirtyRows:           len(d.DirtyRows),
-				RankedNodes:         d.RankedNodes,
-				DenseFallback:       d.DenseFallback,
-				DenseFallbackReason: d.FallbackReason,
-			}
-			sp := obs.SpanFromContext(ctx)
-			sp.SetAttr("dirtyItems", d.DirtyItems)
-			sp.SetAttr("dirtyEntities", d.DirtyEntities)
-			sp.SetAttr("changedEdges", d.ChangedEdges)
-			sp.SetAttr("dirtyRows", len(d.DirtyRows))
-			sp.SetAttr("rankedNodes", d.RankedNodes)
-			sp.SetAttr("denseFallback", d.DenseFallback)
-			if d.DenseFallback {
-				sp.SetAttr("denseFallbackReason", d.FallbackReason)
-			}
-			return nil
-		}),
-		StageFunc("parallel-hac", []string{"entity-graph"}, func(ctx context.Context, b *Build) error {
-			sizes := make([]int, len(b.Entities.Entities))
-			for i := range sizes {
-				sizes[i] = b.Entities.Entities[i].Size()
-			}
-			res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
-			if err != nil {
-				return err
-			}
-			b.Dendrogram = res.Dendrogram
-			b.Rounds = res.Rounds
-			return nil
-		}),
-		StageFunc("taxonomy", []string{"parallel-hac"}, func(ctx context.Context, b *Build) error {
-			tx, err := taxonomy.Build(ctx, b.Dendrogram, b.Entities, b.Corpus, cfg.Taxonomy)
-			b.Taxonomy = tx
-			return err
-		}),
-		// describe writes Topic.Description/DescQueries while
-		// category-correlation reads only Topic.Categories, so the two can
-		// share the taxonomy concurrently.
-		StageFunc("describe", []string{"taxonomy"}, func(ctx context.Context, b *Build) error {
-			descs, err := describe.Describe(ctx, b.Taxonomy, b.Corpus, b.Clicks, cfg.Describe)
-			b.Descriptions = descs
-			return err
-		}),
-		StageFunc("category-correlation", []string{"taxonomy"}, func(ctx context.Context, b *Build) error {
-			g, err := catcorr.Mine(ctx, b.Taxonomy, cfg.CatCorr)
-			b.Correlations = g
-			return err
-		}),
-		StageFunc("search-index", []string{"describe"}, func(ctx context.Context, b *Build) error {
-			if len(b.Taxonomy.Topics) == 0 {
-				return nil
-			}
-			parent := obs.SpanFromContext(ctx)
-			sp := parent.Child("docs")
-			docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
-			sp.End()
-			sp = parent.Child("build")
-			tokens := 0
-			for _, doc := range docs {
-				tokens += len(doc)
-			}
-			sp.SetAttr("tokens", tokens)
-			s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
-			sp.End()
-			b.Searcher = s
-			return err
-		}),
-	)
+	fj.parallel(inputs...)
+	entityGraph()
+	cluster()
+	cut()
+	fj.parallel(func() { describeTopics(); index() }, correlate)
+	timings, err := fj.wait()
+	if err != nil {
+		return nil, err
+	}
+	b.StageTimings = timings
+	return b, nil
 }
 
 // titleSentences returns every item title as a token sentence — the

@@ -83,7 +83,7 @@ type (
 	// RoundStat profiles one Parallel HAC round.
 	RoundStat = phac.RoundStat
 	// StageTiming is one pipeline stage's wall-clock cost; Start offsets
-	// reveal which stages the engine overlapped.
+	// reveal which stages the schedule overlapped.
 	StageTiming = core.StageTiming
 	// DailyPipeline maintains SHOAL over a streaming click log with a
 	// sliding day window (the production refresh mode, §3).
@@ -125,9 +125,9 @@ type System struct {
 	build *core.Build
 }
 
-// Build runs the full SHOAL pipeline over the corpus. Stages execute
-// concurrently where the stage graph allows (set cfg.Sequential for the
-// one-at-a-time baseline); output is identical either way.
+// Build runs the full SHOAL pipeline over the corpus. Stages that read
+// none of each other's output run concurrently (set cfg.Sequential for
+// the one-at-a-time baseline); output is identical either way.
 func Build(corpus *Corpus, cfg Config) (*System, error) {
 	return BuildContext(context.Background(), corpus, cfg)
 }
