@@ -113,8 +113,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 			// Sub-stage spans of the stages around clustering, with the
 			// counts that size their work (entity-graph: query-sets
-			// dirtyEntities, candidates pairs regenerated, score rescored,
-			// rank pairsAboveMin nodesRanked, emit dirtyRows kept;
+			// dirtyEntities, candidates scored pairs regenerated, rank
+			// rescored nodesRanked, emit dirtyRows kept;
 			// describe/score: distinctQueries, candidatePairs;
 			// search-index/build: tokens).
 			// The clustering's round spans are summed on its line above.

@@ -169,9 +169,8 @@ func TestBuildTraceSubStages(t *testing.T) {
 			attrs []string
 		}{
 			{key{"entity-graph", "query-sets"}, []string{"dirtyEntities"}},
-			{key{"entity-graph", "candidates"}, []string{"pairs", "regenerated"}},
-			{key{"entity-graph", "score"}, []string{"rescored"}},
-			{key{"entity-graph", "rank"}, []string{"pairsAboveMin", "nodesRanked"}},
+			{key{"entity-graph", "candidates"}, []string{"scored", "pairs", "regenerated"}},
+			{key{"entity-graph", "rank"}, []string{"rescored", "nodesRanked"}},
 			{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
 			{key{"describe", "docs"}, []string{"tokens"}},
 			{key{"describe", "index"}, nil},
@@ -199,12 +198,12 @@ func TestBuildTraceSubStages(t *testing.T) {
 			t.Errorf("%s: distinctQueries %d exceeds candidatePairs %d", tc.build, dq, cp)
 		}
 	}
+	scored, _ := built[key{"entity-graph", "candidates"}]["scored"].(int)
 	pairs, _ := built[key{"entity-graph", "candidates"}]["pairs"].(int)
-	above, _ := built[key{"entity-graph", "rank"}]["pairsAboveMin"].(int)
 	kept, _ := built[key{"entity-graph", "emit"}]["kept"].(int)
-	if kept != b.Graph.NumEdges() || kept > above || above > pairs {
-		t.Errorf("entity-graph: %d pairs, %d above MinSimilarity, %d kept, %d edges in the graph",
-			pairs, above, kept, b.Graph.NumEdges())
+	if kept != b.Graph.NumEdges() || kept > pairs || pairs > scored {
+		t.Errorf("entity-graph: %d pairs scored, %d retained, %d kept, %d edges in the graph",
+			scored, pairs, kept, b.Graph.NumEdges())
 	}
 	if rows, _ := slid[key{"entity-graph", "emit"}]["dirtyRows"].(int); rows != patched.Delta.DirtyRows {
 		t.Errorf("patched entity-graph/emit: dirtyRows %d, build delta says %d", rows, patched.Delta.DirtyRows)

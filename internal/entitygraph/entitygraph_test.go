@@ -2,7 +2,9 @@ package entitygraph
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -285,6 +287,95 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 		if ea[i] != eb[i] {
 			t.Fatalf("edge %d differs: %v vs %v", i, ea[i], eb[i])
 		}
+	}
+}
+
+// TestStateIdenticalAcrossWorkerCounts holds the whole retained state —
+// pairs, score bits, side bits, K-th candidates — and the CSR to the
+// worker count, on a catalog where every worker's kept pairs of a dense
+// build fill more than one chunk, so rows cross chunk boundaries in the
+// copy: the dense build, and a patch on top of it.
+func TestStateIdenticalAcrossWorkerCounts(t *testing.T) {
+	ctx := context.Background()
+	gen := synth.DefaultConfig()
+	gen.Scenarios = 24
+	gen.ItemsPerScenario = 60
+	gen.QueriesPerScenario = 15
+	gen.NoiseItems = 30
+	gen.HeadQueries = 6
+	c, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := BuildEntities(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The base window holds all but every 13th click; the patch adds the
+	// first quarter of those back.
+	var base, held []model.ClickEvent
+	for i, ev := range c.Clicks {
+		if i%13 == 0 {
+			held = append(held, ev)
+		} else {
+			base = append(base, ev)
+		}
+	}
+	held = held[:len(held)/4]
+	var firstSt, firstNst *IncState
+	var firstRes, firstPatch *Result
+	var firstDelta *Delta
+	for _, workers := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MinSimilarity = 0.1
+			cfg.Workers = workers
+			clicks := bipartite.New(0)
+			if err := clicks.AddAll(base); err != nil {
+				t.Fatal(err)
+			}
+			clicks.TakeChangedItems()
+			res, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Dense rows are the entities themselves: worker w takes the
+			// rows a ≡ w (mod workers), whose pairs (a, b > a) it keeps.
+			per := make([]int, workers)
+			for _, p := range st.pairs {
+				per[int(p[0])%workers]++
+			}
+			if slices.Min(per) <= chunkLen {
+				t.Fatalf("kept pairs per worker %v: some worker fills no more than one chunk of %d", per, chunkLen)
+			}
+			if err := clicks.AddAll(held); err != nil {
+				t.Fatal(err)
+			}
+			patched, nst, delta, err := BuildIncremental(ctx, es, clicks, nil, cfg, st, clicks.TakeChangedItems())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delta.DenseFallback || delta.ChangedEdges == 0 {
+				t.Fatalf("delta %+v, want a patch that changes edges", delta)
+			}
+			if firstSt == nil {
+				_, full, err := BuildWithState(ctx, es, clicks, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameState(t, "patch vs Build", nst, full)
+				firstSt, firstNst, firstRes, firstPatch, firstDelta = st, nst, res, patched, delta
+				return
+			}
+			requireSameGraph(t, "dense build", res, firstRes)
+			requireSameState(t, "dense build", st, firstSt)
+			requireSameGraph(t, "patch", patched, firstPatch)
+			requireSameState(t, "patch", nst, firstNst)
+			if delta.RankedNodes != firstDelta.RankedNodes || delta.ChangedEdges != firstDelta.ChangedEdges ||
+				!slices.Equal(delta.DirtyRows, firstDelta.DirtyRows) {
+				t.Fatalf("delta %+v, one worker's %+v", delta, firstDelta)
+			}
+		})
 	}
 }
 

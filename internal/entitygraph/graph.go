@@ -30,7 +30,8 @@ type Config struct {
 	// MaxQueryFanout skips queries associated with more than this many
 	// entities during candidate generation; 0 disables the cap.
 	MaxQueryFanout int
-	// Workers parallelizes similarity computation; 0 means GOMAXPROCS.
+	// Workers splits the candidate rows — generation and scoring — across
+	// goroutines; 0 means GOMAXPROCS.
 	Workers int
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go: the build emits one CSR, not a partition of
@@ -82,23 +83,25 @@ type Result struct {
 //  1. union each entity's member-item query sets (from the bipartite
 //     click graph),
 //  2. enumerate candidate entity pairs through shared queries,
-//  3. score Eq. 1 (Jaccard), Eq. 2 (embedding similarity via the trained
-//     word2vec model; entities with no known words fall back to Sq), and
-//     blend with Eq. 3,
-//  4. filter by MinSimilarity and keep the TopK strongest edges per node.
+//  3. score each pair as it is found — Eq. 1 (Jaccard), Eq. 2 (embedding
+//     similarity via the trained word2vec model; entities with no known
+//     words fall back to Sq), blended with Eq. 3 — and keep it only at or
+//     above MinSimilarity,
+//  4. keep the TopK strongest edges per node.
 //
 // The embedding model may be nil, in which case Alpha is effectively 1.
 // Cancellation is checked between construction phases and inside their
 // loops. Under a traced context each phase is a child span of the
-// caller's (query-sets, candidates, score, rank, emit).
+// caller's (query-sets, candidates, rank, emit).
 func Build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, error) {
 	res, _, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
 	return res, err
 }
 
 // BuildWithState is Build, additionally returning the retained
-// intermediate state (query sets, candidate pairs, scores, TopK side
-// bits) that BuildIncremental patches on the next window slide.
+// intermediate state (query sets, the candidate pairs at or above
+// MinSimilarity with their scores, TopK side bits) that BuildIncremental
+// patches on the next window slide.
 // The state aliases the build's own arrays, so capturing it is free.
 func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, *IncState, error) {
 	res, st, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
@@ -110,7 +113,7 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 // previous build's retained state and dirtyItems the items whose query-set
 // membership changed since; with no usable st every entity is dirty, and
 // that is the full build. What no dirty entity reaches is carried over: a
-// clean entity's query set; the count, score and TopK verdicts of a pair of
+// clean entity's query set; the score and TopK verdicts of a pair of
 // two clean entities none of whose queries crossed the fan-out cap (same
 // integer inputs through the same expression ⇒ same bits, so copying is
 // exact); the ranking of a node whose top K no changed pair can cross —
@@ -268,147 +271,183 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	}
 	sp = ph.next("candidates")
 	// Candidate pairs via shared queries, with fanout cap, regenerated for
-	// the dirty entities row by row and count-then-fill: dirty entity a's
-	// candidates are the other entities in the runs of its own queries,
-	// and a worker-local stamp array collapses the duplicates (one per
-	// shared query) as they appear, so the raw per-query pair lists — twice
-	// the distinct pairs at catalog scale — are never materialized. The
-	// first pass sizes each row, the second fills the exactly sized arrays
-	// at the row offsets; rows are disjoint output spans, so the result
-	// does not depend on which worker handled which row.
+	// the dirty entities row by row and scored where they are found: dirty
+	// entity a's candidates are the other entities in the runs of its own
+	// queries, and a worker-local stamp array collapses the duplicates (one
+	// per shared query) as they appear, so the raw per-query pair lists —
+	// twice the distinct pairs at catalog scale — are never materialized.
+	// Each partner is scored from its shared-query count on the spot, and
+	// only the pairs at or above MinSimilarity — the ones that can become
+	// an edge — are kept: sorted, into fixed-size chunks the worker owns,
+	// which a parallel copy then lays end to end in row order. A pair of two
+	// dirty entities belongs to the lower one's row, a pair with a clean
+	// entity to the dirty one's; rows are interleaved across workers (low
+	// rows have the most partners) and are disjoint output spans, so the
+	// result does not depend on which worker handled which row.
 	rows := make([]int32, 0, n)
 	for e := range dirty {
 		if dirty[e] {
 			rows = append(rows, int32(e))
 		}
 	}
-	// eachRow hands fn the r-th dirty entity a with its distinct partners
-	// (in first-seen order) and count[b], the uncapped queries a and b
-	// share. A pair of two dirty entities belongs to the lower one's row, a
-	// pair with a clean entity to the dirty one's; rows are interleaved
-	// across workers (low rows have the most partners).
-	eachRow := func(fn func(r int, a int32, bs, count []int32)) {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				stamp := make([]int32, n) // stamp[b] == a+1: b already seen in row a
-				count := make([]int32, n) // valid where stamped
-				var bs []int32
-				var sinceCheck int
-				for r := w; r < len(rows); r += cfg.Workers {
-					if sinceCheck++; sinceCheck >= 256 {
-						sinceCheck = 0
-						if ctx.Err() != nil {
-							return
-						}
-					}
-					a := rows[r]
-					bs = bs[:0]
-					for _, q := range querySets[a] {
-						run := assoc[qOff[q]:qOff[q+1]]
-						if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
-							continue
-						}
-						if st == nil {
-							// Every lower partner is dirty as well.
-							at, _ := slices.BinarySearch(run, packAssoc(q, a))
-							run = run[at+1:]
-						}
-						for _, x := range run {
-							b := int32(uint32(x))
-							if stamp[b] != a+1 {
-								stamp[b] = a + 1
-								count[b] = 0
-								bs = append(bs, b)
-							}
-							count[b]++
-						}
-					}
-					if st != nil {
-						// The whole runs were walked: drop a itself and the
-						// dirty lower partners.
-						k := 0
-						for _, b := range bs {
-							if b > a || (b < a && !dirty[b]) {
-								bs[k] = b
-								k++
-							}
-						}
-						bs = bs[:k]
-					}
-					fn(r, a, bs, count)
+	means := es.meanVectors(emb)
+	genOff := make([]int, len(rows)+1)          // row r's pairs land at [genOff[r], genOff[r+1])
+	chunks := make([][]*pairChunk, cfg.Workers) // worker w's kept pairs, its rows in order
+	scoredBy := make([]int, cfg.Workers)
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stamp := make([]int32, n) // stamp[b] == a+1: b already seen in row a
+			slot := make([]int32, n)  // where stamped: the queries a and b share, then b's index in rowSims
+			var bs []int32
+			var rowSims []float64
+			var buf []*pairChunk
+			var cur *pairChunk
+			fill, nScored := chunkLen, 0
+			defer func() { chunks[w], scoredBy[w] = buf, nScored }()
+			for r := w; r < len(rows); r += cfg.Workers {
+				if r/cfg.Workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
+				a := rows[r]
+				bs = bs[:0]
+				for _, q := range querySets[a] {
+					run := assoc[qOff[q]:qOff[q+1]]
+					if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
+						continue
+					}
+					if st == nil {
+						// Every lower partner is dirty as well.
+						at, _ := slices.BinarySearch(run, packAssoc(q, a))
+						run = run[at+1:]
+					}
+					for _, x := range run {
+						b := int32(uint32(x))
+						if stamp[b] != a+1 {
+							stamp[b] = a + 1
+							slot[b] = 0
+							bs = append(bs, b)
+						}
+						slot[b]++
+					}
+				}
+				// When the whole runs were walked, a itself and the dirty lower
+				// partners drop out before scoring.
+				k := 0
+				rowSims = rowSims[:0]
+				for _, b := range bs {
+					if st != nil && (b == a || (b < a && dirty[b])) {
+						continue
+					}
+					nScored++
+					s := scorePair(querySets, means, emb != nil, cfg.Alpha, min(a, b), max(a, b), slot[b])
+					if s >= cfg.MinSimilarity {
+						slot[b] = int32(len(rowSims))
+						rowSims = append(rowSims, s)
+						bs[k] = b
+						k++
+					}
+				}
+				slices.Sort(bs[:k])
+				for _, b := range bs[:k] {
+					if fill == chunkLen {
+						cur, fill = new(pairChunk), 0
+						buf = append(buf, cur)
+					}
+					cur.pairs[fill] = [2]int32{min(a, b), max(a, b)}
+					cur.sims[fill] = rowSims[slot[b]]
+					fill++
+				}
+				genOff[r+1] = k
+			}
+		}(w)
 	}
-	genOff := make([]int, len(rows)+1) // row r regenerates pairs[genOff[r]:genOff[r+1]]
-	eachRow(func(r int, _ int32, bs, _ []int32) { genOff[r+1] = len(bs) })
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
+	}
+	numScored := 0
+	for _, c := range scoredBy {
+		numScored += c
 	}
 	for r := range rows {
 		genOff[r+1] += genOff[r]
 	}
 	pairs := make([][2]int32, genOff[len(rows)])
-	counts := make([]int32, len(pairs))
-	eachRow(func(r int, a int32, bs, count []int32) {
-		slices.Sort(bs)
-		for i, b := range bs {
-			pairs[genOff[r]+i] = [2]int32{min(a, b), max(a, b)}
-			counts[genOff[r]+i] = count[b]
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+	sims := make([]float64, len(pairs))
+	for w := range chunks {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := 0 // position in the worker's chunks
+			for r := w; r < len(rows); r += cfg.Workers {
+				for o := genOff[r]; o < genOff[r+1]; {
+					c, at := chunks[w][p/chunkLen], p%chunkLen
+					m := min(genOff[r+1]-o, chunkLen-at)
+					copy(pairs[o:o+m], c.pairs[at:at+m])
+					copy(sims[o:o+m], c.sims[at:at+m])
+					o, p = o+m, p+m
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
 	regenerated := len(pairs)
 	// rank[u]: a changed pair can cross node u's top K, so u re-ranks it;
 	// rowDirty[u]: a kept edge of row u changed.
 	rank, rowDirty := make([]bool, n), make([]bool, n)
-	var sims []float64
 	var topU, topV []bool
-	var oldIdx []int32 // a pair's index in st.pairs, -1 for a new pair
+	var oldIdx []int32     // a pair's index in st.pairs, -1 for a new pair
+	rescored := len(pairs) // pairs whose score is new or moved
 	if st == nil {
 		// Every entity dirty: ascending rows of ascending (a, b > a) are the
-		// canonical candidate list as generated. Scores and side bits are
-		// allocated below where they are first written: allocated here they
-		// cost the row passes 3 ms of 16 on a 300 k-pair build.
+		// canonical pair list as generated.
 		setAll(rank)
 		setAll(rowDirty)
+		topU, topV = make([]bool, len(pairs)), make([]bool, len(pairs))
 	} else {
 		// A dirty row also emitted the pairs of its clean lower partners,
 		// which sort into those partners' rows.
-		sort.Sort(byPair{pairs, counts})
-		gen, genCounts := pairs, counts
+		sort.Sort(byPair{pairs, sims})
+		gen, genSims := pairs, sims
 		total := len(st.pairs) - stale + len(gen)
-		pairs, counts = make([][2]int32, total), make([]int32, total)
-		sims = make([]float64, total)
+		pairs, sims = make([][2]int32, total), make([]float64, total)
 		topU, topV = make([]bool, total), make([]bool, total)
 		oldIdx = make([]int32, total)
+		rescored = 0
+		// admit takes a new or re-scored pair w through the re-rank rule: an
+		// endpoint re-ranks if the pair now ranks ahead of its previous K-th.
+		admit := func(w int) {
+			rescored++
+			u, v := pairs[w][0], pairs[w][1]
+			rank[u] = rank[u] || st.kth[u].admits(sims[w], v)
+			rank[v] = rank[v] || st.kth[v].admits(sims[w], u)
+		}
 		// Merge walk over the retained pairs and the regenerated ones, both
 		// in canonical order: it drops the retained pairs with a dirty
 		// endpoint and sees the old and the new entry of every key side by
-		// side. Whom a new pair re-ranks waits for its score.
+		// side. Both lists hold only pairs at or above MinSimilarity, so a
+		// pair that fell below it reads as vanished and one that rose above
+		// it as new — the verdicts its moved score calls for.
 		for i, g, w := 0, 0, 0; i < len(st.pairs) || g < len(gen); {
 			switch {
 			case g < len(gen) && (i == len(st.pairs) || pairKey(&gen[g]) < pairKey(&st.pairs[i])):
-				// Brand-new candidate pair.
-				pairs[w], counts[w], oldIdx[w] = gen[g], genCounts[g], -1
+				// New pair.
+				pairs[w], sims[w], oldIdx[w] = gen[g], genSims[g], -1
+				admit(w)
 				w++
 				g++
 			case !dirty[st.pairs[i][0]] && !dirty[st.pairs[i][1]]:
 				// Maximal clean run below the next regenerated key: the
-				// five retained arrays move as block copies.
+				// four retained arrays move as block copies.
 				j := i + 1
 				for j < len(st.pairs) && !dirty[st.pairs[j][0]] && !dirty[st.pairs[j][1]] &&
 					(g == len(gen) || pairKey(&st.pairs[j]) < pairKey(&gen[g])) {
 					j++
 				}
 				copy(pairs[w:], st.pairs[i:j])
-				copy(counts[w:], st.counts[i:j])
 				copy(sims[w:], st.sims[i:j])
 				copy(topU[w:], st.topU[i:j])
 				copy(topV[w:], st.topV[i:j])
@@ -417,10 +456,19 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 					w++
 				}
 			case g < len(gen) && gen[g] == st.pairs[i]:
-				// Regenerated in place; its side bits stand unless an
-				// endpoint re-ranks.
-				pairs[w], counts[w], oldIdx[w] = gen[g], genCounts[g], int32(i)
-				topU[w], topV[w] = st.topU[i], st.topV[i]
+				// Regenerated in place. An unchanged score leaves its side
+				// bits standing; a moved one clears both, re-ranks the
+				// endpoints whose top K it was in (it may leave), and is
+				// admitted like a new pair.
+				pairs[w], sims[w], oldIdx[w] = gen[g], genSims[g], int32(i)
+				if sims[w] == st.sims[i] {
+					topU[w], topV[w] = st.topU[i], st.topV[i]
+				} else {
+					u, v := pairs[w][0], pairs[w][1]
+					rank[u] = rank[u] || st.topU[i]
+					rank[v] = rank[v] || st.topV[i]
+					admit(w)
+				}
 				w++
 				g++
 				i++
@@ -438,84 +486,24 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			}
 		}
 	}
+	sp.SetAttr("scored", numScored)
 	sp.SetAttr("pairs", len(pairs))
 	sp.SetAttr("regenerated", regenerated)
 
-	sp = ph.next("score")
-	if st == nil {
-		sims = make([]float64, len(pairs))
-	}
-	means := es.meanVectors(emb)
-	// Score the pairs with a dirty endpoint in parallel; deterministic
-	// because each pair is scored independently and written to its own slot.
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var sinceCheck int
-			for i := w; i < len(pairs); i += cfg.Workers {
-				u, v := pairs[i][0], pairs[i][1]
-				if !dirty[u] && !dirty[v] {
-					continue
-				}
-				if sinceCheck++; sinceCheck >= 1024 {
-					sinceCheck = 0
-					if ctx.Err() != nil {
-						return
-					}
-				}
-				sims[i] = scorePair(querySets, means, emb != nil, cfg.Alpha, u, v, counts[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	rescored := len(pairs) // pairs whose score is new or moved
-	if st != nil {
-		rescored = 0
-		for i, oi := range oldIdx {
-			if oi >= 0 && sims[i] == st.sims[oi] {
-				continue
-			}
-			// A new or re-scored pair. An endpoint re-ranks if the pair was
-			// in its top K (a moved score clears both bits, and may take the
-			// pair out) or now ranks ahead of its previous K-th. An
-			// unchanged score cannot change filter status, so a pair below
-			// MinSimilarity never carries a bit.
-			rescored++
-			u, v := pairs[i][0], pairs[i][1]
-			if oi >= 0 {
-				rank[u] = rank[u] || st.topU[oi]
-				rank[v] = rank[v] || st.topV[oi]
-				topU[i], topV[i] = false, false
-			}
-			if sims[i] >= cfg.MinSimilarity {
-				rank[u] = rank[u] || st.kth[u].admits(sims[i], v)
-				rank[v] = rank[v] || st.kth[v].admits(sims[i], u)
-			}
-		}
-	}
-	sp.SetAttr("rescored", rescored)
-
 	sp = ph.next("rank")
-	// Filter + TopK sparsification. An edge survives TopK if it ranks in
-	// the top K of *either* endpoint (keeping it in only-one direction
-	// would break symmetry). The per-side survival bits are kept (not just
-	// the union) so one endpoint can re-rank without recomputing the
-	// other's verdict, and so is each node's K-th candidate, the bar the
-	// next patch holds a changed pair to.
+	sp.SetAttr("rescored", rescored)
+	// TopK sparsification. An edge survives TopK if it ranks in the top K
+	// of *either* endpoint (keeping it in only-one direction would break
+	// symmetry). The per-side survival bits are kept (not just the union) so
+	// one endpoint can re-rank without recomputing the other's verdict, and
+	// so is each node's K-th candidate, the bar the next patch holds a
+	// changed pair to.
 	// A node's incident candidates are its own row of pairs plus the pairs
 	// of lower rows that name it second; only the latter need an index
 	// (rev, a CSR of pair indices by second endpoint, of the re-ranking
 	// nodes only), and one reusable list then ranks node after node. A
 	// re-ranking node's side bits are cleared where its pairs are indexed
 	// or walked.
-	if st == nil {
-		topU, topV = make([]bool, len(pairs)), make([]bool, len(pairs))
-	}
 	var kth []kthBest
 	if st == nil {
 		kth = make([]kthBest, n) // every node ranks and writes its own
@@ -523,13 +511,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		kth = slices.Clone(st.kth)
 	}
 	revOff := make([]int32, n+1)
-	aboveMin := 0
 	for i := range pairs {
-		if sims[i] >= cfg.MinSimilarity {
-			aboveMin++
-			if v := pairs[i][1]; rank[v] {
-				revOff[v+1]++
-			}
+		if v := pairs[i][1]; rank[v] {
+			revOff[v+1]++
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -538,13 +522,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	rev := make([]int32, revOff[n])
 	next = slices.Clone(revOff[:n])
 	for i := range pairs {
-		if v := pairs[i][1]; rank[v] && sims[i] >= cfg.MinSimilarity {
+		if v := pairs[i][1]; rank[v] {
 			topV[i] = false
 			rev[next[v]] = int32(i)
 			next[v]++
 		}
 	}
-	sp.SetAttr("pairsAboveMin", aboveMin)
 	var lst []scored
 	nodesRanked := 0
 	for u, row := int32(0), 0; int(u) < n; u++ {
@@ -567,9 +550,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		}
 		for ; row < len(pairs) && pairs[row][0] == u; row++ {
 			topU[row] = false
-			if sims[row] >= cfg.MinSimilarity {
-				lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
-			}
+			lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
 		}
 		if len(lst) > 0 {
 			nodesRanked++
@@ -630,7 +611,6 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		emb:       emb,
 		querySets: querySets,
 		pairs:     pairs,
-		counts:    counts,
 		sims:      sims,
 		topU:      topU,
 		topV:      topV,
@@ -640,26 +620,36 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
 }
 
-// byPair co-sorts candidate pairs and their shared-query counts into
-// canonical (U,V) order.
+// chunkLen is the length of the fixed-size chunks a worker writes its
+// kept pairs into: growing one slice per worker by append would copy and
+// discard every smaller backing array on the way up.
+const chunkLen = 1024
+
+// pairChunk holds chunkLen kept pairs and their scores.
+type pairChunk struct {
+	pairs [chunkLen][2]int32
+	sims  [chunkLen]float64
+}
+
+// byPair co-sorts candidate pairs and their scores into canonical (U,V)
+// order.
 type byPair struct {
-	pairs  [][2]int32
-	counts []int32
+	pairs [][2]int32
+	sims  []float64
 }
 
 func (s byPair) Len() int           { return len(s.pairs) }
 func (s byPair) Less(i, j int) bool { return pairKey(&s.pairs[i]) < pairKey(&s.pairs[j]) }
 func (s byPair) Swap(i, j int) {
 	s.pairs[i], s.pairs[j] = s.pairs[j], s.pairs[i]
-	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
+	s.sims[i], s.sims[j] = s.sims[j], s.sims[i]
 }
 
 // pairKey is a pair's sort key. It takes a pointer, and the loops over
 // every pair index pairs[i] instead of ranging over copies, because a
 // [2]int32 value round-trips through a stack slot that, where it straddles
 // a cache line, stalls every iteration on a failed store forward: ≈10 ns
-// a pair, enough to add a millisecond to a lowchurn patch's walk of its
-// ≈100 k retained pairs.
+// a pair, a millisecond over a walk of ≈100 k pairs.
 func pairKey(p *[2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
 
 func packAssoc(q model.QueryID, e int32) uint64 {
@@ -817,9 +807,9 @@ func meanNormVector(emb *word2vec.Model, tokens []string) []float32 {
 }
 
 // scorePair computes the Eq. 3 blended similarity of one candidate pair
-// from its shared-query count and the endpoint query-set sizes. Both the
-// full build and the incremental rescore call it, so the float expression
-// — and therefore every emitted bit — is shared between the two paths.
+// from its shared-query count and the endpoint query-set sizes. The row
+// pass calls it whichever entities are dirty, so a patch and a full build
+// share the float expression — and therefore every emitted bit.
 // With no content signal (no embeddings, or an endpoint with no known
 // tokens) the score renormalizes to pure Sq so a query match can still
 // reach 1.0.

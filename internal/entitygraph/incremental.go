@@ -4,12 +4,12 @@ package entitygraph
 //
 // A one-day slide perturbs a small fraction of the click graph, so
 // rebuilding the entity graph from scratch wastes almost all of its work.
-// A build retains its intermediates — query sets, candidate pairs with
-// counts and scores, per-side TopK survival bits, the frozen CSR — as an
-// IncState, and BuildIncremental hands them back to the same routine
-// (build, graph.go) with the slide's dirty items: only the entities whose
-// query set really changed are dirty, and only what they reach is
-// recomputed. Output is byte-identical to the from-scratch build; the
+// A build retains its intermediates — query sets, the candidate pairs
+// that can become an edge (those at or above MinSimilarity) with their
+// scores, per-side TopK survival bits, the frozen CSR — as an IncState,
+// and BuildIncremental hands them back to the same routine (build,
+// graph.go) with the slide's dirty items: only the entities whose query
+// set really changed are dirty, and only what they reach is recomputed. Output is byte-identical to the from-scratch build; the
 // determinism suite in internal/core locks this by gob-comparing whole
 // taxonomies at every step of a multi-day slide.
 //
@@ -30,11 +30,12 @@ import (
 	"shoal/internal/word2vec"
 )
 
-// PatchDensityGate is the share of the retained candidate pairs with a
-// dirty endpoint above which an incremental rebuild stops patching and
-// runs with every entity dirty: past it, filtering the retained arrays
-// and merging the regenerated pairs back costs more than it saves, and
-// the dense run is trivially correct.
+// PatchDensityGate is the share of the retained pairs — the candidates at
+// or above MinSimilarity — with a dirty endpoint above which an
+// incremental rebuild stops patching and runs with every entity dirty:
+// past it, filtering the retained arrays and merging the regenerated
+// pairs back costs more than it saves, and the dense run is trivially
+// correct.
 const PatchDensityGate = 0.5
 
 // IncState is the retained intermediate state of an entity-graph build,
@@ -50,11 +51,13 @@ type IncState struct {
 	emb *word2vec.Model
 	// querySets[e] is entity e's sorted query set.
 	querySets [][]model.QueryID
-	// pairs/counts/sims are the candidate pairs (canonical, sorted by
-	// packed key) with shared-query counts and blended similarities.
-	pairs  [][2]int32
-	counts []int32
-	sims   []float64
+	// pairs/sims are the candidate pairs at or above MinSimilarity — the
+	// only ones that can become an edge — in canonical order (sorted by
+	// packed key), with their blended similarities. A pair below the
+	// threshold is not retained: a patch regenerates every pair with a
+	// dirty endpoint, and one of two clean endpoints keeps its score.
+	pairs [][2]int32
+	sims  []float64
 	// topU/topV mark pairs ranking in the TopK of their U (resp. V)
 	// endpoint; a pair is kept iff either bit is set.
 	topU, topV []bool
@@ -71,8 +74,8 @@ const (
 	// FallbackNoState: no usable retained state (first build, or one
 	// sized or configured differently).
 	FallbackNoState = "no-state"
-	// FallbackDirtyPairs: more than PatchDensityGate of the retained
-	// candidate pairs have an endpoint whose query set changed.
+	// FallbackDirtyPairs: more than PatchDensityGate of the retained pairs
+	// have an endpoint whose query set changed.
 	FallbackDirtyPairs = "dirty-pairs"
 )
 

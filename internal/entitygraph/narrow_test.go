@@ -13,11 +13,11 @@ import (
 )
 
 // requireSameState asserts two retained states are equal array for array:
-// pairs, counts, score bits, side bits and each node's K-th candidate.
+// pairs, score bits, side bits and each node's K-th candidate.
 func requireSameState(t *testing.T, tag string, got, want *IncState) {
 	t.Helper()
-	if !slices.Equal(got.pairs, want.pairs) || !slices.Equal(got.counts, want.counts) {
-		t.Fatalf("%s: candidate pairs or counts differ (%d vs %d pairs)", tag, len(got.pairs), len(want.pairs))
+	if !slices.Equal(got.pairs, want.pairs) {
+		t.Fatalf("%s: retained pairs differ (%d vs %d)", tag, len(got.pairs), len(want.pairs))
 	}
 	for i := range got.sims {
 		if math.Float64bits(got.sims[i]) != math.Float64bits(want.sims[i]) {
@@ -36,30 +36,38 @@ func requireSameState(t *testing.T, tag string, got, want *IncState) {
 }
 
 // wideRerank ranks nst's pairs by the rule the K-th bar replaced: every
-// endpoint of a pair that appeared, vanished or changed score against st
+// endpoint of a candidate pair, at any score, that appeared, vanished or
+// changed score between the reference populations before and after
 // re-ranks, and every other node keeps the side bits st gave it. It
 // returns the side bits and the number of nodes ranked over a non-empty
 // candidate list.
-func wideRerank(st, nst *IncState, cfg Config) (topU, topV []bool, ranked int) {
+func wideRerank(st, nst *IncState, before, after refCandidates, cfg Config) (topU, topV []bool, ranked int) {
 	rank := make([]bool, nst.n)
-	topU, topV = make([]bool, len(nst.pairs)), make([]bool, len(nst.pairs))
 	i := 0
-	for j, p := range nst.pairs {
-		for ; i < len(st.pairs) && pairKey(&st.pairs[i]) < pairKey(&p); i++ {
-			rank[st.pairs[i][0]], rank[st.pairs[i][1]] = true, true // vanished
+	for j, p := range after.pairs {
+		for ; i < len(before.pairs) && pairKey(&before.pairs[i]) < pairKey(&p); i++ {
+			rank[before.pairs[i][0]], rank[before.pairs[i][1]] = true, true // vanished
 		}
-		if i < len(st.pairs) && st.pairs[i] == p {
-			if st.sims[i] == nst.sims[j] {
-				topU[j], topV[j] = st.topU[i], st.topV[i]
-				i++
+		if i < len(before.pairs) && before.pairs[i] == p {
+			same := before.sims[i] == after.sims[j]
+			i++
+			if same {
 				continue
 			}
-			i++
 		}
 		rank[p[0]], rank[p[1]] = true, true // new or re-scored
 	}
-	for ; i < len(st.pairs); i++ {
-		rank[st.pairs[i][0]], rank[st.pairs[i][1]] = true, true
+	for ; i < len(before.pairs); i++ {
+		rank[before.pairs[i][0]], rank[before.pairs[i][1]] = true, true
+	}
+	topU, topV = make([]bool, len(nst.pairs)), make([]bool, len(nst.pairs))
+	i = 0
+	for j, p := range nst.pairs {
+		for ; i < len(st.pairs) && pairKey(&st.pairs[i]) < pairKey(&p); i++ {
+		}
+		if i < len(st.pairs) && st.pairs[i] == p && st.sims[i] == nst.sims[j] {
+			topU[j], topV[j] = st.topU[i], st.topV[i]
+		}
 	}
 	lists := make([][]scored, nst.n)
 	for j, p := range nst.pairs {
@@ -72,9 +80,7 @@ func wideRerank(st, nst *IncState, cfg Config) (topU, topV []bool, ranked int) {
 			} else {
 				topV[j] = false
 			}
-			if nst.sims[j] >= cfg.MinSimilarity {
-				lists[u] = append(lists[u], scored{other: p[1-side], sim: nst.sims[j], idx: j})
-			}
+			lists[u] = append(lists[u], scored{other: p[1-side], sim: nst.sims[j], idx: j})
 		}
 	}
 	for u, lst := range lists {
@@ -89,9 +95,10 @@ func wideRerank(st, nst *IncState, cfg Config) (topU, topV []bool, ranked int) {
 // checkNarrowRank holds one patch (st → nst) to the wide rule and to a
 // from-scratch build over the same clicks: equal side bits, the CSR the
 // wide bits emit equal to the patch's, and the whole state equal to the
-// full build's. It returns the nodes each rule ranked.
+// full build's. before is the reference population of the clicks st was
+// built over. It returns the nodes each rule ranked.
 func checkNarrowRank(t *testing.T, tag string, es *EntitySet, clicks *bipartite.Graph, cfg Config,
-	st, nst *IncState, res *Result, delta *Delta) (narrow, wide int) {
+	before refCandidates, st, nst *IncState, res *Result, delta *Delta) (narrow, wide int) {
 	t.Helper()
 	full, fullSt, err := BuildWithState(context.Background(), es, clicks, nil, cfg)
 	if err != nil {
@@ -102,7 +109,7 @@ func checkNarrowRank(t *testing.T, tag string, es *EntitySet, clicks *bipartite.
 	if delta.DenseFallback {
 		return delta.RankedNodes, delta.RankedNodes
 	}
-	topU, topV, wide := wideRerank(st, nst, cfg)
+	topU, topV, wide := wideRerank(st, nst, before, referenceCandidates(es, clicks, cfg), cfg)
 	if !slices.Equal(topU, nst.topU) || !slices.Equal(topV, nst.topV) {
 		t.Fatalf("%s: the narrow patch's side bits differ from the wide rule's", tag)
 	}
@@ -149,6 +156,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 	}
 	requireFewer := func(t *testing.T) {
 		t.Helper()
+		t.Logf("low-churn patches: the narrow rule ranked %d nodes, the wide one %d", lowNarrow, lowWide)
 		if lowWide == 0 || lowNarrow >= lowWide {
 			t.Fatalf("low-churn patches: the narrow rule ranked %d nodes, the wide one %d", lowNarrow, lowWide)
 		}
@@ -166,6 +174,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 		days := slideDays(c, 8)
 		clicks := bipartite.New(4)
 		var st *IncState
+		var before refCandidates
 		for d, day := range days {
 			if err := clicks.AddAll(day); err != nil {
 				t.Fatal(err)
@@ -176,10 +185,10 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 			}
 			if st != nil {
 				tag := fmt.Sprintf("day %d", d)
-				narrow, wide := checkNarrowRank(t, tag, es, clicks, cfg, st, nst, res, delta)
+				narrow, wide := checkNarrowRank(t, tag, es, clicks, cfg, before, st, nst, res, delta)
 				tally(t, tag, es, delta, narrow, wide)
 			}
-			st = nst
+			st, before = nst, referenceCandidates(es, clicks, cfg)
 		}
 		requireFewer(t)
 	})
@@ -191,6 +200,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := referenceCandidates(sw.es, sw.base, cfg)
 		for _, k := range sw.steps {
 			clicks, dirty := sw.slide(t, k)
 			res, nst, delta, err := BuildIncremental(ctx, sw.es, clicks, nil, cfg, st0, dirty)
@@ -198,7 +208,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			tag := fmt.Sprintf("%d churn clicks", k)
-			narrow, wide := checkNarrowRank(t, tag, sw.es, clicks, cfg, st0, nst, res, delta)
+			narrow, wide := checkNarrowRank(t, tag, sw.es, clicks, cfg, before, st0, nst, res, delta)
 			tally(t, tag, sw.es, delta, narrow, wide)
 		}
 		requireFewer(t)
@@ -231,8 +241,9 @@ func boundaryWorld(t *testing.T, sets [][]model.QueryID) (*EntitySet, *bipartite
 // entity 4 ties the K-th on score and loses on id, and entities 1 and 5
 // touch the hub at 1/12. Entities 6 and 7 are a pair of their own, each
 // with fewer than K candidates; 8-15 are four more such pairs, so a
-// one-entity change stays under the density gate. RankedNodes pins who
-// re-ranked where the rule, not just the output, is the point.
+// one-entity change stays under the density gate; 16 and 17 are one more,
+// whose Jaccard is exactly 2/8. RankedNodes pins who re-ranked where the
+// rule, not just the output, is the point.
 func TestNarrowRankBoundaries(t *testing.T) {
 	qs := func(lo, hi int, more ...model.QueryID) []model.QueryID {
 		var out []model.QueryID
@@ -258,6 +269,33 @@ func TestNarrowRankBoundaries(t *testing.T) {
 		{54, 55},     //
 		{56, 57},     //
 		{56, 57, 58}, //
+		qs(60, 64),   // 16: 2/8 with 17
+		qs(63, 67),   // 17
+	}
+	es, clicks := boundaryWorld(t, base)
+	// patch builds base under minSim and topK, patches entity to set and
+	// holds the patch to checkNarrowRank, which returns the wide rule's count.
+	patch := func(t *testing.T, tag string, minSim float64, topK, entity int, set []model.QueryID) (st, nst *IncState, delta *Delta, wide int) {
+		t.Helper()
+		ctx := context.Background()
+		cfg := DefaultConfig()
+		cfg.MinSimilarity, cfg.TopK, cfg.MaxQueryFanout, cfg.Workers = minSim, topK, 0, 1
+		_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := slices.Clone(base)
+		after[entity] = set
+		_, afterClicks := boundaryWorld(t, after)
+		res, nst, delta, err := BuildIncremental(ctx, es, afterClicks, nil, cfg, st, []model.ItemID{model.ItemID(entity)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.DenseFallback || delta.DirtyEntities != 1 {
+			t.Fatalf("delta %+v, want a one-entity patch", delta)
+		}
+		_, wide = checkNarrowRank(t, tag, es, afterClicks, cfg, referenceCandidates(es, clicks, cfg), st, nst, res, delta)
+		return st, nst, delta, wide
 	}
 	for _, tc := range []struct {
 		name    string
@@ -284,27 +322,51 @@ func TestNarrowRankBoundaries(t *testing.T) {
 			"TopK 0: every node's K-th is the sentinel, so any changed pair above MinSimilarity re-ranks both endpoints"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			cfg := DefaultConfig()
-			cfg.MinSimilarity, cfg.TopK, cfg.MaxQueryFanout, cfg.Workers = tc.minSim, tc.topK, 0, 1
-			es, clicks := boundaryWorld(t, base)
-			_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
+			_, _, delta, wide := patch(t, tc.comment, tc.minSim, tc.topK, tc.entity, tc.set)
+			if tc.ranked >= 0 && delta.RankedNodes != tc.ranked {
+				t.Errorf("%s: %d nodes re-ranked, want %d (wide rule: %d)", tc.comment, delta.RankedNodes, tc.ranked, wide)
 			}
-			after := slices.Clone(base)
-			after[tc.entity] = tc.set
-			_, afterClicks := boundaryWorld(t, after)
-			res, nst, delta, err := BuildIncremental(ctx, es, afterClicks, nil, cfg, st, []model.ItemID{model.ItemID(tc.entity)})
-			if err != nil {
-				t.Fatal(err)
+		})
+	}
+
+	// Exactly at MinSimilarity: (16, 17) scores 2/8 = 0.25, the threshold
+	// itself, so the build keeps it. A patch elsewhere — entity 1 taking
+	// queries 8-11, which adds the kept edges (0, 1) at 4/12 and (1, 5) at
+	// 1/4, itself exactly at the threshold, and re-ranks 0, 1 and 5 — leaves
+	// it standing. Entity 17 losing query 64 drops it to 1/8: it is
+	// regenerated, filtered, and reads as vanished, the one changed edge.
+	atMin := func(st *IncState) (sim float64, kept bool) {
+		at := slices.Index(st.pairs, [2]int32{16, 17})
+		if at < 0 {
+			return 0, false
+		}
+		return st.sims[at], st.topU[at] || st.topV[at]
+	}
+	for _, tc := range []struct {
+		name     string
+		entity   int
+		set      []model.QueryID
+		survives bool
+		ranked   int
+		edges    int
+		rows     []int32
+	}{
+		{"at-min-survives", 1, qs(8, 11), true, 3, 2, []int32{0, 1, 5}},
+		{"at-min-drops", 17, []model.QueryID{63, 65, 66, 67}, false, 0, 1, []int32{16, 17}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const minSim = 0.25
+			st, nst, delta, _ := patch(t, tc.name, minSim, 2, tc.entity, tc.set)
+			if sim, kept := atMin(st); sim != minSim || !kept {
+				t.Fatalf("the build scored (16, 17) %v, kept %v; want exactly %v, kept", sim, kept, minSim)
 			}
-			if delta.DenseFallback || delta.DirtyEntities != 1 {
-				t.Fatalf("delta %+v, want a one-entity patch", delta)
+			sim, kept := atMin(nst)
+			if kept != tc.survives || (kept && sim != minSim) {
+				t.Fatalf("after the patch (16, 17) scores %v, kept %v; want kept = %v", sim, kept, tc.survives)
 			}
-			narrow, wide := checkNarrowRank(t, tc.comment, es, afterClicks, cfg, st, nst, res, delta)
-			if tc.ranked >= 0 && narrow != tc.ranked {
-				t.Errorf("%s: %d nodes re-ranked, want %d (wide rule: %d)", tc.comment, narrow, tc.ranked, wide)
+			if delta.RankedNodes != tc.ranked || delta.ChangedEdges != tc.edges || !slices.Equal(delta.DirtyRows, tc.rows) {
+				t.Fatalf("delta: %d nodes ranked, %d changed edges, dirty rows %v; want %d, %d, %v",
+					delta.RankedNodes, delta.ChangedEdges, delta.DirtyRows, tc.ranked, tc.edges, tc.rows)
 			}
 		})
 	}

@@ -14,14 +14,23 @@ import (
 	"shoal/internal/word2vec"
 )
 
-// referenceState is the map-based candidate generation and TopK ranking
-// BuildWithState is checked against: a query→entities map, every pair
-// of every uncapped query counted in a pair map, one materialized
-// candidate list per node. Scores are taken from the state under test —
-// scorePair is shared, the oracle is about which pairs exist, how often
-// they were seen and which survive the ranking.
-func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config, sims []float64) (pairs [][2]int32, counts []int32, topU, topV []bool) {
+// refCandidates is a candidate population as the reference enumerates
+// it: every pair sharing an uncapped query, at any score, in canonical
+// order, with the score its shared-query count gives.
+type refCandidates struct {
+	pairs [][2]int32
+	sims  []float64
+}
+
+// referenceCandidates is the map-based candidate generation the build is
+// checked against, without embeddings: a query→entities map, every pair
+// of every uncapped query counted in a pair map, each pair scored from
+// its own count and query-set sizes through scorePair (the Eq. 3
+// expression is shared; the oracle is about which pairs exist and how
+// often they were seen).
+func referenceCandidates(es *EntitySet, clicks *bipartite.Graph, cfg Config) refCandidates {
 	byQuery := map[model.QueryID][]int32{}
+	querySets := make([][]model.QueryID, len(es.Entities))
 	for e := range es.Entities {
 		seen := map[model.QueryID]bool{}
 		for _, it := range es.Entities[e].Items {
@@ -30,6 +39,7 @@ func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config, sims []f
 				if !seen[q] {
 					seen[q] = true
 					byQuery[q] = append(byQuery[q], int32(e))
+					querySets[e] = append(querySets[e], q)
 				}
 			}
 		}
@@ -45,26 +55,37 @@ func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config, sims []f
 			}
 		}
 	}
+	var c refCandidates
 	for p := range seen {
-		pairs = append(pairs, p)
+		c.pairs = append(c.pairs, p)
 	}
-	slices.SortFunc(pairs, func(a, b [2]int32) int {
+	slices.SortFunc(c.pairs, func(a, b [2]int32) int {
 		if a[0] != b[0] {
 			return int(a[0]) - int(b[0])
 		}
 		return int(a[1]) - int(b[1])
 	})
-	for _, p := range pairs {
-		counts = append(counts, seen[p])
+	for _, p := range c.pairs {
+		c.sims = append(c.sims, scorePair(querySets, nil, false, cfg.Alpha, p[0], p[1], seen[p]))
 	}
-	if len(sims) != len(pairs) {
-		return pairs, counts, nil, nil
+	return c
+}
+
+// referenceState is the retained state the reference expects: its
+// candidates filtered at MinSimilarity, ranked from one materialized
+// candidate list per node. dropped counts the candidates the filter took.
+func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config) (pairs [][2]int32, sims []float64, topU, topV []bool, dropped int) {
+	c := referenceCandidates(es, clicks, cfg)
+	for i, p := range c.pairs {
+		if c.sims[i] < cfg.MinSimilarity {
+			dropped++
+			continue
+		}
+		pairs = append(pairs, p)
+		sims = append(sims, c.sims[i])
 	}
 	perNode := make([][]scored, len(es.Entities))
 	for i, p := range pairs {
-		if sims[i] < cfg.MinSimilarity {
-			continue
-		}
 		perNode[p[0]] = append(perNode[p[0]], scored{other: p[1], sim: sims[i], idx: i})
 		perNode[p[1]] = append(perNode[p[1]], scored{other: p[0], sim: sims[i], idx: i})
 	}
@@ -72,14 +93,16 @@ func referenceState(es *EntitySet, clicks *bipartite.Graph, cfg Config, sims []f
 	for u := range perNode {
 		rankNode(perNode[u], int32(u), pairs, topU, topV, cfg.TopK)
 	}
-	return pairs, counts, topU, topV
+	return pairs, sims, topU, topV, dropped
 }
 
 // TestBuildStateMatchesReference pins the counting-built full build to
-// the map-based reference: same candidate pairs in the same order with
-// the same shared-query counts (which pin the query→entity index they
-// come out of), same per-side TopK verdicts — with the fanout cap biting and not, across
-// worker counts.
+// the map-based reference: the retained pairs are exactly the reference's
+// candidates at or above MinSimilarity, in the same order, each scored
+// bit for bit as the reference's own shared-query count scores it (which
+// pins the query→entity index the counts come out of), with the same
+// per-side TopK verdicts — with the fanout cap biting and not, across
+// worker counts, and with the filter dropping pairs.
 func TestBuildStateMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	gen := synth.DefaultConfig()
@@ -112,33 +135,30 @@ func TestBuildStateMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pairs, counts, topU, topV := referenceState(es, clicks, cfg, st.sims)
+				pairs, sims, topU, topV, dropped := referenceState(es, clicks, cfg)
 				if !slices.Equal(st.pairs, pairs) {
-					t.Fatalf("candidate pairs differ: %d vs %d", len(st.pairs), len(pairs))
+					t.Fatalf("retained pairs differ: %d vs %d", len(st.pairs), len(pairs))
 				}
-				if len(pairs) == 0 {
-					t.Fatal("no candidate pairs: the fixture tests nothing")
+				if len(pairs) == 0 || dropped == 0 {
+					t.Fatalf("%d pairs retained, %d dropped: the fixture tests nothing", len(pairs), dropped)
 				}
-				if !slices.Equal(st.counts, counts) {
-					t.Fatal("shared-query counts differ")
+				for i := range sims {
+					if math.Float64bits(st.sims[i]) != math.Float64bits(sims[i]) {
+						t.Fatalf("pair %v scored %v, the reference %v", pairs[i], st.sims[i], sims[i])
+					}
 				}
 				if !slices.Equal(st.topU, topU) || !slices.Equal(st.topV, topV) {
 					t.Fatal("TopK side bits differ")
-				}
-				for i, s := range st.sims {
-					if math.IsNaN(s) {
-						t.Fatalf("pair %d scored NaN", i)
-					}
 				}
 			})
 		}
 	}
 	// The cap must have skipped something at 12, or the capped case above
 	// ran the uncapped path.
-	capped, _, _, _ := referenceState(es, clicks, Config{MaxQueryFanout: 12}, nil)
-	open, _, _, _ := referenceState(es, clicks, Config{}, nil)
-	if len(capped) >= len(open) {
-		t.Fatalf("fanout cap 12 skipped no query (%d vs %d pairs)", len(capped), len(open))
+	capped := referenceCandidates(es, clicks, Config{MaxQueryFanout: 12})
+	open := referenceCandidates(es, clicks, Config{})
+	if len(capped.pairs) >= len(open.pairs) {
+		t.Fatalf("fanout cap 12 skipped no query (%d vs %d pairs)", len(capped.pairs), len(open.pairs))
 	}
 }
 
