@@ -1,17 +1,25 @@
 // Package cmd_test builds the real binaries and drives them end to end:
-// shoal-gen writes a corpus, shoal-build turns it into a taxonomy, and the
-// artifacts round-trip through the store formats.
+// shoal-gen writes a corpus, shoal-build turns it into a taxonomy, the
+// artifacts round-trip through the store formats, and shoal-serve serves
+// and refreshes a taxonomy until it is signaled to stop.
 package cmd_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"shoal"
+	"shoal/internal/serve"
 	"shoal/internal/store"
 )
 
@@ -163,5 +171,97 @@ func TestGenCurated(t *testing.T) {
 	}
 	if len(corpus.Scenarios) != 3 {
 		t.Fatalf("curated scenarios = %d, want 3", len(corpus.Scenarios))
+	}
+}
+
+// syncBuffer collects a running child's output for the test to poll.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeRefresh runs shoal-serve -refresh over the curated corpus:
+// the refresh loop steps the daily pipeline and swaps each build in,
+// /api/stats reports the swaps and the serving build's delta, and
+// SIGTERM drains the server to a clean exit.
+func TestServeRefresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles binaries; skipped in -short")
+	}
+	bin := buildTool(t, t.TempDir(), "shoal-serve")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	var out syncBuffer
+	cmd := exec.Command(bin, "-addr", addr, "-refresh", "100ms")
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill()
+
+	const swapped = "refresh: swapped build #1 "
+	for deadline := time.Now().Add(2 * time.Minute); !strings.Contains(out.String(), swapped); {
+		select {
+		case err := <-exited:
+			t.Fatalf("shoal-serve exited before its first swap: %v\n%s", err, out.String())
+		case <-time.After(50 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q line within 2m:\n%s", swapped, out.String())
+		}
+	}
+	for _, tok := range []string{"ingest=", "stability=", "dirty-items=", "dense-fallback="} {
+		if !strings.Contains(out.String(), tok) {
+			t.Fatalf("refresh log lacks %s:\n%s", tok, out.String())
+		}
+	}
+
+	resp, err := http.Get("http://" + addr + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats serve.Stats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/api/stats: status %d: %v", resp.StatusCode, err)
+	}
+	if stats.Swaps < 1 || stats.Delta == nil {
+		t.Fatalf("/api/stats: swaps=%d delta=%+v, want swaps >= 1 and a delta", stats.Swaps, stats.Delta)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("shoal-serve exited with %v after SIGTERM:\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("shoal-serve still running 30s after SIGTERM:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "shut down cleanly") {
+		t.Fatalf("no clean shutdown reported:\n%s", out.String())
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"shoal/internal/core"
 	"shoal/internal/model"
@@ -163,10 +162,10 @@ func main() {
 }
 
 // buildIncremental replays the corpus click log day by day through the
-// sliding-window pipeline: every day is ingested and rebuilt, each
-// rebuild patching the previous day's entity graph, so it recomputes only
-// what that day's slide changed. Returns the final day's build —
-// byte-identical to a from-scratch build over the final window.
+// sliding-window pipeline: every day is one Step, its rebuild patching
+// the previous day's entity graph, so it recomputes only what that day's
+// slide changed. Returns the final day's build — byte-identical to a
+// from-scratch build over the final window.
 func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config, verbose bool) (*core.Build, error) {
 	var maxDay int32
 	for _, ev := range corpus.Clicks {
@@ -185,26 +184,12 @@ func buildIncremental(ctx context.Context, corpus *model.Corpus, cfg core.Config
 	}
 	var b *core.Build
 	for day, events := range byDay {
-		start := time.Now()
-		if err := pipe.IngestDay(events); err != nil {
-			return nil, err
-		}
-		ingest := time.Since(start)
-		start = time.Now()
-		b, err = pipe.RebuildContext(ctx)
-		if err != nil {
+		var rep core.StepReport
+		if b, rep, err = pipe.Step(ctx, events); err != nil {
 			return nil, err
 		}
 		if verbose {
-			line := fmt.Sprintf("day %-3d rebuilt in %-10v ingest=%-9v topics=%d", day,
-				time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond), len(b.Taxonomy.Topics))
-			d := b.Delta
-			line += fmt.Sprintf(" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
-				d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
-			if d.DenseFallback {
-				line += " dense-fallback-reason=" + d.DenseFallbackReason
-			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintf(os.Stderr, "day %-3d %v\n", day, rep)
 		}
 	}
 	return b, nil

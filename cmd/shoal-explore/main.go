@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"shoal"
+	"shoal/internal/core"
 	"shoal/internal/store"
 )
 
@@ -34,23 +35,15 @@ func main() {
 	flag.Parse()
 
 	corpus := shoal.CuratedCorpus()
-	cfg := shoal.DefaultConfig()
-	cfg.Word2Vec.Epochs = 2
-	cfg.Word2Vec.MinCount = 1
-	cfg.Graph.MinSimilarity = 0.2
-	cfg.HAC.StopThreshold = 0.12
-	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
-	cfg.CatCorr.MinStrength = 0
 	if *corpusPath != "" {
 		var err error
 		corpus, err = store.LoadCorpus(*corpusPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.CatCorr.MinStrength = 2
 	}
 	fmt.Printf("building SHOAL over %s ...\n", corpus.Stats())
-	sys, err := shoal.Build(corpus, cfg)
+	sys, err := shoal.Build(corpus, core.CuratedConfig(*corpusPath != ""))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,13 +14,14 @@
 // /api/trace (the serving build's Chrome trace-event JSON), and
 // /metrics (Prometheus text, including runtime health gauges).
 //
-// With -refresh the server mirrors the production operation mode: the
-// sliding-window pipeline rebuilds in the background, each rebuild
-// patching the entity graph from the window's changed items over the
-// entities and embeddings built at start-up, and each finished build is
-// atomically swapped into the running handler — requests in
-// flight keep their snapshot, new requests see the new taxonomy, and the
-// listener never goes down.
+// With -refresh the server mirrors the production operation mode: each
+// tick runs one DailyPipeline.Step in the background — ingest a day,
+// rebuild by patching the entity graph from the window's changed items
+// over the entities and embeddings built at start-up, measure stability
+// against the previous build — logs its report, and atomically swaps the
+// build into the running handler. Requests in flight keep their
+// snapshot, new requests see the new taxonomy, and the listener never
+// goes down. The start-up build is the pipeline's first step.
 package main
 
 import (
@@ -67,39 +68,26 @@ func main() {
 	defer stop()
 
 	corpus := synth.Curated()
-	cfg := core.DefaultConfig()
-	cfg.Word2Vec.Epochs = 2
-	cfg.Word2Vec.MinCount = 1
-	cfg.Graph.MinSimilarity = 0.2
-	cfg.HAC.StopThreshold = 0.12
-	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
-	cfg.CatCorr.MinStrength = 0
 	if *corpusPath != "" {
 		var err error
 		corpus, err = store.LoadCorpus(*corpusPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.CatCorr.MinStrength = 2
 	}
 
-	// The daily pipeline owns the sliding click window; the first rebuild
+	// The daily pipeline owns the sliding click window; its first step
 	// is the build we start serving from.
-	pipe, err := core.NewDailyPipeline(corpus, cfg)
+	pipe, err := core.NewDailyPipeline(corpus, core.CuratedConfig(*corpusPath != ""))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pipe.IngestDay(corpus.Clicks); err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	b, err := pipe.RebuildContext(ctx)
+	b, rep, err := pipe.Step(ctx, corpus.Clicks)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("built taxonomy in %v: topics=%d roots=%d\n",
-		time.Since(start).Round(time.Millisecond),
-		len(b.Taxonomy.Topics), len(b.Taxonomy.Roots()))
+		rep.Rebuild.Round(time.Millisecond), rep.Topics, len(b.Taxonomy.Roots()))
 	for _, st := range b.StageTimings {
 		fmt.Printf("  %-22s start=%-8v elapsed=%v\n",
 			st.Stage, st.Start.Round(time.Millisecond), st.Elapsed.Round(time.Millisecond))
@@ -145,9 +133,9 @@ func main() {
 	fmt.Println("shut down cleanly")
 }
 
-// refreshLoop periodically ingests the next day's clicks, rebuilds from
-// the sliding window, and hot-swaps the result into the handler. A failed
-// or canceled rebuild leaves the currently served build untouched.
+// refreshLoop periodically steps the pipeline over the next day's clicks
+// and hot-swaps the result into the handler. A failed or canceled step
+// leaves the currently served build untouched.
 func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler, every time.Duration, clicks []model.ClickEvent) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
@@ -161,46 +149,24 @@ func refreshLoop(ctx context.Context, pipe *core.DailyPipeline, h *serve.Handler
 		// preserving per-event day offsets — a stand-in for the production
 		// system's fresh logs. The shift keeps the window at a constant
 		// click mass: the replayed span evicts the previous one.
-		_, _, maxDay := pipe.WindowStats()
-		shift := maxDay + 1
+		shift := pipe.Window().MaxDay + 1
 		next := make([]model.ClickEvent, len(clicks))
 		for i, ev := range clicks {
 			next[i] = ev
 			next[i].Day = ev.Day + shift
 		}
-		start := time.Now()
-		if err := pipe.IngestDay(next); err != nil {
-			log.Printf("refresh: ingest failed: %v", err)
-			continue
-		}
-		ingest := time.Since(start)
-		prev := pipe.Last()
-		start = time.Now()
-		b, err := pipe.RebuildContext(ctx)
+		b, rep, err := pipe.Step(ctx, next)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
-			log.Printf("refresh: rebuild failed: %v", err)
+			log.Printf("refresh: step failed: %v", err)
 			continue
-		}
-		stability := -1.0
-		if s, err := core.Stability(prev, b); err == nil {
-			stability = s
 		}
 		if err := h.Swap(b); err != nil {
 			log.Printf("refresh: swap rejected: %v", err)
 			continue
 		}
-		log.Printf("refresh: swapped build #%d in %v ingest=%v (topics=%d stability=%.3f)",
-			h.Swaps(), time.Since(start).Round(time.Millisecond), ingest.Round(time.Microsecond),
-			len(b.Taxonomy.Topics), stability)
-		d := b.Delta
-		notes := ""
-		if d.DenseFallback {
-			notes = " dense-fallback-reason=" + d.DenseFallbackReason
-		}
-		log.Printf("refresh: delta dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v%s",
-			d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback, notes)
+		log.Printf("refresh: swapped build #%d %v", h.Swaps(), rep)
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,34 +57,26 @@ func main() {
 
 	fmt.Printf("streaming %d days of clicks through a %d-day window (incremental rebuilds)\n\n", gen.Days, cfg.WindowDays)
 	fmt.Printf("%-5s %-16s %-8s %-10s %s\n", "day", "window-queries", "topics", "stability", "delta (dirty-items/dirty-rows)")
-	var prev *shoal.DailyBuild
 	for day := 0; day < gen.Days; day++ {
-		if err := pipeline.IngestDay(byDay[day]); err != nil {
-			log.Fatal(err)
+		if day < cfg.WindowDays-1 { // wait until the window is full
+			if err := pipeline.IngestDay(byDay[day]); err != nil {
+				log.Fatal(err)
+			}
+			continue
 		}
-		if day < cfg.WindowDays-1 {
-			continue // wait until the window is full
-		}
-		build, err := pipeline.Rebuild()
+		_, rep, err := pipeline.Step(context.Background(), byDay[day])
 		if err != nil {
 			log.Fatal(err)
 		}
 		stability := "   -"
-		if prev != nil {
-			s, err := shoal.BuildStability(prev, build)
-			if err != nil {
-				log.Fatal(err)
-			}
-			stability = fmt.Sprintf("%.3f", s)
+		if rep.HasStability {
+			stability = fmt.Sprintf("%.3f", rep.Stability)
 		}
-		queries, _, _ := pipeline.WindowStats()
-		d := build.Delta
-		delta := fmt.Sprintf("%d/%d", d.DirtyItems, d.DirtyRows)
-		if d.DenseFallback {
+		delta := fmt.Sprintf("%d/%d", rep.Delta.DirtyItems, rep.Delta.DirtyRows)
+		if rep.Delta.DenseFallback {
 			delta += " (dense fallback)"
 		}
-		fmt.Printf("%-5d %-16d %-8d %-10s %s\n", day, queries, len(build.Taxonomy.Topics), stability, delta)
-		prev = build
+		fmt.Printf("%-5d %-16d %-8d %-10s %s\n", day, rep.Window.Queries, rep.Topics, stability, delta)
 	}
 	fmt.Println("\nstability = fraction of root-topic item pairs preserved by the next build")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
@@ -18,7 +19,6 @@ type DailyPipeline struct {
 	cfg    Config
 	corpus *model.Corpus
 	clicks *bipartite.Graph
-	days   int
 	last   *Build
 	// cache is what each rebuild patches from: corpus-static artifacts
 	// plus the previous build's entity-graph state.
@@ -54,16 +54,7 @@ func (p *DailyPipeline) IngestDay(events []model.ClickEvent) error {
 	if err := p.clicks.AddAll(events); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	p.days++
 	return nil
-}
-
-// Days returns the number of ingested days.
-func (p *DailyPipeline) Days() int { return p.days }
-
-// WindowStats reports the current window's query and item coverage.
-func (p *DailyPipeline) WindowStats() (queries, items int, maxDay int32) {
-	return p.clicks.Queries(), p.clicks.Items(), p.clicks.MaxDay()
 }
 
 // Window reports the full window statistics, including the count of
@@ -102,6 +93,66 @@ func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
 
 // Last returns the most recent build, or nil before the first Rebuild.
 func (p *DailyPipeline) Last() *Build { return p.last }
+
+// StepReport accounts for one Step: what the day's ingest and the
+// rebuild cost, what the window holds after the day, what the rebuild
+// recomputed of the previous build, and how much of that build's topic
+// structure the new one kept.
+type StepReport struct {
+	Ingest, Rebuild time.Duration
+	Window          bipartite.WindowStats
+	Topics          int
+	Delta           DeltaStats
+	// Stability is Stability(previous build, this build). HasStability
+	// is false on the first step and when Stability errors.
+	Stability    float64
+	HasStability bool
+}
+
+// String is the loop's log line.
+func (r StepReport) String() string {
+	stability := "-"
+	if r.HasStability {
+		stability = fmt.Sprintf("%.3f", r.Stability)
+	}
+	d := r.Delta
+	line := fmt.Sprintf("rebuilt in %v ingest=%v topics=%d stability=%s window-queries=%d window-items=%d"+
+		" dirty-items=%d dirty-entities=%d ranked-nodes=%d dirty-rows=%d changed-edges=%d dense-fallback=%v",
+		r.Rebuild.Round(time.Millisecond), r.Ingest.Round(time.Microsecond), r.Topics, stability,
+		r.Window.Queries, r.Window.Items,
+		d.DirtyItems, d.DirtyEntities, d.RankedNodes, d.DirtyRows, d.ChangedEdges, d.DenseFallback)
+	if d.DenseFallback {
+		line += " dense-fallback-reason=" + d.DenseFallbackReason
+	}
+	return line
+}
+
+// Step is one turn of the production loop: it ingests a day of clicks
+// (IngestDay), rebuilds from the window (RebuildContext), and measures
+// the new build's Stability against the previous successful one. A
+// rejected batch leaves the window untouched; a failed rebuild leaves
+// Last alone, and the next step rebuilds the entity graph from scratch.
+func (p *DailyPipeline) Step(ctx context.Context, events []model.ClickEvent) (*Build, StepReport, error) {
+	var r StepReport
+	start := time.Now()
+	if err := p.IngestDay(events); err != nil {
+		return nil, r, err
+	}
+	r.Ingest = time.Since(start)
+	prev := p.last
+	start = time.Now()
+	b, err := p.RebuildContext(ctx)
+	if err != nil {
+		return nil, r, err
+	}
+	r.Rebuild = time.Since(start)
+	r.Window, r.Topics, r.Delta = p.Window(), len(b.Taxonomy.Topics), *b.Delta
+	if prev != nil {
+		r.Stability, err = Stability(prev, b)
+		r.HasStability = err == nil
+	}
+	return b, r, nil
+}
 
 // Stability measures how much of the previous build's topic structure the
 // new build preserves: the fraction of item pairs that were topic-mates in
@@ -144,8 +195,8 @@ func Stability(prev, next *Build) (float64, error) {
 	var pairs, kept int
 	for _, k := range keys {
 		members := groups[k]
-		// Cap per-group pair enumeration: adjacent pairs plus a stride,
-		// enough signal without O(n²) blowup on big topics.
+		// Adjacent pairs only: enough signal without O(n²) blowup on big
+		// topics.
 		for i := 1; i < len(members); i++ {
 			pairs++
 			if rootOf(next, members[i-1]) == rootOf(next, members[i]) && rootOf(next, members[i]) >= 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"shoal/internal/model"
@@ -40,38 +42,38 @@ func TestDailyPipelineRebuilds(t *testing.T) {
 	if p.Last() != nil {
 		t.Fatal("Last() non-nil before any rebuild")
 	}
-	var prev *Build
 	for day := 0; day < len(byDay); day++ {
-		if err := p.IngestDay(byDay[day]); err != nil {
-			t.Fatal(err)
+		if day < 6 { // wait for a full window
+			if err := p.IngestDay(byDay[day]); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if day < 6 {
-			continue // wait for a full window
-		}
-		b, err := p.Rebuild()
+		b, rep, err := p.Step(context.Background(), byDay[day])
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
-		if len(b.Taxonomy.Topics) == 0 {
-			t.Fatalf("day %d: empty taxonomy", day)
+		if len(b.Taxonomy.Topics) == 0 || rep.Topics != len(b.Taxonomy.Topics) {
+			t.Fatalf("day %d: %d topics, report says %d", day, len(b.Taxonomy.Topics), rep.Topics)
 		}
-		if prev != nil {
-			s, err := Stability(prev, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The catalog is static and the click distribution is
-			// stationary, so consecutive builds must largely agree.
-			// (Fine-grained topic boundaries churn as the window
-			// slides, so pair-level stability sits well below 1.)
-			if s < 0.5 {
-				t.Fatalf("day %d: stability %.3f below 0.5", day, s)
+		if rep.Window != p.Window() || rep.Window.MaxDay != int32(day) {
+			t.Fatalf("day %d: report window %+v, pipeline window %+v", day, rep.Window, p.Window())
+		}
+		if rep.HasStability != (day > 6) {
+			t.Fatalf("day %d: HasStability = %v", day, rep.HasStability)
+		}
+		// The catalog is static and the click distribution is
+		// stationary, so consecutive builds must largely agree.
+		// (Fine-grained topic boundaries churn as the window
+		// slides, so pair-level stability sits well below 1.)
+		if rep.HasStability && rep.Stability < 0.5 {
+			t.Fatalf("day %d: stability %.3f below 0.5", day, rep.Stability)
+		}
+		for _, tok := range []string{"ingest=", "topics=", "stability=", "dirty-items=", "dense-fallback="} {
+			if !strings.Contains(rep.String(), tok) {
+				t.Fatalf("day %d: report line %q lacks %s", day, rep, tok)
 			}
 		}
-		prev = b
-	}
-	if p.Days() != len(byDay) {
-		t.Fatalf("Days() = %d, want %d", p.Days(), len(byDay))
 	}
 }
 
@@ -88,14 +90,13 @@ func TestDailyPipelineWindowEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, maxDay := p.WindowStats()
-	if maxDay != 13 {
-		t.Fatalf("maxDay = %d, want 13", maxDay)
+	w := p.Window()
+	if w.MaxDay != 13 {
+		t.Fatalf("maxDay = %d, want 13", w.MaxDay)
 	}
 	// Day-0 clicks must be gone: reconstruct the window mass and compare
 	// with a graph fed only the last 7 days.
-	q, items, _ := p.WindowStats()
-	if q == 0 || items == 0 {
+	if w.Queries == 0 || w.Items == 0 {
 		t.Fatal("window empty after ingesting 14 days")
 	}
 }

@@ -160,8 +160,9 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 }
 
 // TestStabilityTrajectoryIncremental locks core.Stability under patched
-// rebuilds: the day-over-day stability trajectory of the daily pipeline
-// equals, exactly, that of from-scratch builds over each day's window.
+// rebuilds: the day-over-day stability trajectory the daily pipeline's
+// Step reports equals, exactly, that of from-scratch builds over each
+// day's window.
 func TestStabilityTrajectoryIncremental(t *testing.T) {
 	ctx := context.Background()
 	c := synth.Curated()
@@ -178,14 +179,17 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 	}
 
 	var trajInc, trajFull []float64
-	var prevInc, prevFull *core.Build
+	var prevFull *core.Build
 	for d := range days {
-		if err := p.IngestDay(days[d]); err != nil {
-			t.Fatal(err)
-		}
-		bInc, err := p.RebuildContext(ctx)
+		bInc, rep, err := p.Step(ctx, days[d])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rep.Delta != *bInc.Delta {
+			t.Fatalf("day %d: report delta %+v, build delta %+v", d, rep.Delta, *bInc.Delta)
+		}
+		if rep.Window != p.Window() {
+			t.Fatalf("day %d: report window %+v, pipeline window %+v", d, rep.Window, p.Window())
 		}
 		full := bipartite.New(cfg.WindowDays)
 		for fd := 0; fd <= d; fd++ {
@@ -197,19 +201,18 @@ func TestStabilityTrajectoryIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prevInc != nil {
-			si, err := core.Stability(prevInc, bInc)
-			if err != nil {
-				t.Fatal(err)
-			}
+		if rep.HasStability != (prevFull != nil) {
+			t.Fatalf("day %d: HasStability = %v", d, rep.HasStability)
+		}
+		if prevFull != nil {
 			sf, err := core.Stability(prevFull, bFull)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trajInc = append(trajInc, si)
+			trajInc = append(trajInc, rep.Stability)
 			trajFull = append(trajFull, sf)
 		}
-		prevInc, prevFull = bInc, bFull
+		prevFull = bFull
 	}
 	if !reflect.DeepEqual(trajInc, trajFull) {
 		t.Fatalf("stability trajectories diverged:\nincremental: %v\nfrom-scratch: %v", trajInc, trajFull)
@@ -235,10 +238,7 @@ func TestIncrementalRebuildAfterFailure(t *testing.T) {
 	}
 	slide := func(d int) *core.Build {
 		t.Helper()
-		if err := p.IngestDay(days[d]); err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Rebuild()
+		b, _, err := p.Step(context.Background(), days[d])
 		if err != nil {
 			t.Fatalf("day %d: %v", d, err)
 		}
@@ -317,5 +317,38 @@ func TestIncrementalRebuildAfterFailure(t *testing.T) {
 
 	if next := slide(3); next.Delta.DenseFallback || next.Delta.DirtyRows == 0 {
 		t.Fatalf("slide after the recovery: delta %+v, want a patch over dirty rows", next.Delta)
+	}
+
+	// A Step whose batch names an unknown item is rejected whole: the
+	// window and the published build stay as they were, and the next
+	// step still has the graph state to patch from.
+	last, before := p.Last(), p.Window()
+	bad := append(append([]model.ClickEvent(nil), days[4]...),
+		model.ClickEvent{Query: 0, Item: model.ItemID(len(c.Items)), Day: days[4][0].Day, Count: 1})
+	if b, _, err := p.Step(context.Background(), bad); err == nil {
+		t.Fatalf("step over an unknown item succeeded: %+v", b.Delta)
+	}
+	if p.Last() != last || p.Window() != before {
+		t.Fatalf("rejected step changed the pipeline: window %+v, was %+v", p.Window(), before)
+	}
+	if next := slide(4); next.Delta.DenseFallbackReason == "no-state" {
+		t.Fatal("step after a rejected batch lost the graph state")
+	}
+
+	// A Step under a canceled context fails like RebuildContext: the
+	// published build stays, and the next step reports no-state.
+	last = p.Last()
+	if b, _, err := p.Step(canceled, days[5]); err == nil {
+		t.Fatalf("step under a canceled context succeeded: %+v", b.Delta)
+	}
+	if p.Last() != last {
+		t.Fatal("failed step replaced the last published build")
+	}
+	_, rep, err := p.Step(context.Background(), days[6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Delta.DenseFallback || rep.Delta.DenseFallbackReason != "no-state" {
+		t.Fatalf("step after a canceled one: delta %+v, want a dense fallback with reason no-state", rep.Delta)
 	}
 }

@@ -98,6 +98,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// CuratedConfig is what shoal-serve and shoal-explore build with:
+// DefaultConfig sized for the curated mini corpus (two word2vec epochs,
+// every query in the vocabulary, a looser edge filter and stop
+// threshold). Over the curated corpus every category correlation is
+// kept; over a loaded one a correlation needs a strength of 2.
+func CuratedConfig(loaded bool) Config {
+	cfg := DefaultConfig()
+	cfg.Word2Vec.Epochs = 2
+	cfg.Word2Vec.MinCount = 1
+	cfg.Graph.MinSimilarity = 0.2
+	cfg.HAC.StopThreshold = 0.12
+	cfg.Taxonomy.Levels = []float64{0.12, 0.3, 0.5}
+	cfg.CatCorr.MinStrength = 0
+	if loaded {
+		cfg.CatCorr.MinStrength = 2
+	}
+	return cfg
+}
+
 // Build is the fully assembled SHOAL system for one corpus.
 type Build struct {
 	Corpus    *model.Corpus

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"shoal/internal/core"
@@ -39,15 +40,14 @@ func E11Daily(sc Scale, seed uint64, totalDays int) (*Table, error) {
 		PaperClaim: "constructed from a sliding window containing search queries in the last seven days",
 		Header:     []string{"day", "window-queries", "topics", "precision", "stability-vs-prev"},
 	}
-	var prev *core.Build
 	for day := 0; day < totalDays; day++ {
-		if err := p.IngestDay(byDay[day]); err != nil {
-			return nil, err
+		if day < 6 { // wait for a full window
+			if err := p.IngestDay(byDay[day]); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if day < 6 {
-			continue // wait for a full window
-		}
-		b, err := p.Rebuild()
+		b, rep, err := p.Step(context.Background(), byDay[day])
 		if err != nil {
 			return nil, err
 		}
@@ -59,18 +59,12 @@ func E11Daily(sc Scale, seed uint64, totalDays int) (*Table, error) {
 			return nil, err
 		}
 		stab := "n/a"
-		if prev != nil {
-			s, err := core.Stability(prev, b)
-			if err != nil {
-				return nil, err
-			}
-			stab = f3(s)
+		if rep.HasStability {
+			stab = f3(rep.Stability)
 		}
-		q, _, _ := p.WindowStats()
 		t.Rows = append(t.Rows, []string{
-			itoa(day), itoa(q), itoa(len(b.Taxonomy.Topics)), pct(res.Precision), stab,
+			itoa(day), itoa(rep.Window.Queries), itoa(rep.Topics), pct(res.Precision), stab,
 		})
-		prev = b
 	}
 	t.Notes = append(t.Notes,
 		"stability: fraction of root-topic item pairs preserved by the next day's build",

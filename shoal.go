@@ -88,8 +88,6 @@ type (
 	// DailyPipeline maintains SHOAL over a streaming click log with a
 	// sliding day window (the production refresh mode, §3).
 	DailyPipeline = core.DailyPipeline
-	// DailyBuild is the output of one DailyPipeline rebuild.
-	DailyBuild = core.Build
 	// DeltaStats summarizes what a build recomputed of the previous one
 	// (Build.Delta); a one-shot build reads as a "no-state" dense fallback.
 	DeltaStats = core.DeltaStats
@@ -249,17 +247,11 @@ func (s *System) RunABTest(cfg ABConfig) (*ABResult, error) {
 func DefaultABConfig() ABConfig { return abtest.DefaultConfig() }
 
 // NewDailyPipeline prepares a sliding-window pipeline over a static
-// catalog; clicks arrive through IngestDay, and Rebuild produces a fresh
-// taxonomy from the current window.
+// catalog. Each Step ingests a day of clicks, rebuilds the taxonomy from
+// the current window, and reports the day: ingest and rebuild times,
+// window, delta, and stability against the previous build.
 func NewDailyPipeline(corpus *Corpus, cfg Config) (*DailyPipeline, error) {
 	return core.NewDailyPipeline(corpus, cfg)
-}
-
-// BuildStability reports the fraction of root-topic item pairs of prev
-// that next preserves — the signal to watch before publishing a daily
-// rebuild.
-func BuildStability(prev, next *DailyBuild) (float64, error) {
-	return core.Stability(prev, next)
 }
 
 // Recommend draws k recommendations from an arbitrary recommender with a
