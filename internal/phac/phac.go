@@ -30,13 +30,13 @@
 //
 // The clustering state is held in compressed-sparse-row form with
 // explicit per-row degrees (a row's span is offsets[u] ..
-// offsets[u]+deg[u]): each merge round sort-merges the coalesced edge
-// contributions and patches them into the CSR in place — dirty
-// surviving rows compact within their own spans (a merge only ever
+// offsets[u]+deg[u]): each merge round forms every coalesced edge in
+// one walk over the merged rows and writes it into the CSR in place —
+// dirty surviving rows compact within their own spans (a merge only ever
 // shrinks a row), minted rows append at the tail, dead rows keep their
-// storage at degree zero — so a round costs O(touched adjacency), not
-// O(alive edges), and the diffusion inner loop never allocates and
-// never chases map buckets.
+// storage at degree zero until the tail needs it — so a round costs
+// O(touched adjacency), not O(alive edges), and the diffusion inner
+// loop never allocates and never chases map buckets.
 //
 // What of the paper's scalability claim this repository reproduces. The
 // claim has two halves. Reproduced: Parallel HAC needs far fewer, far
@@ -67,6 +67,7 @@
 package phac
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -305,11 +306,11 @@ func (st *state) endRound(rsp *obs.Span) {
 // mint new ids; alive marks current clusters. The current graph is a
 // degree-explicit CSR over all minted ids: row u's live span is
 // offsets[u] .. offsets[u]+deg[u], with offsets[total] the tail
-// high-water mark. Spans never move once laid out — merges shrink
-// surviving rows in place (deg drops, the slack stays as dead storage),
-// zero dead rows' degrees, and append minted rows' spans at the tail —
-// so no per-node maps and no per-round rebuild exist anywhere on the
-// clustering path.
+// high-water mark. Merges shrink surviving rows in place (deg drops,
+// the slack stays as dead storage), zero dead rows' degrees, and append
+// minted rows' spans at the tail; spans move only when a tail that would
+// overflow compacts the alive rows down (reserveTail) — so no per-node
+// maps and no per-round rebuild exist anywhere on the clustering path.
 type state struct {
 	total   int       // minted ids; CSR rows
 	offsets []int32   // row span starts: len total+1, [total] = tail
@@ -380,20 +381,17 @@ type state struct {
 	// is recomputed once per phase). afList is the scatter output — the
 	// rows the pruned iteration must recompute — deduplicated via the
 	// afMark epoch stamps.
-	chList    []int32
-	chNext    []int32
-	afList    []int32
-	perOwner  [][]contrib
-	perOwnerB [][]contrib   // minted-minted tail scratch per owner
-	hp        []int32       // k-way merge heap scratch (owner indices)
-	hpPos     []int32       // k-way merge per-owner cursor scratch
-	newEdges  []wgraph.Edge // aggregated >= threshold edges
-	// edgeAt indexes newEdges by U for the in-place patch: an entry
-	// dirtyEpoch<<32 | k says the id's run of coalesced edges starts at
-	// newEdges[k] this round; any other epoch means it has none. Stamped
-	// in one pass over the (U, V)-sorted list, so a dirty row finds its
-	// run without searching and nothing is cleared between rounds.
-	edgeAt []uint64
+	chList []int32
+	chNext []int32
+	afList []int32
+	// Merge-pass scratch, reused across rounds: terms holds one owner's
+	// minted–minted Eq. 4 terms, mintedEdges the round's minted–minted
+	// edges (owner ascending, partner ascending), and inSlot one entry
+	// per minted row — first the count of lower minted partners, then
+	// the write cursor of the span reserved for them.
+	terms       []mmTerm
+	mintedEdges []wgraph.Edge
+	inSlot      []int32
 }
 
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
@@ -421,7 +419,6 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		density:    cfg.FrontierDensity,
 		exStates:   make([][]edgeRef, max(cfg.DiffusionRounds, 1)),
 		afMark:     make([]uint32, n, 2*n),
-		edgeAt:     make([]uint64, n, 2*n),
 		edgeCnt:    make([]int64, n, 2*n),
 		bests:      make([]edgeRef, n, 2*n),
 		mergeTo:    make([]int32, n, 2*n),
@@ -712,18 +709,50 @@ func (st *state) exchangeRows(list []int32, src, dst []edgeRef, out []int32) []i
 	return out
 }
 
-// contrib is one old-edge contribution to a new edge's Eq. 4 sum, tagged
-// with its origin for deterministic summation order.
-type contrib struct {
-	key  [2]int32 // canonical new endpoints
-	orig [2]int32 // canonical old endpoints
+// mmTerm is one old edge's term in a minted–minted Eq. 4 sum: the
+// partner's minted id, the old edge's canonical endpoints packed as in
+// edgeRef (they fix the summation order) and the weighted similarity.
+type mmTerm struct {
+	q    int32
+	orig uint64
 	val  float64
 }
 
+// cmpTerm orders a sum's terms by (partner, old edge) — the
+// deterministic summation order.
+func cmpTerm(x, y mmTerm) int {
+	if x.q != y.q {
+		return cmp.Compare(x.q, y.q)
+	}
+	return cmp.Compare(x.orig, y.orig)
+}
+
 // mergeSelected applies a round's matching: mints new cluster ids, emits
-// dendrogram merges, and sort-merges the surviving and coalesced edges
-// into the next round's CSR. Contributions are aggregated in sorted
-// origin order.
+// dendrogram merges, and patches the next round's CSR in place.
+//
+// Each selected pair's owner — the minted id w — walks its two members'
+// ascending rows two-pointer style and forms every coalesced edge on the
+// spot. A surviving neighbour nb (not merged this round) gets its Eq. 4
+// sum from at most two terms, adjacent in the walk with eu's first; the
+// owner writes it into w's row and appends w to nb's row, which it
+// compacts on the round's first touch (dropping every merged neighbour;
+// a row never grows, since each appended minted partner replaces at
+// least one merged neighbour). A merged neighbour maps to a minted id q:
+// q == w is the internal edge, q < w was emitted by q's owner, and q > w
+// contributes up to four terms, which the owner sorts by (q, old edge)
+// and sums. Every row therefore comes out ascending — old ids in their
+// previous order, then minted partners by id — and the pass costs
+// O(merged adjacency), never O(alive edges).
+//
+// A minted row is laid out at the tail with room for both members' rows
+// less the internal edge: surviving partners, then a gap for its lower
+// minted partners (counted while the lower owners ran, filled after the
+// walk), then its higher minted partners. Dead rows keep their storage
+// at degree zero until a tail that would overflow compacts them away.
+//
+// The pass also stamps the round's dirty rows for the next round's
+// memoized diffusion: the minted rows and every visited neighbour,
+// each once, so dirtyList comes out duplicate-free.
 func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *dendrogram.Dendrogram) {
 	base := int32(st.total)
 	newTotal := st.total + len(selected)
@@ -733,7 +762,6 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	for len(st.mergeTo) < newTotal {
 		st.mergeTo = append(st.mergeTo, -1)
 		st.afMark = append(st.afMark, 0)
-		st.edgeAt = append(st.edgeAt, 0)
 		st.edgeCnt = append(st.edgeCnt, 0)
 		st.bests = append(st.bests, noEdge)
 	}
@@ -760,178 +788,140 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 		})
 	}
 
-	// Generate contributions from every old edge with >= 1 merged
-	// endpoint, pre-sorted per owner. Each selected pair's owner merges
-	// its two members' ascending adjacency streams two-pointer style
-	// (ties resolved to the smaller member, whose canonical origin sorts
-	// first), so surviving-neighbor contributions — keys (nb, w), nb
-	// below base — emerge already in (key, orig) order. Only the usually
-	// tiny tail of minted-minted contributions — keys (w, q), q minted
-	// above w, discovered in old-neighbor order rather than q order —
-	// needs a sort, and every minted key sorts after every surviving key,
-	// so the sorted tail appends after the merged prefix. This removes
-	// the former full per-owner sort from the round. Old edges between
-	// two merged nodes are emitted by the owner of the smaller new id
-	// only (dedup).
-	//
-	// The pass also stamps the round's dirty rows for the rebuild and the
-	// next round's memoized diffusion: every visited neighbor (the walk
-	// covers both members' whole adjacency) plus the owner's minted row.
-	// A neighbor shared by several owners is stamped by the first one, so
-	// dirtyList comes out duplicate-free.
-	offsets, nbrs, wts, deg := st.offsets, st.nbrs, st.wts, st.deg
-	for len(st.perOwner) < len(selected) {
-		st.perOwner = append(st.perOwner, nil)
-		st.perOwnerB = append(st.perOwnerB, nil)
+	// Lay the minted spans out at the tail.
+	st.ensureOwned()
+	for len(st.deg) < newTotal {
+		st.deg = append(st.deg, 0)
 	}
+	for len(st.offsets) < newTotal+1 {
+		st.offsets = append(st.offsets, 0)
+	}
+	need := 0
+	for _, e := range selected {
+		need += int(st.deg[e.U()] + st.deg[e.V()] - 2)
+	}
+	st.reserveTail(need)
+	offsets, nbrs, wts, deg := st.offsets, st.nbrs, st.wts, st.deg
+	tail := offsets[st.total]
+	for i, e := range selected {
+		offsets[base+int32(i)] = tail
+		tail += deg[e.U()] + deg[e.V()] - 2
+	}
+	offsets[newTotal] = tail
+
 	for len(st.dirty) < newTotal {
 		st.dirty = append(st.dirty, 0)
 	}
 	st.dirtyEpoch++
 	dirty, dirtyEpoch := st.dirty, st.dirtyEpoch
 	dl := st.dirtyList[:0]
-	perOwner, perOwnerB := st.perOwner, st.perOwnerB
+	in := st.inSlot[:0]
+	for range selected {
+		in = append(in, 0)
+	}
+	st.inSlot = in
+	mm := st.mintedEdges[:0]
+	threshold := cfg.StopThreshold
 	for i, e := range selected {
 		w := base + int32(i)
 		eu, ev := e.U(), e.V()
-		out := perOwner[i][:0]
-		tail := perOwnerB[i][:0]
 		jU, endU := offsets[eu], offsets[eu]+deg[eu]
 		jV, endV := offsets[ev], offsets[ev]+deg[ev]
 		wu, wv := st.coef[eu], st.coef[ev]
 		dirty[w] = dirtyEpoch // minted rows are always fresh
 		dl = append(dl, w)
+		p := offsets[w]
+		terms := st.terms[:0]
 		for jU < endU || jV < endV {
-			var member, nb int32
-			var wm, s float64
-			// Pick the stream with the smaller neighbor; on a shared
-			// neighbor the smaller member goes first (its canonical
-			// origin precedes the other's for every neighbor position).
-			if jV >= endV || (jU < endU && nbrs[jU] <= nbrs[jV]) {
-				member, nb, wm, s = eu, nbrs[jU], wu, wts[jU]
+			// The next neighbour in id order, from either row or both.
+			nb := int32(math.MaxInt32)
+			if jU < endU {
+				nb = nbrs[jU]
+			}
+			if jV < endV && nbrs[jV] < nb {
+				nb = nbrs[jV]
+			}
+			var su, sv float64
+			hasU := jU < endU && nbrs[jU] == nb
+			if hasU {
+				su = wts[jU]
 				jU++
-			} else {
-				member, nb, wm, s = ev, nbrs[jV], wv, wts[jV]
+			}
+			hasV := jV < endV && nbrs[jV] == nb
+			if hasV {
+				sv = wts[jV]
 				jV++
 			}
-			if dirty[nb] != dirtyEpoch {
+			first := dirty[nb] != dirtyEpoch
+			if first {
 				dirty[nb] = dirtyEpoch
 				dl = append(dl, nb)
 			}
-			mappedNb := st.mergeTo[nb]
-			if mappedNb < 0 {
-				oa, ob := canon(member, nb)
-				out = append(out, contrib{key: [2]int32{nb, w}, orig: [2]int32{oa, ob}, val: wm * s})
+			q := st.mergeTo[nb]
+			if q < 0 {
+				// The explicit conversions keep each product rounded, so
+				// no platform fuses the sum into one multiply-add.
+				var sum float64
+				switch {
+				case hasU && hasV:
+					sum = float64(wu*su) + float64(wv*sv)
+				case hasU:
+					sum = wu * su
+				default:
+					sum = wv * sv
+				}
+				if first {
+					st.compactRow(nb)
+				}
+				if sum >= threshold {
+					nbrs[p], wts[p] = nb, sum
+					p++
+					t := offsets[nb] + deg[nb]
+					nbrs[t], wts[t] = w, sum
+					deg[nb]++
+				}
 				continue
 			}
-			if mappedNb <= w {
-				continue // internal edge, or the other owner emits it
+			if q <= w {
+				continue // internal edge, or q's owner emitted it
 			}
-			oa, ob := canon(member, nb)
-			tail = append(tail, contrib{key: [2]int32{w, mappedNb}, orig: [2]int32{oa, ob}, val: wm * st.coef[nb] * s})
+			if hasU {
+				terms = append(terms, mmTerm{q: q, orig: mkEdgeRef(eu, nb, 0).key, val: wu * st.coef[nb] * su})
+			}
+			if hasV {
+				terms = append(terms, mmTerm{q: q, orig: mkEdgeRef(ev, nb, 0).key, val: wv * st.coef[nb] * sv})
+			}
 		}
-		slices.SortFunc(tail, cmpContrib)
-		perOwner[i] = append(out, tail...)
-		perOwnerB[i] = tail[:0]
+		// Reserve the lower minted partners' slots, then sum and write
+		// the higher ones in partner order.
+		inAt := p
+		p += in[i]
+		in[i] = inAt
+		slices.SortFunc(terms, cmpTerm)
+		for k := 0; k < len(terms); {
+			q := terms[k].q
+			sum := 0.0
+			for ; k < len(terms) && terms[k].q == q; k++ {
+				sum += terms[k].val
+			}
+			if sum >= threshold {
+				nbrs[p], wts[p] = q, sum
+				p++
+				in[q-base]++
+				mm = append(mm, wgraph.Edge{U: w, V: q, W: sum})
+			}
+		}
+		deg[w] = p - offsets[w]
+		st.terms = terms[:0]
 	}
 	st.dirtyList = dl
-
-	// Aggregate via k-way merge with inline group summation, replacing
-	// the former flatten + O(E log E) global re-sort each round. Every
-	// old edge contributes exactly once, so (key, orig) pairs are unique
-	// across owners and the merge pops contributions in the exact global
-	// (key, orig) order the old sort produced — float summation per key
-	// is byte-identical.
-	newEdges := st.kwayMergeSum(perOwner[:len(selected)], cfg.StopThreshold)
-
-	// Patch the contracted CSR in place. A clean row — untouched by this
-	// round's merges — provably keeps its whole adjacency and is never
-	// visited; a dirty surviving row's new adjacency (kept survivors in
-	// its own order, then coalesced minted partners ascending) is never
-	// longer than its old one, because every partner replaces at least
-	// one merged neighbor and sub-threshold sums drop, so it compacts
-	// within its own span; minted rows lay fresh spans at the tail. Dead
-	// rows keep their storage at degree zero. Every row still receives
-	// its neighbors ascending (old ids < base first, minted ids >= base
-	// after) in exactly the order the former full rebuild produced, and
-	// the round costs O(dirty adjacency + coalesced edges) instead of
-	// O(alive edges).
-	st.ensureOwned()
-	for len(st.deg) < newTotal {
-		st.deg = append(st.deg, 0)
-	}
-	offsets, nbrs, wts, deg = st.offsets, st.nbrs, st.wts, st.deg
-	for k := len(newEdges) - 1; k >= 0; k-- {
-		// Descending, so each U is left holding its run's first index.
-		st.edgeAt[newEdges[k].U] = uint64(dirtyEpoch)<<32 | uint64(k)
-	}
-	for _, u := range st.dirtyList {
-		if u >= base || st.mergeTo[u] >= 0 {
-			continue // minted rows fill below; members retire below
-		}
-		lo := offsets[u]
-		wi := lo
-		for j, end := lo, lo+deg[u]; j < end; j++ {
-			if v := nbrs[j]; st.mergeTo[v] < 0 {
-				nbrs[wi], wts[wi] = v, wts[j]
-				wi++
-			}
-		}
-		if at := st.edgeAt[u]; uint32(at>>32) == dirtyEpoch {
-			for k := int(uint32(at)); k < len(newEdges) && newEdges[k].U == u; k++ {
-				nbrs[wi], wts[wi] = newEdges[k].V, newEdges[k].W
-				wi++
-			}
-		}
-		deg[u] = wi - lo
-	}
-
-	// Minted rows: count their degrees (a coalesced edge's V endpoint is
-	// always minted — canonical keys order minted ids last — and its U
-	// endpoint may be), lay their spans out at the tail, then scatter the
-	// (U,V)-sorted list once with per-row write cursors: a row's V-side
-	// partners (ids below it) all precede its U-side run (ids above it),
-	// ascending within each, so the single pass writes each minted row in
-	// canonical ascending order.
-	for i := range selected {
-		deg[base+int32(i)] = 0
-	}
-	for _, e := range newEdges {
-		deg[e.V]++
-		if e.U >= base {
-			deg[e.U]++
-		}
-	}
-	for len(st.offsets) < newTotal+1 {
-		st.offsets = append(st.offsets, 0)
-	}
-	offsets = st.offsets
-	tail := offsets[st.total]
-	for i := range selected {
-		w := base + int32(i)
-		offsets[w] = tail
-		tail += deg[w]
-	}
-	offsets[newTotal] = tail
-	if grow := int(tail) - len(st.nbrs); grow > 0 {
-		st.nbrs = append(st.nbrs, make([]int32, grow)...)
-		st.wts = append(st.wts, make([]float64, grow)...)
-	}
-	nbrs, wts = st.nbrs, st.wts
-	for i := range selected {
-		deg[base+int32(i)] = 0 // reused as the write cursor; restored by the fill
-	}
-	for _, e := range newEdges {
-		w := e.V
-		p := offsets[w] + deg[w]
-		nbrs[p], wts[p] = e.U, e.W
-		deg[w]++
-		if e.U >= base {
-			w = e.U
-			p = offsets[w] + deg[w]
-			nbrs[p], wts[p] = e.V, e.W
-			deg[w]++
-		}
+	st.mintedEdges = mm[:0]
+	// Fill the reserved slots: mm runs owner-ascending, so each minted
+	// row receives its lower partners ascending.
+	for _, e := range mm {
+		k := e.V - base
+		nbrs[in[k]], wts[in[k]] = e.U, e.W
+		in[k]++
 	}
 
 	// Retire the merged clusters and clear this round's merge map; dead
@@ -949,90 +939,49 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	st.total = newTotal
 }
 
-// cmpContrib orders contributions by (key, orig) — the deterministic
-// global summation order.
-func cmpContrib(x, y contrib) int {
-	if x.key[0] != y.key[0] {
-		return int(x.key[0] - y.key[0])
+// compactRow drops u's merged neighbours in place, keeping the rest in
+// order.
+func (st *state) compactRow(u int32) {
+	lo := st.offsets[u]
+	wi := lo
+	for j, end := lo, lo+st.deg[u]; j < end; j++ {
+		if v := st.nbrs[j]; st.mergeTo[v] < 0 {
+			st.nbrs[wi], st.wts[wi] = v, st.wts[j]
+			wi++
+		}
 	}
-	if x.key[1] != y.key[1] {
-		return int(x.key[1] - y.key[1])
-	}
-	if x.orig[0] != y.orig[0] {
-		return int(x.orig[0] - y.orig[0])
-	}
-	return int(x.orig[1] - y.orig[1])
+	st.deg[u] = wi - lo
 }
 
-// kwayMergeSum merges the pre-sorted per-owner contribution lists in
-// global (key, orig) order via a binary min-heap of owner cursors,
-// summing each key group inline and keeping groups >= threshold (Eq. 4
-// is a convex combination, so a sub-threshold edge can never feed a
-// future >= threshold similarity). Output arrives sorted by canonical
-// key. Heap, cursor and output scratch are reused across rounds.
-func (st *state) kwayMergeSum(lists [][]contrib, threshold float64) []wgraph.Edge {
-	for len(st.hpPos) < len(lists) {
-		st.hpPos = append(st.hpPos, 0)
-	}
-	pos := st.hpPos[:len(lists)]
-	hp := st.hp[:0]
-	for i := range lists {
-		pos[i] = 0
-		if len(lists[i]) > 0 {
-			hp = append(hp, int32(i))
+// reserveTail makes room for need entries past the tail high-water mark
+// offsets[total]. When they do not fit, the alive rows first move down
+// in id order — which is span order, since spans are laid out as ids
+// are minted — closing the dead rows' spans and the minted rows' slack;
+// the arrays regrow only if the live adjacency still leaves too little.
+func (st *state) reserveTail(need int) {
+	tail := int(st.offsets[st.total])
+	if tail+need > cap(st.nbrs) {
+		p := int32(0)
+		for _, u := range st.aliveList() {
+			lo, d := st.offsets[u], st.deg[u]
+			copy(st.nbrs[p:p+d], st.nbrs[lo:lo+d])
+			copy(st.wts[p:p+d], st.wts[lo:lo+d])
+			st.offsets[u] = p
+			p += d
 		}
+		st.offsets[st.total] = p
+		tail = int(p)
 	}
-	st.hp = hp[:0] // persist a grown backing for the next round
-	less := func(a, b int32) bool {
-		return cmpContrib(lists[a][pos[a]], lists[b][pos[b]]) < 0
+	if tail+need > cap(st.nbrs) {
+		size := tail + need
+		nbrs := make([]int32, size, size+size/2)
+		copy(nbrs, st.nbrs[:tail])
+		wts := make([]float64, size, size+size/2)
+		copy(wts, st.wts[:tail])
+		st.nbrs, st.wts = nbrs, wts
+		return
 	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(hp) && less(hp[l], hp[m]) {
-				m = l
-			}
-			if r < len(hp) && less(hp[r], hp[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			hp[i], hp[m] = hp[m], hp[i]
-			i = m
-		}
-	}
-	for i := len(hp)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-
-	newEdges := st.newEdges[:0]
-	var curKey [2]int32
-	var sum float64
-	have := false
-	for len(hp) > 0 {
-		o := hp[0]
-		c := lists[o][pos[o]]
-		pos[o]++
-		if int(pos[o]) == len(lists[o]) {
-			hp[0] = hp[len(hp)-1]
-			hp = hp[:len(hp)-1]
-		}
-		siftDown(0)
-		if !have || c.key != curKey {
-			if have && sum >= threshold {
-				newEdges = append(newEdges, wgraph.Edge{U: curKey[0], V: curKey[1], W: sum})
-			}
-			curKey, sum, have = c.key, 0, true
-		}
-		sum += c.val
-	}
-	if have && sum >= threshold {
-		newEdges = append(newEdges, wgraph.Edge{U: curKey[0], V: curKey[1], W: sum})
-	}
-	st.newEdges = newEdges
-	return newEdges
+	st.nbrs, st.wts = st.nbrs[:tail+need], st.wts[:tail+need]
 }
 
 func canon(u, v int32) (int32, int32) {
