@@ -24,7 +24,7 @@ func main() {
 	}
 	fmt.Printf("corpus: %s\n", corpus.Stats())
 
-	// 2. Build the taxonomy with the paper's settings (α=0.7, r=2).
+	// 2. Build the taxonomy with the paper's settings (α=0.7).
 	cfg := shoal.DefaultConfig()
 	cfg.Word2Vec.Epochs = 2
 	cfg.HAC.StopThreshold = 0.12

@@ -38,7 +38,7 @@ func main() {
 	// edges are node-disjoint), so a round's "merged" column is the work
 	// it offers in parallel; a sequential HAC spends one iteration per
 	// merge.
-	fmt.Println("\nParallel HAC round profile (diffusion r=2):")
+	fmt.Printf("\nParallel HAC round profile (diffusion r=%d):\n", cfg.HAC.DiffusionRounds)
 	fmt.Printf("%-6s %-16s %-14s %-10s\n", "round", "active-clusters", "active-edges", "merged")
 	merges := 0
 	for _, r := range sys.Rounds() {

@@ -122,6 +122,14 @@ func Run() ([]Result, error) {
 			idx.TopK(query, 10)
 			return nil
 		}),
+		// phac-cluster as the pipeline runs it: phac.DefaultConfig's r at
+		// the fixture's stop threshold.
+		"phac-cluster-default": record(func() error {
+			hcfg := phac.DefaultConfig()
+			hcfg.StopThreshold = cfg.HAC.StopThreshold
+			_, err := phac.Cluster(ctx, g, sizes, hcfg)
+			return err
+		}),
 		// Deeper exchange budget than the paper's r=2: late iterations
 		// converge, so this point tracks what frontier pruning saves once
 		// the changed set collapses.

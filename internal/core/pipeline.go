@@ -82,8 +82,10 @@ type Config struct {
 	SearchDocTokenCap int
 }
 
-// DefaultConfig mirrors the paper's demonstration settings (α=0.7, r=2,
-// 7-day window, correlation threshold 10).
+// DefaultConfig mirrors the paper's demonstration settings (α=0.7,
+// 7-day window, correlation threshold 10) and clusters at
+// phac.DefaultConfig (r = 0, which forms the same dendrogram as the
+// paper's r = 2 in fewer rounds).
 func DefaultConfig() Config {
 	return Config{
 		WindowDays:        7,

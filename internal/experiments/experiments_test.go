@@ -78,9 +78,13 @@ func TestE5DiffusionMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// round1-selected must be non-increasing in r (paper claim).
+	// round1-selected must be non-increasing in r (paper claim), and
+	// every r must form the r = 0 clusters.
 	prev := int(^uint(0) >> 1)
 	for _, row := range tab.Rows {
+		if row[6] != "true" {
+			t.Fatalf("r = %s forms other clusters than r = 0: %v", row[0], tab.Rows)
+		}
 		sel, err := strconv.Atoi(row[1])
 		if err != nil {
 			t.Fatal(err)

@@ -75,3 +75,42 @@ func TestClusterSelectionMatchesDiffuseEveryRound(t *testing.T) {
 		})
 	}
 }
+
+// TestRoundActiveEdgesMatchBruteForce holds each round's edge count —
+// RoundStat.ActiveEdges and the activeEdges span attribute — to a
+// brute-force count of the contracted graph's edges at or above the
+// threshold. Rows keep every Eq. 4 sum, so from the first merge on they
+// hold sub-threshold edges, which must not count.
+func TestRoundActiveEdgesMatchBruteForce(t *testing.T) {
+	const threshold = 0.3
+	sub := 0
+	for _, r := range []int{0, 2} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := wgraphtest.Random(60, 160, seed)
+			cfg := Config{StopThreshold: threshold, DiffusionRounds: r}
+			st := newState(g, nil, cfg)
+			d := &dendrogram.Dendrogram{Leaves: 60}
+			for round := 0; ; round++ {
+				want := 0
+				for _, e := range contracted(t, st).Edges() {
+					if e.W >= threshold {
+						want++
+					} else if round > 0 {
+						sub++
+					}
+				}
+				selected, active, _ := st.selectLocalMaxima(r, threshold)
+				if active != want {
+					t.Fatalf("r %d seed %d round %d: %d active edges, brute force counts %d", r, seed, round, active, want)
+				}
+				if len(selected) == 0 {
+					break
+				}
+				st.mergeSelected(selected, round, cfg, d)
+			}
+		}
+	}
+	if sub == 0 {
+		t.Fatal("no merge left a sub-threshold edge: the count was never tested against one")
+	}
+}

@@ -11,22 +11,36 @@
 //     (similarity desc, canonical id asc) so ties are deterministic.
 //  2. Selection — an edge is *locally maximal* if, after diffusion, both
 //     of its endpoints still consider it the best edge they have heard
-//     of. Locally maximal edges form a node-disjoint matching: they can
-//     all be merged in parallel. Smaller r ⇒ more selected edges ⇒ more
-//     parallelism (the paper fixes r = 2). Cluster never materializes
-//     the last exchange: what a node knows only improves, so an edge
-//     survives iteration r at both endpoints iff it is mutual-best after
-//     iteration r-1 and no neighbor of either endpoint knows a better
-//     one then — checked at the few mutual-best pairs instead of
+//     of. Such an edge is each endpoint's own best incident edge, so the
+//     selected edges are reciprocal-best pairs and form a node-disjoint
+//     matching: they can all be merged in parallel. Smaller r ⇒ more
+//     selected edges ⇒ wider rounds. r = 0 (DefaultConfig) selects every
+//     reciprocal-best pair; the paper fixes r = 2, a parallelism choice
+//     for its ODPS deployment, not a quality one. Cluster never
+//     materializes the last exchange: what a node knows only improves, so
+//     an edge survives iteration r at both endpoints iff it is mutual-best
+//     after iteration r-1 and no neighbor of either endpoint knows a
+//     better one then — checked at the few mutual-best pairs instead of
 //     recomputed for every row (see state.exStates).
 //  3. Merge + update — each selected pair becomes a new cluster; the
 //     neighborhood similarities are recomputed with the √-normalized rule
-//     of Eq. 4, treating missing edges as 0. When both endpoints of an old
-//     edge merged in the same round the two Eq. 4 applications compose
-//     multiplicatively.
+//     of Eq. 4, treating missing edges as 0. Every sum is kept, however
+//     small: a sub-threshold similarity still weighs in when its cluster
+//     later merges with one it is close to, and the result can reach the
+//     threshold. When both endpoints of an old edge merged in the same
+//     round the two Eq. 4 applications compose multiplicatively.
 //
 // Rounds repeat until no edge reaches the stop threshold. The globally
 // maximal edge is always locally maximal, so progress is guaranteed.
+// Parallel HAC is sequential HAC in fewer rounds: Eq. 4 and both E8
+// alternatives are reducible — S(A∪B, C) never exceeds max(S(A, C),
+// S(B, C)) — so merging any set of reciprocal-best pairs per round forms
+// exactly the clusters sequential HAC forms (RAC, Sumengen et al.,
+// https://arxiv.org/abs/2105.11653), whatever r. TestClusterMatchesSequentialHAC
+// holds Cluster to internal/hac on real entity graphs at r = 0 … 3: the
+// same clusters, merge similarities bit-equal at r ≥ 1 and within two
+// ulps at r = 0, where a round can compose two updates in the other
+// order.
 //
 // The clustering state is held in compressed-sparse-row form with
 // explicit per-row degrees (a row's span is offsets[u] ..
@@ -125,7 +139,8 @@ type Config struct {
 	// StopThreshold ends clustering when no edge reaches it.
 	StopThreshold float64
 	// DiffusionRounds is r, the number of max-exchange iterations per
-	// round. The paper sets 2.
+	// round. It sets only how many rounds the merges take: every r forms
+	// sequential HAC's clusters. The paper sets 2; DefaultConfig sets 0.
 	DiffusionRounds int
 	// Workers and Shards are read by nothing, written only by the frozen
 	// benchmark/replay.go: every phase of every round runs inline on the
@@ -146,9 +161,11 @@ type Config struct {
 	Linkage Linkage
 }
 
-// DefaultConfig mirrors the paper: r=2, threshold 0.35.
+// DefaultConfig stops at the paper's threshold 0.35 and selects at
+// r = 0: every reciprocal-best pair merges each round. Any r yields the
+// same dendrogram (see the package doc); r = 0 needs the fewest rounds.
 func DefaultConfig() Config {
-	return Config{StopThreshold: 0.35, DiffusionRounds: 2}
+	return Config{StopThreshold: 0.35}
 }
 
 func (c *Config) validate() error {
@@ -510,8 +527,9 @@ func (st *state) retireNodes(base, newTotal int32) {
 
 // selectLocalMaxima runs the diffusion protocol and returns the selected
 // node-disjoint matching (sorted canonically) along with the round's edge
-// count and global best similarity. Only edges >= threshold participate
-// in diffusion. The scan reads the CSR arrays directly and every phase
+// count (edges >= threshold) and global best similarity. Only edges >=
+// threshold can be known or selected; sub-threshold edges still carry
+// what a neighbor knows. The scan reads the CSR arrays directly and every phase
 // is memoized across merge rounds (see state.exStates): after the first
 // round, init recomputes only dirty rows and each exchange iteration
 // only the frontier of cross-round changes — with a dense fallback when
@@ -527,7 +545,8 @@ func (st *state) selectLocalMaxima(rounds int, threshold float64) ([]edgeRef, in
 	}
 
 	// Init phase: best incident >= threshold edge per node, plus the
-	// round statistics (edge endpoints counted once, at the smaller id).
+	// round statistics (>= threshold edges counted once, at the smaller
+	// id).
 	// Cached entries are reused — only dirty rows (adjacency touched by
 	// the last merge, minted rows included) can differ from last round,
 	// and the last merge left them in dirtyList, so the phase iterates
@@ -615,7 +634,8 @@ func (st *state) outbid(u int32, e edgeRef, know []edgeRef) bool {
 
 // initRows is the init phase over a worklist: each listed row's best
 // incident >= threshold edge into init, plus the per-id round statistics
-// (edge endpoints counted once, at the smaller id). After the first
+// (>= threshold edges counted once, at the smaller id; the sub-threshold
+// sums the merges keep do not count). After the first
 // round the list is the dirty worklist — the rows whose adjacency the
 // last merge changed; every other cached entry is provably identical to
 // a full recomputation. Dead list entries (merged-away ids stamped as
@@ -632,15 +652,15 @@ func (st *state) initRows(list []int32, threshold float64, init []edgeRef, out [
 		bestAny := noEdge
 		for j, end := offsets[u], offsets[u]+deg[u]; j < end; j++ {
 			v, w := nbrs[j], wts[j]
-			if u < v {
-				edges++
-			}
 			cand := mkEdgeRef(u, v, w)
 			if better(cand, bestAny) {
 				bestAny = cand
 			}
 			if w < threshold {
 				continue
+			}
+			if u < v {
+				edges++
 			}
 			if better(cand, best) {
 				best = cand
@@ -821,7 +841,6 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	}
 	st.inSlot = in
 	mm := st.mintedEdges[:0]
-	threshold := cfg.StopThreshold
 	for i, e := range selected {
 		w := base + int32(i)
 		eu, ev := e.U(), e.V()
@@ -873,13 +892,11 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 				if first {
 					st.compactRow(nb)
 				}
-				if sum >= threshold {
-					nbrs[p], wts[p] = nb, sum
-					p++
-					t := offsets[nb] + deg[nb]
-					nbrs[t], wts[t] = w, sum
-					deg[nb]++
-				}
+				nbrs[p], wts[p] = nb, sum
+				p++
+				t := offsets[nb] + deg[nb]
+				nbrs[t], wts[t] = w, sum
+				deg[nb]++
 				continue
 			}
 			if q <= w {
@@ -904,12 +921,10 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 			for ; k < len(terms) && terms[k].q == q; k++ {
 				sum += terms[k].val
 			}
-			if sum >= threshold {
-				nbrs[p], wts[p] = q, sum
-				p++
-				in[q-base]++
-				mm = append(mm, wgraph.Edge{U: w, V: q, W: sum})
-			}
+			nbrs[p], wts[p] = q, sum
+			p++
+			in[q-base]++
+			mm = append(mm, wgraph.Edge{U: w, V: q, W: sum})
 		}
 		deg[w] = p - offsets[w]
 		st.terms = terms[:0]
