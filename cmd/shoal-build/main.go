@@ -35,7 +35,7 @@ func main() {
 		out        = flag.String("out", "taxonomy.gob", "output taxonomy path (gob)")
 		alpha      = flag.Float64("alpha", 0.7, "Eq. 3 blend weight of query-driven similarity")
 		stop       = flag.Float64("stop", 0.12, "clustering stop threshold")
-		diffusion  = flag.Int("r", phac.DefaultConfig().DiffusionRounds, "diffusion iterations per Parallel HAC round (every r forms sequential HAC's clusters; a larger r takes more, narrower rounds)")
+		diffusion  = flag.Int("r", phac.DefaultConfig().DiffusionRounds, "diffusion iterations per Parallel HAC round (every r forms sequential HAC's clusters, up to tie-breaks; a larger r takes more, narrower rounds)")
 		minSim     = flag.Float64("minsim", 0.25, "entity-graph edge filter")
 		noEmbed    = flag.Bool("no-embeddings", false, "skip word2vec (query-driven similarity only)")
 		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")

@@ -84,8 +84,8 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's demonstration settings (α=0.7,
 // 7-day window, correlation threshold 10) and clusters at
-// phac.DefaultConfig (r = 0, which forms the same dendrogram as the
-// paper's r = 2 in fewer rounds).
+// phac.DefaultConfig (r = 0, which forms the paper's r = 2 clusters,
+// up to tie-breaks, in fewer rounds).
 func DefaultConfig() Config {
 	return Config{
 		WindowDays:        7,

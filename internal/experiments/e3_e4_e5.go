@@ -69,7 +69,8 @@ func E4Scaling(sc Scale, seed uint64) (*Table, error) {
 	}
 
 	// r sets only the per-round width: r=0 merges every mutual-best pair,
-	// r=2 is the paper's setting, and both form sequential HAC's clusters.
+	// r=2 is the paper's setting, and both form sequential HAC's clusters
+	// (up to tie-breaks).
 	// Sequential HAC's rounds are its merges.
 	type variant struct {
 		algo, r        string
@@ -137,8 +138,8 @@ func E4Scaling(sc Scale, seed uint64) (*Table, error) {
 // iterations yield more locally-maximal edges, so more parallel merges
 // per round and fewer rounds. It costs no merge quality: every r merges
 // reciprocal-best pairs, which for Eq. 4 forms sequential HAC's clusters
-// (RAC, https://arxiv.org/abs/2105.11653), and the same-as-r0 column
-// checks it. The paper's r = 2 was a parallelism choice for its ODPS
+// up to tie-breaks (RAC, https://arxiv.org/abs/2105.11653), and the
+// same-clusters-as-r0 column checks it. The paper's r = 2 was a parallelism choice for its ODPS
 // deployment, not a quality one.
 func E5Diffusion(sc Scale, seed uint64, maxR int) (*Table, error) {
 	_, b, err := buildSystem(sc, seed)
@@ -153,7 +154,7 @@ func E5Diffusion(sc Scale, seed uint64, maxR int) (*Table, error) {
 	t := &Table{
 		ID:         "E5",
 		Title:      "Diffusion iterations vs parallelism (local maximal edges)",
-		PaperClaim: "fewer diffusion iterations => more local maximal edges => higher parallelism (r=2 chosen)",
+		PaperClaim: "fewer diffusion iterations => more local maximal edges => higher parallelism (the paper runs r=2 on ODPS)",
 		Header:     []string{"r", "round1-selected", "rounds", "merges", "wall", "modularity", "same-clusters-as-r0"},
 	}
 	var r0 map[string]bool

@@ -36,10 +36,15 @@
 // alternatives are reducible — S(A∪B, C) never exceeds max(S(A, C),
 // S(B, C)) — so merging any set of reciprocal-best pairs per round forms
 // exactly the clusters sequential HAC forms (RAC, Sumengen et al.,
-// https://arxiv.org/abs/2105.11653), whatever r. TestClusterMatchesSequentialHAC
-// holds Cluster to internal/hac on real entity graphs at r = 0 … 3: the
-// same clusters, merge similarities bit-equal at r ≥ 1 and within two
-// ulps at r = 0, where a round can compose two updates in the other
+// https://arxiv.org/abs/2105.11653), whatever r. The one freedom is
+// ties: where two candidate merges have equal similarity, each order
+// is a valid HAC, and the algorithms (and different r, which mint ids
+// in different orders) may pick different ones. Query-only graphs
+// (no embeddings), whose similarities are small fractions, tie often;
+// blended graphs practically never. TestClusterMatchesSequentialHAC
+// holds Cluster to internal/hac on blended entity graphs at r = 0 … 3:
+// the same clusters, merge similarities bit-equal at r ≥ 1 and within
+// two ulps at r = 0, where a round can compose two updates in the other
 // order.
 //
 // The clustering state is held in compressed-sparse-row form with
@@ -54,16 +59,18 @@
 //
 // What of the paper's scalability claim this repository reproduces. The
 // claim has two halves. Reproduced: Parallel HAC needs far fewer, far
-// wider rounds than sequential HAC's one merge per iteration — on the
-// E4-large entity graph (15 874 entities; 13 048 sequential iterations
-// against 183 rounds at r = 2 and 13 at r = 0) it is 1.8-1.9x faster than
-// internal/hac at the paper's r = 2 and 4.0-4.5x at r = 0, and E5's table
-// shows the rounds widening as r falls. Not reproduced at <= 155 k
-// entities on two cores: rounds getting faster with workers. Cluster
-// runs every phase of every round inline on the calling goroutine,
-// because one frontier-memoized goroutine beat every parallel variant
-// built here — forked phases at every grain (PR 20), and the same
-// memoized protocol as a Pregel vertex program on a BSP engine, last
+// wider rounds than sequential HAC's one merge per iteration, and since
+// it forms the same clusters the speed-up is like for like — on the
+// E4-large entity graph (15 874 entities; 13 045 merges, one sequential
+// iteration each, against 13 rounds at r = 0 and 314 at r = 2) it is
+// 8.6-10.7x faster than internal/hac at r = 0 and 1.8-2.2x at the
+// paper's r = 2 (shoal-bench -run E4 -scale large, three runs on two
+// cores), and E5's table shows the rounds widening as r falls. Not
+// reproduced at <= 155 k entities on two cores: rounds getting faster
+// with workers. Cluster runs every phase of every round inline on the
+// calling goroutine, because one frontier-memoized goroutine beat every
+// parallel variant built here — forked phases at every grain, and the
+// same memoized protocol as a Pregel vertex program on a BSP engine, last
 // measured before its deletion (shoal-gen -scenarios N -items 200
 // -queries 40, shoal-build -no-embeddings -v, the parallel-hac stage in
 // ms, every run made, variants alternated, identical rounds / candidates
@@ -140,7 +147,8 @@ type Config struct {
 	StopThreshold float64
 	// DiffusionRounds is r, the number of max-exchange iterations per
 	// round. It sets only how many rounds the merges take: every r forms
-	// sequential HAC's clusters. The paper sets 2; DefaultConfig sets 0.
+	// sequential HAC's clusters, up to the order ties are broken in (see
+	// the package doc). The paper sets 2; DefaultConfig sets 0.
 	DiffusionRounds int
 	// Workers and Shards are read by nothing, written only by the frozen
 	// benchmark/replay.go: every phase of every round runs inline on the
@@ -163,7 +171,8 @@ type Config struct {
 
 // DefaultConfig stops at the paper's threshold 0.35 and selects at
 // r = 0: every reciprocal-best pair merges each round. Any r yields the
-// same dendrogram (see the package doc); r = 0 needs the fewest rounds.
+// same clusters up to tie-breaks (see the package doc); r = 0 needs the
+// fewest rounds.
 func DefaultConfig() Config {
 	return Config{StopThreshold: 0.35}
 }
@@ -997,11 +1006,4 @@ func (st *state) reserveTail(need int) {
 		return
 	}
 	st.nbrs, st.wts = st.nbrs[:tail+need], st.wts[:tail+need]
-}
-
-func canon(u, v int32) (int32, int32) {
-	if u < v {
-		return u, v
-	}
-	return v, u
 }

@@ -103,8 +103,8 @@ const NoScenario = model.NoScenario
 const RootCategory = model.RootCategory
 
 // DefaultConfig returns the paper's demonstration settings (α = 0.7,
-// 7-day window, correlation threshold 10), clustering at r = 0: the same
-// dendrogram as the paper's r = 2, in fewer rounds.
+// 7-day window, correlation threshold 10), clustering at r = 0: the
+// paper's r = 2 clusters, up to tie-breaks, in fewer rounds.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // DefaultCorpusConfig returns a laptop-scale synthetic corpus
