@@ -116,7 +116,9 @@ func main() {
 			// dirtyEntities, candidates scored pairs regenerated, rank
 			// rescored nodesRanked, emit dirtyRows kept;
 			// describe/score: distinctQueries, candidatePairs;
-			// search-index/build: tokens).
+			// search-index/build: tokens; every describe and
+			// search-index span: workers, the ranges its loops split
+			// into).
 			// The clustering's round spans are summed on its line above.
 			if st.Stage == "parallel-hac" {
 				continue

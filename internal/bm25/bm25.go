@@ -12,7 +12,11 @@
 // one count-then-fill builder: no per-document map, no per-term slice
 // growth, no sorting — visiting documents in ascending order already
 // yields each term's postings in ascending document order, which is the
-// only order scoring depends on.
+// only order scoring depends on. The builder splits the documents into
+// GOMAXPROCS contiguous ranges (internal/par): each range counts its own
+// document frequencies, a serial pass gives every (term, range) pair its
+// offset in the term's span, and each range fills its own slots, so the
+// postings — and every score — are the same at any width.
 package bm25
 
 import (
@@ -23,6 +27,7 @@ import (
 	"sort"
 	"sync"
 
+	"shoal/internal/par"
 	"shoal/internal/textutil"
 )
 
@@ -117,55 +122,106 @@ func BuildIDs(docs [][]uint32, vocab *textutil.Vocab, cfg Config) (*Index, error
 		docLen: make([]int32, len(docs)),
 		n:      len(docs),
 	}
-
-	// Count: df per term. seen[t] holds the last document that counted t
-	// (offset by one so the zero value means "none").
-	seen := make([]int32, nTerms)
-	var total int
-	for d, doc := range docs {
-		idx.docLen[d] = int32(len(doc))
-		total += len(doc)
-		for _, t := range doc {
-			if int(t) >= nTerms {
-				return nil, fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, t, nTerms)
-			}
-			if seen[t] != int32(d)+1 {
-				seen[t] = int32(d) + 1
-				idx.terms[t].df++
-			}
-		}
+	b := build{docs: docs, nTerms: nTerms, docLen: idx.docLen}
+	bounds := par.Split(nil, len(docs), func(d int) int { return len(docs[d]) + 1 })
+	b.ranges = make([]buildRange, len(bounds)-1)
+	if err := par.Run(bounds, &b, (*build).count); err != nil {
+		return nil, err
 	}
-	// next[t] is where term t's next posting goes.
-	next := make([]int32, nTerms)
+
+	// Term t's span holds range 0's postings, then range 1's, and so on:
+	// each range's count becomes the offset its fill starts at, so the
+	// postings come out ascending by document at any width.
 	var nPosts int32
+	ranges := b.ranges
 	for t := range idx.terms {
 		e := &idx.terms[t]
-		e.off, e.idf = nPosts, idx.idfFromDF(int(e.df))
-		next[t] = nPosts
-		nPosts += e.df
-	}
-
-	// Fill: a term's first occurrence in a document claims the next slot
-	// of its span, repeats bump that slot's tf. seen is reused with the
-	// sign flipped, so no clearing pass sits between the two.
-	idx.posts = make([]posting, nPosts)
-	for d, doc := range docs {
-		for _, t := range doc {
-			if seen[t] != -int32(d)-1 {
-				seen[t] = -int32(d) - 1
-				idx.posts[next[t]] = posting{doc: int32(d), tf: 1}
-				next[t]++
-			} else {
-				idx.posts[next[t]-1].tf++
-			}
+		e.off = nPosts
+		for w := range ranges {
+			next := ranges[w].next
+			next[t], nPosts = nPosts, nPosts+next[t]
 		}
+		e.df = nPosts - e.off
+		e.idf = idx.idfFromDF(int(e.df))
 	}
+	total := 0
+	for w := range ranges {
+		total += ranges[w].tokens
+	}
+	idx.posts = make([]posting, nPosts)
+	b.posts = idx.posts
+	_ = par.Run(bounds, &b, (*build).fill) // fill has no failure to report
 
 	idx.avgLen = float64(total) / float64(len(docs))
 	if idx.avgLen == 0 {
 		idx.avgLen = 1
 	}
 	return idx, nil
+}
+
+// build is BuildIDs' state shared by its ranges of documents.
+type build struct {
+	docs   [][]uint32
+	nTerms int
+	ranges []buildRange
+	posts  []posting
+	docLen []int32
+}
+
+// buildRange is one range's own arrays. next[t] first counts the range's
+// documents holding term t, then is where its next posting of t goes.
+// seen[t] holds the last document that counted t, offset by one so the
+// zero value means "none"; fill reuses it with the sign flipped, so no
+// clearing pass sits between the two.
+type buildRange struct {
+	next, seen []int32
+	tokens     int
+}
+
+// count fills range w's df counts, document lengths and token total,
+// and reports the range's first document holding a term id outside the
+// vocabulary.
+func (b *build) count(w, lo, hi int) error {
+	// The loops read locals: a store through a slice may alias a field
+	// read through a pointer, which the compiler would load again.
+	docs, docLen, nTerms, tokens := b.docs, b.docLen, b.nTerms, 0
+	next, seen := make([]int32, nTerms), make([]int32, nTerms)
+	for d := lo; d < hi; d++ {
+		docLen[d] = int32(len(docs[d]))
+		tokens += len(docs[d])
+		stamp := int32(d) + 1
+		for _, t := range docs[d] {
+			if int(t) >= nTerms {
+				return fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, t, nTerms)
+			}
+			if seen[t] != stamp {
+				seen[t] = stamp
+				next[t]++
+			}
+		}
+	}
+	b.ranges[w] = buildRange{next: next, seen: seen, tokens: tokens}
+	return nil
+}
+
+// fill writes range w's postings: a term's first occurrence in a
+// document claims the next slot of the range's part of its span,
+// repeats bump that slot's tf.
+func (b *build) fill(w, lo, hi int) error {
+	docs, next, seen, posts := b.docs, b.ranges[w].next, b.ranges[w].seen, b.posts
+	for d := lo; d < hi; d++ {
+		stamp := -int32(d) - 1
+		for _, t := range docs[d] {
+			if seen[t] != stamp {
+				seen[t] = stamp
+				posts[next[t]] = posting{doc: int32(d), tf: 1}
+				next[t]++
+			} else {
+				posts[next[t]-1].tf++
+			}
+		}
+	}
+	return nil
 }
 
 // N returns the number of indexed documents.
@@ -381,10 +437,20 @@ func (idx *Index) NewScorer() *Scorer {
 
 // ScoreAll is Index.ScoreAll through the session's scratch: hits in
 // ascending document order, absent documents score 0. The returned
-// slice is the session's own buffer, valid until the next ScoreAll.
+// slice is the session's own buffer, valid until the next call. It
+// resolves the tokens in Vocab and calls ScoreIDs.
 func (s *Scorer) ScoreAll(query []string) []Hit {
 	s.sc.terms = s.idx.resolve(query, s.sc.terms[:0])
-	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, s.sc.terms), s.hits[:0])
+	return s.ScoreIDs(s.sc.terms)
+}
+
+// ScoreIDs is ScoreAll for a query spelled as term ids of Vocab: a
+// repeated id counts once, at its first occurrence, so the hits equal
+// ScoreAll's over the same tokens bit for bit, found without hashing a
+// token. The returned slice is the session's own buffer, valid until the
+// next call.
+func (s *Scorer) ScoreIDs(terms []uint32) []Hit {
+	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, terms), s.hits[:0])
 	return s.hits
 }
 

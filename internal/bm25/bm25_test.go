@@ -238,7 +238,9 @@ func TestEmptyDocNeverMatches(t *testing.T) {
 // TestScorerMatchesScoreAll pins the batch Scorer byte-identical to
 // per-call ScoreAll across many queries in one session, including
 // repeated terms (served from the idf cache) and sessions resumed after
-// Close returned a scratch to the pool.
+// Close returned a scratch to the pool — through both ScoreAll and
+// ScoreIDs, the same query spelled as term ids of Vocab, score bits
+// included.
 func TestScorerMatchesScoreAll(t *testing.T) {
 	docs := [][]string{
 		{"red", "shoes", "leather", "red"},
@@ -266,6 +268,21 @@ func TestScorerMatchesScoreAll(t *testing.T) {
 			got := sc.ScoreAll(q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d query %v: scorer %v, want %v", round, q, got, want)
+			}
+			var ids []uint32
+			for _, tok := range q {
+				if id, ok := idx.Vocab().ID(tok); ok {
+					ids = append(ids, uint32(id))
+				}
+			}
+			got = sc.ScoreIDs(ids)
+			if len(got) != len(want) {
+				t.Fatalf("round %d query %v: ScoreIDs(%v) %v, want %v", round, q, ids, got, want)
+			}
+			for i := range want {
+				if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("round %d query %v: ScoreIDs(%v)[%d] = %+v, want %+v", round, q, ids, i, got[i], want[i])
+				}
 			}
 		}
 		sc.Close()

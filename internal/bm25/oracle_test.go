@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -185,6 +187,9 @@ func TestIndexMatchesReference(t *testing.T) {
 						ids = append(ids, uint32(id))
 					}
 				}
+				if err := sameHits(sc.ScoreIDs(ids), want); err != nil {
+					t.Fatalf("trial %d %s Scorer.ScoreIDs(%v): %v", trial, name, ids, err)
+				}
 				got := idx.AppendTopK([]Hit{{Doc: -1}}, ids, k)
 				if got[0].Doc != -1 {
 					t.Fatalf("trial %d %s AppendTopK overwrote its prefix: %v", trial, name, got)
@@ -217,5 +222,73 @@ func TestBuildIDsRejectsForeignTermID(t *testing.T) {
 	vocab.Add("a")
 	if _, err := BuildIDs([][]uint32{{0, 1}}, vocab, DefaultConfig()); err == nil {
 		t.Fatal("term id outside the vocabulary accepted")
+	}
+}
+
+// TestBuildIDsIdenticalAcrossWidths holds BuildIDs, which splits its
+// documents into GOMAXPROCS ranges, to the same index at every width:
+// postings, each term's span and idf bits, document lengths and the
+// average length. With foreign term ids in several documents, the error
+// names the lowest of them at every width.
+func TestBuildIDsIdenticalAcrossWidths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(23))
+	vocab := textutil.NewVocab()
+	for i := range 300 {
+		vocab.Add(fmt.Sprintf("w%d", i))
+	}
+	docs := make([][]uint32, 500)
+	for d := range docs {
+		if rng.Intn(8) == 0 {
+			continue // empty document
+		}
+		// Lengths vary by two orders of magnitude, so the cost-balanced
+		// ranges hold very different document counts.
+		docs[d] = make([]uint32, 1+rng.Intn(1+d%100))
+		for i := range docs[d] {
+			f := rng.Float64()
+			docs[d][i] = uint32(f * f * 300)
+		}
+	}
+	foreign := make([][]uint32, len(docs))
+	copy(foreign, docs)
+	for _, d := range []int{497, 261, 262} {
+		foreign[d] = append(slices.Clone(docs[d]), 300+uint32(d))
+	}
+
+	var want *Index
+	var wantErr string
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		idx, err := BuildIDs(docs, vocab, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = BuildIDs(foreign, vocab, DefaultConfig())
+		if err == nil {
+			t.Fatalf("GOMAXPROCS=%d: foreign term ids accepted", procs)
+		}
+		if want == nil {
+			want, wantErr = idx, err.Error()
+			if wantErr != "bm25: document 261 holds term id 561 outside the vocabulary [0,300)" {
+				t.Fatalf("GOMAXPROCS=1: error %q does not name document 261", wantErr)
+			}
+			continue
+		}
+		if err.Error() != wantErr {
+			t.Errorf("GOMAXPROCS=%d: error %q, GOMAXPROCS=1 %q", procs, err, wantErr)
+		}
+		if !slices.Equal(idx.posts, want.posts) || !slices.Equal(idx.docLen, want.docLen) {
+			t.Errorf("GOMAXPROCS=%d: postings or document lengths differ from GOMAXPROCS=1", procs)
+		}
+		for tid := range want.terms {
+			g, w := idx.terms[tid], want.terms[tid]
+			if g.off != w.off || g.df != w.df || math.Float64bits(g.idf) != math.Float64bits(w.idf) {
+				t.Fatalf("GOMAXPROCS=%d: term %d = %+v, GOMAXPROCS=1 %+v", procs, tid, g, w)
+			}
+		}
+		if math.Float64bits(idx.avgLen) != math.Float64bits(want.avgLen) {
+			t.Errorf("GOMAXPROCS=%d: avgLen %v, GOMAXPROCS=1 %v", procs, idx.avgLen, want.avgLen)
+		}
 	}
 }

@@ -21,6 +21,12 @@
 // as the paper's Parallel HAC does (ROADMAP, "Why clustering runs cold
 // on every slide").
 //
+// Inside a stage, work splits by GOMAXPROCS where it divides cleanly:
+// the entity graph splits its candidate rows over workers, and the
+// slide's tail — describe and the search index — splits every loop over
+// topics, queries or documents into contiguous ranges through
+// internal/par. A range writes only its own output slots.
+//
 // Every build is deterministic: a corpus and a Config determine the
 // output byte for byte — word2vec included, which trains serially from
 // its seed — whatever the schedule, the entity graph's worker count,
@@ -30,6 +36,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"shoal/internal/bipartite"
@@ -39,6 +47,7 @@ import (
 	"shoal/internal/entitygraph"
 	"shoal/internal/model"
 	"shoal/internal/obs"
+	"shoal/internal/par"
 	"shoal/internal/phac"
 	"shoal/internal/taxonomy"
 	"shoal/internal/textutil"
@@ -157,6 +166,10 @@ type Build struct {
 	// parallel-hac stage. Exported as Chrome trace-event JSON by shoal-build -trace and
 	// GET /api/trace.
 	Trace *obs.Trace
+
+	// docScratch keeps SearchDocIDs' scratch arrays between calls, so a
+	// warm call allocates only the documents it returns.
+	docScratch atomic.Pointer[docAssembler]
 }
 
 // StageTiming is one stage's wall-clock cost. Start is the offset from
@@ -327,10 +340,13 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 			return nil
 		}
 		parent := obs.SpanFromContext(ctx)
+		workers := par.Width(len(b.Taxonomy.Topics))
 		sp := parent.Child("docs")
+		sp.SetAttr("workers", workers)
 		docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
 		sp.End()
 		sp = parent.Child("build")
+		sp.SetAttr("workers", workers)
 		tokens := 0
 		for _, doc := range docs {
 			tokens += len(doc)
@@ -397,45 +413,131 @@ func (b *Build) SearchDocs(tokenCap int) [][]string {
 // SearchDocIDs assembles the per-topic search documents the search-index
 // stage indexes — description queries, category names, member query
 // texts and member title tokens, each doc capped at tokenCap tokens — as
-// term ids of the returned vocabulary, in one flat array sized by a
-// counting pass. Token lists come from the corpus text plane and the
-// vocabulary is the plane's. Only a description string the corpus does
-// not contain — a taxonomy described elsewhere — is tokenized here, and
-// only a token of it the plane lacks makes the vocabulary a clone of the
-// plane's with that token added.
+// term ids of the returned vocabulary, in one flat array. Token lists
+// come from the corpus text plane and the vocabulary is the plane's.
+// Only a description string the corpus does not contain — a taxonomy
+// described elsewhere — is tokenized here, and only a token of it the
+// plane lacks makes the vocabulary a clone of the plane's with that
+// token added. Every description is resolved once, serially, because
+// that clone mutates; then a counting pass per topic, a prefix sum and a
+// fill split the topics into par ranges, each writing only its own
+// topics' documents, so the output is the same at every width.
 func (b *Build) SearchDocIDs(tokenCap int) ([][]uint32, *textutil.Vocab) {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
-	text := b.Corpus.Text()
-	a := docAssembler{text: text, vocab: text.Vocab(), querySets: b.QuerySets, tokenCap: tokenCap}
-	topics := b.Taxonomy.Topics
-	total := 0
-	for i := range topics {
-		a.walk(&topics[i], func(ids []uint32) { total += len(ids) })
+	a := b.docScratch.Swap(nil) // nil while another call holds it
+	if a == nil {
+		a = new(docAssembler)
 	}
-	flat := make([]uint32, 0, total)
-	docs := make([][]uint32, len(topics))
-	for i := range topics {
-		from := len(flat)
-		a.walk(&topics[i], func(ids []uint32) { flat = append(flat, ids...) })
-		docs[i] = flat[from:len(flat):len(flat)]
+	a.resolve(b.Corpus.Text(), b.Taxonomy.Topics, b.QuerySets, tokenCap)
+	k := len(a.topics)
+	a.off = slices.Grow(a.off[:0], k+1)[:k+1]
+	clear(a.off)
+	a.bounds = par.Split(a.bounds, k, func(t int) int { return min(tokenCap, a.parts(t)) + 1 })
+	_ = par.Run(a.bounds, a, (*docAssembler).count) // neither pass fails
+	for t := range k {
+		a.off[t+1] += a.off[t]
 	}
-	return docs, a.vocab
+	a.flat = make([]uint32, a.off[k])
+	a.docs = make([][]uint32, k)
+	a.bounds = par.Split(a.bounds, k, func(t int) int { return a.off[t+1] - a.off[t] + 1 })
+	_ = par.Run(a.bounds, a, (*docAssembler).fill)
+	docs, vocab := a.docs, a.vocab
+	a.release()
+	b.docScratch.Store(a)
+	return docs, vocab
 }
 
-// docAssembler walks topics' search documents for SearchDocIDs.
+// docAssembler is one SearchDocIDs call's state; its arrays are kept for
+// the Build's next call.
 type docAssembler struct {
 	text      *model.TextPlane
 	vocab     *textutil.Vocab
+	topics    []taxonomy.Topic
 	querySets [][]model.QueryID
 	tokenCap  int
-	desc      []uint32 // ids of the last corpus-unknown description
+	// desc[descOff[t]:descOff[t+1]] resolves topic t's DescQueries: a
+	// corpus query, or ^i for the i-th corpus-unknown string, whose term
+	// ids are unknown[i].
+	descOff []int
+	desc    []model.QueryID
+	unknown [][]uint32
+	bounds  []int
+	// Topic t's document is flat[off[t]:off[t+1]], docs[t].
+	off  []int
+	flat []uint32
+	docs [][]uint32
+}
+
+// resolve points a at one build's topics and resolves every description
+// string: through the corpus's query lookup, else as TokenizeFiltered(q)
+// in a.vocab — which becomes a clone of the plane's vocabulary on the
+// first token the plane lacks.
+func (a *docAssembler) resolve(text *model.TextPlane, topics []taxonomy.Topic, querySets [][]model.QueryID, tokenCap int) {
+	a.text, a.vocab, a.topics, a.querySets, a.tokenCap = text, text.Vocab(), topics, querySets, tokenCap
+	a.descOff, a.desc = append(a.descOff[:0], 0), a.desc[:0]
+	for t := range topics {
+		for _, q := range topics[t].DescQueries {
+			id, ok := text.LookupQuery(q)
+			if !ok {
+				id = ^model.QueryID(len(a.unknown))
+				var ids []uint32
+				for _, tok := range textutil.TokenizeFiltered(q) {
+					tid, ok := a.vocab.ID(tok)
+					if !ok {
+						if a.vocab == text.Vocab() {
+							a.vocab = a.vocab.Clone()
+						}
+						tid = a.vocab.Add(tok)
+					}
+					ids = append(ids, uint32(tid))
+				}
+				a.unknown = append(a.unknown, ids)
+			}
+			a.desc = append(a.desc, id)
+		}
+		a.descOff = append(a.descOff, len(a.desc))
+	}
+}
+
+// release drops every reference to the call's inputs and outputs
+// before a is kept for the next call, keeping only the scratch arrays'
+// capacity.
+func (a *docAssembler) release() {
+	clear(a.unknown)
+	a.text, a.vocab, a.topics, a.querySets = nil, nil, nil, nil
+	a.unknown, a.flat, a.docs = a.unknown[:0], nil, nil
+}
+
+// parts is the number of id lists topic t's document is assembled from,
+// before the token cap.
+func (a *docAssembler) parts(t int) int {
+	tp := &a.topics[t]
+	return len(tp.DescQueries) + len(tp.Categories) + len(tp.Entities) + len(tp.Items)
+}
+
+func (a *docAssembler) count(_, lo, hi int) error {
+	for t := lo; t < hi; t++ {
+		n := 0
+		a.walk(t, func(ids []uint32) { n += len(ids) })
+		a.off[t+1] = n
+	}
+	return nil
+}
+
+func (a *docAssembler) fill(_, lo, hi int) error {
+	for t := lo; t < hi; t++ {
+		doc := a.flat[a.off[t]:a.off[t]:a.off[t+1]]
+		a.walk(t, func(ids []uint32) { doc = append(doc, ids...) })
+		a.docs[t] = doc
+	}
+	return nil
 }
 
 // walk feeds topic t's document to part as id lists in document order,
 // the last one cut to the token cap, and stops once the cap is reached.
-func (a *docAssembler) walk(t *taxonomy.Topic, part func(ids []uint32)) {
+func (a *docAssembler) walk(t int, part func(ids []uint32)) {
 	room := a.tokenCap
 	// feed passes ids on and reports whether the document is full.
 	feed := func(ids []uint32) bool {
@@ -444,49 +546,33 @@ func (a *docAssembler) walk(t *taxonomy.Topic, part func(ids []uint32)) {
 		part(ids)
 		return room == 0
 	}
-	for _, q := range t.DescQueries {
-		if feed(a.descIDs(q)) {
+	for _, id := range a.desc[a.descOff[t]:a.descOff[t+1]] {
+		var ids []uint32
+		if id >= 0 {
+			ids = a.text.Query(id)
+		} else {
+			ids = a.unknown[^id]
+		}
+		if feed(ids) {
 			return
 		}
 	}
-	for _, c := range t.Categories {
+	tp := &a.topics[t]
+	for _, c := range tp.Categories {
 		if feed(a.text.Category(c)) {
 			return
 		}
 	}
-	for _, e := range t.Entities {
+	for _, e := range tp.Entities {
 		for _, q := range a.querySets[e] {
 			if feed(a.text.Query(q)) {
 				return
 			}
 		}
 	}
-	for _, it := range t.Items {
+	for _, it := range tp.Items {
 		if feed(a.text.Title(it)) {
 			return
 		}
 	}
-}
-
-// descIDs returns a description query's term ids: the corpus query's
-// list when the corpus carries the text, else TokenizeFiltered(q)
-// resolved in a.vocab — which becomes a clone of the plane's vocabulary
-// on the first token the plane lacks. The slice is valid until the next
-// call.
-func (a *docAssembler) descIDs(q string) []uint32 {
-	if id, ok := a.text.LookupQuery(q); ok {
-		return a.text.Query(id)
-	}
-	a.desc = a.desc[:0]
-	for _, tok := range textutil.TokenizeFiltered(q) {
-		id, ok := a.vocab.ID(tok)
-		if !ok {
-			if a.vocab == a.text.Vocab() {
-				a.vocab = a.vocab.Clone()
-			}
-			id = a.vocab.Add(tok)
-		}
-		a.desc = append(a.desc, uint32(id))
-	}
-	return a.desc
 }

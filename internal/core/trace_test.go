@@ -101,7 +101,8 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 
 // TestBuildTraceSubStages pins the sub-stage spans of the stage that
 // opens a window slide — the entity graph, built or patched — and of the
-// two that close it, with the attributes that size their work, on a
+// two that close it, with the attributes that size their work (for the
+// closing two, also the number of ranges each loop split into), on a
 // one-shot build and on a patched slide.
 func TestBuildTraceSubStages(t *testing.T) {
 	b, err := Run(smallCorpus(t), testConfig())
@@ -172,13 +173,13 @@ func TestBuildTraceSubStages(t *testing.T) {
 			{key{"entity-graph", "candidates"}, []string{"scored", "pairs", "regenerated"}},
 			{key{"entity-graph", "rank"}, []string{"rescored", "nodesRanked"}},
 			{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
-			{key{"describe", "docs"}, []string{"tokens"}},
-			{key{"describe", "index"}, nil},
-			{key{"describe", "candidates"}, nil},
-			{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs"}},
-			{key{"describe", "rank"}, nil},
-			{key{"search-index", "docs"}, nil},
-			{key{"search-index", "build"}, []string{"tokens"}},
+			{key{"describe", "docs"}, []string{"tokens", "workers"}},
+			{key{"describe", "index"}, []string{"workers"}},
+			{key{"describe", "candidates"}, []string{"workers"}},
+			{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs", "workers"}},
+			{key{"describe", "rank"}, []string{"workers"}},
+			{key{"search-index", "docs"}, []string{"workers"}},
+			{key{"search-index", "build"}, []string{"tokens", "workers"}},
 		} {
 			got, ok := tc.attrs[want.k]
 			if !ok {
