@@ -36,8 +36,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync/atomic"
 	"time"
 
 	"shoal/internal/bipartite"
@@ -166,10 +164,6 @@ type Build struct {
 	// parallel-hac stage. Exported as Chrome trace-event JSON by shoal-build -trace and
 	// GET /api/trace.
 	Trace *obs.Trace
-
-	// docScratch keeps SearchDocIDs' scratch arrays between calls, so a
-	// warm call allocates only the documents it returns.
-	docScratch atomic.Pointer[docAssembler]
 }
 
 // StageTiming is one stage's wall-clock cost. Start is the offset from
@@ -413,101 +407,84 @@ func (b *Build) SearchDocs(tokenCap int) [][]string {
 // SearchDocIDs assembles the per-topic search documents the search-index
 // stage indexes — description queries, category names, member query
 // texts and member title tokens, each doc capped at tokenCap tokens — as
-// term ids of the returned vocabulary, in one flat array. Token lists
-// come from the corpus text plane and the vocabulary is the plane's.
-// Only a description string the corpus does not contain — a taxonomy
-// described elsewhere — is tokenized here, and only a token of it the
-// plane lacks makes the vocabulary a clone of the plane's with that
-// token added. Every description is resolved once, serially, because
-// that clone mutates; then a counting pass per topic, a prefix sum and a
-// fill split the topics into par ranges, each writing only its own
-// topics' documents, so the output is the same at every width.
+// term ids of the returned vocabulary. Token lists come from the corpus
+// text plane and the vocabulary is the plane's. Only a description
+// string the corpus does not contain — a taxonomy described elsewhere —
+// is tokenized here, and only a token of it the plane lacks makes the
+// vocabulary a clone of the plane's with that token added. Every
+// description is resolved once, serially, because that clone mutates;
+// then the topics split into par ranges, each counting and filling its
+// own topics' documents in one array of its own, so the output is the
+// same at every width. At width 1 a call allocates the headers and one
+// flat array, and nothing is kept between calls.
 func (b *Build) SearchDocIDs(tokenCap int) ([][]uint32, *textutil.Vocab) {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
-	a := b.docScratch.Swap(nil) // nil while another call holds it
-	if a == nil {
-		a = new(docAssembler)
+	topics := b.Taxonomy.Topics
+	k, nDesc := len(topics), 0
+	for t := range topics {
+		nDesc += len(topics[t].DescQueries)
 	}
-	a.resolve(b.Corpus.Text(), b.Taxonomy.Topics, b.QuerySets, tokenCap)
-	k := len(a.topics)
-	a.off = slices.Grow(a.off[:0], k+1)[:k+1]
-	clear(a.off)
-	a.bounds = par.Split(a.bounds, k, func(t int) int { return min(tokenCap, a.parts(t)) + 1 })
-	_ = par.Run(a.bounds, a, (*docAssembler).count) // neither pass fails
-	for t := range k {
-		a.off[t+1] += a.off[t]
+	// The headers' tail, past the capacity of what is returned, holds
+	// every description's term ids, so resolving them costs no array of
+	// its own.
+	docs := make([][]uint32, k, k+nDesc)
+	a := docAssembler{
+		text:      b.Corpus.Text(),
+		topics:    topics,
+		querySets: b.QuerySets,
+		tokenCap:  tokenCap,
+		desc:      docs[k : k+nDesc],
+		docs:      docs,
 	}
-	a.flat = make([]uint32, a.off[k])
-	a.docs = make([][]uint32, k)
-	a.bounds = par.Split(a.bounds, k, func(t int) int { return a.off[t+1] - a.off[t] + 1 })
-	_ = par.Run(a.bounds, a, (*docAssembler).fill)
-	docs, vocab := a.docs, a.vocab
-	a.release()
-	b.docScratch.Store(a)
-	return docs, vocab
+	vocab := a.resolve()
+	var buf [8]int // up to 7 ranges' bounds stay on the stack
+	bounds := par.Split(buf[:0], k, func(t int) int { return min(tokenCap, a.parts(t)) + 1 })
+	_ = par.Run(bounds, a, docAssembler.assemble) // assembly has no failure to report
+	return docs[:k:k], vocab
 }
 
-// docAssembler is one SearchDocIDs call's state; its arrays are kept for
-// the Build's next call.
+// docAssembler is one SearchDocIDs call's state, shared by value with
+// its ranges: each writes only its own topics' docs slots.
 type docAssembler struct {
 	text      *model.TextPlane
-	vocab     *textutil.Vocab
 	topics    []taxonomy.Topic
 	querySets [][]model.QueryID
 	tokenCap  int
-	// desc[descOff[t]:descOff[t+1]] resolves topic t's DescQueries: a
-	// corpus query, or ^i for the i-th corpus-unknown string, whose term
-	// ids are unknown[i].
-	descOff []int
-	desc    []model.QueryID
-	unknown [][]uint32
-	bounds  []int
-	// Topic t's document is flat[off[t]:off[t+1]], docs[t].
-	off  []int
-	flat []uint32
+	// desc lists the term ids of every topic's DescQueries in topic order.
+	desc [][]uint32
 	docs [][]uint32
 }
 
-// resolve points a at one build's topics and resolves every description
-// string: through the corpus's query lookup, else as TokenizeFiltered(q)
-// in a.vocab — which becomes a clone of the plane's vocabulary on the
+// resolve fills a.desc: a description's ids are the corpus query's list
+// when the corpus carries the text, else TokenizeFiltered(q) resolved in
+// the returned vocabulary — which becomes a clone of the plane's on the
 // first token the plane lacks.
-func (a *docAssembler) resolve(text *model.TextPlane, topics []taxonomy.Topic, querySets [][]model.QueryID, tokenCap int) {
-	a.text, a.vocab, a.topics, a.querySets, a.tokenCap = text, text.Vocab(), topics, querySets, tokenCap
-	a.descOff, a.desc = append(a.descOff[:0], 0), a.desc[:0]
-	for t := range topics {
-		for _, q := range topics[t].DescQueries {
-			id, ok := text.LookupQuery(q)
-			if !ok {
-				id = ^model.QueryID(len(a.unknown))
+func (a *docAssembler) resolve() *textutil.Vocab {
+	vocab, i := a.text.Vocab(), 0
+	for t := range a.topics {
+		for _, q := range a.topics[t].DescQueries {
+			if id, ok := a.text.LookupQuery(q); ok {
+				a.desc[i] = a.text.Query(id)
+			} else {
 				var ids []uint32
 				for _, tok := range textutil.TokenizeFiltered(q) {
-					tid, ok := a.vocab.ID(tok)
+					id, ok := vocab.ID(tok)
 					if !ok {
-						if a.vocab == text.Vocab() {
-							a.vocab = a.vocab.Clone()
+						if vocab == a.text.Vocab() {
+							vocab = vocab.Clone()
 						}
-						tid = a.vocab.Add(tok)
+						id = vocab.Add(tok)
 					}
-					ids = append(ids, uint32(tid))
+					ids = append(ids, uint32(id))
 				}
-				a.unknown = append(a.unknown, ids)
+				a.desc[i] = ids
 			}
-			a.desc = append(a.desc, id)
+			i++
 		}
-		a.descOff = append(a.descOff, len(a.desc))
 	}
-}
-
-// release drops every reference to the call's inputs and outputs
-// before a is kept for the next call, keeping only the scratch arrays'
-// capacity.
-func (a *docAssembler) release() {
-	clear(a.unknown)
-	a.text, a.vocab, a.topics, a.querySets = nil, nil, nil, nil
-	a.unknown, a.flat, a.docs = a.unknown[:0], nil, nil
+	return vocab
 }
 
 // parts is the number of id lists topic t's document is assembled from,
@@ -517,27 +494,33 @@ func (a *docAssembler) parts(t int) int {
 	return len(tp.DescQueries) + len(tp.Categories) + len(tp.Entities) + len(tp.Items)
 }
 
-func (a *docAssembler) count(_, lo, hi int) error {
-	for t := lo; t < hi; t++ {
-		n := 0
-		a.walk(t, func(ids []uint32) { n += len(ids) })
-		a.off[t+1] = n
+// assemble writes the documents of topics [lo, hi): a counting walk
+// sizes one array for them all, a second walk fills it.
+func (a docAssembler) assemble(_, lo, hi int) error {
+	first := 0 // topic lo's first entry in a.desc
+	for t := range lo {
+		first += len(a.topics[t].DescQueries)
 	}
-	return nil
-}
-
-func (a *docAssembler) fill(_, lo, hi int) error {
+	n, desc := 0, first
 	for t := lo; t < hi; t++ {
-		doc := a.flat[a.off[t]:a.off[t]:a.off[t+1]]
-		a.walk(t, func(ids []uint32) { doc = append(doc, ids...) })
-		a.docs[t] = doc
+		desc = a.walk(t, desc, func(ids []uint32) { n += len(ids) })
+	}
+	flat, desc := make([]uint32, 0, n), first
+	for t := lo; t < hi; t++ {
+		from := len(flat)
+		desc = a.walk(t, desc, func(ids []uint32) { flat = append(flat, ids...) })
+		a.docs[t] = flat[from:len(flat):len(flat)]
 	}
 	return nil
 }
 
 // walk feeds topic t's document to part as id lists in document order,
 // the last one cut to the token cap, and stops once the cap is reached.
-func (a *docAssembler) walk(t int, part func(ids []uint32)) {
+// Topic t's descriptions start at a.desc[desc]; walk returns where the
+// next topic's start.
+func (a *docAssembler) walk(t, desc int, part func(ids []uint32)) int {
+	tp := &a.topics[t]
+	next := desc + len(tp.DescQueries)
 	room := a.tokenCap
 	// feed passes ids on and reports whether the document is full.
 	feed := func(ids []uint32) bool {
@@ -546,33 +529,27 @@ func (a *docAssembler) walk(t int, part func(ids []uint32)) {
 		part(ids)
 		return room == 0
 	}
-	for _, id := range a.desc[a.descOff[t]:a.descOff[t+1]] {
-		var ids []uint32
-		if id >= 0 {
-			ids = a.text.Query(id)
-		} else {
-			ids = a.unknown[^id]
-		}
+	for _, ids := range a.desc[desc:next] {
 		if feed(ids) {
-			return
+			return next
 		}
 	}
-	tp := &a.topics[t]
 	for _, c := range tp.Categories {
 		if feed(a.text.Category(c)) {
-			return
+			return next
 		}
 	}
 	for _, e := range tp.Entities {
 		for _, q := range a.querySets[e] {
 			if feed(a.text.Query(q)) {
-				return
+				return next
 			}
 		}
 	}
 	for _, it := range tp.Items {
 		if feed(a.text.Title(it)) {
-			return
+			return next
 		}
 	}
+	return next
 }

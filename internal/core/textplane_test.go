@@ -148,22 +148,23 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 }
 
 // Allocation allowances of the slide's tail per worker beyond the first.
-// For each loop it forks: what par.Run allocates (forkAllocs objects per
-// loop at any width above 1, so per extra worker this bounds it, and
-// equals it at width 2) plus the extra range's goroutine, which
-// allocates a descriptor when the runtime has no free one (it often has
-// none under -race). In Describe, also each extra range's own state —
-// its candidate accumulator, a bm25 Scorer with its scratch and hit
-// buffer, its share of the index's count arrays and its ranking buffer,
-// at most describeRangeAllocs objects. Describe forks describeForks loops
-// (pseudo documents, the index and the candidates count then fill;
-// scoring and ranking once each), SearchDocIDs searchDocForks (count,
-// fill).
+// For each loop it forks: what par.Run allocates (two objects per loop
+// at any width above 1 and one per extra range, so per extra worker
+// forkAllocs bounds it, and equals it at width 2) plus the extra range's
+// goroutine, which allocates a descriptor when the runtime has no free
+// one (it often has none under -race). In Describe, also each extra
+// range's own state — its candidate accumulator, a bm25 Scorer with its
+// scratch and hit buffer, its share of the index's count arrays and its
+// ranking buffer, at most describeRangeAllocs objects. Describe forks
+// describeForks loops (pseudo documents, the index and the candidates
+// count then fill; scoring and ranking once each); SearchDocIDs forks
+// one, whose every range fills an array of its own.
 const (
-	forkAllocs          = 3 + 1
-	describeForks       = 8
-	describeRangeAllocs = 32
-	searchDocForks      = 2
+	forkAllocs           = 2 + 1 + 1
+	describeForks        = 8
+	describeRangeAllocs  = 32
+	searchDocForks       = 1
+	searchDocRangeAllocs = 1
 )
 
 // mallocsPerRun is testing.AllocsPerRun at the current GOMAXPROCS, which
@@ -190,9 +191,10 @@ func mallocsPerRun(runs int, f func()) float64 {
 // handful of arrays per call, not per token or per topic-candidate pair
 // (the string-tokenizing implementations took 15 197 and 23 866
 // allocations on this corpus; describe takes 65, and the id documents
-// two — one flat array and its per-topic headers). That holds at width
-// 1 (testing.AllocsPerRun runs at GOMAXPROCS=1); at widths 2, 3 and 7
-// each worker beyond the first may add the fixed allowance above.
+// two — one flat array and its per-topic headers). Neither keeps state
+// between calls, so every call measured is a first call. That holds at
+// width 1 (testing.AllocsPerRun runs at GOMAXPROCS=1); at widths 2, 3
+// and 7 each worker beyond the first may add the fixed allowance above.
 func TestSlideTailDoesNoTextWork(t *testing.T) {
 	corpus := smallCorpus(t)
 	cfg := testConfig()
@@ -226,10 +228,10 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 		if allocs, want := mallocsPerRun(5, describeOnce), 200+extra*(describeForks*forkAllocs+describeRangeAllocs); allocs > want {
 			t.Errorf("GOMAXPROCS=%d: warm Describe allocated %.1f objects, want <= %.0f", procs, allocs, want)
 		}
-		if allocs, want := mallocsPerRun(5, func() { b.SearchDocIDs(cfg.SearchDocTokenCap) }), 2+extra*searchDocForks*forkAllocs; allocs > want {
+		if allocs, want := mallocsPerRun(5, func() { b.SearchDocIDs(cfg.SearchDocTokenCap) }), 2+extra*(searchDocForks*forkAllocs+searchDocRangeAllocs); allocs > want {
 			t.Errorf("GOMAXPROCS=%d: warm SearchDocIDs allocated %.1f objects, want <= %.0f", procs, allocs, want)
 		}
-		if allocs, want := mallocsPerRun(5, func() { b.SearchDocs(cfg.SearchDocTokenCap) }), 4+extra*searchDocForks*forkAllocs; allocs > want {
+		if allocs, want := mallocsPerRun(5, func() { b.SearchDocs(cfg.SearchDocTokenCap) }), 4+extra*(searchDocForks*forkAllocs+searchDocRangeAllocs); allocs > want {
 			t.Errorf("GOMAXPROCS=%d: warm SearchDocs allocated %.1f objects, want <= %.0f", procs, allocs, want)
 		}
 	}

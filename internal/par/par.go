@@ -8,7 +8,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Width is the number of ranges Split makes of n items: GOMAXPROCS
@@ -42,32 +41,27 @@ func Split(dst []int, n int, cost func(i int) int) []int {
 // Run calls body(arg, w, b[w], b[w+1]) for every range w of the bounds b
 // that Split returned: range 0 on the calling goroutine, each other on a
 // goroutine of its own. It returns once every call has, with the error
-// of the lowest range that failed. State reaches body through arg, so a
-// body that captures nothing costs no allocation: at width 1 Run starts
-// no goroutine and allocates nothing, and at any wider width it
-// allocates three objects, whatever the width.
+// of the lowest range that failed. State reaches body through arg, and
+// Run keeps no reference to b, so a caller may hold the bounds on its
+// stack and a body that captures nothing costs no allocation: at width 1
+// Run starts no goroutine and allocates nothing, and at any wider width
+// it allocates two objects plus one per extra range.
 func Run[T any](b []int, arg T, body func(arg T, w, lo, hi int) error) error {
 	width := len(b) - 1
 	if width == 1 {
 		return body(arg, 0, b[0], b[1])
 	}
 	errs := make([]error, width)
-	var fork struct {
-		wg   sync.WaitGroup
-		next atomic.Int32 // the last range a goroutine has taken
-	}
-	fork.wg.Add(width - 1)
-	// One closure serves every goroutine: each takes the next range.
-	run := func() {
-		w := int(fork.next.Add(1))
-		errs[w] = body(arg, w, b[w], b[w+1])
-		fork.wg.Done()
-	}
-	for range width - 1 {
-		go run()
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
+		go func(w, lo, hi int) {
+			errs[w] = body(arg, w, lo, hi)
+			wg.Done()
+		}(w, b[w], b[w+1])
 	}
 	errs[0] = body(arg, 0, b[0], b[1])
-	fork.wg.Wait()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
