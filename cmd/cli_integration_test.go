@@ -97,7 +97,7 @@ func TestGenBuildPipeline(t *testing.T) {
 	// with the counts that size them, and sums the clustering's round
 	// counts onto its stage line.
 	for _, want := range []string{"distinctQueries=", "candidatePairs=", "tokens=",
-		"recomputedRows=", "candidates="} {
+		"recomputedRows=", "candidates=", "retired="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("shoal-build -v did not report %s: %q", want, out)
 		}

@@ -93,7 +93,8 @@ func main() {
 			if st.Stage == "parallel-hac" {
 				// What the clustering's time went into, summed over its
 				// round spans: rows the diffusion phases recomputed,
-				// mutual-best pairs selection verified, pairs merged.
+				// mutual-best pairs selection verified, pairs merged,
+				// clusters retired below the stop threshold.
 				total := map[string]int{}
 				for _, sp := range spans {
 					if sp.Parent != st.Stage {
@@ -106,7 +107,7 @@ func main() {
 					}
 				}
 				line += fmt.Sprintf(" rounds=%d", len(b.Rounds))
-				for _, key := range []string{"recomputedRows", "candidates", "selected"} {
+				for _, key := range []string{"recomputedRows", "candidates", "selected", "retired"} {
 					line += fmt.Sprintf(" %s=%d", key, total[key])
 				}
 			}

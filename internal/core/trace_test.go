@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"shoal/internal/model"
@@ -53,7 +54,7 @@ func TestBuildTraceCoverage(t *testing.T) {
 	if round0["parent"] != "parallel-hac" {
 		t.Fatalf("round-0 parent = %v, want parallel-hac", round0["parent"])
 	}
-	for _, key := range []string{"aliveRows", "activeEdges", "selected", "frontierSize"} {
+	for _, key := range []string{"aliveRows", "retired", "activeEdges", "selected", "frontierSize"} {
 		if _, ok := round0[key]; !ok {
 			t.Errorf("round-0 span missing attribute %q", key)
 		}
@@ -62,14 +63,17 @@ func TestBuildTraceCoverage(t *testing.T) {
 
 // TestBuildTraceClusterRounds pins the counts that let a round span
 // explain its own cost: round 0 recomputes every row at least once
-// (nothing is memoized yet) and selection verifies at least the pairs it
-// selects.
+// (nothing is memoized yet), selection verifies at least the pairs it
+// selects, and the alive rows account for every merge and retirement —
+// a round's merges each take one row off, and the next round's init
+// takes off the rows it retires.
 func TestBuildTraceClusterRounds(t *testing.T) {
 	b, err := Run(smallCorpus(t), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rounds := 0
+	counts := map[string]map[string]int{}
 	for _, r := range b.Trace.Records() {
 		if r.Parent != "parallel-hac" {
 			continue
@@ -81,7 +85,8 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 				n[a.Key] = v
 			}
 		}
-		for _, key := range []string{"recomputedRows", "candidates"} {
+		counts[r.Name] = n
+		for _, key := range []string{"recomputedRows", "candidates", "retired"} {
 			if _, ok := n[key]; !ok {
 				t.Fatalf("%s: span missing count %q", r.Name, key)
 			}
@@ -96,6 +101,22 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 	}
 	if rounds != len(b.Rounds)+1 { // the round that finds nothing left to merge has a span too
 		t.Errorf("%d round spans for %d merge rounds", rounds, len(b.Rounds))
+	}
+	retired := 0
+	for i := 0; i < rounds; i++ {
+		n := counts["round-"+strconv.Itoa(i)]
+		retired += n["retired"]
+		if i == 0 {
+			continue
+		}
+		prev := counts["round-"+strconv.Itoa(i-1)]
+		if want := prev["aliveRows"] - prev["selected"] - n["retired"]; n["aliveRows"] != want {
+			t.Errorf("round-%d: aliveRows=%d, want %d alive - %d merged - %d retired",
+				i, n["aliveRows"], prev["aliveRows"], prev["selected"], n["retired"])
+		}
+	}
+	if retired == 0 {
+		t.Error("no round retired a cluster")
 	}
 }
 

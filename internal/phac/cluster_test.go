@@ -312,9 +312,9 @@ func TestClusterSizeBookkeeping(t *testing.T) {
 func TestClusterZeroAllocDiffusion(t *testing.T) {
 	st := newState(wgraphtest.Random(512, 1024, 3), nil, Config{StopThreshold: 0.1, DiffusionRounds: 2})
 	// Warm the scratch buffers once.
-	st.selectLocalMaxima(2, 0.1)
+	st.selectLocalMaxima()
 	allocs := testing.AllocsPerRun(20, func() {
-		st.selectLocalMaxima(2, 0.1)
+		st.selectLocalMaxima()
 	})
 	if allocs > 0 {
 		t.Fatalf("diffusion+selection allocated %.1f objects per round, want 0", allocs)

@@ -47,26 +47,59 @@ func realEntityGraphs(t *testing.T) []oracleGraph {
 	}
 	// The fixture is built at stop threshold 0.12 (benchjson's
 	// fixedWorldConfig).
-	graphs := []oracleGraph{{"fixture", b.Graph, sizes, 0.12}}
+	c30 := c30Graph(t, "c30-default", core.DefaultConfig())
+	return []oracleGraph{
+		{"fixture", b.Graph, sizes, 0.12},
+		c30,
+		atEdge(c30),
+		c30Graph(t, "c30-served", core.CuratedConfig(true)),
+	}
+}
+
+// atEdge re-thresholds og at the weight of its lightest reciprocal-best
+// edge at or above og.threshold, so that one merge sits exactly on the
+// stop threshold: sequential HAC merges that pair at its raw weight, and
+// Parallel HAC must too — a cluster retires only below the threshold.
+func atEdge(og oracleGraph) oracleGraph {
+	offsets, nbrs, wts := og.g.Adj()
+	best := make([]int32, og.g.NumNodes())
+	for u := range best {
+		best[u] = -1
+		for j := offsets[u]; j < offsets[u+1]; j++ {
+			if best[u] < 0 || wts[j] > wts[best[u]] {
+				best[u] = j
+			}
+		}
+	}
+	at := math.Inf(1)
+	for u, j := range best {
+		if j >= 0 && wts[j] >= og.threshold && wts[j] < at {
+			if v := nbrs[j]; best[v] >= 0 && nbrs[best[v]] == int32(u) {
+				at = wts[j]
+			}
+		}
+	}
+	og.name, og.threshold = og.name+"-at-edge", at
+	return og
+}
+
+// c30Graph builds a default shoal-gen corpus (30 scenarios) under cfg
+// and returns its entity graph, entity sizes and stop threshold.
+func c30Graph(tb testing.TB, name string, cfg core.Config) oracleGraph {
+	tb.Helper()
 	corpus, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		cfg  core.Config
-	}{{"c30-default", core.DefaultConfig()}, {"c30-served", core.CuratedConfig(true)}} {
-		cb, err := core.Run(corpus, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sz := make([]int, len(cb.Entities.Entities))
-		for i := range sz {
-			sz[i] = cb.Entities.Entities[i].Size()
-		}
-		graphs = append(graphs, oracleGraph{c.name, cb.Graph, sz, c.cfg.HAC.StopThreshold})
+	cb, err := core.Run(corpus, cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return graphs
+	sizes := make([]int, len(cb.Entities.Entities))
+	for i := range sizes {
+		sizes[i] = cb.Entities.Entities[i].Size()
+	}
+	return oracleGraph{name, cb.Graph, sizes, cfg.HAC.StopThreshold}
 }
 
 // clustersBySim keys every cluster a dendrogram forms by its sorted
@@ -155,6 +188,26 @@ func TestClusterMatchesSequentialHAC(t *testing.T) {
 						t.Errorf("%v r=%d: %d of %d clusters disagree, first: %s",
 							linkage, r, len(diffs), len(ref), strings.Join(diffs[:min(len(diffs), 3)], "; "))
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCluster times Parallel HAC on the c30 entity graph built
+// under core.DefaultConfig(), at r = 0 (phac.DefaultConfig) and at the
+// paper's r = 2:
+//
+//	go test -run '^$' -bench '^BenchmarkCluster$' -benchmem ./internal/phac
+func BenchmarkCluster(b *testing.B) {
+	og := c30Graph(b, "c30-default", core.DefaultConfig())
+	for _, r := range []int{0, 2} {
+		b.Run(fmt.Sprintf("r%d", r), func(b *testing.B) {
+			cfg := phac.Config{StopThreshold: og.threshold, DiffusionRounds: r}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := phac.Cluster(context.Background(), og.g, og.sizes, cfg); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

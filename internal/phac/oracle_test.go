@@ -12,13 +12,24 @@ import (
 )
 
 // contracted materializes the state's current graph for the eager
-// oracle: the alive rows as they stand, dead ids left isolated.
+// oracle, as the next selection sees it: the alive rows as they stand,
+// less every retired cluster — those already retired, whose entries
+// neighbours' rows may still hold, and those with no edge >= threshold,
+// which the next init retires. Dead and retired ids are left isolated.
 func contracted(t *testing.T, st *state) *wgraph.CSR {
 	t.Helper()
+	keep := make([]bool, st.total)
+	for _, u := range st.aliveList() {
+		for j, end := st.offsets[u], st.offsets[u]+st.deg[u]; j < end; j++ {
+			if st.alive[st.nbrs[j]] && st.wts[j] >= st.threshold {
+				keep[u] = true
+			}
+		}
+	}
 	var edges []wgraph.Edge
 	for _, u := range st.aliveList() {
 		for j, end := st.offsets[u], st.offsets[u]+st.deg[u]; j < end; j++ {
-			if v := st.nbrs[j]; u < v {
+			if v := st.nbrs[j]; u < v && keep[u] && keep[v] {
 				edges = append(edges, wgraph.Edge{U: u, V: v, W: st.wts[j]})
 			}
 		}
@@ -52,7 +63,7 @@ func TestClusterSelectionMatchesDiffuseEveryRound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					selected, _, _ := st.selectLocalMaxima(r, threshold)
+					selected, _, _ := st.selectLocalMaxima()
 					var got []Edge
 					for _, e := range selected {
 						got = append(got, Edge{U: e.U(), V: e.V(), Sim: e.sim})
@@ -99,7 +110,7 @@ func TestRoundActiveEdgesMatchBruteForce(t *testing.T) {
 						sub++
 					}
 				}
-				selected, active, _ := st.selectLocalMaxima(r, threshold)
+				selected, active, _ := st.selectLocalMaxima()
 				if active != want {
 					t.Fatalf("r %d seed %d round %d: %d active edges, brute force counts %d", r, seed, round, active, want)
 				}
