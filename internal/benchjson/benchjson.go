@@ -131,8 +131,9 @@ func Run() ([]Result, error) {
 			return err
 		}),
 		// Deeper exchange budget than the paper's r=2: late iterations
-		// converge, so this point tracks what frontier pruning saves once
-		// the changed set collapses.
+		// converge, so this point tracks what Diffuse's early exit saves
+		// once an iteration changes nothing. The name stays for the
+		// committed BENCH_*.json files that carry it.
 		"diffuse-r6": record(func() error {
 			_, err := phac.Diffuse(g, 6, 0.12)
 			return err

@@ -45,68 +45,37 @@ func TestDendrogramIsClusterOfBuildGraph(t *testing.T) {
 }
 
 // TestWorkersObservationallyIdentical is the taxonomy-level half of the
-// width determinism contract: the one width left that varies a build's
-// execution is the entity graph's worker count (it splits candidate rows
-// and scoring), and the full pipeline must produce byte-identical
-// graphs, dendrograms, taxonomies and descriptions for every value of
-// it, from a single worker up past GOMAXPROCS.
+// width determinism contract: the one width that varies a build's
+// execution is GOMAXPROCS (the entity graph splits its candidate rows
+// by it, the slide's tail its per-topic and per-query loops), and the
+// full pipeline must produce byte-identical graphs, dendrograms,
+// taxonomies and descriptions at every value of it, from one worker up
+// past the test's own GOMAXPROCS.
 func TestWorkersObservationallyIdentical(t *testing.T) {
 	corpus := smallCorpus(t)
-	baseCfg := testConfig()
-	baseCfg.Graph.Workers = 1
-	ref, err := Run(corpus, baseCfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) *Build {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		b, err := Run(corpus, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	ref := run(1)
 	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0) + 3} {
-		cfg := testConfig()
-		cfg.Graph.Workers = w
-		b, err := Run(corpus, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := run(w)
 		if !gobEqual(t, b.Graph.Edges(), ref.Graph.Edges()) {
-			t.Fatalf("workers=%d: entity graph differs from single-worker", w)
+			t.Fatalf("GOMAXPROCS=%d: entity graph differs from GOMAXPROCS=1", w)
 		}
 		if !gobEqual(t, b.Dendrogram, ref.Dendrogram) {
-			t.Fatalf("workers=%d: dendrogram differs from single-worker", w)
+			t.Fatalf("GOMAXPROCS=%d: dendrogram differs from GOMAXPROCS=1", w)
 		}
 		if !gobEqual(t, b.Taxonomy, ref.Taxonomy) {
-			t.Fatalf("workers=%d: taxonomy differs from single-worker", w)
+			t.Fatalf("GOMAXPROCS=%d: taxonomy differs from GOMAXPROCS=1", w)
 		}
 		if !gobEqual(t, b.Descriptions, ref.Descriptions) {
-			t.Fatalf("workers=%d: descriptions differ from single-worker", w)
-		}
-	}
-}
-
-// TestFrontierObservationallyIdentical is the taxonomy-level half of the
-// frontier determinism contract: the full pipeline must produce
-// byte-identical dendrograms, taxonomies and descriptions with frontier
-// pruning disabled (-1), default, and forced on every iteration (2).
-func TestFrontierObservationallyIdentical(t *testing.T) {
-	corpus := smallCorpus(t)
-	baseCfg := testConfig()
-	baseCfg.HAC.FrontierDensity = -1 // dense reference
-	ref, err := Run(corpus, baseCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []float64{0, 2} {
-		cfg := testConfig()
-		cfg.HAC.FrontierDensity = d
-		b, err := Run(corpus, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gobEqual(t, b.Dendrogram, ref.Dendrogram) {
-			t.Fatalf("density=%v: dendrogram differs from dense", d)
-		}
-		if !gobEqual(t, b.Taxonomy, ref.Taxonomy) {
-			t.Fatalf("density=%v: taxonomy differs from dense", d)
-		}
-		if !gobEqual(t, b.Descriptions, ref.Descriptions) {
-			t.Fatalf("density=%v: descriptions differ from dense", d)
+			t.Fatalf("GOMAXPROCS=%d: descriptions differ from GOMAXPROCS=1", w)
 		}
 	}
 }

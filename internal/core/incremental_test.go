@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"shoal/internal/bipartite"
@@ -74,7 +75,7 @@ func sameSearchHits(t *testing.T, day int, inc, full *core.Build, probes []strin
 // pipeline and gob-compare the taxonomy (plus dendrogram and round
 // stats, the topic descriptions and the search index's hits with their
 // score bits) against a from-scratch build over the same window at EVERY
-// step, across worker counts, with embeddings on as the default
+// step, across GOMAXPROCS widths, with embeddings on as the default
 // configuration trains them.
 func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
@@ -97,10 +98,10 @@ func TestIncrementalRebuildMatchesFromScratch(t *testing.T) {
 		{"w2-s2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers))
 			cfg := core.DefaultConfig()
 			cfg.WindowDays = 4
 			cfg.TrainEmbeddings = false
-			cfg.Graph.Workers = tc.workers
 			cfg.Graph.MinSimilarity = 0.15
 
 			p, err := core.NewDailyPipeline(c, cfg)

@@ -75,11 +75,8 @@ type Config struct {
 	// benchmark/run.go: every DailyPipeline rebuild patches the entity
 	// graph. The next benchmark-archetype PR deletes it.
 	Incremental bool
-	// HAC also carries the frontier-pruned diffusion gate
-	// (HAC.FrontierDensity, 0 = the default 0.25): clustering recomputes
-	// only changed diffusion frontiers when the changed fraction stays
-	// under it, with byte-identical output for every setting — tests set
-	// it negative for the dense oracle.
+	// HAC is the clustering configuration: the stop threshold, r and the
+	// merge rule. Every r forms the same clusters up to tie-breaks.
 	HAC      phac.Config
 	Taxonomy taxonomy.Config
 	Describe describe.Config
@@ -136,9 +133,8 @@ type Build struct {
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go; the next benchmark-archetype PR deletes it.
 	Shards int
-	// FrontierDensity is the resolved frontier-pruning density gate,
-	// reported by /api/stats (and written by the frozen
-	// benchmark/replay.go).
+	// FrontierDensity is read by nothing, written only by the frozen
+	// benchmark/replay.go; the next benchmark-archetype PR deletes it.
 	FrontierDensity float64
 	// Workers and BSPStats are read by nothing, written only by the
 	// frozen benchmark/replay.go; the next benchmark-archetype PR deletes
@@ -222,15 +218,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	if err := corpus.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	density := cfg.HAC.FrontierDensity
-	if density == 0 {
-		density = phac.DefaultFrontierDensity
-	}
-	b := &Build{
-		Corpus: corpus, Clicks: clicks,
-		FrontierDensity: density,
-		Trace:           obs.NewTrace("shoal-build"),
-	}
+	b := &Build{Corpus: corpus, Clicks: clicks, Trace: obs.NewTrace("shoal-build")}
 	// Declaration order is the order of b.StageTimings.
 	fj := newForkJoin(ctx, b.Trace, cfg.Sequential)
 	var inputs []func()

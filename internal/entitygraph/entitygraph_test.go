@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -267,18 +268,16 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1 := DefaultConfig()
-	cfg1.Workers = 1
-	cfgN := DefaultConfig()
-	cfgN.Workers = 4
-	a, err := Build(context.Background(), es, clicks, emb, cfg1)
-	if err != nil {
-		t.Fatal(err)
+	build := func(procs int) *Result {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Build(context.Background(), es, clicks, emb, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	b, err := Build(context.Background(), es, clicks, emb, cfgN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := build(1), build(4)
 	ea, eb := a.Graph.Edges(), b.Graph.Edges()
 	if len(ea) != len(eb) {
 		t.Fatalf("edge counts differ across worker counts: %d vs %d", len(ea), len(eb))
@@ -329,7 +328,7 @@ func TestStateIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MinSimilarity = 0.1
-			cfg.Workers = workers
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			clicks := bipartite.New(0)
 			if err := clicks.AddAll(base); err != nil {
 				t.Fatal(err)

@@ -69,7 +69,6 @@ func trainTiny(t testing.TB) *word2vec.Model {
 	cfg.Dim = 12
 	cfg.Epochs = 3
 	cfg.MinCount = 1
-	cfg.Workers = 1
 	m, err := word2vec.Train(context.Background(), sents, cfg)
 	if err != nil {
 		t.Fatal(err)

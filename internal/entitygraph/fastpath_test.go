@@ -3,6 +3,7 @@ package entitygraph
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -159,7 +160,7 @@ func TestFullBuildAllocs(t *testing.T) {
 	es, clicks := oracleWorld(t)
 	emb := trainTiny(t)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	build := func() {
 		if _, _, err := BuildWithState(ctx, es, clicks, emb, cfg); err != nil {
@@ -182,7 +183,7 @@ func TestFullBuildAllocs(t *testing.T) {
 func TestPatchAllocs(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, every := range []int{24, 4} {
 		es, clicks := oracleWorld(t)
 		clicks.TakeChangedItems()

@@ -30,9 +30,6 @@ type Config struct {
 	// MaxQueryFanout skips queries associated with more than this many
 	// entities during candidate generation; 0 disables the cap.
 	MaxQueryFanout int
-	// Workers splits the candidate rows — generation and scoring — across
-	// goroutines; 0 means GOMAXPROCS.
-	Workers int
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go: the build emits one CSR, not a partition of
 	// one. The next benchmark-archetype PR deletes it.
@@ -46,7 +43,6 @@ func DefaultConfig() Config {
 		MinSimilarity:  0.35,
 		TopK:           10,
 		MaxQueryFanout: 400,
-		Workers:        0,
 	}
 }
 
@@ -59,9 +55,6 @@ func (c *Config) validate() error {
 	}
 	if c.TopK < 0 || c.MaxQueryFanout < 0 {
 		return fmt.Errorf("entitygraph: TopK and MaxQueryFanout must be non-negative")
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return nil
 }
@@ -281,9 +274,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// an edge — are kept: sorted, into fixed-size chunks the worker owns,
 	// which a parallel copy then lays end to end in row order. A pair of two
 	// dirty entities belongs to the lower one's row, a pair with a clean
-	// entity to the dirty one's; rows are interleaved across workers (low
-	// rows have the most partners) and are disjoint output spans, so the
-	// result does not depend on which worker handled which row.
+	// entity to the dirty one's; rows are interleaved across GOMAXPROCS
+	// workers (low rows have the most partners) and are disjoint output
+	// spans, so the result does not depend on which worker handled which
+	// row.
 	rows := make([]int32, 0, n)
 	for e := range dirty {
 		if dirty[e] {
@@ -291,11 +285,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		}
 	}
 	means := es.meanVectors(emb)
-	genOff := make([]int, len(rows)+1)          // row r's pairs land at [genOff[r], genOff[r+1])
-	chunks := make([][]*pairChunk, cfg.Workers) // worker w's kept pairs, its rows in order
-	scoredBy := make([]int, cfg.Workers)
+	workers := runtime.GOMAXPROCS(0)
+	genOff := make([]int, len(rows)+1)      // row r's pairs land at [genOff[r], genOff[r+1])
+	chunks := make([][]*pairChunk, workers) // worker w's kept pairs, its rows in order
+	scoredBy := make([]int, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -307,8 +302,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			var cur *pairChunk
 			fill, nScored := chunkLen, 0
 			defer func() { chunks[w], scoredBy[w] = buf, nScored }()
-			for r := w; r < len(rows); r += cfg.Workers {
-				if r/cfg.Workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
+			for r := w; r < len(rows); r += workers {
+				if r/workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
 					return
 				}
 				a := rows[r]
@@ -382,7 +377,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		go func(w int) {
 			defer wg.Done()
 			p := 0 // position in the worker's chunks
-			for r := w; r < len(rows); r += cfg.Workers {
+			for r := w; r < len(rows); r += workers {
 				for o := genOff[r]; o < genOff[r+1]; {
 					c, at := chunks[w][p/chunkLen], p%chunkLen
 					m := min(genOff[r+1]-o, chunkLen-at)

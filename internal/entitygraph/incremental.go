@@ -210,8 +210,9 @@ func patchCSR(prev *wgraph.CSR, n int, pairs [][2]int32, sims []float64, topU, t
 }
 
 // sameGraphSemantics reports whether two configs produce the same graph.
-// Workers is execution-only and Shards inert: both are deliberately
-// excluded, so retained state never depends on a width.
+// Shards is inert and deliberately excluded, so retained state never
+// depends on a width; the one width that varies the build, GOMAXPROCS,
+// is not configuration at all.
 func sameGraphSemantics(a, b Config) bool {
 	return a.Alpha == b.Alpha && a.MinSimilarity == b.MinSimilarity &&
 		a.TopK == b.TopK && a.MaxQueryFanout == b.MaxQueryFanout

@@ -3,6 +3,7 @@ package entitygraph
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestIncrementalMatchesFullOverSlide(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MinSimilarity = 0.15
-			cfg.Workers = tc.workers
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers))
 
 			inc := bipartite.New(window)
 			if err := inc.AddAll(days[0]); err != nil {

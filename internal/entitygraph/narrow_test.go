@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -279,7 +280,8 @@ func TestNarrowRankBoundaries(t *testing.T) {
 		t.Helper()
 		ctx := context.Background()
 		cfg := DefaultConfig()
-		cfg.MinSimilarity, cfg.TopK, cfg.MaxQueryFanout, cfg.Workers = minSim, topK, 0, 1
+		cfg.MinSimilarity, cfg.TopK, cfg.MaxQueryFanout = minSim, topK, 0
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
 		if err != nil {
 			t.Fatal(err)

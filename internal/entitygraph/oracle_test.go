@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestBuildStateMatchesReference(t *testing.T) {
 				cfg.MinSimilarity = 0.1
 				cfg.TopK = 3
 				cfg.MaxQueryFanout = fanout
-				cfg.Workers = workers
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				_, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
 				if err != nil {
 					t.Fatal(err)

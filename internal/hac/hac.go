@@ -138,7 +138,9 @@ func Cluster(g *wgraph.CSR, sizes []int, cfg Config) (*dendrogram.Dendrogram, er
 			if x == u {
 				continue
 			}
-			st.adj[newID][x] += wv / den * s
+			// The explicit conversion keeps the product rounded, so no
+			// platform fuses the sum into one multiply-add.
+			st.adj[newID][x] += float64(wv / den * s)
 		}
 		// Rewire neighbors and enqueue updated edges.
 		for x, s := range st.adj[newID] {

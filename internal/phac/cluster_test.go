@@ -139,17 +139,6 @@ func TestClusterStopThreshold(t *testing.T) {
 	}
 }
 
-func TestClusterMaxRounds(t *testing.T) {
-	g := twoClusters(t)
-	res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.1, DiffusionRounds: 2, MaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 1 {
-		t.Fatalf("rounds = %d, want 1", len(res.Rounds))
-	}
-}
-
 func TestClusterErrors(t *testing.T) {
 	g := twoClusters(t)
 	if _, err := Cluster(context.Background(), wgraphtest.Build(t, 0), nil, DefaultConfig()); err == nil {
@@ -258,13 +247,10 @@ func TestClusterFirstRoundMatchesDiffuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Cluster(context.Background(), g, nil, Config{StopThreshold: 0.3, DiffusionRounds: 2, MaxRounds: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		selected, _, _ := newState(g, nil, Config{StopThreshold: 0.3, DiffusionRounds: 2}).selectLocalMaxima()
 		var got []Edge
-		for _, m := range res.Dendrogram.Merges {
-			got = append(got, Edge{U: m.A, V: m.B, Sim: m.Sim})
+		for _, e := range selected {
+			got = append(got, Edge{U: e.U(), V: e.V(), Sim: e.sim})
 		}
 		if !reflect.DeepEqual(sel, got) {
 			t.Fatalf("seed %d: Diffuse=%v Cluster round 0=%v", seed, sel, got)

@@ -1,8 +1,9 @@
 // compat.go is the whole of what remains of the cross-build clustering
-// warm start and of the BSP clustering twin: the names the frozen
-// benchmark/replay.go still compiles against, with nothing behind them. Nothing in the root module calls
-// them (CI enforces it); the next benchmark-archetype PR deletes this
-// file together with those calls.
+// warm start, of the BSP clustering twin and of the frontier-density
+// gate: the names the frozen benchmark/replay.go still compiles against,
+// with nothing behind them. Nothing in the root module calls them (CI
+// enforces it); the next benchmark-archetype PR deletes this file
+// together with those calls.
 
 package phac
 
@@ -28,3 +29,8 @@ func ClusterWarm(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config, _ 
 	res, err := Cluster(ctx, g, sizes, cfg)
 	return res, nil, err
 }
+
+// DefaultFrontierDensity is the default of the deleted frontier-density
+// gate; the frozen benchmark/replay.go writes it into core.Build's inert
+// FrontierDensity field.
+const DefaultFrontierDensity = 0.25

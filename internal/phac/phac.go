@@ -169,16 +169,6 @@ type Config struct {
 	// caller's goroutine. The next benchmark-archetype PR deletes them.
 	Workers int
 	Shards  int
-	// FrontierDensity tunes frontier-pruned diffusion: an exchange
-	// iteration recomputes only nodes with a changed neighbor when the
-	// previous phase changed at most this fraction of the alive nodes,
-	// and falls back to the dense scan above it. 0 means the default
-	// (0.25); a negative value disables pruning entirely. Results are
-	// byte-identical for every setting — pruning skips only provably
-	// unchanged recomputes.
-	FrontierDensity float64
-	// MaxRounds caps clustering rounds; 0 means unlimited.
-	MaxRounds int
 	// Linkage is the merge update rule; zero value is the paper's Eq. 4.
 	Linkage Linkage
 }
@@ -197,9 +187,6 @@ func (c *Config) validate() error {
 	}
 	if c.DiffusionRounds < 0 {
 		return fmt.Errorf("phac: DiffusionRounds must be non-negative, got %d", c.DiffusionRounds)
-	}
-	if c.FrontierDensity == 0 {
-		c.FrontierDensity = DefaultFrontierDensity
 	}
 	if c.Linkage < LinkageSqrtSize || c.Linkage > LinkageSizeProportional {
 		return fmt.Errorf("phac: unknown linkage %d", c.Linkage)
@@ -298,9 +285,6 @@ func Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Resu
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cfg.MaxRounds > 0 && round >= cfg.MaxRounds {
-			break
-		}
 		var rsp *obs.Span
 		if psp != nil {
 			rsp = psp.Child("round-" + strconv.Itoa(round))
@@ -370,7 +354,6 @@ type state struct {
 	size       []float64
 	alive      []bool
 	aliveCount int
-	density    float64 // frontier density threshold (cfg.FrontierDensity)
 	rounds     int     // r, cfg.DiffusionRounds
 	threshold  float64 // cfg.StopThreshold
 	// exStates memoizes the diffusion cascade across merge rounds, all of
@@ -441,7 +424,7 @@ type state struct {
 	// changed to chNext, which becomes chList — the input frontier of the
 	// next iteration's scatter. Duplicate-free by construction (each row
 	// is recomputed once per phase). afList is the scatter output — the
-	// rows the pruned iteration must recompute — deduplicated via the
+	// rows the exchange iteration must recompute — deduplicated via the
 	// afMark epoch stamps.
 	chList []int32
 	chNext []int32
@@ -459,11 +442,6 @@ type state struct {
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 	n := c.NumNodes()
 	offsets, nbrs, wts := c.Adj()
-	// Normalize here too so direct constructions (tests) get the default
-	// density without going through validate.
-	if cfg.FrontierDensity == 0 {
-		cfg.FrontierDensity = DefaultFrontierDensity
-	}
 	st := &state{
 		total:   n,
 		offsets: offsets,
@@ -478,7 +456,6 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		size:       make([]float64, n, 2*n),
 		alive:      make([]bool, n, 2*n),
 		aliveCount: n,
-		density:    cfg.FrontierDensity,
 		rounds:     cfg.DiffusionRounds,
 		threshold:  cfg.StopThreshold,
 		exStates:   make([][]edgeRef, max(cfg.DiffusionRounds, 1)),
@@ -580,10 +557,9 @@ func (st *state) replaceMerged(base, newTotal int32) {
 // what a neighbor knows. The scan reads the CSR arrays directly and every phase
 // is memoized across merge rounds (see state.exStates): after the first
 // round, init reads only the dirty rows' maintained bests and each
-// exchange iteration recomputes only the frontier of cross-round changes
-// — with a dense fallback when the frontier outgrows the density
-// threshold. Every phase runs inline on the calling goroutine; no
-// allocation per diffusion iteration.
+// exchange iteration recomputes only the frontier of cross-round changes.
+// Every phase runs inline on the calling goroutine; no allocation per
+// diffusion iteration.
 func (st *state) selectLocalMaxima() ([]edgeRef, int, float64) {
 	nodes := st.aliveList()
 	// Repeated diffusion without an intervening merge (no dirty scratch
@@ -625,7 +601,7 @@ func (st *state) selectLocalMaxima() ([]edgeRef, int, float64) {
 			globalBest = st.bests[u]
 		}
 	}
-	st.nodes, nodes = alive, alive
+	st.nodes = alive
 
 	// r-1 exchange iterations: take the max over own and neighbors' known
 	// edges, reading level it and writing level it+1 so reads only see
@@ -633,20 +609,16 @@ func (st *state) selectLocalMaxima() ([]edgeRef, int, float64) {
 	// dirty (its input set changed) or any input value changed cross-
 	// round; everything else provably equals the memoized value. The
 	// previous phase's changed rows arrive in chList; the scatter walks
-	// that list (plus the dirty list) to build afList, and the pruned
-	// recompute walks afList — no per-phase stamp scans anywhere. Above
-	// the density threshold the scatter would mark most rows anyway, so
-	// the iteration recomputes the whole alive list instead. The r-th
-	// exchange is selectVerified's neighbor pass.
+	// that list (plus the dirty list) to build afList, and the recompute
+	// walks afList — no per-phase stamp scans anywhere. In the first round
+	// every level starts out all noEdge, so every row that knows an edge
+	// has changed and the scatter lists them all. The r-th exchange is
+	// selectVerified's neighbor pass.
 	for it := 0; it+1 < st.rounds; it++ {
 		st.epoch++
-		rows := nodes
-		if st.density >= 0 && float64(len(st.chList)) <= st.density*float64(len(nodes)) {
-			st.afList = st.scatterList(st.chList, st.dirtyList, st.afList[:0])
-			rows = st.afList
-		}
-		st.recomputed += len(rows)
-		st.chNext = st.exchangeRows(rows, st.exStates[it], st.exStates[it+1], st.chNext[:0])
+		st.afList = st.scatterList(st.chList, st.dirtyList, st.afList[:0])
+		st.recomputed += len(st.afList)
+		st.chNext = st.exchangeRows(st.afList, st.exStates[it], st.exStates[it+1], st.chNext[:0])
 		st.chList, st.chNext = st.chNext, st.chList
 	}
 	return st.selectVerified(), int(activeEdges), globalBest.sim
@@ -806,12 +778,11 @@ func (st *state) scatterList(ch, dirty []int32, out []int32) []int32 {
 	return out
 }
 
-// exchangeRows recomputes one level for the listed rows — the whole
-// alive list, or the scatter worklist, in which case every row not on it
-// keeps its memoized value, provably what the dense recomputation would
-// produce (identical inputs to last round). dst[u] becomes the best of
-// src over u and its neighbors; cross-round changes (new value differs
-// from the memoized one) append to out.
+// exchangeRows recomputes one level for the listed rows — the scatter
+// worklist: every row not on it keeps its memoized value, provably what
+// a recomputation would produce (identical inputs to last round). dst[u]
+// becomes the best of src over u and its neighbors; cross-round changes
+// (new value differs from the memoized one) append to out.
 func (st *state) exchangeRows(list []int32, src, dst []edgeRef, out []int32) []int32 {
 	offsets, nbrs, deg := st.offsets, st.nbrs, st.deg
 	for _, u := range list {

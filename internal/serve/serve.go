@@ -224,17 +224,14 @@ type DeltaStat struct {
 
 // Stats is the /api/stats payload.
 type Stats struct {
-	Items        int `json:"items"`
-	Queries      int `json:"queries"`
-	Categories   int `json:"categories"`
-	Entities     int `json:"entities"`
-	Topics       int `json:"topics"`
-	RootTopics   int `json:"rootTopics"`
-	Correlations int `json:"correlations"`
-	// FrontierDensity is the resolved frontier-pruning gate — the build
-	// configuration that explains the stage timings next to it.
-	FrontierDensity float64 `json:"frontierDensity"`
-	Swaps           int64   `json:"swaps"`
+	Items        int   `json:"items"`
+	Queries      int   `json:"queries"`
+	Categories   int   `json:"categories"`
+	Entities     int   `json:"entities"`
+	Topics       int   `json:"topics"`
+	RootTopics   int   `json:"rootTopics"`
+	Correlations int   `json:"correlations"`
+	Swaps        int64 `json:"swaps"`
 	// Delta is present when the build reports one; core sets it on every
 	// build.
 	Delta  *DeltaStat      `json:"delta,omitempty"`
@@ -362,15 +359,14 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	snap := h.cur.Load()
 	b := snap.build
 	out := Stats{
-		Items:           len(b.Corpus.Items),
-		Queries:         len(b.Corpus.Queries),
-		Categories:      len(b.Corpus.Categories),
-		Entities:        len(b.Entities.Entities),
-		Topics:          len(b.Taxonomy.Topics),
-		RootTopics:      len(b.Taxonomy.Roots()),
-		FrontierDensity: b.FrontierDensity,
-		Swaps:           snap.swaps,
-		HTTP:            h.metrics.Summary(),
+		Items:      len(b.Corpus.Items),
+		Queries:    len(b.Corpus.Queries),
+		Categories: len(b.Corpus.Categories),
+		Entities:   len(b.Entities.Entities),
+		Topics:     len(b.Taxonomy.Topics),
+		RootTopics: len(b.Taxonomy.Roots()),
+		Swaps:      snap.swaps,
+		HTTP:       h.metrics.Summary(),
 	}
 	if b.Correlations != nil {
 		out.Correlations = len(b.Correlations.Pairs())
