@@ -7,17 +7,13 @@ package shoal_test
 
 import (
 	"context"
-	"net/http/httptest"
-	"net/url"
 	"strconv"
-	"sync"
 	"testing"
 
 	"shoal"
 	"shoal/internal/abtest"
 	"shoal/internal/benchjson"
 	"shoal/internal/bipartite"
-	"shoal/internal/bm25"
 	"shoal/internal/catcorr"
 	"shoal/internal/core"
 	"shoal/internal/entitygraph"
@@ -28,47 +24,30 @@ import (
 	"shoal/internal/modularity"
 	"shoal/internal/phac"
 	"shoal/internal/recommend"
-	"shoal/internal/serve"
 	"shoal/internal/synth"
 	"shoal/internal/textutil"
 	"shoal/internal/word2vec"
 )
 
-// benchWorld is the shared fixture: the fixed benchmark corpus and full
-// pipeline build from benchjson.FixedWorld — the same fixture the
-// BENCH_*.json substrate suite uses, built once per process and
-// optionally cached on disk via SHOAL_BENCH_FIXTURE so CI's bench smoke
-// pass and the benchjson re-run share one build.
-type benchWorld struct {
-	corpus *model.Corpus
-	build  *core.Build
-	sizes  []int
-}
-
-var (
-	worldOnce sync.Once
-	world     *benchWorld
-)
-
-func getWorld(b *testing.B) *benchWorld {
+// fixedWorld returns benchjson's bench fixture, the world the
+// BENCH_*.json substrate suite times: the fixed benchmark corpus, a full
+// pipeline build over it, its click window and its entity sizes.
+func fixedWorld(b *testing.B) (*core.Build, *bipartite.Graph, []int) {
 	b.Helper()
-	worldOnce.Do(func() {
-		bd, _, sizes, err := benchjson.FixedWorld()
-		if err != nil {
-			panic(err)
-		}
-		world = &benchWorld{corpus: bd.Corpus, build: bd, sizes: sizes}
-	})
-	return world
+	bd, clicks, sizes, err := benchjson.FixedWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bd, clicks, sizes
 }
 
 // BenchmarkE1Precision regenerates §3's placement-precision evaluation
 // (paper: 98% over 1000 topics × 100 items).
 func BenchmarkE1Precision(b *testing.B) {
-	w := getWorld(b)
+	bd, _, _ := fixedWorld(b)
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, err := eval.Precision(w.build.Taxonomy, w.corpus, eval.PrecisionConfig{
+		res, err := eval.Precision(bd.Taxonomy, bd.Corpus, eval.PrecisionConfig{
 			SampleTopics: 1000, ItemsPerTopic: 100, MinTopicItems: 3,
 			RootTopicsOnly: true, Seed: uint64(i + 1),
 		})
@@ -82,12 +61,12 @@ func BenchmarkE1Precision(b *testing.B) {
 
 // BenchmarkE2ABTest regenerates §3's online A/B simulation (paper: +5% CTR).
 func BenchmarkE2ABTest(b *testing.B) {
-	w := getWorld(b)
-	ctl, err := recommend.NewCategoryRecommender(w.corpus)
+	bd, _, _ := fixedWorld(b)
+	ctl, err := recommend.NewCategoryRecommender(bd.Corpus)
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp, err := recommend.NewTopicRecommender(w.corpus, w.build.Taxonomy)
+	exp, err := recommend.NewTopicRecommender(bd.Corpus, bd.Taxonomy)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +75,7 @@ func BenchmarkE2ABTest(b *testing.B) {
 	var lift float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		res, err := abtest.Run(w.corpus, ctl, exp, cfg)
+		res, err := abtest.Run(bd.Corpus, ctl, exp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,13 +86,13 @@ func BenchmarkE2ABTest(b *testing.B) {
 
 // BenchmarkE3Modularity regenerates §2.2's quality metric (paper: > 0.3).
 func BenchmarkE3Modularity(b *testing.B) {
-	w := getWorld(b)
+	bd, _, _ := fixedWorld(b)
 	b.ReportAllocs()
-	labels := w.build.Dendrogram.CutAt(0.12)
+	labels := bd.Dendrogram.CutAt(0.12)
 	var q float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		q, err = modularity.Compute(w.build.Graph, labels)
+		q, err = modularity.Compute(bd.Graph, labels)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,11 +104,11 @@ func BenchmarkE3Modularity(b *testing.B) {
 // HAC vs Parallel HAC (paper: 200M entities in 4h on a cluster; the shape
 // that reproduces is far fewer, far wider rounds).
 func BenchmarkE4Scaling(b *testing.B) {
-	w := getWorld(b)
+	bd, _, sizes := fixedWorld(b)
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hac.Cluster(w.build.Graph, w.sizes, hac.Config{StopThreshold: 0.12}); err != nil {
+			if _, err := hac.Cluster(bd.Graph, sizes, hac.Config{StopThreshold: 0.12}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,7 +116,7 @@ func BenchmarkE4Scaling(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, err := phac.Cluster(context.Background(), w.build.Graph, w.sizes, phac.Config{
+			_, err := phac.Cluster(context.Background(), bd.Graph, sizes, phac.Config{
 				StopThreshold: 0.12, DiffusionRounds: 2,
 			})
 			if err != nil {
@@ -150,13 +129,13 @@ func BenchmarkE4Scaling(b *testing.B) {
 // BenchmarkE5Diffusion regenerates the §2.2 iteration/parallelism
 // trade-off (paper: fewer iterations ⇒ more local maximal edges; r=2).
 func BenchmarkE5Diffusion(b *testing.B) {
-	w := getWorld(b)
+	bd, _, _ := fixedWorld(b)
 	for _, r := range []int{0, 1, 2, 4} {
 		b.Run("r"+strconv.Itoa(r), func(b *testing.B) {
 			b.ReportAllocs()
 			var selected int
 			for i := 0; i < b.N; i++ {
-				sel, err := phac.Diffuse(w.build.Graph, r, 0.12)
+				sel, err := phac.Diffuse(bd.Graph, r, 0.12)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,11 +148,7 @@ func BenchmarkE5Diffusion(b *testing.B) {
 
 // BenchmarkE6Alpha regenerates the §2.1 blend ablation (paper: α = 0.7).
 func BenchmarkE6Alpha(b *testing.B) {
-	w := getWorld(b)
-	clicks := bipartite.New(7)
-	if err := clicks.AddAll(w.corpus.Clicks); err != nil {
-		b.Fatal(err)
-	}
+	bd, clicks, sizes := fixedWorld(b)
 	for _, alpha := range []float64{0, 0.7, 1} {
 		b.Run("alpha"+strconv.FormatFloat(alpha, 'f', 1, 64), func(b *testing.B) {
 			var nmi float64
@@ -181,17 +156,17 @@ func BenchmarkE6Alpha(b *testing.B) {
 				gcfg := entitygraph.DefaultConfig()
 				gcfg.Alpha = alpha
 				gcfg.MinSimilarity = 0.25
-				res, err := entitygraph.Build(context.Background(), w.build.Entities, clicks, w.build.Embeddings, gcfg)
+				res, err := entitygraph.Build(context.Background(), bd.Entities, clicks, bd.Embeddings, gcfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cres, err := phac.Cluster(context.Background(), res.Graph, w.sizes, phac.Config{StopThreshold: 0.12, DiffusionRounds: 2})
+				cres, err := phac.Cluster(context.Background(), res.Graph, sizes, phac.Config{StopThreshold: 0.12, DiffusionRounds: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
-				truth := make([]model.ScenarioID, len(w.build.Entities.Entities))
+				truth := make([]model.ScenarioID, len(bd.Entities.Entities))
 				for j := range truth {
-					truth[j] = w.build.Entities.Entities[j].Scenario
+					truth[j] = bd.Entities.Entities[j].Scenario
 				}
 				part, err := eval.LabelsPartition(cres.Dendrogram.CutAt(0.12), truth)
 				if err != nil {
@@ -207,10 +182,10 @@ func BenchmarkE6Alpha(b *testing.B) {
 // BenchmarkE7CatCorr regenerates the §2.4 correlation mining at the
 // paper's threshold (Sc > 10).
 func BenchmarkE7CatCorr(b *testing.B) {
-	w := getWorld(b)
+	bd, _, _ := fixedWorld(b)
 	var pairs int
 	for i := 0; i < b.N; i++ {
-		g, err := catcorr.Mine(context.Background(), w.build.Taxonomy, catcorr.DefaultConfig())
+		g, err := catcorr.Mine(context.Background(), bd.Taxonomy, catcorr.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,20 +196,20 @@ func BenchmarkE7CatCorr(b *testing.B) {
 
 // BenchmarkE8Linkage regenerates the Eq. 4 linkage ablation (extension).
 func BenchmarkE8Linkage(b *testing.B) {
-	w := getWorld(b)
+	bd, _, sizes := fixedWorld(b)
 	for _, linkage := range []phac.Linkage{
 		phac.LinkageSqrtSize, phac.LinkageUnweighted, phac.LinkageSizeProportional,
 	} {
 		b.Run(linkage.String(), func(b *testing.B) {
 			var q float64
 			for i := 0; i < b.N; i++ {
-				res, err := phac.Cluster(context.Background(), w.build.Graph, w.sizes, phac.Config{
+				res, err := phac.Cluster(context.Background(), bd.Graph, sizes, phac.Config{
 					StopThreshold: 0.12, DiffusionRounds: 2, Linkage: linkage,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				q, err = modularity.Compute(w.build.Graph, res.Dendrogram.CutAt(0.12))
+				q, err = modularity.Compute(bd.Graph, res.Dendrogram.CutAt(0.12))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,6 +249,27 @@ func BenchmarkF3Figure(b *testing.B) {
 
 // --- substrate micro-benchmarks -------------------------------------
 
+// BenchmarkSubstrate runs the BENCH_*.json substrate suite
+// (benchjson.NewSuite) under go test -bench, one sub-benchmark per timed
+// entry under its benchjson name. shoal-bench -benchjson times the same
+// entries best of three and adds the paired ratios.
+func BenchmarkSubstrate(b *testing.B) {
+	s, err := benchjson.NewSuite()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range s.Benches {
+		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := e.Op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func benchPipeline(b *testing.B, sequential bool) {
 	gen := synth.DefaultConfig()
 	gen.Scenarios = 12
@@ -309,26 +305,11 @@ func BenchmarkPipelineSequential(b *testing.B) { benchPipeline(b, true) }
 // sequential schedule; only wall-clock differs.
 func BenchmarkPipelineConcurrent(b *testing.B) { benchPipeline(b, false) }
 
-func BenchmarkEntityGraphBuild(b *testing.B) {
-	w := getWorld(b)
-	b.ReportAllocs()
-	clicks := bipartite.New(7)
-	if err := clicks.AddAll(w.corpus.Clicks); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := entitygraph.Build(context.Background(), w.build.Entities, clicks, w.build.Embeddings, entitygraph.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWord2VecTrain(b *testing.B) {
-	w := getWorld(b)
-	sentences := make([][]string, 0, len(w.corpus.Items))
-	for i := range w.corpus.Items {
-		sentences = append(sentences, textutil.Tokenize(w.corpus.Items[i].Title))
+	bd, _, _ := fixedWorld(b)
+	sentences := make([][]string, 0, len(bd.Corpus.Items))
+	for i := range bd.Corpus.Items {
+		sentences = append(sentences, textutil.Tokenize(bd.Corpus.Items[i].Title))
 	}
 	cfg := word2vec.DefaultConfig()
 	cfg.Epochs = 1
@@ -337,65 +318,6 @@ func BenchmarkWord2VecTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := word2vec.Train(context.Background(), sentences, cfg); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBM25TopK(b *testing.B) {
-	w := getWorld(b)
-	b.ReportAllocs()
-	docs := make([][]string, 0, len(w.corpus.Items))
-	for i := range w.corpus.Items {
-		docs = append(docs, textutil.Tokenize(w.corpus.Items[i].Title))
-	}
-	idx, err := bm25.Build(docs, bm25.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := textutil.Tokenize(w.corpus.Queries[0].Text)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.TopK(query, 10)
-	}
-}
-
-// BenchmarkServeSearch measures the online serving path (§1: "millions of
-// searches per day"): one query→topic search through the HTTP handler.
-func BenchmarkServeSearch(b *testing.B) {
-	w := getWorld(b)
-	b.ReportAllocs()
-	h, err := serve.NewHandler(w.build)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := w.corpus.Queries[0].Text
-	req := httptest.NewRequest("GET", "/api/search?q="+url.QueryEscape(probe)+"&k=5", nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d", rec.Code)
-		}
-	}
-}
-
-// BenchmarkServeStats measures the /api/stats path, which now folds the
-// per-route latency digests into the build facts on every request.
-func BenchmarkServeStats(b *testing.B) {
-	w := getWorld(b)
-	b.ReportAllocs()
-	h, err := serve.NewHandler(w.build)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest("GET", "/api/stats", nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d", rec.Code)
 		}
 	}
 }

@@ -21,6 +21,11 @@
 // way, and no longer carries the construction shard-count sweep and its
 // three *-vs-serial ratios: the chunked builder they timed is deleted
 // (ROADMAP, "One CSR, one diffusion").
+//
+// The suite is declared once (NewSuite) and has two drivers: Run, behind
+// shoal-bench -benchjson, and the root package's BenchmarkSubstrate
+// under go test -bench. Both time the world FixedWorld builds, one full
+// pipeline build per process; nothing is cached between processes.
 package benchjson
 
 import (
@@ -57,11 +62,33 @@ type Result struct {
 	Iterations  int     `json:"iterations"`
 }
 
-// Run executes every substrate benchmark once and returns the results
-// sorted by name. The shared fixture comes from FixedWorld (see
-// fixture.go), so a process that already built it — or a CI step that
-// cached it on disk — does not pay for it again.
-func Run() ([]Result, error) {
+// Bench is one timed entry of the substrate suite: an operation on the
+// fixed world, run b.N times by whichever driver times it.
+type Bench struct {
+	Name string
+	Op   func() error
+}
+
+// Ratio is one derived entry: the time of Cand over the time of Base,
+// the two sides alternating inside one timing window (pairedRatio).
+type Ratio struct {
+	Name       string
+	Base, Cand func() error
+}
+
+// Suite is the substrate benchmark suite, declared once for its two
+// drivers: Run (shoal-bench -benchjson) times Benches best of three and
+// measures Ratios paired, and the root package's BenchmarkSubstrate runs
+// Benches under go test -bench, each under its own name.
+type Suite struct {
+	Benches []Bench // in name order
+	Ratios  []Ratio
+}
+
+// NewSuite builds the suite's inputs on FixedWorld — the BM25 index, the
+// serving handler, the slide and ingest worlds — and declares its
+// operations. Nothing is timed.
+func NewSuite() (*Suite, error) {
 	b, clicks, sizes, err := FixedWorld()
 	if err != nil {
 		return nil, err
@@ -81,82 +108,71 @@ func Run() ([]Result, error) {
 	ctx := context.Background()
 	cfg := fixedWorldConfig()
 
-	var firstErr error
-	record := func(op func() error) func(*testing.B) {
-		return func(tb *testing.B) {
-			tb.ReportAllocs()
-			for i := 0; i < tb.N; i++ {
-				if err := op(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
-	benches := map[string]func(*testing.B){
+	s := &Suite{Benches: []Bench{
 		// Comparable across every BENCH_*.json generation.
-		"diffuse-r2": record(func() error {
+		{"diffuse-r2", func() error {
 			_, err := phac.Diffuse(g, 2, 0.12)
 			return err
-		}),
-		"phac-cluster": record(func() error {
+		}},
+		{"phac-cluster", func() error {
 			_, err := phac.Cluster(ctx, g, sizes, phac.Config{StopThreshold: 0.12, DiffusionRounds: 2})
 			return err
-		}),
-		"hac-sequential": record(func() error {
+		}},
+		{"hac-sequential", func() error {
 			_, err := hac.Cluster(g, sizes, hac.Config{StopThreshold: 0.12})
 			return err
-		}),
-		"modularity": record(func() error {
+		}},
+		{"modularity", func() error {
 			_, err := modularity.Compute(g, labels)
 			return err
-		}),
-		"entitygraph-build": record(func() error {
+		}},
+		{"entitygraph-build", func() error {
 			_, err := entitygraph.Build(ctx, b.Entities, clicks, b.Embeddings, entitygraph.DefaultConfig())
 			return err
-		}),
-		"csr-from-edges": record(func() error {
+		}},
+		{"csr-from-edges", func() error {
 			_, err := wgraph.FromEdges(g.NumNodes(), edges)
 			return err
-		}),
-		"bm25-topk": record(func() error {
+		}},
+		{"bm25-topk", func() error {
 			idx.TopK(query, 10)
 			return nil
-		}),
+		}},
 		// phac-cluster as the pipeline runs it: phac.DefaultConfig's r at
 		// the fixture's stop threshold.
-		"phac-cluster-default": record(func() error {
+		{"phac-cluster-default", func() error {
 			hcfg := phac.DefaultConfig()
 			hcfg.StopThreshold = cfg.HAC.StopThreshold
 			_, err := phac.Cluster(ctx, g, sizes, hcfg)
 			return err
-		}),
+		}},
 		// Deeper exchange budget than the paper's r=2: late iterations
 		// converge, so this point tracks what Diffuse's early exit saves
 		// once an iteration changes nothing. The name stays for the
 		// committed BENCH_*.json files that carry it.
-		"diffuse-r6": record(func() error {
+		{"diffuse-r6", func() error {
 			_, err := phac.Diffuse(g, 6, 0.12)
 			return err
-		}),
+		}},
 		// Per-slide rebuild cost of topic descriptions, text plane warm:
 		// id-built BM25 index and one scoring pass per distinct query.
-		"describe": record(func() error {
+		{"describe", func() error {
 			_, err := describe.Describe(ctx, b.Taxonomy, b.Corpus, clicks, describe.DefaultConfig())
 			return err
-		}),
+		}},
 		// The rest of the slide's tail, as the pipeline's stages run it:
 		// three dendrogram cuts assembled into the topic tree, and the
 		// search documents assembled as text-plane term ids and indexed.
-		"taxonomy-build": record(func() error {
+		{"taxonomy-build", func() error {
 			_, err := taxonomy.Build(ctx, b.Dendrogram, b.Entities, b.Corpus, cfg.Taxonomy)
 			return err
-		}),
-		"search-index": record(func() error {
+		}},
+		{"search-index", func() error {
 			docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
 			_, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
 			return err
-		}),
-	}
+		}},
+	}}
 	// Serving hot path through the full instrumented handler (middleware,
 	// per-route histograms, status-class counters) versus the same mux
 	// with the instrumentation bypassed. The derived obs-overhead-vs-bare
@@ -169,14 +185,12 @@ func Run() ([]Result, error) {
 	bareMux := handler.Bare()
 	searchTarget := "/api/search?q=" + url.QueryEscape(b.Corpus.Queries[0].Text) + "&k=10"
 	sink := nopWriter{h: make(http.Header)}
-	benches["serve-search"] = record(func() error {
-		handler.ServeHTTP(&sink, httptest.NewRequest("GET", searchTarget, nil))
-		return nil
-	})
-	benches["serve-search-bare"] = record(func() error {
-		bareMux.ServeHTTP(&sink, httptest.NewRequest("GET", searchTarget, nil))
-		return nil
-	})
+	serveOp := func(h http.Handler, target string) func() error {
+		return func() error {
+			h.ServeHTTP(&sink, httptest.NewRequest("GET", target, nil))
+			return nil
+		}
+	}
 	// /api/stats encodes a latency digest for every route that has served
 	// a request: serve one on each route this suite reports before any
 	// timing, so serve-stats measures the same payload wherever it runs
@@ -184,10 +198,6 @@ func Run() ([]Result, error) {
 	for _, target := range []string{searchTarget, "/api/stats"} {
 		handler.ServeHTTP(&sink, httptest.NewRequest("GET", target, nil))
 	}
-	benches["serve-stats"] = record(func() error {
-		handler.ServeHTTP(&sink, httptest.NewRequest("GET", "/api/stats", nil))
-		return nil
-	})
 	// One-day window slide, rebuilt both ways from identical precomputed
 	// inputs: daily-rebuild runs the from-scratch graph construction the
 	// pre-incremental pipeline paid every day; incremental-rebuild
@@ -215,8 +225,6 @@ func Run() ([]Result, error) {
 		_, err = phac.Cluster(ctx, res.Graph, sizes, sw.hcfg)
 		return err
 	}
-	benches["daily-rebuild"] = record(dailyOp)
-	benches["incremental-rebuild"] = record(incOp)
 	// One steady-state day of the click window: a day's clicks merged
 	// into the full seven-day window, the oldest day merged out, and the
 	// changed items drained — the slide's bipartite.ingest layer.
@@ -224,18 +232,19 @@ func Run() ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	benches["window-ingest"] = record(iw.slide)
+	s.Benches = append(s.Benches,
+		Bench{"serve-search", serveOp(handler, searchTarget)},
+		Bench{"serve-search-bare", serveOp(bareMux, searchTarget)},
+		Bench{"serve-stats", serveOp(handler, "/api/stats")},
+		Bench{"daily-rebuild", dailyOp},
+		Bench{"incremental-rebuild", incOp},
+		Bench{"window-ingest", iw.slide},
+	)
+	// Timed in name order: a benchmark inherits the heap and handler
+	// state its predecessors left, so a fixed order keeps that
+	// inheritance the same from one BENCH file to the next.
+	sort.Slice(s.Benches, func(i, j int) bool { return s.Benches[i].Name < s.Benches[j].Name })
 
-	// The paired gated ratios are measured before the best-of-three sweep,
-	// on the same small live heap every run (fixture + slide world only):
-	// the sweep leaves a large heap behind, and GC assists over it
-	// systematically inflate the allocation-heavier side of the pair by a
-	// few percent — real money for a gate whose margin is single-digit
-	// percent.
-	incRatio, err := pairedRatio(dailyOp, incOp)
-	if err != nil {
-		return nil, err
-	}
 	// One paired serving op is a batch of requests: a single search is
 	// ≈10 µs, too short to time between two clock reads, and a thousand
 	// of them put the pair at the rebuild pair's scale.
@@ -247,33 +256,74 @@ func Run() ([]Result, error) {
 			return nil
 		}
 	}
-	obsRatio, err := pairedRatio(searchBatch(bareMux), searchBatch(handler))
+	s.Ratios = []Ratio{
+		// incremental-vs-full: delta-driven slide rebuild time over the
+		// from-scratch rebuild of the same window (dimensionless, lower
+		// is better; 1.0 means incrementality saves nothing). Hard-gated
+		// at IncrementalVsFullCeiling so the delta path must keep a real
+		// margin.
+		{"incremental-vs-full", dailyOp, incOp},
+		// obs-overhead-vs-bare: instrumented search serving time over the
+		// same handler with the middleware bypassed (dimensionless, lower
+		// is better; 1.0 means the telemetry is free). Hard-gated at
+		// ObsOverheadCeiling so the request instrumentation can never
+		// quietly grow past its <10% budget on the search hot path. Up to
+		// BENCH_23.json it was serve-search over serve-search-bare, two
+		// entries timed minutes apart, and it crept 1.024 → 1.076 over
+		// four files while the traced middleware cost stayed at 0.1-0.3
+		// µs of a 10 µs request.
+		{"obs-overhead-vs-bare", searchBatch(bareMux), searchBatch(handler)},
+	}
+	return s, nil
+}
+
+// Run builds the suite and times it: the paired ratios first, then every
+// timed entry in name order, best of three. It returns the results
+// sorted by name.
+func Run() ([]Result, error) {
+	s, err := NewSuite()
 	if err != nil {
 		return nil, err
 	}
-
-	// Timed in name order, not map order: a benchmark inherits the heap
-	// and handler state its predecessors left, so a fixed order keeps
-	// that inheritance the same from one BENCH file to the next.
-	names := make([]string, 0, len(benches))
-	for name := range benches {
-		names = append(names, name)
+	// The paired gated ratios are measured before the best-of-three sweep,
+	// on the same small live heap every run (fixture + slide world only):
+	// the sweep leaves a large heap behind, and GC assists over it
+	// systematically inflate the allocation-heavier side of the pair by a
+	// few percent — real money for a gate whose margin is single-digit
+	// percent. Measured paired, not by dividing two best-of-three
+	// entries: the quotient of two windows minutes apart carries the
+	// machine's drift between them, the quotient of one interleaved
+	// window does not. NsPerOp then holds a dimensionless quotient, so
+	// the gate can hold it to a fixed ceiling across runners.
+	out := make([]Result, 0, len(s.Benches)+len(s.Ratios))
+	for _, r := range s.Ratios {
+		q, err := pairedRatio(r.Base, r.Cand)
+		if err != nil {
+			return nil, fmt.Errorf("benchjson: %s: %w", r.Name, err)
+		}
+		out = append(out, Result{Name: r.Name, NsPerOp: q})
 	}
-	sort.Strings(names)
-	out := make([]Result, 0, len(benches)+2)
-	for _, name := range names {
-		fn := benches[name]
+	for _, e := range s.Benches {
+		var opErr error
+		fn := func(tb *testing.B) {
+			tb.ReportAllocs()
+			for i := 0; i < tb.N; i++ {
+				if err := e.Op(); err != nil && opErr == nil {
+					opErr = err
+				}
+			}
+		}
 		// Best of three: the minimum ns/op is the least scheduler-noise
 		// contaminated estimate, which keeps the committed trajectory
 		// (and the CI regression gate over it) stable run to run.
 		var best Result
 		for rep := 0; rep < 3; rep++ {
 			r := testing.Benchmark(fn)
-			if firstErr != nil {
-				return nil, fmt.Errorf("benchjson: %s: %w", name, firstErr)
+			if opErr != nil {
+				return nil, fmt.Errorf("benchjson: %s: %w", e.Name, opErr)
 			}
 			cand := Result{
-				Name:        name,
+				Name:        e.Name,
 				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 				AllocsPerOp: r.AllocsPerOp(),
 				BytesPerOp:  r.AllocedBytesPerOp(),
@@ -285,29 +335,6 @@ func Run() ([]Result, error) {
 		}
 		out = append(out, best)
 	}
-	// The derived ratios: NsPerOp holds a dimensionless time quotient,
-	// machine-speed-independent, so the gate can hold it to a fixed
-	// ceiling across runners without chasing absolute ns.
-	//
-	// incremental-vs-full: delta-driven slide rebuild time over the
-	// from-scratch rebuild of the same window (dimensionless, lower is
-	// better; 1.0 means incrementality saves nothing). Hard-gated at
-	// IncrementalVsFullCeiling so the delta path must keep a real margin.
-	// Measured paired (see pairedRatio), not by dividing the best-of-three
-	// entries above: the quotient of two windows minutes apart carries the
-	// machine's drift between them, the quotient of one interleaved window
-	// does not.
-	out = append(out, Result{Name: "incremental-vs-full", NsPerOp: incRatio})
-	// obs-overhead-vs-bare: instrumented search serving time over the same
-	// handler with the middleware bypassed (dimensionless, lower is
-	// better; 1.0 means the telemetry is free). Hard-gated at
-	// ObsOverheadCeiling so the request instrumentation can never quietly
-	// grow past its <10% budget on the search hot path. Paired like the
-	// ratio above: up to BENCH_23.json it was serve-search over
-	// serve-search-bare, two entries timed minutes apart, and it crept
-	// 1.024 → 1.076 over four files while the traced middleware cost
-	// stayed at 0.1-0.3 µs of a 10 µs request.
-	out = append(out, Result{Name: "obs-overhead-vs-bare", NsPerOp: obsRatio})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }

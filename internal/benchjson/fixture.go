@@ -1,45 +1,26 @@
 package benchjson
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
-	"os"
 	"sync"
 
 	"shoal/internal/bipartite"
 	"shoal/internal/core"
-	"shoal/internal/dendrogram"
 	"shoal/internal/entitygraph"
 	"shoal/internal/model"
 	"shoal/internal/phac"
 	"shoal/internal/synth"
-	"shoal/internal/taxonomy"
-	"shoal/internal/wgraph"
-	"shoal/internal/word2vec"
 )
-
-// FixtureEnv names the environment variable holding the on-disk fixture
-// cache path. When set, FixedWorld loads the corpus+pipeline fixture
-// from that file instead of rebuilding it, and saves it there after a
-// fresh build — so CI's `-benchtime 1x` smoke pass (which constructs the
-// fixture through the root bench suite) and the runner-side gated
-// benchjson re-run share one fixture build instead of paying for it
-// twice.
-const FixtureEnv = "SHOAL_BENCH_FIXTURE"
 
 var (
-	fwOnce   sync.Once
-	fwBuild  *core.Build
-	fwClicks *bipartite.Graph
-	fwSizes  []int
-	fwErr    error
+	fwOnce  sync.Once
+	fwBuild *core.Build
+	fwSizes []int
+	fwErr   error
 )
 
-// fixedWorldConfig is the fixed benchmark pipeline configuration —
-// shared by the fresh build and the fixture loader (which needs the
-// search-doc cap and catcorr settings to reconstruct derived state).
+// fixedWorldConfig is the fixed benchmark pipeline configuration.
 func fixedWorldConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Word2Vec.Epochs = 2
@@ -52,34 +33,26 @@ func fixedWorldConfig() core.Config {
 }
 
 // FixedWorld returns the shared benchmark fixture: a synthetic corpus
-// roughly 4x the unit-test scale plus a full pipeline build over it,
-// built (or loaded from the FixtureEnv cache) once per process. The
-// scale is fixed — not flag-tunable — so BENCH_*.json files from
-// different PRs are comparable. The returned values are shared;
+// roughly 4x the unit-test scale, a full pipeline build over it, the
+// build's seven-day click window and its entity sizes, built once per
+// process. The scale is fixed — not flag-tunable — so BENCH_*.json files
+// from different PRs are comparable. The returned values are shared;
 // treat them as read-only.
 func FixedWorld() (*core.Build, *bipartite.Graph, []int, error) {
 	fwOnce.Do(func() {
-		path := os.Getenv(FixtureEnv)
-		if path != "" {
-			if b, err := loadFixture(path); err == nil {
-				fwBuild = b
-				fwClicks, fwSizes, fwErr = deriveWorld(b)
-				return
-			}
-			// Missing or stale cache: fall through to a fresh build.
-		}
-		b, err := buildFixedWorld()
-		if err != nil {
-			fwErr = err
+		fwBuild, fwErr = buildFixedWorld()
+		if fwErr != nil {
 			return
 		}
-		fwBuild = b
-		fwClicks, fwSizes, fwErr = deriveWorld(b)
-		if path != "" && fwErr == nil {
-			fwErr = saveFixture(path, b)
+		fwSizes = make([]int, len(fwBuild.Entities.Entities))
+		for i := range fwSizes {
+			fwSizes[i] = fwBuild.Entities.Entities[i].Size()
 		}
 	})
-	return fwBuild, fwClicks, fwSizes, fwErr
+	if fwErr != nil {
+		return nil, nil, nil, fwErr
+	}
+	return fwBuild, fwBuild.Clicks, fwSizes, nil
 }
 
 func buildFixedWorld() (*core.Build, error) {
@@ -94,20 +67,6 @@ func buildFixedWorld() (*core.Build, error) {
 		return nil, err
 	}
 	return core.Run(corpus, fixedWorldConfig())
-}
-
-// deriveWorld rebuilds the cheap per-process companions of the fixture:
-// the click window and the entity size vector.
-func deriveWorld(b *core.Build) (*bipartite.Graph, []int, error) {
-	clicks := bipartite.New(7)
-	if err := clicks.AddAll(b.Corpus.Clicks); err != nil {
-		return nil, nil, err
-	}
-	sizes := make([]int, len(b.Entities.Entities))
-	for i := range sizes {
-		sizes[i] = b.Entities.Entities[i].Size()
-	}
-	return clicks, sizes, nil
 }
 
 // slideWorld is the precomputed input of the daily-rebuild /
@@ -215,105 +174,4 @@ func (w *ingestWorld) slide() error {
 	}
 	w.window.TakeChangedItems()
 	return nil
-}
-
-// fixtureFile is the gob wire form of the fixture: the corpus and every
-// expensive pipeline product the benchmarks read. The graph ships as its
-// canonical edge list and is rebuilt with wgraph.FromEdges — byte-
-// identical to the original arrays (entitygraph's
-// TestEmitMatchesCanonicalBuilder). Descriptions, correlations and
-// stage timings are derived or unread by the benchmarks and are not
-// cached.
-type fixtureFile struct {
-	Corpus            *model.Corpus
-	Entities          *entitygraph.EntitySet
-	QuerySets         [][]model.QueryID
-	NumNodes          int
-	Edges             []wgraph.Edge
-	Dendrogram        *dendrogram.Dendrogram
-	Rounds            []phac.RoundStat
-	Taxonomy          []byte // taxonomy.Save encoding
-	Embeddings        []byte // word2vec Save encoding; empty when disabled
-	SearchDocTokenCap int
-}
-
-// saveFixture writes the fixture cache for b.
-func saveFixture(path string, b *core.Build) error {
-	f := fixtureFile{
-		Corpus:            b.Corpus,
-		Entities:          b.Entities,
-		QuerySets:         b.QuerySets,
-		NumNodes:          b.Graph.NumNodes(),
-		Edges:             b.Graph.Edges(),
-		Dendrogram:        b.Dendrogram,
-		Rounds:            b.Rounds,
-		SearchDocTokenCap: fixedWorldConfig().SearchDocTokenCap,
-	}
-	var tx bytes.Buffer
-	if err := b.Taxonomy.Save(&tx); err != nil {
-		return fmt.Errorf("benchjson: fixture taxonomy: %w", err)
-	}
-	f.Taxonomy = tx.Bytes()
-	if b.Embeddings != nil {
-		var em bytes.Buffer
-		if err := b.Embeddings.Save(&em); err != nil {
-			return fmt.Errorf("benchjson: fixture embeddings: %w", err)
-		}
-		f.Embeddings = em.Bytes()
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&f); err != nil {
-		return fmt.Errorf("benchjson: encoding fixture: %w", err)
-	}
-	return os.WriteFile(path, out.Bytes(), 0o644)
-}
-
-// loadFixture reads a fixture cache and reassembles the build: the
-// CSR from the canonical edge list, the searcher from the same
-// search documents the pipeline indexes. Any error means "rebuild".
-func loadFixture(path string) (*core.Build, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f fixtureFile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("benchjson: decoding fixture: %w", err)
-	}
-	if err := f.Corpus.Validate(); err != nil {
-		return nil, fmt.Errorf("benchjson: fixture corpus: %w", err)
-	}
-	g, err := wgraph.FromEdges(f.NumNodes, f.Edges)
-	if err != nil {
-		return nil, fmt.Errorf("benchjson: fixture graph: %w", err)
-	}
-	tx, err := taxonomy.Load(bytes.NewReader(f.Taxonomy))
-	if err != nil {
-		return nil, fmt.Errorf("benchjson: fixture taxonomy: %w", err)
-	}
-	b := &core.Build{
-		Corpus:     f.Corpus,
-		Entities:   f.Entities,
-		Graph:      g,
-		QuerySets:  f.QuerySets,
-		Dendrogram: f.Dendrogram,
-		Rounds:     f.Rounds,
-		Taxonomy:   tx,
-	}
-	if len(f.Embeddings) > 0 {
-		m, err := word2vec.Load(bytes.NewReader(f.Embeddings))
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: fixture embeddings: %w", err)
-		}
-		b.Embeddings = m
-	}
-	if len(tx.Topics) > 0 {
-		docs, vocab := b.SearchDocIDs(f.SearchDocTokenCap)
-		s, err := taxonomy.NewSearcherIDs(context.Background(), tx, docs, vocab)
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: fixture searcher: %w", err)
-		}
-		b.Searcher = s
-	}
-	return b, nil
 }

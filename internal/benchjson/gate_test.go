@@ -129,3 +129,36 @@ func TestIncrementalVsFullCeiling(t *testing.T) {
 // step re-runs the suite fresh and gates it against the committed file
 // at a wider 50% tolerance, catching machine-visible regressions the
 // committed trajectory misses.
+
+// TestSuiteEmitsGatedNames holds the suite to every name BENCH_26.json
+// records, the base file of both CI gates. The gate ignores a name found
+// in one file only, so an entry renamed or dropped here would leave the
+// gate blind to it without failing.
+func TestSuiteEmitsGatedNames(t *testing.T) {
+	base, err := ReadFile("../../BENCH_26.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := make(map[string]bool)
+	emit := func(name string) {
+		if emitted[name] {
+			t.Errorf("the suite declares %q twice", name)
+		}
+		emitted[name] = true
+	}
+	for _, e := range s.Benches {
+		emit(e.Name)
+	}
+	for _, r := range s.Ratios {
+		emit(r.Name)
+	}
+	for _, r := range base {
+		if !emitted[r.Name] {
+			t.Errorf("the suite no longer emits %q, which BENCH_26.json gates", r.Name)
+		}
+	}
+}

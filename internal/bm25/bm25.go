@@ -285,11 +285,13 @@ func (idx *Index) Score(query []string, doc int) (float64, error) {
 }
 
 // termScore is one posting's BM25 contribution — the one expression
-// every scoring path evaluates, so they all agree to the bit.
+// every scoring path evaluates, so they all agree to the bit. The
+// explicit float64 keeps the K1 product rounded before the add, so no
+// architecture fuses the two into one rounding.
 func (idx *Index) termScore(idf float64, p posting) float64 {
 	tf := float64(p.tf)
 	dl := float64(idx.docLen[p.doc])
-	denom := tf + idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen)
+	denom := tf + float64(idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen))
 	return idf * tf * (idx.cfg.K1 + 1) / denom
 }
 

@@ -1,4 +1,4 @@
-// Package store persists corpora and taxonomies to disk. JSON is the
+// Package store persists corpora to disk. JSON is the
 // interchange format between the cmd tools (shoal-gen → shoal-build →
 // shoal-explore); gob is offered for faster reloads of large corpora.
 package store

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"shoal/internal/bipartite"
+	"shoal/internal/entitygraph"
 	"shoal/internal/model"
 	"shoal/internal/synth"
 )
@@ -78,4 +81,38 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := LoadCorpus(notGz); err == nil {
 		t.Fatal("non-gzip .gz accepted")
 	}
+}
+
+// FuzzLoadCorpus feeds arbitrary bytes to LoadCorpus under each of its
+// four encodings, chosen by enc: it may not panic, and a corpus it
+// accepts must get through the first things a build does with one — the
+// text plane, the click window and entity formation — without panicking.
+// The seeds are the curated corpus in all four encodings.
+func FuzzLoadCorpus(f *testing.F) {
+	names := []string{"c.json", "c.json.gz", "c.gob", "c.gob.gz"}
+	dir := f.TempDir()
+	for i, name := range names {
+		path := filepath.Join(dir, name)
+		if err := SaveCorpus(synth.Curated(), path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, enc uint8) {
+		path := filepath.Join(t.TempDir(), names[int(enc)%len(names)])
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadCorpus(path)
+		if err != nil {
+			return
+		}
+		c.Text()
+		_ = bipartite.New(7).AddAll(c.Clicks) // an error is a rejection, not a failure
+		_, _ = entitygraph.BuildEntities(context.Background(), c)
+	})
 }

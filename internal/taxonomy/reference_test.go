@@ -120,23 +120,15 @@ func assertMatchesReference(t *testing.T, name string, d *dendrogram.Dendrogram,
 		}
 		t.Fatalf("%s: taxonomy differs from the reference (%d topics, reference %d)", name, len(got.Topics), len(want.Topics))
 	}
-	for _, enc := range []struct {
-		name string
-		save func(*Taxonomy, *bytes.Buffer) error
-	}{
-		{"gob", func(tx *Taxonomy, b *bytes.Buffer) error { return tx.Save(b) }},
-		{"JSON", func(tx *Taxonomy, b *bytes.Buffer) error { return tx.SaveJSON(b) }},
-	} {
-		var g, w bytes.Buffer
-		if err := enc.save(got, &g); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.save(want, &w); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(g.Bytes(), w.Bytes()) {
-			t.Fatalf("%s: %s bytes differ from the reference's", name, enc.name)
-		}
+	var g, w bytes.Buffer
+	if err := got.Save(&g); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("%s: gob bytes differ from the reference's", name)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: built taxonomy fails Validate: %v", name, err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"encoding/gob"
-	"encoding/json"
 
 	"shoal/internal/bm25"
 	"shoal/internal/model"
@@ -124,26 +123,6 @@ func Load(r io.Reader) (*Taxonomy, error) {
 	var tx Taxonomy
 	if err := gob.NewDecoder(r).Decode(&tx); err != nil {
 		return nil, fmt.Errorf("taxonomy: decoding: %w", err)
-	}
-	if err := tx.Validate(); err != nil {
-		return nil, err
-	}
-	return &tx, nil
-}
-
-// SaveJSON writes the taxonomy as indented JSON (the interchange format of
-// cmd/shoal-build).
-func (tx *Taxonomy) SaveJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tx)
-}
-
-// LoadJSON reads a JSON taxonomy.
-func LoadJSON(r io.Reader) (*Taxonomy, error) {
-	var tx Taxonomy
-	if err := json.NewDecoder(r).Decode(&tx); err != nil {
-		return nil, fmt.Errorf("taxonomy: decoding JSON: %w", err)
 	}
 	if err := tx.Validate(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package taxonomy
 import (
 	"bytes"
 	"context"
-	"io"
 	"reflect"
 	"testing"
 
@@ -257,26 +256,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tx, got) {
 		t.Fatal("gob round trip changed the taxonomy")
 	}
-
-	var jbuf bytes.Buffer
-	if err := tx.SaveJSON(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadJSON(&jbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tx, got2) {
-		t.Fatal("JSON round trip changed the taxonomy")
-	}
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
 		t.Fatal("corrupt gob accepted")
-	}
-	if _, err := LoadJSON(bytes.NewBufferString("{")); err == nil {
-		t.Fatal("corrupt JSON accepted")
 	}
 	// Structurally invalid but decodable taxonomies, each one edit away
 	// from a valid build: roots 0 {0,1,2,3} and 1 {4,5}, topics 2 {0,1}
@@ -316,53 +300,48 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 			t.Fatalf("fixture taxonomy changed shape: %+v", tx.Topics)
 		}
 		corrupt(tx)
-		var gb, jb bytes.Buffer
+		var gb bytes.Buffer
 		if err := tx.Save(&gb); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.SaveJSON(&jb); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Load(&gb); err == nil {
 			t.Errorf("%s: corrupt gob taxonomy accepted", name)
 		}
-		if _, err := LoadJSON(&jb); err == nil {
-			t.Errorf("%s: corrupt JSON taxonomy accepted", name)
-		}
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes to both decoders: neither may panic,
+// FuzzLoad feeds arbitrary bytes to the gob decoder: it may not panic,
 // and whatever Validate lets through must be a forest — RootOf answers
-// for every topic.
+// for every topic. The seeds are a valid taxonomy, two that decode and
+// fail Validate, and a truncated encoding.
 func FuzzLoad(f *testing.F) {
 	d, es, corpus := fixture(f)
-	tx, err := Build(context.Background(), d, es, corpus, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
-	if err != nil {
-		f.Fatal(err)
+	seed := func(corrupt func(tx *Taxonomy)) []byte {
+		tx, err := Build(context.Background(), d, es, corpus, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		tx.Topics[0].Description, tx.Topics[0].DescQueries = "beach trip", []string{"beach trip", "sunblock"}
+		corrupt(tx)
+		var gb bytes.Buffer
+		if err := tx.Save(&gb); err != nil {
+			f.Fatal(err)
+		}
+		return gb.Bytes()
 	}
-	tx.Topics[0].Description, tx.Topics[0].DescQueries = "beach trip", []string{"beach trip", "sunblock"}
-	var gb, jb bytes.Buffer
-	if err := tx.Save(&gb); err != nil {
-		f.Fatal(err)
-	}
-	if err := tx.SaveJSON(&jb); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gb.Bytes())
-	f.Add(jb.Bytes())
-	f.Add(bytes.Replace(jb.Bytes(), []byte(`"Parent": 0`), []byte(`"Parent": -2`), 1))
-	f.Add([]byte(`{"Topics":[{"ID":0,"Parent":-1,"Children":[5]}]}`))
+	valid := seed(func(*Taxonomy) {})
+	f.Add(valid)
+	f.Add(seed(func(tx *Taxonomy) { tx.Topics[2].Parent = -2 }))
+	f.Add(seed(func(tx *Taxonomy) { tx.Topics[0].Children = []model.TopicID{5} }))
+	f.Add(valid[:len(valid)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, load := range []func(io.Reader) (*Taxonomy, error){Load, LoadJSON} {
-			tx, err := load(bytes.NewReader(data))
-			if err != nil {
-				continue
-			}
-			for i := range tx.Topics {
-				if _, err := tx.RootOf(model.TopicID(i)); err != nil {
-					t.Fatalf("accepted taxonomy: RootOf(%d): %v", i, err)
-				}
+		tx, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := range tx.Topics {
+			if _, err := tx.RootOf(model.TopicID(i)); err != nil {
+				t.Fatalf("accepted taxonomy: RootOf(%d): %v", i, err)
 			}
 		}
 	})
