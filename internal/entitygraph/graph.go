@@ -780,7 +780,7 @@ func meanNormVector(emb *word2vec.Model, tokens []string) []float32 {
 		}
 		var norm float64
 		for _, x := range v {
-			norm += float64(x) * float64(x)
+			norm += float64(float64(x) * float64(x))
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
@@ -815,10 +815,10 @@ func scorePair(querySets [][]model.QueryID, means [][]float32, hasEmb bool, alph
 	if union > 0 {
 		sq = ic / union
 	}
-	s := alpha * sq
+	s := float64(alpha * sq)
 	if hasEmb && means[u] != nil && means[v] != nil {
-		sc := 0.5 + 0.5*dot(means[u], means[v])
-		s += (1 - alpha) * sc
+		sc := 0.5 + float64(0.5*dot(means[u], means[v]))
+		s += float64((1 - alpha) * sc)
 	} else if alpha > 0 {
 		s = sq
 	}
@@ -828,7 +828,7 @@ func scorePair(querySets [][]model.QueryID, means [][]float32, hasEmb bool, alph
 func dot(a, b []float32) float64 {
 	var s float64
 	for i := range a {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }

@@ -210,7 +210,7 @@ func (p *Partition) NMI() float64 {
 	var mi float64
 	for _, k := range cells {
 		pij := joint[k] / n
-		mi += pij * math.Log(pij/((pc[k[0]]/n)*(tc[k[1]]/n)))
+		mi += float64(pij * math.Log(pij/((pc[k[0]]/n)*(tc[k[1]]/n))))
 	}
 	hp := entropy(pc, n)
 	ht := entropy(tc, n)
@@ -259,7 +259,7 @@ func entropy(counts map[int]float64, n float64) float64 {
 	for _, k := range slices.Sorted(maps.Keys(counts)) {
 		p := counts[k] / n
 		if p > 0 {
-			h -= p * math.Log(p)
+			h -= float64(p * math.Log(p))
 		}
 	}
 	return h

@@ -161,7 +161,7 @@ func seedPlusPlus(points [][]float32, k int, rng *rand.Rand) [][]float32 {
 					best = d
 				}
 			}
-			dists[i] = best * best
+			dists[i] = float64(best * best)
 			total += dists[i]
 		}
 		if total == 0 {
@@ -212,7 +212,7 @@ func normalize(p []float32) []float32 {
 	}
 	var n float64
 	for _, v := range p {
-		n += float64(v) * float64(v)
+		n += float64(float64(v) * float64(v))
 	}
 	if n == 0 {
 		return nil
@@ -228,7 +228,7 @@ func normalize(p []float32) []float32 {
 func dot(a, b []float32) float64 {
 	var s float64
 	for i := range a {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }

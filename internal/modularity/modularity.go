@@ -60,7 +60,7 @@ func Compute(g *wgraph.CSR, labels []int32) (float64, error) {
 	}
 	var q float64
 	for l := range degree {
-		q += within[l]/m - (degree[l]/(2*m))*(degree[l]/(2*m))
+		q += within[l]/m - float64((degree[l]/(2*m))*(degree[l]/(2*m)))
 	}
 	return q, nil
 }

@@ -158,7 +158,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	cum := 0.0
 	for i, c := range s.Counts {
 		prev := cum
@@ -180,7 +180,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		if frac < 0 {
 			frac = 0
 		}
-		return lower + (upper-lower)*frac
+		return lower + float64((upper-lower)*frac)
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }

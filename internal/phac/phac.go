@@ -275,7 +275,8 @@ func Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Resu
 	}
 
 	st := newState(g, sizes, cfg)
-	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n}}
+	// A clustering makes at most n-1 merges: the dendrogram never regrows.
+	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n, Merges: make([]dendrogram.Merge, 0, max(n-1, 0))}}
 
 	// One child span per merge round when the caller's context carries a
 	// build-trace span; psp == nil composes through the nil-safe span
@@ -463,6 +464,7 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		edgeCnt:    make([]int64, n, 2*n),
 		bests:      make([]edgeRef, n, 2*n),
 		mergeTo:    make([]int32, n, 2*n),
+		coef:       make([]float64, n, 2*n),
 	}
 	for it := range st.exStates {
 		// Capacity 2n outlasts every mint: a clustering can never create

@@ -17,7 +17,10 @@
 // The handler holds the current build behind an atomic pointer: Swap
 // publishes a fresh build (e.g. a daily sliding-window rebuild) with zero
 // downtime. Each request loads one consistent snapshot at entry, so a swap
-// mid-request cannot mix two builds in one response.
+// mid-request cannot mix two builds in one response. A snapshot carries
+// every topic's summary head, rendered once when it is published, so
+// /api/search formats only each hit's score and /api/topics/{id} copies
+// its own head and its sub-topics'.
 //
 // Every request passes through the obs middleware: per-route latency
 // histograms, status-class counters, an in-flight gauge and the swap
@@ -25,6 +28,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -53,6 +57,11 @@ type Handler struct {
 	wrapped http.Handler
 	reg     *obs.Registry
 	metrics *obs.HTTPMetrics
+	// headBuf is the scratch each snapshot's heads are rendered into
+	// before they are copied out at their exact size; only the publisher
+	// holding swapMu (or NewHandler, before the handler is shared)
+	// touches it.
+	headBuf []byte
 	// droppedStale mirrors the published build's window counter of
 	// stale (already-evicted-day) click events dropped at ingestion —
 	// the clicks the delta tracker refuses to double-count. Updated on
@@ -69,7 +78,15 @@ type snapshot struct {
 	build        *core.Build
 	swaps        int64
 	droppedStale int64
+	// heads[headOff[i]:headOff[i+1]] is topic i's summary head (a topic's
+	// ID is its index): its TopicSummary up to the score, without the
+	// closing brace.
+	heads   []byte
+	headOff []int32
 }
+
+// head returns topic t's pre-rendered summary head.
+func (s *snapshot) head(t model.TopicID) []byte { return s.heads[s.headOff[t]:s.headOff[t+1]] }
 
 // NewHandler wraps a completed build. The build must not be mutated after
 // it is handed over; publish updates with Swap instead.
@@ -112,6 +129,9 @@ func checkBuild(b *core.Build) error {
 
 // Swap atomically publishes a new build. In-flight requests finish against
 // the snapshot they started with; subsequent requests see the new build.
+// It renders every topic's summary head (≈80 B a topic) before the
+// publish, so its cost grows with the topic count: three allocations,
+// the snapshot and its heads and offsets, each at its exact size.
 func (h *Handler) Swap(b *core.Build) error {
 	if err := checkBuild(b); err != nil {
 		return err
@@ -123,10 +143,19 @@ func (h *Handler) Swap(b *core.Build) error {
 }
 
 // newSnapshot captures the publish-time window state alongside the
-// build and refreshes the gauges derived from it. Publishers call this
-// before the window resumes ingesting, so the read is race-free.
+// build, renders the build's summary heads and refreshes the gauges
+// derived from the window. Publishers call this before the window
+// resumes ingesting, so the read is race-free.
 func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
-	s := &snapshot{build: b, swaps: swaps}
+	topics := b.Taxonomy.Topics
+	s := &snapshot{build: b, swaps: swaps, headOff: make([]int32, len(topics)+1)}
+	buf := h.headBuf[:0]
+	for i := range topics {
+		buf = openSummary(buf, &topics[i])
+		s.headOff[i+1] = int32(len(buf))
+	}
+	h.headBuf = buf
+	s.heads = bytes.Clone(buf)
 	if b.Clicks != nil {
 		s.droppedStale = b.Clicks.Stats().DroppedStale
 	}
@@ -244,7 +273,7 @@ type Stats struct {
 const maxQueryBytes = 1024
 
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
-	b := h.cur.Load().build
+	snap := h.cur.Load()
 	var p [2]string
 	queryParams(r.URL.RawQuery, []string{"q", "k"}, p[:])
 	q, ks := p[0], p[1]
@@ -266,17 +295,22 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		k = v
 	}
 	var hits []taxonomy.Hit
-	if b.Searcher != nil {
-		hits = b.Searcher.Search(q, k)
+	if snap.build.Searcher != nil {
+		hits = snap.build.Searcher.Search(q, k)
 	}
 	bp := body()
 	send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
-		return append(openSummary(dst, &b.Taxonomy.Topics[hits[i].Topic], hits[i].Score), '}')
+		dst = append(dst, snap.head(hits[i].Topic)...)
+		if score := hits[i].Score; score != 0 { // omitempty
+			dst = appendJSONFloat(append(dst, `,"score":`...), score)
+		}
+		return append(dst, '}')
 	}))
 }
 
 func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
-	b := h.cur.Load().build
+	snap := h.cur.Load()
+	b := snap.build
 	t, ok := topicFromPath(w, r, b)
 	if !ok {
 		return
@@ -284,12 +318,12 @@ func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
 	// As encoding/json writes TopicDetail: queries is null only for nil
 	// DescQueries, subTopics and categoryRefs whenever they are empty.
 	bp := body()
-	out := append(openSummary((*bp)[:0], t, 0), `,"queries":`...)
+	out := append(append((*bp)[:0], snap.head(t.ID)...), `,"queries":`...)
 	out = appendArray(out, len(t.DescQueries), t.DescQueries == nil, func(dst []byte, i int) []byte {
 		return appendJSONString(dst, t.DescQueries[i])
 	})
 	out = appendArray(append(out, `,"subTopics":`...), len(t.Children), len(t.Children) == 0, func(dst []byte, i int) []byte {
-		return append(openSummary(dst, &b.Taxonomy.Topics[t.Children[i]], 0), '}')
+		return append(append(dst, snap.head(t.Children[i])...), '}')
 	})
 	out = appendArray(append(out, `,"categoryRefs":`...), len(t.Categories), len(t.Categories) == 0, func(dst []byte, i int) []byte {
 		cat := t.Categories[i]

@@ -44,10 +44,11 @@ func send(w http.ResponseWriter, bp *[]byte, b []byte) {
 	}
 }
 
-// openSummary appends t as a TopicSummary without its closing brace, so
-// TopicDetail can continue the object. score is omitted at 0
-// (omitempty).
-func openSummary(dst []byte, t *taxonomy.Topic, score float64) []byte {
+// openSummary appends t's summary head: t as a TopicSummary without its
+// score and closing brace, so a search hit can append its score and
+// TopicDetail can continue the object. Each snapshot renders every
+// topic's head once (newSnapshot); requests copy them.
+func openSummary(dst []byte, t *taxonomy.Topic) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(t.ID), 10)
 	dst = append(dst, `,"description":`...)
@@ -57,12 +58,7 @@ func openSummary(dst []byte, t *taxonomy.Topic, score float64) []byte {
 	dst = append(dst, `,"items":`...)
 	dst = strconv.AppendInt(dst, int64(len(t.Items)), 10)
 	dst = append(dst, `,"categories":`...)
-	dst = strconv.AppendInt(dst, int64(len(t.Categories)), 10)
-	if score != 0 {
-		dst = append(dst, `,"score":`...)
-		dst = appendJSONFloat(dst, score)
-	}
-	return dst
+	return strconv.AppendInt(dst, int64(len(t.Categories)), 10)
 }
 
 // openRef appends the fields of a CategoryRef or ItemRef head —

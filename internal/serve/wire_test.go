@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -103,13 +104,30 @@ func twistedBuild(t *testing.T) *core.Build {
 // TestWireMatchesEncodingJSON holds the append encoders to encoding/json
 // byte for byte: every route the encoders write, for every topic and
 // category of the test build and of its twisted copy, answers
-// json.Marshal of the wire struct plus the Encoder's newline.
+// json.Marshal of the wire struct plus the Encoder's newline — on a
+// handler made on the build, and on one made on the other build and
+// swapped to it, so a summary head left over from the first build fails.
 func TestWireMatchesEncodingJSON(t *testing.T) {
 	shapes := map[string]bool{} // detail shapes checked, to prove coverage
-	for name, b := range map[string]*core.Build{"test": getBuild(t), "twisted": twistedBuild(t)} {
-		h, err := NewHandler(b)
+	test, twisted := getBuild(t), twistedBuild(t)
+	for _, c := range []struct {
+		name     string
+		first, b *core.Build
+	}{
+		{"test", test, test},
+		{"twisted", twisted, twisted},
+		{"test swapped to twisted", test, twisted},
+		{"twisted swapped to test", twisted, test},
+	} {
+		name, b := c.name, c.b
+		h, err := NewHandler(c.first)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.first != b {
+			if err := h.Swap(b); err != nil {
+				t.Fatal(err)
+			}
 		}
 		check := func(target string, want any) {
 			t.Helper()
@@ -284,5 +302,78 @@ func TestServeAllocs(t *testing.T) {
 			t.Errorf("GET %s allocated %.1f objects per request, want <= %.0f", tc.target, n, tc.max)
 		}
 		t.Logf("GET %s: %.0f allocs", tc.target, n)
+	}
+}
+
+// The reference allocations of TestSwapAllocs, kept on the heap.
+var (
+	sinkSnap  *snapshot
+	sinkHeads []byte
+	sinkOff   []int32
+)
+
+// allocatedBytes returns the heap bytes one call of f allocates,
+// averaged over runs calls after a warm-up call.
+func allocatedBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// swapSlackBytes is what a Swap may allocate beyond its snapshot, heads
+// and offsets.
+const swapSlackBytes = 64
+
+// TestSwapAllocs holds Swap to three objects at any topic count — the
+// snapshot, its summary heads and their offsets — and its bytes to those
+// three allocated at their exact sizes plus swapSlackBytes. The heads
+// are rendered into the handler's scratch and copied out once, so a
+// buffer that regrows while rendering fails it.
+func TestSwapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	small := getBuild(t)
+	// The test build's topics repeated to 4 000, each under its own id.
+	big := *small
+	tx := *small.Taxonomy
+	tx.Topics = make([]taxonomy.Topic, 4000)
+	for i := range tx.Topics {
+		tx.Topics[i] = small.Taxonomy.Topics[i%len(small.Taxonomy.Topics)]
+		tx.Topics[i].ID = model.TopicID(i)
+	}
+	big.Taxonomy = &tx
+	for _, b := range []*core.Build{small, &big} {
+		h, err := NewHandler(b) // renders the heads once: the scratch is warm
+		if err != nil {
+			t.Fatal(err)
+		}
+		swap := func() {
+			if err := h.Swap(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		topics := len(b.Taxonomy.Topics)
+		if n := testing.AllocsPerRun(20, swap); n != 3 {
+			t.Errorf("%d topics: Swap allocated %.1f objects, want 3", topics, n)
+		}
+		snap := h.cur.Load()
+		want := allocatedBytes(20, func() {
+			sinkSnap = new(snapshot)
+			sinkHeads = make([]byte, len(snap.heads))
+			sinkOff = make([]int32, len(snap.headOff))
+		})
+		got := allocatedBytes(20, swap)
+		if got > want+swapSlackBytes {
+			t.Errorf("%d topics: Swap allocated %.0f B, want <= %.0f (snapshot, %d B of heads and %d offsets) + %d",
+				topics, got, want, len(snap.heads), len(snap.headOff), swapSlackBytes)
+		}
+		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads), got, want)
 	}
 }

@@ -13,7 +13,6 @@ package taxonomy
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"shoal/internal/dendrogram"
 	"shoal/internal/entitygraph"
@@ -151,34 +150,43 @@ func Build(ctx context.Context, d *dendrogram.Dendrogram, es *entitygraph.Entity
 		parent       model.TopicID
 		depth, level int32
 	}
-	var protos []proto
 	// off[lab] is where label lab's group starts in a level's members;
-	// next is the fill cursor.
+	// next is the fill cursor. groups lays a level's labels out in off
+	// and counts the groups large enough to become a topic.
 	off := make([]int32, n+1)
 	next := make([]int32, n)
-	for level, threshold := range cfg.Levels {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		labels := d.CutAt(threshold)
+	groups := func(labels []int32) (candidates int) {
 		clear(off)
 		for _, lab := range labels {
 			off[lab+1]++
 		}
-		candidates := 0
 		for lab := 1; lab <= n; lab++ {
 			if int(off[lab]) >= cfg.MinTopicSize {
 				candidates++
 			}
 			off[lab] += off[lab-1]
 		}
+		return candidates
+	}
+	// Every level is cut first, so protos is sized once for all of them.
+	cuts := make([][]int32, len(cfg.Levels))
+	candidates := 0
+	for level, threshold := range cfg.Levels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cuts[level] = d.CutAt(threshold)
+		candidates += groups(cuts[level])
+	}
+	protos := make([]proto, 0, candidates)
+	for level, labels := range cuts {
+		groups(labels)
 		copy(next, off[:n])
 		members := make([]model.EntityID, n)
 		for e, lab := range labels {
 			members[next[lab]] = model.EntityID(e)
 			next[lab]++
 		}
-		protos = slices.Grow(protos, candidates)
 		for lab := 0; lab < n; lab++ {
 			group := members[off[lab]:off[lab+1]:off[lab+1]]
 			if len(group) < cfg.MinTopicSize {

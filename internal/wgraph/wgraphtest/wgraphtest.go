@@ -61,14 +61,14 @@ func Random(n, extra int, seed uint64) *wgraph.CSR {
 	edges := make([]wgraph.Edge, 0, n+extra)
 	for v := 1; v < n; v++ {
 		u := rng.IntN(v)
-		edges = append(edges, wgraph.Edge{U: int32(u), V: int32(v), W: 0.05 + 0.9*rng.Float64()})
+		edges = append(edges, wgraph.Edge{U: int32(u), V: int32(v), W: 0.05 + float64(0.9*rng.Float64())})
 	}
 	for i := 0; i < extra; i++ {
 		u, v := rng.IntN(n), rng.IntN(n)
 		if u == v {
 			continue
 		}
-		edges = append(edges, wgraph.Edge{U: int32(u), V: int32(v), W: 0.05 + 0.9*rng.Float64()})
+		edges = append(edges, wgraph.Edge{U: int32(u), V: int32(v), W: 0.05 + float64(0.9*rng.Float64())})
 	}
 	c, err := build(n, edges)
 	if err != nil {

@@ -108,7 +108,7 @@ func (m *Model) NormVector(word string) ([]float32, bool) {
 	out := make([]float32, len(v))
 	var n float64
 	for _, x := range v {
-		n += float64(x) * float64(x)
+		n += float64(float64(x) * float64(x))
 	}
 	n = math.Sqrt(n)
 	if n == 0 {
@@ -137,9 +137,9 @@ func (m *Model) Cosine(a, b string) (float64, error) {
 func cosine(a, b []float32) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
+		dot += float64(float64(a[i]) * float64(b[i]))
+		na += float64(float64(a[i]) * float64(a[i]))
+		nb += float64(float64(b[i]) * float64(b[i]))
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -255,7 +255,7 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	ctxs := make([]float32, len(words)*dim) // output (context) vectors
 	initRng := rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15))
 	for i := range vecs {
-		vecs[i] = (initRng.Float32() - 0.5) / float32(dim)
+		vecs[i] = (float32(initRng.Float32()) - 0.5) / float32(dim)
 	}
 
 	sigm := newSigmoidTable()
@@ -322,12 +322,12 @@ func trainPair(vecs, ctxs []float32, in, out, dim int, lr float64, negative int,
 		vo := ctxs[target*dim : (target+1)*dim]
 		var dot float64
 		for i := range vi {
-			dot += float64(vi[i]) * float64(vo[i])
+			dot += float64(float64(vi[i]) * float64(vo[i]))
 		}
 		g := float32(lr) * (label - sigm.at(dot))
 		for i := range vi {
-			grad[i] += g * vo[i]
-			vo[i] += g * vi[i]
+			grad[i] += float32(g * vo[i])
+			vo[i] += float32(g * vi[i])
 		}
 	}
 	for i := range vi {
@@ -368,7 +368,7 @@ func newSigmoidTable() *sigmoidTable {
 	const n = 1024
 	t := &sigmoidTable{vals: make([]float32, n)}
 	for i := 0; i < n; i++ {
-		x := (float64(i)/n*2 - 1) * sigmoidRange
+		x := (float64(float64(i)/n)*2 - 1) * sigmoidRange
 		t.vals[i] = float32(1 / (1 + math.Exp(-x)))
 	}
 	return t
