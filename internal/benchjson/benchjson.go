@@ -168,8 +168,8 @@ func NewSuite() (*Suite, error) {
 			return err
 		}},
 		{"search-index", func() error {
-			docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
-			_, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
+			docs := b.SearchDocIDs(cfg.SearchDocTokenCap)
+			_, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, b.Corpus.Text().Vocab())
 			return err
 		}},
 	}}

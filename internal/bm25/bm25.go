@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"shoal/internal/par"
@@ -251,39 +250,6 @@ func (idx *Index) postings(t uint32) ([]posting, float64) {
 	return idx.posts[e.off:][:e.df], e.idf
 }
 
-// resolve appends to buf the term ids of the query's known tokens, in
-// query order; unknown tokens have no postings and are dropped.
-func (idx *Index) resolve(query []string, buf []uint32) []uint32 {
-	for _, tok := range query {
-		if t, ok := idx.vocab.ID(tok); ok {
-			buf = append(buf, uint32(t))
-		}
-	}
-	return buf
-}
-
-// Score returns the BM25 relevance of the query tokens to document doc.
-// Unknown terms contribute zero. It returns an error for out-of-range doc.
-func (idx *Index) Score(query []string, doc int) (float64, error) {
-	if doc < 0 || doc >= idx.n {
-		return 0, fmt.Errorf("bm25: document %d out of range [0,%d)", doc, idx.n)
-	}
-	var s float64
-	terms := idx.resolve(query, nil)
-	for j, t := range terms {
-		if slices.Contains(terms[:j], t) {
-			continue // a repeated term counts once
-		}
-		plist, idf := idx.postings(t)
-		i := sort.Search(len(plist), func(i int) bool { return plist[i].doc >= int32(doc) })
-		if i == len(plist) || plist[i].doc != int32(doc) {
-			continue
-		}
-		s += idx.termScore(idf, plist[i])
-	}
-	return s, nil
-}
-
 // termScore is one posting's BM25 contribution — the one expression
 // every scoring path evaluates, so they all agree to the bit. The
 // explicit float64 keeps the K1 product rounded before the add, so no
@@ -293,22 +259,6 @@ func (idx *Index) termScore(idf float64, p posting) float64 {
 	dl := float64(idx.docLen[p.doc])
 	denom := tf + float64(idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen))
 	return idf * tf * (idx.cfg.K1 + 1) / denom
-}
-
-// ScoreAll returns the BM25 relevance of the query against every document
-// that shares at least one term, as hits in ascending document order.
-// Documents sharing no term are absent (their score is exactly 0). This
-// sparse form is what §2.3 needs: the concentration denominator adds
-// exp(0)=1 for every untouched topic in closed form, and the ascending
-// order fixes the float summation order without a per-call sort of map
-// keys. Scoring runs through the pooled dense scratch + touched list the
-// way TopK does, so the only allocation is the returned slice.
-func (idx *Index) ScoreAll(query []string) []Hit {
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
-	sc.terms = idx.resolve(query, sc.terms[:0])
-	touched := idx.scoreInto(sc, sc.terms)
-	return idx.collectHits(sc, touched, make([]Hit, 0, len(touched)))
 }
 
 // scoreInto accumulates the BM25 scores of the query terms into the
@@ -336,31 +286,24 @@ func (idx *Index) scoreInto(sc *scratch, terms []uint32) []int32 {
 	return touched
 }
 
-// collectHits appends the touched documents to hits in ascending
-// document order and resets the scratch entries it read.
-func (idx *Index) collectHits(sc *scratch, touched []int32, hits []Hit) []Hit {
-	slices.Sort(touched)
-	for _, d := range touched {
-		hits = append(hits, Hit{Doc: int(d), Score: sc.scores[d]})
-		sc.scores[d] = 0
-		sc.marked[d] = false
-	}
-	sc.touched = touched[:0]
-	return hits
-}
-
 // TopK returns the k highest-scoring documents for the query, best first;
-// ties break on lower document id. It resolves the tokens to term ids
-// and runs AppendTopK's selection, so the only allocation is the
-// returned slice.
+// ties break on lower document id. It resolves the tokens to term ids —
+// an unknown token has no postings and is dropped — and runs
+// AppendTopK's selection, so the only allocation is the returned slice.
 func (idx *Index) TopK(query []string, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
 	sc := idx.getScratch()
 	defer idx.putScratch(sc)
-	sc.terms = idx.resolve(query, sc.terms[:0])
-	return idx.topK(sc, sc.terms, nil, k)
+	terms := sc.terms[:0]
+	for _, tok := range query {
+		if t, ok := idx.vocab.ID(tok); ok {
+			terms = append(terms, uint32(t))
+		}
+	}
+	sc.terms = terms
+	return idx.topK(sc, terms, nil, k)
 }
 
 // AppendTopK appends to dst the k highest-scoring documents for a query
@@ -422,7 +365,7 @@ func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
 // scratch out of the pool once for its whole lifetime and returns hits
 // in a buffer it owns, so callers scoring many queries back to back
 // (describe's per-query sweep) pay the pool round-trip once and allocate
-// nothing per query. Scores are byte-identical to Index.ScoreAll — the
+// nothing per query. Scores are bit-identical to TopK's — the
 // accumulation order is the same. Not safe for concurrent use; call
 // Close when done to return the scratch to the pool.
 type Scorer struct {
@@ -431,29 +374,32 @@ type Scorer struct {
 	hits []Hit
 }
 
-// NewScorer begins a batch scoring session. The hits buffer starts empty
-// but non-nil, so a query without hits answers like Index.ScoreAll does.
+// NewScorer begins a batch scoring session.
 func (idx *Index) NewScorer() *Scorer {
-	return &Scorer{idx: idx, sc: idx.getScratch(), hits: []Hit{}}
+	return &Scorer{idx: idx, sc: idx.getScratch()}
 }
 
-// ScoreAll is Index.ScoreAll through the session's scratch: hits in
-// ascending document order, absent documents score 0. The returned
-// slice is the session's own buffer, valid until the next call. It
-// resolves the tokens in Vocab and calls ScoreIDs.
-func (s *Scorer) ScoreAll(query []string) []Hit {
-	s.sc.terms = s.idx.resolve(query, s.sc.terms[:0])
-	return s.ScoreIDs(s.sc.terms)
-}
-
-// ScoreIDs is ScoreAll for a query spelled as term ids of Vocab: a
-// repeated id counts once, at its first occurrence, so the hits equal
-// ScoreAll's over the same tokens bit for bit, found without hashing a
-// token. The returned slice is the session's own buffer, valid until the
-// next call.
+// ScoreIDs returns the BM25 relevance of a query spelled as term ids of
+// Vocab against every document that shares at least one term, as hits
+// in ascending document order; a repeated id counts once, at its first
+// occurrence. Documents sharing no term are absent (their score is
+// exactly 0). This sparse form is what §2.3 needs: the concentration
+// denominator adds exp(0) = 1 for every untouched topic in closed form,
+// and the ascending order fixes its float summation order. The returned
+// slice is the session's own buffer, valid until the next call.
 func (s *Scorer) ScoreIDs(terms []uint32) []Hit {
-	s.hits = s.idx.collectHits(s.sc, s.idx.scoreInto(s.sc, terms), s.hits[:0])
-	return s.hits
+	sc := s.sc
+	touched := s.idx.scoreInto(sc, terms)
+	slices.Sort(touched)
+	hits := s.hits[:0]
+	for _, d := range touched {
+		hits = append(hits, Hit{Doc: int(d), Score: sc.scores[d]})
+		sc.scores[d] = 0
+		sc.marked[d] = false
+	}
+	sc.touched = touched[:0]
+	s.hits = hits
+	return hits
 }
 
 // Close returns the session's scratch to the pool. The Scorer must not

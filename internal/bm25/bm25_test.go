@@ -17,6 +17,31 @@ func testDocs() [][]string {
 	}
 }
 
+// termIDs spells a query as the index's term ids, in query order,
+// dropping tokens the vocabulary does not know.
+func termIDs(idx *Index, query []string) []uint32 {
+	var ids []uint32
+	for _, tok := range query {
+		if id, ok := idx.Vocab().ID(tok); ok {
+			ids = append(ids, uint32(id))
+		}
+	}
+	return ids
+}
+
+// scoreOf is the query's BM25 relevance to document doc, read from
+// ScoreIDs' sparse hits: 0 when the document shares no term.
+func scoreOf(idx *Index, query []string, doc int) float64 {
+	sc := idx.NewScorer()
+	defer sc.Close()
+	for _, h := range sc.ScoreIDs(termIDs(idx, query)) {
+		if h.Doc == doc {
+			return h.Score
+		}
+	}
+	return 0
+}
+
 func buildIdx(t *testing.T) *Index {
 	t.Helper()
 	idx, err := Build(testDocs(), DefaultConfig())
@@ -41,12 +66,7 @@ func TestBuildErrors(t *testing.T) {
 func TestScoreRanksRelevantDocFirst(t *testing.T) {
 	idx := buildIdx(t)
 	q := []string{"beach", "swimwear"}
-	s0, err := idx.Score(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, _ := idx.Score(q, 1)
-	s3, _ := idx.Score(q, 3)
+	s0, s1, s3 := scoreOf(idx, q, 0), scoreOf(idx, q, 1), scoreOf(idx, q, 3)
 	if s0 <= s1 || s0 <= s3 {
 		t.Fatalf("Score(beach swimwear): doc0=%.3f doc1=%.3f doc3=%.3f, want doc0 highest", s0, s1, s3)
 	}
@@ -55,72 +75,67 @@ func TestScoreRanksRelevantDocFirst(t *testing.T) {
 	}
 }
 
-func TestScoreOutOfRange(t *testing.T) {
-	idx := buildIdx(t)
-	if _, err := idx.Score([]string{"beach"}, -1); err == nil {
-		t.Fatal("Score(doc=-1) = nil error")
-	}
-	if _, err := idx.Score([]string{"beach"}, 99); err == nil {
-		t.Fatal("Score(doc=99) = nil error")
-	}
-}
-
 func TestScoreUnknownTermIsZero(t *testing.T) {
 	idx := buildIdx(t)
-	s, err := idx.Score([]string{"zebra"}, 0)
-	if err != nil || s != 0 {
-		t.Fatalf("Score(zebra) = %f,%v want 0,nil", s, err)
+	sc := idx.NewScorer()
+	defer sc.Close()
+	if hits := sc.ScoreIDs(termIDs(idx, []string{"zebra"})); len(hits) != 0 {
+		t.Fatalf("ScoreIDs(zebra) = %v, want no hits", hits)
 	}
 }
 
 func TestScoreAllSparse(t *testing.T) {
 	idx := buildIdx(t)
-	hits := idx.ScoreAll([]string{"beach"})
+	sc := idx.NewScorer()
+	defer sc.Close()
+	hits := sc.ScoreIDs(termIDs(idx, []string{"beach"}))
 	if len(hits) != 2 {
-		t.Fatalf("ScoreAll(beach) touched %d docs, want 2", len(hits))
+		t.Fatalf("ScoreIDs(beach) touched %d docs, want 2", len(hits))
+	}
+	// ScoreIDs must agree with TopK exactly: both accumulate per
+	// document in first-occurrence term order.
+	top := make(map[int]float64)
+	for _, h := range idx.TopK([]string{"beach"}, idx.N()) {
+		top[h.Doc] = h.Score
 	}
 	for i, h := range hits {
 		if h.Doc == 1 {
-			t.Fatal("ScoreAll(beach) includes doc 1 which lacks the term")
+			t.Fatal("ScoreIDs(beach) includes doc 1 which lacks the term")
 		}
 		if i > 0 && hits[i-1].Doc >= h.Doc {
-			t.Fatalf("ScoreAll hits not in ascending doc order: %v", hits)
+			t.Fatalf("ScoreIDs hits not in ascending doc order: %v", hits)
 		}
-		// ScoreAll must agree with Score exactly: both accumulate per
-		// document in first-occurrence term order.
-		want, err := idx.Score([]string{"beach"}, h.Doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Score != want {
-			t.Fatalf("ScoreAll[%d]=%v disagrees with Score=%v", h.Doc, h.Score, want)
+		if w, ok := top[h.Doc]; !ok || h.Score != w {
+			t.Fatalf("ScoreIDs[%d]=%v disagrees with TopK=%v (hit: %v)", h.Doc, h.Score, w, ok)
 		}
 	}
 }
 
-// TestScoreAllPooledScratch locks in the satellite win: repeated
-// ScoreAll calls must reuse the pooled dense scratch, allocating only
-// the returned hit slice.
+// TestScoreAllPooledScratch: repeated TopK calls reuse the pooled dense
+// scratch, allocating only the returned hit slice, and a Scorer session
+// allocates nothing per query.
 func TestScoreAllPooledScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool caching is disabled under the race detector")
 	}
 	idx := buildIdx(t)
 	q := []string{"beach", "swimwear", "boots"}
-	idx.ScoreAll(q) // warm the pool
-	allocs := testing.AllocsPerRun(50, func() {
-		idx.ScoreAll(q)
-	})
-	if allocs > 1 {
-		t.Fatalf("ScoreAll allocated %.1f objects per call, want <= 1 (the result slice)", allocs)
+	idx.TopK(q, 5) // warm the pool
+	if allocs := testing.AllocsPerRun(50, func() { idx.TopK(q, 5) }); allocs > 1 {
+		t.Fatalf("TopK allocated %.1f objects per call, want <= 1 (the result slice)", allocs)
 	}
 	// Scratch reuse must not leak scores across calls.
-	first := idx.ScoreAll(q)
-	second := idx.ScoreAll(q)
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("ScoreAll not idempotent: %v vs %v", first[i], second[i])
-		}
+	first := idx.TopK(q, 5)
+	second := idx.TopK(q, 5)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("TopK not idempotent: %v vs %v", first, second)
+	}
+	sc := idx.NewScorer()
+	defer sc.Close()
+	ids := termIDs(idx, q)
+	sc.ScoreIDs(ids) // size the hit buffer
+	if allocs := testing.AllocsPerRun(50, func() { sc.ScoreIDs(ids) }); allocs != 0 {
+		t.Fatalf("ScoreIDs allocated %.1f objects per call, want 0", allocs)
 	}
 }
 
@@ -131,11 +146,7 @@ func TestAppendTopKAllocFree(t *testing.T) {
 		t.Skip("sync.Pool caching is disabled under the race detector")
 	}
 	idx := buildIdx(t)
-	var terms []uint32
-	for _, tok := range []string{"beach", "swimwear", "beach"} {
-		id, _ := idx.Vocab().ID(tok)
-		terms = append(terms, uint32(id))
-	}
+	terms := termIDs(idx, []string{"beach", "swimwear", "beach"})
 	dst := idx.AppendTopK(nil, terms, 5) // warm the pool, size dst
 	if allocs := testing.AllocsPerRun(50, func() {
 		dst = idx.AppendTopK(dst[:0], terms, 5)
@@ -146,8 +157,8 @@ func TestAppendTopKAllocFree(t *testing.T) {
 
 func TestScoreDedupsQueryTerms(t *testing.T) {
 	idx := buildIdx(t)
-	s1, _ := idx.Score([]string{"beach"}, 0)
-	s2, _ := idx.Score([]string{"beach", "beach", "beach"}, 0)
+	s1 := scoreOf(idx, []string{"beach"}, 0)
+	s2 := scoreOf(idx, []string{"beach", "beach", "beach"}, 0)
 	if s1 != s2 {
 		t.Fatalf("repeated query terms changed score: %f vs %f", s1, s2)
 	}
@@ -182,9 +193,8 @@ func TestTermFrequencySaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := idx.Score([]string{"x"}, 0)
-	s2, _ := idx.Score([]string{"x"}, 1)
-	s8, _ := idx.Score([]string{"x"}, 2)
+	q := []string{"x"}
+	s1, s2, s8 := scoreOf(idx, q, 0), scoreOf(idx, q, 1), scoreOf(idx, q, 2)
 	if !(s1 < s2 && s2 < s8) {
 		t.Fatalf("scores not increasing with tf: %f %f %f", s1, s2, s8)
 	}
@@ -202,8 +212,7 @@ func TestLengthNormalizationPrefersShortDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, _ := idx.Score([]string{"x"}, 0)
-	short, _ := idx.Score([]string{"x"}, 1)
+	long, short := scoreOf(idx, []string{"x"}, 0), scoreOf(idx, []string{"x"}, 1)
 	if short <= long {
 		t.Fatalf("length normalization failed: short=%f long=%f", short, long)
 	}
@@ -212,15 +221,20 @@ func TestLengthNormalizationPrefersShortDocs(t *testing.T) {
 // Property: scores are non-negative and finite for arbitrary query shapes.
 func TestScoreNonNegativeProperty(t *testing.T) {
 	idx := buildIdx(t)
+	sc := idx.NewScorer()
+	defer sc.Close()
 	vocabs := []string{"beach", "dress", "swimwear", "hiking", "zebra", "router", ""}
-	f := func(picks []uint8, doc uint8) bool {
+	f := func(picks []uint8) bool {
 		q := make([]string, 0, len(picks))
 		for _, p := range picks {
 			q = append(q, vocabs[int(p)%len(vocabs)])
 		}
-		d := int(doc) % idx.N()
-		s, err := idx.Score(q, d)
-		return err == nil && s >= 0 && !math.IsInf(s, 0) && !math.IsNaN(s)
+		for _, h := range sc.ScoreIDs(termIDs(idx, q)) {
+			if h.Score < 0 || math.IsInf(h.Score, 0) || math.IsNaN(h.Score) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -229,18 +243,15 @@ func TestScoreNonNegativeProperty(t *testing.T) {
 
 func TestEmptyDocNeverMatches(t *testing.T) {
 	idx := buildIdx(t)
-	s, err := idx.Score([]string{"beach", "hiking", "router"}, 4)
-	if err != nil || s != 0 {
-		t.Fatalf("empty doc score = %f,%v want 0,nil", s, err)
+	if s := scoreOf(idx, []string{"beach", "hiking", "router"}, 4); s != 0 {
+		t.Fatalf("empty doc score = %f, want 0", s)
 	}
 }
 
-// TestScorerMatchesScoreAll pins the batch Scorer byte-identical to
-// per-call ScoreAll across many queries in one session, including
-// repeated terms (served from the idf cache) and sessions resumed after
-// Close returned a scratch to the pool — through both ScoreAll and
-// ScoreIDs, the same query spelled as term ids of Vocab, score bits
-// included.
+// TestScorerMatchesScoreAll holds the batch Scorer's ScoreIDs to the
+// map-based reference bit for bit across many queries in one session,
+// including repeated terms and sessions resumed after Close returned a
+// scratch to the pool.
 func TestScorerMatchesScoreAll(t *testing.T) {
 	docs := [][]string{
 		{"red", "shoes", "leather", "red"},
@@ -253,36 +264,21 @@ func TestScorerMatchesScoreAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := buildRef(docs, DefaultConfig())
 	queries := [][]string{
 		{"red", "shoes"},
 		{"red", "red", "hat"}, // dup terms
 		{"unknown"},
 		{"leather", "belt", "shoes"},
-		{"red", "shoes"}, // repeated query: cached idf path
+		{"red", "shoes"}, // repeated query
 		nil,
 	}
 	for round := 0; round < 3; round++ {
 		sc := idx.NewScorer()
 		for _, q := range queries {
-			want := idx.ScoreAll(q)
-			got := sc.ScoreAll(q)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d query %v: scorer %v, want %v", round, q, got, want)
-			}
-			var ids []uint32
-			for _, tok := range q {
-				if id, ok := idx.Vocab().ID(tok); ok {
-					ids = append(ids, uint32(id))
-				}
-			}
-			got = sc.ScoreIDs(ids)
-			if len(got) != len(want) {
-				t.Fatalf("round %d query %v: ScoreIDs(%v) %v, want %v", round, q, ids, got, want)
-			}
-			for i := range want {
-				if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-					t.Fatalf("round %d query %v: ScoreIDs(%v)[%d] = %+v, want %+v", round, q, ids, i, got[i], want[i])
-				}
+			ids := termIDs(idx, q)
+			if err := sameHits(sc.ScoreIDs(ids), ref.scoreAll(q)); err != nil {
+				t.Fatalf("round %d query %v: ScoreIDs(%v): %v", round, q, ids, err)
 			}
 		}
 		sc.Close()

@@ -48,7 +48,6 @@ import (
 	"shoal/internal/par"
 	"shoal/internal/phac"
 	"shoal/internal/taxonomy"
-	"shoal/internal/textutil"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
@@ -147,8 +146,10 @@ type Build struct {
 	// Delta summarizes what the build recomputed of the previous one; a
 	// one-shot build, having no previous one, reads as a "no-state"
 	// dense fallback. Reported by /api/stats.
-	Delta        *DeltaStats
-	Taxonomy     *taxonomy.Taxonomy
+	Delta    *DeltaStats
+	Taxonomy *taxonomy.Taxonomy
+	// Descriptions holds one description per topic, in topic order; the
+	// search documents read its QueryIDs.
 	Descriptions []describe.Description
 	Correlations *catcorr.Graph
 	Searcher     *taxonomy.Searcher
@@ -325,7 +326,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		workers := par.Width(len(b.Taxonomy.Topics))
 		sp := parent.Child("docs")
 		sp.SetAttr("workers", workers)
-		docs, vocab := b.SearchDocIDs(cfg.SearchDocTokenCap)
+		docs := b.SearchDocIDs(cfg.SearchDocTokenCap)
 		sp.End()
 		sp = parent.Child("build")
 		sp.SetAttr("workers", workers)
@@ -334,7 +335,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 			tokens += len(doc)
 		}
 		sp.SetAttr("tokens", tokens)
-		s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, vocab)
+		s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, corpus.Text().Vocab())
 		sp.End()
 		b.Searcher = s
 		return err
@@ -371,8 +372,8 @@ func titleSentences(c *model.Corpus) [][]string {
 // SearchDocs is SearchDocIDs spelled as tokens, for callers that index
 // strings (taxonomy.NewSearcher); an empty document is nil.
 func (b *Build) SearchDocs(tokenCap int) [][]string {
-	ids, vocab := b.SearchDocIDs(tokenCap)
-	words := vocab.Words()
+	text := b.Corpus.Text()
+	ids := b.SearchDocIDs(tokenCap)
 	total := 0
 	for _, doc := range ids {
 		total += len(doc)
@@ -384,9 +385,7 @@ func (b *Build) SearchDocs(tokenCap int) [][]string {
 			continue
 		}
 		from := len(flat)
-		for _, id := range doc {
-			flat = append(flat, words[id])
-		}
+		flat = text.AppendTerms(flat, doc)
 		docs[i] = flat[from:len(flat):len(flat)]
 	}
 	return docs
@@ -395,42 +394,30 @@ func (b *Build) SearchDocs(tokenCap int) [][]string {
 // SearchDocIDs assembles the per-topic search documents the search-index
 // stage indexes — description queries, category names, member query
 // texts and member title tokens, each doc capped at tokenCap tokens — as
-// term ids of the returned vocabulary. Token lists come from the corpus
-// text plane and the vocabulary is the plane's. Only a description
-// string the corpus does not contain — a taxonomy described elsewhere —
-// is tokenized here, and only a token of it the plane lacks makes the
-// vocabulary a clone of the plane's with that token added. Every
-// description is resolved once, serially, because that clone mutates;
-// then the topics split into par ranges, each counting and filling its
-// own topics' documents in one array of its own, so the output is the
-// same at every width. At width 1 a call allocates the headers and one
-// flat array, and nothing is kept between calls.
-func (b *Build) SearchDocIDs(tokenCap int) ([][]uint32, *textutil.Vocab) {
+// term ids of the corpus text plane's vocabulary. Every list is the
+// plane's: b.Descriptions, one per topic as describe writes them, name
+// their queries by corpus id, so nothing is tokenized here. The topics
+// split into par ranges, each counting and filling its own topics'
+// documents in one array of its own, so the output is the same at every
+// width. At width 1 a call allocates the headers and one flat array, and
+// nothing is kept between calls.
+func (b *Build) SearchDocIDs(tokenCap int) [][]uint32 {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
-	topics := b.Taxonomy.Topics
-	k, nDesc := len(topics), 0
-	for t := range topics {
-		nDesc += len(topics[t].DescQueries)
-	}
-	// The headers' tail, past the capacity of what is returned, holds
-	// every description's term ids, so resolving them costs no array of
-	// its own.
-	docs := make([][]uint32, k, k+nDesc)
+	k := len(b.Taxonomy.Topics)
 	a := docAssembler{
 		text:      b.Corpus.Text(),
-		topics:    topics,
+		topics:    b.Taxonomy.Topics,
+		descs:     b.Descriptions,
 		querySets: b.QuerySets,
 		tokenCap:  tokenCap,
-		desc:      docs[k : k+nDesc],
-		docs:      docs,
+		docs:      make([][]uint32, k),
 	}
-	vocab := a.resolve()
 	var buf [8]int // up to 7 ranges' bounds stay on the stack
 	bounds := par.Split(buf[:0], k, func(t int) int { return min(tokenCap, a.parts(t)) + 1 })
 	_ = par.Run(bounds, a, docAssembler.assemble) // assembly has no failure to report
-	return docs[:k:k], vocab
+	return a.docs
 }
 
 // docAssembler is one SearchDocIDs call's state, shared by value with
@@ -438,65 +425,30 @@ func (b *Build) SearchDocIDs(tokenCap int) ([][]uint32, *textutil.Vocab) {
 type docAssembler struct {
 	text      *model.TextPlane
 	topics    []taxonomy.Topic
+	descs     []describe.Description
 	querySets [][]model.QueryID
 	tokenCap  int
-	// desc lists the term ids of every topic's DescQueries in topic order.
-	desc [][]uint32
-	docs [][]uint32
-}
-
-// resolve fills a.desc: a description's ids are the corpus query's list
-// when the corpus carries the text, else TokenizeFiltered(q) resolved in
-// the returned vocabulary — which becomes a clone of the plane's on the
-// first token the plane lacks.
-func (a *docAssembler) resolve() *textutil.Vocab {
-	vocab, i := a.text.Vocab(), 0
-	for t := range a.topics {
-		for _, q := range a.topics[t].DescQueries {
-			if id, ok := a.text.LookupQuery(q); ok {
-				a.desc[i] = a.text.Query(id)
-			} else {
-				var ids []uint32
-				for _, tok := range textutil.TokenizeFiltered(q) {
-					id, ok := vocab.ID(tok)
-					if !ok {
-						if vocab == a.text.Vocab() {
-							vocab = vocab.Clone()
-						}
-						id = vocab.Add(tok)
-					}
-					ids = append(ids, uint32(id))
-				}
-				a.desc[i] = ids
-			}
-			i++
-		}
-	}
-	return vocab
+	docs      [][]uint32
 }
 
 // parts is the number of id lists topic t's document is assembled from,
 // before the token cap.
 func (a *docAssembler) parts(t int) int {
 	tp := &a.topics[t]
-	return len(tp.DescQueries) + len(tp.Categories) + len(tp.Entities) + len(tp.Items)
+	return len(a.descs[t].QueryIDs) + len(tp.Categories) + len(tp.Entities) + len(tp.Items)
 }
 
 // assemble writes the documents of topics [lo, hi): a counting walk
 // sizes one array for them all, a second walk fills it.
 func (a docAssembler) assemble(_, lo, hi int) error {
-	first := 0 // topic lo's first entry in a.desc
-	for t := range lo {
-		first += len(a.topics[t].DescQueries)
-	}
-	n, desc := 0, first
+	n := 0
 	for t := lo; t < hi; t++ {
-		desc = a.walk(t, desc, func(ids []uint32) { n += len(ids) })
+		a.walk(t, func(ids []uint32) { n += len(ids) })
 	}
-	flat, desc := make([]uint32, 0, n), first
+	flat := make([]uint32, 0, n)
 	for t := lo; t < hi; t++ {
 		from := len(flat)
-		desc = a.walk(t, desc, func(ids []uint32) { flat = append(flat, ids...) })
+		a.walk(t, func(ids []uint32) { flat = append(flat, ids...) })
 		a.docs[t] = flat[from:len(flat):len(flat)]
 	}
 	return nil
@@ -504,11 +456,8 @@ func (a docAssembler) assemble(_, lo, hi int) error {
 
 // walk feeds topic t's document to part as id lists in document order,
 // the last one cut to the token cap, and stops once the cap is reached.
-// Topic t's descriptions start at a.desc[desc]; walk returns where the
-// next topic's start.
-func (a *docAssembler) walk(t, desc int, part func(ids []uint32)) int {
+func (a *docAssembler) walk(t int, part func(ids []uint32)) {
 	tp := &a.topics[t]
-	next := desc + len(tp.DescQueries)
 	room := a.tokenCap
 	// feed passes ids on and reports whether the document is full.
 	feed := func(ids []uint32) bool {
@@ -517,27 +466,26 @@ func (a *docAssembler) walk(t, desc int, part func(ids []uint32)) int {
 		part(ids)
 		return room == 0
 	}
-	for _, ids := range a.desc[desc:next] {
-		if feed(ids) {
-			return next
+	for _, q := range a.descs[t].QueryIDs {
+		if feed(a.text.Query(q)) {
+			return
 		}
 	}
 	for _, c := range tp.Categories {
 		if feed(a.text.Category(c)) {
-			return next
+			return
 		}
 	}
 	for _, e := range tp.Entities {
 		for _, q := range a.querySets[e] {
 			if feed(a.text.Query(q)) {
-				return next
+				return
 			}
 		}
 	}
 	for _, it := range tp.Items {
 		if feed(a.text.Title(it)) {
-			return next
+			return
 		}
 	}
-	return next
 }

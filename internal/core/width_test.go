@@ -60,10 +60,10 @@ func runTail(t *testing.T, b *core.Build, clicks *bipartite.Graph, cfg core.Conf
 	}
 	out.tx = buf.Bytes()
 
-	tail := &core.Build{Corpus: b.Corpus, QuerySets: b.QuerySets, Taxonomy: tx}
-	docs, vocab := tail.SearchDocIDs(cfg.SearchDocTokenCap)
+	tail := &core.Build{Corpus: b.Corpus, QuerySets: b.QuerySets, Taxonomy: tx, Descriptions: descs}
+	docs := tail.SearchDocIDs(cfg.SearchDocTokenCap)
 	out.docs = docs
-	s, err := taxonomy.NewSearcherIDs(ctx, tx, docs, vocab)
+	s, err := taxonomy.NewSearcherIDs(ctx, tx, docs, b.Corpus.Text().Vocab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,9 @@ type Description struct {
 	Topic model.TopicID
 	// Queries are representative query texts, best first.
 	Queries []string
+	// QueryIDs are the corpus queries whose texts Queries holds, aligned
+	// with Queries.
+	QueryIDs []model.QueryID
 	// Scores are the r(q, t_k) values aligned with Queries.
 	Scores []float64
 }
@@ -155,10 +158,11 @@ type describer struct {
 	con      []float64 // con(q, t) per candidate slot
 	distinct []int     // per range of queries
 
-	// kept[t]:kept[t+1] is where topic t's ranked lists go in queries
-	// and scores.
+	// kept[t]:kept[t+1] is where topic t's ranked lists go in queries,
+	// ids and scores.
 	kept    []int
 	queries []string
+	ids     []model.QueryID
 	scores  []float64
 	out     []Description
 }
@@ -383,7 +387,7 @@ func (d *describer) scoreQueries(w, lo, hi int) error {
 
 // rank computes r = sqrt(pop·con) per slot, keeps each topic's best
 // TopQueries by (r descending, text ascending) and writes them into the
-// taxonomy. Every topic's lists are carved out of two shared arrays at
+// taxonomy. Every topic's lists are carved out of three shared arrays at
 // offsets fixed before the ranges run.
 func (d *describer) rank() []Description {
 	c, k := &d.c, len(d.topics)
@@ -391,7 +395,8 @@ func (d *describer) rank() []Description {
 	for t := range k {
 		d.kept[t+1] = d.kept[t] + min(d.top, int(c.topicOff[t+1]-c.topicOff[t]))
 	}
-	d.queries, d.scores = make([]string, d.kept[k]), make([]float64, d.kept[k])
+	n := d.kept[k]
+	d.queries, d.ids, d.scores = make([]string, n), make([]model.QueryID, n), make([]float64, n)
 	d.out = make([]Description, k)
 	bounds := par.Split(nil, k, func(t int) int { return int(c.topicOff[t+1]-c.topicOff[t]) + 1 })
 	_ = par.Run(bounds, d, (*describer).rankTopics) // ranking has no failure to report
@@ -402,6 +407,7 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 	c := &d.c
 	type ranked struct {
 		text string
+		id   model.QueryID
 		r    float64
 	}
 	var best []ranked
@@ -424,7 +430,8 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 			if pop > 1 {
 				pop = 1
 			}
-			cand := ranked{text: d.corpus.Queries[c.query[s]].Text, r: math.Sqrt(pop * d.con[s])}
+			q := c.query[s]
+			cand := ranked{text: d.corpus.Queries[q].Text, id: q, r: math.Sqrt(pop * d.con[s])}
 			// Ordered insertion into the best-so-far prefix.
 			i := len(best)
 			for i > 0 && (best[i-1].r < cand.r || (best[i-1].r == cand.r && best[i-1].text > cand.text)) {
@@ -441,9 +448,10 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 		}
 		from, to := d.kept[t], d.kept[t+1]
 		for j, b := range best {
-			d.queries[from+j], d.scores[from+j] = b.text, b.r
+			d.queries[from+j], d.ids[from+j], d.scores[from+j] = b.text, b.id, b.r
 		}
 		d.out[t].Queries = d.queries[from:to:to]
+		d.out[t].QueryIDs = d.ids[from:to:to]
 		d.out[t].Scores = d.scores[from:to:to]
 
 		d.topics[t].DescQueries = d.out[t].Queries

@@ -21,7 +21,8 @@ import (
 // describeOracle is the reference implementation Describe is held
 // bit-identical to: topic-major (one scoring pass per (topic, candidate)
 // pair), tokenizing every title and query text with textutil, a map and
-// a sort per topic, a string-built BM25 index.
+// a sort per topic, a string-built BM25 index scored through a Scorer
+// with the tokens resolved in its own vocabulary.
 func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *bipartite.Graph, cfg describe.Config) ([]describe.Description, error) {
 	k := len(tx.Topics)
 	docs := make([][]string, k)
@@ -36,6 +37,8 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 	if err != nil {
 		return nil, err
 	}
+	scorer := idx.NewScorer()
+	defer scorer.Close()
 	out := make([]describe.Description, 0, k)
 	for t := range tx.Topics {
 		acc := make(map[model.QueryID]float64)
@@ -56,6 +59,7 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 		sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
 		type scored struct {
 			text string
+			id   model.QueryID
 			r    float64
 		}
 		ranked := make([]scored, 0, len(cands))
@@ -68,7 +72,13 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 			if pop > 1 {
 				pop = 1
 			}
-			rels := idx.ScoreAll(textutil.TokenizeFiltered(qText))
+			var terms []uint32
+			for _, tok := range textutil.TokenizeFiltered(qText) {
+				if id, ok := idx.Vocab().ID(tok); ok {
+					terms = append(terms, uint32(id))
+				}
+			}
+			rels := scorer.ScoreIDs(terms)
 			relK := 0.0
 			var den float64 = 1
 			for _, h := range rels {
@@ -79,18 +89,22 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 			}
 			den += float64(k - len(rels))
 			con := math.Exp(relK) / den
-			ranked = append(ranked, scored{text: qText, r: math.Sqrt(pop * con)})
+			ranked = append(ranked, scored{text: qText, id: q, r: math.Sqrt(pop * con)})
 		}
 		sort.Slice(ranked, func(a, b int) bool {
 			if ranked[a].r != ranked[b].r {
 				return ranked[a].r > ranked[b].r
 			}
-			return ranked[a].text < ranked[b].text
+			if ranked[a].text != ranked[b].text {
+				return ranked[a].text < ranked[b].text
+			}
+			return ranked[a].id < ranked[b].id
 		})
 		n := min(cfg.TopQueries, len(ranked))
 		d := describe.Description{Topic: tx.Topics[t].ID}
 		for i := 0; i < n; i++ {
 			d.Queries = append(d.Queries, ranked[i].text)
+			d.QueryIDs = append(d.QueryIDs, ranked[i].id)
 			d.Scores = append(d.Scores, ranked[i].r)
 		}
 		out = append(out, d)

@@ -20,8 +20,6 @@ type TextPlane struct {
 	// titles, queries and categories hold one id list per item, query and
 	// category, indexed by their dense ids.
 	titles, queries, categories tokenLists
-	// queryByText maps a query text to the smallest query id carrying it.
-	queryByText map[string]QueryID
 }
 
 // tokenLists is a CSR of token-id lists: list i is ids[off[i]:off[i+1]].
@@ -46,15 +44,10 @@ func internAll(v *textutil.Vocab, n int, text func(int) string, tokenize func(st
 
 func newTextPlane(c *Corpus) *TextPlane {
 	v := textutil.NewVocab()
-	p := &TextPlane{vocab: v, queryByText: make(map[string]QueryID, len(c.Queries))}
+	p := &TextPlane{vocab: v}
 	p.titles = internAll(v, len(c.Items), func(i int) string { return c.Items[i].Title }, textutil.Tokenize)
 	p.queries = internAll(v, len(c.Queries), func(i int) string { return c.Queries[i].Text }, textutil.TokenizeFiltered)
 	p.categories = internAll(v, len(c.Categories), func(i int) string { return c.Categories[i].Name }, textutil.Tokenize)
-	for i := range c.Queries {
-		if _, dup := p.queryByText[c.Queries[i].Text]; !dup {
-			p.queryByText[c.Queries[i].Text] = QueryID(i)
-		}
-	}
 	p.words = v.Words()
 	return p
 }
@@ -83,14 +76,6 @@ func (p *TextPlane) Category(cat CategoryID) []uint32 { return p.categories.at(i
 // TitleTokens is the total token count over all item titles, for callers
 // that materialize every title at once.
 func (p *TextPlane) TitleTokens() int { return len(p.titles.ids) }
-
-// LookupQuery resolves a query text to a corpus query carrying exactly
-// that text, so strings that originated in the corpus (topic description
-// queries) find their token list without re-tokenizing.
-func (p *TextPlane) LookupQuery(text string) (QueryID, bool) {
-	q, ok := p.queryByText[text]
-	return q, ok
-}
 
 // AppendTerms appends the tokens of ids to dst: a string-header copy per
 // token, no hashing and no allocation beyond dst's growth.

@@ -58,23 +58,10 @@ func TestTextPlaneMatchesTokenizer(t *testing.T) {
 	// One id per distinct token, and ids round-trip through the vocabulary.
 	for i := range c.Items {
 		for _, id := range p.Title(ItemID(i)) {
-			if got, ok := p.Vocab().ID(p.Vocab().Word(int(id))); !ok || got != int(id) {
+			if got, ok := p.Vocab().ID(p.Vocab().Words()[id]); !ok || got != int(id) {
 				t.Fatalf("term id %d does not round-trip", id)
 			}
 		}
-	}
-}
-
-func TestTextPlaneLookupQuery(t *testing.T) {
-	p := textCorpus().Text()
-	if q, ok := p.LookupQuery("beach dress"); !ok || q != 0 {
-		t.Errorf(`LookupQuery("beach dress") = %d,%v, want the first of the duplicates (0)`, q, ok)
-	}
-	if q, ok := p.LookupQuery("for the"); !ok || q != 2 {
-		t.Errorf(`LookupQuery("for the") = %d,%v, want 2`, q, ok)
-	}
-	if _, ok := p.LookupQuery("Beach Dress"); ok {
-		t.Error("LookupQuery matched a text the corpus does not contain")
 	}
 }
 

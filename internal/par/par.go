@@ -45,7 +45,9 @@ func Split(dst []int, n int, cost func(i int) int) []int {
 // Run keeps no reference to b, so a caller may hold the bounds on its
 // stack and a body that captures nothing costs no allocation: at width 1
 // Run starts no goroutine and allocates nothing, and at any wider width
-// it allocates two objects plus one per extra range.
+// it allocates two objects (the errors and the wait group) plus one
+// closure per extra range, and the runtime a goroutine descriptor when
+// it has no free one.
 func Run[T any](b []int, arg T, body func(arg T, w, lo, hi int) error) error {
 	width := len(b) - 1
 	if width == 1 {
@@ -55,10 +57,13 @@ func Run[T any](b []int, arg T, body func(arg T, w, lo, hi int) error) error {
 	var wg sync.WaitGroup
 	wg.Add(width - 1)
 	for w := 1; w < width; w++ {
-		go func(w, lo, hi int) {
+		// A go statement with arguments wraps a closure around another
+		// closure: capturing the bounds instead costs one object.
+		lo, hi := b[w], b[w+1]
+		go func() {
 			errs[w] = body(arg, w, lo, hi)
 			wg.Done()
-		}(w, b[w], b[w+1])
+		}()
 	}
 	errs[0] = body(arg, 0, b[0], b[1])
 	wg.Wait()

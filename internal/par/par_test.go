@@ -102,3 +102,33 @@ func TestRun(t *testing.T) {
 		t.Errorf("a width-1 Split and Run allocated %.0f objects, want 0", allocs)
 	}
 }
+
+// TestRunAllocs holds a wider Run to what its doc promises: two objects
+// plus one closure per extra range. A goroutine descriptor is allocated
+// only when the runtime has no free one, so the least of three averages
+// over 100 runs gets half an object of slack; a go statement that passes
+// the bounds as arguments allocates two objects per extra range and
+// fails at every width.
+func TestRunAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		var buf [8]int
+		b := Split(buf[:0], 50, func(int) int { return 1 })
+		run := func() { _ = Run(b, 0, func(int, int, int, int) error { return nil }) }
+		run()
+		least := 1e9
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.Mallocs-before.Mallocs)/100)
+		}
+		if want := float64(2+procs-1) + 0.5; least > want {
+			t.Errorf("GOMAXPROCS=%d: Run allocated %.2f objects, want <= %.1f", procs, least, want)
+		}
+	}
+}

@@ -14,10 +14,10 @@ import (
 )
 
 // Searcher answers Query→Topic lookups (demo scenario A) with BM25 over
-// per-topic pseudo documents.
+// per-topic pseudo documents. Document i is topic i's, and a topic's ID
+// is its index (Validate checks it), so a hit's document is its topic.
 type Searcher struct {
-	idx    *bm25.Index
-	topics []model.TopicID
+	idx *bm25.Index
 }
 
 // NewSearcher indexes one token document per topic. topicDocs[i] is the
@@ -50,11 +50,7 @@ func NewSearcherIDs(ctx context.Context, tx *Taxonomy, topicDocs [][]uint32, voc
 	if err != nil {
 		return nil, err
 	}
-	topics := make([]model.TopicID, len(tx.Topics))
-	for i := range topics {
-		topics[i] = tx.Topics[i].ID
-	}
-	return &Searcher{idx: idx, topics: topics}, nil
+	return &Searcher{idx: idx}, nil
 }
 
 // Hit is a scored topic.
@@ -108,7 +104,7 @@ func (s *Searcher) Search(query string, k int) []Hit {
 	sc.hits = s.idx.AppendTopK(sc.hits[:0], terms, k)
 	out := make([]Hit, len(sc.hits))
 	for i, h := range sc.hits {
-		out[i] = Hit{Topic: s.topics[h.Doc], Score: h.Score}
+		out[i] = Hit{Topic: model.TopicID(h.Doc), Score: h.Score}
 	}
 	return out
 }

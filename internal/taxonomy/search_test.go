@@ -70,8 +70,8 @@ func TestSearchMatchesStringPath(t *testing.T) {
 				t.Fatalf("Search(%q, %d): %d hits, string path %d", p, k, len(got), len(want))
 			}
 			for i, h := range want {
-				if got[i].Topic != s.topics[h.Doc] || math.Float64bits(got[i].Score) != math.Float64bits(h.Score) {
-					t.Fatalf("Search(%q, %d)[%d] = %+v, string path {%d %v}", p, k, i, got[i], s.topics[h.Doc], h.Score)
+				if got[i].Topic != model.TopicID(h.Doc) || math.Float64bits(got[i].Score) != math.Float64bits(h.Score) {
+					t.Fatalf("Search(%q, %d)[%d] = %+v, string path {%d %v}", p, k, i, got[i], model.TopicID(h.Doc), h.Score)
 				}
 			}
 			hits += len(got)

@@ -52,11 +52,11 @@ func TestTokenizeFilteredAllStopwords(t *testing.T) {
 }
 
 func TestStopword(t *testing.T) {
-	if !Stopword("the") {
-		t.Error("Stopword(the) = false, want true")
+	if !StopwordBytes([]byte("the")) {
+		t.Error("StopwordBytes(the) = false, want true")
 	}
-	if Stopword("beach") {
-		t.Error("Stopword(beach) = true, want false")
+	if StopwordBytes([]byte("beach")) {
+		t.Error("StopwordBytes(beach) = true, want false")
 	}
 }
 
@@ -94,62 +94,16 @@ func TestVocabAddAndLookup(t *testing.T) {
 	if v.Size() != 2 {
 		t.Fatalf("Size() = %d, want 2", v.Size())
 	}
-	if v.Total() != 3 {
-		t.Fatalf("Total() = %d, want 3", v.Total())
-	}
-	if v.Count(a) != 2 {
-		t.Fatalf("Count(beach) = %d, want 2", v.Count(a))
-	}
-	if got := v.Word(a); got != "beach" {
-		t.Fatalf("Word(%d) = %q, want beach", a, got)
+	if got := v.Words()[a]; got != "beach" {
+		t.Fatalf("Words()[%d] = %q, want beach", a, got)
 	}
 	if id, ok := v.ID("dress"); !ok || id != b {
 		t.Fatalf("ID(dress) = %d,%v want %d,true", id, ok, b)
 	}
+	if id, ok := v.IDBytes([]byte("dress")); !ok || id != b {
+		t.Fatalf("IDBytes(dress) = %d,%v want %d,true", id, ok, b)
+	}
 	if _, ok := v.ID("unknown"); ok {
 		t.Fatal("ID(unknown) reported ok")
-	}
-}
-
-func TestVocabAddAll(t *testing.T) {
-	v := NewVocab()
-	ids := v.AddAll([]string{"a", "b", "a"})
-	if len(ids) != 3 || ids[0] != ids[2] || ids[0] == ids[1] {
-		t.Fatalf("AddAll ids = %v", ids)
-	}
-}
-
-func TestVocabTopK(t *testing.T) {
-	v := NewVocab()
-	for i := 0; i < 3; i++ {
-		v.Add("beach")
-	}
-	for i := 0; i < 2; i++ {
-		v.Add("dress")
-	}
-	v.Add("alpenstock")
-	v.Add("backpack")
-	got := v.TopK(3)
-	want := []string{"beach", "dress", "alpenstock"} // tie alpenstock<backpack
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TopK(3) = %v, want %v", got, want)
-	}
-	if n := len(v.TopK(100)); n != 4 {
-		t.Fatalf("TopK(100) returned %d words, want 4", n)
-	}
-}
-
-func TestVocabWordPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Word(-1) did not panic")
-		}
-	}()
-	NewVocab().Word(-1)
-}
-
-func TestVocabCountOutOfRange(t *testing.T) {
-	if got := NewVocab().Count(5); got != 0 {
-		t.Fatalf("Count(5) on empty vocab = %d, want 0", got)
 	}
 }

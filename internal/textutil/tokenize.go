@@ -1,5 +1,5 @@
 // Package textutil provides the text-processing substrate SHOAL depends on:
-// a unicode-aware tokenizer, a stopword filter, and a vocabulary builder.
+// a unicode-aware tokenizer, a stopword filter, and a vocabulary interner.
 //
 // The paper segments item titles into words before feeding them to word2vec
 // (§2.1, Eq. 2) and tokenizes queries for description matching (§2.3). The
@@ -73,11 +73,8 @@ var defaultStopwords = map[string]bool{
 	"or": true, "the": true, "to": true, "with": true,
 }
 
-// Stopword reports whether tok is in the default stopword list.
-func Stopword(tok string) bool { return defaultStopwords[tok] }
-
-// StopwordBytes is Stopword for a token in an AppendTokens buffer; the
-// lookup does not allocate.
+// StopwordBytes reports whether a token in an AppendTokens buffer is in
+// the default stopword list; the lookup does not allocate.
 func StopwordBytes(tok []byte) bool { return defaultStopwords[string(tok)] }
 
 // TokenizeFiltered tokenizes s and drops stopwords. If every token is a

@@ -1,19 +1,10 @@
 package textutil
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-	"sort"
-)
-
-// Vocab maps word strings to dense integer ids and records corpus
-// frequencies. Downstream stages (word2vec, BM25) operate on ids only.
+// Vocab interns word strings as dense integer ids, in first-Add order.
+// Downstream stages (BM25, the corpus text plane) operate on ids only.
 type Vocab struct {
-	ids    map[string]int
-	words  []string
-	counts []int64
-	total  int64
+	ids   map[string]int
+	words []string
 }
 
 // NewVocab returns an empty vocabulary.
@@ -21,25 +12,15 @@ func NewVocab() *Vocab {
 	return &Vocab{ids: make(map[string]int)}
 }
 
-// Add inserts tok (or bumps its count) and returns its id.
+// Add interns tok and returns its id: the existing one if tok is known.
 func (v *Vocab) Add(tok string) int {
 	if id, ok := v.ids[tok]; ok {
-		v.counts[id]++
-		v.total++
 		return id
 	}
 	id := len(v.words)
 	v.ids[tok] = id
 	v.words = append(v.words, tok)
-	v.counts = append(v.counts, 1)
-	v.total++
 	return id
-}
-
-// Clone returns an independent copy: the same ids, words and counts,
-// open to Adds that the original never sees.
-func (v *Vocab) Clone() *Vocab {
-	return &Vocab{ids: maps.Clone(v.ids), words: slices.Clone(v.words), counts: slices.Clone(v.counts), total: v.total}
 }
 
 // Intern spells token documents as term ids of a new vocabulary built
@@ -63,17 +44,7 @@ func Intern(docs [][]string) ([][]uint32, *Vocab) {
 	return ids, v
 }
 
-// AddAll inserts every token and returns their ids.
-func (v *Vocab) AddAll(toks []string) []int {
-	out := make([]int, len(toks))
-	for i, t := range toks {
-		out[i] = v.Add(t)
-	}
-	return out
-}
-
-// ID returns the id of tok and whether it is known. It does not modify
-// counts.
+// ID returns the id of tok and whether it is known.
 func (v *Vocab) ID(tok string) (int, bool) {
 	id, ok := v.ids[tok]
 	return id, ok
@@ -86,55 +57,10 @@ func (v *Vocab) IDBytes(tok []byte) (int, bool) {
 	return id, ok
 }
 
-// Word returns the token for id. It panics on out-of-range ids, which always
-// indicates a programming error.
-func (v *Vocab) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		panic(fmt.Sprintf("textutil: word id %d out of range [0,%d)", id, len(v.words)))
-	}
-	return v.words[id]
-}
-
-// Count returns the corpus frequency of id.
-func (v *Vocab) Count(id int) int64 {
-	if id < 0 || id >= len(v.counts) {
-		return 0
-	}
-	return v.counts[id]
-}
-
 // Size returns the number of distinct tokens.
 func (v *Vocab) Size() int { return len(v.words) }
 
 // Words returns the id-indexed token table itself, for callers that turn
-// many ids back into strings and cannot afford Word's bounds check per
-// token. The slice is the vocabulary's own storage: read it, never
-// write it, and re-fetch it after an Add.
+// ids back into strings. The slice is the vocabulary's own storage: read
+// it, never write it, and re-fetch it after an Add.
 func (v *Vocab) Words() []string { return v.words }
-
-// Total returns the number of token occurrences added.
-func (v *Vocab) Total() int64 { return v.total }
-
-// TopK returns the k most frequent tokens, most frequent first; ties break
-// alphabetically so output is deterministic.
-func (v *Vocab) TopK(k int) []string {
-	idx := make([]int, len(v.words))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if v.counts[ia] != v.counts[ib] {
-			return v.counts[ia] > v.counts[ib]
-		}
-		return v.words[ia] < v.words[ib]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = v.words[idx[i]]
-	}
-	return out
-}
