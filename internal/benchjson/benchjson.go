@@ -99,7 +99,7 @@ func NewSuite() (*Suite, error) {
 	for i := range b.Corpus.Items {
 		docs = append(docs, textutil.Tokenize(b.Corpus.Items[i].Title))
 	}
-	idx, err := bm25.Build(docs, bm25.DefaultConfig())
+	idx, err := bm25.Build(docs)
 	if err != nil {
 		return nil, err
 	}

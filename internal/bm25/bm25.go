@@ -16,7 +16,8 @@
 // GOMAXPROCS contiguous ranges (internal/par): each range counts its own
 // document frequencies, a serial pass gives every (term, range) pair its
 // offset in the term's span, and each range fills its own slots, so the
-// postings — and every score — are the same at any width.
+// postings — and every score — are the same at any width. The Okapi
+// parameters are constants, k1 = 1.2 and b = 0.75.
 package bm25
 
 import (
@@ -30,26 +31,14 @@ import (
 	"shoal/internal/textutil"
 )
 
-// Config holds the standard Okapi parameters.
-type Config struct {
-	// K1 controls term-frequency saturation. Typical range 1.2–2.0.
-	K1 float64
-	// B controls document-length normalization in [0,1].
-	B float64
-}
-
-// DefaultConfig returns k1=1.2, b=0.75.
-func DefaultConfig() Config { return Config{K1: 1.2, B: 0.75} }
-
-func (cfg Config) validate() error {
-	if cfg.K1 < 0 {
-		return fmt.Errorf("bm25: K1 must be non-negative, got %f", cfg.K1)
-	}
-	if cfg.B < 0 || cfg.B > 1 {
-		return fmt.Errorf("bm25: B must be in [0,1], got %f", cfg.B)
-	}
-	return nil
-}
+// Okapi BM25's parameters, fixed at the usual values: §2.3 uses plain
+// BM25, and neither the description ranker nor the search index tunes it.
+const (
+	// okapiK1 controls term-frequency saturation.
+	okapiK1 = 1.2
+	// okapiB controls document-length normalization, in [0,1].
+	okapiB = 0.75
+)
 
 type posting struct {
 	doc int32
@@ -68,7 +57,6 @@ type term struct {
 // Index is an immutable BM25 index over a document collection. Documents
 // are token slices; tokens are arbitrary strings.
 type Index struct {
-	cfg Config
 	// vocab resolves a query token to its term id — one map lookup per
 	// query token. Read-only here: BuildIDs shares the caller's.
 	vocab *textutil.Vocab
@@ -95,10 +83,10 @@ type scratch struct {
 }
 
 // Build indexes docs. Empty documents are permitted (they simply never
-// match). Build returns an error for an empty collection or invalid config.
-func Build(docs [][]string, cfg Config) (*Index, error) {
+// match). Build returns an error for an empty collection.
+func Build(docs [][]string) (*Index, error) {
 	ids, vocab := textutil.Intern(docs)
-	return BuildIDs(ids, vocab, cfg)
+	return BuildIDs(ids, vocab)
 }
 
 // BuildIDs indexes documents whose tokens are already term ids of vocab
@@ -106,16 +94,12 @@ func Build(docs [][]string, cfg Config) (*Index, error) {
 // query-time lookups and never modifies it; the caller must not Add to
 // it while the index is in use. Scores equal those of Build over the
 // same documents spelled as strings, bit for bit.
-func BuildIDs(docs [][]uint32, vocab *textutil.Vocab, cfg Config) (*Index, error) {
+func BuildIDs(docs [][]uint32, vocab *textutil.Vocab) (*Index, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("bm25: empty document collection")
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	nTerms := vocab.Size()
 	idx := &Index{
-		cfg:    cfg,
 		vocab:  vocab,
 		terms:  make([]term, nTerms),
 		docLen: make([]int32, len(docs)),
@@ -252,13 +236,13 @@ func (idx *Index) postings(t uint32) ([]posting, float64) {
 
 // termScore is one posting's BM25 contribution — the one expression
 // every scoring path evaluates, so they all agree to the bit. The
-// explicit float64 keeps the K1 product rounded before the add, so no
+// explicit float64 keeps the k1 product rounded before the add, so no
 // architecture fuses the two into one rounding.
 func (idx *Index) termScore(idf float64, p posting) float64 {
 	tf := float64(p.tf)
 	dl := float64(idx.docLen[p.doc])
-	denom := tf + float64(idx.cfg.K1*(1-idx.cfg.B+idx.cfg.B*dl/idx.avgLen))
-	return idf * tf * (idx.cfg.K1 + 1) / denom
+	denom := tf + float64(okapiK1*(1-okapiB+okapiB*dl/idx.avgLen))
+	return idf * tf * (okapiK1 + 1) / denom
 }
 
 // scoreInto accumulates the BM25 scores of the query terms into the

@@ -44,7 +44,7 @@ func scoreOf(idx *Index, query []string, doc int) float64 {
 
 func buildIdx(t *testing.T) *Index {
 	t.Helper()
-	idx, err := Build(testDocs(), DefaultConfig())
+	idx, err := Build(testDocs())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -52,14 +52,8 @@ func buildIdx(t *testing.T) *Index {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, DefaultConfig()); err == nil {
+	if _, err := Build(nil); err == nil {
 		t.Fatal("Build(nil) = nil error, want error")
-	}
-	if _, err := Build(testDocs(), Config{K1: -1, B: 0.5}); err == nil {
-		t.Fatal("Build with K1<0 = nil error")
-	}
-	if _, err := Build(testDocs(), Config{K1: 1, B: 1.5}); err == nil {
-		t.Fatal("Build with B>1 = nil error")
 	}
 }
 
@@ -182,14 +176,15 @@ func TestTopK(t *testing.T) {
 }
 
 func TestTermFrequencySaturation(t *testing.T) {
-	// More occurrences should score higher, but sub-linearly.
+	// More occurrences should score higher, but sub-linearly, even though
+	// each extra occurrence also lengthens the document.
 	docs := [][]string{
 		{"x"},
 		{"x", "x"},
 		{"x", "x", "x", "x", "x", "x", "x", "x"},
 		{"y"},
 	}
-	idx, err := Build(docs, Config{K1: 1.2, B: 0}) // disable length norm
+	idx, err := Build(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +203,7 @@ func TestLengthNormalizationPrefersShortDocs(t *testing.T) {
 		{"x", "a", "b", "c", "d", "e", "f", "g"},
 		{"x", "a"},
 	}
-	idx, err := Build(docs, Config{K1: 1.2, B: 0.75})
+	idx, err := Build(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +255,11 @@ func TestScorerMatchesScoreAll(t *testing.T) {
 		{},
 		{"hat", "hat", "leather", "belt"},
 	}
-	idx, err := Build(docs, DefaultConfig())
+	idx, err := Build(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := buildRef(docs, DefaultConfig())
+	ref := buildRef(docs)
 	queries := [][]string{
 		{"red", "shoes"},
 		{"red", "red", "hat"}, // dup terms

@@ -16,15 +16,14 @@ import (
 // posting slice per term string, built through a per-document tf map
 // with the terms of each document visited in sorted order.
 type refIndex struct {
-	cfg      Config
 	postings map[string][]posting
 	docLen   []int
 	avgLen   float64
 	n        int
 }
 
-func buildRef(docs [][]string, cfg Config) *refIndex {
-	r := &refIndex{cfg: cfg, postings: make(map[string][]posting), docLen: make([]int, len(docs)), n: len(docs)}
+func buildRef(docs [][]string) *refIndex {
+	r := &refIndex{postings: make(map[string][]posting), docLen: make([]int, len(docs)), n: len(docs)}
 	total := 0
 	for d, doc := range docs {
 		r.docLen[d] = len(doc)
@@ -57,8 +56,8 @@ func (r *refIndex) termScore(term string, p posting) float64 {
 	}
 	tf := float64(p.tf)
 	dl := float64(r.docLen[p.doc])
-	denom := tf + r.cfg.K1*(1-r.cfg.B+r.cfg.B*dl/r.avgLen)
-	return idf * tf * (r.cfg.K1 + 1) / denom
+	denom := tf + okapiK1*(1-okapiB+okapiB*dl/r.avgLen)
+	return idf * tf * (okapiK1 + 1) / denom
 }
 
 // scoreAll accumulates terms in first-occurrence order and each term's
@@ -125,8 +124,7 @@ func TestIndexMatchesReference(t *testing.T) {
 				docs[d][i] = word()
 			}
 		}
-		cfg := Config{K1: 0.5 + 1.5*rng.Float64(), B: rng.Float64()}
-		ref := buildRef(docs, cfg)
+		ref := buildRef(docs)
 
 		// The id entry point is fed a vocabulary that is a superset of the
 		// collection's terms, interned in an unrelated order.
@@ -141,11 +139,11 @@ func TestIndexMatchesReference(t *testing.T) {
 				idDocs[d] = append(idDocs[d], uint32(id))
 			}
 		}
-		fromStrings, err := Build(docs, cfg)
+		fromStrings, err := Build(docs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromIDs, err := BuildIDs(idDocs, vocab, cfg)
+		fromIDs, err := BuildIDs(idDocs, vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +192,7 @@ func TestIndexMatchesReference(t *testing.T) {
 func TestBuildIDsRejectsForeignTermID(t *testing.T) {
 	vocab := textutil.NewVocab()
 	vocab.Add("a")
-	if _, err := BuildIDs([][]uint32{{0, 1}}, vocab, DefaultConfig()); err == nil {
+	if _, err := BuildIDs([][]uint32{{0, 1}}, vocab); err == nil {
 		t.Fatal("term id outside the vocabulary accepted")
 	}
 }
@@ -234,11 +232,11 @@ func TestBuildIDsIdenticalAcrossWidths(t *testing.T) {
 	var wantErr string
 	for _, procs := range []int{1, 2, 3, 7} {
 		runtime.GOMAXPROCS(procs)
-		idx, err := BuildIDs(docs, vocab, DefaultConfig())
+		idx, err := BuildIDs(docs, vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = BuildIDs(foreign, vocab, DefaultConfig())
+		_, err = BuildIDs(foreign, vocab)
 		if err == nil {
 			t.Fatalf("GOMAXPROCS=%d: foreign term ids accepted", procs)
 		}

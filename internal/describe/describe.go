@@ -26,7 +26,9 @@
 // float per candidate pair, never a per-query hit vector. Titles and
 // query texts are read as term ids from the corpus text plane
 // (model.Corpus.Text), indexed with bm25.BuildIDs and scored with
-// bm25.Scorer.ScoreIDs: nothing is tokenized or hashed per call.
+// bm25.Scorer.ScoreIDs: nothing is tokenized or hashed per call. rel is
+// plain BM25 at its package's constant k1 and b; only the number of
+// queries kept per topic is configured.
 //
 // Every loop over topics or queries — the pseudo documents, the index
 // build, candidate collection (a count, then a fill at the offsets the
@@ -55,13 +57,11 @@ import (
 type Config struct {
 	// TopQueries is the number of representative queries kept per topic.
 	TopQueries int
-	// BM25 parameterizes the relevance function.
-	BM25 bm25.Config
 }
 
 // DefaultConfig keeps the 5 best queries per topic.
 func DefaultConfig() Config {
-	return Config{TopQueries: 5, BM25: bm25.DefaultConfig()}
+	return Config{TopQueries: 5}
 }
 
 // Description is the ranked query list for one topic.
@@ -104,7 +104,7 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 
 	sp = parent.Child("index")
 	sp.SetAttr("workers", par.Width(k))
-	idx, err := bm25.BuildIDs(d.docs, text.Vocab(), cfg.BM25)
+	idx, err := bm25.BuildIDs(d.docs, text.Vocab())
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("describe: %w", err)

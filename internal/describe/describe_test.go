@@ -62,7 +62,7 @@ func fixture(t *testing.T) (*taxonomy.Taxonomy, *model.Corpus, *bipartite.Graph)
 			{A: 2, B: 3, New: 5, Sim: 0.9, Round: 0},
 		},
 	}
-	tx, err := taxonomy.Build(context.Background(), d, es, corpus, taxonomy.Config{Levels: []float64{0.5}, MinTopicSize: 2})
+	tx, err := taxonomy.Build(context.Background(), d, es, corpus, taxonomy.Config{Levels: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 		}
 		totalTokens[t] = float64(len(docs[t]))
 	}
-	idx, err := bm25.Build(docs, cfg.BM25)
+	idx, err := bm25.Build(docs)
 	if err != nil {
 		return nil, err
 	}

@@ -69,9 +69,7 @@ func E6Alpha(sc Scale, seed uint64, alphas []float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tx, err := taxonomy.Build(context.Background(), cres.Dendrogram, es, corpus, taxonomy.Config{
-			Levels: []float64{stopTh}, MinTopicSize: 2,
-		})
+		tx, err := taxonomy.Build(context.Background(), cres.Dendrogram, es, corpus, taxonomy.Config{Levels: []float64{stopTh}})
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,9 @@
 // of §2.2 Challenge 1). Clustering stops when no remaining edge reaches the
 // stop threshold. The O(E log E) heap-based implementation still scans the
 // whole frontier once per merge in the worst case, which is exactly the
-// scalability wall (Challenge 2) that motivates Parallel HAC.
+// scalability wall (Challenge 2) that motivates Parallel HAC. The stop
+// threshold is its only setting: clustering runs until no edge reaches
+// it.
 package hac
 
 import (
@@ -28,8 +30,6 @@ type Config struct {
 	// StopThreshold ends clustering when the best remaining similarity
 	// falls below it.
 	StopThreshold float64
-	// MaxMerges caps the number of merges; 0 means unlimited.
-	MaxMerges int
 }
 
 // DefaultConfig stops at similarity 0.35.
@@ -99,9 +99,6 @@ func Cluster(g *wgraph.CSR, sizes []int, cfg Config) (*dendrogram.Dendrogram, er
 	d := &dendrogram.Dendrogram{Leaves: n}
 	round := int32(0)
 	for pq.Len() > 0 {
-		if cfg.MaxMerges > 0 && len(d.Merges) >= cfg.MaxMerges {
-			break
-		}
 		top := heap.Pop(&pq).(heapEdge)
 		if top.sim < cfg.StopThreshold {
 			break

@@ -117,17 +117,6 @@ func TestEq4UpdateWeighted(t *testing.T) {
 	}
 }
 
-func TestClusterMaxMerges(t *testing.T) {
-	g := twoClusters(t)
-	d, err := Cluster(g, nil, Config{StopThreshold: 0.1, MaxMerges: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Merges) != 2 {
-		t.Fatalf("merges = %d, want 2", len(d.Merges))
-	}
-}
-
 func TestClusterErrors(t *testing.T) {
 	g := twoClusters(t)
 	if _, err := Cluster(wgraphtest.Build(t, 0), nil, DefaultConfig()); err == nil {

@@ -28,8 +28,7 @@ type routeMetrics struct {
 }
 
 // HTTPMetrics instruments an HTTP mux: per-route latency histograms,
-// per-route status-class counters, an in-flight gauge, and the build
-// snapshot generation observed at request completion. The per-request
+// per-route status-class counters and an in-flight gauge. The per-request
 // path is allocation-free in steady state (the status-capturing writer
 // is pooled) and every metric update is a lock-free atomic.
 //
@@ -42,13 +41,7 @@ type routeMetrics struct {
 type HTTPMetrics struct {
 	reg      *Registry
 	InFlight *Gauge
-	// Generation is read at each observation (nil: generation 0) — the
-	// serving layer supplies the current snapshot swap count, so the
-	// gauge always names the build the just-completed request was
-	// served from.
-	Generation func() int64
-	generation *Gauge
-	panics     *Counter
+	panics   *Counter
 
 	mu        sync.Mutex
 	routes    []*routeMetrics
@@ -59,10 +52,9 @@ type HTTPMetrics struct {
 // NewHTTPMetrics registers the serving instrument families in reg.
 func NewHTTPMetrics(reg *Registry) *HTTPMetrics {
 	m := &HTTPMetrics{
-		reg:        reg,
-		InFlight:   reg.Gauge("shoal_http_in_flight", "", "requests currently being served"),
-		generation: reg.Gauge("shoal_build_generation", "", "snapshot swap count at the last observation"),
-		panics:     reg.Counter("shoal_http_panics_total", "", "handler panics recovered by the middleware"),
+		reg:      reg,
+		InFlight: reg.Gauge("shoal_http_in_flight", "", "requests currently being served"),
+		panics:   reg.Counter("shoal_http_panics_total", "", "handler panics recovered by the middleware"),
 	}
 	m.pool.New = func() any { return &statusWriter{} }
 	m.unmatched = m.routeMetrics(UnmatchedRoute)
@@ -177,9 +169,6 @@ func (m *HTTPMetrics) finish(sw *statusWriter, r *http.Request, start time.Time)
 	if ci := status/100 - 2; ci >= 0 && ci < len(statusClasses) {
 		rm.byClass[ci].Inc()
 	}
-	if m.Generation != nil {
-		m.generation.Set(m.Generation())
-	}
 
 	sw.ResponseWriter, sw.rm = nil, nil
 	m.pool.Put(sw)
@@ -202,11 +191,8 @@ type RouteSummary struct {
 
 // HTTPSummary is the serving-telemetry section of /api/stats.
 type HTTPSummary struct {
-	InFlight int64 `json:"inFlight"`
-	// Generation is the snapshot swap count at the most recent request
-	// observation.
-	Generation int64          `json:"generation"`
-	Routes     []RouteSummary `json:"routes"`
+	InFlight int64          `json:"inFlight"`
+	Routes   []RouteSummary `json:"routes"`
 }
 
 // Summary digests the current per-route state: request totals, status
@@ -218,10 +204,7 @@ func (m *HTTPMetrics) Summary() HTTPSummary {
 	copy(routes, m.routes)
 	m.mu.Unlock()
 
-	out := HTTPSummary{
-		InFlight:   m.InFlight.Value(),
-		Generation: m.generation.Value(),
-	}
+	out := HTTPSummary{InFlight: m.InFlight.Value()}
 	for _, rm := range routes {
 		snap := rm.latency.Snapshot()
 		if snap.Count == 0 {

@@ -24,8 +24,6 @@ func newTestMux(m *HTTPMetrics) http.Handler {
 func TestHTTPMetricsCounting(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg)
-	gen := int64(0)
-	m.Generation = func() int64 { return gen }
 	h := newTestMux(m)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -49,13 +47,9 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	do("GET", "/boom", 500)
 	do("GET", "/missing", 404) // mux-answered: unmatched
 	do("POST", "/ok", 405)     // wrong method: unmatched
-	gen = 7
 	do("GET", "/ok", 200)
 
 	sum := m.Summary()
-	if sum.Generation != 7 {
-		t.Fatalf("generation = %d, want 7", sum.Generation)
-	}
 	if sum.InFlight != 0 {
 		t.Fatalf("in-flight = %d, want 0 at rest", sum.InFlight)
 	}
@@ -89,7 +83,6 @@ func TestHTTPMetricsCounting(t *testing.T) {
 		`shoal_http_requests_total{route="/ok"} 4`,
 		`shoal_http_responses_total{route="/bad",class="4xx"} 1`,
 		`shoal_http_responses_total{route="unmatched",class="4xx"} 2`,
-		`shoal_build_generation 7`,
 		`shoal_http_request_duration_seconds_count{route="/ok"} 4`,
 	} {
 		if !strings.Contains(text, want+"\n") {
@@ -166,7 +159,6 @@ func (w nopWriter) WriteHeader(int)             {}
 // inner handler here does nothing, so anything measured is ours.
 func TestMiddlewareAllocFree(t *testing.T) {
 	m := NewHTTPMetrics(NewRegistry())
-	m.Generation = func() int64 { return 3 }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /ping", m.Route("/ping", func(w http.ResponseWriter, r *http.Request) {}))
 	h := m.WrapMux(mux)

@@ -12,13 +12,12 @@
 //     are lock-free atomics and allocate nothing (locked by
 //     TestSteadyStateAllocFree); registration and snapshotting are the
 //     slow paths and may allocate. Histograms use fixed log-spaced
-//     bounds, and their snapshots merge and interpolate p50/p90/p99.
+//     bounds, and their snapshots interpolate p50/p90/p99.
 //
 //   - Serving instrumentation: HTTPMetrics wraps an http.ServeMux with
-//     per-route latency histograms, status-class counters, an in-flight
-//     gauge and the snapshot generation at observation time, exposed as
-//     Prometheus text format (WritePrometheus) and as a JSON summary
-//     (Summary). RuntimeSampler feeds heap / GC-pause / goroutine
+//     per-route latency histograms, status-class counters and an
+//     in-flight gauge, exposed as Prometheus text format
+//     (WritePrometheus) and as a JSON summary (Summary). RuntimeSampler feeds heap / GC-pause / goroutine
 //     gauges. PprofMux bundles the net/http/pprof handlers for a side
 //     listener.
 //
@@ -116,32 +115,13 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is a point-in-time copy of a histogram, mergeable with
-// snapshots sharing the same bounds and queryable for quantiles.
+// HistSnapshot is a point-in-time copy of a histogram, queryable for
+// quantiles.
 type HistSnapshot struct {
 	Bounds []float64 // upper bounds; Counts has one extra +Inf bucket
 	Counts []uint64
 	Sum    float64
 	Count  uint64
-}
-
-// Merge adds another snapshot's observations into s. The two must have
-// identical bounds (merging mismatched layouts silently corrupts
-// quantiles, so it panics instead).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if len(s.Bounds) != len(o.Bounds) {
-		panic("obs: merging histogram snapshots with different bucket layouts")
-	}
-	for i, b := range s.Bounds {
-		if b != o.Bounds[i] {
-			panic("obs: merging histogram snapshots with different bucket bounds")
-		}
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) by locating the
@@ -257,8 +237,8 @@ func (r *Registry) register(name, labels, typ, help string, mk func() any) any {
 	}
 	m := mk()
 	// All series of one histogram family must share a bucket layout, or
-	// their snapshots would not merge and the summed _bucket lines would
-	// lie. Checked against the family's first series.
+	// the summed _bucket lines would lie. Checked against the family's
+	// first series.
 	if h, ok := m.(*Histogram); ok && len(fam.series) > 0 {
 		first := fam.series[0].metric.(*Histogram)
 		if !slices.Equal(first.bounds, h.bounds) {
@@ -283,7 +263,7 @@ func (r *Registry) Gauge(name, labels, help string) *Gauge {
 
 // Histogram registers (or returns the existing) histogram series with
 // the given upper bounds (ascending; +Inf is implicit). Series of one
-// family must share a layout for their snapshots to merge.
+// family must share a layout.
 func (r *Registry) Histogram(name, labels, help string, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: histogram " + name + " needs at least one bucket bound")

@@ -71,37 +71,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	r := NewRegistry()
-	bounds := []float64{1, 2, 3}
-	a := r.Histogram("a", "", "test", bounds)
-	b := r.Histogram("b", "", "test", bounds)
-	a.Observe(0.5)
-	a.Observe(1.5)
-	b.Observe(2.5)
-	b.Observe(9)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 4 {
-		t.Fatalf("merged count = %d, want 4", sa.Count)
-	}
-	if want := 0.5 + 1.5 + 2.5 + 9; math.Abs(sa.Sum-want) > 1e-9 {
-		t.Fatalf("merged sum = %f, want %f", sa.Sum, want)
-	}
-	for i, want := range []uint64{1, 1, 1, 1} {
-		if sa.Counts[i] != want {
-			t.Fatalf("merged bucket %d = %d, want %d", i, sa.Counts[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched layouts did not panic")
-		}
-	}()
-	c := r.Histogram("c", "", "test", []float64{5})
-	sa.Merge(c.Snapshot())
-}
-
 // TestSteadyStateAllocFree locks the hot-path contract: metric updates
 // allocate nothing. Counters, gauges and histogram observation are the
 // operations every request and superstep pays for.

@@ -48,7 +48,7 @@ func world(t *testing.T) (*model.Corpus, *taxonomy.Taxonomy) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := taxonomy.Build(context.Background(), d, es, corpus, taxonomy.Config{Levels: []float64{0.5}, MinTopicSize: 2})
+	tx, err := taxonomy.Build(context.Background(), d, es, corpus, taxonomy.Config{Levels: []float64{0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestStatsHTTPSection(t *testing.T) {
 // goroutines while builds are repeatedly hot-swapped (run with -race).
 // Afterwards every request must be accounted exactly once — histogram
 // totals equal request counters equal requests actually served — and
-// the generation gauge must have settled on the final swap count.
+// the generation gauge must read the final swap count.
 func TestMetricsUnderSwap(t *testing.T) {
 	srv, h := newInstrumentedServer(t)
 	b := getBuild(t)
@@ -236,13 +236,9 @@ func TestMetricsUnderSwap(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// One quiet request so the generation gauge observes the final swap
-	// count; the scrape below is not included in its own output (requests
-	// are observed after the response is written).
-	if code := getJSON(t, srv.URL+"/api/search?q=beach+dress", nil); code != http.StatusOK {
-		t.Fatalf("post-swap search status = %d", code)
-	}
-	want := served.Load() + 1
+	// The scrape below is not included in its own output (requests are
+	// observed after the response is written).
+	want := served.Load()
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -254,9 +250,14 @@ func TestMetricsUnderSwap(t *testing.T) {
 	requests := map[string]int64{}
 	histCounts := map[string]int64{}
 	var total int64
+	generation := int64(-1)
 	for _, line := range strings.Split(string(body), "\n") {
 		var v int64
 		switch {
+		case strings.HasPrefix(line, "shoal_build_generation "):
+			if _, err := fmt.Sscanf(line, "shoal_build_generation %d", &generation); err != nil {
+				t.Fatalf("unparseable line %q", line)
+			}
 		case strings.HasPrefix(line, "shoal_http_requests_total{"):
 			if _, err := fmt.Sscanf(afterBrace(line), "%d", &v); err != nil {
 				t.Fatalf("unparseable line %q", line)
@@ -279,12 +280,38 @@ func TestMetricsUnderSwap(t *testing.T) {
 		}
 	}
 
-	sum := h.metrics.Summary()
-	if sum.Generation != h.Swaps() {
-		t.Fatalf("generation gauge = %d, want final swap count %d", sum.Generation, h.Swaps())
+	if generation != h.Swaps() {
+		t.Fatalf("generation gauge = %d, want final swap count %d", generation, h.Swaps())
 	}
+	sum := h.metrics.Summary()
 	if sum.InFlight != 0 {
 		t.Fatalf("in-flight = %d at rest, want 0", sum.InFlight)
+	}
+}
+
+// TestGenerationSetAtPublish reads the generation gauge straight after
+// NewHandler and each Swap, with no request in between: a build's swap
+// count is exported when the build is published, not when a request
+// next completes.
+func TestGenerationSetAtPublish(t *testing.T) {
+	b := getBuild(t)
+	h, err := NewHandler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for swaps := 0; swaps <= 3; swaps++ {
+		if swaps > 0 {
+			if err := h.Swap(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sb strings.Builder
+		if err := h.Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("shoal_build_generation %d\n", swaps); !strings.Contains(sb.String(), want) {
+			t.Fatalf("after %d swaps, /metrics lacks %q:\n%s", swaps, want, sb.String())
+		}
 	}
 }
 

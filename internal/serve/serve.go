@@ -23,8 +23,9 @@
 // its own head and its sub-topics'.
 //
 // Every request passes through the obs middleware: per-route latency
-// histograms, status-class counters, an in-flight gauge and the swap
-// generation observed at completion, all allocation-free per request.
+// histograms, status-class counters and an in-flight gauge, all
+// allocation-free per request. The swap generation is a gauge set when a
+// build is published.
 package serve
 
 import (
@@ -67,6 +68,9 @@ type Handler struct {
 	// the clicks the delta tracker refuses to double-count. Updated on
 	// every publish, exported via /metrics.
 	droppedStale *obs.Gauge
+	// generation is the published snapshot's swap count, set on every
+	// publish, exported via /metrics.
+	generation *obs.Gauge
 }
 
 // snapshot pairs a build with the swap count that published it, so one
@@ -97,9 +101,9 @@ func NewHandler(b *core.Build) (*Handler, error) {
 	h := &Handler{mux: http.NewServeMux(), reg: obs.NewRegistry()}
 	h.droppedStale = h.reg.Gauge("shoal_window_dropped_stale_events", "",
 		"stale click events (already-evicted days) dropped at window ingestion, as of the published build")
+	h.generation = h.reg.Gauge("shoal_build_generation", "", "snapshot swap count of the published build")
 	h.cur.Store(h.newSnapshot(b, 0))
 	m := obs.NewHTTPMetrics(h.reg)
-	m.Generation = h.Swaps
 	h.metrics = m
 	h.mux.HandleFunc("GET /api/search", m.Route("/api/search", h.search))
 	h.mux.HandleFunc("GET /api/topics/{id}", m.Route("/api/topics/{id}", h.topic))
@@ -143,9 +147,10 @@ func (h *Handler) Swap(b *core.Build) error {
 }
 
 // newSnapshot captures the publish-time window state alongside the
-// build, renders the build's summary heads and refreshes the gauges
-// derived from the window. Publishers call this before the window
-// resumes ingesting, so the read is race-free.
+// build, renders the build's summary heads and refreshes the gauges of
+// the published build: its swap count and its window's dropped events.
+// Publishers call this before the window resumes ingesting, so the read
+// is race-free.
 func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
 	topics := b.Taxonomy.Topics
 	s := &snapshot{build: b, swaps: swaps, headOff: make([]int32, len(topics)+1)}
@@ -160,6 +165,7 @@ func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
 		s.droppedStale = b.Clicks.Stats().DroppedStale
 	}
 	h.droppedStale.Set(s.droppedStale)
+	h.generation.Set(swaps)
 	return s
 }
 

@@ -48,7 +48,7 @@ func buildReference(d *dendrogram.Dendrogram, es *entitygraph.EntitySet, corpus 
 		assign := append([]model.TopicID(nil), prevAssign...)
 		for _, lab := range labs {
 			members := groups[lab]
-			if len(members) < cfg.MinTopicSize {
+			if len(members) < minTopicSize {
 				continue
 			}
 			parent := NoTopic
@@ -225,11 +225,11 @@ func TestBuildAllocs(t *testing.T) {
 	}
 	const perLevel, perBuild = 5, 15
 	d, es, corpus := fixture(t)
-	small := Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 1}
+	small := Config{Levels: []float64{0.4, 0.75}}
 	gen := synth.DefaultConfig()
 	gen.Scenarios, gen.ItemsPerScenario, gen.QueriesPerScenario, gen.NoiseItems, gen.HeadQueries = 32, 150, 30, 160, 20
 	bd, bes, bcorpus := generatedWorld(t, gen)
-	big := Config{Levels: []float64{0.12, 0.3, 0.5}, MinTopicSize: 2}
+	big := Config{Levels: []float64{0.12, 0.3, 0.5}}
 	for _, w := range []struct {
 		name   string
 		d      *dendrogram.Dendrogram
@@ -253,16 +253,16 @@ func TestBuildAllocs(t *testing.T) {
 
 // TestTaxonomyMatchesReference holds the counting assembly to the
 // map-and-sort one it replaced on the six-entity fixture, a hand-built
-// three-level dendrogram with tied sims and clusters below MinTopicSize,
+// three-level dendrogram with tied sims and clusters below minTopicSize,
 // random dendrograms over multi-item entities, the benchmark fixture's
 // catalog and E4's large catalog.
 func TestTaxonomyMatchesReference(t *testing.T) {
 	d, es, corpus := fixture(t)
 	for _, cfg := range []Config{
-		{Levels: []float64{0.4, 0.75}, MinTopicSize: 2},
-		{Levels: []float64{0.4, 0.65}, MinTopicSize: 2},
-		{Levels: []float64{0.5, 0.7, 0.8}, MinTopicSize: 1},
-		{Levels: []float64{0.9}, MinTopicSize: 2},
+		{Levels: []float64{0.4, 0.75}},
+		{Levels: []float64{0.4, 0.65}},
+		{Levels: []float64{0.5, 0.7, 0.8}},
+		{Levels: []float64{0.9}},
 		DefaultConfig(),
 	} {
 		assertMatchesReference(t, fmt.Sprintf("fixture %v", cfg), d, es, corpus, cfg)
@@ -300,13 +300,12 @@ func TestTaxonomyMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{Levels: []float64{0.3, 0.5, 0.7}, MinTopicSize: 2},
-		{Levels: []float64{0.3, 0.5, 0.7}, MinTopicSize: 3},
-		{Levels: []float64{0.3, 0.5, 0.7, 0.9}, MinTopicSize: 1},
-		{Levels: []float64{0.5, 0.7}, MinTopicSize: 4},
+		{Levels: []float64{0.3, 0.5, 0.7}},
+		{Levels: []float64{0.3, 0.5, 0.7, 0.9}},
+		{Levels: []float64{0.5, 0.7}},
 	} {
 		tx := assertMatchesReference(t, fmt.Sprintf("hand-built %v", cfg), hand, es3, c3, cfg)
-		if cfg.MinTopicSize == 2 && len(tx.Topics) != 7 {
+		if len(cfg.Levels) == 3 && len(tx.Topics) != 7 {
 			t.Fatalf("hand-built dendrogram gave %d topics, want the 7 of the comment above", len(tx.Topics))
 		}
 	}
@@ -314,7 +313,7 @@ func TestTaxonomyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		d, es, corpus := randomWorld(t, rng, 1+rng.Intn(80))
-		cfg := Config{Levels: []float64{0.3, 0.5, 0.7}, MinTopicSize: 1 + rng.Intn(3)}
+		cfg := Config{Levels: []float64{0.3, 0.5, 0.7}}
 		assertMatchesReference(t, fmt.Sprintf("random trial %d", trial), d, es, corpus, cfg)
 	}
 
@@ -322,9 +321,9 @@ func TestTaxonomyMatchesReference(t *testing.T) {
 	gen := synth.DefaultConfig()
 	gen.Scenarios, gen.ItemsPerScenario, gen.QueriesPerScenario, gen.NoiseItems, gen.HeadQueries = 32, 150, 30, 160, 20
 	d, es, corpus = generatedWorld(t, gen)
-	assertMatchesReference(t, "benchmark fixture catalog", d, es, corpus, Config{Levels: levels, MinTopicSize: 2})
+	assertMatchesReference(t, "benchmark fixture catalog", d, es, corpus, Config{Levels: levels})
 	gen = synth.DefaultConfig()
 	gen.Scenarios, gen.ItemsPerScenario, gen.QueriesPerScenario, gen.NoiseItems, gen.HeadQueries = 120, 250, 50, 600, 60
 	d, es, corpus = generatedWorld(t, gen)
-	assertMatchesReference(t, "E4 large catalog", d, es, corpus, Config{Levels: levels, MinTopicSize: 2})
+	assertMatchesReference(t, "E4 large catalog", d, es, corpus, Config{Levels: levels})
 }

@@ -46,7 +46,7 @@ func NewSearcherIDs(ctx context.Context, tx *Taxonomy, topicDocs [][]uint32, voc
 	if len(topicDocs) == 0 {
 		return nil, fmt.Errorf("taxonomy: no topics to index")
 	}
-	idx, err := bm25.BuildIDs(topicDocs, vocab, bm25.DefaultConfig())
+	idx, err := bm25.BuildIDs(topicDocs, vocab)
 	if err != nil {
 		return nil, err
 	}
@@ -77,27 +77,14 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 func (s *Searcher) Search(query string, k int) []Hit {
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
-	sc.buf, sc.ends = textutil.AppendTokens(sc.buf[:0], sc.ends[:0], query)
-	// TokenizeFiltered drops stopwords unless every token is one.
-	allStop, start := true, 0
-	for _, end := range sc.ends {
-		if !textutil.StopwordBytes(sc.buf[start:end]) {
-			allStop = false
-			break
-		}
-		start = end
-	}
+	sc.buf, sc.ends = textutil.DropStopwords(textutil.AppendTokens(sc.buf[:0], sc.ends[:0], query))
 	vocab := s.idx.Vocab()
 	terms, start := sc.terms[:0], 0
 	for _, end := range sc.ends {
-		tok := sc.buf[start:end]
-		start = end
-		if !allStop && textutil.StopwordBytes(tok) {
-			continue
-		}
-		if t, ok := vocab.IDBytes(tok); ok {
+		if t, ok := vocab.IDBytes(sc.buf[start:end]); ok {
 			terms = append(terms, uint32(t))
 		}
+		start = end
 	}
 	sc.terms = terms
 	// AppendTopK counts a repeated term once, at its first occurrence.

@@ -13,7 +13,7 @@ import (
 
 // searchFixture indexes a generated catalog: 40 topics, each the titles
 // of every 40th item plus the filtered texts of every 40th query.
-func searchFixture(t *testing.T) (*Searcher, *model.Corpus) {
+func searchFixture(t testing.TB) (*Searcher, *model.Corpus) {
 	t.Helper()
 	gen := synth.DefaultConfig()
 	gen.Scenarios = 8
@@ -80,6 +80,38 @@ func TestSearchMatchesStringPath(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no probe matched anything")
 	}
+}
+
+// FuzzSearchMatchesTokenizeFiltered holds Search, for an arbitrary query
+// and k, to the spelled-out path: TokenizeFiltered, each token's id in
+// the index's vocabulary (unknown tokens dropped), AppendTopK. Hits must
+// agree in topic and score bits, so the in-place stopword rule Search
+// applies to its byte buffer is the one TokenizeFiltered applies.
+func FuzzSearchMatchesTokenizeFiltered(f *testing.F) {
+	s, c := searchFixture(f)
+	for _, q := range []string{"", "for the", "of and THE", "the " + c.Queries[0].Text, "BeAcH DrEsS",
+		"防晒霜 spf50", c.Items[0].Title, c.Queries[1].Text + " " + c.Queries[1].Text} {
+		f.Add(q, uint8(5))
+	}
+	vocab := s.idx.Vocab()
+	f.Fuzz(func(t *testing.T, query string, k uint8) {
+		var terms []uint32
+		for _, tok := range textutil.TokenizeFiltered(query) {
+			if id, ok := vocab.ID(tok); ok {
+				terms = append(terms, uint32(id))
+			}
+		}
+		want := s.idx.AppendTopK(nil, terms, int(k))
+		got := s.Search(query, int(k))
+		if len(got) != len(want) {
+			t.Fatalf("Search(%q, %d): %d hits, spelled-out path %d", query, k, len(got), len(want))
+		}
+		for i, h := range want {
+			if got[i].Topic != model.TopicID(h.Doc) || math.Float64bits(got[i].Score) != math.Float64bits(h.Score) {
+				t.Fatalf("Search(%q, %d)[%d] = %+v, spelled-out path {%d %v}", query, k, i, got[i], model.TopicID(h.Doc), h.Score)
+			}
+		}
+	})
 }
 
 // TestSearchAllocs: a search allocates only the hits it returns.

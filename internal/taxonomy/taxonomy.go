@@ -7,7 +7,8 @@
 // similarity thresholds: the loosest cut yields the root topics (conceptual
 // shopping scenarios such as "trip to the beach"), tighter cuts yield
 // nested sub-topics. Because cuts of one dendrogram are nested refinements,
-// the result is a proper tree.
+// the result is a proper tree. The cut ladder is the only setting: a
+// topic needs at least two entities, a constant.
 package taxonomy
 
 import (
@@ -22,6 +23,11 @@ import (
 // NoTopic marks items/entities not placed under any topic (clusters below
 // the minimum size).
 const NoTopic model.TopicID = -1
+
+// minTopicSize is the minimum number of entities for a cluster to become
+// a topic; smaller clusters stay part of their parent (or are unassigned
+// at root level). A singleton is never a topic.
+const minTopicSize = 2
 
 // Topic is one node of the topic tree.
 type Topic struct {
@@ -63,15 +69,11 @@ type Config struct {
 	// Levels are cut thresholds in ascending order. The first defines
 	// root topics; each subsequent one adds a nesting level.
 	Levels []float64
-	// MinTopicSize is the minimum number of entities for a cluster to
-	// become a topic; smaller clusters stay part of their parent (or are
-	// unassigned at root level).
-	MinTopicSize int
 }
 
 // DefaultConfig uses three levels above the default clustering threshold.
 func DefaultConfig() Config {
-	return Config{Levels: []float64{0.35, 0.5, 0.65}, MinTopicSize: 2}
+	return Config{Levels: []float64{0.35, 0.5, 0.65}}
 }
 
 func (c Config) validate() error {
@@ -87,9 +89,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("taxonomy: levels must be strictly ascending")
 		}
 		prev = l
-	}
-	if c.MinTopicSize < 1 {
-		return fmt.Errorf("taxonomy: MinTopicSize must be >= 1")
 	}
 	return nil
 }
@@ -161,7 +160,7 @@ func Build(ctx context.Context, d *dendrogram.Dendrogram, es *entitygraph.Entity
 			off[lab+1]++
 		}
 		for lab := 1; lab <= n; lab++ {
-			if int(off[lab]) >= cfg.MinTopicSize {
+			if off[lab] >= minTopicSize {
 				candidates++
 			}
 			off[lab] += off[lab-1]
@@ -189,7 +188,7 @@ func Build(ctx context.Context, d *dendrogram.Dendrogram, es *entitygraph.Entity
 		}
 		for lab := 0; lab < n; lab++ {
 			group := members[off[lab]:off[lab+1]:off[lab+1]]
-			if len(group) < cfg.MinTopicSize {
+			if len(group) < minTopicSize {
 				continue
 			}
 			// Parent topic: the previous level's topic of the first

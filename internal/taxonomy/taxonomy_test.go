@@ -67,7 +67,7 @@ func build(t *testing.T, cfg Config) (*Taxonomy, *model.Corpus) {
 }
 
 func TestBuildTree(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}})
 	roots := tx.Roots()
 	if len(roots) != 2 {
 		t.Fatalf("roots = %v, want 2 roots", roots)
@@ -105,7 +105,7 @@ func TestBuildTree(t *testing.T) {
 }
 
 func TestBuildAssignsDeepestTopic(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}})
 	for e := 0; e < 4; e++ {
 		tid := tx.EntityTopic[e]
 		if tid == NoTopic {
@@ -126,7 +126,7 @@ func TestBuildAssignsDeepestTopic(t *testing.T) {
 func TestBuildSkipsIdenticalChild(t *testing.T) {
 	// {4,5} cluster is identical at level 0 (0.4) and level 1 (0.65):
 	// only one topic should exist for it.
-	tx, _ := build(t, Config{Levels: []float64{0.4, 0.65}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4, 0.65}})
 	count := 0
 	for i := range tx.Topics {
 		if len(tx.Topics[i].Entities) == 2 && tx.Topics[i].Entities[0] == 4 {
@@ -139,7 +139,7 @@ func TestBuildSkipsIdenticalChild(t *testing.T) {
 }
 
 func TestBuildMinTopicSize(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.9}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.9}})
 	// Nothing merges at 0.9, all clusters are singletons < 2.
 	if len(tx.Topics) != 0 {
 		t.Fatalf("topics = %d, want 0", len(tx.Topics))
@@ -154,12 +154,11 @@ func TestBuildMinTopicSize(t *testing.T) {
 func TestBuildConfigValidation(t *testing.T) {
 	d, es, corpus := fixture(t)
 	bad := []Config{
-		{Levels: nil, MinTopicSize: 1},
-		{Levels: []float64{0.5, 0.4}, MinTopicSize: 1},
-		{Levels: []float64{0.5, 0.5}, MinTopicSize: 1},
-		{Levels: []float64{-0.1}, MinTopicSize: 1},
-		{Levels: []float64{1.2}, MinTopicSize: 1},
-		{Levels: []float64{0.5}, MinTopicSize: 0},
+		{Levels: nil},
+		{Levels: []float64{0.5, 0.4}},
+		{Levels: []float64{0.5, 0.5}},
+		{Levels: []float64{-0.1}},
+		{Levels: []float64{1.2}},
 	}
 	for i, cfg := range bad {
 		if _, err := Build(context.Background(), d, es, corpus, cfg); err == nil {
@@ -174,7 +173,7 @@ func TestBuildConfigValidation(t *testing.T) {
 }
 
 func TestItemsInCategory(t *testing.T) {
-	tx, corpus := build(t, Config{Levels: []float64{0.4}, MinTopicSize: 2})
+	tx, corpus := build(t, Config{Levels: []float64{0.4}})
 	var big model.TopicID = NoTopic
 	for _, r := range tx.Roots() {
 		if len(tx.Topics[r].Entities) == 4 {
@@ -194,7 +193,7 @@ func TestItemsInCategory(t *testing.T) {
 }
 
 func TestRootOf(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}})
 	for e := 0; e < 4; e++ {
 		tid := tx.EntityTopic[e]
 		root, err := tx.RootOf(tid)
@@ -214,7 +213,7 @@ func TestRootOf(t *testing.T) {
 }
 
 func TestSearcher(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.4}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4}})
 	docs := make([][]string, len(tx.Topics))
 	for i := range tx.Topics {
 		if len(tx.Topics[i].Entities) == 4 {
@@ -244,7 +243,7 @@ func TestSearcher(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+	tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}})
 	var buf bytes.Buffer
 	if err := tx.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -295,7 +294,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		"item placed under no topic": func(tx *Taxonomy) { tx.ItemTopic[5] = NoTopic },
 	}
 	for name, corrupt := range corruptions {
-		tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+		tx, _ := build(t, Config{Levels: []float64{0.4, 0.75}})
 		if len(tx.Topics) != 4 || !reflect.DeepEqual(tx.Topics[0].Children, []model.TopicID{2, 3}) || tx.Topics[1].Parent != NoTopic {
 			t.Fatalf("fixture taxonomy changed shape: %+v", tx.Topics)
 		}
@@ -317,7 +316,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 func FuzzLoad(f *testing.F) {
 	d, es, corpus := fixture(f)
 	seed := func(corrupt func(tx *Taxonomy)) []byte {
-		tx, err := Build(context.Background(), d, es, corpus, Config{Levels: []float64{0.4, 0.75}, MinTopicSize: 2})
+		tx, err := Build(context.Background(), d, es, corpus, Config{Levels: []float64{0.4, 0.75}})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -52,11 +52,11 @@ func TestTokenizeFilteredAllStopwords(t *testing.T) {
 }
 
 func TestStopword(t *testing.T) {
-	if !StopwordBytes([]byte("the")) {
-		t.Error("StopwordBytes(the) = false, want true")
+	if !stopword([]byte("the")) {
+		t.Error("stopword(the) = false, want true")
 	}
-	if StopwordBytes([]byte("beach")) {
-		t.Error("StopwordBytes(beach) = true, want false")
+	if stopword([]byte("beach")) {
+		t.Error("stopword(beach) = true, want false")
 	}
 }
 

@@ -18,7 +18,12 @@ import (
 // single-rune tokens, which approximates character-level segmentation for
 // Chinese titles. It is AppendTokens with the tokens spelled as strings.
 func Tokenize(s string) []string {
-	buf, ends := AppendTokens(nil, nil, s)
+	return spell(AppendTokens(nil, nil, s))
+}
+
+// spell returns the tokens of an AppendTokens buffer as strings, all
+// substrings of one copy of buf; no tokens is nil.
+func spell(buf []byte, ends []int) []string {
 	if len(ends) == 0 {
 		return nil
 	}
@@ -73,23 +78,34 @@ var defaultStopwords = map[string]bool{
 	"or": true, "the": true, "to": true, "with": true,
 }
 
-// StopwordBytes reports whether a token in an AppendTokens buffer is in
-// the default stopword list; the lookup does not allocate.
-func StopwordBytes(tok []byte) bool { return defaultStopwords[string(tok)] }
+// stopword reports whether a token is in the default stopword list; the
+// lookup does not allocate.
+func stopword(tok []byte) bool { return defaultStopwords[string(tok)] }
 
-// TokenizeFiltered tokenizes s and drops stopwords. If every token is a
-// stopword the unfiltered tokens are returned instead, so short queries are
-// never emptied.
-func TokenizeFiltered(s string) []string {
-	toks := Tokenize(s)
-	kept := toks[:0:0]
-	for _, t := range toks {
-		if !defaultStopwords[t] {
-			kept = append(kept, t)
+// DropStopwords is the stopword rule: it removes the stopwords from an
+// AppendTokens buffer in place, unless every token is one, so a short
+// query is never emptied. It returns the shortened buffer and ends, in
+// AppendTokens' layout, and allocates nothing.
+func DropStopwords(buf []byte, ends []int) ([]byte, []int) {
+	n, kept, start := 0, 0, 0
+	for _, end := range ends {
+		tok := buf[start:end]
+		start = end
+		if stopword(tok) {
+			continue
 		}
+		n += copy(buf[n:], tok)
+		ends[kept] = n
+		kept++
 	}
-	if len(kept) == 0 {
-		return toks
+	if kept == 0 {
+		// Every token is a stopword, and nothing was moved.
+		return buf, ends
 	}
-	return kept
+	return buf[:n], ends[:kept]
+}
+
+// TokenizeFiltered is Tokenize with DropStopwords applied.
+func TokenizeFiltered(s string) []string {
+	return spell(DropStopwords(AppendTokens(nil, nil, s)))
 }

@@ -7,7 +7,10 @@
 // The trainer is one serial SGD loop over the sentences in index order,
 // driven by one seeded RNG: a Config and a corpus determine the model bit
 // for bit, whatever GOMAXPROCS is and whether or not the race detector is
-// on.
+// on. The context window, negative samples, learning rate, subsampling
+// threshold and seed are package constants: the model stands in for the
+// paper's pre-trained one, so nothing tunes them. Config holds only what
+// a caller varies: the dimension, the epochs and the count floor.
 package word2vec
 
 import (
@@ -19,57 +22,46 @@ import (
 	"sort"
 )
 
+// The trainer's fixed hyperparameters.
+const (
+	// window is the maximum one-sided context window.
+	window = 4
+	// negative is the number of negative samples per positive pair.
+	negative = 5
+	// learningRate is the initial learning rate, decayed linearly to a
+	// tenth of it.
+	learningRate = 0.05
+	// subsample is the subsampling threshold t of frequent words: w is
+	// kept with probability min(1, sqrt(t/f(w)) + t/f(w)).
+	subsample = 1e-3
+	// seed seeds the initial vectors and the sampling RNG.
+	seed = 1
+)
+
 // Config controls training.
 type Config struct {
 	// Dim is the embedding dimensionality.
 	Dim int
-	// Window is the maximum one-sided context window.
-	Window int
-	// Negative is the number of negative samples per positive pair.
-	Negative int
 	// Epochs is the number of passes over the corpus.
 	Epochs int
-	// LR is the initial learning rate, decayed linearly to LR/10.
-	LR float64
 	// MinCount drops words rarer than this from training.
 	MinCount int
-	// Subsample is the subsampling threshold t of frequent words
-	// (probability of keeping w is min(1, sqrt(t/f(w)) + t/f(w))).
-	// Zero disables subsampling.
-	Subsample float64
 	// Workers is read by nothing, written only by the frozen
 	// benchmark/run.go: training is serial (ROADMAP item 8 deletes it).
 	Workers int
-	// Seed makes runs reproducible.
-	Seed uint64
 }
 
 // DefaultConfig returns sensible smalls-corpus defaults.
 func DefaultConfig() Config {
-	return Config{
-		Dim:       32,
-		Window:    4,
-		Negative:  5,
-		Epochs:    3,
-		LR:        0.05,
-		MinCount:  2,
-		Subsample: 1e-3,
-		Seed:      1,
-	}
+	return Config{Dim: 32, Epochs: 3, MinCount: 2}
 }
 
 func (c *Config) validate() error {
 	switch {
 	case c.Dim <= 0:
 		return errors.New("word2vec: Dim must be positive")
-	case c.Window <= 0:
-		return errors.New("word2vec: Window must be positive")
-	case c.Negative < 0:
-		return errors.New("word2vec: Negative must be non-negative")
 	case c.Epochs <= 0:
 		return errors.New("word2vec: Epochs must be positive")
-	case c.LR <= 0:
-		return errors.New("word2vec: LR must be positive")
 	}
 	return nil
 }
@@ -239,13 +231,11 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	keep := make([]float64, len(words))
 	for i, w := range words {
 		keep[i] = 1
-		if cfg.Subsample > 0 {
-			f := float64(counts[w]) / float64(totalTokens)
-			if f > 0 {
-				p := math.Sqrt(cfg.Subsample/f) + cfg.Subsample/f
-				if p < 1 {
-					keep[i] = p
-				}
+		f := float64(counts[w]) / float64(totalTokens)
+		if f > 0 {
+			p := math.Sqrt(subsample/f) + subsample/f
+			if p < 1 {
+				keep[i] = p
 			}
 		}
 	}
@@ -253,7 +243,7 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	dim := cfg.Dim
 	vecs := make([]float32, len(words)*dim) // input vectors
 	ctxs := make([]float32, len(words)*dim) // output (context) vectors
-	initRng := rand.New(rand.NewPCG(cfg.Seed, 0x9E3779B97F4A7C15))
+	initRng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
 	for i := range vecs {
 		vecs[i] = (float32(initRng.Float32()) - 0.5) / float32(dim)
 	}
@@ -261,7 +251,12 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	sigm := newSigmoidTable()
 
 	totalSteps := int64(cfg.Epochs) * totalTokens
-	rng := rand.New(rand.NewPCG(cfg.Seed, 1))
+	// The floor is a tenth of the start in float64 arithmetic, one ulp
+	// above the constant expression learningRate*0.1, which folds to an
+	// exact 0.005.
+	lr0 := float64(learningRate)
+	lrFloor := lr0 * 0.1
+	rng := rand.New(rand.NewPCG(seed, 1))
 	grad := make([]float32, dim)
 	var kept []int32
 	var done int64
@@ -280,14 +275,14 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 				}
 			}
 			for pos, w := range kept {
-				win := 1 + rng.IntN(cfg.Window)
+				win := 1 + rng.IntN(window)
 				lo, hi := max(pos-win, 0), min(pos+win, len(kept)-1)
-				lr := max(cfg.LR*(1-0.9*float64(done)/float64(totalSteps)), cfg.LR*0.1)
+				lr := max(lr0*(1-0.9*float64(done)/float64(totalSteps)), lrFloor)
 				for cp := lo; cp <= hi; cp++ {
 					if cp == pos {
 						continue
 					}
-					trainPair(vecs, ctxs, int(kept[cp]), int(w), dim, lr, cfg.Negative, table, rng, grad, sigm)
+					trainPair(vecs, ctxs, int(kept[cp]), int(w), dim, lr, table, rng, grad, sigm)
 				}
 				done++
 			}
@@ -302,7 +297,7 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 
 // trainPair applies one skip-gram SGD step: center word `in`, positive
 // context `out`, plus negative samples.
-func trainPair(vecs, ctxs []float32, in, out, dim int, lr float64, negative int, table []int32, rng *rand.Rand, grad []float32, sigm *sigmoidTable) {
+func trainPair(vecs, ctxs []float32, in, out, dim int, lr float64, table []int32, rng *rand.Rand, grad []float32, sigm *sigmoidTable) {
 	vi := vecs[in*dim : (in+1)*dim]
 	for i := range grad {
 		grad[i] = 0
