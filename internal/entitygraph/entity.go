@@ -94,8 +94,10 @@ func priceBand(cents int64) int {
 
 // BuildEntities groups corpus items into entities by (category, sorted
 // attribute labels, price band). Singleton groups are normal: entity
-// formation is a dedup step, not clustering. Cancellation is checked
-// between grouping passes.
+// formation is a dedup step, not clustering. Entity ids follow each
+// group's first item: items are visited in ascending id, so a group is
+// numbered at its smallest item and lists its items ascending, with no
+// sort. Cancellation is checked between grouping passes.
 func BuildEntities(ctx context.Context, c *model.Corpus) (*EntitySet, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("entitygraph: %w", err)
@@ -108,39 +110,34 @@ func BuildEntities(ctx context.Context, c *model.Corpus) (*EntitySet, error) {
 		attrs string
 		band  int
 	}
-	groups := make(map[key][]model.ItemID)
+	ids := make(map[key]model.EntityID)
+	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items))}
 	for i := range c.Items {
 		it := &c.Items[i]
 		attrs := append([]string(nil), it.Attrs...)
 		sort.Strings(attrs)
 		k := key{cat: it.Category, attrs: strings.Join(attrs, "\x1f"), band: priceBand(it.PriceCents)}
-		groups[k] = append(groups[k], it.ID)
+		id, ok := ids[k]
+		if !ok {
+			id = model.EntityID(len(es.Entities))
+			ids[k] = id
+			es.Entities = append(es.Entities, Entity{ID: id, Category: k.cat})
+		}
+		es.Entities[id].Items = append(es.Entities[id].Items, it.ID)
+		es.ItemEntity[it.ID] = id
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Deterministic entity ids: sort groups by their smallest item id.
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return groups[keys[a]][0] < groups[keys[b]][0] })
-
 	text := c.Text()
-	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items))}
-	for _, k := range keys {
-		items := groups[k]
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		id := model.EntityID(len(es.Entities))
-		ent := Entity{ID: id, Items: items, Category: k.cat}
+	for e := range es.Entities {
+		ent := &es.Entities[e]
 		scen := make(map[model.ScenarioID]int)
-		for _, it := range items {
-			es.ItemEntity[it] = id
+		for _, it := range ent.Items {
 			ent.Tokens = text.AppendTerms(ent.Tokens, text.Title(it))
 			scen[c.Items[it].Scenario]++
 		}
 		ent.Scenario = majorityScenario(scen)
-		es.Entities = append(es.Entities, ent)
 	}
 	return es, nil
 }

@@ -4,8 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +95,94 @@ func TestBuildEntitiesMajorityScenario(t *testing.T) {
 	}
 	if es.Entities[0].Scenario != 2 {
 		t.Fatalf("majority scenario = %d, want 2", es.Entities[0].Scenario)
+	}
+}
+
+// buildEntitiesSorted is BuildEntities as it was before entities took
+// first-seen order: it groups every item, then numbers the groups by
+// sorting them on their smallest item and sorts each group's items. It is
+// the oracle the one-pass version must equal.
+func buildEntitiesSorted(c *model.Corpus) *EntitySet {
+	type key struct {
+		cat   model.CategoryID
+		attrs string
+		band  int
+	}
+	groups := make(map[key][]model.ItemID)
+	for i := range c.Items {
+		it := &c.Items[i]
+		attrs := append([]string(nil), it.Attrs...)
+		sort.Strings(attrs)
+		k := key{cat: it.Category, attrs: strings.Join(attrs, "\x1f"), band: priceBand(it.PriceCents)}
+		groups[k] = append(groups[k], it.ID)
+	}
+	keys := make([]key, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool { return groups[keys[a]][0] < groups[keys[b]][0] })
+	text := c.Text()
+	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items))}
+	for _, k := range keys {
+		items := groups[k]
+		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
+		id := model.EntityID(len(es.Entities))
+		ent := Entity{ID: id, Items: items, Category: k.cat}
+		scen := make(map[model.ScenarioID]int)
+		for _, it := range items {
+			es.ItemEntity[it] = id
+			ent.Tokens = text.AppendTerms(ent.Tokens, text.Title(it))
+			scen[c.Items[it].Scenario]++
+		}
+		ent.Scenario = majorityScenario(scen)
+		es.Entities = append(es.Entities, ent)
+	}
+	return es
+}
+
+// TestBuildEntitiesMatchesSorted holds BuildEntities to the sorting
+// oracle on synth's default catalog and on a random catalog whose 40
+// groups (2 categories x 4 attribute sets x 5 price bands) interleave
+// over 600 items, with attribute order and scenarios drawn per item.
+func TestBuildEntitiesMatchesSorted(t *testing.T) {
+	c30, err := synth.Generate(synth.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 0))
+	attrSets := [][]string{nil, {"color=red"}, {"color=red", "size=m"}, {"size=m", "color=blue"}}
+	mixed := &model.Corpus{Categories: []model.Category{
+		{ID: 0, Name: "A", Parent: model.RootCategory},
+		{ID: 1, Name: "B", Parent: model.RootCategory},
+	}}
+	for i := 0; i < 600; i++ {
+		attrs := slices.Clone(attrSets[rng.IntN(len(attrSets))])
+		if rng.IntN(2) == 0 {
+			slices.Reverse(attrs)
+		}
+		mixed.Items = append(mixed.Items, model.Item{
+			ID:         model.ItemID(i),
+			Title:      fmt.Sprintf("item %d word%d", i, rng.IntN(9)),
+			Category:   model.CategoryID(rng.IntN(2)),
+			PriceCents: int64(100) << rng.IntN(5),
+			Attrs:      attrs,
+			Scenario:   model.ScenarioID(rng.IntN(3)),
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		c    *model.Corpus
+	}{{"c30", c30}, {"interleaved", mixed}} {
+		got, err := BuildEntities(context.Background(), tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := buildEntitiesSorted(tc.c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: BuildEntities differs from the sorting oracle", tc.name)
+		}
+		if tc.name == "interleaved" && len(got.Entities) != 40 {
+			t.Fatalf("interleaved: %d entities, want all 40 groups", len(got.Entities))
+		}
 	}
 }
 

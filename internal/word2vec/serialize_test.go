@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"strconv"
 	"testing"
 )
 
@@ -51,7 +52,10 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := Load(encode(modelWire{Dim: 4, Words: []string{"a"}, Vecs: make([]float32, 3)})); err == nil {
 		t.Fatal("mismatched vector length accepted")
 	}
-	if _, err := Load(encode(modelWire{Dim: 1 << 62, Words: []string{"a", "b", "c", "d"}})); err == nil {
+	// Four words of this dim hold 1 << strconv.IntSize floats, which a
+	// multiplying size check would wrap to the empty Vecs at either int
+	// width.
+	if _, err := Load(encode(modelWire{Dim: 1 << (strconv.IntSize - 2), Words: []string{"a", "b", "c", "d"}})); err == nil {
 		t.Fatal("dim whose size check overflows accepted")
 	}
 	if _, err := Load(encode(modelWire{Dim: 1, Words: []string{"a", "a"}, Vecs: make([]float32, 2)})); err == nil {

@@ -11,6 +11,21 @@
 // threshold and seed are package constants: the model stands in for the
 // paper's pre-trained one, so nothing tunes them. Config holds only what
 // a caller varies: the dimension, the epochs and the count floor.
+//
+// A step trains one (center, context) pair against six targets: the
+// context word and five negative samples, drawn first (drawTargets). When
+// the six targets are distinct, their dot products run as independent
+// float64 chains in one element loop instead of six dependent chains back
+// to back. That is exact: the center row changes only at the end of the
+// step, and with no target repeated no context row is written before it
+// is read, so each chain adds the same products in the same order. One
+// element loop then applies the updates in target order, summing the
+// center row's gradient from +0 as the serial loop's zeroed buffer does:
+// starting it at the first product would keep a −0 that +0 turns into +0,
+// and could flip the row's sign bit. A duplicate target, or a draw equal
+// to the context word (fewer than six targets), takes the serial loop:
+// 1-3 % of the pairs on synth catalogs, 85 % on TestTrainReproducible's
+// ten-word corpus.
 package word2vec
 
 import (
@@ -296,23 +311,23 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 }
 
 // trainPair applies one skip-gram SGD step: center word `in`, positive
-// context `out`, plus negative samples.
+// context `out`, plus negative samples. It runs the six-chain kernel when
+// the six targets are distinct and the serial one otherwise; both write
+// the same bits (see the package doc).
 func trainPair(vecs, ctxs []float32, in, out, dim int, lr float64, table []int32, rng *rand.Rand, grad []float32, sigm *sigmoidTable) {
+	targets, nt := drawTargets(out, table, rng)
 	vi := vecs[in*dim : (in+1)*dim]
+	if nt == len(targets) && distinct(&targets) {
+		trainSix(vi, ctxs, &targets, dim, lr, sigm)
+		return
+	}
 	for i := range grad {
 		grad[i] = 0
 	}
-	for n := 0; n <= negative; n++ {
-		var target int
-		var label float32
+	for n, target := range targets[:nt] {
+		label := float32(0)
 		if n == 0 {
-			target, label = out, 1
-		} else {
-			target = int(table[rng.IntN(len(table))])
-			if target == out {
-				continue
-			}
-			label = 0
+			label = 1
 		}
 		vo := ctxs[target*dim : (target+1)*dim]
 		var dot float64
@@ -327,6 +342,79 @@ func trainPair(vecs, ctxs []float32, in, out, dim int, lr float64, table []int32
 	}
 	for i := range vi {
 		vi[i] += grad[i]
+	}
+}
+
+// drawTargets returns out followed by the negatives drawn for it, and
+// how many of the slots are filled: a draw equal to out is skipped.
+// Nothing else in a step reads rng, so drawing them all first leaves its
+// sequence as it was when each was drawn in its turn.
+func drawTargets(out int, table []int32, rng *rand.Rand) (targets [negative + 1]int, nt int) {
+	targets[0], nt = out, 1
+	for n := 0; n < negative; n++ {
+		if t := int(table[rng.IntN(len(table))]); t != out {
+			targets[nt] = t
+			nt++
+		}
+	}
+	return targets, nt
+}
+
+// distinct reports whether no two targets are equal.
+func distinct(t *[negative + 1]int) bool {
+	for a := 1; a < len(t); a++ {
+		for b := 0; b < a; b++ {
+			if t[a] == t[b] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// trainSix is trainPair's step for six distinct targets, the first the
+// positive one. Its six dots are independent float64 chains in one
+// element loop; its update loop applies the targets in their order, each
+// element's gradient summed from +0 as the serial kernel's grad is.
+func trainSix(vi, ctxs []float32, t *[negative + 1]int, dim int, lr float64, sigm *sigmoidTable) {
+	vo0 := ctxs[t[0]*dim : (t[0]+1)*dim][:len(vi)]
+	vo1 := ctxs[t[1]*dim : (t[1]+1)*dim][:len(vi)]
+	vo2 := ctxs[t[2]*dim : (t[2]+1)*dim][:len(vi)]
+	vo3 := ctxs[t[3]*dim : (t[3]+1)*dim][:len(vi)]
+	vo4 := ctxs[t[4]*dim : (t[4]+1)*dim][:len(vi)]
+	vo5 := ctxs[t[5]*dim : (t[5]+1)*dim][:len(vi)]
+	var d0, d1, d2, d3, d4, d5 float64
+	for i, x := range vi {
+		x := float64(x)
+		d0 += float64(x * float64(vo0[i]))
+		d1 += float64(x * float64(vo1[i]))
+		d2 += float64(x * float64(vo2[i]))
+		d3 += float64(x * float64(vo3[i]))
+		d4 += float64(x * float64(vo4[i]))
+		d5 += float64(x * float64(vo5[i]))
+	}
+	a := float32(lr)
+	g0 := a * (1 - sigm.at(d0))
+	g1 := a * (0 - sigm.at(d1))
+	g2 := a * (0 - sigm.at(d2))
+	g3 := a * (0 - sigm.at(d3))
+	g4 := a * (0 - sigm.at(d4))
+	g5 := a * (0 - sigm.at(d5))
+	for i, x := range vi {
+		gi := float32(0)
+		gi += float32(g0 * vo0[i])
+		vo0[i] += float32(g0 * x)
+		gi += float32(g1 * vo1[i])
+		vo1[i] += float32(g1 * x)
+		gi += float32(g2 * vo2[i])
+		vo2[i] += float32(g2 * x)
+		gi += float32(g3 * vo3[i])
+		vo3[i] += float32(g3 * x)
+		gi += float32(g4 * vo4[i])
+		vo4[i] += float32(g4 * x)
+		gi += float32(g5 * vo5[i])
+		vo5[i] += float32(g5 * x)
+		vi[i] += gi
 	}
 }
 

@@ -8,8 +8,12 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"shoal/internal/model"
+	"shoal/internal/synth"
 )
 
 // syntheticSentences builds a corpus with two disjoint topical clusters so
@@ -240,5 +244,190 @@ func TestSigmoidTable(t *testing.T) {
 			t.Fatalf("sigmoid not monotone at %f: %f < %f", x, v, prev)
 		}
 		prev = v
+	}
+}
+
+// goldenCatalogSHA256 is the SHA-256 of the Save bytes of a DefaultConfig()
+// model trained on the item titles of synth's default catalog (30
+// scenarios), computed by the serial kernel that predates the six-chain
+// one. About 97 % of its pairs take the six chains, against about 15 % on
+// TestTrainReproducible's corpus, so this pin is the one that holds the
+// fast path to the serial bits.
+const goldenCatalogSHA256 = "033d226ee35a0595cc0025696830a1aee8c58d20d18a1589335d732852cf37b0"
+
+func TestTrainReproducibleCatalog(t *testing.T) {
+	c, err := synth.Generate(synth.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := c.Text()
+	sentences := make([][]string, len(c.Items))
+	for i := range c.Items {
+		sentences[i] = text.AppendTerms(nil, text.Title(model.ItemID(i)))
+	}
+	m, err := Train(context.Background(), sentences, DefaultConfig())
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != goldenCatalogSHA256 {
+		t.Fatalf("model SHA-256 = %x, want %s", sum, goldenCatalogSHA256)
+	}
+}
+
+// trainPairSerial is trainPair as it was before the six-chain kernel: one
+// target at a time, each negative drawn in its turn. It is the oracle the
+// kernel must match bit for bit.
+func trainPairSerial(vecs, ctxs []float32, in, out, dim int, lr float64, table []int32, rng *rand.Rand, grad []float32, sigm *sigmoidTable) {
+	vi := vecs[in*dim : (in+1)*dim]
+	for i := range grad {
+		grad[i] = 0
+	}
+	for n := 0; n <= negative; n++ {
+		var target int
+		var label float32
+		if n == 0 {
+			target, label = out, 1
+		} else {
+			target = int(table[rng.IntN(len(table))])
+			if target == out {
+				continue
+			}
+			label = 0
+		}
+		vo := ctxs[target*dim : (target+1)*dim]
+		var dot float64
+		for i := range vi {
+			dot += float64(float64(vi[i]) * float64(vo[i]))
+		}
+		g := float32(lr) * (label - sigm.at(dot))
+		for i := range vi {
+			grad[i] += float32(g * vo[i])
+			vo[i] += float32(g * vi[i])
+		}
+	}
+	for i := range vi {
+		vi[i] += grad[i]
+	}
+}
+
+// TestTrainPairMatchesSerial runs trainPair and the serial oracle on
+// copies of the same rows with identically seeded RNGs, and compares
+// every float32 of both matrices bit for bit, and the RNGs' next draws.
+// The tables force each branch: the whole vocabulary (mostly six
+// distinct targets), two words (always a duplicate) and the context word
+// alone (every draw skipped). The fills reach the signed zeros: rows of
+// −0 against context rows whose products with a zero g are all −0, where
+// a gradient summed from the first product instead of +0 keeps the center
+// row's −0, and a saturated sigmoid, where a negative's g is +0 only if
+// it is computed as 0 − σ rather than −σ.
+func TestTrainPairMatchesSerial(t *testing.T) {
+	const vocab = 16
+	negZero := float32(math.Copysign(0, -1))
+	fills := []struct {
+		name string
+		lr   float64
+		fill func(rng *rand.Rand, vecs, ctxs []float32, out, dim int)
+	}{
+		{"random", learningRate, func(rng *rand.Rand, vecs, ctxs []float32, _, _ int) {
+			scale := []float32{0.01, 0.5, 4}[rng.IntN(3)]
+			for i := range vecs {
+				vecs[i] = (rng.Float32() - 0.5) * scale
+				ctxs[i] = (rng.Float32() - 0.5) * scale
+			}
+		}},
+		{"zero rows", learningRate, func(_ *rand.Rand, vecs, ctxs []float32, _, _ int) {
+			for i := range vecs {
+				vecs[i], ctxs[i] = negZero, 0
+			}
+		}},
+		{"zero g, -0 products", 0, func(rng *rand.Rand, vecs, ctxs []float32, out, dim int) {
+			for i := range vecs {
+				// g is +0 for the context word and -0 for a negative:
+				// a negative context row times +0 and a positive one
+				// times -0 both round to -0.
+				sign := float32(1)
+				if i/dim == out {
+					sign = -1
+				}
+				vecs[i], ctxs[i] = negZero, sign*(0.25+rng.Float32())
+			}
+		}},
+		{"saturated, -0 elements", learningRate, func(_ *rand.Rand, vecs, ctxs []float32, _, _ int) {
+			// From dim 2 up every dot is at most -6, so a negative's g
+			// is lr*(0 - 0) = +0, and adding its +0 products turns the
+			// context rows' -0 elements into +0.
+			for i := range vecs {
+				vecs[i], ctxs[i] = 4, -4
+				if i%2 == 0 {
+					ctxs[i] = negZero
+				}
+			}
+		}},
+	}
+	tables := []struct {
+		name   string
+		forces string // the branch the table must reach
+		table  func(out int) []int32
+	}{
+		{"vocabulary", "six", func(int) []int32 {
+			tb := make([]int32, vocab)
+			for i := range tb {
+				tb[i] = int32(i)
+			}
+			return tb
+		}},
+		{"two words", "duplicate", func(out int) []int32 { return []int32{int32((out + 1) % vocab), int32((out + 2) % vocab)} }},
+		{"context word only", "fewer", func(out int) []int32 { return []int32{int32(out)} }},
+	}
+	sigm := newSigmoidTable()
+	for _, dim := range []int{1, 7, 24, 32} {
+		for _, f := range fills {
+			for _, tb := range tables {
+				branches := map[string]int{}
+				for trial := uint64(0); trial < 40; trial++ {
+					setup := rand.New(rand.NewPCG(trial, uint64(dim)))
+					in, out := setup.IntN(vocab), setup.IntN(vocab)
+					vecs := make([]float32, vocab*dim)
+					ctxs := make([]float32, vocab*dim)
+					f.fill(setup, vecs, ctxs, out, dim)
+					wantVecs, wantCtxs := slices.Clone(vecs), slices.Clone(ctxs)
+					table := tb.table(out)
+
+					seed := func() *rand.Rand { return rand.New(rand.NewPCG(trial, 99)) }
+					targets, nt := drawTargets(out, table, seed())
+					switch {
+					case nt < len(targets):
+						branches["fewer"]++
+					case distinct(&targets):
+						branches["six"]++
+					default:
+						branches["duplicate"]++
+					}
+					gotRng, wantRng := seed(), seed()
+					trainPair(vecs, ctxs, in, out, dim, f.lr, table, gotRng, make([]float32, dim), sigm)
+					trainPairSerial(wantVecs, wantCtxs, in, out, dim, f.lr, table, wantRng, make([]float32, dim), sigm)
+					for i := range vecs {
+						if math.Float32bits(vecs[i]) != math.Float32bits(wantVecs[i]) {
+							t.Fatalf("dim %d, %s, %s, trial %d: vecs[%d] = %g (%#x), serial %g (%#x)", dim, f.name, tb.name, trial,
+								i, vecs[i], math.Float32bits(vecs[i]), wantVecs[i], math.Float32bits(wantVecs[i]))
+						}
+						if math.Float32bits(ctxs[i]) != math.Float32bits(wantCtxs[i]) {
+							t.Fatalf("dim %d, %s, %s, trial %d: ctxs[%d] = %g (%#x), serial %g (%#x)", dim, f.name, tb.name, trial,
+								i, ctxs[i], math.Float32bits(ctxs[i]), wantCtxs[i], math.Float32bits(wantCtxs[i]))
+						}
+					}
+					if g, w := gotRng.Uint64(), wantRng.Uint64(); g != w {
+						t.Fatalf("dim %d, %s, %s, trial %d: the RNGs diverged", dim, f.name, tb.name, trial)
+					}
+				}
+				if branches[tb.forces] == 0 {
+					t.Errorf("dim %d, %s, %s: the %s branch never ran (%v)", dim, f.name, tb.name, tb.forces, branches)
+				}
+			}
+		}
 	}
 }
