@@ -123,8 +123,8 @@ func TestBuildTraceClusterRounds(t *testing.T) {
 // TestBuildTraceSubStages pins the sub-stage spans of the stage that
 // opens a window slide — the entity graph, built or patched — and of the
 // two that close it, with the attributes that size their work (for the
-// closing two, also the number of ranges each loop split into), on a
-// one-shot build and on a patched slide.
+// closing two and the entity graph's rank, also the number of ranges
+// each loop split into), on a one-shot build and on a patched slide.
 func TestBuildTraceSubStages(t *testing.T) {
 	b, err := Run(smallCorpus(t), testConfig())
 	if err != nil {
@@ -192,7 +192,7 @@ func TestBuildTraceSubStages(t *testing.T) {
 		}{
 			{key{"entity-graph", "query-sets"}, []string{"dirtyEntities"}},
 			{key{"entity-graph", "candidates"}, []string{"scored", "pairs", "regenerated"}},
-			{key{"entity-graph", "rank"}, []string{"rescored", "nodesRanked"}},
+			{key{"entity-graph", "rank"}, []string{"rescored", "workers", "nodesRanked"}},
 			{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
 			{key{"describe", "docs"}, []string{"tokens", "workers"}},
 			{key{"describe", "index"}, []string{"workers"}},

@@ -12,6 +12,7 @@ package entitygraph
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -46,31 +47,35 @@ type EntitySet struct {
 	ItemEntity []model.EntityID
 
 	// The per-entity mean vectors under the embedding model last built
-	// with (see meanVectors). They depend on the entities' tokens and the
-	// model alone, so they live here rather than in an IncState a dense
-	// fallback drops. Unexported, so a gob-encoded set does not carry them.
+	// with, and their norms (see meanVectors). They depend on the
+	// entities' tokens and the model alone, so they live here rather than
+	// in an IncState a dense fallback drops. Unexported, so a gob-encoded
+	// set does not carry them.
 	meansMu  sync.Mutex
 	meansFor *word2vec.Model
 	means    [][]float32
+	norms    []float64
 }
 
 // meanVectors returns every entity's mean normalized word vector under emb
 // (Eq. 2 factored form; nil for an entity with no token in vocabulary, all
-// nil for a nil model), computed on first use per model and shared
-// read-only by every later full build and patch over this set.
-func (es *EntitySet) meanVectors(emb *word2vec.Model) [][]float32 {
+// nil for a nil model) and its Euclidean norm (0 beside a nil vector),
+// computed on first use per model and shared read-only by every later
+// full build and patch over this set.
+func (es *EntitySet) meanVectors(emb *word2vec.Model) ([][]float32, []float64) {
 	es.meansMu.Lock()
 	defer es.meansMu.Unlock()
 	if es.means == nil || es.meansFor != emb {
-		means := make([][]float32, len(es.Entities))
+		means, norms := make([][]float32, len(es.Entities)), make([]float64, len(es.Entities))
 		if emb != nil {
 			for e := range es.Entities {
 				means[e] = meanNormVector(emb, es.Entities[e].Tokens)
+				norms[e] = math.Sqrt(dot(means[e], means[e]))
 			}
 		}
-		es.means, es.meansFor = means, emb
+		es.means, es.norms, es.meansFor = means, norms, emb
 	}
-	return es.means
+	return es.means, es.norms
 }
 
 // priceBandWidth controls "near-equivalent price": prices within the same

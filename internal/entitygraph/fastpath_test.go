@@ -2,6 +2,7 @@ package entitygraph
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -104,8 +105,9 @@ func oracleWorld(t testing.TB) (*EntitySet, *bipartite.Graph) {
 }
 
 // TestMeanVectorsComputedOnce pins the mean-vector cache on the entity
-// set: one computation per model, shared by every later caller — the
-// first callers may arrive together — and redone for another model.
+// set, norms beside: one computation per model, shared by every later
+// caller — the first callers may arrive together — and redone for another
+// model.
 func TestMeanVectorsComputedOnce(t *testing.T) {
 	es, _ := oracleWorld(t)
 	es.Entities[0].Tokens = []string{"beach", "sun"} // in trainTiny's vocabulary
@@ -117,11 +119,11 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			first[i] = es.meanVectors(emb)
+			first[i], _ = es.meanVectors(emb)
 		}()
 	}
 	wg.Wait()
-	means := es.meanVectors(emb)
+	means, norms := es.meanVectors(emb)
 	for i, m := range first {
 		if &m[0] != &means[0] {
 			t.Fatalf("concurrent caller %d got its own mean vectors", i)
@@ -133,12 +135,17 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 	if want := meanNormVector(emb, es.Entities[0].Tokens); want == nil || !slices.Equal(means[0], want) {
 		t.Fatalf("entity 0: cached mean %v, computed %v", means[0], want)
 	}
+	for e, m := range means {
+		if want := math.Sqrt(dot(m, m)); norms[e] != want {
+			t.Fatalf("entity %d: cached norm %v, the mean's %v", e, norms[e], want)
+		}
+	}
 
 	other := trainTiny(t)
-	if again := es.meanVectors(other); &again[0] == &means[0] {
+	if again, _ := es.meanVectors(other); &again[0] == &means[0] {
 		t.Fatal("mean vectors of one model served for another")
 	}
-	none := es.meanVectors(nil)
+	none, _ := es.meanVectors(nil)
 	if len(none) != len(es.Entities) {
 		t.Fatalf("nil model: %d mean vectors for %d entities", len(none), len(es.Entities))
 	}
@@ -147,7 +154,7 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 			t.Fatalf("nil model: entity %d has a mean vector", e)
 		}
 	}
-	if again := es.meanVectors(nil); &again[0] != &none[0] {
+	if again, _ := es.meanVectors(nil); &again[0] != &none[0] {
 		t.Fatal("nil-model mean vectors recomputed")
 	}
 }

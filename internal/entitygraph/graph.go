@@ -12,6 +12,7 @@ import (
 	"shoal/internal/bipartite"
 	"shoal/internal/model"
 	"shoal/internal/obs"
+	"shoal/internal/par"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
@@ -184,10 +185,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			numQ = int(qs[len(qs)-1]) + 1
 		}
 	}
-	// The query→entity index, built by counting: packed (query, entity)
-	// associations in one flat slice, each query's entities a contiguous
-	// ascending run (entities are filled in ascending order) that
-	// qOff[q]:qOff[q+1] spans — the content a query→entities map would
+	// The query→entity index, built by counting: the entity ids of every
+	// (entity, query) association in one flat slice, each query's entities
+	// a contiguous ascending run (entities are filled in ascending order)
+	// that qOff[q]:qOff[q+1] spans — the content a query→entities map would
 	// hold, without the map and without a sort.
 	qOff := make([]int32, numQ+1)
 	for _, qs := range querySets {
@@ -198,11 +199,11 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	for q := 0; q < numQ; q++ {
 		qOff[q+1] += qOff[q]
 	}
-	assoc := make([]uint64, qOff[numQ]) // one per (entity, query)
+	assoc := make([]int32, qOff[numQ])
 	next := slices.Clone(qOff[:numQ])
 	for e, qs := range querySets {
 		for _, q := range qs {
-			assoc[next[q]] = packAssoc(q, int32(e))
+			assoc[next[q]] = int32(e)
 			next[q]++
 		}
 	}
@@ -235,8 +236,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			for q := 0; q < numQ; q++ {
 				was, run := int(next[q]-qOff[q]), assoc[qOff[q]:qOff[q+1]]
 				if (was > cfg.MaxQueryFanout) != (len(run) > cfg.MaxQueryFanout) {
-					for _, x := range run {
-						dirty[int32(uint32(x))] = true
+					for _, e := range run {
+						dirty[e] = true
 					}
 				}
 			}
@@ -284,11 +285,33 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			rows = append(rows, int32(e))
 		}
 	}
-	means := es.meanVectors(emb)
+	// On a dense run every lower partner is dirty as well, so a row walks
+	// each of its runs from just past itself: self[selfOff[e]+i] is where
+	// entity e sits in the run of its i-th query, recorded by filling the
+	// runs again in the same order.
+	var self, selfOff []int32
+	if st == nil {
+		self, selfOff = make([]int32, len(assoc)), make([]int32, n+1)
+		copy(next, qOff)
+		for e, qs := range querySets {
+			o := selfOff[e]
+			selfOff[e+1] = o + int32(len(qs))
+			for i, q := range qs {
+				self[o+int32(i)] = next[q]
+				next[q]++
+			}
+		}
+	}
+	means, norms := es.meanVectors(emb)
+	// A pair whose Eq. 3 score cannot reach MinSimilarity even with its
+	// mean vectors' dot at the Cauchy–Schwarz maximum ‖u‖‖v‖ is dropped
+	// without computing the dot: bounded by more than boundMargin, which
+	// covers the rounding of both the dot and the norms.
+	floor := cfg.MinSimilarity - boundMargin
 	workers := runtime.GOMAXPROCS(0)
 	genOff := make([]int, len(rows)+1)      // row r's pairs land at [genOff[r], genOff[r+1])
 	chunks := make([][]*pairChunk, workers) // worker w's kept pairs, its rows in order
-	scoredBy := make([]int, workers)
+	counts := make([][2]int, workers)       // worker w's scored and bounded partners
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -296,30 +319,27 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			defer wg.Done()
 			stamp := make([]int32, n) // stamp[b] == a+1: b already seen in row a
 			slot := make([]int32, n)  // where stamped: the queries a and b share, then b's index in rowSims
-			var bs []int32
-			var rowSims []float64
+			var bs, pend []int32
+			var rowSims, pendSims []float64
 			var buf []*pairChunk
 			var cur *pairChunk
-			fill, nScored := chunkLen, 0
-			defer func() { chunks[w], scoredBy[w] = buf, nScored }()
+			fill, nScored, nBounded := chunkLen, 0, 0
+			defer func() { chunks[w], counts[w] = buf, [2]int{nScored, nBounded} }()
 			for r := w; r < len(rows); r += workers {
 				if r/workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
 					return
 				}
 				a := rows[r]
 				bs = bs[:0]
-				for _, q := range querySets[a] {
-					run := assoc[qOff[q]:qOff[q+1]]
-					if cfg.MaxQueryFanout > 0 && len(run) > cfg.MaxQueryFanout {
+				for i, q := range querySets[a] {
+					lo, hi := qOff[q], qOff[q+1]
+					if cfg.MaxQueryFanout > 0 && int(hi-lo) > cfg.MaxQueryFanout {
 						continue
 					}
-					if st == nil {
-						// Every lower partner is dirty as well.
-						at, _ := slices.BinarySearch(run, packAssoc(q, a))
-						run = run[at+1:]
+					if self != nil {
+						lo = self[selfOff[a]+int32(i)] + 1
 					}
-					for _, x := range run {
-						b := int32(uint32(x))
+					for _, b := range assoc[lo:hi] {
 						if stamp[b] != a+1 {
 							stamp[b] = a + 1
 							slot[b] = 0
@@ -329,16 +349,46 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 					}
 				}
 				// When the whole runs were walked, a itself and the dirty lower
-				// partners drop out before scoring.
+				// partners drop out before scoring. A partner with no content
+				// signal is scored outright; one with it passes the bound and
+				// waits in pend (pendSims: its Sq, then its score) for its dot.
 				k := 0
-				rowSims = rowSims[:0]
+				rowSims, pend, pendSims = rowSims[:0], pend[:0], pendSims[:0]
 				for _, b := range bs {
 					if st != nil && (b == a || (b < a && dirty[b])) {
 						continue
 					}
 					nScored++
-					s := scorePair(querySets, means, emb != nil, cfg.Alpha, min(a, b), max(a, b), slot[b])
-					if s >= cfg.MinSimilarity {
+					if means[a] == nil || means[b] == nil {
+						if s := scorePair(querySets, means, cfg.Alpha, a, b, slot[b]); s >= cfg.MinSimilarity {
+							slot[b] = int32(len(rowSims))
+							rowSims = append(rowSims, s)
+							bs[k] = b
+							k++
+						}
+						continue
+					}
+					sq := jaccard(querySets, a, b, slot[b])
+					if blend(cfg.Alpha, sq, float64(norms[a]*norms[b])) < floor {
+						nBounded++
+						continue
+					}
+					pend = append(pend, b)
+					pendSims = append(pendSims, sq)
+				}
+				// Four dots at a time, the rest one by one: each has dot's bits.
+				ma, i := means[a], 0
+				for ; i+4 <= len(pend); i += 4 {
+					d := dot4(ma, means[pend[i]], means[pend[i+1]], means[pend[i+2]], means[pend[i+3]])
+					for j := range d {
+						pendSims[i+j] = blend(cfg.Alpha, pendSims[i+j], d[j])
+					}
+				}
+				for ; i < len(pend); i++ {
+					pendSims[i] = blend(cfg.Alpha, pendSims[i], dot(ma, means[pend[i]]))
+				}
+				for i, b := range pend {
+					if s := pendSims[i]; s >= cfg.MinSimilarity {
 						slot[b] = int32(len(rowSims))
 						rowSims = append(rowSims, s)
 						bs[k] = b
@@ -363,9 +413,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	numScored := 0
-	for _, c := range scoredBy {
-		numScored += c
+	numScored, numBounded := 0, 0
+	for _, c := range counts {
+		numScored += c[0]
+		numBounded += c[1]
 	}
 	for r := range rows {
 		genOff[r+1] += genOff[r]
@@ -482,6 +533,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		}
 	}
 	sp.SetAttr("scored", numScored)
+	sp.SetAttr("bounded", numBounded)
 	sp.SetAttr("pairs", len(pairs))
 	sp.SetAttr("regenerated", regenerated)
 
@@ -493,65 +545,51 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// one endpoint can re-rank without recomputing the other's verdict, and
 	// so is each node's K-th candidate, the bar the next patch holds a
 	// changed pair to.
-	// A node's incident candidates are its own row of pairs plus the pairs
-	// of lower rows that name it second; only the latter need an index
-	// (rev, a CSR of pair indices by second endpoint, of the re-ranking
-	// nodes only), and one reusable list then ranks node after node. A
-	// re-ranking node's side bits are cleared where its pairs are indexed
-	// or walked.
-	var kth []kthBest
+	// A node's incident candidates are its own row of pairs (rowOff, the
+	// pairs by first endpoint: they are in canonical order) plus the pairs
+	// of lower rows that name it second (rev, a CSR of pair indices by
+	// second endpoint, of the re-ranking nodes only). A re-ranking node's
+	// side bits are cleared where its pairs are indexed or walked. The
+	// nodes split into par ranges balanced by their incident candidates;
+	// node u writes only kth[u], the topU bits of its own row and the topV
+	// bits its rev entries name, so every slot has one writer and the
+	// verdicts do not depend on the width.
+	rk := ranker{ctx: ctx, pairs: pairs, sims: sims, topU: topU, topV: topV, rank: rank, k: cfg.TopK}
 	if st == nil {
-		kth = make([]kthBest, n) // every node ranks and writes its own
+		rk.kth = make([]kthBest, n) // every node ranks and writes its own
 	} else {
-		kth = slices.Clone(st.kth)
+		rk.kth = slices.Clone(st.kth)
 	}
-	revOff := make([]int32, n+1)
+	rk.rowOff, rk.revOff = make([]int32, n+1), make([]int32, n+1)
 	for i := range pairs {
+		rk.rowOff[pairs[i][0]+1]++
 		if v := pairs[i][1]; rank[v] {
-			revOff[v+1]++
+			rk.revOff[v+1]++
 		}
 	}
 	for u := 0; u < n; u++ {
-		revOff[u+1] += revOff[u]
+		rk.rowOff[u+1] += rk.rowOff[u]
+		rk.revOff[u+1] += rk.revOff[u]
 	}
-	rev := make([]int32, revOff[n])
-	next = slices.Clone(revOff[:n])
+	rk.rev = make([]int32, rk.revOff[n])
+	next = slices.Clone(rk.revOff[:n])
 	for i := range pairs {
 		if v := pairs[i][1]; rank[v] {
 			topV[i] = false
-			rev[next[v]] = int32(i)
+			rk.rev[next[v]] = int32(i)
 			next[v]++
 		}
 	}
-	var lst []scored
-	nodesRanked := 0
-	for u, row := int32(0), 0; int(u) < n; u++ {
-		if u%256 == 255 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		if !rank[u] {
-			continue
-		}
-		if row < len(pairs) && pairs[row][0] < u {
-			// Rows of nodes that did not re-rank lie in between: find u's
-			// own row, the (u, v>u), by binary search.
-			row += sort.Search(len(pairs)-row, func(j int) bool { return pairs[row+j][0] >= u })
-		}
-		lst = lst[:0]
-		for _, i := range rev[revOff[u]:revOff[u+1]] {
-			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
-		}
-		for ; row < len(pairs) && pairs[row][0] == u; row++ {
-			topU[row] = false
-			lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
-		}
-		if len(lst) > 0 {
-			nodesRanked++
-		}
-		kth[u] = rankNode(lst, u, pairs, topU, topV, cfg.TopK)
+	bounds := par.Split(nil, n, rk.cost)
+	rk.ranked = make([]int, len(bounds)-1)
+	if err := par.Run(bounds, &rk, (*ranker).rankNodes); err != nil {
+		return nil, nil, nil, err
 	}
+	nodesRanked := 0
+	for _, c := range rk.ranked {
+		nodesRanked += c
+	}
+	sp.SetAttr("workers", len(bounds)-1)
 	sp.SetAttr("nodesRanked", nodesRanked)
 	d.RankedNodes = nodesRanked
 
@@ -609,7 +647,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		sims:      sims,
 		topU:      topU,
 		topV:      topV,
-		kth:       kth,
+		kth:       rk.kth,
 		graph:     g,
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
@@ -646,10 +684,6 @@ func (s byPair) Swap(i, j int) {
 // a cache line, stalls every iteration on a failed store forward: ≈10 ns
 // a pair, a millisecond over a walk of ≈100 k pairs.
 func pairKey(p *[2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
-
-func packAssoc(q model.QueryID, e int32) uint64 {
-	return uint64(uint32(q))<<32 | uint64(uint32(e))
-}
 
 func setAll(b []bool) {
 	for i := range b {
@@ -727,6 +761,59 @@ func (b kthBest) admits(sim float64, other int32) bool {
 	return scored{other: other, sim: sim}.before(scored{other: b.other, sim: b.sim})
 }
 
+// ranker holds the rank phase's arrays for its par ranges.
+type ranker struct {
+	ctx                 context.Context
+	pairs               [][2]int32
+	sims                []float64
+	topU, topV, rank    []bool
+	kth                 []kthBest
+	rowOff, revOff, rev []int32
+	k                   int
+	ranked              []int // per range: the nodes ranked with a candidate
+}
+
+// cost is node u's share of the rank: its incident candidates, if it
+// re-ranks.
+func (r *ranker) cost(u int) int {
+	if !r.rank[u] {
+		return 0
+	}
+	return int(r.rowOff[u+1]-r.rowOff[u]+r.revOff[u+1]-r.revOff[u]) + 1
+}
+
+// rankNodes ranks the re-ranking nodes of [lo, hi), each from one
+// reusable list of its incident candidates.
+func (r *ranker) rankNodes(w, lo, hi int) error {
+	pairs, sims, topU, rowOff, revOff := r.pairs, r.sims, r.topU, r.rowOff, r.revOff
+	var lst []scored
+	ranked := 0
+	for u := lo; u < hi; u++ {
+		if u%256 == 255 {
+			if err := r.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !r.rank[u] {
+			continue
+		}
+		lst = lst[:0]
+		for _, i := range r.rev[revOff[u]:revOff[u+1]] {
+			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
+		}
+		for row := int(rowOff[u]); row < int(rowOff[u+1]); row++ {
+			topU[row] = false
+			lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
+		}
+		if len(lst) > 0 {
+			ranked++
+		}
+		r.kth[u] = rankNode(lst, int32(u), pairs, topU, r.topV, r.k)
+	}
+	r.ranked[w] = ranked
+	return nil
+}
+
 // rankNode stamps the side bit of the pairs ranking in the top K of node
 // u's incident candidates (k = 0: all of them) and returns the K-th of
 // them, or noKth if there are fewer than K. The order is total, so the
@@ -801,28 +888,51 @@ func meanNormVector(emb *word2vec.Model, tokens []string) []float32 {
 	return out
 }
 
+// boundMargin is how far below MinSimilarity the norm bound
+// α·Sq + (1−α)(½ + ½‖u‖‖v‖) must fall before a pair's dot is skipped.
+// The computed dot of two float32 vectors of dimension d can exceed the
+// computed product of their norms only by rounding, under ≈2d·2⁻⁵³ of
+// ‖u‖‖v‖ ≤ 1; 1e-9 covers that past a million dimensions, and a pair it
+// keeps is merely scored.
+const boundMargin = 1e-9
+
 // scorePair computes the Eq. 3 blended similarity of one candidate pair
-// from its shared-query count and the endpoint query-set sizes. The row
-// pass calls it whichever entities are dirty, so a patch and a full build
-// share the float expression — and therefore every emitted bit.
+// from its shared-query count and the endpoint query-set sizes; it is
+// symmetric in u and v, bit for bit. The row pass scores a pair without
+// a content signal through it, and every other pair through the same
+// pieces: jaccard, then blend over the dot (four at a time through dot4,
+// whose chains keep dot's bits); the norm bound is blend over the norms'
+// product. A patch and a full build therefore share the float
+// expression — and every emitted bit.
 // With no content signal (no embeddings, or an endpoint with no known
 // tokens) the score renormalizes to pure Sq so a query match can still
 // reach 1.0.
-func scorePair(querySets [][]model.QueryID, means [][]float32, hasEmb bool, alpha float64, u, v, count int32) float64 {
+func scorePair(querySets [][]model.QueryID, means [][]float32, alpha float64, u, v, count int32) float64 {
+	sq := jaccard(querySets, u, v, count)
+	if means[u] != nil && means[v] != nil {
+		return blend(alpha, sq, dot(means[u], means[v]))
+	}
+	if alpha > 0 {
+		return sq
+	}
+	return float64(alpha * sq)
+}
+
+// jaccard is Eq. 1, Sq, of two entities sharing count queries.
+func jaccard(querySets [][]model.QueryID, u, v, count int32) float64 {
 	ic := float64(count)
 	union := float64(len(querySets[u])+len(querySets[v])) - ic
-	sq := 0.0
 	if union > 0 {
-		sq = ic / union
+		return ic / union
 	}
-	s := float64(alpha * sq)
-	if hasEmb && means[u] != nil && means[v] != nil {
-		sc := 0.5 + float64(0.5*dot(means[u], means[v]))
-		s += float64((1 - alpha) * sc)
-	} else if alpha > 0 {
-		s = sq
-	}
-	return s
+	return 0
+}
+
+// blend is Eq. 3 over Sq and the mean vectors' dot d, with Eq. 2's
+// Sc = ½ + ½d. Every step rounds, and each is monotone in d.
+func blend(alpha, sq, d float64) float64 {
+	sc := 0.5 + float64(0.5*d)
+	return float64(alpha*sq) + float64((1-alpha)*sc)
 }
 
 func dot(a, b []float32) float64 {
@@ -831,4 +941,19 @@ func dot(a, b []float32) float64 {
 		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
+}
+
+// dot4 is dot of a with each of b0..b3, as four independent chains that
+// each sum in dot's element order, so every result has dot's bits.
+func dot4(a, b0, b1, b2, b3 []float32) [4]float64 {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	var s0, s1, s2, s3 float64
+	for i, x := range a {
+		y := float64(x)
+		s0 += float64(y * float64(b0[i]))
+		s1 += float64(y * float64(b1[i]))
+		s2 += float64(y * float64(b2[i]))
+		s3 += float64(y * float64(b3[i]))
+	}
+	return [4]float64{s0, s1, s2, s3}
 }

@@ -110,7 +110,7 @@ func checkNarrowRank(t *testing.T, tag string, es *EntitySet, clicks *bipartite.
 	if delta.DenseFallback {
 		return delta.RankedNodes, delta.RankedNodes
 	}
-	topU, topV, wide := wideRerank(st, nst, before, referenceCandidates(es, clicks, cfg), cfg)
+	topU, topV, wide := wideRerank(st, nst, before, referenceCandidates(es, clicks, nil, cfg), cfg)
 	if !slices.Equal(topU, nst.topU) || !slices.Equal(topV, nst.topV) {
 		t.Fatalf("%s: the narrow patch's side bits differ from the wide rule's", tag)
 	}
@@ -189,7 +189,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 				narrow, wide := checkNarrowRank(t, tag, es, clicks, cfg, before, st, nst, res, delta)
 				tally(t, tag, es, delta, narrow, wide)
 			}
-			st, before = nst, referenceCandidates(es, clicks, cfg)
+			st, before = nst, referenceCandidates(es, clicks, nil, cfg)
 		}
 		requireFewer(t)
 	})
@@ -201,7 +201,7 @@ func TestNarrowRankMatchesWideRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := referenceCandidates(sw.es, sw.base, cfg)
+		before := referenceCandidates(sw.es, sw.base, nil, cfg)
 		for _, k := range sw.steps {
 			clicks, dirty := sw.slide(t, k)
 			res, nst, delta, err := BuildIncremental(ctx, sw.es, clicks, nil, cfg, st0, dirty)
@@ -296,7 +296,7 @@ func TestNarrowRankBoundaries(t *testing.T) {
 		if delta.DenseFallback || delta.DirtyEntities != 1 {
 			t.Fatalf("delta %+v, want a one-entity patch", delta)
 		}
-		_, wide = checkNarrowRank(t, tag, es, afterClicks, cfg, referenceCandidates(es, clicks, cfg), st, nst, res, delta)
+		_, wide = checkNarrowRank(t, tag, es, afterClicks, cfg, referenceCandidates(es, clicks, nil, cfg), st, nst, res, delta)
 		return st, nst, delta, wide
 	}
 	for _, tc := range []struct {
