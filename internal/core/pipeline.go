@@ -243,7 +243,12 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	if cfg.TrainEmbeddings {
 		inputs = append(inputs, fj.stage("word2vec", func(ctx context.Context) error {
 			if !cache.haveEmb {
-				m, err := word2vec.Train(ctx, titleSentences(corpus), cfg.Word2Vec)
+				text := corpus.Text()
+				titles := make([][]uint32, len(corpus.Items))
+				for i := range titles {
+					titles[i] = text.Title(model.ItemID(i))
+				}
+				m, err := word2vec.TrainIDs(ctx, text.Vocab().Words(), titles, cfg.Word2Vec)
 				if err != nil {
 					return err
 				}
@@ -352,21 +357,6 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	}
 	b.StageTimings = timings
 	return b, nil
-}
-
-// titleSentences returns every item title as a token sentence — the
-// word2vec training input — read from the corpus text plane into one
-// shared backing array.
-func titleSentences(c *model.Corpus) [][]string {
-	text := c.Text()
-	flat := make([]string, 0, text.TitleTokens())
-	sentences := make([][]string, len(c.Items))
-	for i := range c.Items {
-		from := len(flat)
-		flat = text.AppendTerms(flat, text.Title(model.ItemID(i)))
-		sentences[i] = flat[from:len(flat):len(flat)]
-	}
-	return sentences
 }
 
 // SearchDocs is SearchDocIDs spelled as tokens, for callers that index

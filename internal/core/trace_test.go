@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strconv"
 	"testing"
@@ -232,5 +233,51 @@ func TestBuildTraceSubStages(t *testing.T) {
 	}
 	if ranked, _ := slid[key{"entity-graph", "rank"}]["nodesRanked"].(int); ranked != patched.Delta.RankedNodes {
 		t.Errorf("patched entity-graph/rank: nodesRanked %d, build delta says %d", ranked, patched.Delta.RankedNodes)
+	}
+}
+
+// TestMeansSpan pins the entity graph's "means" span: the cold build of
+// a daily pipeline computes the entities' mean vectors under it, and a
+// slide, which reuses them from the cache, opens none, so the
+// candidates span times the row pass alone on both.
+func TestMeansSpan(t *testing.T) {
+	corpus, byDay := dayCorpus(t)
+	cfg := testConfig()
+	cfg.WindowDays = 7
+	p, err := NewDailyPipeline(corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 7; day++ {
+		if err := p.IngestDay(byDay[day]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	means := func(b *Build) (n int, entities any) {
+		for _, r := range b.Trace.Records() {
+			if r.Parent == "entity-graph" && r.Name == "means" {
+				n++
+				for _, a := range r.Attrs {
+					if a.Key == "entities" {
+						entities = a.Value
+					}
+				}
+			}
+		}
+		return n, entities
+	}
+	cold, _, err := p.Step(context.Background(), byDay[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, entities := means(cold); n != 1 || entities != len(cold.Entities.Entities) {
+		t.Fatalf("cold build: %d means spans, entities=%v; want one, entities=%d", n, entities, len(cold.Entities.Entities))
+	}
+	slide, _, err := p.Step(context.Background(), byDay[8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := means(slide); n != 0 {
+		t.Fatalf("slide: %d means spans, want none (the means are cached)", n)
 	}
 }

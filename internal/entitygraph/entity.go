@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"shoal/internal/model"
+	"shoal/internal/obs"
 	"shoal/internal/word2vec"
 )
 
@@ -40,11 +41,16 @@ func (e *Entity) Size() int { return len(e.Items) }
 
 // EntitySet is the result of entity formation: entities plus the
 // item-to-entity mapping. It is immutable once a graph build has seen it
-// and is handled by pointer: it carries the cache below.
+// and is handled by pointer: it carries the cache below. Build it with
+// BuildEntities, whose text plane the mean vectors read.
 type EntitySet struct {
 	Entities []Entity
 	// ItemEntity maps every item id to its entity id.
 	ItemEntity []model.EntityID
+
+	// text is the corpus text plane BuildEntities read Tokens from: the
+	// mean vectors walk its title ids instead of Tokens' strings.
+	text *model.TextPlane
 
 	// The per-entity mean vectors under the embedding model last built
 	// with, and their norms (see meanVectors). They depend on the
@@ -60,22 +66,83 @@ type EntitySet struct {
 // meanVectors returns every entity's mean normalized word vector under emb
 // (Eq. 2 factored form; nil for an entity with no token in vocabulary, all
 // nil for a nil model) and its Euclidean norm (0 beside a nil vector),
-// computed on first use per model and shared read-only by every later
-// full build and patch over this set.
-func (es *EntitySet) meanVectors(emb *word2vec.Model) ([][]float32, []float64) {
+// computed on first use per model — under a "means" child span of parent
+// — and shared read-only by every later full build and patch over this
+// set.
+func (es *EntitySet) meanVectors(emb *word2vec.Model, parent *obs.Span) ([][]float32, []float64) {
 	es.meansMu.Lock()
 	defer es.meansMu.Unlock()
 	if es.means == nil || es.meansFor != emb {
 		means, norms := make([][]float32, len(es.Entities)), make([]float64, len(es.Entities))
 		if emb != nil {
-			for e := range es.Entities {
-				means[e] = meanNormVector(emb, es.Entities[e].Tokens)
+			sp := parent.Child("means")
+			sp.SetAttr("entities", len(es.Entities))
+			es.fillMeans(emb, means)
+			for e := range means {
 				norms[e] = math.Sqrt(dot(means[e], means[e]))
 			}
+			sp.End()
 		}
 		es.means, es.norms, es.meansFor = means, norms, emb
 	}
 	return es.means, es.norms
+}
+
+// fillMeans sets means[e] to the mean of the L2-normalized embeddings of
+// entity e's known tokens, or leaves it nil if no token is known. The
+// tokens are read as term ids from the text plane: the titles of the
+// entity's items in item order, the multiset and order Tokens holds.
+// Each word's normalized row is computed once, in float64, and a word of
+// zero norm counts as unknown; every mean adds its rows in token order.
+func (es *EntitySet) fillMeans(emb *word2vec.Model, means [][]float32) {
+	words := es.text.Vocab().Words()
+	dim := emb.Dim()
+	row := make([]int32, len(words)) // term id → its row in unit; −1: unknown or zero norm
+	var unit []float64
+	for id, w := range words {
+		row[id] = -1
+		v, ok := emb.Vector(w)
+		if !ok {
+			continue
+		}
+		var norm float64
+		for _, x := range v {
+			norm += float64(float64(x) * float64(x))
+		}
+		norm = math.Sqrt(norm)
+		if norm == 0 {
+			continue
+		}
+		row[id] = int32(len(unit) / dim)
+		for _, x := range v {
+			unit = append(unit, float64(x)/norm)
+		}
+	}
+	acc := make([]float64, dim)
+	for e := range es.Entities {
+		clear(acc)
+		known := 0
+		for _, it := range es.Entities[e].Items {
+			for _, id := range es.text.Title(it) {
+				r := int(row[id])
+				if r < 0 {
+					continue
+				}
+				for i, x := range unit[r*dim : (r+1)*dim] {
+					acc[i] += x
+				}
+				known++
+			}
+		}
+		if known == 0 {
+			continue
+		}
+		m := make([]float32, dim)
+		for i, x := range acc {
+			m[i] = float32(x / float64(known))
+		}
+		means[e] = m
+	}
 }
 
 // priceBandWidth controls "near-equivalent price": prices within the same
@@ -135,6 +202,7 @@ func BuildEntities(ctx context.Context, c *model.Corpus) (*EntitySet, error) {
 		return nil, err
 	}
 	text := c.Text()
+	es.text = text
 	for e := range es.Entities {
 		ent := &es.Entities[e]
 		scen := make(map[model.ScenarioID]int)

@@ -122,7 +122,7 @@ func buildEntitiesSorted(c *model.Corpus) *EntitySet {
 	}
 	sort.Slice(keys, func(a, b int) bool { return groups[keys[a]][0] < groups[keys[b]][0] })
 	text := c.Text()
-	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items))}
+	es := &EntitySet{ItemEntity: make([]model.EntityID, len(c.Items)), text: text}
 	for _, k := range keys {
 		items := groups[k]
 		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })

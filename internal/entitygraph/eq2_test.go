@@ -127,3 +127,42 @@ func TestEq2EquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// meanNormVector is the mean vector of Eq. 2's factored form spelled out
+// over token strings: the mean of the L2-normalized embeddings of the
+// known tokens (a zero-norm one skipped), or nil if no token is known,
+// each token's row normalized where it occurs. It is the reference the
+// entity set's mean vectors must equal bit for bit.
+func meanNormVector(emb *word2vec.Model, tokens []string) []float32 {
+	var acc []float64
+	known := 0
+	for _, tok := range tokens {
+		v, ok := emb.Vector(tok)
+		if !ok {
+			continue
+		}
+		if acc == nil {
+			acc = make([]float64, len(v))
+		}
+		var norm float64
+		for _, x := range v {
+			norm += float64(float64(x) * float64(x))
+		}
+		norm = math.Sqrt(norm)
+		if norm == 0 {
+			continue
+		}
+		for i, x := range v {
+			acc[i] += float64(x) / norm
+		}
+		known++
+	}
+	if known == 0 {
+		return nil
+	}
+	out := make([]float32, len(acc))
+	for i, x := range acc {
+		out[i] = float32(x / float64(known))
+	}
+	return out
+}

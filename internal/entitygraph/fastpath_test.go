@@ -107,11 +107,11 @@ func oracleWorld(t testing.TB) (*EntitySet, *bipartite.Graph) {
 // TestMeanVectorsComputedOnce pins the mean-vector cache on the entity
 // set, norms beside: one computation per model, shared by every later
 // caller — the first callers may arrive together — and redone for another
-// model.
+// model. The means, which read the text plane's title ids, equal
+// meanNormVector of every entity's Tokens bit for bit.
 func TestMeanVectorsComputedOnce(t *testing.T) {
 	es, _ := oracleWorld(t)
-	es.Entities[0].Tokens = []string{"beach", "sun"} // in trainTiny's vocabulary
-	emb := trainTiny(t)
+	emb := oracleEmbedding(t, es)
 
 	var wg sync.WaitGroup
 	first := make([][][]float32, 4)
@@ -119,11 +119,11 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			first[i], _ = es.meanVectors(emb)
+			first[i], _ = es.meanVectors(emb, nil)
 		}()
 	}
 	wg.Wait()
-	means, norms := es.meanVectors(emb)
+	means, norms := es.meanVectors(emb, nil)
 	for i, m := range first {
 		if &m[0] != &means[0] {
 			t.Fatalf("concurrent caller %d got its own mean vectors", i)
@@ -132,8 +132,20 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 	if len(means) != len(es.Entities) {
 		t.Fatalf("%d mean vectors for %d entities", len(means), len(es.Entities))
 	}
-	if want := meanNormVector(emb, es.Entities[0].Tokens); want == nil || !slices.Equal(means[0], want) {
-		t.Fatalf("entity 0: cached mean %v, computed %v", means[0], want)
+	withMean := 0
+	for e := range es.Entities {
+		want := meanNormVector(emb, es.Entities[e].Tokens)
+		if (means[e] == nil) != (want == nil) || !slices.EqualFunc(means[e], want, func(a, b float32) bool {
+			return math.Float32bits(a) == math.Float32bits(b)
+		}) {
+			t.Fatalf("entity %d: cached mean %v, from its tokens %v", e, means[e], want)
+		}
+		if want != nil {
+			withMean++
+		}
+	}
+	if withMean == 0 {
+		t.Fatal("no entity has a mean vector")
 	}
 	for e, m := range means {
 		if want := math.Sqrt(dot(m, m)); norms[e] != want {
@@ -142,10 +154,10 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 	}
 
 	other := trainTiny(t)
-	if again, _ := es.meanVectors(other); &again[0] == &means[0] {
+	if again, _ := es.meanVectors(other, nil); &again[0] == &means[0] {
 		t.Fatal("mean vectors of one model served for another")
 	}
-	none, _ := es.meanVectors(nil)
+	none, _ := es.meanVectors(nil, nil)
 	if len(none) != len(es.Entities) {
 		t.Fatalf("nil model: %d mean vectors for %d entities", len(none), len(es.Entities))
 	}
@@ -154,7 +166,7 @@ func TestMeanVectorsComputedOnce(t *testing.T) {
 			t.Fatalf("nil model: entity %d has a mean vector", e)
 		}
 	}
-	if again, _ := es.meanVectors(nil); &again[0] != &none[0] {
+	if again, _ := es.meanVectors(nil, nil); &again[0] != &none[0] {
 		t.Fatal("nil-model mean vectors recomputed")
 	}
 }

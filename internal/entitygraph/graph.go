@@ -263,6 +263,8 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+	ph.end()
+	means, norms := es.meanVectors(emb, ph.parent)
 	sp = ph.next("candidates")
 	// Candidate pairs via shared queries, with fanout cap, regenerated for
 	// the dirty entities row by row and scored where they are found: dirty
@@ -302,7 +304,6 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			}
 		}
 	}
-	means, norms := es.meanVectors(emb)
 	// A pair whose Eq. 3 score cannot reach MinSimilarity even with its
 	// mean vectors' dot at the Cauchy–Schwarz maximum ‖u‖‖v‖ is dropped
 	// without computing the dot: bounded by more than boundMargin, which
@@ -850,42 +851,6 @@ func rankNode(lst []scored, u int32, pairs [][2]int32, topU, topV []bool, k int)
 		}
 	}
 	return bar
-}
-
-// meanNormVector returns the mean of the L2-normalized embeddings of the
-// known tokens, or nil if no token is in vocabulary.
-func meanNormVector(emb *word2vec.Model, tokens []string) []float32 {
-	var acc []float64
-	known := 0
-	for _, tok := range tokens {
-		v, ok := emb.Vector(tok)
-		if !ok {
-			continue
-		}
-		if acc == nil {
-			acc = make([]float64, len(v))
-		}
-		var norm float64
-		for _, x := range v {
-			norm += float64(float64(x) * float64(x))
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		for i, x := range v {
-			acc[i] += float64(x) / norm
-		}
-		known++
-	}
-	if known == 0 {
-		return nil
-	}
-	out := make([]float32, len(acc))
-	for i, x := range acc {
-		out[i] = float32(x / float64(known))
-	}
-	return out
 }
 
 // boundMargin is how far below MinSimilarity the norm bound

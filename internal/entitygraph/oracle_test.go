@@ -154,7 +154,7 @@ func tracedBuild(t testing.TB, es *EntitySet, clicks *bipartite.Graph, emb *word
 func TestBuildStateMatchesReference(t *testing.T) {
 	es, clicks := oracleWorld(t)
 	emb := oracleEmbedding(t, es)
-	means, _ := es.meanVectors(emb)
+	means, _ := es.meanVectors(emb, nil)
 	// Each case states what it exercises: the MinSimilarity filter
 	// dropping pairs, and the norm bound skipping dots. At 0.25 every
 	// candidate of this fixture clears the filter and the bound, so every

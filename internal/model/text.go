@@ -30,12 +30,28 @@ type tokenLists struct {
 
 func (l *tokenLists) at(i int) []uint32 { return l.ids[l.off[i]:l.off[i+1]] }
 
-// internAll tokenizes n texts and interns their tokens into v.
-func internAll(v *textutil.Vocab, n int, text func(int) string, tokenize func(string) []string) tokenLists {
+// internAll tokenizes n texts into reused buffers (textutil.AppendTokens,
+// then DropStopwords when filtered) and interns their tokens into v. A
+// known token costs one lookup and no string; only a new one is spelled,
+// so ids keep their first-Add order.
+func internAll(v *textutil.Vocab, n int, text func(int) string, filtered bool) tokenLists {
 	l := tokenLists{off: make([]int32, n+1)}
+	var buf []byte
+	var ends []int
 	for i := 0; i < n; i++ {
-		for _, tok := range tokenize(text(i)) {
-			l.ids = append(l.ids, uint32(v.Add(tok)))
+		buf, ends = textutil.AppendTokens(buf[:0], ends[:0], text(i))
+		if filtered {
+			buf, ends = textutil.DropStopwords(buf, ends)
+		}
+		start := 0
+		for _, end := range ends {
+			tok := buf[start:end]
+			start = end
+			id, ok := v.IDBytes(tok)
+			if !ok {
+				id = v.Add(string(tok))
+			}
+			l.ids = append(l.ids, uint32(id))
 		}
 		l.off[i+1] = int32(len(l.ids))
 	}
@@ -45,9 +61,9 @@ func internAll(v *textutil.Vocab, n int, text func(int) string, tokenize func(st
 func newTextPlane(c *Corpus) *TextPlane {
 	v := textutil.NewVocab()
 	p := &TextPlane{vocab: v}
-	p.titles = internAll(v, len(c.Items), func(i int) string { return c.Items[i].Title }, textutil.Tokenize)
-	p.queries = internAll(v, len(c.Queries), func(i int) string { return c.Queries[i].Text }, textutil.TokenizeFiltered)
-	p.categories = internAll(v, len(c.Categories), func(i int) string { return c.Categories[i].Name }, textutil.Tokenize)
+	p.titles = internAll(v, len(c.Items), func(i int) string { return c.Items[i].Title }, false)
+	p.queries = internAll(v, len(c.Queries), func(i int) string { return c.Queries[i].Text }, true)
+	p.categories = internAll(v, len(c.Categories), func(i int) string { return c.Categories[i].Name }, false)
 	p.words = v.Words()
 	return p
 }
@@ -72,10 +88,6 @@ func (p *TextPlane) Query(q QueryID) []uint32 { return p.queries.at(int(q)) }
 
 // Category returns textutil.Tokenize of the category's name as term ids.
 func (p *TextPlane) Category(cat CategoryID) []uint32 { return p.categories.at(int(cat)) }
-
-// TitleTokens is the total token count over all item titles, for callers
-// that materialize every title at once.
-func (p *TextPlane) TitleTokens() int { return len(p.titles.ids) }
 
 // AppendTerms appends the tokens of ids to dst: a string-header copy per
 // token, no hashing and no allocation beyond dst's growth.

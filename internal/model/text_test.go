@@ -48,12 +48,32 @@ func TestTextPlaneMatchesTokenizer(t *testing.T) {
 			t.Errorf("category %d tokens = %q, want %q", i, got, want)
 		}
 	}
-	total := 0
+	// Ids are handed out in first-seen order over titles, then queries,
+	// then category names: each id is at most the number handed out so
+	// far, and equal to it exactly when its token is new.
+	next := uint32(0)
+	var lists [][]uint32
 	for i := range c.Items {
-		total += len(p.Title(ItemID(i)))
+		lists = append(lists, p.Title(ItemID(i)))
 	}
-	if p.TitleTokens() != total {
-		t.Errorf("TitleTokens() = %d, want %d", p.TitleTokens(), total)
+	for i := range c.Queries {
+		lists = append(lists, p.Query(QueryID(i)))
+	}
+	for i := range c.Categories {
+		lists = append(lists, p.Category(CategoryID(i)))
+	}
+	for _, ids := range lists {
+		for _, id := range ids {
+			if id > next {
+				t.Fatalf("term id %d handed out before id %d", id, next)
+			}
+			if id == next {
+				next++
+			}
+		}
+	}
+	if int(next) != p.Vocab().Size() {
+		t.Errorf("%d ids handed out, vocabulary holds %d", next, p.Vocab().Size())
 	}
 	// One id per distinct token, and ids round-trip through the vocabulary.
 	for i := range c.Items {

@@ -1,9 +1,12 @@
 package textutil
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -106,4 +109,68 @@ func TestVocabAddAndLookup(t *testing.T) {
 	if _, ok := v.ID("unknown"); ok {
 		t.Fatal("ID(unknown) reported ok")
 	}
+}
+
+// appendTokensRunes is AppendTokens without its ASCII fast path: every
+// rune through the unicode tests. It is the reference the fast path must
+// reproduce byte for byte.
+func appendTokensRunes(buf []byte, ends []int, s string) ([]byte, []int) {
+	open := false
+	for _, r := range s {
+		switch {
+		case unicode.In(r, unicode.Han):
+			if open {
+				ends = append(ends, len(buf))
+			}
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			ends = append(ends, len(buf))
+			open = false
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+			open = true
+		default:
+			if open {
+				ends = append(ends, len(buf))
+			}
+			open = false
+		}
+	}
+	if open {
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
+}
+
+// sameTokens reports whether AppendTokens and the rune-by-rune reference
+// append the same bytes and ends to the same non-empty buffers.
+func sameTokens(s string) (ok bool, got, want string) {
+	gb, ge := AppendTokens([]byte("x"), []int{1}, s)
+	wb, we := appendTokensRunes([]byte("x"), []int{1}, s)
+	got, want = fmt.Sprintf("%q %v", gb, ge), fmt.Sprintf("%q %v", wb, we)
+	return got == want, got, want
+}
+
+// TestAppendTokensASCII runs every ASCII rune through the fast path on
+// its own, between two letters, after a digit and before a Han rune.
+func TestAppendTokensASCII(t *testing.T) {
+	for r := rune(0); r < utf8.RuneSelf; r++ {
+		for _, s := range []string{string(r), "a" + string(r) + "b", "7" + string(r), string(r) + "防", "É" + string(r) + "É"} {
+			if ok, got, want := sameTokens(s); !ok {
+				t.Errorf("AppendTokens(%q) = %s, rune by rune %s", s, got, want)
+			}
+		}
+	}
+}
+
+// FuzzAppendTokens holds AppendTokens to the rune-by-rune reference on
+// arbitrary strings, invalid UTF-8 included.
+func FuzzAppendTokens(f *testing.F) {
+	for _, s := range []string{"Beach Dress", "sunblock SPF-50!", "防晒霜 spf50", "ÀÉÎ õü ß", "\xff\xfeA", "trip-to-the-beach", "ǅ ꞵ Ⅻ ①"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if ok, got, want := sameTokens(s); !ok {
+			t.Fatalf("AppendTokens(%q) = %s, rune by rune %s", s, got, want)
+		}
+	})
 }

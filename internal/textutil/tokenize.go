@@ -6,6 +6,12 @@
 // production system uses Alibaba's internal segmenter; this package is the
 // stdlib-only stand-in, adequate for space-separated synthetic corpora and
 // for western-language text.
+//
+// AppendTokens decides ASCII runes by byte ranges (A-Z lowercased,
+// a-z and 0-9 kept, everything else a separator), which is what the
+// unicode tests decide for them without the table searches; every other
+// rune takes the unicode path. FuzzAppendTokens holds the two to the
+// same bytes and ends.
 package textutil
 
 import (
@@ -45,6 +51,23 @@ func spell(buf []byte, ends []int) []string {
 func AppendTokens(buf []byte, ends []int, s string) ([]byte, []int) {
 	open := false // a letter/digit run is being appended
 	for _, r := range s {
+		if r < utf8.RuneSelf {
+			// ASCII by byte ranges (see the package doc).
+			switch {
+			case 'a' <= r && r <= 'z' || '0' <= r && r <= '9':
+				buf = append(buf, byte(r))
+				open = true
+			case 'A' <= r && r <= 'Z':
+				buf = append(buf, byte(r)+'a'-'A')
+				open = true
+			default:
+				if open {
+					ends = append(ends, len(buf))
+				}
+				open = false
+			}
+			continue
+		}
 		switch {
 		case unicode.In(r, unicode.Han):
 			if open {

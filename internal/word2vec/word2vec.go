@@ -26,6 +26,20 @@
 // to the context word (fewer than six targets), takes the serial loop:
 // 1-3 % of the pairs on synth catalogs, 85 % on TestTrainReproducible's
 // ten-word corpus.
+//
+// The six-target dot and update loops are two kernels. On amd64 they are
+// SSE2 assembly (kernel_amd64.s): the dot keeps the six chains in pairs
+// of float64 lanes, and the update runs four float32 lanes, each lane
+// doing what the Go loop does to its element in the same order, with no
+// fused multiply-add. Every other GOARCH runs the Go loops, dotSixGo and
+// updateSixGo, which are also the oracle TestSixKernelsMatchGo holds the
+// assembly to bit for bit; GOARCH alone picks the kernel.
+//
+// TrainIDs trains from sentences of term ids over a caller's vocabulary
+// (the corpus text plane's, in the pipeline), counting in a slice and
+// encoding without a string lookup; Train interns string sentences and
+// calls it. Model ids follow the sorted in-vocabulary words either way,
+// so the model does not depend on how the words were numbered.
 package word2vec
 
 import (
@@ -34,7 +48,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strings"
+
+	"shoal/internal/textutil"
 )
 
 // The trainer's fixed hyperparameters.
@@ -189,8 +207,20 @@ func (m *Model) Nearest(word string, k int) ([]Neighbor, error) {
 // Train learns embeddings from sentences (token slices). Tokens rarer than
 // cfg.MinCount are ignored. It returns an error on empty effective input.
 // Cancellation is checked every 256 sentences; a canceled ctx aborts
-// training and returns the context error.
+// training and returns the context error. It is TrainIDs over the
+// sentences interned in first-seen order.
 func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error) {
+	ids, v := textutil.Intern(sentences)
+	return TrainIDs(ctx, v.Words(), ids, cfg)
+}
+
+// TrainIDs is Train over sentences of term ids, words the id-indexed
+// vocabulary they spell (every id below len(words), every word distinct):
+// the model is the one Train learns from the same sentences spelled as
+// strings, whatever the ids. Model ids follow the in-vocabulary words in
+// sorted order, so the encoded sentences, the unigram table, the
+// keep-probabilities and the RNG's draws do not depend on the term ids.
+func TrainIDs(ctx context.Context, words []string, sentences [][]uint32, cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -198,55 +228,65 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 		return nil, err
 	}
 
-	// Build vocabulary with counts.
-	counts := make(map[string]int64)
+	// Vocabulary: the words seen at least MinCount times, in sorted order.
+	termCounts := make([]int64, len(words))
 	for _, s := range sentences {
 		for _, w := range s {
-			counts[w]++
+			termCounts[w]++
 		}
 	}
-	words := make([]string, 0, len(counts))
-	for w, c := range counts {
-		if int(c) >= cfg.MinCount {
-			words = append(words, w)
+	var terms []uint32
+	for w, c := range termCounts {
+		if c > 0 && int(c) >= cfg.MinCount {
+			terms = append(terms, uint32(w))
 		}
 	}
-	if len(words) == 0 {
+	if len(terms) == 0 {
 		return nil, errors.New("word2vec: no words above MinCount")
 	}
-	sort.Strings(words) // deterministic ids
-	ids := make(map[string]int, len(words))
-	for i, w := range words {
-		ids[w] = i
+	slices.SortFunc(terms, func(a, b uint32) int { return strings.Compare(words[a], words[b]) })
+	vocab := make([]string, len(terms))
+	counts := make([]int64, len(terms))
+	modelID := make([]int32, len(words)) // term id → model id, −1 out of vocabulary
+	for i := range modelID {
+		modelID[i] = -1
+	}
+	ids := make(map[string]int, len(terms))
+	for i, w := range terms {
+		vocab[i], counts[i], modelID[w] = words[w], termCounts[w], int32(i)
+		ids[words[w]] = i
 	}
 
-	// Encode sentences to ids, dropping OOV words.
-	var encoded [][]int32
-	var totalTokens int64
+	// Encode sentences to model ids, dropping OOV words; encoded[off[i]:
+	// off[i+1]] is the i-th sentence with two or more left.
+	var encoded []int32
+	off := []int{0}
 	for _, s := range sentences {
-		enc := make([]int32, 0, len(s))
+		from := len(encoded)
 		for _, w := range s {
-			if id, ok := ids[w]; ok {
-				enc = append(enc, int32(id))
+			if id := modelID[w]; id >= 0 {
+				encoded = append(encoded, id)
 			}
 		}
-		if len(enc) >= 2 {
-			encoded = append(encoded, enc)
-			totalTokens += int64(len(enc))
+		if len(encoded)-from >= 2 {
+			off = append(off, len(encoded))
+		} else {
+			encoded = encoded[:from]
 		}
 	}
-	if len(encoded) == 0 {
+	totalTokens := int64(len(encoded))
+	if totalTokens == 0 {
 		return nil, errors.New("word2vec: no trainable sentences (need >=2 in-vocab tokens)")
 	}
 
 	// Unigram table for negative sampling (frequency^0.75).
-	table := buildUnigramTable(words, counts, 1<<17)
+	table := buildUnigramTable(counts, 1<<17)
 
 	// Keep-probabilities for subsampling.
-	keep := make([]float64, len(words))
-	for i, w := range words {
+	keep := make([]float64, len(vocab))
+	for i, c := range counts {
 		keep[i] = 1
-		f := float64(counts[w]) / float64(totalTokens)
+		f := float64(c) / float64(totalTokens)
 		if f > 0 {
 			p := math.Sqrt(subsample/f) + subsample/f
 			if p < 1 {
@@ -256,8 +296,8 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	}
 
 	dim := cfg.Dim
-	vecs := make([]float32, len(words)*dim) // input vectors
-	ctxs := make([]float32, len(words)*dim) // output (context) vectors
+	vecs := make([]float32, len(vocab)*dim) // input vectors
+	ctxs := make([]float32, len(vocab)*dim) // output (context) vectors
 	initRng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
 	for i := range vecs {
 		vecs[i] = (float32(initRng.Float32()) - 0.5) / float32(dim)
@@ -276,7 +316,8 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 	var kept []int32
 	var done int64
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		for si, sent := range encoded {
+		for si := range len(off) - 1 {
+			sent := encoded[off[si]:off[si+1]]
 			if si%256 == 255 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
@@ -307,7 +348,7 @@ func Train(ctx context.Context, sentences [][]string, cfg Config) (*Model, error
 		return nil, err
 	}
 
-	return &Model{dim: dim, ids: ids, words: words, vecs: vecs}, nil
+	return &Model{dim: dim, ids: ids, words: vocab, vecs: vecs}, nil
 }
 
 // trainPair applies one skip-gram SGD step: center word `in`, positive
@@ -373,16 +414,34 @@ func distinct(t *[negative + 1]int) bool {
 }
 
 // trainSix is trainPair's step for six distinct targets, the first the
-// positive one. Its six dots are independent float64 chains in one
-// element loop; its update loop applies the targets in their order, each
-// element's gradient summed from +0 as the serial kernel's grad is.
+// positive one: the six dots (dotSix), their gradients, then the updates
+// (updateSix).
 func trainSix(vi, ctxs []float32, t *[negative + 1]int, dim int, lr float64, sigm *sigmoidTable) {
-	vo0 := ctxs[t[0]*dim : (t[0]+1)*dim][:len(vi)]
-	vo1 := ctxs[t[1]*dim : (t[1]+1)*dim][:len(vi)]
-	vo2 := ctxs[t[2]*dim : (t[2]+1)*dim][:len(vi)]
-	vo3 := ctxs[t[3]*dim : (t[3]+1)*dim][:len(vi)]
-	vo4 := ctxs[t[4]*dim : (t[4]+1)*dim][:len(vi)]
-	vo5 := ctxs[t[5]*dim : (t[5]+1)*dim][:len(vi)]
+	var vo [negative + 1][]float32
+	for k, target := range t {
+		vo[k] = ctxs[target*dim : (target+1)*dim]
+	}
+	var d [negative + 1]float64
+	dotSix(vi, &vo, &d)
+	a := float32(lr)
+	coef := [negative + 1]float32{
+		a * (1 - sigm.at(d[0])),
+		a * (0 - sigm.at(d[1])),
+		a * (0 - sigm.at(d[2])),
+		a * (0 - sigm.at(d[3])),
+		a * (0 - sigm.at(d[4])),
+		a * (0 - sigm.at(d[5])),
+	}
+	updateSix(vi, &vo, &coef)
+}
+
+// dotSixGo is the six-chain dot kernel: d[k] is the dot of vi with
+// vo[k], a float64 chain in element order, the six chains independent.
+// Every row is at least len(vi) long. It is the kernel on every GOARCH
+// without an assembly one, and the oracle of those that have one.
+func dotSixGo(vi []float32, vo *[negative + 1][]float32, d *[negative + 1]float64) {
+	vo0, vo1, vo2 := vo[0][:len(vi)], vo[1][:len(vi)], vo[2][:len(vi)]
+	vo3, vo4, vo5 := vo[3][:len(vi)], vo[4][:len(vi)], vo[5][:len(vi)]
 	var d0, d1, d2, d3, d4, d5 float64
 	for i, x := range vi {
 		x := float64(x)
@@ -393,13 +452,18 @@ func trainSix(vi, ctxs []float32, t *[negative + 1]int, dim int, lr float64, sig
 		d4 += float64(x * float64(vo4[i]))
 		d5 += float64(x * float64(vo5[i]))
 	}
-	a := float32(lr)
-	g0 := a * (1 - sigm.at(d0))
-	g1 := a * (0 - sigm.at(d1))
-	g2 := a * (0 - sigm.at(d2))
-	g3 := a * (0 - sigm.at(d3))
-	g4 := a * (0 - sigm.at(d4))
-	g5 := a * (0 - sigm.at(d5))
+	*d = [negative + 1]float64{d0, d1, d2, d3, d4, d5}
+}
+
+// updateSixGo is the six-target update kernel: per element, the targets
+// in their order each add coef[k]·vo[k][i] to the center row's gradient
+// and then take coef[k]·vi[i]; the gradient, summed from +0 as the serial
+// kernel's grad is, then joins vi[i]. Every row is at least len(vi) long.
+// Like dotSixGo, it is the kernel or the oracle.
+func updateSixGo(vi []float32, vo *[negative + 1][]float32, coef *[negative + 1]float32) {
+	vo0, vo1, vo2 := vo[0][:len(vi)], vo[1][:len(vi)], vo[2][:len(vi)]
+	vo3, vo4, vo5 := vo[3][:len(vi)], vo[4][:len(vi)], vo[5][:len(vi)]
+	g0, g1, g2, g3, g4, g5 := coef[0], coef[1], coef[2], coef[3], coef[4], coef[5]
 	for i, x := range vi {
 		gi := float32(0)
 		gi += float32(g0 * vo0[i])
@@ -418,13 +482,14 @@ func trainSix(vi, ctxs []float32, t *[negative + 1]int, dim int, lr float64, sig
 	}
 }
 
-// buildUnigramTable builds the standard f^0.75 negative-sampling table.
-func buildUnigramTable(words []string, counts map[string]int64, size int) []int32 {
+// buildUnigramTable builds the standard f^0.75 negative-sampling table
+// over the model ids' counts.
+func buildUnigramTable(counts []int64, size int) []int32 {
 	table := make([]int32, size)
 	var z float64
-	pows := make([]float64, len(words))
-	for i, w := range words {
-		pows[i] = math.Pow(float64(counts[w]), 0.75)
+	pows := make([]float64, len(counts))
+	for i, c := range counts {
+		pows[i] = math.Pow(float64(c), 0.75)
 		z += pows[i]
 	}
 	var cum float64
@@ -432,7 +497,7 @@ func buildUnigramTable(words []string, counts map[string]int64, size int) []int3
 	cum = pows[0] / z
 	for i := range table {
 		table[i] = int32(wi)
-		if float64(i+1)/float64(size) > cum && wi < len(words)-1 {
+		if float64(i+1)/float64(size) > cum && wi < len(counts)-1 {
 			wi++
 			cum += pows[wi] / z
 		}

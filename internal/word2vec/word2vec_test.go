@@ -208,14 +208,13 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestUnigramTableCoversVocab(t *testing.T) {
-	words := []string{"a", "b", "c"}
-	counts := map[string]int64{"a": 100, "b": 10, "c": 1}
-	table := buildUnigramTable(words, counts, 1000)
+	counts := []int64{100, 10, 1}
+	table := buildUnigramTable(counts, 1000)
 	seen := map[int32]int{}
 	for _, id := range table {
 		seen[id]++
 	}
-	for i := range words {
+	for i := range counts {
 		if seen[int32(i)] == 0 {
 			t.Fatalf("word %d missing from unigram table", i)
 		}
@@ -428,6 +427,52 @@ func TestTrainPairMatchesSerial(t *testing.T) {
 					t.Errorf("dim %d, %s, %s: the %s branch never ran (%v)", dim, f.name, tb.name, tb.forces, branches)
 				}
 			}
+		}
+	}
+}
+
+// TestTrainIDsMatchesTrain trains on the same sentences as strings and
+// as term ids of a vocabulary numbered in reverse-sorted order, with a
+// word no sentence uses, and compares the saved models byte for byte:
+// the model does not depend on the numbering, and an unused word is not
+// in it even at MinCount 0.
+func TestTrainIDsMatchesTrain(t *testing.T) {
+	sents := syntheticSentences(200, 5)
+	var words []string
+	for _, s := range sents {
+		words = append(words, s...)
+	}
+	slices.Sort(words)
+	words = slices.Compact(words)
+	slices.Reverse(words)
+	words = append(words, "unused")
+	id := map[string]uint32{}
+	for i, w := range words {
+		id[w] = uint32(i)
+	}
+	ids := make([][]uint32, len(sents))
+	for i, s := range sents {
+		for _, w := range s {
+			ids[i] = append(ids[i], id[w])
+		}
+	}
+	saved := func(m *Model, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, minCount := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.MinCount = minCount
+		fromIDs := saved(TrainIDs(context.Background(), words, ids, cfg))
+		if !bytes.Equal(fromIDs, saved(Train(context.Background(), sents, cfg))) {
+			t.Fatalf("MinCount %d: TrainIDs and Train saved different models", minCount)
 		}
 	}
 }
