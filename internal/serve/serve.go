@@ -22,6 +22,16 @@
 // /api/search formats only each hit's score and /api/topics/{id} copies
 // its own head and its sub-topics'.
 //
+// A search is answered from the snapshot's search result table when the
+// snapshot has answered the same raw query string before (results.go):
+// the stored hits are rendered through the summary heads, with no
+// parameter parsing, tokenizing or BM25. Otherwise the handler parses q
+// and k, runs the snapshot's searcher and renders its hits the same way,
+// then stores them in the table unless the request was refused (400) or
+// the answer is too large to store. The table dies with its snapshot.
+// /metrics counts searches by outcome in shoal_search_cache_total, and
+// /api/stats reports the same counts and the table's slot count.
+//
 // Every request passes through the obs middleware: per-route latency
 // histograms, status-class counters and an in-flight gauge, all
 // allocation-free per request. The swap generation is a gauge set when a
@@ -32,6 +42,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"strconv"
 	"sync"
@@ -71,6 +82,9 @@ type Handler struct {
 	// generation is the published snapshot's swap count, set on every
 	// publish, exported via /metrics.
 	generation *obs.Gauge
+	// searchResults counts searches by how the snapshots' result tables
+	// answered them.
+	searchResults [numResults]*obs.Counter
 }
 
 // snapshot pairs a build with the swap count that published it, so one
@@ -87,6 +101,11 @@ type snapshot struct {
 	// closing brace.
 	heads   []byte
 	headOff []int32
+	// results is the snapshot's search result table (results.go), a
+	// power-of-two number of slots indexed by a maphash under seed, a
+	// random seed of the snapshot's own.
+	results []atomic.Pointer[searchEntry]
+	seed    maphash.Seed
 }
 
 // head returns topic t's pre-rendered summary head.
@@ -102,6 +121,7 @@ func NewHandler(b *core.Build) (*Handler, error) {
 	h.droppedStale = h.reg.Gauge("shoal_window_dropped_stale_events", "",
 		"stale click events (already-evicted days) dropped at window ingestion, as of the published build")
 	h.generation = h.reg.Gauge("shoal_build_generation", "", "snapshot swap count of the published build")
+	h.searchResults = newResultCounters(h.reg)
 	h.cur.Store(h.newSnapshot(b, 0))
 	m := obs.NewHTTPMetrics(h.reg)
 	h.metrics = m
@@ -134,8 +154,9 @@ func checkBuild(b *core.Build) error {
 // Swap atomically publishes a new build. In-flight requests finish against
 // the snapshot they started with; subsequent requests see the new build.
 // It renders every topic's summary head (≈80 B a topic) before the
-// publish, so its cost grows with the topic count: three allocations,
-// the snapshot and its heads and offsets, each at its exact size.
+// publish, so its cost grows with the topic count: four allocations,
+// the snapshot, its heads and offsets and its empty search result
+// table, each at its exact size.
 func (h *Handler) Swap(b *core.Build) error {
 	if err := checkBuild(b); err != nil {
 		return err
@@ -147,13 +168,17 @@ func (h *Handler) Swap(b *core.Build) error {
 }
 
 // newSnapshot captures the publish-time window state alongside the
-// build, renders the build's summary heads and refreshes the gauges of
-// the published build: its swap count and its window's dropped events.
-// Publishers call this before the window resumes ingesting, so the read
-// is race-free.
+// build, renders the build's summary heads, gives the snapshot an empty
+// search result table and refreshes the gauges of the published build:
+// its swap count and its window's dropped events. Publishers call this
+// before the window resumes ingesting, so the read is race-free.
 func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
 	topics := b.Taxonomy.Topics
-	s := &snapshot{build: b, swaps: swaps, headOff: make([]int32, len(topics)+1)}
+	s := &snapshot{
+		build: b, swaps: swaps, headOff: make([]int32, len(topics)+1),
+		results: make([]atomic.Pointer[searchEntry], searchSlots(len(b.Corpus.Queries))),
+		seed:    maphash.MakeSeed(),
+	}
 	buf := h.headBuf[:0]
 	for i := range topics {
 		buf = openSummary(buf, &topics[i])
@@ -269,49 +294,36 @@ type Stats struct {
 	Swaps        int64 `json:"swaps"`
 	// Delta is present when the build reports one; core sets it on every
 	// build.
-	Delta  *DeltaStat      `json:"delta,omitempty"`
-	Stages []StageStat     `json:"stages"`
-	HTTP   obs.HTTPSummary `json:"http"`
+	Delta       *DeltaStat      `json:"delta,omitempty"`
+	Stages      []StageStat     `json:"stages"`
+	HTTP        obs.HTTPSummary `json:"http"`
+	SearchCache SearchCacheStat `json:"searchCache"`
 }
 
-// maxQueryBytes bounds a search's q. Term de-duplication is quadratic in
-// the query's terms, and the server's header limit alone admits ≈16 KB.
-const maxQueryBytes = 1024
-
+// search answers from the snapshot's result table when it holds the
+// raw query string, and otherwise searches and stores the answer.
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	snap := h.cur.Load()
-	var p [2]string
-	queryParams(r.URL.RawQuery, []string{"q", "k"}, p[:])
-	q, ks := p[0], p[1]
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing query parameter q")
+	raw := r.URL.RawQuery
+	slot := snap.resultSlot(raw)
+	if e := slot.Load(); e != nil && e.key == raw {
+		h.searchResults[resultHit].Inc()
+		snap.sendHits(w, e.hits)
 		return
 	}
-	if len(q) > maxQueryBytes {
-		httpError(w, http.StatusBadRequest, "query parameter q is longer than "+strconv.Itoa(maxQueryBytes)+" bytes")
+	hits, refused := snap.searchHits(raw)
+	if refused != "" {
+		h.searchResults[resultBypass].Inc()
+		httpError(w, http.StatusBadRequest, refused)
 		return
 	}
-	k := 5
-	if ks != "" {
-		v, err := strconv.Atoi(ks)
-		if err != nil || v <= 0 || v > 100 {
-			httpError(w, http.StatusBadRequest, "k must be an integer in [1,100]")
-			return
-		}
-		k = v
+	if storable(r, hits) {
+		slot.Store(&searchEntry{key: raw, hits: hits})
+		h.searchResults[resultMiss].Inc()
+	} else {
+		h.searchResults[resultBypass].Inc()
 	}
-	var hits []taxonomy.Hit
-	if snap.build.Searcher != nil {
-		hits = snap.build.Searcher.Search(q, k)
-	}
-	bp := body()
-	send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
-		dst = append(dst, snap.head(hits[i].Topic)...)
-		if score := hits[i].Score; score != 0 { // omitempty
-			dst = appendJSONFloat(append(dst, `,"score":`...), score)
-		}
-		return append(dst, '}')
-	}))
+	snap.sendHits(w, hits)
 }
 
 func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
@@ -407,6 +419,12 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		RootTopics: len(b.Taxonomy.Roots()),
 		Swaps:      snap.swaps,
 		HTTP:       h.metrics.Summary(),
+		SearchCache: SearchCacheStat{
+			Slots:    len(snap.results),
+			Hits:     h.searchResults[resultHit].Value(),
+			Misses:   h.searchResults[resultMiss].Value(),
+			Bypasses: h.searchResults[resultBypass].Value(),
+		},
 	}
 	if b.Correlations != nil {
 		out.Correlations = len(b.Correlations.Pairs())

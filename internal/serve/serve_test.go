@@ -20,7 +20,7 @@ var (
 	buildErr  error
 )
 
-func getBuild(t *testing.T) *core.Build {
+func getBuild(t testing.TB) *core.Build {
 	t.Helper()
 	buildOnce.Do(func() {
 		cfg := core.DefaultConfig()

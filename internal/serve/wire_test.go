@@ -10,6 +10,8 @@ import (
 	"net/url"
 	"runtime"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"shoal/internal/core"
@@ -107,6 +109,10 @@ func twistedBuild(t *testing.T) *core.Build {
 // json.Marshal of the wire struct plus the Encoder's newline — on a
 // handler made on the build, and on one made on the other build and
 // swapped to it, so a summary head left over from the first build fails.
+// Every search is sent twice, so the second answer comes from the result
+// table; every refused search is sent twice too, answers 400 both times
+// and is never stored. (The two builds share a searcher, so a stored
+// answer outliving its snapshot is TestSearchCacheUnderSwap's to catch.)
 func TestWireMatchesEncodingJSON(t *testing.T) {
 	shapes := map[string]bool{} // detail shapes checked, to prove coverage
 	test, twisted := getBuild(t), twistedBuild(t)
@@ -168,7 +174,32 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		}
 		for _, q := range queries {
 			for _, k := range []int{1, 5, 100} {
-				check(fmt.Sprintf("/api/search?q=%s&k=%d", url.QueryEscape(q), k), searchOf(b, q, k))
+				target, want := fmt.Sprintf("/api/search?q=%s&k=%d", url.QueryEscape(q), k), searchOf(b, q, k)
+				check(target, want) // searched (or, for a repeated query text, a hit)
+				hits := h.searchResults[resultHit].Value()
+				check(target, want)
+				if h.searchResults[resultHit].Value() != hits+1 {
+					t.Fatalf("%s GET %s twice: the second answer did not come from the result table", name, target)
+				}
+			}
+		}
+		for _, target := range []string{
+			"/api/search", "/api/search?q=x&k=0", "/api/search?q=" + strings.Repeat("x", maxQueryBytes+1),
+		} {
+			for range 2 {
+				bypasses := h.searchResults[resultBypass].Value()
+				w := httptest.NewRecorder()
+				r := httptest.NewRequest("GET", target, nil)
+				h.ServeHTTP(w, r)
+				if status, want := uncachedSearch(t, b, r.URL.RawQuery); status != http.StatusBadRequest || w.Code != status || !bytes.Equal(w.Body.Bytes(), want) {
+					t.Fatalf("%s GET %s = %d %s, want 400 %s", name, target, w.Code, w.Body, want)
+				}
+				if e := h.cur.Load().resultSlot(r.URL.RawQuery).Load(); e != nil && e.key == r.URL.RawQuery {
+					t.Fatalf("%s GET %s: a refused search was stored", name, target)
+				}
+				if h.searchResults[resultBypass].Value() != bypasses+1 {
+					t.Fatalf("%s GET %s: not counted as a bypass", name, target)
+				}
 			}
 		}
 	}
@@ -266,7 +297,9 @@ func (s *sink) WriteHeader(code int)        { s.status = code }
 
 // TestServeAllocs counts allocations per request through the full
 // instrumented handler with a reused writer and prebuilt requests: a
-// search allocates its unescaped q and its hits, a browse route at most
+// repeated search is answered from the result table and allocates
+// nothing, a search the snapshot has not answered allocates at most its
+// unescaped q, its hits and its table entry, and a browse route at most
 // two objects of the mux's own.
 func TestServeAllocs(t *testing.T) {
 	if raceEnabled {
@@ -286,7 +319,7 @@ func TestServeAllocs(t *testing.T) {
 		target string
 		max    float64
 	}{
-		{"/api/search?q=" + url.QueryEscape("beach dress") + "&k=5", 3},
+		{"/api/search?q=" + url.QueryEscape("beach dress") + "&k=5", 0},
 		{fmt.Sprintf("/api/topics/%d", root), 2},
 		{fmt.Sprintf("/api/topics/%d/items", root), 2},
 		{fmt.Sprintf("/api/categories/%d/related", pairs[0].A), 2},
@@ -303,13 +336,37 @@ func TestServeAllocs(t *testing.T) {
 		}
 		t.Logf("GET %s: %.0f allocs", tc.target, n)
 	}
+	// 200 distinct searches after a warm-up one, each sent once: every
+	// one is searched and stored. (k first: none repeats the raw query
+	// string served above.)
+	var distinct []*http.Request
+	for _, q := range []string{"beach dress", "beach", "dress"} {
+		for k := 1; k <= 67; k++ {
+			distinct = append(distinct, httptest.NewRequest("GET", fmt.Sprintf("/api/search?k=%d&q=%s", k, url.QueryEscape(q)), nil))
+		}
+	}
+	w := &sink{h: make(http.Header)}
+	misses := h.searchResults[resultMiss].Value()
+	next := 0
+	n := testing.AllocsPerRun(len(distinct)-1, func() {
+		h.ServeHTTP(w, distinct[next])
+		next++
+	})
+	if n > 3 {
+		t.Errorf("a distinct search allocated %.1f objects per request, want <= 3", n)
+	}
+	if got := h.searchResults[resultMiss].Value() - misses; got != uint64(len(distinct)) {
+		t.Errorf("%d distinct searches stored %d answers", len(distinct), got)
+	}
+	t.Logf("%d distinct searches: %.1f allocs", len(distinct)-1, n)
 }
 
 // The reference allocations of TestSwapAllocs, kept on the heap.
 var (
-	sinkSnap  *snapshot
-	sinkHeads []byte
-	sinkOff   []int32
+	sinkSnap    *snapshot
+	sinkHeads   []byte
+	sinkOff     []int32
+	sinkResults []atomic.Pointer[searchEntry]
 )
 
 // allocatedBytes returns the heap bytes one call of f allocates,
@@ -326,15 +383,15 @@ func allocatedBytes(runs int, f func()) float64 {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
-// swapSlackBytes is what a Swap may allocate beyond its snapshot, heads
-// and offsets.
+// swapSlackBytes is what a Swap may allocate beyond its snapshot, heads,
+// offsets and search result table.
 const swapSlackBytes = 64
 
-// TestSwapAllocs holds Swap to three objects at any topic count — the
-// snapshot, its summary heads and their offsets — and its bytes to those
-// three allocated at their exact sizes plus swapSlackBytes. The heads
-// are rendered into the handler's scratch and copied out once, so a
-// buffer that regrows while rendering fails it.
+// TestSwapAllocs holds Swap to four objects at any topic count — the
+// snapshot, its summary heads, their offsets and its empty search result
+// table — and its bytes to those four allocated at their exact sizes
+// plus swapSlackBytes. The heads are rendered into the handler's scratch
+// and copied out once, so a buffer that regrows while rendering fails it.
 func TestSwapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -360,19 +417,20 @@ func TestSwapAllocs(t *testing.T) {
 			}
 		}
 		topics := len(b.Taxonomy.Topics)
-		if n := testing.AllocsPerRun(20, swap); n != 3 {
-			t.Errorf("%d topics: Swap allocated %.1f objects, want 3", topics, n)
+		if n := testing.AllocsPerRun(20, swap); n != 4 {
+			t.Errorf("%d topics: Swap allocated %.1f objects, want 4", topics, n)
 		}
 		snap := h.cur.Load()
 		want := allocatedBytes(20, func() {
 			sinkSnap = new(snapshot)
 			sinkHeads = make([]byte, len(snap.heads))
 			sinkOff = make([]int32, len(snap.headOff))
+			sinkResults = make([]atomic.Pointer[searchEntry], len(snap.results))
 		})
 		got := allocatedBytes(20, swap)
 		if got > want+swapSlackBytes {
-			t.Errorf("%d topics: Swap allocated %.0f B, want <= %.0f (snapshot, %d B of heads and %d offsets) + %d",
-				topics, got, want, len(snap.heads), len(snap.headOff), swapSlackBytes)
+			t.Errorf("%d topics: Swap allocated %.0f B, want <= %.0f (snapshot, %d B of heads, %d offsets and %d slots) + %d",
+				topics, got, want, len(snap.heads), len(snap.headOff), len(snap.results), swapSlackBytes)
 		}
 		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads), got, want)
 	}
