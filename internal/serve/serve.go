@@ -104,7 +104,7 @@ type snapshot struct {
 	// results is the snapshot's search result table (results.go), a
 	// power-of-two number of slots indexed by a maphash under seed, a
 	// random seed of the snapshot's own.
-	results []atomic.Pointer[searchEntry]
+	results []searchSlot
 	seed    maphash.Seed
 }
 
@@ -176,7 +176,7 @@ func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
 	topics := b.Taxonomy.Topics
 	s := &snapshot{
 		build: b, swaps: swaps, headOff: make([]int32, len(topics)+1),
-		results: make([]atomic.Pointer[searchEntry], searchSlots(len(b.Corpus.Queries))),
+		results: make([]searchSlot, searchSlots(len(b.Corpus.Queries))),
 		seed:    maphash.MakeSeed(),
 	}
 	buf := h.headBuf[:0]
@@ -305,8 +305,8 @@ type Stats struct {
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	snap := h.cur.Load()
 	raw := r.URL.RawQuery
-	slot := snap.resultSlot(raw)
-	if e := slot.Load(); e != nil && e.key == raw {
+	slot, hash, e := snap.lookup(raw)
+	if e != nil {
 		h.searchResults[resultHit].Inc()
 		snap.sendHits(w, e.hits)
 		return
@@ -318,7 +318,7 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if storable(r, hits) {
-		slot.Store(&searchEntry{key: raw, hits: hits})
+		slot.store(hash, &searchEntry{key: raw, hits: hits})
 		h.searchResults[resultMiss].Inc()
 	} else {
 		h.searchResults[resultBypass].Inc()
