@@ -13,9 +13,9 @@ import (
 var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
 
 // UnmatchedRoute is the synthetic route label under which responses the
-// mux produced itself — 404s for unknown paths, 405s for wrong methods —
-// are counted. They never reach a registered route handler, so the
-// outer middleware owns them.
+// mux produced itself — 404s for unknown paths, 405s for wrong methods,
+// 301s to a cleaned path — are counted. They never reach a registered
+// route handler, so the outer middleware owns them.
 const UnmatchedRoute = "unmatched"
 
 // routeMetrics is one route's instrument set, resolved once at
@@ -33,11 +33,11 @@ type routeMetrics struct {
 // is pooled) and every metric update is a lock-free atomic.
 //
 // Wiring is two layers: WrapMux goes around the whole mux and owns
-// timing, in-flight accounting and observation; Route wraps each
-// registered handler and only tags the request with its route's
-// instrument set. Responses the mux answers itself (404/405) carry no
-// tag and are observed under UnmatchedRoute — so error traffic is
-// counted even when no handler ran.
+// timing, in-flight accounting and observation; Route (or RouteArg)
+// wraps each registered handler and only tags the request with its
+// route's instrument set. Responses the mux answers itself (404/405/301)
+// carry no tag and are observed under UnmatchedRoute — so error traffic
+// is counted even when no handler ran.
 type HTTPMetrics struct {
 	reg      *Registry
 	InFlight *Gauge
@@ -114,10 +114,25 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (m *HTTPMetrics) Route(route string, h http.HandlerFunc) http.HandlerFunc {
 	rm := m.routeMetrics(route)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if sw, ok := w.(*statusWriter); ok {
-			sw.rm = rm
-		}
+		rm.tag(w)
 		h(w, r)
+	}
+}
+
+// RouteArg is Route for a handler that takes an argument its mux cut
+// from the path, such as a route's {id} segment.
+func (m *HTTPMetrics) RouteArg(route string, h func(http.ResponseWriter, *http.Request, string)) func(http.ResponseWriter, *http.Request, string) {
+	rm := m.routeMetrics(route)
+	return func(w http.ResponseWriter, r *http.Request, arg string) {
+		rm.tag(w)
+		h(w, r, arg)
+	}
+}
+
+// tag marks the request w is answering as served by rm's route.
+func (rm *routeMetrics) tag(w http.ResponseWriter) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.rm = rm
 	}
 }
 

@@ -18,6 +18,12 @@ func newTestMux(m *HTTPMetrics) http.Handler {
 	mux.HandleFunc("GET /boom", m.Route("/boom", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
+	item := m.RouteArg("/item/{id}", func(w http.ResponseWriter, r *http.Request, id string) {
+		if id != "7" {
+			http.Error(w, "no such item", http.StatusNotFound)
+		}
+	})
+	mux.HandleFunc("GET /item/{id}", func(w http.ResponseWriter, r *http.Request) { item(w, r, r.PathValue("id")) })
 	return m.WrapMux(mux)
 }
 
@@ -48,6 +54,8 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	do("GET", "/missing", 404) // mux-answered: unmatched
 	do("POST", "/ok", 405)     // wrong method: unmatched
 	do("GET", "/ok", 200)
+	do("GET", "/item/7", 200) // a handler given its path argument
+	do("GET", "/item/8", 404) // its own 404, counted under its route
 
 	sum := m.Summary()
 	if sum.InFlight != 0 {
@@ -65,6 +73,9 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	}
 	if r := byRoute["/boom"]; r.Requests != 1 || r.ByClass["5xx"] != 1 {
 		t.Fatalf("/boom summary wrong: %+v", r)
+	}
+	if r := byRoute["/item/{id}"]; r.Requests != 2 || r.ByClass["2xx"] != 1 || r.ByClass["4xx"] != 1 {
+		t.Fatalf("/item/{id} summary wrong: %+v", r)
 	}
 	if r := byRoute[UnmatchedRoute]; r.Requests != 2 || r.ByClass["4xx"] != 2 {
 		t.Fatalf("unmatched summary wrong: %+v", r)

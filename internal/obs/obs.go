@@ -14,7 +14,7 @@
 //     slow paths and may allocate. Histograms use fixed log-spaced
 //     bounds, and their snapshots interpolate p50/p90/p99.
 //
-//   - Serving instrumentation: HTTPMetrics wraps an http.ServeMux with
+//   - Serving instrumentation: HTTPMetrics wraps a request mux with
 //     per-route latency histograms, status-class counters and an
 //     in-flight gauge, exposed as Prometheus text format
 //     (WritePrometheus) and as a JSON summary (Summary). RuntimeSampler feeds heap / GC-pause / goroutine

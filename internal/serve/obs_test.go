@@ -29,9 +29,11 @@ func newInstrumentedServer(t *testing.T) (*httptest.Server, *Handler) {
 
 // TestErrorPathsCounted drives every handler error branch and asserts
 // both the status code and that the response landed in the right route's
-// status-class counters — including mux-answered 404/405s, which no
-// handler ever sees. The length bound on q is a branch too: its last
-// admitted length is a case beside the first refused one.
+// status-class counters — including the 404s, 405s and 301s the route
+// table answers itself, which no handler ever sees, and a HEAD, which a
+// GET route serves. The length bound on q is a branch too: its last
+// admitted length is a case beside the first refused one. The client
+// does not follow redirects, so a 301 is the response counted.
 func TestErrorPathsCounted(t *testing.T) {
 	srv, h := newInstrumentedServer(t)
 
@@ -55,7 +57,10 @@ func TestErrorPathsCounted(t *testing.T) {
 		{"unknown related category", "GET", "/api/categories/99999/related", 404, "/api/categories/{id}/related", "4xx"},
 		{"wrong method", "POST", "/api/search?q=x", 405, "unmatched", "4xx"},
 		{"unknown path", "GET", "/api/nope", 404, "unmatched", "4xx"},
+		{"head", "HEAD", "/api/topics/0", 200, "/api/topics/{id}", "2xx"},
+		{"unclean path", "GET", "/api//search?q=x", 301, "unmatched", "3xx"},
 	}
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +69,7 @@ func TestErrorPathsCounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := http.DefaultClient.Do(req)
+			resp, err := client.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}

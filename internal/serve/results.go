@@ -4,9 +4,11 @@ import (
 	"hash/maphash"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
+	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/taxonomy"
 )
@@ -27,7 +29,10 @@ import (
 // whose slot holds another query's answer does not read that answer's
 // memory, which halved the table's cost on a miss. The table stores
 // hits, not bodies: a hit renders them through the same heads and
-// encoder as a miss.
+// encoder as a miss. Each stored hit is a 16-byte hitRecord that keeps
+// its score as the shortest decimal that parses back to it, worked out
+// once when the answer is stored, so a hit only places digits where
+// formatting the float64 would search for them again.
 
 const (
 	// minSearchSlots and maxSearchSlots clamp a table's slot count,
@@ -45,14 +50,60 @@ const (
 	// maxEntryBytes + entryOverheadBytes (≈ 10.5 MB at maxSearchSlots),
 	// besides the 16-byte slots themselves.
 	entryOverheadBytes = 128
-	hitBytes           = int(unsafe.Sizeof(taxonomy.Hit{}))
+	hitBytes           = int(unsafe.Sizeof(hitRecord{}))
 )
 
 // searchEntry is one stored answer: the raw query string it answers and
 // the hits it renders. Entries are never mutated once stored.
 type searchEntry struct {
 	key  string
-	hits []taxonomy.Hit
+	hits []hitRecord
+}
+
+// hitRecord is one hit of an answer as the answer renders it: the topic
+// and the score as its shortest decimal, ±digits × 10^(exp−n+1) for the
+// n digits of digits, that is ±d.ddd × 10^exp. The shortest decimal is
+// what encoding/json prints, so appendScore only places the digits.
+type hitRecord struct {
+	digits uint64
+	topic  model.TopicID
+	exp    int16
+	neg    bool
+}
+
+// newHitRecord returns h as a record: strconv's shortest 'e' form of
+// h.Score, ±d.ddde±xx, parsed back into digits and exponent. The score
+// must be finite, as every BM25 score is.
+func newHitRecord(h taxonomy.Hit) hitRecord {
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], h.Score, 'e', -1, 64)
+	r := hitRecord{topic: h.Topic, neg: s[0] == '-'}
+	if r.neg {
+		s = s[1:]
+	}
+	i := 0
+	for ; s[i] != 'e'; i++ {
+		if s[i] != '.' {
+			r.digits = r.digits*10 + uint64(s[i]-'0')
+		}
+	}
+	exp := 0
+	for _, c := range s[i+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if s[i+1] == '-' {
+		exp = -exp
+	}
+	r.exp = int16(exp)
+	return r
+}
+
+// appendRecords appends hits as records to dst.
+func appendRecords(dst []hitRecord, hits []taxonomy.Hit) []hitRecord {
+	for _, h := range hits {
+		dst = append(dst, newHitRecord(h))
+	}
+	return dst
 }
 
 // searchSlots is the slot count of a table for a corpus of the given
@@ -93,12 +144,13 @@ func (slot *searchSlot) store(h uint64, e *searchEntry) {
 	slot.entry.Store(e)
 }
 
-// storable reports whether an answer fits the entry budget. A server
-// request's RawQuery is a substring of its request line, so the key
-// pins the whole request target: the budget counts the longer of the
-// two (RequestURI is empty on a request built in process).
-func storable(r *http.Request, hits []taxonomy.Hit) bool {
-	return max(len(r.URL.RawQuery), len(r.RequestURI))+cap(hits)*hitBytes <= maxEntryBytes
+// storable reports whether an answer of n hits fits the entry budget. A
+// server request's RawQuery is a substring of its request line, so the
+// key pins the whole request target: the budget counts the longer of
+// the two (RequestURI is empty on a request built in process). A stored
+// answer's records are allocated at their exact size.
+func storable(r *http.Request, n int) bool {
+	return max(len(r.URL.RawQuery), len(r.RequestURI))+n*hitBytes <= maxEntryBytes
 }
 
 // How a search was answered, the label of shoal_search_cache_total: from
@@ -136,9 +188,18 @@ type SearchCacheStat struct {
 // the query's terms, and the server's header limit alone admits ≈16 KB.
 const maxQueryBytes = 1024
 
-// searchHits parses a search's parameters from raw and runs the search
-// on the snapshot. A request it refuses returns the 400 message.
-func (s *snapshot) searchHits(raw string) ([]taxonomy.Hit, string) {
+// searchScratch is a miss's pooled scratch: the searcher's hits, and the
+// records of an answer that is not stored.
+type searchScratch struct {
+	hits []taxonomy.Hit
+	recs []hitRecord
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// searchHits parses a search's parameters from raw and appends the
+// snapshot's hits to dst. A request it refuses returns the 400 message.
+func (s *snapshot) searchHits(dst []taxonomy.Hit, raw string) ([]taxonomy.Hit, string) {
 	var p [2]string
 	queryParams(raw, []string{"q", "k"}, p[:])
 	q, ks := p[0], p[1]
@@ -157,19 +218,19 @@ func (s *snapshot) searchHits(raw string) ([]taxonomy.Hit, string) {
 		k = v
 	}
 	if s.build.Searcher == nil {
-		return nil, ""
+		return dst, ""
 	}
-	return s.build.Searcher.Search(q, k), ""
+	return s.build.Searcher.AppendSearch(dst, q, k), ""
 }
 
 // sendHits writes hits as the search response: each hit's summary head
 // and its score.
-func (s *snapshot) sendHits(w http.ResponseWriter, hits []taxonomy.Hit) {
+func (s *snapshot) sendHits(w http.ResponseWriter, hits []hitRecord) {
 	bp := body()
 	send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
-		dst = append(dst, s.head(hits[i].Topic)...)
-		if score := hits[i].Score; score != 0 { // omitempty
-			dst = appendJSONFloat(append(dst, `,"score":`...), score)
+		dst = append(dst, s.head(hits[i].topic)...)
+		if hits[i].digits != 0 { // omitempty: the score is ±0
+			dst = hits[i].appendScore(append(dst, `,"score":`...))
 		}
 		return append(dst, '}')
 	}))

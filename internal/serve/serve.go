@@ -22,15 +22,25 @@
 // /api/search formats only each hit's score and /api/topics/{id} copies
 // its own head and its sub-topics'.
 //
+// Requests are dispatched by a fixed route table (route.go), not an
+// http.ServeMux: the path is matched against the seven routes in code
+// and an {id} route's handler gets the id as an argument. It answers
+// every request the way a ServeMux with the same patterns would,
+// including its own 404s, 405s (Allow: GET, HEAD) and 301s to a cleaned
+// path, and HEAD on every route; FuzzRoute holds it to one.
+//
 // A search is answered from the snapshot's search result table when the
 // snapshot has answered the same raw query string before (results.go):
 // the stored hits are rendered through the summary heads, with no
 // parameter parsing, tokenizing or BM25. Otherwise the handler parses q
-// and k, runs the snapshot's searcher and renders its hits the same way,
-// then stores them in the table unless the request was refused (400) or
-// the answer is too large to store. The table dies with its snapshot.
-// /metrics counts searches by outcome in shoal_search_cache_total, and
-// /api/stats reports the same counts and the table's slot count.
+// and k, runs the snapshot's searcher into pooled scratch and renders
+// its hits the same way, then stores them in the table unless the
+// request was refused (400) or the answer is too large to store. A
+// stored hit is a 16-byte record, its topic and its score's shortest
+// decimal digits and exponent, so a hit's render places digits instead
+// of formatting a float64. The table dies with its snapshot. /metrics
+// counts searches by outcome in shoal_search_cache_total, and /api/stats
+// reports the same counts and the table's slot count.
 //
 // Every request passes through the obs middleware: per-route latency
 // histograms, status-class counters and an in-flight gauge, all
@@ -62,10 +72,11 @@ type Handler struct {
 	// swapMu serializes Swap so concurrent publishers cannot lose a swap
 	// count; request handlers never take it.
 	swapMu sync.Mutex
-	mux    *http.ServeMux
-	// wrapped is the instrumented mux ServeHTTP dispatches to; reg and
-	// metrics are the observability surface behind /metrics and the
-	// "http" section of /api/stats.
+	// routes is the route table (route.go); wrapped is the instrumented
+	// table ServeHTTP dispatches to; reg and metrics are the
+	// observability surface behind /metrics and the "http" section of
+	// /api/stats.
+	routes  router
 	wrapped http.Handler
 	reg     *obs.Registry
 	metrics *obs.HTTPMetrics
@@ -117,7 +128,7 @@ func NewHandler(b *core.Build) (*Handler, error) {
 	if err := checkBuild(b); err != nil {
 		return nil, err
 	}
-	h := &Handler{mux: http.NewServeMux(), reg: obs.NewRegistry()}
+	h := &Handler{reg: obs.NewRegistry()}
 	h.droppedStale = h.reg.Gauge("shoal_window_dropped_stale_events", "",
 		"stale click events (already-evicted days) dropped at window ingestion, as of the published build")
 	h.generation = h.reg.Gauge("shoal_build_generation", "", "snapshot swap count of the published build")
@@ -125,17 +136,16 @@ func NewHandler(b *core.Build) (*Handler, error) {
 	h.cur.Store(h.newSnapshot(b, 0))
 	m := obs.NewHTTPMetrics(h.reg)
 	h.metrics = m
-	h.mux.HandleFunc("GET /api/search", m.Route("/api/search", h.search))
-	h.mux.HandleFunc("GET /api/topics/{id}", m.Route("/api/topics/{id}", h.topic))
-	h.mux.HandleFunc("GET /api/topics/{id}/items", m.Route("/api/topics/{id}/items", h.topicItems))
-	h.mux.HandleFunc("GET /api/categories/{id}/related", m.Route("/api/categories/{id}/related", h.related))
-	h.mux.HandleFunc("GET /api/stats", m.Route("/api/stats", h.stats))
-	h.mux.HandleFunc("GET /api/trace", m.Route("/api/trace", h.trace))
-	metricsHandler := h.reg.Handler()
-	h.mux.HandleFunc("GET /metrics", m.Route("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		metricsHandler.ServeHTTP(w, r)
-	}))
-	h.wrapped = m.WrapMux(h.mux)
+	h.routes = router{
+		search:     m.Route("/api/search", h.search),
+		topic:      m.RouteArg("/api/topics/{id}", h.topic),
+		topicItems: m.RouteArg("/api/topics/{id}/items", h.topicItems),
+		related:    m.RouteArg("/api/categories/{id}/related", h.related),
+		stats:      m.Route("/api/stats", h.stats),
+		trace:      m.Route("/api/trace", h.trace),
+		metrics:    m.Route("/metrics", h.reg.Handler().ServeHTTP),
+	}
+	h.wrapped = m.WrapMux(&h.routes)
 	return h, nil
 }
 
@@ -209,11 +219,11 @@ func (h *Handler) Registry() *obs.Registry { return h.reg }
 // obs middleware.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.wrapped.ServeHTTP(w, r) }
 
-// Bare returns the uninstrumented mux — identical routing with the
-// middleware layer skipped. It exists for the obs-overhead benchmark
+// Bare returns the uninstrumented route table — identical routing with
+// the middleware layer skipped. It exists for the obs-overhead benchmark
 // (instrumented vs. bare request cost); production callers want
 // ServeHTTP.
-func (h *Handler) Bare() http.Handler { return h.mux }
+func (h *Handler) Bare() http.Handler { return &h.routes }
 
 // TopicSummary is the wire form of a topic reference.
 type TopicSummary struct {
@@ -311,25 +321,32 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		snap.sendHits(w, e.hits)
 		return
 	}
-	hits, refused := snap.searchHits(raw)
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	hits, refused := snap.searchHits(sc.hits[:0], raw)
+	sc.hits = hits
 	if refused != "" {
 		h.searchResults[resultBypass].Inc()
 		httpError(w, http.StatusBadRequest, refused)
 		return
 	}
-	if storable(r, hits) {
-		slot.store(hash, &searchEntry{key: raw, hits: hits})
+	var recs []hitRecord
+	if storable(r, len(hits)) {
+		recs = appendRecords(make([]hitRecord, 0, len(hits)), hits)
+		slot.store(hash, &searchEntry{key: raw, hits: recs})
 		h.searchResults[resultMiss].Inc()
 	} else {
+		recs = appendRecords(sc.recs[:0], hits)
+		sc.recs = recs
 		h.searchResults[resultBypass].Inc()
 	}
-	snap.sendHits(w, hits)
+	snap.sendHits(w, recs)
 }
 
-func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) topic(w http.ResponseWriter, r *http.Request, id string) {
 	snap := h.cur.Load()
 	b := snap.build
-	t, ok := topicFromPath(w, r, b)
+	t, ok := topicOf(w, id, b)
 	if !ok {
 		return
 	}
@@ -350,9 +367,9 @@ func (h *Handler) topic(w http.ResponseWriter, r *http.Request) {
 	send(w, bp, append(out, '}'))
 }
 
-func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) {
 	b := h.cur.Load().build
-	t, ok := topicFromPath(w, r, b)
+	t, ok := topicOf(w, id, b)
 	if !ok {
 		return
 	}
@@ -385,9 +402,9 @@ func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request) {
 	send(w, bp, append(out, ']'))
 }
 
-func (h *Handler) related(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) {
 	b := h.cur.Load().build
-	id, err := strconv.Atoi(r.PathValue("id"))
+	id, err := strconv.Atoi(ids)
 	if err != nil || id < 0 || id >= len(b.Corpus.Categories) {
 		httpError(w, http.StatusNotFound, "unknown category")
 		return
@@ -464,8 +481,10 @@ func (h *Handler) trace(w http.ResponseWriter, r *http.Request) {
 	_ = b.Trace.WriteChrome(w)
 }
 
-func topicFromPath(w http.ResponseWriter, r *http.Request, b *core.Build) (*taxonomy.Topic, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
+// topicOf returns the topic a route's {id} names, or answers the
+// request with the error.
+func topicOf(w http.ResponseWriter, ids string, b *core.Build) (*taxonomy.Topic, bool) {
+	id, err := strconv.Atoi(ids)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "topic id must be an integer")
 		return nil, false

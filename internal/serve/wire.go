@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -128,20 +127,43 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONFloat appends a finite f as encoding/json formats a float64:
-// the shortest repr in 'f' form, or in 'e' form outside [1e-6, 1e21),
-// with a two-digit negative exponent trimmed (e-09 → e-9).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// appendScore appends r's score as encoding/json formats the float64 it
+// was made from: the shortest decimal in 'f' form, or in 'e' form
+// outside [1e-6, 1e21) with a two-digit negative exponent trimmed
+// (e-09 → e-9). A shortest decimal parses back to its float, so it is
+// below 1e-6 exactly when its exponent is -7 or less, and at least 1e21
+// exactly when its exponent is 21 or more.
+func (r *hitRecord) appendScore(dst []byte) []byte {
+	var buf [20]byte
+	d := strconv.AppendUint(buf[:0], r.digits, 10)
+	if r.neg {
+		dst = append(dst, '-')
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
+	exp := int(r.exp)
+	switch {
+	case exp <= -7 || exp >= 21:
+		dst = append(dst, d[0])
+		if len(d) > 1 {
+			dst = append(append(dst, '.'), d[1:]...)
+		}
+		if dst = append(dst, 'e', '+'); exp < 0 {
+			dst[len(dst)-1] = '-'
+			exp = -exp
+		}
+		return strconv.AppendInt(dst, int64(exp), 10)
+	case exp < 0: // 0.000ddd
+		dst = append(dst, "0.00000"[:1-exp]...)
+		return append(dst, d...)
+	case exp+1 < len(d): // dd.ddd
+		dst = append(append(dst, d[:exp+1]...), '.')
+		return append(dst, d[exp+1:]...)
+	default: // ddd000
+		dst = append(dst, d...)
+		for i := len(d); i <= exp; i++ {
+			dst = append(dst, '0')
+		}
+		return dst
 	}
-	return dst
 }
 
 // queryParams sets vals[i] to url.ParseQuery(raw).Get(keys[i]) in one

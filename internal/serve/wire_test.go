@@ -178,7 +178,7 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 				// The second answer comes from the table when the first
 				// fits an entry, and is searched again when it does not.
 				outcome, label := resultBypass, "a bypass"
-				if storable(httptest.NewRequest("GET", target, nil), b.Searcher.Search(q, k)) {
+				if storable(httptest.NewRequest("GET", target, nil), len(b.Searcher.Search(q, k))) {
 					outcome, label = resultHit, "a table hit"
 				}
 				before := h.searchResults[outcome].Value()
@@ -244,15 +244,30 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// TestAppendJSONFloat walks encoding/json's float format across its 'e'
-// boundaries, both sides of each.
-func TestAppendJSONFloat(t *testing.T) {
-	floats := []float64{
-		0, 1, -1, 0.5, 3.14159, 12.345678901234567, 1e-7, 1e-6, 9.999999999999999e-7,
-		1e20, 1e21, 9.999999999999999e20, 1.5e-9, 1e-10, 5e-324, math.MaxFloat64,
-		math.SmallestNonzeroFloat64 * 3, 123456789012345678, 1e100, -2.5e-8,
+// appendJSONFloat appends a finite f the way a stored hit writes its
+// score: through its record.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	r := newHitRecord(taxonomy.Hit{Score: f})
+	return r.appendScore(dst)
+}
+
+// scoreSeeds are encoding/json's float format on both sides of each of
+// its 'e' boundaries, and the extremes of float64.
+func scoreSeeds() []float64 {
+	return []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 3.14159, 12.345678901234567, 1e-7, 5e-7, 1e-6,
+		math.Nextafter(1e-6, 0), 9.999999999999999e-7, 1e20, 1e21, math.Nextafter(1e21, 0),
+		9.999999999999999e20, 1.5e-9, 1e-10, 5e-324, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308, 2.225073858507201e-308,
+		123456789012345678, 1e100, -2.5e-8, 0.1 + 0.2, 1.2345678901234567e-5,
+		0.30000000000000004, 1234567890123456.7, 1e16, 100, 120.5, -7e-7,
 	}
-	for _, f := range floats {
+}
+
+// TestAppendJSONFloat renders each of scoreSeeds through its record
+// and holds it to json.Marshal.
+func TestAppendJSONFloat(t *testing.T) {
+	for _, f := range scoreSeeds() {
 		want, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
@@ -261,6 +276,27 @@ func TestAppendJSONFloat(t *testing.T) {
 			t.Errorf("appendJSONFloat(%v) = %s, want %s", f, got, want)
 		}
 	}
+}
+
+// FuzzScoreDecimal holds a record's render of any finite float64 to
+// json.Marshal. BM25 scores never take the 'e' form, so this is the
+// only caller that reaches it.
+func FuzzScoreDecimal(f *testing.F) {
+	for _, s := range scoreSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, score float64) {
+		if math.IsNaN(score) || math.IsInf(score, 0) {
+			return
+		}
+		want, err := json.Marshal(score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte("prefix"), score); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("render of %v (%#x) = %s, want %s", score, math.Float64bits(score), got[len("prefix"):], want)
+		}
+	})
 }
 
 func FuzzQueryParam(f *testing.F) {
@@ -301,11 +337,14 @@ func (s *sink) Write(p []byte) (int, error) { return len(p), nil }
 func (s *sink) WriteHeader(code int)        { s.status = code }
 
 // TestServeAllocs counts allocations per request through the full
-// instrumented handler with a reused writer and prebuilt requests: a
+// instrumented handler with a reused writer and prebuilt requests. The
+// route table allocates nothing, so a topic route allocates nothing at
+// all and the related route only the slice catcorr.Related returns. A
 // repeated search is answered from the result table and allocates
-// nothing, a search the snapshot has not answered allocates at most its
-// unescaped q, its hits and its table entry, and a browse route at most
-// two objects of the mux's own.
+// nothing. A search the snapshot has not answered allocates at most its
+// unescaped q, its records at their exact size and its table entry; one
+// whose answer is too large to store (a bypass) at most its q, since its
+// hits and records stay in pooled scratch.
 func TestServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool caching is disabled under the race detector")
@@ -320,26 +359,42 @@ func TestServeAllocs(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("test build has no correlations")
 	}
+	// A distinct raw query string per request, each longer than an
+	// entry can hold.
+	var bypass []*http.Request
+	for i := range 201 {
+		target := fmt.Sprintf("/api/search?q=beach+dress&k=5&pad=%03d", i)
+		bypass = append(bypass, httptest.NewRequest("GET", target+strings.Repeat("x", maxEntryBytes+1-len(target)), nil))
+	}
 	for _, tc := range []struct {
-		target string
-		max    float64
+		name string
+		reqs []*http.Request
+		max  float64
 	}{
-		{"/api/search?q=" + url.QueryEscape("beach dress") + "&k=5", 0},
-		{fmt.Sprintf("/api/topics/%d", root), 2},
-		{fmt.Sprintf("/api/topics/%d/items", root), 2},
-		{fmt.Sprintf("/api/categories/%d/related", pairs[0].A), 2},
+		{"a repeated search", []*http.Request{httptest.NewRequest("GET", "/api/search?q="+url.QueryEscape("beach dress")+"&k=5", nil)}, 0},
+		{"a topic", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/topics/%d", root), nil)}, 0},
+		{"a topic's items", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/topics/%d/items", root), nil)}, 0},
+		{"a category's related", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/categories/%d/related", pairs[0].A), nil)}, 1},
+		{"a bypassed search", bypass, 1},
 	} {
-		req := httptest.NewRequest("GET", tc.target, nil)
 		w := &sink{h: make(http.Header)}
-		h.ServeHTTP(w, req) // warm the pools
+		h.ServeHTTP(w, tc.reqs[0]) // warm the pools
 		if w.status != 0 && w.status != http.StatusOK {
-			t.Fatalf("GET %s = %d", tc.target, w.status)
+			t.Fatalf("%s: GET %s = %d", tc.name, tc.reqs[0].RequestURI, w.status)
 		}
-		n := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) })
+		bypasses := h.searchResults[resultBypass].Value()
+		next := 1 % len(tc.reqs)
+		n := testing.AllocsPerRun(200, func() {
+			h.ServeHTTP(w, tc.reqs[next])
+			next = (next + 1) % len(tc.reqs)
+		})
 		if n > tc.max {
-			t.Errorf("GET %s allocated %.1f objects per request, want <= %.0f", tc.target, n, tc.max)
+			t.Errorf("%s allocated %.1f objects per request, want <= %.0f", tc.name, n, tc.max)
 		}
-		t.Logf("GET %s: %.0f allocs", tc.target, n)
+		if got := h.searchResults[resultBypass].Value() - bypasses; len(tc.reqs) > 1 && got != 201 {
+			t.Errorf("%s: %d of 201 requests were bypasses", tc.name, got)
+		}
+		t.Logf("%s: %.1f allocs", tc.name, n)
 	}
 	// 200 distinct searches after a warm-up one, each sent once: every
 	// one is searched and stored. (k first: none repeats the raw query

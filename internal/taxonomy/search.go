@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"encoding/gob"
@@ -75,6 +76,12 @@ var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // bit for bit, computed without spelling a token as a string. The only
 // allocation is the returned slice.
 func (s *Searcher) Search(query string, k int) []Hit {
+	return s.AppendSearch([]Hit{}, query, k)
+}
+
+// AppendSearch appends Search(query, k)'s hits to dst and returns the
+// extended slice. It allocates only when dst has too little room.
+func (s *Searcher) AppendSearch(dst []Hit, query string, k int) []Hit {
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
 	sc.buf, sc.ends = textutil.DropStopwords(textutil.AppendTokens(sc.buf[:0], sc.ends[:0], query))
@@ -89,11 +96,11 @@ func (s *Searcher) Search(query string, k int) []Hit {
 	sc.terms = terms
 	// AppendTopK counts a repeated term once, at its first occurrence.
 	sc.hits = s.idx.AppendTopK(sc.hits[:0], terms, k)
-	out := make([]Hit, len(sc.hits))
-	for i, h := range sc.hits {
-		out[i] = Hit{Topic: model.TopicID(h.Doc), Score: h.Score}
+	dst = slices.Grow(dst, len(sc.hits))
+	for _, h := range sc.hits {
+		dst = append(dst, Hit{Topic: model.TopicID(h.Doc), Score: h.Score})
 	}
-	return out
+	return dst
 }
 
 // Save writes the taxonomy in gob encoding.

@@ -3,6 +3,7 @@ package taxonomy
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,5 +125,19 @@ func TestSearchAllocs(t *testing.T) {
 	s.Search(q, 5) // warm the pools
 	if allocs := testing.AllocsPerRun(100, func() { s.Search(q, 5) }); allocs > 1 {
 		t.Fatalf("Search allocated %.1f objects per call, want <= 1 (the hits)", allocs)
+	}
+	// AppendSearch into a buffer with room keeps dst's prefix, appends
+	// Search's hits and allocates nothing.
+	want := s.Search(q, 5)
+	if len(want) == 0 {
+		t.Fatal("the fixture query has no hits")
+	}
+	buf := make([]Hit, 1, 1+len(want))
+	buf[0] = Hit{Topic: -1}
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendSearch(buf[:1], q, 5) }); allocs != 0 {
+		t.Fatalf("AppendSearch into a buffer with room allocated %.1f objects per call", allocs)
+	}
+	if buf[0] != (Hit{Topic: -1}) || !slices.Equal(buf[1:], want) {
+		t.Fatalf("AppendSearch = %v, want [{-1 0}] + %v", buf, want)
 	}
 }
