@@ -7,31 +7,38 @@ import (
 	"testing"
 )
 
-func newTestMux(m *HTTPMetrics) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /ok", m.Route("/ok", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}))
-	mux.HandleFunc("GET /bad", m.Route("/bad", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusBadRequest)
-	}))
-	mux.HandleFunc("GET /boom", m.Route("/boom", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	item := m.RouteArg("/item/{id}", func(w http.ResponseWriter, r *http.Request, id string) {
-		if id != "7" {
-			http.Error(w, "no such item", http.StatusNotFound)
+// testDispatcher is the smallest dispatcher over Begin and Finish. It
+// serves four routes, numbered as NewHTTPMetrics(reg, "/ok", "/bad",
+// "/boom", "/item/{id}") numbers them, and answers an unknown path 404
+// and a method other than GET 405 under route 0, UnmatchedRoute.
+func testDispatcher(m *HTTPMetrics) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		route, status := 0, http.StatusNotFound
+		start := m.Begin()
+		defer func() { m.Finish(recover(), w, r, route, status, start) }()
+		switch r.URL.Path {
+		case "/ok":
+			route, status = 1, http.StatusOK
+		case "/bad":
+			route, status = 2, http.StatusBadRequest
+		case "/boom":
+			route, status = 3, http.StatusInternalServerError
+		case "/item/7":
+			route, status = 4, http.StatusOK
+		case "/item/8": // the route's own 404
+			route, status = 4, http.StatusNotFound
 		}
-	})
-	mux.HandleFunc("GET /item/{id}", func(w http.ResponseWriter, r *http.Request) { item(w, r, r.PathValue("id")) })
-	return m.WrapMux(mux)
+		if route != 0 && r.Method != http.MethodGet {
+			route, status = 0, http.StatusMethodNotAllowed
+		}
+		w.WriteHeader(status)
+	}
 }
 
 func TestHTTPMetricsCounting(t *testing.T) {
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg)
-	h := newTestMux(m)
-	srv := httptest.NewServer(h)
+	m := NewHTTPMetrics(reg, "/ok", "/bad", "/boom", "/item/{id}")
+	srv := httptest.NewServer(testDispatcher(m))
 	defer srv.Close()
 
 	do := func(method, path string, want int) {
@@ -51,10 +58,10 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	}
 	do("GET", "/bad", 400)
 	do("GET", "/boom", 500)
-	do("GET", "/missing", 404) // mux-answered: unmatched
+	do("GET", "/missing", 404) // dispatcher-answered: unmatched
 	do("POST", "/ok", 405)     // wrong method: unmatched
 	do("GET", "/ok", 200)
-	do("GET", "/item/7", 200) // a handler given its path argument
+	do("GET", "/item/7", 200)
 	do("GET", "/item/8", 404) // its own 404, counted under its route
 
 	sum := m.Summary()
@@ -102,62 +109,6 @@ func TestHTTPMetricsCounting(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveredAndCounted drives a panicking route through a real
-// server: the client gets a 500, the request is counted as one 5xx and
-// one recovered panic, and the in-flight gauge comes back to 0.
-// http.ErrAbortHandler is counted too and still aborts.
-func TestPanicRecoveredAndCounted(t *testing.T) {
-	reg := NewRegistry()
-	m := NewHTTPMetrics(reg)
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /panic", m.Route("/panic", func(w http.ResponseWriter, r *http.Request) {
-		panic("handler bug")
-	}))
-	mux.HandleFunc("GET /abort", m.Route("/abort", func(w http.ResponseWriter, r *http.Request) {
-		panic(http.ErrAbortHandler)
-	}))
-	h := m.WrapMux(mux)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/panic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("GET /panic = %d, want 500", resp.StatusCode)
-	}
-	func() {
-		defer func() {
-			if p := recover(); p != http.ErrAbortHandler {
-				t.Fatalf("GET /abort: recovered %v, want http.ErrAbortHandler re-panicked", p)
-			}
-		}()
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
-	}()
-
-	sum := m.Summary()
-	if sum.InFlight != 0 {
-		t.Fatalf("in-flight = %d after the panics, want 0", sum.InFlight)
-	}
-	for _, r := range sum.Routes {
-		if r.Requests != 1 || r.ByClass["5xx"] != 1 {
-			t.Fatalf("%s summary = %+v, want one 5xx", r.Route, r)
-		}
-	}
-	if len(sum.Routes) != 2 {
-		t.Fatalf("routes = %+v, want /panic and /abort", sum.Routes)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if want := "shoal_http_panics_total 2\n"; !strings.Contains(sb.String(), want) {
-		t.Fatalf("missing %q in:\n%s", want, sb.String())
-	}
-}
-
 // nopWriter is the zero-overhead ResponseWriter for the alloc test.
 type nopWriter struct{ h http.Header }
 
@@ -165,20 +116,21 @@ func (w nopWriter) Header() http.Header         { return w.h }
 func (w nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w nopWriter) WriteHeader(int)             {}
 
-// TestMiddlewareAllocFree locks the middleware's own per-request cost
-// at zero allocations: pooled status writer, atomic updates only. The
-// inner handler here does nothing, so anything measured is ours.
+// TestMiddlewareAllocFree locks the instrumentation's own per-request
+// cost at zero allocations: a Begin and a deferred Finish, as a
+// dispatcher calls them, are atomic updates only.
 func TestMiddlewareAllocFree(t *testing.T) {
-	m := NewHTTPMetrics(NewRegistry())
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /ping", m.Route("/ping", func(w http.ResponseWriter, r *http.Request) {}))
-	h := m.WrapMux(mux)
+	m := NewHTTPMetrics(NewRegistry(), "/ping")
 	req := httptest.NewRequest("GET", "/ping", nil)
 	w := nopWriter{h: make(http.Header)}
-	h.ServeHTTP(w, req) // warm the pool
-	if n := testing.AllocsPerRun(500, func() {
-		h.ServeHTTP(w, req)
-	}); n > 0 {
+	serve := func() {
+		start := m.Begin()
+		defer func() { m.Finish(recover(), w, req, 1, http.StatusOK, start) }()
+	}
+	if n := testing.AllocsPerRun(500, serve); n > 0 {
 		t.Fatalf("instrumented request allocated %.1f times per run, want 0", n)
+	}
+	if r := m.Summary().Routes; len(r) != 1 || r[0].Route != "/ping" || r[0].ByClass["2xx"] != 501 {
+		t.Fatalf("summary = %+v, want 501 2xx on /ping", r)
 	}
 }

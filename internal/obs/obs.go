@@ -14,10 +14,13 @@
 //     slow paths and may allocate. Histograms use fixed log-spaced
 //     bounds, and their snapshots interpolate p50/p90/p99.
 //
-//   - Serving instrumentation: HTTPMetrics wraps a request mux with
-//     per-route latency histograms, status-class counters and an
-//     in-flight gauge, exposed as Prometheus text format
-//     (WritePrometheus) and as a JSON summary (Summary). RuntimeSampler feeds heap / GC-pause / goroutine
+//   - Serving instrumentation: HTTPMetrics is a fixed table of per-route
+//     latency histograms and status-class counters, numbered like the
+//     dispatcher's routes, plus an in-flight gauge. The dispatcher calls
+//     Begin and a deferred Finish with the route it picked and the
+//     status it wrote; Finish also recovers handler panics. Exposed as
+//     Prometheus text format (WritePrometheus) and as a JSON summary
+//     (Summary). RuntimeSampler feeds heap / GC-pause / goroutine
 //     gauges. PprofMux bundles the net/http/pprof handlers for a side
 //     listener.
 //

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"net/http"
 	"strconv"
 )
 
@@ -68,13 +67,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler returns an http.Handler serving the registry in Prometheus
-// text format — mount it at /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
 }

@@ -37,14 +37,15 @@ func newInstrumentedServer(t *testing.T) (*httptest.Server, *Handler) {
 func TestErrorPathsCounted(t *testing.T) {
 	srv, h := newInstrumentedServer(t)
 
-	cases := []struct {
+	type errorCase struct {
 		name   string
 		method string
 		path   string
 		status int
 		route  string // route label the response must be counted under
 		class  string
-	}{
+	}
+	cases := []errorCase{
 		{"missing q", "GET", "/api/search", 400, "/api/search", "4xx"},
 		{"k zero", "GET", "/api/search?q=x&k=0", 400, "/api/search", "4xx"},
 		{"k too large", "GET", "/api/search?q=x&k=101", 400, "/api/search", "4xx"},
@@ -59,6 +60,22 @@ func TestErrorPathsCounted(t *testing.T) {
 		{"unknown path", "GET", "/api/nope", 404, "unmatched", "4xx"},
 		{"head", "HEAD", "/api/topics/0", 200, "/api/topics/{id}", "2xx"},
 		{"unclean path", "GET", "/api//search?q=x", 301, "unmatched", "3xx"},
+	}
+	// Topic ids are parsed exactly: an id outside int32 does not wrap
+	// onto a topic, and one outside int64 is not an integer. Both
+	// architectures CI tests on answer alike.
+	for _, suffix := range []string{"", "/items"} {
+		route := "/api/topics/{id}" + suffix
+		for _, id := range []struct {
+			id     string
+			status int
+			class  string
+		}{
+			{"2147483648", 404, "4xx"}, {"4294967296", 404, "4xx"}, {"-4294967296", 404, "4xx"},
+			{"99999999999999999999", 400, "4xx"}, {"+1", 200, "2xx"}, {"01", 200, "2xx"},
+		} {
+			cases = append(cases, errorCase{"topic " + id.id + suffix, "GET", "/api/topics/" + id.id + suffix, id.status, route, id.class})
+		}
 	}
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
 
@@ -87,7 +104,7 @@ func TestErrorPathsCounted(t *testing.T) {
 
 // classCount reads one route's status-class counter from the summary.
 func classCount(h *Handler, route, class string) uint64 {
-	for _, r := range h.metrics.Summary().Routes {
+	for _, r := range h.routes.metrics.Summary().Routes {
 		if r.Route == route {
 			return r.ByClass[class]
 		}
@@ -128,6 +145,176 @@ func TestMetricsEndpoint(t *testing.T) {
 			if !strings.Contains(text, want+"\n") {
 				t.Fatalf("missing %q in metrics output:\n%s", want, text)
 			}
+		}
+	}
+}
+
+// TestPanicRecoveredAndCounted drives two panicking routes of the real
+// route table: one through a server, whose client gets a 500, and one
+// that panics with http.ErrAbortHandler, which the table must raise
+// again for net/http to abort the connection. Each counts one 5xx under
+// its own route, shoal_http_panics_total counts both, and the in-flight
+// gauge comes back to 0.
+func TestPanicRecoveredAndCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	rt := &router{metrics: obs.NewHTTPMetrics(reg, routeLabels[1:]...)}
+	rt.handlers[routeSearch] = func(http.ResponseWriter, *http.Request, string) int { panic("handler bug") }
+	rt.handlers[routeStats] = func(http.ResponseWriter, *http.Request, string) int { panic(http.ErrAbortHandler) }
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/api/search?q=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET /api/search = %d, want 500", resp.StatusCode)
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Fatalf("GET /api/stats: recovered %v, want http.ErrAbortHandler raised again", p)
+			}
+		}()
+		rt.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/api/stats", nil))
+	}()
+
+	sum := rt.metrics.Summary()
+	if sum.InFlight != 0 {
+		t.Fatalf("in-flight = %d after the panics, want 0", sum.InFlight)
+	}
+	if len(sum.Routes) != 2 || sum.Routes[0].Route != "/api/search" || sum.Routes[1].Route != "/api/stats" {
+		t.Fatalf("routes = %+v, want /api/search and /api/stats", sum.Routes)
+	}
+	for _, r := range sum.Routes {
+		if r.Requests != 1 || r.ByClass["5xx"] != 1 || len(r.ByClass) != 1 {
+			t.Fatalf("%s summary = %+v, want one 5xx", r.Route, r)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "shoal_http_panics_total 2\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("missing %q in:\n%s", want, sb.String())
+	}
+}
+
+// metricsSeries is /metrics after TestMetricsSeriesUnchanged's requests,
+// without the _bucket and _sum lines: every family, label and series in
+// the order the obs middleware this table replaced exposed them, with
+// its counts.
+const metricsSeries = `# HELP shoal_window_dropped_stale_events stale click events (already-evicted days) dropped at window ingestion, as of the published build
+# TYPE shoal_window_dropped_stale_events gauge
+shoal_window_dropped_stale_events 0
+# HELP shoal_build_generation snapshot swap count of the published build
+# TYPE shoal_build_generation gauge
+shoal_build_generation 0
+# HELP shoal_search_cache_total searches by how the snapshot's result table answered them
+# TYPE shoal_search_cache_total counter
+shoal_search_cache_total{result="hit"} 0
+shoal_search_cache_total{result="miss"} 1
+shoal_search_cache_total{result="bypass"} 0
+# HELP shoal_http_in_flight requests currently being served
+# TYPE shoal_http_in_flight gauge
+shoal_http_in_flight 1
+# HELP shoal_http_panics_total handler panics recovered by the middleware
+# TYPE shoal_http_panics_total counter
+shoal_http_panics_total 0
+# HELP shoal_http_request_duration_seconds request latency by route
+# TYPE shoal_http_request_duration_seconds histogram
+shoal_http_request_duration_seconds_count{route="unmatched"} 3
+shoal_http_request_duration_seconds_count{route="/api/search"} 1
+shoal_http_request_duration_seconds_count{route="/api/topics/{id}"} 1
+shoal_http_request_duration_seconds_count{route="/api/topics/{id}/items"} 1
+shoal_http_request_duration_seconds_count{route="/api/categories/{id}/related"} 1
+shoal_http_request_duration_seconds_count{route="/api/stats"} 1
+shoal_http_request_duration_seconds_count{route="/api/trace"} 1
+shoal_http_request_duration_seconds_count{route="/metrics"} 1
+# HELP shoal_http_requests_total requests served by route
+# TYPE shoal_http_requests_total counter
+shoal_http_requests_total{route="unmatched"} 3
+shoal_http_requests_total{route="/api/search"} 1
+shoal_http_requests_total{route="/api/topics/{id}"} 1
+shoal_http_requests_total{route="/api/topics/{id}/items"} 1
+shoal_http_requests_total{route="/api/categories/{id}/related"} 1
+shoal_http_requests_total{route="/api/stats"} 1
+shoal_http_requests_total{route="/api/trace"} 1
+shoal_http_requests_total{route="/metrics"} 1
+# HELP shoal_http_responses_total responses by route and status class
+# TYPE shoal_http_responses_total counter
+shoal_http_responses_total{route="unmatched",class="2xx"} 0
+shoal_http_responses_total{route="unmatched",class="3xx"} 1
+shoal_http_responses_total{route="unmatched",class="4xx"} 2
+shoal_http_responses_total{route="unmatched",class="5xx"} 0
+shoal_http_responses_total{route="/api/search",class="2xx"} 1
+shoal_http_responses_total{route="/api/search",class="3xx"} 0
+shoal_http_responses_total{route="/api/search",class="4xx"} 0
+shoal_http_responses_total{route="/api/search",class="5xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}",class="2xx"} 1
+shoal_http_responses_total{route="/api/topics/{id}",class="3xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}",class="4xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}",class="5xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}/items",class="2xx"} 1
+shoal_http_responses_total{route="/api/topics/{id}/items",class="3xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}/items",class="4xx"} 0
+shoal_http_responses_total{route="/api/topics/{id}/items",class="5xx"} 0
+shoal_http_responses_total{route="/api/categories/{id}/related",class="2xx"} 1
+shoal_http_responses_total{route="/api/categories/{id}/related",class="3xx"} 0
+shoal_http_responses_total{route="/api/categories/{id}/related",class="4xx"} 0
+shoal_http_responses_total{route="/api/categories/{id}/related",class="5xx"} 0
+shoal_http_responses_total{route="/api/stats",class="2xx"} 1
+shoal_http_responses_total{route="/api/stats",class="3xx"} 0
+shoal_http_responses_total{route="/api/stats",class="4xx"} 0
+shoal_http_responses_total{route="/api/stats",class="5xx"} 0
+shoal_http_responses_total{route="/api/trace",class="2xx"} 1
+shoal_http_responses_total{route="/api/trace",class="3xx"} 0
+shoal_http_responses_total{route="/api/trace",class="4xx"} 0
+shoal_http_responses_total{route="/api/trace",class="5xx"} 0
+shoal_http_responses_total{route="/metrics",class="2xx"} 1
+shoal_http_responses_total{route="/metrics",class="3xx"} 0
+shoal_http_responses_total{route="/metrics",class="4xx"} 0
+shoal_http_responses_total{route="/metrics",class="5xx"} 0`
+
+// TestMetricsSeriesUnchanged drives every route, a 404, a 405 and a 301,
+// then scrapes once, and holds the Content-Type and every line but the
+// _bucket and _sum lines, whose values are latencies, to metricsSeries.
+func TestMetricsSeriesUnchanged(t *testing.T) {
+	b := getBuild(t)
+	h, err := NewHandler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rq := range []struct{ method, target string }{
+		{"GET", "/api/search?q=beach+dress"},
+		{"GET", "/api/topics/0"},
+		{"GET", "/api/topics/0/items"},
+		{"GET", fmt.Sprintf("/api/categories/%d/related", b.Correlations.Pairs()[0].A)},
+		{"GET", "/api/stats"},
+		{"GET", "/api/trace"},
+		{"GET", "/metrics"},
+		{"GET", "/api/nope"},
+		{"POST", "/api/stats"},
+		{"GET", "/api//stats"},
+	} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(rq.method, rq.target, nil))
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if ct, want := w.Header().Get("Content-Type"), "text/plain; version=0.0.4; charset=utf-8"; ct != want {
+		t.Fatalf("Content-Type = %q, want %q", ct, want)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n") {
+		if !strings.Contains(line, "_bucket{") && !strings.Contains(line, "_sum{") {
+			got = append(got, line)
+		}
+	}
+	want := strings.Split(metricsSeries, "\n")
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			t.Fatalf("line %d differs (%d lines, want %d):\n%s", i, len(got), len(want), strings.Join(got, "\n"))
 		}
 	}
 }
@@ -288,7 +475,7 @@ func TestMetricsUnderSwap(t *testing.T) {
 	if generation != h.Swaps() {
 		t.Fatalf("generation gauge = %d, want final swap count %d", generation, h.Swaps())
 	}
-	sum := h.metrics.Summary()
+	sum := h.routes.metrics.Summary()
 	if sum.InFlight != 0 {
 		t.Fatalf("in-flight = %d at rest, want 0", sum.InFlight)
 	}

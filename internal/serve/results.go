@@ -223,11 +223,11 @@ func (s *snapshot) searchHits(dst []taxonomy.Hit, raw string) ([]taxonomy.Hit, s
 	return s.build.Searcher.AppendSearch(dst, q, k), ""
 }
 
-// sendHits writes hits as the search response: each hit's summary head
-// and its score.
-func (s *snapshot) sendHits(w http.ResponseWriter, hits []hitRecord) {
+// sendHits writes hits as the search response, each hit's summary head
+// and its score, and returns the status.
+func (s *snapshot) sendHits(w http.ResponseWriter, hits []hitRecord) int {
 	bp := body()
-	send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
+	return send(w, bp, appendArray((*bp)[:0], len(hits), false, func(dst []byte, i int) []byte {
 		dst = append(dst, s.head(hits[i].topic)...)
 		if hits[i].digits != 0 { // omitempty: the score is ±0
 			dst = hits[i].appendScore(append(dst, `,"score":`...))

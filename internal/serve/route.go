@@ -5,6 +5,8 @@ import (
 	"net/url"
 	"path"
 	"strings"
+
+	"shoal/internal/obs"
 )
 
 // The handler routes its seven patterns with a fixed table instead of an
@@ -27,36 +29,68 @@ import (
 // A request whose path is escaped the default way (no RawPath), the
 // common case, is matched on r.URL.Path as it is: its segments are
 // already unescaped, and EscapedPath is not called.
+//
+// The table is also the request's only observer: it knows the route
+// before it runs a handler, so it times and counts each request under
+// that route by number, with the status the handler returns or the one
+// the table wrote itself.
 
-// idHandler serves a route with an {id} segment; id is the segment
-// unescaped.
-type idHandler func(w http.ResponseWriter, r *http.Request, id string)
-
-// router is the route table: one handler per route.
-type router struct {
-	search, stats, trace, metrics http.HandlerFunc
-	topic, topicItems, related    idHandler
-}
-
-// The routes a path can name.
+// The routes, numbered as obs.NewHTTPMetrics numbers their instrument
+// sets: route 0, unmatched, is every response the table answers itself.
 const (
-	noRoute = iota
+	unmatched = iota
 	routeSearch
-	routeStats
-	routeTrace
-	routeMetrics
 	routeTopic
 	routeTopicItems
 	routeRelated
+	routeStats
+	routeTrace
+	routeMetrics
+	numRoutes
 )
 
+// routeLabels are the routes' route="…" labels in /metrics.
+var routeLabels = [numRoutes]string{
+	obs.UnmatchedRoute, "/api/search", "/api/topics/{id}", "/api/topics/{id}/items",
+	"/api/categories/{id}/related", "/api/stats", "/api/trace", "/metrics",
+}
+
+// routeHandler answers one route's request and returns the status it
+// wrote. id is the request's {id} segment, unescaped ("" on a route
+// without one). It writes its response in one call, at its end, so a
+// handler that panics has written nothing and the table can answer 500.
+type routeHandler func(w http.ResponseWriter, r *http.Request, id string) int
+
+// router is the route table: one handler per route, and the instrument
+// sets it times and counts each request with (nil: uninstrumented).
+type router struct {
+	handlers [numRoutes]routeHandler
+	metrics  *obs.HTTPMetrics
+}
+
+// ServeHTTP answers r and observes it under the route it names: the
+// route is known before its handler runs, so a panic counts under it.
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	route, status := unmatched, 0
+	if rt.metrics == nil {
+		rt.serve(w, r, &route)
+		return
+	}
+	start := rt.metrics.Begin()
+	defer func() { rt.metrics.Finish(recover(), w, r, route, status, start) }()
+	status = rt.serve(w, r, &route)
+}
+
+// serve answers r and returns the status it wrote. It sets *route to the
+// route r names before it runs the route's handler, and leaves it
+// unmatched when the table answers itself.
+func (rt *router) serve(w http.ResponseWriter, r *http.Request, route *int) int {
 	if r.RequestURI == "*" {
 		if r.ProtoAtLeast(1, 1) {
 			w.Header().Set("Connection", "close")
 		}
 		w.WriteHeader(http.StatusBadRequest)
-		return
+		return http.StatusBadRequest
 	}
 	// Without a RawPath, the escaped path is the default escaping of
 	// Path, which escapes neither '/' nor '.': it is clean if Path is,
@@ -68,34 +102,20 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodConnect && !isClean(p) {
 		u := &url.URL{Path: cleanPath(r.URL.EscapedPath()), RawQuery: r.URL.RawQuery}
 		http.Redirect(w, r, u.String(), http.StatusMovedPermanently)
-		return
+		return http.StatusMovedPermanently
 	}
-	route, id := match(p, escaped)
+	matched, id := match(p, escaped)
 	switch {
-	case route == noRoute:
+	case matched == unmatched:
 		http.NotFound(w, r)
-		return
+		return http.StatusNotFound
 	case r.Method != http.MethodGet && r.Method != http.MethodHead:
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-		return
+		return http.StatusMethodNotAllowed
 	}
-	switch route {
-	case routeSearch:
-		rt.search(w, r)
-	case routeStats:
-		rt.stats(w, r)
-	case routeTrace:
-		rt.trace(w, r)
-	case routeMetrics:
-		rt.metrics(w, r)
-	case routeTopic:
-		rt.topic(w, r, id)
-	case routeTopicItems:
-		rt.topicItems(w, r, id)
-	case routeRelated:
-		rt.related(w, r, id)
-	}
+	*route = matched
+	return rt.handlers[matched](w, r, id)
 }
 
 // match returns the route path names and, for an {id} route, its id.
@@ -121,17 +141,17 @@ func match(p string, unescape bool) (route int, id string) {
 		case "topics":
 			return idRoute(rest, unescape, routeTopic, "items", routeTopicItems)
 		case "categories":
-			return idRoute(rest, unescape, noRoute, "related", routeRelated)
+			return idRoute(rest, unescape, unmatched, "related", routeRelated)
 		}
 	}
-	return noRoute, ""
+	return unmatched, ""
 }
 
 // last returns route when its segment was the path's last one, when
 // nothing is left of the path.
 func last(rest string, route int) int {
 	if rest != "" {
-		return noRoute
+		return unmatched
 	}
 	return route
 }
@@ -141,7 +161,7 @@ func last(rest string, route int) int {
 func idRoute(p string, unescape bool, alone int, leaf string, leafRoute int) (int, string) {
 	id, rest, ok := nextSegment(p, unescape)
 	if !ok || id == "/" { // a wildcard never matches a trailing slash
-		return noRoute, ""
+		return unmatched, ""
 	}
 	if rest == "" {
 		return alone, id
@@ -149,7 +169,7 @@ func idRoute(p string, unescape bool, alone int, leaf string, leafRoute int) (in
 	if seg, rest, _ := nextSegment(rest, unescape); seg == leaf {
 		return last(rest, leafRoute), id
 	}
-	return noRoute, ""
+	return unmatched, ""
 }
 
 // nextSegment splits off p's first segment as ServeMux does: the bytes

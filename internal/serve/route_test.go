@@ -15,37 +15,24 @@ import (
 // and three it refuses.
 var routeMethods = [...]string{"GET", "HEAD", "POST", "PUT", "OPTIONS"}
 
-// routeOracle returns the route table with handlers that write which
-// route ran and the id it received, and an http.ServeMux with the same
-// seven patterns around the same handlers, the id read by PathValue.
+// routeOracle returns the route table, uninstrumented, with handlers
+// that write which route ran and the id it received, and an
+// http.ServeMux with the same seven patterns around the same handlers,
+// the id read by PathValue.
 func routeOracle() (*router, *http.ServeMux) {
-	named := func(name string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/x-route")
-			fmt.Fprintf(w, "%s %s", name, r.URL.RawQuery)
-		}
-	}
-	withID := func(name string) idHandler {
-		return func(w http.ResponseWriter, r *http.Request, id string) {
-			w.Header().Set("Content-Type", "text/x-route")
-			fmt.Fprintf(w, "%s id=%q %s", name, id, r.URL.RawQuery)
-		}
-	}
-	rt := &router{
-		search: named("search"), stats: named("stats"), trace: named("trace"), metrics: named("metrics"),
-		topic: withID("topic"), topicItems: withID("topicItems"), related: withID("related"),
-	}
+	rt := &router{}
 	mux := http.NewServeMux()
-	for pattern, h := range map[string]http.HandlerFunc{
-		"GET /api/search": rt.search, "GET /api/stats": rt.stats, "GET /api/trace": rt.trace, "GET /metrics": rt.metrics,
-	} {
-		mux.HandleFunc(pattern, h)
-	}
-	for pattern, h := range map[string]idHandler{
-		"GET /api/topics/{id}": rt.topic, "GET /api/topics/{id}/items": rt.topicItems,
-		"GET /api/categories/{id}/related": rt.related,
-	} {
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { h(w, r, r.PathValue("id")) })
+	for route, pattern := range routeLabels {
+		if route == unmatched {
+			continue
+		}
+		rt.handlers[route] = func(w http.ResponseWriter, r *http.Request, id string) int {
+			w.Header().Set("Content-Type", "text/x-route")
+			fmt.Fprintf(w, "%s id=%q %s", pattern, id, r.URL.RawQuery)
+			return http.StatusOK
+		}
+		h := rt.handlers[route]
+		mux.HandleFunc("GET "+pattern, func(w http.ResponseWriter, r *http.Request) { h(w, r, r.PathValue("id")) })
 	}
 	return rt, mux
 }
@@ -64,7 +51,9 @@ func readRequest(method, target string) *http.Request {
 // to a ServeMux registered with its seven patterns, and holds the two
 // answers equal: status, every header (Allow, Location and Content-Type
 // among them) and body, which names the handler that ran and the id it
-// received.
+// received. It also holds the status the table returns, the one it
+// counts, to the status it wrote, and the route it counts under to the
+// handler that ran: unmatched when the table answered itself.
 func FuzzRoute(f *testing.F) {
 	for _, target := range []string{
 		"/api/search?q=beach+dress&k=5", "/api/stats", "/api/trace", "/metrics",
@@ -89,8 +78,15 @@ func FuzzRoute(f *testing.F) {
 			return
 		}
 		got, want := httptest.NewRecorder(), httptest.NewRecorder()
-		rt.ServeHTTP(got, r1)
+		route := unmatched
+		status := rt.serve(got, r1, &route)
 		mux.ServeHTTP(want, r2)
+		if status != got.Code {
+			t.Fatalf("%s %q: route table wrote %d and counts %d", method, target, got.Code, status)
+		}
+		if ran := strings.HasPrefix(got.Body.String(), routeLabels[route]+" id="); ran != (route != unmatched) {
+			t.Fatalf("%s %q: counted under %q, body %q", method, target, routeLabels[route], got.Body.Bytes())
+		}
 		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 			t.Fatalf("%s %q:\nroute table %d %v %q\n   ServeMux %d %v %q", method, target,
 				got.Code, got.Header(), got.Body.Bytes(), want.Code, want.Header(), want.Body.Bytes())

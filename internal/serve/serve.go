@@ -42,10 +42,15 @@
 // counts searches by outcome in shoal_search_cache_total, and /api/stats
 // reports the same counts and the table's slot count.
 //
-// Every request passes through the obs middleware: per-route latency
-// histograms, status-class counters and an in-flight gauge, all
-// allocation-free per request. The swap generation is a gauge set when a
-// build is published.
+// The route table also observes every request, by the route it picked:
+// it calls obs.HTTPMetrics' Begin at entry and a deferred Finish with the
+// status the route's handler returned (or the status of its own 301,
+// 400, 404 or 405), so per-route latency histograms, status-class
+// counters and an in-flight gauge cost no wrapped writer and no
+// allocation. A handler writes its response in one call at its end, so
+// when one panics nothing is written yet, and Finish answers 500 and
+// counts the panic. The swap generation is a gauge set when a build is
+// published.
 package serve
 
 import (
@@ -72,14 +77,11 @@ type Handler struct {
 	// swapMu serializes Swap so concurrent publishers cannot lose a swap
 	// count; request handlers never take it.
 	swapMu sync.Mutex
-	// routes is the route table (route.go); wrapped is the instrumented
-	// table ServeHTTP dispatches to; reg and metrics are the
-	// observability surface behind /metrics and the "http" section of
+	// routes is the instrumented route table (route.go); reg is the
+	// registry behind /metrics, and routes.metrics the "http" section of
 	// /api/stats.
-	routes  router
-	wrapped http.Handler
-	reg     *obs.Registry
-	metrics *obs.HTTPMetrics
+	routes router
+	reg    *obs.Registry
 	// headBuf is the scratch each snapshot's heads are rendered into
 	// before they are copied out at their exact size; only the publisher
 	// holding swapMu (or NewHandler, before the handler is shared)
@@ -134,18 +136,13 @@ func NewHandler(b *core.Build) (*Handler, error) {
 	h.generation = h.reg.Gauge("shoal_build_generation", "", "snapshot swap count of the published build")
 	h.searchResults = newResultCounters(h.reg)
 	h.cur.Store(h.newSnapshot(b, 0))
-	m := obs.NewHTTPMetrics(h.reg)
-	h.metrics = m
 	h.routes = router{
-		search:     m.Route("/api/search", h.search),
-		topic:      m.RouteArg("/api/topics/{id}", h.topic),
-		topicItems: m.RouteArg("/api/topics/{id}/items", h.topicItems),
-		related:    m.RouteArg("/api/categories/{id}/related", h.related),
-		stats:      m.Route("/api/stats", h.stats),
-		trace:      m.Route("/api/trace", h.trace),
-		metrics:    m.Route("/metrics", h.reg.Handler().ServeHTTP),
+		handlers: [numRoutes]routeHandler{
+			routeSearch: h.search, routeTopic: h.topic, routeTopicItems: h.topicItems,
+			routeRelated: h.related, routeStats: h.stats, routeTrace: h.trace, routeMetrics: h.metrics,
+		},
+		metrics: obs.NewHTTPMetrics(h.reg, routeLabels[1:]...),
 	}
-	h.wrapped = m.WrapMux(&h.routes)
 	return h, nil
 }
 
@@ -215,15 +212,19 @@ func (h *Handler) Swaps() int64 { return h.cur.Load().swaps }
 // same /metrics surface.
 func (h *Handler) Registry() *obs.Registry { return h.reg }
 
-// ServeHTTP implements http.Handler; every request passes through the
-// obs middleware.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.wrapped.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler: the route table answers and
+// observes every request.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.routes.ServeHTTP(w, r) }
 
-// Bare returns the uninstrumented route table — identical routing with
-// the middleware layer skipped. It exists for the obs-overhead benchmark
-// (instrumented vs. bare request cost); production callers want
-// ServeHTTP.
-func (h *Handler) Bare() http.Handler { return &h.routes }
+// Bare returns the same route table with its instruments off: identical
+// routing and handlers, nothing timed or counted. It exists for the
+// obs-overhead benchmark (instrumented vs. bare request cost);
+// production callers want ServeHTTP.
+func (h *Handler) Bare() http.Handler {
+	bare := h.routes
+	bare.metrics = nil
+	return &bare
+}
 
 // TopicSummary is the wire form of a topic reference.
 type TopicSummary struct {
@@ -312,14 +313,13 @@ type Stats struct {
 
 // search answers from the snapshot's result table when it holds the
 // raw query string, and otherwise searches and stores the answer.
-func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) search(w http.ResponseWriter, r *http.Request, _ string) int {
 	snap := h.cur.Load()
 	raw := r.URL.RawQuery
 	slot, hash, e := snap.lookup(raw)
 	if e != nil {
 		h.searchResults[resultHit].Inc()
-		snap.sendHits(w, e.hits)
-		return
+		return snap.sendHits(w, e.hits)
 	}
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
@@ -327,8 +327,7 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	sc.hits = hits
 	if refused != "" {
 		h.searchResults[resultBypass].Inc()
-		httpError(w, http.StatusBadRequest, refused)
-		return
+		return httpError(w, http.StatusBadRequest, refused)
 	}
 	var recs []hitRecord
 	if storable(r, len(hits)) {
@@ -340,15 +339,15 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		sc.recs = recs
 		h.searchResults[resultBypass].Inc()
 	}
-	snap.sendHits(w, recs)
+	return snap.sendHits(w, recs)
 }
 
-func (h *Handler) topic(w http.ResponseWriter, r *http.Request, id string) {
+func (h *Handler) topic(w http.ResponseWriter, r *http.Request, id string) int {
 	snap := h.cur.Load()
 	b := snap.build
-	t, ok := topicOf(w, id, b)
-	if !ok {
-		return
+	t, status := topicOf(w, id, b)
+	if t == nil {
+		return status
 	}
 	// As encoding/json writes TopicDetail: queries is null only for nil
 	// DescQueries, subTopics and categoryRefs whenever they are empty.
@@ -364,14 +363,14 @@ func (h *Handler) topic(w http.ResponseWriter, r *http.Request, id string) {
 		cat := t.Categories[i]
 		return append(openRef(dst, int64(cat), "name", b.Corpus.Categories[cat].Name), '}')
 	})
-	send(w, bp, append(out, '}'))
+	return send(w, bp, append(out, '}'))
 }
 
-func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) {
+func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) int {
 	b := h.cur.Load().build
-	t, ok := topicOf(w, id, b)
-	if !ok {
-		return
+	t, status := topicOf(w, id, b)
+	if t == nil {
+		return status
 	}
 	var p [1]string
 	queryParams(r.URL.RawQuery, []string{"category"}, p[:])
@@ -379,8 +378,7 @@ func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) 
 	if cs := p[0]; cs != "" {
 		v, err := strconv.Atoi(cs)
 		if err != nil || v < 0 || v >= len(b.Corpus.Categories) {
-			httpError(w, http.StatusBadRequest, "unknown category")
-			return
+			return httpError(w, http.StatusBadRequest, "unknown category")
 		}
 		cat = v
 	}
@@ -399,22 +397,21 @@ func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) 
 		out = append(strconv.AppendInt(out, int64(item.Category), 10), '}')
 		n++
 	}
-	send(w, bp, append(out, ']'))
+	return send(w, bp, append(out, ']'))
 }
 
-func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) {
+func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) int {
 	b := h.cur.Load().build
 	id, err := strconv.Atoi(ids)
 	if err != nil || id < 0 || id >= len(b.Corpus.Categories) {
-		httpError(w, http.StatusNotFound, "unknown category")
-		return
+		return httpError(w, http.StatusNotFound, "unknown category")
 	}
 	var rel []catcorr.Correlation
 	if b.Correlations != nil {
 		rel = b.Correlations.Related(model.CategoryID(id))
 	}
 	bp := body()
-	send(w, bp, appendArray((*bp)[:0], len(rel), false, func(dst []byte, i int) []byte {
+	return send(w, bp, appendArray((*bp)[:0], len(rel), false, func(dst []byte, i int) []byte {
 		other := rel[i].A
 		if other == model.CategoryID(id) {
 			other = rel[i].B
@@ -424,7 +421,7 @@ func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) {
 	}))
 }
 
-func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) stats(w http.ResponseWriter, r *http.Request, _ string) int {
 	snap := h.cur.Load()
 	b := snap.build
 	out := Stats{
@@ -435,7 +432,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 		Topics:     len(b.Taxonomy.Topics),
 		RootTopics: len(b.Taxonomy.Roots()),
 		Swaps:      snap.swaps,
-		HTTP:       h.metrics.Summary(),
+		HTTP:       h.routes.metrics.Summary(),
 		SearchCache: SearchCacheStat{
 			Slots:    len(snap.results),
 			Hits:     h.searchResults[resultHit].Value(),
@@ -465,48 +462,59 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 			ElapsedMs: float64(st.Elapsed) / float64(time.Millisecond),
 		})
 	}
-	writeJSON(w, out)
+	// json.Encoder renders the whole value before its one Write. An
+	// encoding error leaves nothing to do: the header is sent.
+	w.Header()["Content-Type"] = jsonContentType
+	_ = json.NewEncoder(w).Encode(out)
+	return http.StatusOK
 }
 
 // trace serves the current build's execution trace as Chrome trace-event
 // JSON (load it in chrome://tracing or Perfetto). Swaps change which
 // build's trace is served, like every other endpoint.
-func (h *Handler) trace(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) trace(w http.ResponseWriter, r *http.Request, _ string) int {
 	b := h.cur.Load().build
 	if b.Trace == nil {
-		httpError(w, http.StatusNotFound, "build has no trace")
-		return
+		return httpError(w, http.StatusNotFound, "build has no trace")
+	}
+	var buf bytes.Buffer
+	if err := b.Trace.WriteChrome(&buf); err != nil {
+		return httpError(w, http.StatusInternalServerError, err.Error())
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = b.Trace.WriteChrome(w)
+	_, _ = w.Write(buf.Bytes())
+	return http.StatusOK
 }
 
-// topicOf returns the topic a route's {id} names, or answers the
-// request with the error.
-func topicOf(w http.ResponseWriter, ids string, b *core.Build) (*taxonomy.Topic, bool) {
-	id, err := strconv.Atoi(ids)
+// metrics serves the registry in the Prometheus text format.
+func (h *Handler) metrics(w http.ResponseWriter, r *http.Request, _ string) int {
+	var buf bytes.Buffer
+	_ = h.reg.WritePrometheus(&buf)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(buf.Bytes())
+	return http.StatusOK
+}
+
+// topicOf returns the topic a route's {id} names, or answers the request
+// with the error and returns its status. The id is parsed as an int64
+// and range-checked before it becomes a TopicID, so no id wraps onto a
+// topic, on any architecture.
+func topicOf(w http.ResponseWriter, ids string, b *core.Build) (*taxonomy.Topic, int) {
+	id, err := strconv.ParseInt(ids, 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "topic id must be an integer")
-		return nil, false
+		return nil, httpError(w, http.StatusBadRequest, "topic id must be an integer")
 	}
-	t, err := b.Taxonomy.Topic(model.TopicID(id))
-	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
-		return nil, false
+	if n := len(b.Taxonomy.Topics); id < 0 || id >= int64(n) {
+		return nil, httpError(w, http.StatusNotFound, fmt.Sprintf("taxonomy: topic %d out of range [0,%d)", id, n))
 	}
-	return t, true
+	return &b.Taxonomy.Topics[id], 0
 }
 
-// writeJSON encodes v compactly with encoding/json — the routes off the
-// request hot path (/api/stats).
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header()["Content-Type"] = jsonContentType
-	// An encoding error leaves nothing to do: the header is sent.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
+// httpError answers the request with code and an {"error": msg} body,
+// and returns code.
+func httpError(w http.ResponseWriter, code int, msg string) int {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return code
 }

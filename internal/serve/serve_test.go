@@ -120,10 +120,23 @@ func TestTopicEndpoint(t *testing.T) {
 	}
 }
 
+// TestTopicNotFound also checks that an id beyond int32 gets the body
+// of any other unknown topic: its own id, not one it wrapped onto.
 func TestTopicNotFound(t *testing.T) {
 	srv := newServer(t)
-	if code := getJSON(t, srv.URL+"/api/topics/9999", nil); code != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", code)
+	n := len(getBuild(t).Taxonomy.Topics)
+	for _, id := range []string{"9999", "4294967296", "-4294967296"} {
+		var body map[string]string
+		resp, err := http.Get(srv.URL + "/api/topics/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		want := fmt.Sprintf("taxonomy: topic %s out of range [0,%d)", id, n)
+		if err != nil || resp.StatusCode != http.StatusNotFound || body["error"] != want {
+			t.Fatalf("topic %s: %d %v %v, want 404 %q", id, resp.StatusCode, body, err, want)
+		}
 	}
 	if code := getJSON(t, srv.URL+"/api/topics/abc", nil); code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", code)

@@ -32,8 +32,8 @@ var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b
 func body() *[]byte { return bodyPool.Get().(*[]byte) }
 
 // send writes b plus the newline json.Encoder ends a value with as the
-// 200 response, and returns b's storage to bp's pool.
-func send(w http.ResponseWriter, bp *[]byte, b []byte) {
+// 200 response, returns b's storage to bp's pool and returns the status.
+func send(w http.ResponseWriter, bp *[]byte, b []byte) int {
 	b = append(b, '\n')
 	w.Header()["Content-Type"] = jsonContentType
 	_, _ = w.Write(b)
@@ -41,6 +41,7 @@ func send(w http.ResponseWriter, bp *[]byte, b []byte) {
 		*bp = b[:0]
 		bodyPool.Put(bp)
 	}
+	return http.StatusOK
 }
 
 // openSummary appends t's summary head: t as a TopicSummary without its
