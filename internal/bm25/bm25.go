@@ -8,8 +8,10 @@
 // posts[terms[t].off:][:terms[t].df], ascending by document. Build interns
 // string documents into a vocabulary of its own; BuildIDs takes
 // documents already spelled in a caller's vocabulary (the corpus text
-// plane) and shares that vocabulary for query-time lookups. Both feed
-// one count-then-fill builder: no per-document map, no per-term slice
+// plane) and shares that vocabulary for query-time lookups, and BuildFrom
+// streams documents that are never materialized: a Docs source walks each
+// one as consecutive id lists, once to count and once to fill. All three
+// feed one count-then-fill builder: no per-document map, no per-term slice
 // growth, no sorting — visiting documents in ascending order already
 // yields each term's postings in ascending document order, which is the
 // only order scoring depends on. The builder splits the documents into
@@ -28,6 +30,7 @@ import (
 	"sync"
 
 	"shoal/internal/par"
+	"shoal/internal/reuse"
 	"shoal/internal/textutil"
 )
 
@@ -66,9 +69,16 @@ type Index struct {
 	docLen []int32
 	avgLen float64
 	n      int
+	tokens int
 	// scratchPool recycles the dense per-query scoring state used by
-	// TopK, so the serving hot path allocates only the result slice.
-	scratchPool sync.Pool
+	// TopK, so the serving hot path allocates only the result slice. It
+	// is an object of its own: the runtime keeps every pool it has seen
+	// a Put on for up to two GC cycles, and a pool embedded here would
+	// keep the whole index — postings included — alive with it. Every
+	// window slide drops the searcher's index it replaces, and the fewer
+	// the GC cycles a slide's allocation starts, the more of them a cycle
+	// would find pinned.
+	scratchPool *sync.Pool
 }
 
 // scratch is the pooled dense scoring state: a score per document, a
@@ -95,18 +105,65 @@ func Build(docs [][]string) (*Index, error) {
 // it while the index is in use. Scores equal those of Build over the
 // same documents spelled as strings, bit for bit.
 func BuildIDs(docs [][]uint32, vocab *textutil.Vocab) (*Index, error) {
-	if len(docs) == 0 {
+	return BuildFrom(IDs(docs), vocab)
+}
+
+// Docs is a document collection as a stream: each document is walked as
+// consecutive lists of term ids, and never has to exist as one array.
+type Docs interface {
+	// Len is the number of documents.
+	Len() int
+	// Cost weighs document d for splitting the collection into ranges of
+	// about equal work; it does not change the index.
+	Cost(d int) int
+	// Walk feeds document d's term ids to part as id lists, in document
+	// order. Every walk of a document feeds the same ids.
+	Walk(d int, part func(ids []uint32))
+}
+
+// IDs is a materialized collection as a Docs source: document d is
+// docs[d], walked as one list.
+type IDs [][]uint32
+
+func (docs IDs) Len() int                            { return len(docs) }
+func (docs IDs) Cost(d int) int                      { return len(docs[d]) + 1 }
+func (docs IDs) Walk(d int, part func(ids []uint32)) { part(docs[d]) }
+
+// BuildFrom is BuildIDs over a streamed collection: the builder walks
+// every document twice, once to count and once to fill the postings, and
+// the index is the one BuildIDs gives over the same documents
+// materialized, bit for bit.
+func BuildFrom(docs Docs, vocab *textutil.Vocab) (*Index, error) {
+	return Rebuild(nil, docs, vocab)
+}
+
+// Rebuild is BuildFrom in the arrays of old, an index its caller is done
+// with: the term records, postings and document lengths are re-sliced
+// where they fit, and the pooled scoring scratch is kept when the
+// document count is the same. old must not be used afterwards; nil
+// builds a fresh index. The index is BuildFrom's, bit for bit.
+func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
+	n := docs.Len()
+	if n == 0 {
 		return nil, errors.New("bm25: empty document collection")
+	}
+	if old == nil {
+		old = &Index{}
+	}
+	pool := old.scratchPool
+	if pool == nil || old.n != n {
+		pool = new(sync.Pool)
 	}
 	nTerms := vocab.Size()
 	idx := &Index{
-		vocab:  vocab,
-		terms:  make([]term, nTerms),
-		docLen: make([]int32, len(docs)),
-		n:      len(docs),
+		vocab:       vocab,
+		terms:       reuse.Grow(old.terms, nTerms),
+		docLen:      reuse.Grow(old.docLen, n),
+		n:           n,
+		scratchPool: pool,
 	}
 	b := build{docs: docs, nTerms: nTerms, docLen: idx.docLen}
-	bounds := par.Split(nil, len(docs), func(d int) int { return len(docs[d]) + 1 })
+	bounds := par.Split(nil, n, docs.Cost)
 	b.ranges = make([]buildRange, len(bounds)-1)
 	if err := par.Run(bounds, &b, (*build).count); err != nil {
 		return nil, err
@@ -131,84 +188,123 @@ func BuildIDs(docs [][]uint32, vocab *textutil.Vocab) (*Index, error) {
 	for w := range ranges {
 		total += ranges[w].tokens
 	}
-	idx.posts = make([]posting, nPosts)
+	idx.posts = reuse.Grow(old.posts, int(nPosts))
 	b.posts = idx.posts
 	_ = par.Run(bounds, &b, (*build).fill) // fill has no failure to report
 
-	idx.avgLen = float64(total) / float64(len(docs))
+	idx.tokens = total
+	idx.avgLen = float64(total) / float64(n)
 	if idx.avgLen == 0 {
 		idx.avgLen = 1
 	}
 	return idx, nil
 }
 
-// build is BuildIDs' state shared by its ranges of documents.
+// build is BuildFrom's state shared by its ranges of documents.
 type build struct {
-	docs   [][]uint32
+	docs   Docs
 	nTerms int
 	ranges []buildRange
 	posts  []posting
 	docLen []int32
 }
 
-// buildRange is one range's own arrays. next[t] first counts the range's
-// documents holding term t, then is where its next posting of t goes.
-// seen[t] holds the last document that counted t, offset by one so the
-// zero value means "none"; fill reuses it with the sign flipped, so no
-// clearing pass sits between the two.
+// buildRange is one range's own arrays and the walk position its id-list
+// callbacks share. next[t] first counts the range's documents holding
+// term t, then is where its next posting of t goes. seen[t] holds the
+// last document that counted t, offset by one so the zero value means
+// "none"; fill reuses it with the sign flipped, so no clearing pass sits
+// between the two.
 type buildRange struct {
 	next, seen []int32
+	posts      []posting
 	tokens     int
+	// doc is the document being walked and stamp its seen mark; dl counts
+	// its tokens. bad is 1 + the first term id outside the vocabulary.
+	doc, stamp int32
+	dl         int
+	nTerms     int
+	bad        int64
+	// pad keeps two ranges' walk positions, written per id list, off
+	// one cache line.
+	_ [64]byte
 }
 
 // count fills range w's df counts, document lengths and token total,
 // and reports the range's first document holding a term id outside the
 // vocabulary.
 func (b *build) count(w, lo, hi int) error {
-	// The loops read locals: a store through a slice may alias a field
-	// read through a pointer, which the compiler would load again.
-	docs, docLen, nTerms, tokens := b.docs, b.docLen, b.nTerms, 0
-	next, seen := make([]int32, nTerms), make([]int32, nTerms)
+	r := &b.ranges[w]
+	*r = buildRange{next: make([]int32, b.nTerms), seen: make([]int32, b.nTerms), nTerms: b.nTerms}
+	part := r.countIDs
 	for d := lo; d < hi; d++ {
-		docLen[d] = int32(len(docs[d]))
-		tokens += len(docs[d])
-		stamp := int32(d) + 1
-		for _, t := range docs[d] {
-			if int(t) >= nTerms {
-				return fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, t, nTerms)
+		r.stamp, r.dl = int32(d)+1, 0
+		b.docs.Walk(d, part)
+		if r.bad != 0 {
+			return fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, r.bad-1, b.nTerms)
+		}
+		b.docLen[d] = int32(r.dl)
+		r.tokens += r.dl
+	}
+	return nil
+}
+
+// countIDs counts one id list of the current document. The loop reads
+// locals: a store through a slice may alias a field read through a
+// pointer, which the compiler would load again.
+func (r *buildRange) countIDs(ids []uint32) {
+	next, seen, stamp, nTerms := r.next, r.seen, r.stamp, r.nTerms
+	r.dl += len(ids)
+	for _, t := range ids {
+		if int(t) >= nTerms {
+			if r.bad == 0 {
+				r.bad = int64(t) + 1
 			}
-			if seen[t] != stamp {
-				seen[t] = stamp
-				next[t]++
-			}
+			continue
+		}
+		if seen[t] != stamp {
+			seen[t] = stamp
+			next[t]++
 		}
 	}
-	b.ranges[w] = buildRange{next: next, seen: seen, tokens: tokens}
-	return nil
 }
 
 // fill writes range w's postings: a term's first occurrence in a
 // document claims the next slot of the range's part of its span,
 // repeats bump that slot's tf.
 func (b *build) fill(w, lo, hi int) error {
-	docs, next, seen, posts := b.docs, b.ranges[w].next, b.ranges[w].seen, b.posts
+	r := &b.ranges[w]
+	r.posts = b.posts
+	part := r.fillIDs
 	for d := lo; d < hi; d++ {
-		stamp := -int32(d) - 1
-		for _, t := range docs[d] {
-			if seen[t] != stamp {
-				seen[t] = stamp
-				posts[next[t]] = posting{doc: int32(d), tf: 1}
-				next[t]++
-			} else {
-				posts[next[t]-1].tf++
-			}
-		}
+		r.doc, r.stamp = int32(d), -int32(d)-1
+		b.docs.Walk(d, part)
 	}
 	return nil
 }
 
+// fillIDs writes one id list of the current document's postings.
+func (r *buildRange) fillIDs(ids []uint32) {
+	next, seen, posts, doc, stamp := r.next, r.seen, r.posts, r.doc, r.stamp
+	for _, t := range ids {
+		if seen[t] != stamp {
+			seen[t] = stamp
+			posts[next[t]] = posting{doc: doc, tf: 1}
+			next[t]++
+		} else {
+			posts[next[t]-1].tf++
+		}
+	}
+}
+
 // N returns the number of indexed documents.
 func (idx *Index) N() int { return idx.n }
+
+// DocLen returns the number of tokens of document d.
+func (idx *Index) DocLen(d int) int { return int(idx.docLen[d]) }
+
+// Tokens returns the number of tokens of every document together.
+func (idx *Index) Tokens() int { return idx.tokens }
 
 // idfFromDF is the BM25+ style idf of a term with document frequency
 // df, floored at 0 so scores are non-negative.

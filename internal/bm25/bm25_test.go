@@ -1,10 +1,15 @@
 package bm25
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"shoal/internal/textutil"
 )
 
 func testDocs() [][]string {
@@ -277,5 +282,70 @@ func TestScorerMatchesScoreAll(t *testing.T) {
 			}
 		}
 		sc.Close()
+	}
+}
+
+// lists is a streamed collection: document d is docs[d] cut into id
+// lists of at most width ids, empty lists between them.
+type lists struct {
+	docs  [][]uint32
+	width int
+}
+
+func (l lists) Len() int       { return len(l.docs) }
+func (l lists) Cost(d int) int { return len(l.docs[d]) + 1 }
+func (l lists) Walk(d int, part func(ids []uint32)) {
+	doc := l.docs[d]
+	for len(doc) > 0 {
+		n := min(l.width, len(doc))
+		part(doc[:n])
+		part(nil)
+		doc = doc[n:]
+	}
+}
+
+// TestBuildFromMatchesBuildIDs streams random collections in lists of
+// every width, at every par width, and holds the index to BuildIDs' over
+// the documents laid out: the same postings, lengths and idf bits —
+// also when Rebuild writes it into the arrays of the index before, which
+// indexed another collection.
+func TestBuildFromMatchesBuildIDs(t *testing.T) {
+	vocab := textutil.NewVocab()
+	for i := range 50 {
+		vocab.Add(fmt.Sprintf("t%d", i))
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	var prev *Index
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for trial := range 40 {
+		docs := make([][]uint32, 1+rng.IntN(60))
+		for d := range docs {
+			for range rng.IntN(30) {
+				docs[d] = append(docs[d], uint32(rng.IntN(vocab.Size())))
+			}
+		}
+		runtime.GOMAXPROCS(1 + trial%4)
+		want, err := BuildIDs(docs, vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{1, 2, 7, 100} {
+			build := BuildFrom
+			if width%2 == 1 {
+				build = func(docs Docs, vocab *textutil.Vocab) (*Index, error) { return Rebuild(prev, docs, vocab) }
+			}
+			got, err := build(lists{docs, width}, vocab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = got
+			if !reflect.DeepEqual(got.terms, want.terms) || !reflect.DeepEqual(got.posts, want.posts) ||
+				!reflect.DeepEqual(got.docLen, want.docLen) || got.avgLen != want.avgLen || got.tokens != want.tokens {
+				t.Fatalf("trial %d, lists of %d: the streamed index differs from BuildIDs'", trial, width)
+			}
+		}
+	}
+	if _, err := BuildFrom(lists{[][]uint32{{1}, {2, 99}}, 1}, vocab); err == nil {
+		t.Fatal("BuildFrom accepted a term id outside the vocabulary")
 	}
 }

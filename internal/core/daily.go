@@ -20,8 +20,8 @@ type DailyPipeline struct {
 	corpus *model.Corpus
 	clicks *bipartite.Graph
 	last   *Build
-	// cache is what each rebuild patches from: corpus-static artifacts
-	// plus the previous build's entity-graph state.
+	// cache is what each rebuild patches from: corpus-static artifacts,
+	// the previous build's entity-graph state and the stages' workspaces.
 	cache rebuildCache
 }
 
@@ -83,8 +83,10 @@ func (p *DailyPipeline) RebuildContext(ctx context.Context) (*Build, error) {
 		// The drained delta is lost with the failed build: the cached
 		// graph state no longer describes any window the next rebuild
 		// could diff against, so cold-start it. The corpus-static
-		// artifacts (entities, embeddings) survive.
+		// artifacts (entities, embeddings) survive; the workspaces, which
+		// the failed stages may have left anywhere, go with the state.
 		p.cache.graphState = nil
+		p.cache.ws = nil
 		return nil, err
 	}
 	p.last = b

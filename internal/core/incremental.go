@@ -1,7 +1,9 @@
 package core
 
 import (
+	"shoal/internal/describe"
 	"shoal/internal/entitygraph"
+	"shoal/internal/phac"
 	"shoal/internal/word2vec"
 )
 
@@ -44,13 +46,30 @@ type DeltaStats struct {
 }
 
 // rebuildCache is the cross-build state one build hands to the next:
-// the static per-corpus artifacts (entities, embeddings) plus the
-// delta-merge state of the entity graph. Clustering keeps nothing across
-// builds. DailyPipeline owns one for its lifetime; a one-shot build runs
-// over a fresh one. The zero value means cold.
+// the static per-corpus artifacts (entities, embeddings), the delta-merge
+// state of the entity graph and the stages' workspaces. Clustering keeps
+// no result across builds, only the arrays it works in. DailyPipeline
+// owns one for its lifetime; a one-shot build runs over a fresh one. The
+// zero value means cold.
 type rebuildCache struct {
-	entities   *entitygraph.EntitySet
+	entities *entitygraph.EntitySet
+	// sizes are the entities' item counts, clustering's initial cluster
+	// sizes.
+	sizes      []int
 	embeddings *word2vec.Model
 	haveEmb    bool
 	graphState *entitygraph.IncState
+	// ws is the scratch one build leaves to the next, nil until a build
+	// needs it. Nothing a published Build references is in it, and a
+	// failed build drops it with graphState.
+	ws *workspaces
+}
+
+// workspaces are the stages' workspaces: each stage that runs in one
+// re-slices the arrays the last build left instead of allocating. The
+// stages that share a workspace never run concurrently.
+type workspaces struct {
+	graph    entitygraph.Workspace
+	hac      phac.Workspace
+	describe describe.Workspace
 }

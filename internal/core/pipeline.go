@@ -19,7 +19,11 @@
 // of the same window. Build.Delta reports what each build touched.
 // Clustering and every stage after it run from scratch on every build,
 // as the paper's Parallel HAC does (ROADMAP, "Why clustering runs cold
-// on every slide").
+// on every slide"), but not in fresh memory: the cache also keeps each
+// stage's workspace — the entity graph's spare pair arrays and scratch,
+// clustering's state, describe's candidates and index — and the next
+// build re-slices it instead of allocating. Nothing a published Build
+// references is in a workspace, and a failed rebuild drops them all.
 //
 // Inside a stage, work splits by GOMAXPROCS where it divides cleanly:
 // the entity graph splits its candidate rows over workers, and the
@@ -220,6 +224,10 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	b := &Build{Corpus: corpus, Clicks: clicks, Trace: obs.NewTrace("shoal-build")}
+	if cache.ws == nil {
+		cache.ws = new(workspaces)
+	}
+	ws := cache.ws
 	// Declaration order is the order of b.StageTimings.
 	fj := newForkJoin(ctx, b.Trace, cfg.Sequential)
 	var inputs []func()
@@ -259,12 +267,12 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		}))
 	}
 	entityGraph := fj.stage("entity-graph", func(ctx context.Context) error {
-		// The state changes hands for the call: a dense fallback drops
-		// it before building its replacement, and an error invalidates
-		// it anyway.
+		// The state changes hands for the call: the workspace recycles its
+		// pair arrays, a dense fallback drops it before building its
+		// replacement, and an error invalidates it anyway.
 		st := cache.graphState
 		cache.graphState = nil
-		res, nst, d, err := entitygraph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
+		res, nst, d, err := ws.graph.BuildIncremental(ctx, b.Entities, b.Clicks, b.Embeddings, cfg.Graph, st, dirtyItems)
 		if err != nil {
 			return err
 		}
@@ -293,11 +301,13 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		return nil
 	})
 	cluster := fj.stage("parallel-hac", func(ctx context.Context) error {
-		sizes := make([]int, len(b.Entities.Entities))
-		for i := range sizes {
-			sizes[i] = b.Entities.Entities[i].Size()
+		if cache.sizes == nil {
+			cache.sizes = make([]int, len(b.Entities.Entities))
+			for i := range cache.sizes {
+				cache.sizes[i] = b.Entities.Entities[i].Size()
+			}
 		}
-		res, err := phac.Cluster(ctx, b.Graph, sizes, cfg.HAC)
+		res, err := ws.hac.Cluster(ctx, b.Graph, cache.sizes, cfg.HAC)
 		if err != nil {
 			return err
 		}
@@ -314,7 +324,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	// category-correlation reads only Topic.Categories, so the two can
 	// share the taxonomy concurrently.
 	describeTopics := fj.stage("describe", func(ctx context.Context) error {
-		descs, err := describe.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe)
+		descs, err := ws.describe.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe)
 		b.Descriptions = descs
 		return err
 	})
@@ -327,21 +337,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		if len(b.Taxonomy.Topics) == 0 {
 			return nil
 		}
-		parent := obs.SpanFromContext(ctx)
-		workers := par.Width(len(b.Taxonomy.Topics))
-		sp := parent.Child("docs")
-		sp.SetAttr("workers", workers)
-		docs := b.SearchDocIDs(cfg.SearchDocTokenCap)
-		sp.End()
-		sp = parent.Child("build")
-		sp.SetAttr("workers", workers)
-		tokens := 0
-		for _, doc := range docs {
-			tokens += len(doc)
-		}
-		sp.SetAttr("tokens", tokens)
-		s, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, corpus.Text().Vocab())
-		sp.End()
+		s, err := b.searchIndex(ctx, cfg.SearchDocTokenCap)
 		b.Searcher = s
 		return err
 	})
@@ -357,6 +353,25 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	}
 	b.StageTimings = timings
 	return b, nil
+}
+
+// searchIndex is the search-index stage: it streams the per-topic search
+// documents SearchDocIDs would assemble straight into the searcher's BM25
+// postings, walking each twice (a count and a fill) and laying none of
+// them out as an array. Under a traced context its one phase is the
+// child span "build", with the ranges the build split into and the
+// tokens it indexed.
+func (b *Build) searchIndex(ctx context.Context, tokenCap int) (*taxonomy.Searcher, error) {
+	a := b.searchDocs(tokenCap)
+	sp := obs.SpanFromContext(ctx).Child("build")
+	defer sp.End()
+	sp.SetAttr("workers", par.Width(len(a.topics)))
+	s, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, &a, b.Corpus.Text().Vocab())
+	if err != nil {
+		return nil, err
+	}
+	sp.SetAttr("tokens", s.Tokens())
+	return s, nil
 }
 
 // SearchDocs is SearchDocIDs spelled as tokens, for callers that index
@@ -392,26 +407,33 @@ func (b *Build) SearchDocs(tokenCap int) [][]string {
 // width. At width 1 a call allocates the headers and one flat array, and
 // nothing is kept between calls.
 func (b *Build) SearchDocIDs(tokenCap int) [][]uint32 {
+	a := b.searchDocs(tokenCap)
+	a.docs = make([][]uint32, len(a.topics))
+	var buf [8]int // up to 7 ranges' bounds stay on the stack
+	bounds := par.Split(buf[:0], len(a.topics), a.Cost)
+	_ = par.Run(bounds, a, docAssembler.assemble) // assembly has no failure to report
+	return a.docs
+}
+
+// searchDocs is the search documents as a stream: the assembler whose
+// walk the search index and SearchDocIDs share.
+func (b *Build) searchDocs(tokenCap int) docAssembler {
 	if tokenCap <= 0 {
 		tokenCap = 256
 	}
-	k := len(b.Taxonomy.Topics)
-	a := docAssembler{
+	return docAssembler{
 		text:      b.Corpus.Text(),
 		topics:    b.Taxonomy.Topics,
 		descs:     b.Descriptions,
 		querySets: b.QuerySets,
 		tokenCap:  tokenCap,
-		docs:      make([][]uint32, k),
 	}
-	var buf [8]int // up to 7 ranges' bounds stay on the stack
-	bounds := par.Split(buf[:0], k, func(t int) int { return min(tokenCap, a.parts(t)) + 1 })
-	_ = par.Run(bounds, a, docAssembler.assemble) // assembly has no failure to report
-	return a.docs
 }
 
-// docAssembler is one SearchDocIDs call's state, shared by value with
-// its ranges: each writes only its own topics' docs slots.
+// docAssembler walks the search documents, one per topic: it is the
+// search index's bm25.Docs source, and SearchDocIDs' state, shared by
+// value with its ranges, each of which writes only its own topics' docs
+// slots.
 type docAssembler struct {
 	text      *model.TextPlane
 	topics    []taxonomy.Topic
@@ -421,11 +443,14 @@ type docAssembler struct {
 	docs      [][]uint32
 }
 
-// parts is the number of id lists topic t's document is assembled from,
-// before the token cap.
-func (a *docAssembler) parts(t int) int {
+// Len is the number of documents, one per topic.
+func (a *docAssembler) Len() int { return len(a.topics) }
+
+// Cost weighs topic t's document by the id lists it is walked from, up
+// to the token cap.
+func (a *docAssembler) Cost(t int) int {
 	tp := &a.topics[t]
-	return len(a.descs[t].QueryIDs) + len(tp.Categories) + len(tp.Entities) + len(tp.Items)
+	return min(a.tokenCap, len(a.descs[t].QueryIDs)+len(tp.Categories)+len(tp.Entities)+len(tp.Items)) + 1
 }
 
 // assemble writes the documents of topics [lo, hi): a counting walk
@@ -433,20 +458,20 @@ func (a *docAssembler) parts(t int) int {
 func (a docAssembler) assemble(_, lo, hi int) error {
 	n := 0
 	for t := lo; t < hi; t++ {
-		a.walk(t, func(ids []uint32) { n += len(ids) })
+		a.Walk(t, func(ids []uint32) { n += len(ids) })
 	}
 	flat := make([]uint32, 0, n)
 	for t := lo; t < hi; t++ {
 		from := len(flat)
-		a.walk(t, func(ids []uint32) { flat = append(flat, ids...) })
+		a.Walk(t, func(ids []uint32) { flat = append(flat, ids...) })
 		a.docs[t] = flat[from:len(flat):len(flat)]
 	}
 	return nil
 }
 
-// walk feeds topic t's document to part as id lists in document order,
+// Walk feeds topic t's document to part as id lists in document order,
 // the last one cut to the token cap, and stops once the cap is reached.
-func (a *docAssembler) walk(t int, part func(ids []uint32)) {
+func (a *docAssembler) Walk(t int, part func(ids []uint32)) {
 	tp := &a.topics[t]
 	room := a.tokenCap
 	// feed passes ids on and reports whether the document is full.

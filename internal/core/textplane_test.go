@@ -137,18 +137,19 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 // per extra worker, and equals it at width 2) plus the extra range's
 // goroutine, which allocates a descriptor when the runtime has no free
 // one (it often has none under -race). In Describe, also each extra
-// range's own state — its candidate accumulator, a bm25 Scorer with its
-// scratch and hit buffer, its share of the index's count arrays and its
-// ranking buffer, at most describeRangeAllocs objects. Describe forks
-// describeForks loops (pseudo documents, the index and the candidates
-// count then fill; scoring and ranking once each); SearchDocIDs forks
-// one, whose every range fills an array of its own.
+// range's own state — a bm25 Scorer with its scratch and hit buffer,
+// its share of the index's count arrays and its walk callbacks, its
+// ranking buffer — at most describeRangeAllocs objects; the candidate
+// arrays are the workspace's. Describe forks describeForks loops (the
+// index's count and fill, the candidates' count and fill, scoring and
+// ranking); the search index forks two (its count and fill), and each
+// extra range adds its count arrays and walk callbacks.
 const (
-	forkAllocs           = 2 + 1 + 1
-	describeForks        = 8
-	describeRangeAllocs  = 32
-	searchDocForks       = 1
-	searchDocRangeAllocs = 1
+	forkAllocs            = 2 + 1 + 1
+	describeForks         = 6
+	describeRangeAllocs   = 26
+	searchIndexForks      = 2
+	searchIndexRangeAlloc = 5
 )
 
 // mallocsPerRun is testing.AllocsPerRun at the current GOMAXPROCS, which
@@ -171,15 +172,14 @@ func mallocsPerRun(runs int, f func()) float64 {
 	return least
 }
 
-// TestSlideTailDoesNoTextWork is the regression lock on the text plane:
-// with the plane warm, describe and search-doc assembly allocate a
-// handful of arrays per call, not per token or per topic-candidate pair
-// (the string-tokenizing implementations took 15 197 and 23 866
-// allocations on this corpus; describe takes 65, and the id documents
-// two — one flat array and its per-topic headers). Neither keeps state
-// between calls, so every call measured is a first call. That holds at
-// width 1; at widths 2, 3 and 7 each worker beyond the first may add the
-// fixed allowance above.
+// TestSlideTailDoesNoTextWork is the regression lock on the text plane
+// and the tail's workspaces: with the plane warm, describe through a
+// warm workspace and the streamed search-index stage allocate a handful
+// of arrays per call, not per token, per document or per topic-candidate
+// pair (the string-tokenizing implementations took 15 197 and 23 866
+// allocations on this corpus, and describe over fresh arrays 65). That
+// holds at width 1; at widths 2, 3 and 7 each worker beyond the first
+// may add the fixed allowance above.
 func TestSlideTailDoesNoTextWork(t *testing.T) {
 	corpus := smallCorpus(t)
 	cfg := testConfig()
@@ -189,8 +189,14 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var ws describe.Workspace
 	describeOnce := func() {
-		if _, err := describe.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe); err != nil {
+		if _, err := ws.Describe(ctx, b.Taxonomy, corpus, b.Clicks, cfg.Describe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	indexOnce := func() {
+		if _, err := b.searchIndex(ctx, cfg.SearchDocTokenCap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,15 +205,20 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 7} {
 		runtime.GOMAXPROCS(procs)
 		extra := float64(procs - 1)
-		if allocs, want := mallocsPerRun(5, describeOnce), 200+extra*(describeForks*forkAllocs+describeRangeAllocs); allocs > want {
-			t.Errorf("GOMAXPROCS=%d: warm Describe allocated %.1f objects, want <= %.0f", procs, allocs, want)
+		if allocs, want := mallocsPerRun(5, describeOnce), describeAllocs+extra*(describeForks*forkAllocs+describeRangeAllocs); allocs > want {
+			t.Errorf("GOMAXPROCS=%d: Describe through a warm workspace allocated %.1f objects, want <= %.0f", procs, allocs, want)
 		}
-		if allocs, want := mallocsPerRun(5, func() { b.SearchDocIDs(cfg.SearchDocTokenCap) }), 2+extra*(searchDocForks*forkAllocs+searchDocRangeAllocs); allocs > want {
-			t.Errorf("GOMAXPROCS=%d: warm SearchDocIDs allocated %.1f objects, want <= %.0f", procs, allocs, want)
-		}
-		// The string view adds one flat array of tokens and its headers.
-		if allocs, want := mallocsPerRun(5, func() { b.SearchDocs(cfg.SearchDocTokenCap) }), 4+extra*(searchDocForks*forkAllocs+searchDocRangeAllocs); allocs > want {
-			t.Errorf("GOMAXPROCS=%d: warm SearchDocs allocated %.1f objects, want <= %.0f", procs, allocs, want)
+		if allocs, want := mallocsPerRun(5, indexOnce), searchIndexAllocs+extra*(searchIndexForks*forkAllocs+searchIndexRangeAlloc); allocs > want {
+			t.Errorf("GOMAXPROCS=%d: the search-index stage allocated %.1f objects, want <= %.0f", procs, allocs, want)
 		}
 	}
 }
+
+// What Describe through a warm workspace and the search-index stage
+// allocate at width 1: the published descriptions' arrays and the BM25
+// indexes' (describe's dies with the call), their count arrays, the
+// walk callbacks and a few records.
+const (
+	describeAllocs    = 56
+	searchIndexAllocs = 18
+)

@@ -195,12 +195,10 @@ func TestBuildTraceSubStages(t *testing.T) {
 			{key{"entity-graph", "candidates"}, []string{"scored", "pairs", "regenerated"}},
 			{key{"entity-graph", "rank"}, []string{"rescored", "workers", "nodesRanked"}},
 			{key{"entity-graph", "emit"}, []string{"dirtyRows", "kept"}},
-			{key{"describe", "docs"}, []string{"tokens", "workers"}},
-			{key{"describe", "index"}, []string{"workers"}},
+			{key{"describe", "index"}, []string{"tokens", "workers"}},
 			{key{"describe", "candidates"}, []string{"workers"}},
 			{key{"describe", "score"}, []string{"distinctQueries", "candidatePairs", "workers"}},
 			{key{"describe", "rank"}, []string{"workers"}},
-			{key{"search-index", "docs"}, []string{"workers"}},
 			{key{"search-index", "build"}, []string{"tokens", "workers"}},
 		} {
 			got, ok := tc.attrs[want.k]
@@ -212,6 +210,13 @@ func TestBuildTraceSubStages(t *testing.T) {
 				if n, _ := got[a].(int); n <= 0 {
 					t.Errorf("%s: span %s/%s: attribute %q = %v, want a positive count", tc.build, want.k.parent, want.k.name, a, got[a])
 				}
+			}
+		}
+		// Both BM25 builds stream their documents into postings: no phase
+		// lays them out first.
+		for _, gone := range []key{{"describe", "docs"}, {"search-index", "docs"}} {
+			if _, ok := tc.attrs[gone]; ok {
+				t.Errorf("%s: span %s/%s: the documents were materialized before the index", tc.build, gone.parent, gone.name)
 			}
 		}
 		score := tc.attrs[key{"describe", "score"}]

@@ -7,6 +7,7 @@ package dendrogram
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Merge is one agglomeration step: clusters A and B combined into a new
@@ -93,14 +94,30 @@ func (d *Dendrogram) Members(id int32) []int32 {
 // applied, and each leaf is labeled with its resulting cluster's smallest
 // leaf id. Higher thresholds give finer partitions.
 func (d *Dendrogram) CutAt(threshold float64) []int32 {
-	parent := newUnionFind(d.Leaves + len(d.Merges))
+	labels := make([]int32, d.Leaves)
+	d.CutInto(labels, threshold, nil)
+	return labels
+}
+
+// CutInto is CutAt writing the labels into labels (length Leaves) and
+// working in scratch, which it returns grown to what a cut needs: cuts
+// of one dendrogram at several thresholds allocate their union-find once
+// when each passes the scratch the last returned.
+func (d *Dendrogram) CutInto(labels []int32, threshold float64, scratch []int32) []int32 {
+	n := d.Leaves + len(d.Merges)
+	scratch = slices.Grow(scratch[:0], 2*n)[:2*n]
+	uf := unionFind{parent: scratch[:n]}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+	}
 	for _, m := range d.Merges {
 		if m.Sim >= threshold {
-			parent.unionInto(m.A, m.New)
-			parent.unionInto(m.B, m.New)
+			uf.unionInto(m.A, m.New)
+			uf.unionInto(m.B, m.New)
 		}
 	}
-	return parent.leafLabels(d.Leaves)
+	uf.leafLabels(labels, scratch[n:])
+	return scratch
 }
 
 // Roots returns the cluster ids that were never merged into a larger
@@ -144,14 +161,6 @@ type unionFind struct {
 	parent []int32
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n)}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-	}
-	return uf
-}
-
 func (uf *unionFind) find(x int32) int32 {
 	for uf.parent[x] != x {
 		uf.parent[x] = uf.parent[uf.parent[x]]
@@ -166,20 +175,19 @@ func (uf *unionFind) unionInto(x, into int32) {
 	uf.parent[uf.find(x)] = into
 }
 
-// leafLabels returns, for each leaf, the smallest leaf id within its final
-// cluster — a canonical partition labeling. Leaves are visited in
-// ascending order, so the first leaf that reaches a root is that
-// cluster's smallest: one dense pass, indexed by root.
-func (uf *unionFind) leafLabels(leaves int) []int32 {
+// leafLabels writes, for each leaf, the smallest leaf id within its
+// final cluster into out — a canonical partition labeling. Leaves are
+// visited in ascending order, so the first leaf that reaches a root is
+// that cluster's smallest: one dense pass, indexed by root. minLeaf has
+// one entry per cluster id; its contents are overwritten.
+func (uf *unionFind) leafLabels(out, minLeaf []int32) {
 	// minLeaf[r] is 1 + the smallest leaf under root r, 0 while unseen.
-	minLeaf := make([]int32, len(uf.parent))
-	out := make([]int32, leaves)
-	for l := int32(0); l < int32(leaves); l++ {
-		r := uf.find(l)
+	clear(minLeaf)
+	for l := range out {
+		r := uf.find(int32(l))
 		if minLeaf[r] == 0 {
-			minLeaf[r] = l + 1
+			minLeaf[r] = int32(l) + 1
 		}
 		out[l] = minLeaf[r] - 1
 	}
-	return out
 }

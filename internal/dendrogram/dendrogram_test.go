@@ -119,7 +119,10 @@ func TestChildrenAndSim(t *testing.T) {
 // merges at or above threshold, then label each leaf with the smallest
 // leaf sharing its root, found by a full scan per root.
 func cutAtReference(d *Dendrogram, threshold float64) []int32 {
-	uf := newUnionFind(d.Leaves + len(d.Merges))
+	uf := &unionFind{parent: make([]int32, d.Leaves+len(d.Merges))}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+	}
 	for _, m := range d.Merges {
 		if m.Sim >= threshold {
 			uf.unionInto(m.A, m.New)
@@ -163,14 +166,22 @@ func randomDendrogram(rng *rand.Rand, n int) *Dendrogram {
 
 func TestCutAtMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var scratch []int32
 	for trial := 0; trial < 300; trial++ {
 		d := randomDendrogram(rng, 1+rng.Intn(60))
 		if err := d.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		// CutInto passes one scratch from cut to cut, as taxonomy.Build
+		// does, starting from whatever the last trial's dendrogram left.
 		for _, th := range []float64{-1, 0, 0.125, 0.3, 0.5, 0.875, 1, 2} {
-			if got, want := d.CutAt(th), cutAtReference(d, th); !reflect.DeepEqual(got, want) {
+			want := cutAtReference(d, th)
+			if got := d.CutAt(th); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d CutAt(%v) = %v, reference %v", trial, th, got, want)
+			}
+			got := make([]int32, d.Leaves)
+			if scratch = d.CutInto(got, th, scratch); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d CutInto(%v) over reused scratch = %v, reference %v", trial, th, got, want)
 			}
 		}
 	}

@@ -25,13 +25,14 @@
 // scoring each (topic, candidate) pair on its own; extra memory is one
 // float per candidate pair, never a per-query hit vector. Titles and
 // query texts are read as term ids from the corpus text plane
-// (model.Corpus.Text), indexed with bm25.BuildIDs and scored with
+// (model.Corpus.Text), streamed into BM25 postings with bm25.BuildFrom —
+// D_k is never laid out as one array — and scored with
 // bm25.Scorer.ScoreIDs: nothing is tokenized or hashed per call. rel is
 // plain BM25 at its package's constant k1 and b; only the number of
 // queries kept per topic is configured.
 //
-// Every loop over topics or queries — the pseudo documents, the index
-// build, candidate collection (a count, then a fill at the offsets the
+// Every loop over topics or queries — the index build over the pseudo
+// documents, candidate collection (a count, then a fill at the offsets the
 // counts give), scoring and ranking — is split by internal/par into
 // GOMAXPROCS contiguous ranges of about equal cost. Each output slot has
 // one writer and every float sum keeps its order, so the descriptions
@@ -50,6 +51,7 @@ import (
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/par"
+	"shoal/internal/reuse"
 	"shoal/internal/taxonomy"
 )
 
@@ -81,8 +83,33 @@ type Description struct {
 // It returns the full ranked descriptions. Cancellation is checked
 // between per-query scoring passes. Under a traced context each phase
 // below is a child span of the caller's, with the number of ranges its
-// loop split into as attribute workers.
+// loop split into as attribute workers. It is Workspace.Describe over a
+// fresh workspace.
 func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config) ([]Description, error) {
+	return new(Workspace).Describe(ctx, tx, corpus, clicks, cfg)
+}
+
+// Workspace keeps a Describe call's scratch — the BM25 index over D_k,
+// the candidate matrix and its transpose, the ranges' stamp and
+// accumulator arrays, con — for the next call to re-slice instead of
+// allocating. The descriptions never alias it. The zero value is empty;
+// one serves one call at a time.
+type Workspace struct {
+	idx  *bm25.Index
+	c    candidates
+	next []int32
+	// stamps[w] is what topic range w carries from its candidate count
+	// to its fill: stamp[q] is t+1 once topic t's count has seen query
+	// q, and -(t+1) once its fill has. accs[w] is its fill's click mass
+	// per query.
+	stamps [][]int32
+	accs   [][]float64
+	con    []float64
+}
+
+// Describe is the package-level Describe in ws's arrays; the
+// descriptions are the same whatever ws held before.
+func (ws *Workspace) Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *bipartite.Graph, cfg Config) ([]Description, error) {
 	if cfg.TopQueries <= 0 {
 		return nil, fmt.Errorf("describe: TopQueries must be positive, got %d", cfg.TopQueries)
 	}
@@ -94,21 +121,21 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 	}
 	parent := obs.SpanFromContext(ctx)
 	text := corpus.Text()
-	d := &describer{ctx: ctx, topics: tx.Topics, corpus: corpus, text: text, clicks: clicks, top: cfg.TopQueries}
+	d := &describer{ctx: ctx, ws: ws, topics: tx.Topics, corpus: corpus, text: text, clicks: clicks, top: cfg.TopQueries}
 	k := len(tx.Topics)
 
-	sp := parent.Child("docs")
+	sp := parent.Child("index")
 	sp.SetAttr("workers", par.Width(k))
-	sp.SetAttr("tokens", d.pseudoDocs())
-	sp.End()
-
-	sp = parent.Child("index")
-	sp.SetAttr("workers", par.Width(k))
-	idx, err := bm25.BuildIDs(d.docs, text.Vocab())
-	sp.End()
+	// The index dies with the call: the next call rebuilds in its arrays.
+	idx, err := bm25.Rebuild(ws.idx, pseudoDocs{tx.Topics, text}, text.Vocab())
+	ws.idx = idx
 	if err != nil {
+		sp.End()
 		return nil, fmt.Errorf("describe: %w", err)
 	}
+	sp.SetAttr("tokens", idx.Tokens())
+	sp.End()
+	d.idx = idx
 
 	sp = parent.Child("candidates")
 	sp.SetAttr("workers", par.Width(k))
@@ -117,7 +144,7 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 
 	sp = parent.Child("score")
 	sp.SetAttr("workers", par.Width(len(corpus.Queries)))
-	distinct, err := d.concentration(idx)
+	distinct, err := d.concentration()
 	sp.SetAttr("distinctQueries", distinct)
 	sp.SetAttr("candidatePairs", len(d.c.query))
 	sp.End()
@@ -137,23 +164,15 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 // serial order, so the output is the same bytes at every width.
 type describer struct {
 	ctx    context.Context
+	ws     *Workspace
 	topics []taxonomy.Topic
 	corpus *model.Corpus
 	text   *model.TextPlane
 	clicks *bipartite.Graph
 	top    int
 
-	// docs[t] is D_k of topic t — the concatenated titles of its items,
-	// as term ids — at flat[off[t]:off[t+1]].
-	docs [][]uint32
-	flat []uint32
-	off  []int
-
 	c candidates
-	// stamps[w] is what topic range w carries from its candidate count
-	// to its fill: stamp[q] is t+1 once topic t's count has seen query
-	// q, and -(t+1) once its fill has.
-	stamps   [][]int32
+	// idx indexes D_k; its document lengths are tf(I_k).
 	idx      *bm25.Index
 	con      []float64 // con(q, t) per candidate slot
 	distinct []int     // per range of queries
@@ -170,48 +189,20 @@ type describer struct {
 // byItems balances a topic loop by the topics' item counts.
 func (d *describer) byItems(t int) int { return len(d.topics[t].Items) + 1 }
 
-// pseudoDocs carves D_k per topic out of one array, counting each
-// topic's length first, and returns the total.
-func (d *describer) pseudoDocs() int {
-	k := len(d.topics)
-	bounds := par.Split(nil, k, d.byItems)
-	d.off = make([]int, k+1)
-	_ = par.Run(bounds, d, (*describer).countDocs) // neither pass fails
-	for t := range k {
-		d.off[t+1] += d.off[t]
-	}
-	d.flat = make([]uint32, d.off[k])
-	d.docs = make([][]uint32, k)
-	_ = par.Run(bounds, d, (*describer).fillDocs)
-	return d.off[k]
+// pseudoDocs streams D_k, the concatenated titles of topic k's items
+// in item order, into the BM25 build.
+type pseudoDocs struct {
+	topics []taxonomy.Topic
+	text   *model.TextPlane
 }
 
-// The range bodies below read describer fields into locals first: a
-// store through a slice may alias a field read through a pointer, which
-// the compiler would load again.
+func (p pseudoDocs) Len() int       { return len(p.topics) }
+func (p pseudoDocs) Cost(t int) int { return len(p.topics[t].Items) + 1 }
 
-func (d *describer) countDocs(_, lo, hi int) error {
-	text, off := d.text, d.off
-	for t := lo; t < hi; t++ {
-		n := 0
-		for _, it := range d.topics[t].Items {
-			n += len(text.Title(it))
-		}
-		off[t+1] = n
+func (p pseudoDocs) Walk(t int, part func(ids []uint32)) {
+	for _, it := range p.topics[t].Items {
+		part(p.text.Title(it))
 	}
-	return nil
-}
-
-func (d *describer) fillDocs(_, lo, hi int) error {
-	text, off, flat := d.text, d.off, d.flat
-	for t := lo; t < hi; t++ {
-		doc := flat[off[t]:off[t]:off[t+1]]
-		for _, it := range d.topics[t].Items {
-			doc = append(doc, text.Title(it)...)
-		}
-		d.docs[t] = doc
-	}
-	return nil
 }
 
 // candidates is the sparse topic × query candidate matrix, one slot per
@@ -236,39 +227,48 @@ type candidates struct {
 // slots at the offsets the counts give. The transpose that follows is
 // serial.
 func (d *describer) collectCandidates() {
-	k, nq := len(d.topics), len(d.corpus.Queries)
+	k, nq, ws := len(d.topics), len(d.corpus.Queries), d.ws
 	c := &d.c
-	c.topicOff = make([]int32, k+1)
+	c.topicOff = reuse.Grow(ws.c.topicOff, k+1)
+	c.topicOff[0] = 0
 	bounds := par.Split(nil, k, d.byItems)
-	d.stamps = make([][]int32, len(bounds)-1)
+	ws.stamps = reuse.Grow(ws.stamps, len(bounds)-1)
+	ws.accs = reuse.Grow(ws.accs, len(bounds)-1)
 	_ = par.Run(bounds, d, (*describer).countCandidates) // neither pass fails
 	for t := range k {
 		c.topicOff[t+1] += c.topicOff[t]
 	}
-	n := c.topicOff[k]
-	c.query, c.tf, c.topic = make([]model.QueryID, n), make([]float64, n), make([]int32, n)
+	n := int(c.topicOff[k])
+	c.query, c.tf, c.topic = reuse.Grow(ws.c.query, n), reuse.Grow(ws.c.tf, n), reuse.Grow(ws.c.topic, n)
 	_ = par.Run(bounds, d, (*describer).fillCandidates)
 
 	// Transpose by counting: slots are numbered in topic order and placed
 	// in slot order, so each query's list comes out ascending by topic.
-	c.queryOff = make([]int32, nq+1)
+	c.queryOff = reuse.Grow(ws.c.queryOff, nq+1)
+	clear(c.queryOff)
 	for _, q := range c.query {
 		c.queryOff[q+1]++
 	}
 	for q := range nq {
 		c.queryOff[q+1] += c.queryOff[q]
 	}
-	c.slots = make([]int32, n)
-	next := slices.Clone(c.queryOff[:nq])
+	c.slots = reuse.Grow(ws.c.slots, n)
+	next := append(ws.next[:0], c.queryOff[:nq]...)
 	for s, q := range c.query {
 		c.slots[next[q]] = int32(s)
 		next[q]++
 	}
+	ws.c, ws.next = *c, next
 }
+
+// The range bodies below read describer fields into locals first: a
+// store through a slice may alias a field read through a pointer, which
+// the compiler would load again.
 
 func (d *describer) countCandidates(w, lo, hi int) error {
 	clicks, topicOff := d.clicks, d.c.topicOff
-	stamp := make([]int32, len(d.corpus.Queries))
+	stamp := reuse.Grow(d.ws.stamps[w], len(d.corpus.Queries))
+	clear(stamp)
 	for t := lo; t < hi; t++ {
 		n := int32(0)
 		for _, it := range d.topics[t].Items {
@@ -282,14 +282,16 @@ func (d *describer) countCandidates(w, lo, hi int) error {
 		}
 		topicOff[t+1] = n
 	}
-	d.stamps[w] = stamp
+	d.ws.stamps[w] = stamp
 	return nil
 }
 
 func (d *describer) fillCandidates(w, lo, hi int) error {
 	clicks, c := d.clicks, &d.c
 	topicOff, query, tf, topic := c.topicOff, c.query, c.tf, c.topic
-	stamp, acc := d.stamps[w], make([]float64, len(d.corpus.Queries))
+	stamp, acc := d.ws.stamps[w], reuse.Grow(d.ws.accs[w], len(d.corpus.Queries))
+	clear(acc)
+	d.ws.accs[w] = acc
 	var touched []model.QueryID
 	for t := lo; t < hi; t++ {
 		touched = touched[:0]
@@ -324,12 +326,12 @@ func (d *describer) fillCandidates(w, lo, hi int) error {
 // the query's candidate topics ascend too, so one merge walk reads
 // rel(q, D_t) for each of them out of the same pass. Only con per slot
 // is kept — never a hit vector.
-func (d *describer) concentration(idx *bm25.Index) (distinct int, err error) {
+func (d *describer) concentration() (distinct int, err error) {
 	c := &d.c
 	nq := len(c.queryOff) - 1
 	bounds := par.Split(nil, nq, func(q int) int { return int(c.queryOff[q+1]-c.queryOff[q]) + 1 })
-	d.idx = idx
-	d.con = make([]float64, len(c.query))
+	d.con = reuse.Grow(d.ws.con, len(c.query))
+	d.ws.con = d.con
 	d.distinct = make([]int, len(bounds)-1)
 	if err := par.Run(bounds, d, (*describer).scoreQueries); err != nil {
 		return 0, err
@@ -416,15 +418,15 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 		if c.topicOff[t] == c.topicOff[t+1] {
 			continue
 		}
-		doc := d.docs[t]
-		logMass := 0.0 // log tf(I_k): the topic's token mass
-		if len(doc) > 1 {
-			logMass = math.Log(float64(len(doc)))
+		mass := d.idx.DocLen(t) // tf(I_k): the topic's token mass
+		logMass := 0.0
+		if mass > 1 {
+			logMass = math.Log(float64(mass))
 		}
 		best = best[:0]
 		for s := c.topicOff[t]; s < c.topicOff[t+1]; s++ {
 			pop := 0.0
-			if len(doc) > 1 {
+			if mass > 1 {
 				pop = (math.Log(c.tf[s]) + 1) / logMass
 			}
 			if pop > 1 {

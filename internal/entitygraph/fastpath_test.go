@@ -192,7 +192,58 @@ func TestFullBuildAllocs(t *testing.T) {
 		t.Errorf("full build allocated %.0f objects for %d entities (%d items), want <= %.0f",
 			allocs, len(es.Entities), len(es.ItemEntity), ceiling)
 	}
+
+	// Through a workspace that is handed each build's state, a dense run
+	// writes over the dropped state's arrays and the phases' scratch is
+	// the workspace's: what is left is the published graph, the query
+	// sets and a few records.
+	// The window flips between the clicks and the same clicks one query
+	// id over, which changes every entity's query set.
+	var ws Workspace
+	var st *IncState
+	shifted := bipartite.New(0)
+	for it := range es.ItemEntity {
+		qs, ns := clicks.Row(model.ItemID(it))
+		for j, q := range qs {
+			ev := model.ClickEvent{Query: q + 1, Item: model.ItemID(it), Count: ns[j]}
+			if err := shifted.Add(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	every := make([]model.ItemID, len(es.ItemEntity))
+	for i := range every {
+		every[i] = model.ItemID(i)
+	}
+	dense := func() {
+		for _, g := range []*bipartite.Graph{shifted, clicks} {
+			var d *Delta
+			var err error
+			if _, st, d, err = ws.BuildIncremental(ctx, es, g, emb, cfg, st, every); err != nil {
+				t.Fatal(err)
+			}
+			if st != nil && !d.DenseFallback {
+				t.Fatalf("delta %+v, want a dense run", d)
+			}
+		}
+	}
+	dense()
+	dense()
+	ceiling = float64(len(es.Entities) + denseRunAllocs)
+	if allocs := testing.AllocsPerRun(5, dense) / 2; allocs > ceiling {
+		t.Errorf("a dense run through a workspace allocated %.0f objects for %d entities, want <= %.0f",
+			allocs, len(es.Entities), ceiling)
+	}
 }
+
+// What a dense run and a patch allocate through a workspace beyond one
+// query set per dirty entity: the published CSR's four arrays, the new
+// state's query-set headers, the Result, the IncState and the Delta with
+// its dirty rows, and the phases' goroutines and par ranges.
+const (
+	denseRunAllocs = 25
+	patchAllocs    = 45
+)
 
 // TestPatchAllocs holds a BuildIncremental to the same shape: a fixed
 // number of arrays plus one query-set slice per dirty entity — nothing
@@ -243,6 +294,31 @@ func TestPatchAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, patch); allocs > ceiling {
 			t.Errorf("a patch of %d entities (%d changed queries) allocated %.0f objects, want <= %.0f",
 				delta.DirtyEntities, len(slide), allocs, ceiling)
+		}
+
+		// Through a workspace that is handed each state, the window flips
+		// between the two click graphs, so every build is the same patch
+		// one way or the other, merged into the spare pair arrays.
+		_, base := oracleWorld(t) // the window before the slide
+		var ws Workspace
+		wst := st
+		flip := func() {
+			for _, g := range []*bipartite.Graph{clicks, base} {
+				var d *Delta
+				if _, wst, d, err = ws.BuildIncremental(ctx, es, g, nil, cfg, wst, dirty); err != nil {
+					t.Fatal(err)
+				}
+				if d.DenseFallback || d.DirtyEntities != delta.DirtyEntities {
+					t.Fatalf("flip: delta %+v, want a patch of %d entities", d, delta.DirtyEntities)
+				}
+			}
+		}
+		flip()
+		flip()
+		ceiling = float64(delta.DirtyEntities + patchAllocs)
+		if allocs := testing.AllocsPerRun(5, flip) / 2; allocs > ceiling {
+			t.Errorf("a patch of %d entities through a workspace allocated %.0f objects, want <= %.0f",
+				delta.DirtyEntities, allocs, ceiling)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/par"
+	"shoal/internal/reuse"
 	"shoal/internal/wgraph"
 	"shoal/internal/word2vec"
 )
@@ -88,7 +89,7 @@ type Result struct {
 // loops. Under a traced context each phase is a child span of the
 // caller's (query-sets, candidates, rank, emit).
 func Build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, error) {
-	res, _, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
+	res, _, _, err := build(ctx, es, clicks, emb, cfg, nil, nil, nil)
 	return res, err
 }
 
@@ -98,7 +99,7 @@ func Build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 // patches on the next window slide.
 // The state aliases the build's own arrays, so capturing it is free.
 func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config) (*Result, *IncState, error) {
-	res, st, _, err := build(ctx, es, clicks, emb, cfg, nil, nil)
+	res, st, _, err := build(ctx, es, clicks, emb, cfg, nil, nil, nil)
 	return res, st, err
 }
 
@@ -117,9 +118,11 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 // then its top K is the same pairs; the CSR span of a row none of
 // whose kept edges changed. Whatever is recomputed comes out of the same
 // loops whichever entities are dirty, so a patch cannot drift from a full
-// build. st is only read: the returned state is a new one, sharing what it
-// did not touch.
-func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
+// build. With ws nil, st is only read and every array is allocated: the
+// returned state is a new one, sharing what it did not touch. With a
+// workspace, st is consumed: the build's scratch and the new state's pair
+// arrays come out of ws, and st's pair arrays go back into it.
+func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID, ws *Workspace) (*Result, *IncState, *Delta, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -135,12 +138,24 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	defer ph.end()
 
 	sp := ph.next("query-sets")
+	// recycle: the caller handed st over with a workspace, so st's pair
+	// arrays may be written. Without one the build gets a workspace of its
+	// own, every array in it fresh, and st is only read.
+	recycle := ws != nil
+	if !recycle {
+		ws = new(Workspace)
+	}
 	if st != nil && (st.n != n || st.emb != emb || !sameGraphSemantics(st.cfg, cfg)) {
+		if recycle {
+			ws.adopt(st)
+		}
 		st = nil
 	}
 	// dirty[e]: entity e regenerates its pairs — its query set changed or,
 	// once the index below is built, a query of its crossed the fan-out cap.
-	dirty := make([]bool, n)
+	dirty := reuse.Grow(ws.dirty, n)
+	clear(dirty)
+	ws.dirty = dirty
 	querySets := make([][]model.QueryID, n)
 	if st == nil {
 		d.DenseFallback, d.FallbackReason = true, FallbackNoState
@@ -190,7 +205,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// a contiguous ascending run (entities are filled in ascending order)
 	// that qOff[q]:qOff[q+1] spans — the content a query→entities map would
 	// hold, without the map and without a sort.
-	qOff := make([]int32, numQ+1)
+	qOff := reuse.Grow(ws.qOff, numQ+1)
+	clear(qOff)
+	ws.qOff = qOff
 	for _, qs := range querySets {
 		for _, q := range qs {
 			qOff[q+1]++
@@ -199,8 +216,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	for q := 0; q < numQ; q++ {
 		qOff[q+1] += qOff[q]
 	}
-	assoc := make([]int32, qOff[numQ])
-	next := slices.Clone(qOff[:numQ])
+	assoc := reuse.Grow(ws.assoc, int(qOff[numQ]))
+	next := append(ws.next[:0], qOff[:numQ]...)
+	ws.assoc, ws.next = assoc, next
 	for e, qs := range querySets {
 		for _, q := range qs {
 			assoc[next[q]] = int32(e)
@@ -252,9 +270,13 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			// overhead over emitting every row in order. The query sets and
 			// their index stand — the dirty-item set is exact on membership —
 			// but the previous state is let go of before its replacement's
-			// pair arrays are allocated, so a caller that handed its only
-			// reference over does not hold two builds' through the peak.
+			// pair arrays are allocated — through a workspace, they are
+			// written over — so a caller that handed its only reference over
+			// does not hold two builds' through the peak.
 			d.DenseFallback, d.FallbackReason = true, FallbackDirtyPairs
+			if recycle {
+				ws.adopt(st) // the dense run writes over the dropped state's arrays
+			}
 			st = nil
 			setAll(dirty)
 		}
@@ -281,19 +303,22 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// workers (low rows have the most partners) and are disjoint output
 	// spans, so the result does not depend on which worker handled which
 	// row.
-	rows := make([]int32, 0, n)
+	rows := ws.rows[:0]
 	for e := range dirty {
 		if dirty[e] {
 			rows = append(rows, int32(e))
 		}
 	}
+	ws.rows = rows
 	// On a dense run every lower partner is dirty as well, so a row walks
 	// each of its runs from just past itself: self[selfOff[e]+i] is where
 	// entity e sits in the run of its i-th query, recorded by filling the
 	// runs again in the same order.
 	var self, selfOff []int32
 	if st == nil {
-		self, selfOff = make([]int32, len(assoc)), make([]int32, n+1)
+		self, selfOff = reuse.Grow(ws.self, len(assoc)), reuse.Grow(ws.selfOff, n+1)
+		ws.self, ws.selfOff = self, selfOff
+		selfOff[0] = 0
 		copy(next, qOff)
 		for e, qs := range querySets {
 			o := selfOff[e]
@@ -310,22 +335,31 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// covers the rounding of both the dot and the norms.
 	floor := cfg.MinSimilarity - boundMargin
 	workers := runtime.GOMAXPROCS(0)
-	genOff := make([]int, len(rows)+1)      // row r's pairs land at [genOff[r], genOff[r+1])
-	chunks := make([][]*pairChunk, workers) // worker w's kept pairs, its rows in order
-	counts := make([][2]int, workers)       // worker w's scored and bounded partners
+	genOff := reuse.Grow(ws.genOff, len(rows)+1) // row r's pairs land at [genOff[r], genOff[r+1])
+	genOff[0] = 0
+	ws.genOff = genOff
+	ws.rowers = reuse.Grow(ws.rowers, workers)
+	rowers := ws.rowers
+	counts := make([][2]int, workers) // worker w's scored and bounded partners
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			stamp := make([]int32, n) // stamp[b] == a+1: b already seen in row a
-			slot := make([]int32, n)  // where stamped: the queries a and b share, then b's index in rowSims
-			var bs, pend []int32
-			var rowSims, pendSims []float64
-			var buf []*pairChunk
+			rw := &rowers[w]
+			stamp := reuse.Grow(rw.stamp, n) // stamp[b] == a+1: b already seen in row a
+			clear(stamp)
+			slot := reuse.Grow(rw.slot, n) // where stamped: the queries a and b share, then b's index in rowSims
+			bs, pend := rw.bs, rw.pend
+			rowSims, pendSims := rw.rowSims, rw.pendSims
+			buf := rw.chunks[:0] // worker w's kept pairs, its rows in order
 			var cur *pairChunk
 			fill, nScored, nBounded := chunkLen, 0, 0
-			defer func() { chunks[w], counts[w] = buf, [2]int{nScored, nBounded} }()
+			defer func() {
+				rw.stamp, rw.slot, rw.bs, rw.pend, rw.rowSims, rw.pendSims = stamp, slot, bs, pend, rowSims, pendSims
+				clear(buf[len(buf):cap(buf)])
+				rw.chunks, counts[w] = buf[:len(buf):len(buf)], [2]int{nScored, nBounded}
+			}()
 			for r := w; r < len(rows); r += workers {
 				if r/workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
 					return
@@ -399,8 +433,13 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				slices.Sort(bs[:k])
 				for _, b := range bs[:k] {
 					if fill == chunkLen {
-						cur, fill = new(pairChunk), 0
-						buf = append(buf, cur)
+						// The next chunk: one the workspace kept, or a new one.
+						if len(buf) < cap(buf) && buf[:len(buf)+1][len(buf)] != nil {
+							cur = buf[:len(buf)+1][len(buf)]
+						} else {
+							cur = new(pairChunk)
+						}
+						buf, fill = append(buf, cur), 0
 					}
 					cur.pairs[fill] = [2]int32{min(a, b), max(a, b)}
 					cur.sims[fill] = rowSims[slot[b]]
@@ -422,16 +461,31 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	for r := range rows {
 		genOff[r+1] += genOff[r]
 	}
-	pairs := make([][2]int32, genOff[len(rows)])
-	sims := make([]float64, len(pairs))
-	for w := range chunks {
+	// The generated pairs: on a dense run they are the state's, laid out
+	// in the workspace's pair arrays; on a patch they are merged below.
+	var pairs [][2]int32
+	var sims []float64
+	if st == nil {
+		pairs, sims = reuse.Grow(ws.pairs, genOff[len(rows)]), reuse.Grow(ws.sims, genOff[len(rows)])
+	} else {
+		pairs, sims = reuse.Grow(ws.gen, genOff[len(rows)]), reuse.Grow(ws.genSims, genOff[len(rows)])
+		ws.gen, ws.genSims = pairs, sims
+	}
+	for w := range rowers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			chunks := rowers[w].chunks
+			if st == nil {
+				// A dense run's chunks hold every pair a second time: the
+				// workspace lets them go rather than keep them live
+				// between slides. A patch's few are kept for the next.
+				defer func() { rowers[w].chunks = nil }()
+			}
 			p := 0 // position in the worker's chunks
 			for r := w; r < len(rows); r += workers {
 				for o := genOff[r]; o < genOff[r+1]; {
-					c, at := chunks[w][p/chunkLen], p%chunkLen
+					c, at := chunks[p/chunkLen], p%chunkLen
 					m := min(genOff[r+1]-o, chunkLen-at)
 					copy(pairs[o:o+m], c.pairs[at:at+m])
 					copy(sims[o:o+m], c.sims[at:at+m])
@@ -444,7 +498,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	regenerated := len(pairs)
 	// rank[u]: a changed pair can cross node u's top K, so u re-ranks it;
 	// rowDirty[u]: a kept edge of row u changed.
-	rank, rowDirty := make([]bool, n), make([]bool, n)
+	rank, rowDirty := reuse.Grow(ws.rank, n), reuse.Grow(ws.rowDirty, n)
+	ws.rank, ws.rowDirty = rank, rowDirty
+	clear(rank)
+	clear(rowDirty)
 	var topU, topV []bool
 	var oldIdx []int32     // a pair's index in st.pairs, -1 for a new pair
 	rescored := len(pairs) // pairs whose score is new or moved
@@ -453,16 +510,19 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		// canonical pair list as generated.
 		setAll(rank)
 		setAll(rowDirty)
-		topU, topV = make([]bool, len(pairs)), make([]bool, len(pairs))
+		topU, topV = reuse.Grow(ws.topU, len(pairs)), reuse.Grow(ws.topV, len(pairs))
+		clear(topU)
+		clear(topV)
 	} else {
 		// A dirty row also emitted the pairs of its clean lower partners,
 		// which sort into those partners' rows.
 		sort.Sort(byPair{pairs, sims})
 		gen, genSims := pairs, sims
 		total := len(st.pairs) - stale + len(gen)
-		pairs, sims = make([][2]int32, total), make([]float64, total)
-		topU, topV = make([]bool, total), make([]bool, total)
-		oldIdx = make([]int32, total)
+		pairs, sims = reuse.Grow(ws.pairs, total), reuse.Grow(ws.sims, total)
+		topU, topV = reuse.Grow(ws.topU, total), reuse.Grow(ws.topV, total)
+		oldIdx = reuse.Grow(ws.oldIdx, total)
+		ws.oldIdx = oldIdx
 		rescored = 0
 		// admit takes a new or re-scored pair w through the re-rank rule: an
 		// endpoint re-ranks if the pair now ranks ahead of its previous K-th.
@@ -483,6 +543,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			case g < len(gen) && (i == len(st.pairs) || pairKey(&gen[g]) < pairKey(&st.pairs[i])):
 				// New pair.
 				pairs[w], sims[w], oldIdx[w] = gen[g], genSims[g], -1
+				topU[w], topV[w] = false, false
 				admit(w)
 				w++
 				g++
@@ -511,6 +572,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				if sims[w] == st.sims[i] {
 					topU[w], topV[w] = st.topU[i], st.topV[i]
 				} else {
+					topU[w], topV[w] = false, false
 					u, v := pairs[w][0], pairs[w][1]
 					rank[u] = rank[u] || st.topU[i]
 					rank[v] = rank[v] || st.topV[i]
@@ -557,11 +619,14 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// verdicts do not depend on the width.
 	rk := ranker{ctx: ctx, pairs: pairs, sims: sims, topU: topU, topV: topV, rank: rank, k: cfg.TopK}
 	if st == nil {
-		rk.kth = make([]kthBest, n) // every node ranks and writes its own
+		rk.kth = reuse.Grow(ws.kth, n) // every node ranks and writes its own
 	} else {
-		rk.kth = slices.Clone(st.kth)
+		rk.kth = append(ws.kth[:0], st.kth...)
 	}
-	rk.rowOff, rk.revOff = make([]int32, n+1), make([]int32, n+1)
+	rk.rowOff, rk.revOff = reuse.Grow(ws.rowOff, n+1), reuse.Grow(ws.revOff, n+1)
+	ws.rowOff, ws.revOff = rk.rowOff, rk.revOff
+	clear(rk.rowOff)
+	clear(rk.revOff)
 	for i := range pairs {
 		rk.rowOff[pairs[i][0]+1]++
 		if v := pairs[i][1]; rank[v] {
@@ -572,8 +637,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		rk.rowOff[u+1] += rk.rowOff[u]
 		rk.revOff[u+1] += rk.revOff[u]
 	}
-	rk.rev = make([]int32, rk.revOff[n])
-	next = slices.Clone(rk.revOff[:n])
+	rk.rev = reuse.Grow(ws.rev, int(rk.revOff[n]))
+	next = append(next[:0], rk.revOff[:n]...)
+	ws.rev, ws.next = rk.rev, next
 	for i := range pairs {
 		if v := pairs[i][1]; rank[v] {
 			topV[i] = false
@@ -598,7 +664,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// Row degrees of the next CSR and, against the previous build, the
 	// kept edges that appeared, disappeared or changed weight: their rows
 	// are the ones patchCSR rewrites.
-	deg := make([]int32, n)
+	deg := reuse.Grow(ws.deg, n)
+	clear(deg)
+	ws.deg = deg
 	kept := 0
 	for i := range pairs {
 		u, v := pairs[i][0], pairs[i][1]
@@ -650,6 +718,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		topV:      topV,
 		kth:       rk.kth,
 		graph:     g,
+	}
+	// The new state's arrays leave the workspace; a consumed state's take
+	// their place, the spare the next patch merges into.
+	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth = nil, nil, nil, nil, nil
+	if recycle && st != nil {
+		ws.adopt(st)
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
 }

@@ -42,7 +42,8 @@ const PatchDensityGate = 0.5
 // the input to BuildIncremental on the next window slide. It aliases the
 // producing build's arrays (capture is free) and is immutable once
 // returned: an incremental build emits a fresh IncState, sharing whatever
-// it did not touch.
+// it did not touch. Only its owner's Workspace.BuildIncremental consumes
+// it, recycling its pair arrays.
 type IncState struct {
 	cfg Config
 	n   int
@@ -115,7 +116,58 @@ type Delta struct {
 // returned state is a new one. Under a traced context the phases are the
 // child spans Build opens.
 func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
-	return build(ctx, es, clicks, emb, cfg, st, dirtyItems)
+	return build(ctx, es, clicks, emb, cfg, st, dirtyItems, nil)
+}
+
+// Workspace is what an owner's builds hand one another instead of
+// allocating it again: the pair arrays, K-th bests and merge indexes of
+// the state the last build consumed — the spare a patch merges the next
+// state into — and the scratch of every phase, the query index, the
+// workers' stamp arrays, row buffers and a patch's candidate chunks, and
+// the rank's indexes among it. A dense run's chunks are not kept: they
+// hold every pair a second time, which would stay live between slides. Nothing a Result or an IncState references is in it once a build
+// returns. The zero value is empty; one serves one build at a time.
+type Workspace struct {
+	// The spare pair arrays, a consumed state's, and the merge's index of
+	// each pair in the state it patches.
+	pairs      [][2]int32
+	sims       []float64
+	topU, topV []bool
+	kth        []kthBest
+	oldIdx     []int32
+	// gen and genSims hold a patch's regenerated pairs before the merge.
+	gen     [][2]int32
+	genSims []float64
+	// Per-phase scratch.
+	dirty, rank, rowDirty         []bool
+	qOff, assoc, next, self       []int32
+	selfOff, rows, rowOff, revOff []int32
+	rev, deg                      []int32
+	genOff                        []int
+	rowers                        []rower
+}
+
+// rower is one candidate worker's scratch: its stamp and slot arrays,
+// its row buffers and the chunks a patch's kept pairs are written into.
+type rower struct {
+	stamp, slot, bs, pend []int32
+	rowSims, pendSims     []float64
+	chunks                []*pairChunk
+}
+
+// BuildIncremental is the package-level BuildIncremental for the owner of
+// st, who hands it over: st must not be used again, by anyone, and its
+// pair arrays become the workspace's spare. A dense run writes the new
+// state over the dropped state's arrays, so two builds' pair arrays never
+// coexist on one. The output is BuildIncremental's, bit for bit.
+func (ws *Workspace) BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirtyItems []model.ItemID) (*Result, *IncState, *Delta, error) {
+	return build(ctx, es, clicks, emb, cfg, st, dirtyItems, ws)
+}
+
+// adopt makes st's pair arrays the workspace's spare, letting go of the
+// spare it held.
+func (ws *Workspace) adopt(st *IncState) {
+	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth = st.pairs, st.sims, st.topU, st.topV, st.kth
 }
 
 // patchCSR materializes the next frozen CSR from the kept pairs,

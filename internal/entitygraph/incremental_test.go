@@ -3,6 +3,7 @@ package entitygraph
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -580,5 +581,85 @@ func TestPatchFollowsFanoutCapFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameGraph(t, step.name, res, full)
+	}
+}
+
+// TestBuildIncrementalLeavesStateReusable holds BuildIncremental to its
+// read-only contract: called twice from one state, on a patch and on a
+// dense fallback, it returns the same graph, delta and next state both
+// times — and a workspace that takes the state over returns them too,
+// also when its spare arrays come from an unrelated earlier build.
+func TestBuildIncrementalLeavesStateReusable(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	es, clicks := oracleWorld(t)
+	res, st, err := BuildWithState(ctx, es, clicks, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A patch: a few queries click an entity they had not reached. A
+	// dense run: every click moves one query id over.
+	patched := bipartite.New(0)
+	shifted := bipartite.New(0)
+	var dirty []model.ItemID
+	for it := range es.ItemEntity {
+		qs, ns := clicks.Row(model.ItemID(it))
+		for j, q := range qs {
+			if err := patched.Add(model.ClickEvent{Query: q, Item: model.ItemID(it), Count: ns[j]}); err != nil {
+				t.Fatal(err)
+			}
+			if err := shifted.Add(model.ClickEvent{Query: q + 1, Item: model.ItemID(it), Count: ns[j]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirty = append(dirty, model.ItemID(it))
+	}
+	for q := 0; q < 40; q += 8 {
+		it := model.ItemID(q * 5 % len(es.ItemEntity))
+		for slices.Contains(res.QuerySets[es.ItemEntity[it]], model.QueryID(q)) {
+			it = (it + 1) % model.ItemID(len(es.ItemEntity))
+		}
+		if err := patched.Add(model.ClickEvent{Query: model.QueryID(q), Item: it, Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var spare Workspace // warmed by a build of another window
+	if _, _, _, err := spare.BuildIncremental(ctx, es, shifted, nil, cfg, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		next  *bipartite.Graph
+		dense bool
+	}{{"patch", patched, false}, {"dense", shifted, true}} {
+		r1, s1, d1, err := BuildIncremental(ctx, es, tc.next, nil, cfg, st, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d1.DenseFallback != tc.dense {
+			t.Fatalf("%s: delta %+v", tc.name, d1)
+		}
+		r2, s2, d2, err := BuildIncremental(ctx, es, tc.next, nil, cfg, st, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, tc.name+": second call", r2, r1)
+		requireSameState(t, tc.name+": second call", s2, s1)
+		if !reflect.DeepEqual(d2, d1) {
+			t.Fatalf("%s: second call's delta %+v, first %+v", tc.name, d2, d1)
+		}
+		// The workspace consumes a copy of st, so st stays usable here.
+		own := *st
+		own.pairs, own.sims = slices.Clone(st.pairs), slices.Clone(st.sims)
+		own.topU, own.topV, own.kth = slices.Clone(st.topU), slices.Clone(st.topV), slices.Clone(st.kth)
+		r3, s3, d3, err := spare.BuildIncremental(ctx, es, tc.next, nil, cfg, &own, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, tc.name+": through a workspace", r3, r1)
+		requireSameState(t, tc.name+": through a workspace", s3, s1)
+		if !reflect.DeepEqual(d3, d1) {
+			t.Fatalf("%s: the workspace's delta %+v, want %+v", tc.name, d3, d1)
+		}
 	}
 }

@@ -17,12 +17,13 @@ var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
 const UnmatchedRoute = "unmatched"
 
 // routeMetrics is one route's instrument set, registered once so the
-// per-request path never looks anything up.
+// per-request path never looks anything up. The route's request count,
+// shoal_http_requests_total, is its latency histogram's count, read at
+// scrape time.
 type routeMetrics struct {
-	route    string
-	latency  *Histogram
-	requests *Counter
-	byClass  [len(statusClasses)]*Counter
+	route   string
+	latency *Histogram
+	byClass [len(statusClasses)]*Counter
 }
 
 // HTTPMetrics instruments a request dispatcher: per-route latency
@@ -51,8 +52,8 @@ func NewHTTPMetrics(reg *Registry, routes ...string) *HTTPMetrics {
 			route: route,
 			latency: reg.Histogram("shoal_http_request_duration_seconds", labels,
 				"request latency by route", LatencyBuckets()),
-			requests: reg.Counter("shoal_http_requests_total", labels, "requests served by route"),
 		}
+		reg.ObservationCounter("shoal_http_requests_total", labels, "requests served by route", rm.latency)
 		for i, class := range statusClasses {
 			rm.byClass[i] = reg.Counter("shoal_http_responses_total",
 				labels+`,class="`+class+`"`, "responses by route and status class")
@@ -95,7 +96,6 @@ func (m *HTTPMetrics) Finish(p any, w http.ResponseWriter, r *http.Request, rout
 	}
 	rm := &m.routes[route]
 	rm.latency.Observe(elapsed.Seconds())
-	rm.requests.Inc()
 	if ci := status/100 - 2; ci >= 0 && ci < len(statusClasses) {
 		rm.byClass[ci].Inc()
 	}
@@ -135,7 +135,7 @@ func (m *HTTPMetrics) Summary() HTTPSummary {
 		}
 		rs := RouteSummary{
 			Route:    rm.route,
-			Requests: rm.requests.Value(),
+			Requests: snap.Count,
 			P50Ms:    snap.Quantile(0.50) * 1e3,
 			P90Ms:    snap.Quantile(0.90) * 1e3,
 			P99Ms:    snap.Quantile(0.99) * 1e3,

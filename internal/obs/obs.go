@@ -118,6 +118,20 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
+// Count returns the number of observations recorded so far.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// observations is a counter series read off a histogram's count at
+// scrape time: the events it counts are the histogram's observations,
+// so the hot path pays for them once.
+type observations struct{ h *Histogram }
+
 // HistSnapshot is a point-in-time copy of a histogram, queryable for
 // quantiles.
 type HistSnapshot struct {
@@ -195,7 +209,7 @@ func LatencyBuckets() []float64 { return ExpBuckets(50e-6, 1.6, 28) }
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
-	byKey    map[string]any // "name\xfflabels" -> *Counter/*Gauge/*Histogram
+	byKey    map[string]any // "name\xfflabels" -> *Counter/*Gauge/*Histogram/observations
 }
 
 // family groups series sharing a metric name, emitted under one # TYPE
@@ -257,6 +271,14 @@ func (r *Registry) register(name, labels, typ, help string, mk func() any) any {
 // the label set in `k="v",k2="v2"` form, or empty.
 func (r *Registry) Counter(name, labels, help string) *Counter {
 	return r.register(name, labels, "counter", help, func() any { return &Counter{} }).(*Counter)
+}
+
+// ObservationCounter registers a counter series that reads h's count of
+// observations at scrape time and is never incremented itself: where
+// every event is observed by h, it counts them without a second atomic
+// per event.
+func (r *Registry) ObservationCounter(name, labels, help string, h *Histogram) {
+	r.register(name, labels, "counter", help, func() any { return observations{h} })
 }
 
 // Gauge registers (or returns the existing) gauge series.

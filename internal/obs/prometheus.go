@@ -28,6 +28,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, s.labels, "", float64(m.Value()))
 			case *Gauge:
 				writeSample(bw, f.name, s.labels, "", float64(m.Value()))
+			case observations:
+				writeSample(bw, f.name, s.labels, "", float64(m.h.Count()))
 			case *Histogram:
 				snap := m.Snapshot()
 				cum := uint64(0)

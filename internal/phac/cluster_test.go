@@ -308,3 +308,35 @@ func TestClusterZeroAllocDiffusion(t *testing.T) {
 }
 
 var _ = dendrogram.Merge{} // keep import when tests shrink
+
+// TestWorkspaceReuseMatchesFresh clusters a run of graphs of different
+// sizes, diffusion depths and linkages through one workspace, the owned
+// CSR regrowing and shrinking from one to the next, and holds every
+// result to Cluster's over a fresh workspace.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	var ws Workspace
+	for i, tc := range []struct {
+		nodes, edges int
+		cfg          Config
+	}{
+		{60, 150, Config{StopThreshold: 0.1}},
+		{200, 900, Config{StopThreshold: 0.05, DiffusionRounds: 2}},
+		{24, 40, Config{StopThreshold: 0.2, DiffusionRounds: 1, Linkage: LinkageUnweighted}},
+		{300, 600, Config{StopThreshold: 0.1, DiffusionRounds: 3}},
+		{60, 150, Config{StopThreshold: 0.1}},
+	} {
+		g := wgraphtest.Random(tc.nodes, tc.edges, uint64(i+1))
+		want, err := Cluster(ctx, g, nil, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ws.Cluster(ctx, g, nil, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: clustering through a reused workspace differs from a fresh one", i)
+		}
+	}
+}

@@ -111,6 +111,7 @@ import (
 
 	"shoal/internal/dendrogram"
 	"shoal/internal/obs"
+	"shoal/internal/reuse"
 	"shoal/internal/wgraph"
 )
 
@@ -261,8 +262,26 @@ func better(a, b edgeRef) bool {
 // Cluster runs Parallel HAC over g with initial cluster sizes (nil means
 // all 1); g is read once and never modified. Leaf ids in the dendrogram
 // are graph node ids. The result is deterministic. Cancellation is
-// checked between clustering rounds.
+// checked between clustering rounds. It is Workspace.Cluster over a
+// fresh workspace.
 func Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Result, error) {
+	return new(Workspace).Cluster(ctx, g, sizes, cfg)
+}
+
+// Workspace keeps every array of a clustering's state — the per-id
+// arrays, the memoized diffusion levels, the worklists, the merge
+// scratch and the owned copy of the CSR with its tail slack — for the
+// next clustering to re-slice and re-initialise instead of allocating.
+// Nothing of a Result aliases it. The zero value is an empty workspace;
+// one serves one clustering at a time.
+type Workspace struct {
+	st state
+}
+
+// Cluster is the one clustering routine: Parallel HAC over g, as the
+// package-level Cluster, in ws's arrays. The result is the same whatever
+// ws held before.
+func (ws *Workspace) Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("phac: empty graph")
@@ -274,7 +293,9 @@ func Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cfg Config) (*Resu
 		return nil, fmt.Errorf("phac: sizes length %d != nodes %d", len(sizes), n)
 	}
 
-	st := newState(g, sizes, cfg)
+	st := &ws.st
+	st.reset(g, sizes, cfg)
+	defer st.release()
 	// A clustering makes at most n-1 merges: the dendrogram never regrows.
 	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n, Merges: make([]dendrogram.Merge, 0, max(n-1, 0))}}
 
@@ -438,43 +459,78 @@ type state struct {
 	terms       []mmTerm
 	mintedEdges []wgraph.Edge
 	inSlot      []int32
+	// ownOffsets, ownNbrs and ownWts are the arrays the owned CSR copy
+	// lives in, kept across clusterings by release: ensureOwned copies
+	// into them and reserveTail regrows them.
+	ownOffsets []int32
+	ownNbrs    []int32
+	ownWts     []float64
 }
 
+// newState is a fresh clustering state over c.
 func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
+	st := new(state)
+	st.reset(c, sizes, cfg)
+	return st
+}
+
+// reset makes st the initial clustering state over c, re-slicing the
+// arrays st already holds where their capacity suffices. Every entry a
+// clustering can read before writing it is initialised here; arrays that
+// grow by append start empty.
+func (st *state) reset(c *wgraph.CSR, sizes []int, cfg Config) {
 	n := c.NumNodes()
 	offsets, nbrs, wts := c.Adj()
-	st := &state{
+	old := *st
+	levels := max(cfg.DiffusionRounds, 1)
+	*st = state{
 		total:   n,
 		offsets: offsets,
 		nbrs:    nbrs,
 		wts:     wts,
-		deg:     make([]int32, n, 2*n),
+		deg:     reuse.Slice(old.deg, n, 2*n),
 		ownsCur: false,
 		// dirtyEpoch starts above the zero value of fresh dirty stamps:
 		// before the first merge nothing is dirty, so round 0's frontier
 		// scatter must not see every zero stamp as a match.
-		dirtyEpoch: 1,
-		size:       make([]float64, n, 2*n),
-		alive:      make([]bool, n, 2*n),
-		aliveCount: n,
-		rounds:     cfg.DiffusionRounds,
-		threshold:  cfg.StopThreshold,
-		exStates:   make([][]edgeRef, max(cfg.DiffusionRounds, 1)),
-		afMark:     make([]uint32, n, 2*n),
-		edgeCnt:    make([]int64, n, 2*n),
-		bests:      make([]edgeRef, n, 2*n),
-		mergeTo:    make([]int32, n, 2*n),
-		coef:       make([]float64, n, 2*n),
+		dirtyEpoch:  1,
+		size:        reuse.Slice(old.size, n, 2*n),
+		alive:       reuse.Slice(old.alive, n, 2*n),
+		aliveCount:  n,
+		rounds:      cfg.DiffusionRounds,
+		threshold:   cfg.StopThreshold,
+		exStates:    reuse.Slice(old.exStates, levels, levels),
+		afMark:      reuse.Slice(old.afMark, n, 2*n),
+		nodes:       old.nodes[:0],
+		edgeCnt:     reuse.Slice(old.edgeCnt, n, 2*n),
+		bests:       reuse.Slice(old.bests, n, 2*n),
+		selected:    old.selected[:0],
+		mergeTo:     reuse.Slice(old.mergeTo, n, 2*n),
+		coef:        reuse.Slice(old.coef, n, 2*n),
+		dirty:       old.dirty[:0],
+		dirtyList:   old.dirtyList[:0],
+		chList:      old.chList[:0],
+		chNext:      old.chNext[:0],
+		afList:      old.afList[:0],
+		terms:       old.terms[:0],
+		mintedEdges: old.mintedEdges[:0],
+		inSlot:      old.inSlot[:0],
+		ownOffsets:  old.ownOffsets,
+		ownNbrs:     old.ownNbrs,
+		ownWts:      old.ownWts,
 	}
 	for it := range st.exStates {
 		// Capacity 2n outlasts every mint: a clustering can never create
 		// more than n-1 new ids, so these arrays are never reallocated.
-		arr := make([]edgeRef, n, 2*n)
+		arr := reuse.Slice(st.exStates[it], n, 2*n)
 		for i := range arr {
 			arr[i] = noEdge
 		}
 		st.exStates[it] = arr
 	}
+	clear(st.afMark)
+	clear(st.edgeCnt)
+	clear(st.coef)
 	for i := 0; i < n; i++ {
 		st.alive[i] = true
 		st.size[i] = 1
@@ -485,12 +541,20 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 		st.mergeTo[i] = -1
 		st.deg[i] = offsets[i+1] - offsets[i]
 	}
-	return st
 }
 
-// ensureOwned copies the CSR out of the caller's frozen graph before the
-// first in-place write. One copy per clustering: every later round
-// patches the owned arrays directly.
+// release ends a clustering: the owned CSR arrays, regrown or not, stay
+// for the next one, and the caller's graph is let go of.
+func (st *state) release() {
+	if st.ownsCur {
+		st.ownOffsets, st.ownNbrs, st.ownWts = st.offsets, st.nbrs, st.wts
+	}
+	st.offsets, st.nbrs, st.wts = nil, nil, nil
+}
+
+// ensureOwned copies the CSR out of the caller's frozen graph, into the
+// workspace's arrays, before the first in-place write. One copy per
+// clustering: every later round patches the owned arrays directly.
 func (st *state) ensureOwned() {
 	if st.ownsCur {
 		return
@@ -501,11 +565,11 @@ func (st *state) ensureOwned() {
 	// 2n+1 rows can never be exceeded, and minted spans are bounded by
 	// the merged rows' combined (shrink-only) adjacency, so 3/2 entry
 	// slack makes tail reallocation rare without doubling the footprint.
-	offsets := make([]int32, n+1, 2*n+1)
+	offsets := reuse.Slice(st.ownOffsets, n+1, 2*n+1)
 	copy(offsets, st.offsets[:n+1])
-	nbrs := make([]int32, half, half+half/2)
+	nbrs := reuse.Slice(st.ownNbrs, half, half+half/2)
 	copy(nbrs, st.nbrs[:half])
-	wts := make([]float64, half, half+half/2)
+	wts := reuse.Slice(st.ownWts, half, half+half/2)
 	copy(wts, st.wts[:half])
 	st.offsets, st.nbrs, st.wts = offsets, nbrs, wts
 	st.ownsCur = true

@@ -215,15 +215,16 @@ func generatedWorld(t *testing.T, gen synth.Config) (*dendrogram.Dendrogram, *en
 }
 
 // TestBuildAllocs: assembly allocates a fixed few arrays per level —
-// CutAt's union-find, root table and labels, the level's member array,
-// the topic records' growth — and a fixed few per build, whatever the
-// number of topics (the map-and-sort assembly took ≈14 000 on the
-// benchmark fixture's catalog).
+// the level's member array, the topic records' growth — and a fixed few
+// per build, whatever the number of topics: the cuts share one label
+// array and one union-find (the map-and-sort assembly took ≈14 000 on
+// the benchmark fixture's catalog, and a cut of its own per level made
+// it 5 per level and 15 per build).
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation moves closures to the heap")
 	}
-	const perLevel, perBuild = 5, 15
+	const perLevel, perBuild = 2, 17
 	d, es, corpus := fixture(t)
 	small := Config{Levels: []float64{0.4, 0.75}}
 	gen := synth.DefaultConfig()

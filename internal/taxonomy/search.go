@@ -32,27 +32,37 @@ func NewSearcher(ctx context.Context, tx *Taxonomy, topicDocs [][]string) (*Sear
 }
 
 // NewSearcherIDs is NewSearcher over documents already spelled as term
-// ids of vocab — the corpus text plane's vocabulary in a pipeline build.
-// The searcher resolves query tokens in vocab, which must not change
-// while it is in use. Hits and scores equal NewSearcher's over the same
-// documents spelled as strings, bit for bit: BM25 depends on which
-// tokens match, not on how terms are numbered.
+// ids of vocab. The searcher resolves query tokens in vocab, which must
+// not change while it is in use. Hits and scores equal NewSearcher's
+// over the same documents spelled as strings, bit for bit: BM25 depends
+// on which tokens match, not on how terms are numbered.
 func NewSearcherIDs(ctx context.Context, tx *Taxonomy, topicDocs [][]uint32, vocab *textutil.Vocab) (*Searcher, error) {
+	return NewSearcherFrom(ctx, tx, bm25.IDs(topicDocs), vocab)
+}
+
+// NewSearcherFrom is NewSearcherIDs over documents streamed into the
+// postings (bm25.BuildFrom) — the corpus text plane's vocabulary in a
+// pipeline build — so the documents never exist as arrays. Document i is
+// topic i's.
+func NewSearcherFrom(ctx context.Context, tx *Taxonomy, topicDocs bm25.Docs, vocab *textutil.Vocab) (*Searcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(topicDocs) != len(tx.Topics) {
-		return nil, fmt.Errorf("taxonomy: %d docs for %d topics", len(topicDocs), len(tx.Topics))
+	if n := topicDocs.Len(); n != len(tx.Topics) {
+		return nil, fmt.Errorf("taxonomy: %d docs for %d topics", n, len(tx.Topics))
 	}
-	if len(topicDocs) == 0 {
+	if len(tx.Topics) == 0 {
 		return nil, fmt.Errorf("taxonomy: no topics to index")
 	}
-	idx, err := bm25.BuildIDs(topicDocs, vocab)
+	idx, err := bm25.BuildFrom(topicDocs, vocab)
 	if err != nil {
 		return nil, err
 	}
 	return &Searcher{idx: idx}, nil
 }
+
+// Tokens returns the number of tokens the searcher indexed.
+func (s *Searcher) Tokens() int { return s.idx.Tokens() }
 
 // Hit is a scored topic.
 type Hit struct {

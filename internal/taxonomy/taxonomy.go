@@ -167,14 +167,18 @@ func Build(ctx context.Context, d *dendrogram.Dendrogram, es *entitygraph.Entity
 		}
 		return candidates
 	}
-	// Every level is cut first, so protos is sized once for all of them.
+	// Every level is cut first, so protos is sized once for all of them;
+	// the cuts share one label array and one union-find.
 	cuts := make([][]int32, len(cfg.Levels))
+	labels := make([]int32, len(cfg.Levels)*n)
+	var scratch []int32
 	candidates := 0
 	for level, threshold := range cfg.Levels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cuts[level] = d.CutAt(threshold)
+		cuts[level] = labels[level*n : (level+1)*n]
+		scratch = d.CutInto(cuts[level], threshold, scratch)
 		candidates += groups(cuts[level])
 	}
 	protos := make([]proto, 0, candidates)
