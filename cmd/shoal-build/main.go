@@ -115,7 +115,8 @@ func main() {
 			// Sub-stage spans of the stages around clustering, with the
 			// counts that size their work (entity-graph: query-sets
 			// dirtyEntities, candidates scored pairs regenerated, rank
-			// rescored nodesRanked, emit dirtyRows kept;
+			// rescored nodesRanked, emit dirtyRows kept, and on each
+			// the retained pairs it read one at a time, walkedPairs;
 			// describe/score: distinctQueries, candidatePairs;
 			// search-index/build: tokens; every describe and
 			// search-index span: workers, the ranges its loops split

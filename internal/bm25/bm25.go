@@ -79,6 +79,10 @@ type Index struct {
 	// the GC cycles a slide's allocation starts, the more of them a cycle
 	// would find pinned.
 	scratchPool *sync.Pool
+	// ranges are the build's per-range count arrays (vocabulary-sized),
+	// kept by Rebuild for the next Rebuild into this index; the index
+	// BuildFrom returns keeps none.
+	ranges []buildRange
 }
 
 // scratch is the pooled dense scoring state: a score per document, a
@@ -134,14 +138,20 @@ func (docs IDs) Walk(d int, part func(ids []uint32)) { part(docs[d]) }
 // the index is the one BuildIDs gives over the same documents
 // materialized, bit for bit.
 func BuildFrom(docs Docs, vocab *textutil.Vocab) (*Index, error) {
-	return Rebuild(nil, docs, vocab)
+	idx, err := Rebuild(nil, docs, vocab)
+	if idx != nil {
+		idx.ranges = nil
+	}
+	return idx, err
 }
 
 // Rebuild is BuildFrom in the arrays of old, an index its caller is done
-// with: the term records, postings and document lengths are re-sliced
-// where they fit, and the pooled scoring scratch is kept when the
-// document count is the same. old must not be used afterwards; nil
-// builds a fresh index. The index is BuildFrom's, bit for bit.
+// with: the term records, postings, document lengths and the build's
+// per-range count arrays are re-sliced where they fit, and the pooled
+// scoring scratch is kept when the document count is the same. old must
+// not be used afterwards; nil builds a fresh index. The index is
+// BuildFrom's, bit for bit, and keeps its count arrays for the next
+// Rebuild.
 func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	n := docs.Len()
 	if n == 0 {
@@ -164,7 +174,7 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	}
 	b := build{docs: docs, nTerms: nTerms, docLen: idx.docLen}
 	bounds := par.Split(nil, n, docs.Cost)
-	b.ranges = make([]buildRange, len(bounds)-1)
+	b.ranges = reuse.Grow(old.ranges, len(bounds)-1)
 	if err := par.Run(bounds, &b, (*build).count); err != nil {
 		return nil, err
 	}
@@ -192,7 +202,7 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	b.posts = idx.posts
 	_ = par.Run(bounds, &b, (*build).fill) // fill has no failure to report
 
-	idx.tokens = total
+	idx.tokens, idx.ranges = total, ranges
 	idx.avgLen = float64(total) / float64(n)
 	if idx.avgLen == 0 {
 		idx.avgLen = 1
@@ -235,7 +245,10 @@ type buildRange struct {
 // vocabulary.
 func (b *build) count(w, lo, hi int) error {
 	r := &b.ranges[w]
-	*r = buildRange{next: make([]int32, b.nTerms), seen: make([]int32, b.nTerms), nTerms: b.nTerms}
+	next, seen := reuse.Grow(r.next, b.nTerms), reuse.Grow(r.seen, b.nTerms)
+	clear(next)
+	clear(seen)
+	*r = buildRange{next: next, seen: seen, nTerms: b.nTerms}
 	part := r.countIDs
 	for d := lo; d < hi; d++ {
 		r.stamp, r.dl = int32(d)+1, 0

@@ -349,3 +349,47 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 		t.Fatal("BuildFrom accepted a term id outside the vocabulary")
 	}
 }
+
+// TestRebuildReusesCountArrays holds Rebuild to the arrays of the index
+// it rebuilds into: over the same vocabulary it allocates nothing
+// vocabulary-sized, the per-range count arrays included, while the index
+// BuildFrom publishes keeps no count arrays at all.
+func TestRebuildReusesCountArrays(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations blur the byte count")
+	}
+	vocab := textutil.NewVocab()
+	for i := range 1 << 16 {
+		vocab.Add(fmt.Sprintf("t%d", i))
+	}
+	docs := make([][]uint32, 64)
+	for d := range docs {
+		for j := range 8 {
+			docs[d] = append(docs[d], uint32((d*131+j*977)%vocab.Size()))
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	idx, err := Rebuild(nil, IDs(docs), vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.ranges) == 0 {
+		t.Fatal("Rebuild kept no count arrays for the next Rebuild")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Rebuild(idx, IDs(docs), vocab); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(4*vocab.Size()) {
+		t.Errorf("Rebuild over the same %d-term vocabulary allocated %d bytes, want less than one int32 per term", vocab.Size(), grew)
+	}
+	built, err := BuildFrom(IDs(docs), vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.ranges != nil {
+		t.Error("the index BuildFrom returns keeps its count arrays")
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"shoal/internal/bipartite"
@@ -137,7 +136,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	ph := phases{parent: obs.SpanFromContext(ctx)}
 	defer ph.end()
 
-	sp := ph.next("query-sets")
+	ph.next("query-sets")
 	// recycle: the caller handed st over with a workspace, so st's pair
 	// arrays may be written. Without one the build gets a workspace of its
 	// own, every array in it fresh, and st is only read.
@@ -186,7 +185,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		querySets[e] = qs
 		numDirty++
 	}
-	sp.SetAttr("dirtyEntities", numDirty)
+	ph.attr("dirtyEntities", numDirty)
 	if st != nil {
 		d.DirtyEntities = numDirty
 		if numDirty == 0 {
@@ -226,7 +225,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		}
 	}
 
-	stale := 0 // retained pairs with a dirty endpoint: the ones regenerated
+	stale := 0  // retained pairs with a dirty endpoint: the ones regenerated
+	walked := 0 // retained pairs read one at a time, per phase
+	var p *patch
 	if st != nil {
 		if cfg.MaxQueryFanout > 0 {
 			// A dirty entity joining or leaving a query can move its run
@@ -260,10 +261,17 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 			}
 		}
-		for i := range st.pairs {
-			if dirty[st.pairs[i][0]] || dirty[st.pairs[i][1]] {
-				stale++
+		// The stale count: from the dirty entities' rows and columns when
+		// st is indexed, by a walk of its pairs when a dense run left it.
+		if st.idx.rowOff != nil {
+			stale, walked = st.idx.stale(dirty)
+		} else {
+			for i := range st.pairs {
+				if dirty[st.pairs[i][0]] || dirty[st.pairs[i][1]] {
+					stale++
+				}
 			}
+			walked = len(st.pairs)
 		}
 		if float64(stale) > PatchDensityGate*float64(len(st.pairs)) {
 			// The one density gate. Past it, filtering and merging is pure
@@ -279,15 +287,28 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			}
 			st = nil
 			setAll(dirty)
+		} else {
+			// A patch: st's index, or one laid out now in the workspace's
+			// spare if a dense run left st; the next state's index takes
+			// whatever spare is left. Only a dense run reads self and the
+			// rank's reverse index: a patch lets them go.
+			p = &patch{st: st, old: st.idx, n: n, stale: stale, dirty: dirty}
+			if st.idx.rowOff == nil {
+				p.old, ws.idx = ws.idx, pairIndex{}
+				walked += p.old.index(st.pairs, n)
+			}
+			p.idx, ws.idx = ws.idx, pairIndex{}
+			ws.self, ws.selfOff, ws.rev, ws.rowOff, ws.revOff = nil, nil, nil, nil, nil
 		}
 	}
+	ph.attr("walkedPairs", walked)
 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
 	ph.end()
 	means, norms := es.meanVectors(emb, ph.parent)
-	sp = ph.next("candidates")
+	ph.next("candidates")
 	// Candidate pairs via shared queries, with fanout cap, regenerated for
 	// the dirty entities row by row and scored where they are found: dirty
 	// entity a's candidates are the other entities in the runs of its own
@@ -496,112 +517,42 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	}
 	wg.Wait()
 	regenerated := len(pairs)
-	// rank[u]: a changed pair can cross node u's top K, so u re-ranks it;
-	// rowDirty[u]: a kept edge of row u changed.
-	rank, rowDirty := reuse.Grow(ws.rank, n), reuse.Grow(ws.rowDirty, n)
-	ws.rank, ws.rowDirty = rank, rowDirty
-	clear(rank)
-	clear(rowDirty)
+	// rank[u]: a changed pair can cross node u's top K, so u re-ranks it.
+	rank := reuse.Grow(ws.rank, n)
+	ws.rank = rank
 	var topU, topV []bool
-	var oldIdx []int32     // a pair's index in st.pairs, -1 for a new pair
 	rescored := len(pairs) // pairs whose score is new or moved
+	walked = 0
 	if st == nil {
 		// Every entity dirty: ascending rows of ascending (a, b > a) are the
 		// canonical pair list as generated.
 		setAll(rank)
-		setAll(rowDirty)
 		topU, topV = reuse.Grow(ws.topU, len(pairs)), reuse.Grow(ws.topV, len(pairs))
 		clear(topU)
 		clear(topV)
 	} else {
 		// A dirty row also emitted the pairs of its clean lower partners,
-		// which sort into those partners' rows.
-		sort.Sort(byPair{pairs, sims})
-		gen, genSims := pairs, sims
-		total := len(st.pairs) - stale + len(gen)
-		pairs, sims = reuse.Grow(ws.pairs, total), reuse.Grow(ws.sims, total)
-		topU, topV = reuse.Grow(ws.topU, total), reuse.Grow(ws.topV, total)
-		oldIdx = reuse.Grow(ws.oldIdx, total)
-		ws.oldIdx = oldIdx
-		rescored = 0
-		// admit takes a new or re-scored pair w through the re-rank rule: an
-		// endpoint re-ranks if the pair now ranks ahead of its previous K-th.
-		admit := func(w int) {
-			rescored++
-			u, v := pairs[w][0], pairs[w][1]
-			rank[u] = rank[u] || st.kth[u].admits(sims[w], v)
-			rank[v] = rank[v] || st.kth[v].admits(sims[w], u)
+		// which belong to those partners' rows: lists puts them there, and
+		// the merge touches only the dirty entities' pairs, before and after.
+		clear(rank)
+		p.rank = rank
+		p.lists(pairs, sims, ws)
+		var err error
+		if rescored, err = p.merge(ws, len(st.pairs)-stale+regenerated); err != nil {
+			return nil, nil, nil, err
 		}
-		// Merge walk over the retained pairs and the regenerated ones, both
-		// in canonical order: it drops the retained pairs with a dirty
-		// endpoint and sees the old and the new entry of every key side by
-		// side. Both lists hold only pairs at or above MinSimilarity, so a
-		// pair that fell below it reads as vanished and one that rose above
-		// it as new — the verdicts its moved score calls for.
-		for i, g, w := 0, 0, 0; i < len(st.pairs) || g < len(gen); {
-			switch {
-			case g < len(gen) && (i == len(st.pairs) || pairKey(&gen[g]) < pairKey(&st.pairs[i])):
-				// New pair.
-				pairs[w], sims[w], oldIdx[w] = gen[g], genSims[g], -1
-				topU[w], topV[w] = false, false
-				admit(w)
-				w++
-				g++
-			case !dirty[st.pairs[i][0]] && !dirty[st.pairs[i][1]]:
-				// Maximal clean run below the next regenerated key: the
-				// four retained arrays move as block copies.
-				j := i + 1
-				for j < len(st.pairs) && !dirty[st.pairs[j][0]] && !dirty[st.pairs[j][1]] &&
-					(g == len(gen) || pairKey(&st.pairs[j]) < pairKey(&gen[g])) {
-					j++
-				}
-				copy(pairs[w:], st.pairs[i:j])
-				copy(sims[w:], st.sims[i:j])
-				copy(topU[w:], st.topU[i:j])
-				copy(topV[w:], st.topV[i:j])
-				for ; i < j; i++ {
-					oldIdx[w] = int32(i)
-					w++
-				}
-			case g < len(gen) && gen[g] == st.pairs[i]:
-				// Regenerated in place. An unchanged score leaves its side
-				// bits standing; a moved one clears both, re-ranks the
-				// endpoints whose top K it was in (it may leave), and is
-				// admitted like a new pair.
-				pairs[w], sims[w], oldIdx[w] = gen[g], genSims[g], int32(i)
-				if sims[w] == st.sims[i] {
-					topU[w], topV[w] = st.topU[i], st.topV[i]
-				} else {
-					topU[w], topV[w] = false, false
-					u, v := pairs[w][0], pairs[w][1]
-					rank[u] = rank[u] || st.topU[i]
-					rank[v] = rank[v] || st.topV[i]
-					admit(w)
-				}
-				w++
-				g++
-				i++
-			default:
-				// Pair vanished. The endpoints whose top K it was in re-rank;
-				// if it was a kept edge, both CSR rows change too.
-				u, v := st.pairs[i][0], st.pairs[i][1]
-				rank[u] = rank[u] || st.topU[i]
-				rank[v] = rank[v] || st.topV[i]
-				if st.topU[i] || st.topV[i] {
-					d.ChangedEdges++
-					rowDirty[u], rowDirty[v] = true, true
-				}
-				i++
-			}
-		}
+		p.columns()
+		pairs, sims, topU, topV = p.pairs, p.sims, p.topU, p.topV
+		walked, p.walked = p.walked, 0
 	}
-	sp.SetAttr("scored", numScored)
-	sp.SetAttr("bounded", numBounded)
-	sp.SetAttr("pairs", len(pairs))
-	sp.SetAttr("regenerated", regenerated)
+	ph.attr("scored", numScored)
+	ph.attr("bounded", numBounded)
+	ph.attr("pairs", len(pairs))
+	ph.attr("regenerated", regenerated)
+	ph.attr("walkedPairs", walked)
 
-	sp = ph.next("rank")
-	sp.SetAttr("rescored", rescored)
+	ph.next("rank")
+	ph.attr("rescored", rescored)
 	// TopK sparsification. An edge survives TopK if it ranks in the top K
 	// of *either* endpoint (keeping it in only-one direction would break
 	// symmetry). The per-side survival bits are kept (not just the union) so
@@ -610,102 +561,108 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// changed pair to.
 	// A node's incident candidates are its own row of pairs (rowOff, the
 	// pairs by first endpoint: they are in canonical order) plus the pairs
-	// of lower rows that name it second (rev, a CSR of pair indices by
-	// second endpoint, of the re-ranking nodes only). A re-ranking node's
-	// side bits are cleared where its pairs are indexed or walked. The
-	// nodes split into par ranges balanced by their incident candidates;
-	// node u writes only kth[u], the topU bits of its own row and the topV
-	// bits its rev entries name, so every slot has one writer and the
-	// verdicts do not depend on the width.
+	// of lower rows that name it second: a dense run, where every node
+	// re-ranks, lays them out as rev, a CSR of pair indices by second
+	// endpoint, and a patch finds them through the next state's column
+	// index and rows. A re-ranking node's side bits are cleared where its
+	// pairs are indexed or walked. The nodes split into par ranges balanced
+	// by their incident candidates; node u writes only kth[u], the topU
+	// bits of its own row and the topV bits of its column, so every slot
+	// has one writer and the verdicts do not depend on the width.
 	rk := ranker{ctx: ctx, pairs: pairs, sims: sims, topU: topU, topV: topV, rank: rank, k: cfg.TopK}
+	walked = 0
 	if st == nil {
 		rk.kth = reuse.Grow(ws.kth, n) // every node ranks and writes its own
-	} else {
-		rk.kth = append(ws.kth[:0], st.kth...)
-	}
-	rk.rowOff, rk.revOff = reuse.Grow(ws.rowOff, n+1), reuse.Grow(ws.revOff, n+1)
-	ws.rowOff, ws.revOff = rk.rowOff, rk.revOff
-	clear(rk.rowOff)
-	clear(rk.revOff)
-	for i := range pairs {
-		rk.rowOff[pairs[i][0]+1]++
-		if v := pairs[i][1]; rank[v] {
-			rk.revOff[v+1]++
+		rowOff, revOff := reuse.Grow(ws.rowOff, n+1), reuse.Grow(ws.revOff, n+1)
+		ws.rowOff, ws.revOff = rowOff, revOff
+		clear(rowOff)
+		clear(revOff)
+		for i := range pairs {
+			rowOff[pairs[i][0]+1]++
+			revOff[pairs[i][1]+1]++
 		}
-	}
-	for u := 0; u < n; u++ {
-		rk.rowOff[u+1] += rk.rowOff[u]
-		rk.revOff[u+1] += rk.revOff[u]
-	}
-	rk.rev = reuse.Grow(ws.rev, int(rk.revOff[n]))
-	next = append(next[:0], rk.revOff[:n]...)
-	ws.rev, ws.next = rk.rev, next
-	for i := range pairs {
-		if v := pairs[i][1]; rank[v] {
-			topV[i] = false
-			rk.rev[next[v]] = int32(i)
+		prefixSum(rowOff)
+		prefixSum(revOff)
+		rev := reuse.Grow(ws.rev, int(revOff[n]))
+		next = append(next[:0], revOff[:n]...)
+		ws.rev, ws.next = rev, next
+		for i := range pairs {
+			v := pairs[i][1]
+			rev[next[v]] = int32(i)
 			next[v]++
 		}
+		rk.rowOff, rk.colOff, rk.rev = rowOff, revOff, rev
+		walked = 2 * len(pairs)
+	} else {
+		rk.kth = append(ws.kth[:0], st.kth...)
+		rk.rowOff, rk.colOff, rk.col, rk.dirty = p.idx.rowOff, p.idx.colOff, p.idx.col, dirty
 	}
 	bounds := par.Split(nil, n, rk.cost)
-	rk.ranked = make([]int, len(bounds)-1)
+	rk.counts = make([][2]int, len(bounds)-1)
+	ws.rankers = reuse.Grow(ws.rankers, len(bounds)-1)
+	rk.lists, rk.patch = ws.rankers, st != nil
 	if err := par.Run(bounds, &rk, (*ranker).rankNodes); err != nil {
 		return nil, nil, nil, err
 	}
-	nodesRanked := 0
-	for _, c := range rk.ranked {
-		nodesRanked += c
+	nodesRanked, nFlips := 0, 0
+	for w, c := range rk.counts {
+		nodesRanked += c[0]
+		walked += c[1]
+		nFlips += len(rk.lists[w].flips)
 	}
-	sp.SetAttr("workers", len(bounds)-1)
-	sp.SetAttr("nodesRanked", nodesRanked)
+	// The clean pairs whose side bit a re-ranked endpoint flipped, once
+	// each: both endpoints may have flipped one.
+	var flips []int32
+	if st != nil {
+		flips = reuse.Slice(ws.flipped, 0, nFlips)
+		for w := range rk.lists {
+			flips = append(flips, rk.lists[w].flips...)
+		}
+		slices.Sort(flips)
+		flips = slices.Compact(flips)
+		ws.flipped = flips
+	}
+	ph.attr("workers", len(bounds)-1)
+	ph.attr("nodesRanked", nodesRanked)
+	ph.attr("walkedPairs", walked)
 	d.RankedNodes = nodesRanked
 
-	sp = ph.next("emit")
-	// Row degrees of the next CSR and, against the previous build, the
-	// kept edges that appeared, disappeared or changed weight: their rows
-	// are the ones patchCSR rewrites.
-	deg := reuse.Grow(ws.deg, n)
-	clear(deg)
-	ws.deg = deg
-	kept := 0
-	for i := range pairs {
-		u, v := pairs[i][0], pairs[i][1]
-		keep := topU[i] || topV[i]
-		if keep {
-			kept++
-			deg[u]++
-			deg[v]++
-		}
-		if st == nil {
-			continue
-		}
-		oi := oldIdx[i]
-		was := oi >= 0 && (st.topU[oi] || st.topV[oi])
-		if keep != was || (keep && sims[i] != st.sims[oi]) {
-			d.ChangedEdges++
-			rowDirty[u], rowDirty[v] = true, true
-		}
-	}
-	var prev *wgraph.CSR
-	dirtyRows := n
-	if st != nil {
-		prev = st.graph
-		for u := range rowDirty {
-			if rowDirty[u] {
-				d.DirtyRows = append(d.DirtyRows, int32(u))
+	ph.next("emit")
+	// A dense run counts the row degrees of the next CSR and emits it; a
+	// patch lists the kept edges that appeared, disappeared or changed
+	// weight against the previous build, and rewrites only their rows.
+	kept, dirtyRows := 0, n
+	var g *wgraph.CSR
+	var err error
+	if st == nil {
+		deg := reuse.Grow(ws.deg, n)
+		ws.deg = deg
+		clear(deg)
+		for i := range pairs {
+			if topU[i] || topV[i] {
+				kept++
+				deg[pairs[i][0]]++
+				deg[pairs[i][1]]++
 			}
 		}
-		dirtyRows = len(d.DirtyRows)
-	}
-	g := prev
-	if dirtyRows > 0 {
-		var err error
-		if g, err = patchCSR(prev, n, pairs, sims, topU, topV, rowDirty, deg); err != nil {
-			return nil, nil, nil, err
+		walked = 2 * len(pairs) // and emitCSR's walk
+		g, err = emitCSR(n, pairs, sims, topU, topV, deg)
+	} else {
+		edits := p.edits(flips, ws)
+		d.ChangedEdges = len(edits)
+		g, kept = st.graph, st.graph.NumEdges()
+		if len(edits) > 0 {
+			g, d.DirtyRows, kept, err = p.csr(st.graph, edits, ws)
 		}
+		dirtyRows = len(d.DirtyRows)
+		walked = p.walked
 	}
-	sp.SetAttr("dirtyRows", dirtyRows)
-	sp.SetAttr("kept", kept)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ph.attr("dirtyRows", dirtyRows)
+	ph.attr("kept", kept)
+	ph.attr("walkedPairs", walked)
 
 	nst := &IncState{
 		cfg:       cfg,
@@ -722,8 +679,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// The new state's arrays leave the workspace; a consumed state's take
 	// their place, the spare the next patch merges into.
 	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth = nil, nil, nil, nil, nil
+	if p != nil {
+		nst.idx = p.idx
+	}
 	if recycle && st != nil {
 		ws.adopt(st)
+		ws.idx = p.old // st's index, or the one laid out for it
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
 }
@@ -739,27 +700,6 @@ type pairChunk struct {
 	sims  [chunkLen]float64
 }
 
-// byPair co-sorts candidate pairs and their scores into canonical (U,V)
-// order.
-type byPair struct {
-	pairs [][2]int32
-	sims  []float64
-}
-
-func (s byPair) Len() int           { return len(s.pairs) }
-func (s byPair) Less(i, j int) bool { return pairKey(&s.pairs[i]) < pairKey(&s.pairs[j]) }
-func (s byPair) Swap(i, j int) {
-	s.pairs[i], s.pairs[j] = s.pairs[j], s.pairs[i]
-	s.sims[i], s.sims[j] = s.sims[j], s.sims[i]
-}
-
-// pairKey is a pair's sort key. It takes a pointer, and the loops over
-// every pair index pairs[i] instead of ranging over copies, because a
-// [2]int32 value round-trips through a stack slot that, where it straddles
-// a cache line, stalls every iteration on a failed store forward: ≈10 ns
-// a pair, a millisecond over a walk of ≈100 k pairs.
-func pairKey(p *[2]int32) uint64 { return uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])) }
-
 func setAll(b []bool) {
 	for i := range b {
 		b[i] = true
@@ -771,10 +711,16 @@ func setAll(b []bool) {
 type phases struct{ parent, cur *obs.Span }
 
 // next ends the open phase and opens its successor.
-func (p *phases) next(name string) *obs.Span {
+func (p *phases) next(name string) {
 	p.cur.End()
 	p.cur = p.parent.Child(name)
-	return p.cur
+}
+
+// attr sets a count on the open phase; without a trace it boxes nothing.
+func (p *phases) attr(key string, n int) {
+	if p.cur != nil {
+		p.cur.SetAttr(key, n)
+	}
 }
 
 func (p *phases) end() { p.cur.End() }
@@ -836,16 +782,37 @@ func (b kthBest) admits(sim float64, other int32) bool {
 	return scored{other: other, sim: sim}.before(scored{other: b.other, sim: b.sim})
 }
 
-// ranker holds the rank phase's arrays for its par ranges.
+// ranker holds the rank phase's arrays for its par ranges. Node u's
+// column — the pairs (x, u) of lower rows — is rev[colOff[u]:colOff[u+1]],
+// their indices, on a dense run, and col[colOff[u]:colOff[u+1]], their
+// first endpoints, on a patch. A patch also lists, per range, the pairs
+// of two clean entities whose side bit a re-ranked node flipped: with the
+// regenerated and vanished pairs, they are the only ones whose edge can
+// have changed.
 type ranker struct {
-	ctx                 context.Context
-	pairs               [][2]int32
-	sims                []float64
-	topU, topV, rank    []bool
-	kth                 []kthBest
-	rowOff, revOff, rev []int32
-	k                   int
-	ranked              []int // per range: the nodes ranked with a candidate
+	ctx              context.Context
+	pairs            [][2]int32
+	sims             []float64
+	topU, topV, rank []bool
+	dirty            []bool
+	kth              []kthBest
+	rowOff, colOff   []int32
+	rev, col         []int32
+	k                int
+	counts           [][2]int // per range: the nodes ranked with a candidate, the pairs listed
+	lists            []rankLists
+	patch            bool
+}
+
+// rankLists is one rank range's reusable lists: a node's incident
+// candidates and, on a patch, its column's pair indices and every listed
+// pair's side bit before the re-rank, in listing order (rankNode reorders
+// its list), and the range's flipped pairs.
+type rankLists struct {
+	lst   []scored
+	at    []int32
+	was   []bool
+	flips []int32
 }
 
 // cost is node u's share of the rank: its incident candidates, if it
@@ -854,15 +821,16 @@ func (r *ranker) cost(u int) int {
 	if !r.rank[u] {
 		return 0
 	}
-	return int(r.rowOff[u+1]-r.rowOff[u]+r.revOff[u+1]-r.revOff[u]) + 1
+	return int(r.rowOff[u+1]-r.rowOff[u]+r.colOff[u+1]-r.colOff[u]) + 1
 }
 
 // rankNodes ranks the re-ranking nodes of [lo, hi), each from one
 // reusable list of its incident candidates.
 func (r *ranker) rankNodes(w, lo, hi int) error {
-	pairs, sims, topU, rowOff, revOff := r.pairs, r.sims, r.topU, r.rowOff, r.revOff
-	var lst []scored
-	ranked := 0
+	pairs, sims, topU, topV, rowOff := r.pairs, r.sims, r.topU, r.topV, r.rowOff
+	l := &r.lists[w]
+	lst, at, was, flips := l.lst, l.at, l.was, l.flips[:0]
+	ranked, listed := 0, 0
 	for u := lo; u < hi; u++ {
 		if u%256 == 255 {
 			if err := r.ctx.Err(); err != nil {
@@ -872,20 +840,51 @@ func (r *ranker) rankNodes(w, lo, hi int) error {
 		if !r.rank[u] {
 			continue
 		}
-		lst = lst[:0]
-		for _, i := range r.rev[revOff[u]:revOff[u+1]] {
-			lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
+		lst, at, was = lst[:0], at[:0], was[:0]
+		if r.patch {
+			for _, x := range r.col[r.colOff[u]:r.colOff[u+1]] {
+				i := pairAt(pairs, rowOff, x, int32(u))
+				at, was = append(at, int32(i)), append(was, topV[i])
+				topV[i] = false
+				lst = append(lst, scored{other: x, sim: sims[i], idx: i})
+			}
+		} else {
+			for _, i := range r.rev[r.colOff[u]:r.colOff[u+1]] {
+				lst = append(lst, scored{other: pairs[i][0], sim: sims[i], idx: int(i)})
+			}
 		}
 		for row := int(rowOff[u]); row < int(rowOff[u+1]); row++ {
+			if r.patch {
+				was = append(was, topU[row])
+			}
 			topU[row] = false
 			lst = append(lst, scored{other: pairs[row][1], sim: sims[row], idx: row})
 		}
 		if len(lst) > 0 {
 			ranked++
 		}
-		r.kth[u] = rankNode(lst, int32(u), pairs, topU, r.topV, r.k)
+		listed += len(lst)
+		r.kth[u] = rankNode(lst, int32(u), pairs, topU, topV, r.k)
+		if !r.patch || r.dirty[u] {
+			continue // a dirty node's pairs are all regenerated or vanished
+		}
+		for k, b := range was {
+			var i int32
+			var now bool
+			if k < len(at) {
+				i = at[k]
+				now = topV[i]
+			} else {
+				i = rowOff[u] + int32(k-len(at))
+				now = topU[i]
+			}
+			if now != b && !r.dirty[pairs[i][0]] && !r.dirty[pairs[i][1]] {
+				flips = append(flips, i)
+			}
+		}
 	}
-	r.ranked[w] = ranked
+	r.counts[w] = [2]int{ranked, listed}
+	l.lst, l.at, l.was, l.flips = lst, at, was, flips
 	return nil
 }
 

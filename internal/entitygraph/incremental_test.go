@@ -144,6 +144,7 @@ func TestIncrementalMatchesFullOverSlide(t *testing.T) {
 					t.Fatal(err)
 				}
 				st = nst
+				requireIndexMatchesPairs(t, tc.name+"/day", st)
 				if !delta.DenseFallback {
 					sawPatch = true
 					if delta.ChangedEdges > 0 {

@@ -34,6 +34,22 @@ func requireSameState(t *testing.T, tag string, got, want *IncState) {
 	if !slices.Equal(got.kth, want.kth) {
 		t.Fatalf("%s: K-th candidates differ", tag)
 	}
+	requireIndexMatchesPairs(t, tag, got)
+}
+
+// requireIndexMatchesPairs holds a patched state's retained index to one
+// laid out over its pairs from scratch; a dense run's state has none.
+func requireIndexMatchesPairs(t *testing.T, tag string, st *IncState) {
+	t.Helper()
+	if st.idx.rowOff == nil {
+		return
+	}
+	var fresh pairIndex
+	fresh.index(st.pairs, st.n)
+	if !slices.Equal(st.idx.rowOff, fresh.rowOff) || !slices.Equal(st.idx.colOff, fresh.colOff) ||
+		!slices.Equal(st.idx.col, fresh.col) {
+		t.Fatalf("%s: the retained pair index differs from one laid out over the pairs", tag)
+	}
 }
 
 // wideRerank ranks nst's pairs by the rule the K-th bar replaced: every
@@ -121,9 +137,7 @@ func checkNarrowRank(t *testing.T, tag string, es *EntitySet, clicks *bipartite.
 			deg[p[1]]++
 		}
 	}
-	every := make([]bool, nst.n)
-	setAll(every)
-	g, err := patchCSR(nil, nst.n, nst.pairs, nst.sims, topU, topV, every, deg)
+	g, err := emitCSR(nst.n, nst.pairs, nst.sims, topU, topV, deg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestBuildStateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEmitMatchesCanonicalBuilder holds patchCSR's dense emit to the
+// TestEmitMatchesCanonicalBuilder holds emitCSR, the dense emit, to the
 // canonical builder: the CSR a full build emits equals wgraph.FromEdges
 // over its own kept edges — adjacency arrays, every cached weighted degree
 // and the blocked weight total, bit for bit. The last case keeps every
