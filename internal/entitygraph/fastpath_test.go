@@ -243,9 +243,6 @@ func TestFullBuildAllocs(t *testing.T) {
 const (
 	denseRunAllocs = 25
 	patchAllocs    = 45
-	// readOnlyPatchAllocs is the read-only BuildIncremental's, which
-	// allocates its workspace as well.
-	readOnlyPatchAllocs = 125
 )
 
 // TestPatchAllocs holds a BuildIncremental to the same shape: a fixed
@@ -293,10 +290,7 @@ func TestPatchAllocs(t *testing.T) {
 		if delta.DenseFallback || delta.DirtyEntities < len(slide)/2 || len(delta.DirtyRows) == 0 {
 			t.Fatalf("%d clicks: delta %+v, want a patch", len(slide), delta)
 		}
-		// Without a workspace every array is fresh, the patch's index of
-		// the state it patches and of the next one, and its edit lists,
-		// among them.
-		ceiling := float64(delta.DirtyEntities + readOnlyPatchAllocs)
+		ceiling := float64(delta.DirtyEntities + 100)
 		if allocs := testing.AllocsPerRun(5, patch); allocs > ceiling {
 			t.Errorf("a patch of %d entities (%d changed queries) allocated %.0f objects, want <= %.0f",
 				delta.DirtyEntities, len(slide), allocs, ceiling)

@@ -47,7 +47,7 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) validate() error {
+func (c Config) validate() error {
 	if c.Alpha < 0 || c.Alpha > 1 {
 		return fmt.Errorf("entitygraph: Alpha must be in [0,1], got %f", c.Alpha)
 	}
@@ -261,18 +261,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 			}
 		}
-		// The stale count: from the dirty entities' rows and columns when
-		// st is indexed, by a walk of its pairs when a dense run left it.
-		if st.idx.rowOff != nil {
-			stale, walked = st.idx.stale(dirty)
-		} else {
-			for i := range st.pairs {
-				if dirty[st.pairs[i][0]] || dirty[st.pairs[i][1]] {
-					stale++
-				}
-			}
-			walked = len(st.pairs)
-		}
+		stale, walked = st.idx.stale(dirty)
 		if float64(stale) > PatchDensityGate*float64(len(st.pairs)) {
 			// The one density gate. Past it, filtering and merging is pure
 			// overhead over emitting every row in order. The query sets and
@@ -288,17 +277,11 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			st = nil
 			setAll(dirty)
 		} else {
-			// A patch: st's index, or one laid out now in the workspace's
-			// spare if a dense run left st; the next state's index takes
-			// whatever spare is left. Only a dense run reads self and the
+			// A patch: the next state's index is laid out in the
+			// workspace's spare. Only a dense run reads self and the
 			// rank's reverse index: a patch lets them go.
-			p = &patch{st: st, old: st.idx, n: n, stale: stale, dirty: dirty}
-			if st.idx.rowOff == nil {
-				p.old, ws.idx = ws.idx, pairIndex{}
-				walked += p.old.index(st.pairs, n)
-			}
-			p.idx, ws.idx = ws.idx, pairIndex{}
-			ws.self, ws.selfOff, ws.rev, ws.rowOff, ws.revOff = nil, nil, nil, nil, nil
+			p = &patch{st: st, old: st.idx, idx: ws.idx, n: n, stale: stale, dirty: dirty}
+			ws.idx, ws.self, ws.selfOff, ws.rev = pairIndex{}, nil, nil, nil
 		}
 	}
 	ph.attr("walkedPairs", walked)
@@ -324,32 +307,12 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// workers (low rows have the most partners) and are disjoint output
 	// spans, so the result does not depend on which worker handled which
 	// row.
-	rows := ws.rows[:0]
-	for e := range dirty {
-		if dirty[e] {
-			rows = append(rows, int32(e))
-		}
-	}
+	rows := trueAt(ws.rows, dirty)
 	ws.rows = rows
 	// On a dense run every lower partner is dirty as well, so a row walks
-	// each of its runs from just past itself: self[selfOff[e]+i] is where
-	// entity e sits in the run of its i-th query, recorded by filling the
-	// runs again in the same order.
-	var self, selfOff []int32
-	if st == nil {
-		self, selfOff = reuse.Grow(ws.self, len(assoc)), reuse.Grow(ws.selfOff, n+1)
-		ws.self, ws.selfOff = self, selfOff
-		selfOff[0] = 0
-		copy(next, qOff)
-		for e, qs := range querySets {
-			o := selfOff[e]
-			selfOff[e+1] = o + int32(len(qs))
-			for i, q := range qs {
-				self[o+int32(i)] = next[q]
-				next[q]++
-			}
-		}
-	}
+	// each of its runs from just past itself.
+	self, selfOff := ws.selfPositions(st == nil, querySets, qOff)
+	patching := st != nil
 	// A pair whose Eq. 3 score cannot reach MinSimilarity even with its
 	// mean vectors' dot at the Cauchy–Schwarz maximum ‖u‖‖v‖ is dropped
 	// without computing the dot: bounded by more than boundMargin, which
@@ -361,7 +324,6 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	ws.genOff = genOff
 	ws.rowers = reuse.Grow(ws.rowers, workers)
 	rowers := ws.rowers
-	counts := make([][2]int, workers) // worker w's scored and bounded partners
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -379,7 +341,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			defer func() {
 				rw.stamp, rw.slot, rw.bs, rw.pend, rw.rowSims, rw.pendSims = stamp, slot, bs, pend, rowSims, pendSims
 				clear(buf[len(buf):cap(buf)])
-				rw.chunks, counts[w] = buf[:len(buf):len(buf)], [2]int{nScored, nBounded}
+				rw.chunks, rw.scored, rw.bounded = buf[:len(buf):len(buf)], nScored, nBounded
 			}()
 			for r := w; r < len(rows); r += workers {
 				if r/workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
@@ -411,7 +373,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				k := 0
 				rowSims, pend, pendSims = rowSims[:0], pend[:0], pendSims[:0]
 				for _, b := range bs {
-					if st != nil && (b == a || (b < a && dirty[b])) {
+					if patching && (b == a || (b < a && dirty[b])) {
 						continue
 					}
 					nScored++
@@ -475,9 +437,9 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		return nil, nil, nil, err
 	}
 	numScored, numBounded := 0, 0
-	for _, c := range counts {
-		numScored += c[0]
-		numBounded += c[1]
+	for w := range rowers {
+		numScored += rowers[w].scored
+		numBounded += rowers[w].bounded
 	}
 	for r := range rows {
 		genOff[r+1] += genOff[r]
@@ -497,7 +459,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		go func(w int) {
 			defer wg.Done()
 			chunks := rowers[w].chunks
-			if st == nil {
+			if !patching {
 				// A dense run's chunks hold every pair a second time: the
 				// workspace lets them go rather than keep them live
 				// between slides. A patch's few are kept for the next.
@@ -560,55 +522,63 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// so is each node's K-th candidate, the bar the next patch holds a
 	// changed pair to.
 	// A node's incident candidates are its own row of pairs (rowOff, the
-	// pairs by first endpoint: they are in canonical order) plus the pairs
-	// of lower rows that name it second: a dense run, where every node
-	// re-ranks, lays them out as rev, a CSR of pair indices by second
-	// endpoint, and a patch finds them through the next state's column
-	// index and rows. A re-ranking node's side bits are cleared where its
-	// pairs are indexed or walked. The nodes split into par ranges balanced
-	// by their incident candidates; node u writes only kth[u], the topU
-	// bits of its own row and the topV bits of its column, so every slot
-	// has one writer and the verdicts do not depend on the width.
+	// pairs by first endpoint: they are in canonical order) plus its
+	// column, the pairs of lower rows that name it second. A dense run,
+	// where every node re-ranks, lays the next state's index out over the
+	// pairs in the workspace's spare, and rev beside its columns: their
+	// pairs' indices. A patch finds a column's pairs from their first
+	// endpoints, in the index the merge patched, by a search of their
+	// rows. A re-ranking node's side bits are cleared where its pairs are
+	// listed. The nodes split into par ranges balanced by their incident
+	// candidates; node u writes only kth[u], the topU bits of its own row
+	// and the topV bits of its column, so every slot has one writer and
+	// the verdicts do not depend on the width.
 	rk := ranker{ctx: ctx, pairs: pairs, sims: sims, topU: topU, topV: topV, rank: rank, k: cfg.TopK}
+	var idx pairIndex // the next state's
 	walked = 0
 	if st == nil {
 		rk.kth = reuse.Grow(ws.kth, n) // every node ranks and writes its own
-		rowOff, revOff := reuse.Grow(ws.rowOff, n+1), reuse.Grow(ws.revOff, n+1)
-		ws.rowOff, ws.revOff = rowOff, revOff
+		idx, ws.idx = ws.idx, pairIndex{}
+		rowOff, colOff := reuse.Grow(idx.rowOff, n+1), reuse.Grow(idx.colOff, n+1)
 		clear(rowOff)
-		clear(revOff)
+		clear(colOff)
 		for i := range pairs {
 			rowOff[pairs[i][0]+1]++
-			revOff[pairs[i][1]+1]++
+			colOff[pairs[i][1]+1]++
 		}
 		prefixSum(rowOff)
-		prefixSum(revOff)
-		rev := reuse.Grow(ws.rev, int(revOff[n]))
-		next = append(next[:0], revOff[:n]...)
+		prefixSum(colOff)
+		// Pairs arrive by ascending first endpoint, so each column fills
+		// ascending.
+		col, rev := reuse.Grow(idx.col, len(pairs)), reuse.Grow(ws.rev, len(pairs))
+		next = append(next[:0], colOff[:n]...)
 		ws.rev, ws.next = rev, next
 		for i := range pairs {
 			v := pairs[i][1]
-			rev[next[v]] = int32(i)
+			col[next[v]], rev[next[v]] = pairs[i][0], int32(i)
 			next[v]++
 		}
-		rk.rowOff, rk.colOff, rk.rev = rowOff, revOff, rev
+		idx = pairIndex{rowOff: rowOff, colOff: colOff, col: col}
+		rk.rev = rev
 		walked = 2 * len(pairs)
 	} else {
+		idx = p.idx
 		rk.kth = append(ws.kth[:0], st.kth...)
-		rk.rowOff, rk.colOff, rk.col, rk.dirty = p.idx.rowOff, p.idx.colOff, p.idx.col, dirty
+		rk.col, rk.dirty = idx.col, dirty
 	}
-	bounds := par.Split(nil, n, rk.cost)
-	rk.counts = make([][2]int, len(bounds)-1)
+	rk.rowOff, rk.colOff = idx.rowOff, idx.colOff
+	var buf [8]int // up to 7 ranges' bounds stay on the stack
+	bounds := par.Split(buf[:0], n, rk.cost)
 	ws.rankers = reuse.Grow(ws.rankers, len(bounds)-1)
 	rk.lists, rk.patch = ws.rankers, st != nil
 	if err := par.Run(bounds, &rk, (*ranker).rankNodes); err != nil {
 		return nil, nil, nil, err
 	}
 	nodesRanked, nFlips := 0, 0
-	for w, c := range rk.counts {
-		nodesRanked += c[0]
-		walked += c[1]
-		nFlips += len(rk.lists[w].flips)
+	for _, l := range rk.lists {
+		nodesRanked += l.ranked
+		walked += l.listed
+		nFlips += len(l.flips)
 	}
 	// The clean pairs whose side bit a re-ranked endpoint flipped, once
 	// each: both endpoints may have flipped one.
@@ -674,17 +644,14 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 		topU:      topU,
 		topV:      topV,
 		kth:       rk.kth,
+		idx:       idx,
 		graph:     g,
 	}
 	// The new state's arrays leave the workspace; a consumed state's take
 	// their place, the spare the next patch merges into.
 	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth = nil, nil, nil, nil, nil
-	if p != nil {
-		nst.idx = p.idx
-	}
 	if recycle && st != nil {
 		ws.adopt(st)
-		ws.idx = p.old // st's index, or the one laid out for it
 	}
 	return &Result{Set: es, Graph: g, QuerySets: querySets}, nst, d, nil
 }
@@ -704,6 +671,49 @@ func setAll(b []bool) {
 	for i := range b {
 		b[i] = true
 	}
+}
+
+// trueAt returns the indices at which b is true, ascending, in dst's
+// array if it holds them.
+func trueAt(dst []int32, b []bool) []int32 {
+	k := 0
+	for _, t := range b {
+		if t {
+			k++
+		}
+	}
+	dst = reuse.Slice(dst, 0, k)
+	for i, t := range b {
+		if t {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// selfPositions returns, for a dense run, where each entity sits in the
+// runs of its queries in the query index ws holds (qOff, assoc):
+// self[selfOff[e]+i] in the run of e's i-th query, recorded by filling
+// the runs again in the same order. A patch walks whole runs and gets
+// nil.
+func (ws *Workspace) selfPositions(dense bool, querySets [][]model.QueryID, qOff []int32) (self, selfOff []int32) {
+	if !dense {
+		return nil, nil
+	}
+	self, selfOff = reuse.Grow(ws.self, len(ws.assoc)), reuse.Grow(ws.selfOff, len(querySets)+1)
+	ws.self, ws.selfOff = self, selfOff
+	next := ws.next
+	copy(next, qOff)
+	selfOff[0] = 0
+	for e, qs := range querySets {
+		o := selfOff[e]
+		selfOff[e+1] = o + int32(len(qs))
+		for i, q := range qs {
+			self[o+int32(i)] = next[q]
+			next[q]++
+		}
+	}
+	return self, selfOff
 }
 
 // phases opens a build's sub-stage spans one after another under the
@@ -799,7 +809,6 @@ type ranker struct {
 	rowOff, colOff   []int32
 	rev, col         []int32
 	k                int
-	counts           [][2]int // per range: the nodes ranked with a candidate, the pairs listed
 	lists            []rankLists
 	patch            bool
 }
@@ -807,12 +816,14 @@ type ranker struct {
 // rankLists is one rank range's reusable lists: a node's incident
 // candidates and, on a patch, its column's pair indices and every listed
 // pair's side bit before the re-rank, in listing order (rankNode reorders
-// its list), and the range's flipped pairs.
+// its list), and the range's flipped pairs; and the range's counts, the
+// nodes ranked with a candidate and the pairs listed.
 type rankLists struct {
-	lst   []scored
-	at    []int32
-	was   []bool
-	flips []int32
+	lst            []scored
+	at             []int32
+	was            []bool
+	flips          []int32
+	ranked, listed int
 }
 
 // cost is node u's share of the rank: its incident candidates, if it
@@ -829,7 +840,15 @@ func (r *ranker) cost(u int) int {
 func (r *ranker) rankNodes(w, lo, hi int) error {
 	pairs, sims, topU, topV, rowOff := r.pairs, r.sims, r.topU, r.topV, r.rowOff
 	l := &r.lists[w]
-	lst, at, was, flips := l.lst, l.at, l.was, l.flips[:0]
+	// The lists are sized once to the range's widest node.
+	widest := 0
+	for u := lo; u < hi; u++ {
+		widest = max(widest, r.cost(u))
+	}
+	lst, at, was, flips := reuse.Slice(l.lst, 0, widest), l.at, l.was, l.flips[:0]
+	if r.patch {
+		at, was = reuse.Slice(at, 0, widest), reuse.Slice(was, 0, widest)
+	}
 	ranked, listed := 0, 0
 	for u := lo; u < hi; u++ {
 		if u%256 == 255 {
@@ -883,8 +902,7 @@ func (r *ranker) rankNodes(w, lo, hi int) error {
 			}
 		}
 	}
-	r.counts[w] = [2]int{ranked, listed}
-	l.lst, l.at, l.was, l.flips = lst, at, was, flips
+	l.lst, l.at, l.was, l.flips, l.ranked, l.listed = lst, at, was, flips, ranked, listed
 	return nil
 }
 

@@ -13,11 +13,11 @@ package entitygraph
 // determinism suite in internal/core locks this by gob-comparing whole
 // taxonomies at every step of a multi-day slide.
 //
-// A patch costs O(delta) plus block copies: a patched state also retains
-// its pairs' index by node (pairIndex), so the patch finds the pairs a
-// dirty entity reaches, and the rows and columns they sit in, without
-// walking the retained list, and moves every untouched row and column
-// span as one copy.
+// A patch costs O(delta) plus block copies: every state also retains its
+// pairs' index by node (pairIndex), which a dense run's rank lays out and
+// a patch patches, so the patch finds the pairs a dirty entity reaches,
+// and the rows and columns they sit in, without walking the retained
+// list, and moves every untouched row and column span as one copy.
 //
 // The routine degrades continuously into the full build, which is the
 // same code with every entity dirty. One gate short-cuts the tail: when
@@ -75,8 +75,8 @@ type IncState struct {
 	// re-ranks u only for a changed pair that ranks ahead of it or leaves
 	// u's top K.
 	kth []kthBest
-	// idx indexes pairs by node. A patch leaves one; a dense run leaves
-	// the zero index, and the next patch indexes the state it patches.
+	// idx indexes pairs by node: the dense rank lays it out, a patch
+	// patches the one it consumed.
 	idx   pairIndex
 	graph *wgraph.CSR
 }
@@ -85,34 +85,9 @@ type IncState struct {
 // it: row u — the pairs (u, v > u), consecutive in canonical order — is
 // pairs[rowOff[u]:rowOff[u+1]], and col[colOff[u]:colOff[u+1]] are the
 // x < u with a pair (x, u), ascending. Pair (x, u) itself is found by
-// binary search in row x. The zero value indexes nothing.
+// binary search in row x.
 type pairIndex struct {
 	rowOff, colOff, col []int32
-}
-
-// index lays ix out over pairs, a canonical pair list of n nodes, in ix's
-// own arrays, and returns the pairs it walked.
-func (ix *pairIndex) index(pairs [][2]int32, n int) int {
-	ix.rowOff, ix.colOff = reuse.Grow(ix.rowOff, n+1), reuse.Grow(ix.colOff, n+1)
-	ix.col = reuse.Grow(ix.col, len(pairs))
-	rowOff, colOff, col := ix.rowOff, ix.colOff, ix.col
-	clear(rowOff)
-	clear(colOff)
-	for i := range pairs {
-		rowOff[pairs[i][0]+1]++
-		colOff[pairs[i][1]+1]++
-	}
-	prefixSum(rowOff)
-	prefixSum(colOff)
-	// Pairs arrive by ascending first endpoint, so each column fills
-	// ascending; colOff[v] is v's cursor and ends at v's end.
-	for i := range pairs {
-		v := pairs[i][1]
-		col[colOff[v]] = pairs[i][0]
-		colOff[v]++
-	}
-	unshift(colOff)
-	return 2 * len(pairs)
 }
 
 // stale counts the pairs with a dirty endpoint from the dirty entities'
@@ -204,12 +179,12 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 
 // Workspace is what an owner's builds hand one another instead of
 // allocating it again: the pair arrays, K-th bests and pair index of the
-// state the last build consumed — the spare a patch merges the next
-// state into — and the scratch of every phase, the query index, the
-// workers' stamp arrays, row buffers and a patch's candidate chunks among
-// it. The scratch only a dense run reads (self, the rank's reverse index)
-// is let go of by a patch, and a dense run's chunks are not kept: they
-// hold every pair a second time, which would stay live between slides.
+// state the last build consumed — the spare the next state is laid out
+// in — and the scratch of every phase, the query index, the workers'
+// stamp arrays, row buffers and a patch's candidate chunks among it. The
+// scratch only a dense run reads (self, the rank's reverse index) is let
+// go of by a patch, and a dense run's chunks are not kept: they hold
+// every pair a second time, which would stay live between slides.
 // Nothing a Result or an IncState references is in it once a build
 // returns. The zero value is empty; one serves one build at a time.
 type Workspace struct {
@@ -220,28 +195,23 @@ type Workspace struct {
 	kth        []kthBest
 	idx        pairIndex
 	// A patch's lists: its regenerated pairs as the rows laid them out
-	// (gen, genSims) and in canonical order (cgen, cgenSims, cgenOff), its
-	// patch lists, the (key, value) records they are grouped from, its
-	// edge edits grouped by row, each rank range's lists and the flipped
-	// pairs they add up to.
+	// (gen, genSims) and in canonical order (cgen, cgenSims), the four
+	// lists' offsets (off) and the three patch lists' values (vals), the
+	// (key, value) records they are grouped from, its edge edits grouped
+	// by row, each rank range's lists and the flipped pairs they add up to.
 	gen, cgen         [][2]int32
 	genSims, cgenSims []float64
-	cgenOff           []int32
-	gcol, gcolOff     []int32
-	rdel, rdelOff     []int32
-	cdel, cdelOff     []int32
-	eRow, eOff        []int32
+	off, vals, eRow   []int32
 	kv, changed       [][2]int32
 	edits             []edgeEdit
 	rankers           []rankLists
 	flipped           []int32
 	// Per-phase scratch.
-	dirty, rank                   []bool
-	qOff, assoc, next, self       []int32
-	selfOff, rows, rowOff, revOff []int32
-	rev, deg                      []int32
-	genOff                        []int
-	rowers                        []rower
+	dirty, rank             []bool
+	qOff, assoc, next, self []int32
+	selfOff, rows, rev, deg []int32
+	genOff                  []int
+	rowers                  []rower
 }
 
 // rower is one candidate worker's scratch: its stamp and slot arrays,
@@ -250,6 +220,7 @@ type rower struct {
 	stamp, slot, bs, pend []int32
 	rowSims, pendSims     []float64
 	chunks                []*pairChunk
+	scored, bounded       int // the partners scored and bounded out
 }
 
 // BuildIncremental is the package-level BuildIncremental for the owner of
@@ -261,13 +232,10 @@ func (ws *Workspace) BuildIncremental(ctx context.Context, es *EntitySet, clicks
 	return build(ctx, es, clicks, emb, cfg, st, dirtyItems, ws)
 }
 
-// adopt makes st's pair arrays, and its index if it has one, the
-// workspace's spare, letting go of the spare it held.
+// adopt makes st's pair arrays and index the workspace's spare, letting
+// go of the spare it held.
 func (ws *Workspace) adopt(st *IncState) {
-	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth = st.pairs, st.sims, st.topU, st.topV, st.kth
-	if st.idx.rowOff != nil {
-		ws.idx = st.idx
-	}
+	ws.pairs, ws.sims, ws.topU, ws.topV, ws.kth, ws.idx = st.pairs, st.sims, st.topU, st.topV, st.kth, st.idx
 }
 
 // patch carries a patch between build's phases: the state it consumes,
@@ -308,24 +276,23 @@ type patch struct {
 	walked  int
 }
 
-// group lays the values of kv, (key, value) records with keys below n,
-// out by key, each key's in the order kv gives them, into out, and
-// returns it with its n+1 offsets.
-func group(kv [][2]int32, n int, off, out []int32) ([]int32, []int32) {
-	off = reuse.Grow(off, n+1)
+// group lays the values of kv, (key, value) records with keys below
+// len(off)-1, out by key, each key's in the order kv gives them, into
+// out[:len(kv)], and returns that with off filled as its offsets.
+func group(kv [][2]int32, off, out []int32) []int32 {
 	clear(off)
 	for i := range kv {
 		off[kv[i][0]+1]++
 	}
 	prefixSum(off)
-	out = reuse.Grow(out, len(kv))
+	out = out[:len(kv)]
 	for i := range kv {
 		k := kv[i][0]
 		out[off[k]] = kv[i][1]
 		off[k]++
 	}
 	unshift(off)
-	return off, out
+	return out
 }
 
 // lists lays out the patch's edit lists. The regenerated pairs, as the
@@ -333,10 +300,16 @@ func group(kv [][2]int32, n int, off, out []int32) ([]int32, []int32) {
 // first endpoint. It is stable: a dirty row's own pairs come out
 // ascending and stay so, and the pairs a clean row gains from dirty rows
 // below it arrive by ascending partner. The stale pairs are listed from
-// the dirty entities' rows and columns in st's index.
+// the dirty entities' rows and columns in st's index. The four lists'
+// offsets share one array, and the three grouped lists' values another.
 func (p *patch) lists(gen [][2]int32, sims []float64, ws *Workspace) {
 	st, old, n := p.st, p.old, p.n
-	off := reuse.Grow(ws.cgenOff, n+1)
+	offs := reuse.Grow(ws.off, 4*(n+1))
+	vals := reuse.Grow(ws.vals, len(gen)+2*p.stale) // gcol, then at most stale each
+	ws.off, ws.vals = offs, vals
+	p.genOff, p.gcolOff = offs[:n+1:n+1], offs[n+1:2*(n+1):2*(n+1)]
+	p.rdelOff, p.cdelOff = offs[2*(n+1):3*(n+1):3*(n+1)], offs[3*(n+1):]
+	off := p.genOff
 	clear(off)
 	for i := range gen {
 		off[gen[i][0]+1]++
@@ -349,15 +322,15 @@ func (p *patch) lists(gen [][2]int32, sims []float64, ws *Workspace) {
 		off[u]++
 	}
 	unshift(off)
-	ws.cgenOff, ws.cgen, ws.cgenSims = off, out, outSims
-	p.gen, p.genSims, p.genOff = out, outSims, off
+	ws.cgen, ws.cgenSims = out, outSims
+	p.gen, p.genSims = out, outSims
 
 	kv := reuse.Slice(ws.kv, 0, max(len(gen), p.stale)) // the longest of the three lists
 	for i := range out {
 		kv = append(kv, [2]int32{out[i][1], out[i][0]})
 	}
-	p.gcolOff, p.gcol = group(kv, n, ws.gcolOff, ws.gcol)
-	ws.gcolOff, ws.gcol = p.gcolOff, p.gcol
+	p.gcol = group(kv, p.gcolOff, vals)
+	vals = vals[len(kv):]
 
 	// Rows: a dirty row's every pair, a clean row's pairs with a dirty
 	// partner. The dirty entities ascend, so each row's positions do.
@@ -377,8 +350,8 @@ func (p *patch) lists(gen [][2]int32, sims []float64, ws *Workspace) {
 		}
 		p.walked += len(col)
 	}
-	p.rdelOff, p.rdel = group(kv, n, ws.rdelOff, ws.rdel)
-	ws.rdelOff, ws.rdel = p.rdelOff, p.rdel
+	p.rdel = group(kv, p.rdelOff, vals)
+	vals = vals[len(kv):]
 
 	// Columns: a clean column's dirty entries (a dirty column keeps none).
 	kv = kv[:0]
@@ -394,8 +367,8 @@ func (p *patch) lists(gen [][2]int32, sims []float64, ws *Workspace) {
 		}
 		p.walked += hi - lo
 	}
-	p.cdelOff, p.cdel = group(kv, n, ws.cdelOff, ws.cdel)
-	ws.cdelOff, ws.cdel, ws.kv = p.cdelOff, p.cdel, kv
+	p.cdel = group(kv, p.cdelOff, vals)
+	ws.kv = kv
 }
 
 // merge lays the next state's pairs out into the workspace's spare
@@ -538,12 +511,14 @@ func (p *patch) columns() {
 		i := 0
 		for len(del) > 0 || len(add) > 0 {
 			if len(del) > 0 && (len(add) == 0 || del[0] <= add[0]) {
-				j := i + index(run[i:], del[0])
+				j, _ := slices.BinarySearch(run[i:], del[0])
+				j += i
 				c += copy(col[c:], run[i:j])
 				i, del = j+1, del[1:]
 				continue
 			}
-			j := i + index(run[i:], add[0])
+			j, _ := slices.BinarySearch(run[i:], add[0])
+			j += i
 			c += copy(col[c:], run[i:j])
 			col[c] = add[0]
 			c, i, add = c+1, j, add[1:]
@@ -553,12 +528,6 @@ func (p *patch) columns() {
 	c += copy(col[c:], old.col[pos:])
 	colOff[n] = int32(c)
 	p.idx.colOff, p.idx.col = colOff, col
-}
-
-// index returns the first i with s[i] >= v in an ascending s, or len(s).
-func index(s []int32, v int32) int {
-	i, _ := slices.BinarySearch(s, v)
-	return i
 }
 
 // edgeEdit is a kept edge that a patch added, removed or reweighted: its
@@ -636,12 +605,14 @@ func (p *patch) csr(prev *wgraph.CSR, edits []edgeEdit, ws *Workspace) (*wgraph.
 	for k := range edits {
 		kv = append(kv, [2]int32{edits[k].u, int32(k)}, [2]int32{edits[k].v, int32(k)})
 	}
-	eOff, byRow := group(kv, n, ws.eOff, ws.eRow)
-	ws.kv, ws.eOff, ws.eRow = kv, eOff, byRow
+	// The regenerated pairs' offsets are spent: the edits' take their place.
+	eOff := p.genOff
+	byRow := group(kv, eOff, reuse.Grow(ws.eRow, len(kv)))
+	ws.kv, ws.eRow = kv, byRow
 	kept := prev.NumEdges()
 	offsets := make([]int32, n+1)
 	var at int32
-	var dirtyRows []int32
+	dirtyRows := make([]int32, 0, min(n, len(kv)))
 	for r := 0; r < n; r++ {
 		offsets[r] = at
 		at += pOff[r+1] - pOff[r]
@@ -684,7 +655,8 @@ func (p *patch) csr(prev *wgraph.CSR, edits []edgeEdit, ws *Workspace) (*wgraph.
 			if v == r {
 				v = e.u
 			}
-			j := i + index(oldN[i:], v)
+			j, _ := slices.BinarySearch(oldN[i:], v)
+			j += i
 			copy(nbrs[o:], oldN[i:j])
 			copy(wts[o:], oldW[i:j])
 			o, i = o+int32(j-i), j
@@ -710,7 +682,7 @@ func (p *patch) csr(prev *wgraph.CSR, edits []edgeEdit, ws *Workspace) (*wgraph.
 		clean = int(r) + 1
 	}
 	copyClean(n)
-	var sums []float64
+	sums := make([]float64, 0, kept/wgraph.WeightSumBlockSize)
 	partial, bcnt := 0.0, 0
 	for u := 0; u < n; u++ {
 		k := offsets[u]

@@ -37,17 +37,21 @@ func requireSameState(t *testing.T, tag string, got, want *IncState) {
 	requireIndexMatchesPairs(t, tag, got)
 }
 
-// requireIndexMatchesPairs holds a patched state's retained index to one
-// laid out over its pairs from scratch; a dense run's state has none.
+// requireIndexMatchesPairs holds a state's retained index to one read
+// off its pairs from scratch.
 func requireIndexMatchesPairs(t *testing.T, tag string, st *IncState) {
 	t.Helper()
-	if st.idx.rowOff == nil {
-		return
+	rowOff, colOff := make([]int32, st.n+1), make([]int32, st.n+1)
+	cols := make([][]int32, st.n)
+	for _, p := range st.pairs {
+		rowOff[p[0]+1]++
+		colOff[p[1]+1]++
+		cols[p[1]] = append(cols[p[1]], p[0])
 	}
-	var fresh pairIndex
-	fresh.index(st.pairs, st.n)
-	if !slices.Equal(st.idx.rowOff, fresh.rowOff) || !slices.Equal(st.idx.colOff, fresh.colOff) ||
-		!slices.Equal(st.idx.col, fresh.col) {
+	prefixSum(rowOff)
+	prefixSum(colOff)
+	if !slices.Equal(st.idx.rowOff, rowOff) || !slices.Equal(st.idx.colOff, colOff) ||
+		!slices.Equal(st.idx.col, slices.Concat(cols...)) {
 		t.Fatalf("%s: the retained pair index differs from one laid out over the pairs", tag)
 	}
 }

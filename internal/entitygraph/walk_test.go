@@ -83,8 +83,7 @@ func tracedPatch(t *testing.T, ws *Workspace, es *EntitySet, clicks *bipartite.G
 // the dirty entities, their partners before and after, and the CSR rows
 // it rewrote. Those spans are a small share of the retained pairs, so a
 // walk of the whole list in any phase fails the bound. The state patched
-// comes from a first patch: a dense run leaves no index, and the patch
-// after it indexes the state it patches.
+// comes from a first patch, as it does in a pipeline between dense runs.
 func TestPatchWalksTheDelta(t *testing.T) {
 	c, es, clicks := c30Window(t)
 	cfg := DefaultConfig()
@@ -95,8 +94,8 @@ func TestPatchWalksTheDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, d, _ := tracedPatch(t, &ws, es, clicks, cfg, st, dirtyOneItem(t, c, es, clicks, st, 1))
-	if d.DenseFallback || st.idx.rowOff == nil {
-		t.Fatalf("first patch: delta %+v, indexed %v; want an indexed patch", d, st.idx.rowOff != nil)
+	if d.DenseFallback {
+		t.Fatalf("first patch: delta %+v, want a patch", d)
 	}
 	before := &IncState{n: st.n, pairs: slices.Clone(st.pairs), querySets: st.querySets}
 	nst, d, attrs := tracedPatch(t, &ws, es, clicks, cfg, st, dirtyOneItem(t, c, es, clicks, st, 2))
