@@ -187,7 +187,9 @@ func NewSuite() (*Suite, error) {
 	// snapshot's search result table answers it: serve-search and the
 	// obs-overhead-vs-bare pair time the table's hit path.
 	searchTarget := "/api/search?q=" + url.QueryEscape(b.Corpus.Queries[0].Text) + "&k=10"
-	topicTarget := fmt.Sprintf("/api/topics/%d", b.Taxonomy.Roots()[0])
+	root := b.Taxonomy.Roots()[0]
+	topicTarget := fmt.Sprintf("/api/topics/%d", root)
+	itemsTarget := fmt.Sprintf("/api/topics/%d/items", root)
 	sink := nopWriter{h: make(http.Header)}
 	serveOp := func(h http.Handler, target string) func() error {
 		return func() error {
@@ -203,9 +205,11 @@ func NewSuite() (*Suite, error) {
 		handler.ServeHTTP(&sink, httptest.NewRequest("GET", target, nil))
 	}
 	// serve-swap (which renders every topic's summary head, the cost the
-	// routes no longer pay per request) and serve-topic run on a second
-	// handler: /api/stats reports the swap count and a digest per route
-	// served, so handler's payload stays the one BENCH_26.json measured.
+	// routes no longer pay per request), serve-topic and serve-items (the
+	// root topic's items, copied from the corpus's pre-rendered refs) run
+	// on a second handler: /api/stats reports the swap count and a digest
+	// per route served, so handler's payload stays the one BENCH_26.json
+	// measured.
 	other, err := serve.NewHandler(b)
 	if err != nil {
 		return nil, err
@@ -250,6 +254,7 @@ func NewSuite() (*Suite, error) {
 		Bench{"serve-stats", serveOp(handler, "/api/stats")},
 		Bench{"serve-swap", func() error { return other.Swap(b) }},
 		Bench{"serve-topic", serveOp(other, topicTarget)},
+		Bench{"serve-items", serveOp(other, itemsTarget)},
 		Bench{"daily-rebuild", dailyOp},
 		Bench{"incremental-rebuild", incOp},
 		Bench{"window-ingest", iw.slide},

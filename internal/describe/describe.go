@@ -421,13 +421,13 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 		mass := d.idx.DocLen(t) // tf(I_k): the topic's token mass
 		logMass := 0.0
 		if mass > 1 {
-			logMass = math.Log(float64(mass))
+			logMass = logCount(float64(mass))
 		}
 		best = best[:0]
 		for s := c.topicOff[t]; s < c.topicOff[t+1]; s++ {
 			pop := 0.0
 			if mass > 1 {
-				pop = (math.Log(c.tf[s]) + 1) / logMass
+				pop = (logCount(c.tf[s]) + 1) / logMass
 			}
 			if pop > 1 {
 				pop = 1
@@ -460,4 +460,23 @@ func (d *describer) rankTopics(_, lo, hi int) error {
 		d.topics[t].Description = d.out[t].Queries[0]
 	}
 	return nil
+}
+
+// logTable[n] is math.Log(n), filled by math.Log itself, so a lookup has
+// its bits on every architecture.
+var logTable = func() (tab [4096]float64) {
+	for n := range tab {
+		tab[n] = math.Log(float64(n))
+	}
+	return tab
+}()
+
+// logCount returns math.Log(x). Both logs of pop take counts — tf(q, I_k)
+// sums int32 click counts, tf(I_k) is a document length — so most
+// arguments are small integers, read from logTable.
+func logCount(x float64) float64 {
+	if n := int(x); n >= 0 && n < len(logTable) && float64(n) == x {
+		return logTable[n]
+	}
+	return math.Log(x)
 }

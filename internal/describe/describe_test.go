@@ -2,6 +2,7 @@ package describe
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -205,5 +206,20 @@ func TestDescribeDistinctTopicsGetDistinctTopQueries(t *testing.T) {
 	}
 	if strings.EqualFold(descs[0].Queries[0], descs[1].Queries[0]) {
 		t.Fatalf("both topics share top query %q", descs[0].Queries[0])
+	}
+}
+
+// TestLogCountIsMathLog holds logCount to math.Log bit for bit, on the
+// table and past it, at integers and between them.
+func TestLogCountIsMathLog(t *testing.T) {
+	for _, x := range []float64{-1, 0.5, 1.5, 4095.5, 4096, 4097, 1 << 40, math.Inf(1), math.NaN()} {
+		if got, want := logCount(x), math.Log(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("logCount(%v) = %v, want %v", x, got, want)
+		}
+	}
+	for n := range 2 * len(logTable) {
+		if got, want := logCount(float64(n)), math.Log(float64(n)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("logCount(%d) = %v, want %v", n, got, want)
+		}
 	}
 }

@@ -20,7 +20,12 @@
 // mid-request cannot mix two builds in one response. A snapshot carries
 // every topic's summary head, rendered once when it is published, so
 // /api/search formats only each hit's score and /api/topics/{id} copies
-// its own head and its sub-topics'.
+// its own head and its sub-topics'. It also carries its corpus's
+// fragment table: every item's ItemRef object and every category's
+// CategoryRef head, rendered once per corpus (a swap to a build over the
+// same *model.Corpus keeps the table), so /api/topics/{id}/items,
+// /api/topics/{id}'s categoryRefs and /api/categories/{id}/related copy
+// refs instead of escaping titles and names per request.
 //
 // Requests are dispatched by a fixed route table (route.go), not an
 // http.ServeMux: the path is matched against the seven routes in code
@@ -114,6 +119,9 @@ type snapshot struct {
 	// closing brace.
 	heads   []byte
 	headOff []int32
+	// refs is build.Corpus's fragment table, shared by every snapshot
+	// over the same corpus.
+	refs *fragments
 	// results is the snapshot's search result table (results.go), a
 	// power-of-two number of slots indexed by a maphash under seed, a
 	// random seed of the snapshot's own.
@@ -124,8 +132,32 @@ type snapshot struct {
 // head returns topic t's pre-rendered summary head.
 func (s *snapshot) head(t model.TopicID) []byte { return s.heads[s.headOff[t]:s.headOff[t+1]] }
 
+// fragments is one corpus's pre-rendered refs: buf[off[i]:off[i+1]] is
+// item i's ItemRef object, closed, and buf[off[n+c]:off[n+c+1]], for n
+// items, category c's CategoryRef head, without the closing brace. The
+// corpus is immutable once a pipeline has seen it, so the table is
+// rendered once per corpus (newFragments) and never by a request.
+type fragments struct {
+	buf []byte
+	off []int32
+	// items is the corpus's item count: the categories' offsets follow
+	// the items'.
+	items int
+}
+
+// item returns item i's ItemRef object.
+func (f *fragments) item(i model.ItemID) []byte { return f.buf[f.off[i]:f.off[i+1]] }
+
+// category returns category c's CategoryRef head.
+func (f *fragments) category(c model.CategoryID) []byte {
+	i := f.items + int(c)
+	return f.buf[f.off[i]:f.off[i+1]]
+}
+
 // NewHandler wraps a completed build. The build must not be mutated after
-// it is handed over; publish updates with Swap instead.
+// it is handed over; publish updates with Swap instead. It renders the
+// build's summary heads and its corpus's fragment table (≈110 B an item
+// of a generated catalog), so no request renders either.
 func NewHandler(b *core.Build) (*Handler, error) {
 	if err := checkBuild(b); err != nil {
 		return nil, err
@@ -135,7 +167,7 @@ func NewHandler(b *core.Build) (*Handler, error) {
 		"stale click events (already-evicted days) dropped at window ingestion, as of the published build")
 	h.generation = h.reg.Gauge("shoal_build_generation", "", "snapshot swap count of the published build")
 	h.searchResults = newResultCounters(h.reg)
-	h.cur.Store(h.newSnapshot(b, 0))
+	h.cur.Store(h.newSnapshot(b, nil))
 	h.routes = router{
 		handlers: [numRoutes]routeHandler{
 			routeSearch: h.search, routeTopic: h.topic, routeTopicItems: h.topicItems,
@@ -163,28 +195,42 @@ func checkBuild(b *core.Build) error {
 // It renders every topic's summary head (≈80 B a topic) before the
 // publish, so its cost grows with the topic count: four allocations,
 // the snapshot, its heads and offsets and its empty search result
-// table, each at its exact size.
+// table, each at its exact size. A build over the published snapshot's
+// *model.Corpus (every slide of a daily pipeline) keeps that snapshot's
+// fragment table; a build over another corpus renders its own, as
+// NewHandler does.
 func (h *Handler) Swap(b *core.Build) error {
 	if err := checkBuild(b); err != nil {
 		return err
 	}
 	h.swapMu.Lock()
 	defer h.swapMu.Unlock()
-	h.cur.Store(h.newSnapshot(b, h.cur.Load().swaps+1))
+	h.cur.Store(h.newSnapshot(b, h.cur.Load()))
 	return nil
 }
 
 // newSnapshot captures the publish-time window state alongside the
-// build, renders the build's summary heads, gives the snapshot an empty
-// search result table and refreshes the gauges of the published build:
-// its swap count and its window's dropped events. Publishers call this
-// before the window resumes ingesting, so the read is race-free.
-func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
+// build, renders the build's summary heads, takes prev's fragment table
+// when b shares prev's corpus and renders one otherwise, gives the
+// snapshot an empty search result table and refreshes the gauges of the
+// published build: its swap count (prev's plus one, 0 without prev) and
+// its window's dropped events. Publishers call this before the window
+// resumes ingesting, so the read is race-free.
+func (h *Handler) newSnapshot(b *core.Build, prev *snapshot) *snapshot {
 	topics := b.Taxonomy.Topics
 	s := &snapshot{
-		build: b, swaps: swaps, headOff: make([]int32, len(topics)+1),
+		build: b, headOff: make([]int32, len(topics)+1),
 		results: make([]searchSlot, searchSlots(len(b.Corpus.Queries))),
 		seed:    maphash.MakeSeed(),
+	}
+	if prev != nil {
+		s.swaps = prev.swaps + 1
+		if prev.build.Corpus == b.Corpus {
+			s.refs = prev.refs
+		}
+	}
+	if s.refs == nil {
+		s.refs = newFragments(b.Corpus)
 	}
 	buf := h.headBuf[:0]
 	for i := range topics {
@@ -197,7 +243,7 @@ func (h *Handler) newSnapshot(b *core.Build, swaps int64) *snapshot {
 		s.droppedStale = b.Clicks.Stats().DroppedStale
 	}
 	h.droppedStale.Set(s.droppedStale)
-	h.generation.Set(swaps)
+	h.generation.Set(s.swaps)
 	return s
 }
 
@@ -360,14 +406,14 @@ func (h *Handler) topic(w http.ResponseWriter, r *http.Request, id string) int {
 		return append(append(dst, snap.head(t.Children[i])...), '}')
 	})
 	out = appendArray(append(out, `,"categoryRefs":`...), len(t.Categories), len(t.Categories) == 0, func(dst []byte, i int) []byte {
-		cat := t.Categories[i]
-		return append(openRef(dst, int64(cat), "name", b.Corpus.Categories[cat].Name), '}')
+		return append(append(dst, snap.refs.category(t.Categories[i])...), '}')
 	})
 	return send(w, bp, append(out, '}'))
 }
 
 func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) int {
-	b := h.cur.Load().build
+	snap := h.cur.Load()
+	b := snap.build
 	t, status := topicOf(w, id, b)
 	if t == nil {
 		return status
@@ -386,22 +432,21 @@ func (h *Handler) topicItems(w http.ResponseWriter, r *http.Request, id string) 
 	out := append((*bp)[:0], '[')
 	n := 0
 	for _, it := range t.Items {
-		item := &b.Corpus.Items[it]
-		if cat >= 0 && int(item.Category) != cat {
+		if cat >= 0 && int(b.Corpus.Items[it].Category) != cat {
 			continue
 		}
 		if n > 0 {
 			out = append(out, ',')
 		}
-		out = append(openRef(out, int64(it), "title", item.Title), `,"category":`...)
-		out = append(strconv.AppendInt(out, int64(item.Category), 10), '}')
+		out = append(out, snap.refs.item(it)...)
 		n++
 	}
 	return send(w, bp, append(out, ']'))
 }
 
 func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) int {
-	b := h.cur.Load().build
+	snap := h.cur.Load()
+	b := snap.build
 	id, err := strconv.Atoi(ids)
 	if err != nil || id < 0 || id >= len(b.Corpus.Categories) {
 		return httpError(w, http.StatusNotFound, "unknown category")
@@ -416,7 +461,7 @@ func (h *Handler) related(w http.ResponseWriter, r *http.Request, ids string) in
 		if other == model.CategoryID(id) {
 			other = rel[i].B
 		}
-		dst = append(openRef(dst, int64(other), "name", b.Corpus.Categories[other].Name), `,"strength":`...)
+		dst = append(append(dst, snap.refs.category(other)...), `,"strength":`...)
 		return append(strconv.AppendInt(dst, int64(rel[i].Strength), 10), '}')
 	}))
 }

@@ -8,11 +8,15 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"shoal/internal/model"
 	"shoal/internal/taxonomy"
 )
 
 // The hot routes write their bodies with the append encoders below into
-// a pooled buffer: one Write, no reflection. The bytes are exactly what
+// a pooled buffer: one Write, no reflection. What a build or its corpus
+// fixes is rendered ahead of the requests by the same encoders: the
+// summary heads once per snapshot, the refs once per corpus
+// (newFragments). The bytes are exactly what
 // encoding/json's Encoder writes for the exported wire structs
 // (TopicSummary, TopicDetail, ItemRef, RelatedCategory), which stay the
 // documented schema and the tests' oracle (TestWireMatchesEncodingJSON).
@@ -70,6 +74,47 @@ func openRef(dst []byte, id int64, key, name string) []byte {
 	dst = append(dst, key...)
 	dst = append(dst, "\":"...)
 	return appendJSONString(dst, name)
+}
+
+// newFragments renders c's fragment table (fragments): every item's
+// ItemRef object, closed, then every category's CategoryRef head, open,
+// by id. It sizes the table for strings that need no escape, so the
+// table is rendered at its exact size in one allocation unless an
+// escape lengthened a string, which regrows it and copies it out once.
+func newFragments(c *model.Corpus) *fragments {
+	f := &fragments{off: make([]int32, len(c.Items)+len(c.Categories)+1), items: len(c.Items)}
+	n := 0
+	for i := range c.Items {
+		n += len(`{"id":,"title":"","category":}`) + decimalLen(i) + len(c.Items[i].Title) + decimalLen(int(c.Items[i].Category))
+	}
+	for i := range c.Categories {
+		n += len(`{"id":,"name":""`) + decimalLen(i) + len(c.Categories[i].Name)
+	}
+	buf := make([]byte, 0, n)
+	for i := range c.Items {
+		it := &c.Items[i]
+		buf = append(openRef(buf, int64(i), "title", it.Title), `,"category":`...)
+		buf = append(strconv.AppendInt(buf, int64(it.Category), 10), '}')
+		f.off[i+1] = int32(len(buf))
+	}
+	for i := range c.Categories {
+		buf = openRef(buf, int64(i), "name", c.Categories[i].Name)
+		f.off[f.items+i+1] = int32(len(buf))
+	}
+	if len(buf) > n {
+		buf = append(make([]byte, 0, len(buf)), buf...)
+	}
+	f.buf = buf
+	return f
+}
+
+// decimalLen is the length of v ≥ 0 in decimal.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // appendArray appends elements 0..n-1 as a JSON array, or null for a nil

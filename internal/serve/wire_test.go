@@ -338,8 +338,9 @@ func (s *sink) WriteHeader(code int)        { s.status = code }
 
 // TestServeAllocs counts allocations per request through the full
 // instrumented handler with a reused writer and prebuilt requests. The
-// route table allocates nothing, so a topic route allocates nothing at
-// all and the related route only the slice catcorr.Related returns. A
+// route table allocates nothing, so a topic route, with or without a
+// category filter, allocates nothing at all and the related route only
+// the slice catcorr.Related returns. A
 // repeated search is answered from the result table and allocates
 // nothing. A search the snapshot has not answered allocates at most its
 // unescaped q, its records at their exact size and its table entry; one
@@ -355,6 +356,7 @@ func TestServeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := b.Taxonomy.Roots()[0]
+	rootCat := b.Corpus.Items[b.Taxonomy.Topics[root].Items[0]].Category
 	pairs := b.Correlations.Pairs()
 	if len(pairs) == 0 {
 		t.Fatal("test build has no correlations")
@@ -374,6 +376,7 @@ func TestServeAllocs(t *testing.T) {
 		{"a repeated search", []*http.Request{httptest.NewRequest("GET", "/api/search?q="+url.QueryEscape("beach dress")+"&k=5", nil)}, 0},
 		{"a topic", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/topics/%d", root), nil)}, 0},
 		{"a topic's items", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/topics/%d/items", root), nil)}, 0},
+		{"a topic's items in a category", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/topics/%d/items?category=%d", root, rootCat), nil)}, 0},
 		{"a category's related", []*http.Request{httptest.NewRequest("GET", fmt.Sprintf("/api/categories/%d/related", pairs[0].A), nil)}, 1},
 		{"a bypassed search", bypass, 1},
 	} {
@@ -493,5 +496,65 @@ func TestSwapAllocs(t *testing.T) {
 				topics, got, want, len(snap.heads), len(snap.headOff), len(snap.results), swapSlackBytes)
 		}
 		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads), got, want)
+	}
+}
+
+// TestRefsRenderedOncePerCorpus holds the fragment table to one render
+// per corpus: NewHandler renders it, a Swap to a build over the same
+// *model.Corpus keeps the published table (the same pointer), and a
+// Swap to a build over another corpus renders that corpus's table, which
+// the next same-corpus Swap keeps in turn. Each table is the corpus's
+// refs as newFragments renders them, at its exact size.
+func TestRefsRenderedOncePerCorpus(t *testing.T) {
+	test, twisted := getBuild(t), twistedBuild(t)
+	// Another build over the test build's corpus: its taxonomy, not its
+	// corpus, is new.
+	again := *test
+	tx := *test.Taxonomy
+	tx.Topics = slices.Clone(tx.Topics)
+	again.Taxonomy = &tx
+	h, err := NewHandler(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, want *fragments) *fragments {
+		t.Helper()
+		got := h.cur.Load().refs
+		if want != nil && got != want {
+			t.Fatalf("%s: the snapshot holds a new fragment table, want the published one", name)
+		}
+		c := h.Current().Corpus
+		fresh := newFragments(c)
+		if !bytes.Equal(got.buf, fresh.buf) || !slices.Equal(got.off, fresh.off) {
+			t.Fatalf("%s: the fragment table is not its corpus's", name)
+		}
+		if cap(got.buf) != len(got.buf) || len(got.off) != len(c.Items)+len(c.Categories)+1 {
+			t.Fatalf("%s: %d B table in %d B, %d offsets: not at its exact size", name, len(got.buf), cap(got.buf), len(got.off))
+		}
+		return got
+	}
+	first := check("NewHandler", nil)
+	for _, step := range []struct {
+		name    string
+		b       *core.Build
+		renders bool
+	}{
+		{"a Swap to the same build", test, false},
+		{"a Swap to another build over the same corpus", &again, false},
+		{"a Swap to a build over another corpus", twisted, true},
+		{"a Swap to the same build again", twisted, false},
+		{"a Swap back to the first corpus", test, true},
+	} {
+		prev := h.cur.Load().refs
+		if err := h.Swap(step.b); err != nil {
+			t.Fatal(err)
+		}
+		if step.renders {
+			if got := check(step.name, nil); got == prev || got == first {
+				t.Fatalf("%s kept a table of another corpus", step.name)
+			}
+		} else {
+			check(step.name, prev)
+		}
 	}
 }
