@@ -169,7 +169,7 @@ func NewSuite() (*Suite, error) {
 		}},
 		{"search-index", func() error {
 			docs := b.SearchDocIDs(cfg.SearchDocTokenCap)
-			_, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, docs, b.Corpus.Text().Vocab())
+			_, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, bm25.IDs(docs), b.Corpus.Text().Vocab())
 			return err
 		}},
 	}}

@@ -6,12 +6,13 @@
 // The index lives on dense term ids: a vocabulary maps token strings to
 // ids, and postings are one CSR — term t's postings are the span
 // posts[terms[t].off:][:terms[t].df], ascending by document. Build interns
-// string documents into a vocabulary of its own; BuildIDs takes
+// string documents into a vocabulary of its own; BuildFrom takes
 // documents already spelled in a caller's vocabulary (the corpus text
-// plane) and shares that vocabulary for query-time lookups, and BuildFrom
-// streams documents that are never materialized: a Docs source walks each
-// one as consecutive id lists, once to count and once to fill. All three
-// feed one count-then-fill builder: no per-document map, no per-term slice
+// plane), shares that vocabulary for query-time lookups, and streams
+// them: a Docs source walks each one as consecutive id lists, once to
+// count and once to fill, so a document need never be materialized (IDs
+// is the source over documents that are). Both feed one count-then-fill
+// builder, as does Rebuild: no per-document map, no per-term slice
 // growth, no sorting — visiting documents in ascending order already
 // yields each term's postings in ascending document order, which is the
 // only order scoring depends on. The builder splits the documents into
@@ -61,7 +62,7 @@ type term struct {
 // are token slices; tokens are arbitrary strings.
 type Index struct {
 	// vocab resolves a query token to its term id — one map lookup per
-	// query token. Read-only here: BuildIDs shares the caller's.
+	// query token. Read-only here: BuildFrom shares the caller's.
 	vocab *textutil.Vocab
 	// terms (by term id) and posts are the CSR postings.
 	terms  []term
@@ -100,16 +101,7 @@ type scratch struct {
 // match). Build returns an error for an empty collection.
 func Build(docs [][]string) (*Index, error) {
 	ids, vocab := textutil.Intern(docs)
-	return BuildIDs(ids, vocab)
-}
-
-// BuildIDs indexes documents whose tokens are already term ids of vocab
-// (every id must be below vocab.Size()). The index keeps vocab for
-// query-time lookups and never modifies it; the caller must not Add to
-// it while the index is in use. Scores equal those of Build over the
-// same documents spelled as strings, bit for bit.
-func BuildIDs(docs [][]uint32, vocab *textutil.Vocab) (*Index, error) {
-	return BuildFrom(IDs(docs), vocab)
+	return BuildFrom(IDs(ids), vocab)
 }
 
 // Docs is a document collection as a stream: each document is walked as
@@ -133,10 +125,13 @@ func (docs IDs) Len() int                            { return len(docs) }
 func (docs IDs) Cost(d int) int                      { return len(docs[d]) + 1 }
 func (docs IDs) Walk(d int, part func(ids []uint32)) { part(docs[d]) }
 
-// BuildFrom is BuildIDs over a streamed collection: the builder walks
-// every document twice, once to count and once to fill the postings, and
-// the index is the one BuildIDs gives over the same documents
-// materialized, bit for bit.
+// BuildFrom indexes a collection whose tokens are already term ids of
+// vocab (every id must be below vocab.Size()). The builder walks every
+// document twice, once to count and once to fill the postings. The index
+// keeps vocab for query-time lookups and never modifies it; the caller
+// must not Add to it while the index is in use. Scores equal those of
+// Build over the same documents spelled as strings, bit for bit, however
+// the documents are split into lists.
 func BuildFrom(docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	idx, err := Rebuild(nil, docs, vocab)
 	if idx != nil {

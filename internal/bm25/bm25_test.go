@@ -305,8 +305,8 @@ func (l lists) Walk(d int, part func(ids []uint32)) {
 }
 
 // TestBuildFromMatchesBuildIDs streams random collections in lists of
-// every width, at every par width, and holds the index to BuildIDs' over
-// the documents laid out: the same postings, lengths and idf bits —
+// every width, at every par width, and holds the index to BuildFrom's over
+// the documents laid out as IDs: the same postings, lengths and idf bits —
 // also when Rebuild writes it into the arrays of the index before, which
 // indexed another collection.
 func TestBuildFromMatchesBuildIDs(t *testing.T) {
@@ -325,7 +325,7 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(1 + trial%4)
-		want, err := BuildIDs(docs, vocab)
+		want, err := BuildFrom(IDs(docs), vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 			prev = got
 			if !reflect.DeepEqual(got.terms, want.terms) || !reflect.DeepEqual(got.posts, want.posts) ||
 				!reflect.DeepEqual(got.docLen, want.docLen) || got.avgLen != want.avgLen || got.tokens != want.tokens {
-				t.Fatalf("trial %d, lists of %d: the streamed index differs from BuildIDs'", trial, width)
+				t.Fatalf("trial %d, lists of %d: the streamed index differs from the laid-out one", trial, width)
 			}
 		}
 	}

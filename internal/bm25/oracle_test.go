@@ -101,7 +101,7 @@ func sameHits(a, b []Hit) error {
 	return nil
 }
 
-// TestIndexMatchesReference holds Build and BuildIDs bit-identical to the
+// TestIndexMatchesReference holds Build and BuildFrom bit-identical to the
 // map-based reference on random collections: skewed term frequencies,
 // empty documents, repeated terms inside documents and queries, and
 // out-of-vocabulary query terms.
@@ -143,12 +143,12 @@ func TestIndexMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromIDs, err := BuildIDs(idDocs, vocab)
+		fromIDs, err := BuildFrom(IDs(idDocs), vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		for name, idx := range map[string]*Index{"Build": fromStrings, "BuildIDs": fromIDs} {
+		for name, idx := range map[string]*Index{"Build": fromStrings, "BuildFrom": fromIDs} {
 			sc := idx.NewScorer()
 			for qi := 0; qi < 30; qi++ {
 				query := make([]string, rng.Intn(6))
@@ -192,13 +192,13 @@ func TestIndexMatchesReference(t *testing.T) {
 func TestBuildIDsRejectsForeignTermID(t *testing.T) {
 	vocab := textutil.NewVocab()
 	vocab.Add("a")
-	if _, err := BuildIDs([][]uint32{{0, 1}}, vocab); err == nil {
+	if _, err := BuildFrom(IDs{{0, 1}}, vocab); err == nil {
 		t.Fatal("term id outside the vocabulary accepted")
 	}
 }
 
-// TestBuildIDsIdenticalAcrossWidths holds BuildIDs, which splits its
-// documents into GOMAXPROCS ranges, to the same index at every width:
+// TestBuildIDsIdenticalAcrossWidths holds BuildFrom over id documents,
+// which it splits into GOMAXPROCS ranges, to the same index at every width:
 // postings, each term's span and idf bits, document lengths and the
 // average length. With foreign term ids in several documents, the error
 // names the lowest of them at every width.
@@ -232,11 +232,11 @@ func TestBuildIDsIdenticalAcrossWidths(t *testing.T) {
 	var wantErr string
 	for _, procs := range []int{1, 2, 3, 7} {
 		runtime.GOMAXPROCS(procs)
-		idx, err := BuildIDs(docs, vocab)
+		idx, err := BuildFrom(IDs(docs), vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = BuildIDs(foreign, vocab)
+		_, err = BuildFrom(IDs(foreign), vocab)
 		if err == nil {
 			t.Fatalf("GOMAXPROCS=%d: foreign term ids accepted", procs)
 		}

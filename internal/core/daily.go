@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"shoal/internal/bipartite"
@@ -180,31 +179,23 @@ func Stability(prev, next *Build) (float64, error) {
 		}
 		return int32(root)
 	}
-	// Group items by prev root topic.
-	groups := make(map[int32][]int)
+	// Adjacent members of each prev root topic, in item order: enough
+	// signal without O(n²) blowup on big topics. last[r] is root r's latest
+	// member plus one, 0 before its first.
+	last := make([]int32, len(prev.Taxonomy.Topics))
+	var pairs, kept int
 	for it := range prev.Taxonomy.ItemTopic {
 		r := rootOf(prev, it)
-		if r >= 0 {
-			groups[r] = append(groups[r], it)
+		if r < 0 {
+			continue
 		}
-	}
-	keys := make([]int32, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	var pairs, kept int
-	for _, k := range keys {
-		members := groups[k]
-		// Adjacent pairs only: enough signal without O(n²) blowup on big
-		// topics.
-		for i := 1; i < len(members); i++ {
+		if m := int(last[r]) - 1; m >= 0 {
 			pairs++
-			if rootOf(next, members[i-1]) == rootOf(next, members[i]) && rootOf(next, members[i]) >= 0 {
+			if nr := rootOf(next, it); nr >= 0 && rootOf(next, m) == nr {
 				kept++
 			}
 		}
+		last[r] = int32(it + 1)
 	}
 	if pairs == 0 {
 		return 0, fmt.Errorf("core: previous build has no topic pairs")

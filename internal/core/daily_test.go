@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -154,6 +155,87 @@ func TestStabilityErrors(t *testing.T) {
 	}
 	if s != 1 {
 		t.Fatalf("self-stability = %f, want 1", s)
+	}
+}
+
+// groupedStability is Stability as first written: items grouped by
+// prev root topic in a map, the roots visited in sorted order, each
+// group's adjacent members counted.
+func groupedStability(prev, next *Build) float64 {
+	rootOf := func(b *Build, it int) int32 {
+		tid := b.Taxonomy.ItemTopic[it]
+		if tid < 0 {
+			return -1
+		}
+		root, err := b.Taxonomy.RootOf(tid)
+		if err != nil {
+			return -1
+		}
+		return int32(root)
+	}
+	groups := make(map[int32][]int)
+	for it := range prev.Taxonomy.ItemTopic {
+		if r := rootOf(prev, it); r >= 0 {
+			groups[r] = append(groups[r], it)
+		}
+	}
+	keys := make([]int32, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var pairs, kept int
+	for _, k := range keys {
+		members := groups[k]
+		for i := 1; i < len(members); i++ {
+			pairs++
+			if rootOf(next, members[i-1]) == rootOf(next, members[i]) && rootOf(next, members[i]) >= 0 {
+				kept++
+			}
+		}
+	}
+	return float64(kept) / float64(pairs)
+}
+
+// TestStabilityMatchesGrouping holds Stability's one pass to the grouping
+// it replaced, bit for bit, over a slide trajectory whose builds move.
+func TestStabilityMatchesGrouping(t *testing.T) {
+	corpus, byDay := dayCorpus(t)
+	cfg := testConfig()
+	cfg.WindowDays = 7
+	p, err := NewDailyPipeline(corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range byDay[:6] {
+		if err := p.IngestDay(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := 0
+	for day := 6; day < len(byDay); day++ {
+		prev := p.Last()
+		b, rep, err := p.Step(context.Background(), byDay[day])
+		if err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+		if prev == nil {
+			continue
+		}
+		want := groupedStability(prev, b)
+		got, err := Stability(prev, b)
+		if err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+		if got != want || rep.Stability != want {
+			t.Fatalf("day %d: Stability %v, report %v, grouping %v", day, got, rep.Stability, want)
+		}
+		if want < 1 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every slide kept stability at 1: the comparison is vacuous")
 	}
 }
 

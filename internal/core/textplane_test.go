@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"shoal/internal/bm25"
 	"shoal/internal/describe"
 	"shoal/internal/taxonomy"
 	"shoal/internal/textutil"
@@ -77,7 +78,7 @@ func TestSearchDocsMatchOracle(t *testing.T) {
 
 // TestSearcherIDsMatchesStrings holds the search-index stage's searcher —
 // id documents in the text plane's vocabulary, indexed by
-// NewSearcherIDs — to NewSearcher over the same documents spelled as
+// NewSearcherFrom — to NewSearcher over the same documents spelled as
 // strings and interned afresh: same hits, same score bits, for every
 // corpus query, titles, garbage, stopword-only and corpus-unknown
 // strings.
@@ -100,7 +101,7 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 	for i := 0; i < len(corpus.Items); i += 7 {
 		probes = append(probes, corpus.Items[i].Title)
 	}
-	ids, err := taxonomy.NewSearcherIDs(ctx, b.Taxonomy, b.SearchDocIDs(cfg.SearchDocTokenCap), plane)
+	ids, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, bm25.IDs(b.SearchDocIDs(cfg.SearchDocTokenCap)), plane)
 	if err != nil {
 		t.Fatal(err)
 	}

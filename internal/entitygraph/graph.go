@@ -278,10 +278,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			setAll(dirty)
 		} else {
 			// A patch: the next state's index is laid out in the
-			// workspace's spare. Only a dense run reads self and the
-			// rank's reverse index: a patch lets them go.
+			// workspace's spare. Only a dense run reads the rank's
+			// reverse index: a patch lets it go.
 			p = &patch{st: st, old: st.idx, idx: ws.idx, n: n, stale: stale, dirty: dirty}
-			ws.idx, ws.self, ws.selfOff, ws.rev = pairIndex{}, nil, nil, nil
+			ws.idx, ws.rev = pairIndex{}, nil
 		}
 	}
 	ph.attr("walkedPairs", walked)
@@ -309,9 +309,6 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	// row.
 	rows := trueAt(ws.rows, dirty)
 	ws.rows = rows
-	// On a dense run every lower partner is dirty as well, so a row walks
-	// each of its runs from just past itself.
-	self, selfOff := ws.selfPositions(st == nil, querySets, qOff)
 	patching := st != nil
 	// A pair whose Eq. 3 score cannot reach MinSimilarity even with its
 	// mean vectors' dot at the Cauchy–Schwarz maximum ‖u‖‖v‖ is dropped
@@ -349,13 +346,17 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 				a := rows[r]
 				bs = bs[:0]
-				for i, q := range querySets[a] {
+				for _, q := range querySets[a] {
 					lo, hi := qOff[q], qOff[q+1]
 					if cfg.MaxQueryFanout > 0 && int(hi-lo) > cfg.MaxQueryFanout {
 						continue
 					}
-					if self != nil {
-						lo = self[selfOff[a]+int32(i)] + 1
+					if !patching {
+						// Every lower partner is dirty as well: the row walks
+						// the run from just past a, which the ascending run
+						// holds.
+						i, _ := slices.BinarySearch(assoc[lo:hi], a)
+						lo += int32(i) + 1
 					}
 					for _, b := range assoc[lo:hi] {
 						if stamp[b] != a+1 {
@@ -366,14 +367,15 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 						slot[b]++
 					}
 				}
-				// When the whole runs were walked, a itself and the dirty lower
-				// partners drop out before scoring. A partner with no content
-				// signal is scored outright; one with it passes the bound and
-				// waits in pend (pendSims: its Sq, then its score) for its dot.
+				// a itself and the dirty lower partners, which a patch's whole
+				// runs hold, drop out before scoring; a dense row found none.
+				// A partner with no content signal is scored outright; one with
+				// it passes the bound and waits in pend (pendSims: its Sq, then
+				// its score) for its dot.
 				k := 0
 				rowSims, pend, pendSims = rowSims[:0], pend[:0], pendSims[:0]
 				for _, b := range bs {
-					if patching && (b == a || (b < a && dirty[b])) {
+					if b == a || (b < a && dirty[b]) {
 						continue
 					}
 					nScored++
@@ -689,31 +691,6 @@ func trueAt(dst []int32, b []bool) []int32 {
 		}
 	}
 	return dst
-}
-
-// selfPositions returns, for a dense run, where each entity sits in the
-// runs of its queries in the query index ws holds (qOff, assoc):
-// self[selfOff[e]+i] in the run of e's i-th query, recorded by filling
-// the runs again in the same order. A patch walks whole runs and gets
-// nil.
-func (ws *Workspace) selfPositions(dense bool, querySets [][]model.QueryID, qOff []int32) (self, selfOff []int32) {
-	if !dense {
-		return nil, nil
-	}
-	self, selfOff = reuse.Grow(ws.self, len(ws.assoc)), reuse.Grow(ws.selfOff, len(querySets)+1)
-	ws.self, ws.selfOff = self, selfOff
-	next := ws.next
-	copy(next, qOff)
-	selfOff[0] = 0
-	for e, qs := range querySets {
-		o := selfOff[e]
-		selfOff[e+1] = o + int32(len(qs))
-		for i, q := range qs {
-			self[o+int32(i)] = next[q]
-			next[q]++
-		}
-	}
-	return self, selfOff
 }
 
 // phases opens a build's sub-stage spans one after another under the

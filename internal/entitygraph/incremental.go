@@ -182,8 +182,8 @@ func BuildIncremental(ctx context.Context, es *EntitySet, clicks *bipartite.Grap
 // state the last build consumed — the spare the next state is laid out
 // in — and the scratch of every phase, the query index, the workers'
 // stamp arrays, row buffers and a patch's candidate chunks among it. The
-// scratch only a dense run reads (self, the rank's reverse index) is let
-// go of by a patch, and a dense run's chunks are not kept: they hold
+// scratch only a dense run reads, the rank's reverse index, is let go of
+// by a patch, and a dense run's chunks are not kept: they hold
 // every pair a second time, which would stay live between slides.
 // Nothing a Result or an IncState references is in it once a build
 // returns. The zero value is empty; one serves one build at a time.
@@ -207,11 +207,11 @@ type Workspace struct {
 	rankers           []rankLists
 	flipped           []int32
 	// Per-phase scratch.
-	dirty, rank             []bool
-	qOff, assoc, next, self []int32
-	selfOff, rows, rev, deg []int32
-	genOff                  []int
-	rowers                  []rower
+	dirty, rank       []bool
+	qOff, assoc, next []int32
+	rows, rev, deg    []int32
+	genOff            []int
+	rowers            []rower
 }
 
 // rower is one candidate worker's scratch: its stamp and slot arrays,

@@ -159,8 +159,8 @@ func TestPatchWalksTheDelta(t *testing.T) {
 }
 
 // TestPatchLetsGoOfDenseScratch holds a workspace to the patch's size: a
-// dense run's self positions and rank index are the workspace's for the
-// next dense run, and a c30 patch lets them go, since no patch reads them.
+// dense run's rank index is the workspace's for the next dense run, and a
+// c30 patch lets it go, since no patch reads it.
 func TestPatchLetsGoOfDenseScratch(t *testing.T) {
 	c, es, clicks := c30Window(t)
 	cfg := DefaultConfig()
@@ -169,8 +169,8 @@ func TestPatchLetsGoOfDenseScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.self == nil || ws.rev == nil {
-		t.Fatal("a dense run through a workspace kept no self positions or rank index")
+	if ws.rev == nil {
+		t.Fatal("a dense run through a workspace kept no rank index")
 	}
 	_, _, d, err := ws.BuildIncremental(context.Background(), es, clicks, nil, cfg, st, dirtyOneItem(t, c, es, clicks, st, 1))
 	if err != nil {
@@ -179,7 +179,7 @@ func TestPatchLetsGoOfDenseScratch(t *testing.T) {
 	if d.DenseFallback {
 		t.Fatalf("delta %+v, want a patch", d)
 	}
-	if ws.self != nil || ws.selfOff != nil || ws.rev != nil {
-		t.Errorf("after a patch the workspace holds self (%d) and the rank index (%d)", cap(ws.self), cap(ws.rev))
+	if ws.rev != nil {
+		t.Errorf("after a patch the workspace holds the rank index (%d)", cap(ws.rev))
 	}
 }

@@ -87,11 +87,6 @@ type Handler struct {
 	// /api/stats.
 	routes router
 	reg    *obs.Registry
-	// headBuf is the scratch each snapshot's heads are rendered into
-	// before they are copied out at their exact size; only the publisher
-	// holding swapMu (or NewHandler, before the handler is shared)
-	// touches it.
-	headBuf []byte
 	// droppedStale mirrors the published build's window counter of
 	// stale (already-evicted-day) click events dropped at ingestion —
 	// the clicks the delta tracker refuses to double-count. Updated on
@@ -114,11 +109,9 @@ type snapshot struct {
 	build        *core.Build
 	swaps        int64
 	droppedStale int64
-	// heads[headOff[i]:headOff[i+1]] is topic i's summary head (a topic's
-	// ID is its index): its TopicSummary up to the score, without the
-	// closing brace.
-	heads   []byte
-	headOff []int32
+	// heads.at(i) is topic i's summary head (a topic's ID is its index):
+	// its TopicSummary up to the score, without the closing brace.
+	heads table
 	// refs is build.Corpus's fragment table, shared by every snapshot
 	// over the same corpus.
 	refs *fragments
@@ -130,29 +123,25 @@ type snapshot struct {
 }
 
 // head returns topic t's pre-rendered summary head.
-func (s *snapshot) head(t model.TopicID) []byte { return s.heads[s.headOff[t]:s.headOff[t+1]] }
+func (s *snapshot) head(t model.TopicID) []byte { return s.heads.at(int(t)) }
 
-// fragments is one corpus's pre-rendered refs: buf[off[i]:off[i+1]] is
-// item i's ItemRef object, closed, and buf[off[n+c]:off[n+c+1]], for n
-// items, category c's CategoryRef head, without the closing brace. The
-// corpus is immutable once a pipeline has seen it, so the table is
-// rendered once per corpus (newFragments) and never by a request.
+// fragments is one corpus's pre-rendered refs: at(i) is item i's ItemRef
+// object, closed, and at(n+c), for n items, category c's CategoryRef
+// head, without the closing brace. The corpus is immutable once a
+// pipeline has seen it, so the table is rendered once per corpus
+// (newFragments) and never by a request.
 type fragments struct {
-	buf []byte
-	off []int32
-	// items is the corpus's item count: the categories' offsets follow
+	table
+	// items is the corpus's item count: the categories' fragments follow
 	// the items'.
 	items int
 }
 
 // item returns item i's ItemRef object.
-func (f *fragments) item(i model.ItemID) []byte { return f.buf[f.off[i]:f.off[i+1]] }
+func (f *fragments) item(i model.ItemID) []byte { return f.at(int(i)) }
 
 // category returns category c's CategoryRef head.
-func (f *fragments) category(c model.CategoryID) []byte {
-	i := f.items + int(c)
-	return f.buf[f.off[i]:f.off[i+1]]
-}
+func (f *fragments) category(c model.CategoryID) []byte { return f.at(f.items + int(c)) }
 
 // NewHandler wraps a completed build. The build must not be mutated after
 // it is handed over; publish updates with Swap instead. It renders the
@@ -217,9 +206,8 @@ func (h *Handler) Swap(b *core.Build) error {
 // its window's dropped events. Publishers call this before the window
 // resumes ingesting, so the read is race-free.
 func (h *Handler) newSnapshot(b *core.Build, prev *snapshot) *snapshot {
-	topics := b.Taxonomy.Topics
 	s := &snapshot{
-		build: b, headOff: make([]int32, len(topics)+1),
+		build: b, heads: newHeads(b.Taxonomy.Topics),
 		results: make([]searchSlot, searchSlots(len(b.Corpus.Queries))),
 		seed:    maphash.MakeSeed(),
 	}
@@ -232,13 +220,6 @@ func (h *Handler) newSnapshot(b *core.Build, prev *snapshot) *snapshot {
 	if s.refs == nil {
 		s.refs = newFragments(b.Corpus)
 	}
-	buf := h.headBuf[:0]
-	for i := range topics {
-		buf = openSummary(buf, &topics[i])
-		s.headOff[i+1] = int32(len(buf))
-	}
-	h.headBuf = buf
-	s.heads = bytes.Clone(buf)
 	if b.Clicks != nil {
 		s.droppedStale = b.Clicks.Stats().DroppedStale
 	}

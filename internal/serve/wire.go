@@ -51,7 +51,7 @@ func send(w http.ResponseWriter, bp *[]byte, b []byte) int {
 // openSummary appends t's summary head: t as a TopicSummary without its
 // score and closing brace, so a search hit can append its score and
 // TopicDetail can continue the object. Each snapshot renders every
-// topic's head once (newSnapshot); requests copy them.
+// topic's head once (newHeads); requests copy them.
 func openSummary(dst []byte, t *taxonomy.Topic) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(t.ID), 10)
@@ -76,36 +76,64 @@ func openRef(dst []byte, id int64, key, name string) []byte {
 	return appendJSONString(dst, name)
 }
 
+// table is a run of pre-rendered JSON fragments: buf[off[i]:off[i+1]] is
+// fragment i.
+type table struct {
+	buf []byte
+	off []int32
+}
+
+// at returns fragment i.
+func (t *table) at(i int) []byte { return t.buf[t.off[i]:t.off[i+1]] }
+
+// render lays fragments 0..n-1 out as a table: size(i) is fragment i's
+// length if its strings need no escape, and add appends it. The sizes
+// come first, so the table is rendered at its exact size in one
+// allocation unless an escape lengthened a string, which regrows it and
+// copies it out once.
+func render(n int, size func(i int) int, add func(dst []byte, i int) []byte) table {
+	total := 0
+	for i := range n {
+		total += size(i)
+	}
+	t := table{buf: make([]byte, 0, total), off: make([]int32, n+1)}
+	for i := range n {
+		t.buf = add(t.buf, i)
+		t.off[i+1] = int32(len(t.buf))
+	}
+	if len(t.buf) > total {
+		t.buf = append(make([]byte, 0, len(t.buf)), t.buf...)
+	}
+	return t
+}
+
+// newHeads renders every topic's summary head (openSummary), by id.
+func newHeads(topics []taxonomy.Topic) table {
+	return render(len(topics), func(i int) int {
+		t := &topics[i]
+		return len(`{"id":,"description":"","level":,"items":,"categories":`) + decimalLen(int(t.ID)) +
+			len(t.Description) + decimalLen(t.Level) + decimalLen(len(t.Items)) + decimalLen(len(t.Categories))
+	}, func(dst []byte, i int) []byte { return openSummary(dst, &topics[i]) })
+}
+
 // newFragments renders c's fragment table (fragments): every item's
 // ItemRef object, closed, then every category's CategoryRef head, open,
-// by id. It sizes the table for strings that need no escape, so the
-// table is rendered at its exact size in one allocation unless an
-// escape lengthened a string, which regrows it and copies it out once.
+// by id.
 func newFragments(c *model.Corpus) *fragments {
-	f := &fragments{off: make([]int32, len(c.Items)+len(c.Categories)+1), items: len(c.Items)}
-	n := 0
-	for i := range c.Items {
-		n += len(`{"id":,"title":"","category":}`) + decimalLen(i) + len(c.Items[i].Title) + decimalLen(int(c.Items[i].Category))
-	}
-	for i := range c.Categories {
-		n += len(`{"id":,"name":""`) + decimalLen(i) + len(c.Categories[i].Name)
-	}
-	buf := make([]byte, 0, n)
-	for i := range c.Items {
-		it := &c.Items[i]
-		buf = append(openRef(buf, int64(i), "title", it.Title), `,"category":`...)
-		buf = append(strconv.AppendInt(buf, int64(it.Category), 10), '}')
-		f.off[i+1] = int32(len(buf))
-	}
-	for i := range c.Categories {
-		buf = openRef(buf, int64(i), "name", c.Categories[i].Name)
-		f.off[f.items+i+1] = int32(len(buf))
-	}
-	if len(buf) > n {
-		buf = append(make([]byte, 0, len(buf)), buf...)
-	}
-	f.buf = buf
-	return f
+	items := len(c.Items)
+	return &fragments{items: items, table: render(items+len(c.Categories), func(i int) int {
+		if i < items {
+			return len(`{"id":,"title":"","category":}`) + decimalLen(i) + len(c.Items[i].Title) + decimalLen(int(c.Items[i].Category))
+		}
+		return len(`{"id":,"name":""`) + decimalLen(i-items) + len(c.Categories[i-items].Name)
+	}, func(dst []byte, i int) []byte {
+		if i < items {
+			it := &c.Items[i]
+			dst = append(openRef(dst, int64(i), "title", it.Title), `,"category":`...)
+			return append(strconv.AppendInt(dst, int64(it.Category), 10), '}')
+		}
+		return openRef(dst, int64(i-items), "name", c.Categories[i-items].Name)
+	})}
 }
 
 // decimalLen is the length of v ≥ 0 in decimal.

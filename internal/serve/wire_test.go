@@ -453,8 +453,8 @@ const swapSlackBytes = 64
 // TestSwapAllocs holds Swap to four objects at any topic count — the
 // snapshot, its summary heads, their offsets and its empty search result
 // table — and its bytes to those four allocated at their exact sizes
-// plus swapSlackBytes. The heads are rendered into the handler's scratch
-// and copied out once, so a buffer that regrows while rendering fails it.
+// plus swapSlackBytes. The heads are sized before they are rendered, so
+// a buffer that regrows while rendering fails it.
 func TestSwapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -470,7 +470,7 @@ func TestSwapAllocs(t *testing.T) {
 	}
 	big.Taxonomy = &tx
 	for _, b := range []*core.Build{small, &big} {
-		h, err := NewHandler(b) // renders the heads once: the scratch is warm
+		h, err := NewHandler(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,16 +486,16 @@ func TestSwapAllocs(t *testing.T) {
 		snap := h.cur.Load()
 		want := allocatedBytes(20, func() {
 			sinkSnap = new(snapshot)
-			sinkHeads = make([]byte, len(snap.heads))
-			sinkOff = make([]int32, len(snap.headOff))
+			sinkHeads = make([]byte, len(snap.heads.buf))
+			sinkOff = make([]int32, len(snap.heads.off))
 			sinkResults = make([]searchSlot, len(snap.results))
 		})
 		got := allocatedBytes(20, swap)
 		if got > want+swapSlackBytes {
 			t.Errorf("%d topics: Swap allocated %.0f B, want <= %.0f (snapshot, %d B of heads, %d offsets and %d slots) + %d",
-				topics, got, want, len(snap.heads), len(snap.headOff), len(snap.results), swapSlackBytes)
+				topics, got, want, len(snap.heads.buf), len(snap.heads.off), len(snap.results), swapSlackBytes)
 		}
-		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads), got, want)
+		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads.buf), got, want)
 	}
 }
 

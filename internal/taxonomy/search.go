@@ -25,25 +25,20 @@ type Searcher struct {
 // document of tx.Topics[i] (typically: description queries + member query
 // texts + category names). Topics with empty documents are searchable but
 // never match. It interns the tokens into a vocabulary of its own and
-// calls NewSearcherIDs.
+// calls NewSearcherFrom.
 func NewSearcher(ctx context.Context, tx *Taxonomy, topicDocs [][]string) (*Searcher, error) {
 	ids, vocab := textutil.Intern(topicDocs)
-	return NewSearcherIDs(ctx, tx, ids, vocab)
+	return NewSearcherFrom(ctx, tx, bm25.IDs(ids), vocab)
 }
 
-// NewSearcherIDs is NewSearcher over documents already spelled as term
-// ids of vocab. The searcher resolves query tokens in vocab, which must
-// not change while it is in use. Hits and scores equal NewSearcher's
-// over the same documents spelled as strings, bit for bit: BM25 depends
-// on which tokens match, not on how terms are numbered.
-func NewSearcherIDs(ctx context.Context, tx *Taxonomy, topicDocs [][]uint32, vocab *textutil.Vocab) (*Searcher, error) {
-	return NewSearcherFrom(ctx, tx, bm25.IDs(topicDocs), vocab)
-}
-
-// NewSearcherFrom is NewSearcherIDs over documents streamed into the
-// postings (bm25.BuildFrom) — the corpus text plane's vocabulary in a
-// pipeline build — so the documents never exist as arrays. Document i is
-// topic i's.
+// NewSearcherFrom is NewSearcher over documents already spelled as term
+// ids of vocab — the corpus text plane's in a pipeline build — streamed
+// into the postings (bm25.BuildFrom), so they need never exist as arrays
+// (bm25.IDs is the source over ones that do). Document i is topic i's.
+// The searcher resolves query tokens in vocab, which must not change
+// while it is in use. Hits and scores equal NewSearcher's over the same
+// documents spelled as strings, bit for bit: BM25 depends on which tokens
+// match, not on how terms are numbered.
 func NewSearcherFrom(ctx context.Context, tx *Taxonomy, topicDocs bm25.Docs, vocab *textutil.Vocab) (*Searcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
