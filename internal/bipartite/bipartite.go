@@ -458,15 +458,6 @@ func (g *Graph) Stats() WindowStats {
 	}
 }
 
-// MaxDay returns the newest day seen, or -1 if empty.
-func (g *Graph) MaxDay() int32 { return g.maxDay }
-
-// Queries returns the number of queries with at least one in-window click.
-func (g *Graph) Queries() int { return g.queries }
-
-// Items returns the number of items with at least one in-window click.
-func (g *Graph) Items() int { return g.items }
-
 // Row returns the queries that clicked into item, ascending, and beside
 // each the pair's in-window click mass. The slices are views of the
 // window, valid until the next Add or AddAll: read them, do not keep or

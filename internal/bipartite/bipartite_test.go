@@ -33,8 +33,8 @@ func TestAddAndLookups(t *testing.T) {
 	must(ev(0, 11, 0, 1))
 	must(ev(1, 10, 1, 3))
 
-	if g.Queries() != 2 || g.Items() != 2 {
-		t.Fatalf("Queries=%d Items=%d, want 2,2", g.Queries(), g.Items())
+	if st := g.Stats(); st.Queries != 2 || st.Items != 2 {
+		t.Fatalf("Queries=%d Items=%d, want 2,2", st.Queries, st.Items)
 	}
 	qs, ns := g.Row(10)
 	if !slices.Equal(qs, []model.QueryID{0, 1}) || !slices.Equal(ns, []int32{2, 3}) {
@@ -48,8 +48,8 @@ func TestAddAndLookups(t *testing.T) {
 			t.Fatalf("Row(%d) = %v %v, want empty", it, qs, ns)
 		}
 	}
-	if g.MaxDay() != 1 {
-		t.Fatalf("MaxDay = %d, want 1", g.MaxDay())
+	if got := g.Stats().MaxDay; got != 1 {
+		t.Fatalf("MaxDay = %d, want 1", got)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestEvictionRemovesEmptyEntries(t *testing.T) {
 	if err := g.Add(ev(1, 2, 5, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Queries() != 1 || g.Items() != 1 {
-		t.Fatalf("after eviction Queries=%d Items=%d, want 1,1", g.Queries(), g.Items())
+	if st := g.Stats(); st.Queries != 1 || st.Items != 1 {
+		t.Fatalf("after eviction Queries=%d Items=%d, want 1,1", st.Queries, st.Items)
 	}
 	if got, _ := g.Row(1); len(got) != 0 {
 		t.Fatalf("Row(evicted item) = %v, want empty", got)

@@ -167,9 +167,6 @@ func sameWindow(g *Graph, o *mapWindow, items int) error {
 	if gs, os := g.Stats(), o.Stats(); gs != os {
 		return fmt.Errorf("Stats %+v, oracle %+v", gs, os)
 	}
-	if g.Queries() != o.Stats().Queries || g.Items() != o.Stats().Items || g.MaxDay() != o.maxDay {
-		return fmt.Errorf("Queries/Items/MaxDay %d/%d/%d disagree with Stats %+v", g.Queries(), g.Items(), g.MaxDay(), o.Stats())
-	}
 	for it := model.ItemID(0); int(it) < items; it++ {
 		gq, gn := g.Row(it)
 		oq, on := o.Row(it)

@@ -43,7 +43,8 @@ func TestWindowMassConservation(t *testing.T) {
 				Day:   d,
 				Count: int32(rng.IntN(3) + 1),
 			}
-			stale := g.MaxDay() >= 0 && d <= g.MaxDay()-7
+			maxDay := g.Stats().MaxDay
+			stale := maxDay >= 0 && d <= maxDay-7
 			if err := g.Add(ev); err != nil {
 				return false
 			}
@@ -53,7 +54,7 @@ func TestWindowMassConservation(t *testing.T) {
 		}
 		var want int64
 		for _, ev := range accepted {
-			if ev.Day > g.MaxDay()-7 {
+			if ev.Day > g.Stats().MaxDay-7 {
 				want += int64(ev.Count)
 			}
 		}
@@ -92,7 +93,7 @@ func TestIndexSymmetryProperty(t *testing.T) {
 					seen[q] = true
 				}
 			}
-			if g.Queries() != len(seen) || g.Items() != items {
+			if st := g.Stats(); st.Queries != len(seen) || st.Items != items {
 				return false
 			}
 		}
@@ -170,7 +171,7 @@ func TestWindowMatchesMapOracle(t *testing.T) {
 				if op > 2 {
 					op = 0
 				}
-				oracleStep(t, g, o, items, op, randBatch(rng, max(g.MaxDay(), 0), items, queries))
+				oracleStep(t, g, o, items, op, randBatch(rng, max(g.Stats().MaxDay, 0), items, queries))
 			}
 			oracleStep(t, g, o, items, 2, nil)
 		}

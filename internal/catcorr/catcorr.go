@@ -5,7 +5,8 @@
 // the number of root topics whose category set contains both. Pairs with
 // strength above a threshold (the paper uses > 10) form the category
 // correlation graph that powers "related category" recommendation (demo
-// scenario D).
+// scenario D). Mine lays the graph out once, in the order it is served:
+// a request reads a span of it and neither allocates nor sorts.
 package catcorr
 
 import (
@@ -13,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"shoal/internal/model"
 	"shoal/internal/taxonomy"
@@ -36,11 +36,14 @@ type Correlation struct {
 	Strength int
 }
 
-// Graph is the mined category correlation graph.
+// Graph is the mined category correlation graph, laid out once by Mine:
+// pairs holds every correlated pair sorted by (A, B), and category c's
+// pairs are byCat[off[c]:off[c+1]], strongest first, ties by the other
+// category ascending.
 type Graph struct {
-	pairs map[[2]model.CategoryID]int
-	adj   map[model.CategoryID]map[model.CategoryID]int
-	cfg   Config
+	pairs []Correlation
+	off   []int
+	byCat []Correlation
 }
 
 // Mine computes Eq. 5 over the root topics of tx. Cancellation is checked
@@ -52,11 +55,7 @@ func Mine(ctx context.Context, tx *taxonomy.Taxonomy, cfg Config) (*Graph, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		pairs: make(map[[2]model.CategoryID]int),
-		adj:   make(map[model.CategoryID]map[model.CategoryID]int),
-		cfg:   cfg,
-	}
+	counts := make(map[[2]model.CategoryID]int)
 	for ri, root := range tx.Roots() {
 		if ri%256 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -66,81 +65,61 @@ func Mine(ctx context.Context, tx *taxonomy.Taxonomy, cfg Config) (*Graph, error
 		cats := tx.Topics[root].Categories // sorted, distinct
 		for i := 0; i < len(cats); i++ {
 			for j := i + 1; j < len(cats); j++ {
-				g.pairs[[2]model.CategoryID{cats[i], cats[j]}]++
+				counts[[2]model.CategoryID{cats[i], cats[j]}]++
 			}
 		}
 	}
-	for k, n := range g.pairs {
-		if n <= cfg.MinStrength {
-			continue
+	g := &Graph{}
+	maxCat := model.CategoryID(-1)
+	for k, n := range counts {
+		if n > cfg.MinStrength {
+			g.pairs = append(g.pairs, Correlation{A: k[0], B: k[1], Strength: n})
+			maxCat = max(maxCat, k[1])
 		}
-		g.link(k[0], k[1], n)
-		g.link(k[1], k[0], n)
+	}
+	g.pairs = slices.Clip(g.pairs)
+	slices.SortFunc(g.pairs, func(x, y Correlation) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	// Count each category's pairs into off[c], sum the counts up to the
+	// ends of the spans, and fill each span from its end, which leaves
+	// off[c] at its start.
+	g.off = make([]int, maxCat+2)
+	for _, p := range g.pairs {
+		g.off[p.A]++
+		g.off[p.B]++
+	}
+	for c := 1; c < len(g.off); c++ {
+		g.off[c] += g.off[c-1]
+	}
+	g.byCat = make([]Correlation, 2*len(g.pairs))
+	for _, p := range g.pairs {
+		for _, c := range [2]model.CategoryID{p.A, p.B} {
+			g.off[c]--
+			g.byCat[g.off[c]] = p
+		}
+	}
+	for c := model.CategoryID(0); c <= maxCat; c++ {
+		slices.SortFunc(g.byCat[g.off[c]:g.off[c+1]], func(x, y Correlation) int {
+			return cmp.Or(cmp.Compare(y.Strength, x.Strength), cmp.Compare(other(x, c), other(y, c)))
+		})
 	}
 	return g, nil
 }
 
-func (g *Graph) link(a, b model.CategoryID, n int) {
-	if g.adj[a] == nil {
-		g.adj[a] = make(map[model.CategoryID]int)
-	}
-	g.adj[a][b] = n
-}
-
-// Strength returns the raw co-occurrence count of a pair (before
-// thresholding).
-func (g *Graph) Strength(a, b model.CategoryID) int {
-	if a > b {
-		a, b = b, a
-	}
-	return g.pairs[[2]model.CategoryID{a, b}]
-}
-
-// Correlated reports whether the pair passed the threshold.
-func (g *Graph) Correlated(a, b model.CategoryID) bool {
-	return g.adj[a][b] > 0
-}
-
 // Related returns the categories correlated with c, strongest first (ties
-// by ascending id) — demo scenario D's star graph around a category.
+// by ascending id) — demo scenario D's star graph around a category. The
+// slice belongs to the graph and must not be modified.
 func (g *Graph) Related(c model.CategoryID) []Correlation {
-	m := g.adj[c]
-	out := make([]Correlation, 0, len(m))
-	for other, n := range m {
-		a, b := c, other
-		if a > b {
-			a, b = b, a
-		}
-		out = append(out, Correlation{A: a, B: b, Strength: n})
+	if c < 0 || int(c) >= len(g.off)-1 {
+		return nil
 	}
-	// The order is total (other endpoints are distinct), so any sort
-	// yields it; SortFunc does without sort.Slice's reflection, and a
-	// request for related categories allocates only out.
-	slices.SortFunc(out, func(x, y Correlation) int {
-		if x.Strength != y.Strength {
-			return cmp.Compare(y.Strength, x.Strength)
-		}
-		return cmp.Compare(other(x, c), other(y, c))
-	})
-	return out
+	return g.byCat[g.off[c]:g.off[c+1]:g.off[c+1]]
 }
 
-// Pairs returns every correlated pair, sorted by (A, B).
-func (g *Graph) Pairs() []Correlation {
-	out := make([]Correlation, 0, len(g.pairs))
-	for k, n := range g.pairs {
-		if n > g.cfg.MinStrength {
-			out = append(out, Correlation{A: k[0], B: k[1], Strength: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
+// Pairs returns every correlated pair, sorted by (A, B). The slice
+// belongs to the graph and must not be modified.
+func (g *Graph) Pairs() []Correlation { return g.pairs }
 
 func other(c Correlation, self model.CategoryID) model.CategoryID {
 	if c.A == self {

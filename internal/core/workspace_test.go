@@ -162,7 +162,11 @@ func TestRecycledScratchNeverReachesOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d == canceled {
-			hacCanceled, failed = cancelInsideClustering(t, p, prev)
+			var published []string
+			hacCanceled, failed, published = cancelInsideClustering(t, p, prev)
+			for _, kind := range published {
+				kinds[kind]++
+			}
 		}
 		if p.cache.ws != nil {
 			scribble(p.cache.ws)
@@ -171,11 +175,7 @@ func TestRecycledScratchNeverReachesOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("day %d: %v", d, err)
 		}
-		kind := "patch"
-		if b.Delta.DenseFallback {
-			kind = b.Delta.DenseFallbackReason
-		}
-		kinds[kind]++
+		kinds[buildKind(b)]++
 		check(d, b)
 	}
 	if kinds["patch"] == 0 || kinds["dirty-pairs"] == 0 || (failed && kinds["no-state"] < 2) {
@@ -186,13 +186,23 @@ func TestRecycledScratchNeverReachesOutput(t *testing.T) {
 	}
 }
 
+// buildKind names how a build's entity graph was made: "patch", or the
+// dense fallback's reason.
+func buildKind(b *Build) string {
+	if b.Delta.DenseFallback {
+		return b.Delta.DenseFallbackReason
+	}
+	return "patch"
+}
+
 // cancelInsideClustering fails rebuilds of p's current window under
 // contexts canceled halfway through where parallel-hac ran in the last
 // successful build, until one fails inside that stage (or a few tries
 // pass). A rebuild that beats the timer is a valid build of the window
 // and must publish; it re-times the stage for the next try. It reports
-// whether a rebuild failed inside parallel-hac and whether any failed.
-func cancelInsideClustering(t *testing.T, p *DailyPipeline, last *Build) (inside, failed bool) {
+// whether a rebuild failed inside parallel-hac, whether any failed, and
+// the kind (buildKind) of every build it published, in order.
+func cancelInsideClustering(t *testing.T, p *DailyPipeline, last *Build) (inside, failed bool, published []string) {
 	t.Helper()
 	timing := func(b *Build) time.Duration {
 		for _, st := range b.StageTimings {
@@ -215,11 +225,12 @@ func cancelInsideClustering(t *testing.T, p *DailyPipeline, last *Build) (inside
 			if p.Last() != b {
 				t.Fatal("a rebuild that succeeded did not publish")
 			}
+			published = append(published, buildKind(b))
 			at = timing(b)
 		case p.cache.ws != nil || p.cache.graphState != nil:
 			t.Fatalf("a rebuild that failed (%v) kept its workspaces or its graph state", err)
 		case strings.Contains(err.Error(), "stage parallel-hac:"):
-			return true, true
+			return true, true, published
 		case strings.Contains(err.Error(), "stage entity-graph:") || strings.Contains(err.Error(), "stage entities:"):
 			failed = true
 			at += at / 2 // canceled early: aim later
@@ -228,7 +239,7 @@ func cancelInsideClustering(t *testing.T, p *DailyPipeline, last *Build) (inside
 			at -= at / 4 // canceled late: aim earlier
 		}
 	}
-	return false, failed
+	return false, failed, published
 }
 
 // TestTwoPipelinesSlideConcurrently runs two daily pipelines over one

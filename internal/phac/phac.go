@@ -295,7 +295,6 @@ func (ws *Workspace) Cluster(ctx context.Context, g *wgraph.CSR, sizes []int, cf
 
 	st := &ws.st
 	st.reset(g, sizes, cfg)
-	defer st.release()
 	// A clustering makes at most n-1 merges: the dendrogram never regrows.
 	res := &Result{Dendrogram: &dendrogram.Dendrogram{Leaves: n, Merges: make([]dendrogram.Merge, 0, max(n-1, 0))}}
 
@@ -364,15 +363,11 @@ func (st *state) endRound(rsp *obs.Span) {
 // overflow compacts the alive rows down (reserveTail) — so no per-node
 // maps and no per-round rebuild exist anywhere on the clustering path.
 type state struct {
-	total   int       // minted ids; CSR rows
-	offsets []int32   // row span starts: len total+1, [total] = tail
-	nbrs    []int32   // neighbor ids, ascending within each row
-	wts     []float64 // parallel weights
-	deg     []int32   // id -> live row length (0 for dead rows)
-	// ownsCur is false while the current CSR aliases the caller's frozen
-	// graph (round 0); those arrays are never written — ensureOwned
-	// copies them on the first merge.
-	ownsCur    bool
+	total      int       // minted ids; CSR rows
+	offsets    []int32   // row span starts: len total+1, [total] = tail
+	nbrs       []int32   // neighbor ids, ascending within each row
+	wts        []float64 // parallel weights
+	deg        []int32   // id -> live row length (0 for dead rows)
 	size       []float64
 	alive      []bool
 	aliveCount int
@@ -459,12 +454,6 @@ type state struct {
 	terms       []mmTerm
 	mintedEdges []wgraph.Edge
 	inSlot      []int32
-	// ownOffsets, ownNbrs and ownWts are the arrays the owned CSR copy
-	// lives in, kept across clusterings by release: ensureOwned copies
-	// into them and reserveTail regrows them.
-	ownOffsets []int32
-	ownNbrs    []int32
-	ownWts     []float64
 }
 
 // newState is a fresh clustering state over c.
@@ -477,19 +466,23 @@ func newState(c *wgraph.CSR, sizes []int, cfg Config) *state {
 // reset makes st the initial clustering state over c, re-slicing the
 // arrays st already holds where their capacity suffices. Every entry a
 // clustering can read before writing it is initialised here; arrays that
-// grow by append start empty.
+// grow by append start empty. The CSR is copied out of c, which is never
+// written: row-start headroom for minted ids, entry headroom for their
+// spans — 2n+1 rows can never be exceeded, and minted spans are bounded
+// by the merged rows' combined (shrink-only) adjacency, so 3/2 entry
+// slack makes tail reallocation rare without doubling the footprint.
 func (st *state) reset(c *wgraph.CSR, sizes []int, cfg Config) {
 	n := c.NumNodes()
 	offsets, nbrs, wts := c.Adj()
+	half := int(offsets[n])
 	old := *st
 	levels := max(cfg.DiffusionRounds, 1)
 	*st = state{
 		total:   n,
-		offsets: offsets,
-		nbrs:    nbrs,
-		wts:     wts,
+		offsets: reuse.Slice(old.offsets, n+1, 2*n+1),
+		nbrs:    reuse.Slice(old.nbrs, half, half+half/2),
+		wts:     reuse.Slice(old.wts, half, half+half/2),
 		deg:     reuse.Slice(old.deg, n, 2*n),
-		ownsCur: false,
 		// dirtyEpoch starts above the zero value of fresh dirty stamps:
 		// before the first merge nothing is dirty, so round 0's frontier
 		// scatter must not see every zero stamp as a match.
@@ -515,10 +508,10 @@ func (st *state) reset(c *wgraph.CSR, sizes []int, cfg Config) {
 		terms:       old.terms[:0],
 		mintedEdges: old.mintedEdges[:0],
 		inSlot:      old.inSlot[:0],
-		ownOffsets:  old.ownOffsets,
-		ownNbrs:     old.ownNbrs,
-		ownWts:      old.ownWts,
 	}
+	copy(st.offsets, offsets[:n+1])
+	copy(st.nbrs, nbrs[:half])
+	copy(st.wts, wts[:half])
 	for it := range st.exStates {
 		// Capacity 2n outlasts every mint: a clustering can never create
 		// more than n-1 new ids, so these arrays are never reallocated.
@@ -541,38 +534,6 @@ func (st *state) reset(c *wgraph.CSR, sizes []int, cfg Config) {
 		st.mergeTo[i] = -1
 		st.deg[i] = offsets[i+1] - offsets[i]
 	}
-}
-
-// release ends a clustering: the owned CSR arrays, regrown or not, stay
-// for the next one, and the caller's graph is let go of.
-func (st *state) release() {
-	if st.ownsCur {
-		st.ownOffsets, st.ownNbrs, st.ownWts = st.offsets, st.nbrs, st.wts
-	}
-	st.offsets, st.nbrs, st.wts = nil, nil, nil
-}
-
-// ensureOwned copies the CSR out of the caller's frozen graph, into the
-// workspace's arrays, before the first in-place write. One copy per
-// clustering: every later round patches the owned arrays directly.
-func (st *state) ensureOwned() {
-	if st.ownsCur {
-		return
-	}
-	n := st.total
-	half := int(st.offsets[n])
-	// Row-start headroom for minted ids, entry headroom for their spans:
-	// 2n+1 rows can never be exceeded, and minted spans are bounded by
-	// the merged rows' combined (shrink-only) adjacency, so 3/2 entry
-	// slack makes tail reallocation rare without doubling the footprint.
-	offsets := reuse.Slice(st.ownOffsets, n+1, 2*n+1)
-	copy(offsets, st.offsets[:n+1])
-	nbrs := reuse.Slice(st.ownNbrs, half, half+half/2)
-	copy(nbrs, st.nbrs[:half])
-	wts := reuse.Slice(st.ownWts, half, half+half/2)
-	copy(wts, st.wts[:half])
-	st.offsets, st.nbrs, st.wts = offsets, nbrs, wts
-	st.ownsCur = true
 }
 
 // aliveList returns the ascending alive cluster ids. After the first
@@ -951,7 +912,6 @@ func (st *state) mergeSelected(selected []edgeRef, round int, cfg Config, d *den
 	}
 
 	// Lay the minted spans out at the tail.
-	st.ensureOwned()
 	for len(st.deg) < newTotal {
 		st.deg = append(st.deg, 0)
 	}

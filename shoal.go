@@ -200,14 +200,15 @@ func (s *System) TopicItems(id TopicID, cat CategoryID) ([]ItemID, error) {
 
 // RelatedCategories implements demo scenario D (Category→Category): the
 // categories correlated with c via root-topic co-occurrence, strongest
-// first.
+// first. The slice is the caller's.
 func (s *System) RelatedCategories(c CategoryID) []CategoryCorrelation {
-	return s.build.Correlations.Related(c)
+	return append([]CategoryCorrelation(nil), s.build.Correlations.Related(c)...)
 }
 
-// CategoryCorrelations returns every correlated category pair.
+// CategoryCorrelations returns every correlated category pair. The slice
+// is the caller's.
 func (s *System) CategoryCorrelations() []CategoryCorrelation {
-	return s.build.Correlations.Pairs()
+	return append([]CategoryCorrelation(nil), s.build.Correlations.Pairs()...)
 }
 
 // ItemTopic returns the deepest topic holding the item, or NoTopic.

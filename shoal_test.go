@@ -3,6 +3,7 @@ package shoal
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -150,6 +151,41 @@ func TestScenarioDRelatedCategories(t *testing.T) {
 	rel := sys.RelatedCategories(dress)
 	if len(rel) == 0 {
 		t.Fatalf("Dress has no related categories; pairs=%v", pairs)
+	}
+}
+
+// TestCorrelationResultsAreCopies: a caller that scribbles over what
+// RelatedCategories or CategoryCorrelations returned does not change the
+// next answer.
+func TestCorrelationResultsAreCopies(t *testing.T) {
+	cfg := fastConfig()
+	cfg.CatCorr.MinStrength = 0
+	sys, err := Build(CuratedCorpus(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := sys.CategoryCorrelations()
+	if len(pairs) == 0 {
+		t.Fatal("no category correlations")
+	}
+	c := pairs[0].A
+	rel := sys.RelatedCategories(c)
+	if len(rel) == 0 {
+		t.Fatalf("category %d has no related categories", c)
+	}
+	wantPairs := slices.Clone(pairs)
+	wantRel := slices.Clone(rel)
+	for i := range pairs {
+		pairs[i] = CategoryCorrelation{A: -1, B: -1, Strength: -1}
+	}
+	for i := range rel {
+		rel[i] = CategoryCorrelation{A: -1, B: -1, Strength: -1}
+	}
+	if got := sys.CategoryCorrelations(); !slices.Equal(got, wantPairs) {
+		t.Fatalf("CategoryCorrelations after the caller's writes = %v, want %v", got, wantPairs)
+	}
+	if got := sys.RelatedCategories(c); !slices.Equal(got, wantRel) {
+		t.Fatalf("RelatedCategories(%d) after the caller's writes = %v, want %v", c, got, wantRel)
 	}
 }
 
