@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -115,9 +116,13 @@ func BuildWithState(ctx context.Context, es *EntitySet, clicks *bipartite.Graph,
 // or re-scored pair above MinSimilarity ranks ahead of its previous K-th
 // candidate (with fewer than K candidates, any above-min one would) — for
 // then its top K is the same pairs; the CSR span of a row none of
-// whose kept edges changed. Whatever is recomputed comes out of the same
-// loops whichever entities are dirty, so a patch cannot drift from a full
-// build. With ws nil, st is only read and every array is allocated: the
+// whose kept edges changed. A dense run past the density gate emits every
+// row, yet still carries the pairs of two clean entities from the state
+// it drops, scores and all, and scores only the rest. Every row's pairs
+// come out in order from a bitset of its survivors, not from a sort.
+// Whatever is recomputed comes out of the same loops whichever entities
+// are dirty, so a patch cannot drift from a full build. With ws nil, st
+// is only read and every array is allocated: the
 // returned state is a new one, sharing what it did not touch. With a
 // workspace, st is consumed: the build's scratch and the new state's pair
 // arrays come out of ws, and st's pair arrays go back into it.
@@ -228,6 +233,10 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	stale := 0  // retained pairs with a dirty endpoint: the ones regenerated
 	walked := 0 // retained pairs read one at a time, per phase
 	var p *patch
+	// prev is the state a dirty-pairs fallback dropped, read by the
+	// candidate rows alone: a clean row carries its clean partners' pairs
+	// from it instead of rescoring them.
+	var prev *IncState
 	if st != nil {
 		if cfg.MaxQueryFanout > 0 {
 			// A dirty entity joining or leaving a query can move its run
@@ -266,16 +275,17 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			// The one density gate. Past it, filtering and merging is pure
 			// overhead over emitting every row in order. The query sets and
 			// their index stand — the dirty-item set is exact on membership —
-			// but the previous state is let go of before its replacement's
-			// pair arrays are allocated — through a workspace, they are
-			// written over — so a caller that handed its only reference over
-			// does not hold two builds' through the peak.
+			// and so do the dirty flags: a pair of two clean entities is
+			// carried from the dropped state by the candidate rows. That
+			// state is let go of before its replacement's pair arrays are
+			// allocated — through a workspace, they are written over, once
+			// the rows have read it — so a caller that handed its only
+			// reference over does not hold two builds' through the peak.
 			d.DenseFallback, d.FallbackReason = true, FallbackDirtyPairs
 			if recycle {
 				ws.adopt(st) // the dense run writes over the dropped state's arrays
 			}
-			st = nil
-			setAll(dirty)
+			prev, st = st, nil
 		} else {
 			// A patch: the next state's index is laid out in the
 			// workspace's spare. Only a dense run reads the rank's
@@ -292,24 +302,39 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	ph.end()
 	means, norms := es.meanVectors(emb, ph.parent)
 	ph.next("candidates")
-	// Candidate pairs via shared queries, with fanout cap, regenerated for
-	// the dirty entities row by row and scored where they are found: dirty
-	// entity a's candidates are the other entities in the runs of its own
-	// queries, and a worker-local stamp array collapses the duplicates (one
+	// Candidate pairs via shared queries, with fanout cap, generated row by
+	// row and scored where they are found: row a's candidates are the other
+	// entities in the runs of its own queries, and a worker-local stamp
+	// array collapses the duplicates (one
 	// per shared query) as they appear, so the raw per-query pair lists —
 	// twice the distinct pairs at catalog scale — are never materialized.
 	// Each partner is scored from its shared-query count on the spot, and
 	// only the pairs at or above MinSimilarity — the ones that can become
-	// an edge — are kept: sorted, into fixed-size chunks the worker owns,
-	// which a parallel copy then lays end to end in row order. A pair of two
-	// dirty entities belongs to the lower one's row, a pair with a clean
-	// entity to the dirty one's; rows are interleaved across GOMAXPROCS
-	// workers (low rows have the most partners) and are disjoint output
-	// spans, so the result does not depend on which worker handled which
-	// row.
-	rows := trueAt(ws.rows, dirty)
-	ws.rows = rows
+	// an edge — are kept: marked in the worker's bitset over the entities
+	// and read out of it in ascending order, into fixed-size chunks the
+	// worker owns, which a parallel copy then lays end to end in row order.
+	// A patch's rows are its dirty entities: a pair of two dirty entities
+	// belongs to the lower one's row, a pair with a clean entity to the
+	// dirty one's. A dense run emits every row, each pair (a, b > a) in
+	// a's, and after a dirty-pairs fallback a clean row a carries the pairs
+	// of its clean partners from the dropped state's row a, scores and all:
+	// their query sets, the means and the config are unchanged, and a run
+	// that crossed the fan-out cap marked both ends dirty, so rescoring
+	// them would give back the bits they had. Rows are interleaved across
+	// GOMAXPROCS workers (low rows have the most partners) and are disjoint
+	// output spans, so the result does not depend on which worker handled
+	// which row.
 	patching := st != nil
+	var rows []int32
+	if patching {
+		rows = trueAt(ws.rows, dirty)
+	} else {
+		rows = reuse.Grow(ws.rows, n)
+		for a := range rows {
+			rows[a] = int32(a)
+		}
+	}
+	ws.rows = rows
 	// A pair whose Eq. 3 score cannot reach MinSimilarity even with its
 	// mean vectors' dot at the Cauchy–Schwarz maximum ‖u‖‖v‖ is dropped
 	// without computing the dot: bounded by more than boundMargin, which
@@ -330,21 +355,26 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 			stamp := reuse.Grow(rw.stamp, n) // stamp[b] == a+1: b already seen in row a
 			clear(stamp)
 			slot := reuse.Grow(rw.slot, n) // where stamped: the queries a and b share, then b's index in rowSims
+			// kept: a row's survivors, one bit an entity; every row leaves it
+			// zeroed.
+			kept := reuse.Grow(rw.kept, (n+63)/64)
+			clear(kept)
 			bs, pend := rw.bs, rw.pend
 			rowSims, pendSims := rw.rowSims, rw.pendSims
 			buf := rw.chunks[:0] // worker w's kept pairs, its rows in order
 			var cur *pairChunk
-			fill, nScored, nBounded := chunkLen, 0, 0
+			fill, nScored, nBounded, nReused, nWalked := chunkLen, 0, 0, 0, 0
 			defer func() {
-				rw.stamp, rw.slot, rw.bs, rw.pend, rw.rowSims, rw.pendSims = stamp, slot, bs, pend, rowSims, pendSims
+				rw.stamp, rw.slot, rw.kept, rw.bs, rw.pend, rw.rowSims, rw.pendSims = stamp, slot, kept, bs, pend, rowSims, pendSims
 				clear(buf[len(buf):cap(buf)])
-				rw.chunks, rw.scored, rw.bounded = buf[:len(buf):len(buf)], nScored, nBounded
+				rw.chunks, rw.scored, rw.bounded, rw.reused, rw.walked = buf[:len(buf):len(buf)], nScored, nBounded, nReused, nWalked
 			}()
 			for r := w; r < len(rows); r += workers {
 				if r/workers%256 == 255 && ctx.Err() != nil { // every 256th row of w's
 					return
 				}
 				a := rows[r]
+				carry := prev != nil && !dirty[a]
 				bs = bs[:0]
 				for _, q := range querySets[a] {
 					lo, hi := qOff[q], qOff[q+1]
@@ -369,22 +399,28 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 				// a itself and the dirty lower partners, which a patch's whole
 				// runs hold, drop out before scoring; a dense row found none.
-				// A partner with no content signal is scored outright; one with
-				// it passes the bound and waits in pend (pendSims: its Sq, then
-				// its score) for its dot.
-				k := 0
+				// So do a carrying row's clean partners. A partner with no
+				// content signal is scored outright; one with it passes the
+				// bound and waits in pend (pendSims: its Sq, then its score) for
+				// its dot. A survivor's bit is set in kept, and slot[b] becomes
+				// its score's index in rowSims.
+				first, last := len(kept), -1 // the words of kept the row set
+				keep := func(b int32, s float64) {
+					slot[b] = int32(len(rowSims))
+					rowSims = append(rowSims, s)
+					w := int(b >> 6)
+					kept[w] |= 1 << (b & 63)
+					first, last = min(first, w), max(last, w)
+				}
 				rowSims, pend, pendSims = rowSims[:0], pend[:0], pendSims[:0]
 				for _, b := range bs {
-					if b == a || (b < a && dirty[b]) {
+					if b == a || (b < a && dirty[b]) || (carry && !dirty[b]) {
 						continue
 					}
 					nScored++
 					if means[a] == nil || means[b] == nil {
 						if s := scorePair(querySets, means, cfg.Alpha, a, b, slot[b]); s >= cfg.MinSimilarity {
-							slot[b] = int32(len(rowSims))
-							rowSims = append(rowSims, s)
-							bs[k] = b
-							k++
+							keep(b, s)
 						}
 						continue
 					}
@@ -409,39 +445,55 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 				}
 				for i, b := range pend {
 					if s := pendSims[i]; s >= cfg.MinSimilarity {
-						slot[b] = int32(len(rowSims))
-						rowSims = append(rowSims, s)
-						bs[k] = b
-						k++
+						keep(b, s)
 					}
 				}
-				slices.Sort(bs[:k])
-				for _, b := range bs[:k] {
-					if fill == chunkLen {
-						// The next chunk: one the workspace kept, or a new one.
-						if len(buf) < cap(buf) && buf[:len(buf)+1][len(buf)] != nil {
-							cur = buf[:len(buf)+1][len(buf)]
-						} else {
-							cur = new(pairChunk)
+				if carry {
+					from, to := prev.idx.rowOff[a], prev.idx.rowOff[a+1]
+					for i := from; i < to; i++ {
+						if b := prev.pairs[i][1]; !dirty[b] {
+							keep(b, prev.sims[i])
+							nReused++
 						}
-						buf, fill = append(buf, cur), 0
 					}
-					cur.pairs[fill] = [2]int32{min(a, b), max(a, b)}
-					cur.sims[fill] = rowSims[slot[b]]
-					fill++
+					nWalked += int(to - from)
 				}
-				genOff[r+1] = k
+				// The survivors in ascending order, each word cleared once read.
+				for w := first; w <= last; w++ {
+					for x := kept[w]; x != 0; x &= x - 1 {
+						b := int32(w<<6 | bits.TrailingZeros64(x))
+						if fill == chunkLen {
+							// The next chunk: one the workspace kept, or a new one.
+							if len(buf) < cap(buf) && buf[:len(buf)+1][len(buf)] != nil {
+								cur = buf[:len(buf)+1][len(buf)]
+							} else {
+								cur = new(pairChunk)
+							}
+							buf, fill = append(buf, cur), 0
+						}
+						cur.pairs[fill] = [2]int32{min(a, b), max(a, b)}
+						cur.sims[fill] = rowSims[slot[b]]
+						fill++
+					}
+					kept[w] = 0
+				}
+				genOff[r+1] = len(rowSims)
 			}
 		}(w)
 	}
+	// The workers are done with prev: the copy below may write over its
+	// arrays, which a workspace's dense run adopted as its own.
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	numScored, numBounded := 0, 0
+	numScored, numBounded, numReused := 0, 0, 0
+	walked = 0
 	for w := range rowers {
 		numScored += rowers[w].scored
 		numBounded += rowers[w].bounded
+		numReused += rowers[w].reused
+		walked += rowers[w].walked
 	}
 	for r := range rows {
 		genOff[r+1] += genOff[r]
@@ -486,7 +538,6 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	ws.rank = rank
 	var topU, topV []bool
 	rescored := len(pairs) // pairs whose score is new or moved
-	walked = 0
 	if st == nil {
 		// Every entity dirty: ascending rows of ascending (a, b > a) are the
 		// canonical pair list as generated.
@@ -511,6 +562,7 @@ func build(ctx context.Context, es *EntitySet, clicks *bipartite.Graph, emb *wor
 	}
 	ph.attr("scored", numScored)
 	ph.attr("bounded", numBounded)
+	ph.attr("reused", numReused)
 	ph.attr("pairs", len(pairs))
 	ph.attr("regenerated", regenerated)
 	ph.attr("walkedPairs", walked)

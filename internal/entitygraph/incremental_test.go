@@ -269,16 +269,6 @@ func TestPatchDegradesIntoFullBuild(t *testing.T) {
 	sw := newChurnSweep(t)
 	es, base, churn, nq := sw.es, sw.base, sw.churn, sw.nq
 
-	// runLens counts the entities each query reaches.
-	runLens := func(querySets [][]model.QueryID) map[model.QueryID]int {
-		lens := map[model.QueryID]int{}
-		for _, qs := range querySets {
-			for _, q := range qs {
-				lens[q]++
-			}
-		}
-		return lens
-	}
 	// At the default cap no query of this catalog is capped. The second
 	// cap sits on the run of the last query the second step churns, so that
 	// step's patch pushes the run across it (a run only grows here;
@@ -393,6 +383,17 @@ func TestPatchDegradesIntoFullBuild(t *testing.T) {
 			requireSameGraph(t, "patch-after-fallback", res, full)
 		})
 	}
+}
+
+// runLens counts the entities each query reaches.
+func runLens(querySets [][]model.QueryID) map[model.QueryID]int {
+	lens := map[model.QueryID]int{}
+	for _, qs := range querySets {
+		for _, q := range qs {
+			lens[q]++
+		}
+	}
+	return lens
 }
 
 // churnSweep is the catalog and the nested slide of
@@ -662,5 +663,120 @@ func TestBuildIncrementalLeavesStateReusable(t *testing.T) {
 		if !reflect.DeepEqual(d3, d1) {
 			t.Fatalf("%s: the workspace's delta %+v, want %+v", tc.name, d3, d1)
 		}
+	}
+}
+
+// TestDenseFallbackCarriesCleanPairs drives dirty-pairs fallbacks from a
+// retained state, embeddings on, and holds each to a no-state Build of
+// the same window: state and CSR bit for bit, through a workspace that
+// writes the new state over the dropped one and through the read-only
+// entry point. A fallback's clean rows carry the pairs of two clean
+// entities from the dropped state instead of rescoring them, and the
+// candidates span counts them as reused: exactly the new state's pairs
+// of two entities whose query set stood and none of whose queries'
+// runs crossed the fan-out cap. Swept along TestPatchDegradesIntoFullBuild's
+// churn at the default cap and at one the churn pushes a run across,
+// where a pair of two unchanged entities inside that run must be
+// rescored, at a MinSimilarity the norm bound cuts below.
+func TestDenseFallbackCarriesCleanPairs(t *testing.T) {
+	ctx := context.Background()
+	sw := newChurnSweep(t)
+	es, base, churn, nq := sw.es, sw.base, sw.churn, sw.nq
+	emb := oracleEmbedding(t, es)
+	probe, err := Build(ctx, es, base, emb, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := DefaultConfig()
+	capped.MaxQueryFanout = runLens(probe.QuerySets)[churn[nq/4-1].Query]
+	for _, cfg := range []Config{DefaultConfig(), capped} {
+		fanout := cfg.MaxQueryFanout
+		t.Run(fmt.Sprintf("fanout%d", fanout), func(t *testing.T) {
+			var ws Workspace
+			fallbacks, crossed, carried, bounded := 0, false, false, false
+			for _, k := range sw.steps {
+				_, st0, _, err := ws.BuildIncremental(ctx, es, base, emb, cfg, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := *st0
+				before.pairs = slices.Clone(st0.pairs)
+				clicks, dirty := sw.slide(t, k)
+				ro, rst, rd, err := BuildIncremental(ctx, es, clicks, emb, cfg, st0, dirty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nst, d, attrs := tracedPatch(t, &ws, es, clicks, emb, cfg, st0, dirty)
+				full, fst, err := BuildWithState(ctx, es, clicks, emb, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.FallbackReason != rd.FallbackReason {
+					t.Fatalf("%d churn clicks: %q through a workspace, %q without", k, d.FallbackReason, rd.FallbackReason)
+				}
+				if d.FallbackReason != FallbackDirtyPairs {
+					continue
+				}
+				fallbacks++
+				tag := fmt.Sprintf("%d churn clicks", k)
+				requireSameGraph(t, tag+" (read-only)", ro, full)
+				requireSameState(t, tag+" (read-only)", rst, fst)
+				requireSameGraph(t, tag, &Result{Graph: nst.graph, QuerySets: nst.querySets}, full)
+				requireSameState(t, tag, nst, fst)
+
+				// The gate's dirty entities, recomputed from the two windows.
+				was, now := runLens(before.querySets), runLens(full.QuerySets)
+				moved := make([]bool, len(es.Entities))
+				var flipped []model.QueryID
+				for q, l := range now {
+					if (was[q] > fanout) != (l > fanout) {
+						flipped = append(flipped, q)
+					}
+				}
+				for e := range moved {
+					moved[e] = !slices.Equal(full.QuerySets[e], before.querySets[e])
+				}
+				setMoved := slices.Clone(moved)
+				for e := range moved {
+					for _, q := range full.QuerySets[e] {
+						moved[e] = moved[e] || slices.Contains(flipped, q)
+					}
+				}
+				reused := 0
+				for _, p := range fst.pairs {
+					if !moved[p[0]] && !moved[p[1]] {
+						reused++
+					}
+				}
+				// A pair of two entities whose query sets stood, inside a run
+				// that crossed the cap: its score moved, and carrying it would
+				// keep the old one.
+				for _, s := range []*IncState{&before, fst} {
+					for _, p := range s.pairs {
+						if setMoved[p[0]] || setMoved[p[1]] {
+							continue
+						}
+						for _, q := range flipped {
+							if slices.Contains(full.QuerySets[p[0]], q) && slices.Contains(full.QuerySets[p[1]], q) {
+								crossed = true
+							}
+						}
+					}
+				}
+				c := attrs["candidates"]
+				if c["reused"] != reused || c["pairs"] != len(fst.pairs) {
+					t.Fatalf("%s: candidates span %v, want %d reused of %d pairs", tag, c, reused, len(fst.pairs))
+				}
+				carried = carried || reused > 0
+				bounded = bounded || c["bounded"] > 0
+			}
+			if fallbacks < 2 || !carried || !bounded {
+				t.Fatalf("%d steps of the sweep tripped the gate, carried pairs %v, bounded dots %v: the sweep tests something else",
+					fallbacks, carried, bounded)
+			}
+			if crossed != (fanout != DefaultConfig().MaxQueryFanout) {
+				t.Fatalf("cap %d: a fallback saw a run of unchanged entities cross the cap = %v", fanout, crossed)
+			}
+		})
 	}
 }

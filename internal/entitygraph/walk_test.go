@@ -9,6 +9,7 @@ import (
 	"shoal/internal/model"
 	"shoal/internal/obs"
 	"shoal/internal/synth"
+	"shoal/internal/word2vec"
 )
 
 // c30Window returns the c30 catalog, its entities and its clicks as one
@@ -56,11 +57,11 @@ func dirtyOneItem(t *testing.T, c *model.Corpus, es *EntitySet, clicks *bipartit
 
 // tracedPatch is ws.BuildIncremental under a trace. It also returns the
 // integer attributes of the build's phase spans, by span name.
-func tracedPatch(t *testing.T, ws *Workspace, es *EntitySet, clicks *bipartite.Graph, cfg Config, st *IncState, dirty []model.ItemID) (*IncState, *Delta, map[string]map[string]int) {
+func tracedPatch(t *testing.T, ws *Workspace, es *EntitySet, clicks *bipartite.Graph, emb *word2vec.Model, cfg Config, st *IncState, dirty []model.ItemID) (*IncState, *Delta, map[string]map[string]int) {
 	t.Helper()
 	tr := obs.NewTrace("test")
 	root := tr.StartSpan("entity-graph")
-	_, nst, d, err := ws.BuildIncremental(obs.ContextWithSpan(context.Background(), root), es, clicks, nil, cfg, st, dirty)
+	_, nst, d, err := ws.BuildIncremental(obs.ContextWithSpan(context.Background(), root), es, clicks, emb, cfg, st, dirty)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +94,12 @@ func TestPatchWalksTheDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, d, _ := tracedPatch(t, &ws, es, clicks, cfg, st, dirtyOneItem(t, c, es, clicks, st, 1))
+	st, d, _ := tracedPatch(t, &ws, es, clicks, nil, cfg, st, dirtyOneItem(t, c, es, clicks, st, 1))
 	if d.DenseFallback {
 		t.Fatalf("first patch: delta %+v, want a patch", d)
 	}
 	before := &IncState{n: st.n, pairs: slices.Clone(st.pairs), querySets: st.querySets}
-	nst, d, attrs := tracedPatch(t, &ws, es, clicks, cfg, st, dirtyOneItem(t, c, es, clicks, st, 2))
+	nst, d, attrs := tracedPatch(t, &ws, es, clicks, nil, cfg, st, dirtyOneItem(t, c, es, clicks, st, 2))
 	if d.DenseFallback || d.DirtyEntities != 1 || d.ChangedEdges == 0 {
 		t.Fatalf("delta %+v, want a one-entity patch that changes edges", d)
 	}

@@ -109,6 +109,8 @@ type snapshot struct {
 	build        *core.Build
 	swaps        int64
 	droppedStale int64
+	// roots counts the build's root topics, for /api/stats.
+	roots int
 	// heads.at(i) is topic i's summary head (a topic's ID is its index):
 	// its TopicSummary up to the score, without the closing brace.
 	heads table
@@ -219,6 +221,11 @@ func (h *Handler) newSnapshot(b *core.Build, prev *snapshot) *snapshot {
 	}
 	if s.refs == nil {
 		s.refs = newFragments(b.Corpus)
+	}
+	for i := range b.Taxonomy.Topics {
+		if b.Taxonomy.Topics[i].Parent == taxonomy.NoTopic {
+			s.roots++
+		}
 	}
 	if b.Clicks != nil {
 		s.droppedStale = b.Clicks.Stats().DroppedStale
@@ -456,7 +463,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request, _ string) int {
 		Categories: len(b.Corpus.Categories),
 		Entities:   len(b.Entities.Entities),
 		Topics:     len(b.Taxonomy.Topics),
-		RootTopics: len(b.Taxonomy.Roots()),
+		RootTopics: snap.roots,
 		Swaps:      snap.swaps,
 		HTTP:       h.routes.metrics.Summary(),
 		SearchCache: SearchCacheStat{

@@ -449,6 +449,21 @@ func allocatedBytes(runs int, f func()) float64 {
 // offsets and search result table.
 const swapSlackBytes = 64
 
+// repeatTopics returns b with its taxonomy's topics repeated to n, each
+// under its own id; the repeats keep their parents, so the roots repeat
+// with them.
+func repeatTopics(b *core.Build, n int) *core.Build {
+	big := *b
+	tx := *b.Taxonomy
+	tx.Topics = make([]taxonomy.Topic, n)
+	for i := range tx.Topics {
+		tx.Topics[i] = b.Taxonomy.Topics[i%len(b.Taxonomy.Topics)]
+		tx.Topics[i].ID = model.TopicID(i)
+	}
+	big.Taxonomy = &tx
+	return &big
+}
+
 // TestSwapAllocs holds Swap to four objects at any topic count — the
 // snapshot, its summary heads, their offsets and its empty search result
 // table — and its bytes to those four allocated at their exact sizes
@@ -459,16 +474,7 @@ func TestSwapAllocs(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	small := getBuild(t)
-	// The test build's topics repeated to 4 000, each under its own id.
-	big := *small
-	tx := *small.Taxonomy
-	tx.Topics = make([]taxonomy.Topic, 4000)
-	for i := range tx.Topics {
-		tx.Topics[i] = small.Taxonomy.Topics[i%len(small.Taxonomy.Topics)]
-		tx.Topics[i].ID = model.TopicID(i)
-	}
-	big.Taxonomy = &tx
-	for _, b := range []*core.Build{small, &big} {
+	for _, b := range []*core.Build{small, repeatTopics(small, 4000)} {
 		h, err := NewHandler(b)
 		if err != nil {
 			t.Fatal(err)
@@ -495,6 +501,45 @@ func TestSwapAllocs(t *testing.T) {
 				topics, got, want, len(snap.heads.buf), len(snap.heads.off), len(snap.results), swapSlackBytes)
 		}
 		t.Logf("%d topics: %d B of heads, Swap allocates %.0f B (reference %.0f)", topics, len(snap.heads.buf), got, want)
+	}
+}
+
+// TestStatsBytesIndependentOfRoots holds /api/stats to the same bytes
+// per request on the test build and on its topics repeated to 4 000,
+// with as many times the roots: the root count is the snapshot's, not
+// a list of them built per request.
+func TestStatsBytesIndependentOfRoots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	small := getBuild(t)
+	big := repeatTopics(small, 4000)
+	req := httptest.NewRequest("GET", "/api/stats", nil)
+	var perReq [2]float64
+	for i, b := range []*core.Build{small, big} {
+		h, err := NewHandler(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &sink{h: make(http.Header)}
+		perReq[i] = allocatedBytes(50, func() { h.ServeHTTP(w, req) })
+		var st Stats
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(b.Taxonomy.Roots()); st.RootTopics != want {
+			t.Fatalf("%d topics: /api/stats reports %d roots, want %d", len(b.Taxonomy.Topics), st.RootTopics, want)
+		}
+		t.Logf("%d topics, %d roots: %.0f B a request", len(b.Taxonomy.Topics), st.RootTopics, perReq[i])
+	}
+	if len(big.Taxonomy.Roots()) < 10*len(small.Taxonomy.Roots()) {
+		t.Fatalf("%d roots against %d: the repeat does not grow the roots", len(big.Taxonomy.Roots()), len(small.Taxonomy.Roots()))
+	}
+	if perReq[1] > perReq[0]+swapSlackBytes {
+		t.Errorf("/api/stats allocates %.0f B a request over %d roots, %.0f B over %d",
+			perReq[1], len(big.Taxonomy.Roots()), perReq[0], len(small.Taxonomy.Roots()))
 	}
 }
 
