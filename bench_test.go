@@ -270,7 +270,10 @@ func BenchmarkSubstrate(b *testing.B) {
 	}
 }
 
-func benchPipeline(b *testing.B, sequential bool) {
+// BenchmarkPipeline runs the whole pipeline, the stages that read none
+// of each other's output (word2vec next to click-graph/entities)
+// overlapping.
+func BenchmarkPipeline(b *testing.B) {
 	gen := synth.DefaultConfig()
 	gen.Scenarios = 12
 	gen.ItemsPerScenario = 80
@@ -287,7 +290,6 @@ func benchPipeline(b *testing.B, sequential bool) {
 	cfg := shoal.DefaultConfig()
 	cfg.HAC.StopThreshold = 0.12
 	cfg.Taxonomy.Levels = []float64{0.12, 0.3}
-	cfg.Sequential = sequential
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := shoal.Build(corpus, cfg); err != nil {
@@ -295,15 +297,6 @@ func benchPipeline(b *testing.B, sequential bool) {
 		}
 	}
 }
-
-// BenchmarkPipelineSequential runs the pipeline one stage at a time
-// (Config.Sequential).
-func BenchmarkPipelineSequential(b *testing.B) { benchPipeline(b, true) }
-
-// BenchmarkPipelineConcurrent overlaps the stages that read none of each
-// other's output (word2vec next to click-graph/entities). Output is identical to the
-// sequential schedule; only wall-clock differs.
-func BenchmarkPipelineConcurrent(b *testing.B) { benchPipeline(b, false) }
 
 func BenchmarkWord2VecTrain(b *testing.B) {
 	bd, _, _ := fixedWorld(b)

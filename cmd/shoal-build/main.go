@@ -38,7 +38,6 @@ func main() {
 		diffusion  = flag.Int("r", phac.DefaultConfig().DiffusionRounds, "diffusion iterations per Parallel HAC round (every r forms sequential HAC's clusters, up to tie-breaks; a larger r takes more, narrower rounds)")
 		minSim     = flag.Float64("minsim", 0.25, "entity-graph edge filter")
 		noEmbed    = flag.Bool("no-embeddings", false, "skip word2vec (query-driven similarity only)")
-		sequential = flag.Bool("sequential", false, "run pipeline stages one at a time instead of concurrently")
 		increment  = flag.Bool("incremental", false, "replay the corpus click log day by day through the sliding-window pipeline, each day's rebuild patching the previous day's entity graph; the final day's taxonomy is saved (per-day delta stats with -v)")
 		tracePath  = flag.String("trace", "", "write the build's execution trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 		pprofAddr  = flag.String("pprof", "", "side listener address exposing net/http/pprof during the build (e.g. localhost:6060; empty disables)")
@@ -70,7 +69,6 @@ func main() {
 	cfg.HAC.StopThreshold = *stop
 	cfg.HAC.DiffusionRounds = *diffusion
 	cfg.TrainEmbeddings = !*noEmbed
-	cfg.Sequential = *sequential
 	cfg.Word2Vec.Epochs = 2
 	cfg.Word2Vec.Dim = 24
 	if *stop < cfg.Taxonomy.Levels[0] {

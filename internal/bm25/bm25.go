@@ -19,8 +19,10 @@
 // GOMAXPROCS contiguous ranges (internal/par): each range counts its own
 // document frequencies, a serial pass gives every (term, range) pair its
 // offset in the term's span, and each range fills its own slots, so the
-// postings — and every score — are the same at any width. The Okapi
-// parameters are constants, k1 = 1.2 and b = 0.75.
+// postings — and every score — are the same at any width. A built index
+// is immutable data: every scoring call works in a Scratch its caller
+// owns, and one Scratch serves any index. The Okapi parameters are
+// constants, k1 = 1.2 and b = 0.75.
 package bm25
 
 import (
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"shoal/internal/par"
 	"shoal/internal/reuse"
@@ -71,30 +72,33 @@ type Index struct {
 	avgLen float64
 	n      int
 	tokens int
-	// scratchPool recycles the dense per-query scoring state used by
-	// TopK, so the serving hot path allocates only the result slice. It
-	// is an object of its own: the runtime keeps every pool it has seen
-	// a Put on for up to two GC cycles, and a pool embedded here would
-	// keep the whole index — postings included — alive with it. Every
-	// window slide drops the searcher's index it replaces, and the fewer
-	// the GC cycles a slide's allocation starts, the more of them a cycle
-	// would find pinned.
-	scratchPool *sync.Pool
 	// ranges are the build's per-range count arrays (vocabulary-sized),
 	// kept by Rebuild for the next Rebuild into this index; the index
 	// BuildFrom returns keeps none.
 	ranges []buildRange
 }
 
-// scratch is the pooled dense scoring state: a score per document, a
-// touched marker per document, and the list of touched docs for O(hits)
-// reset. Scores can legitimately be 0 (idf floors at 0), so marking is
-// explicit rather than inferred from the score.
-type scratch struct {
+// Scratch is one caller's dense scoring state: a score and a touched
+// mark per document, the list of touched documents for an O(hits)
+// reset, and the term and hit buffers TopK and ScoreIDs fill. Scores can
+// legitimately be 0 (idf floors at 0), so marking is explicit rather
+// than inferred from the score. The caller owns it, and an index keeps
+// none: one Scratch serves any index, one call at a time, and grows to
+// the largest it has scored. Between calls every score and mark is zero
+// to the arrays' capacity; Reset restores that for a caller that cannot
+// vouch for what last wrote to them. The zero value is ready to use.
+type Scratch struct {
 	scores  []float64
 	marked  []bool
 	touched []int32
 	terms   []uint32
+	hits    []Hit
+}
+
+// Reset zeroes every score and mark sc holds, to the arrays' capacity.
+func (sc *Scratch) Reset() {
+	clear(sc.scores[:cap(sc.scores)])
+	clear(sc.marked[:cap(sc.marked)])
 }
 
 // Build indexes docs. Empty documents are permitted (they simply never
@@ -142,9 +146,8 @@ func BuildFrom(docs Docs, vocab *textutil.Vocab) (*Index, error) {
 
 // Rebuild is BuildFrom in the arrays of old, an index its caller is done
 // with: the term records, postings, document lengths and the build's
-// per-range count arrays are re-sliced where they fit, and the pooled
-// scoring scratch is kept when the document count is the same. old must
-// not be used afterwards; nil builds a fresh index. The index is
+// per-range count arrays are re-sliced where they fit. old must not be
+// used afterwards; nil builds a fresh index. The index is
 // BuildFrom's, bit for bit, and keeps its count arrays for the next
 // Rebuild.
 func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
@@ -155,17 +158,12 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	if old == nil {
 		old = &Index{}
 	}
-	pool := old.scratchPool
-	if pool == nil || old.n != n {
-		pool = new(sync.Pool)
-	}
 	nTerms := vocab.Size()
 	idx := &Index{
-		vocab:       vocab,
-		terms:       reuse.Grow(old.terms, nTerms),
-		docLen:      reuse.Grow(old.docLen, n),
-		n:           n,
-		scratchPool: pool,
+		vocab:  vocab,
+		terms:  reuse.Grow(old.terms, nTerms),
+		docLen: reuse.Grow(old.docLen, n),
+		n:      n,
 	}
 	b := build{docs: docs, nTerms: nTerms, docLen: idx.docLen}
 	bounds := par.Split(nil, n, docs.Cost)
@@ -349,14 +347,17 @@ func (idx *Index) termScore(idf float64, p posting) float64 {
 	return idf * tf * (okapiK1 + 1) / denom
 }
 
-// scoreInto accumulates the BM25 scores of the query terms into the
-// dense scratch and returns the touched-document list (unordered).
-// Callers must reset the touched entries before pooling the scratch.
+// scoreInto accumulates the BM25 scores of the query terms into sc,
+// first sizing it to the index, and returns the touched-document list
+// (unordered). Callers must zero the touched entries before returning.
 // A repeated term counts once, at its first occurrence: terms accumulate
 // in first-occurrence order and each term's postings in ascending
 // document order, which fixes every score's float rounding. Query terms
 // are few, so the repeat check scans instead of keeping a set.
-func (idx *Index) scoreInto(sc *scratch, terms []uint32) []int32 {
+func (idx *Index) scoreInto(sc *Scratch, terms []uint32) []int32 {
+	// Entries past the length are zero to the capacity, so re-slicing
+	// hands out zeroed scores and marks.
+	sc.scores, sc.marked = reuse.Grow(sc.scores, idx.n), reuse.Grow(sc.marked, idx.n)
 	touched := sc.touched[:0]
 	for i, t := range terms {
 		if slices.Contains(terms[:i], t) {
@@ -375,15 +376,13 @@ func (idx *Index) scoreInto(sc *scratch, terms []uint32) []int32 {
 }
 
 // TopK returns the k highest-scoring documents for the query, best first;
-// ties break on lower document id. It resolves the tokens to term ids —
-// an unknown token has no postings and is dropped — and runs
-// AppendTopK's selection, so the only allocation is the returned slice.
-func (idx *Index) TopK(query []string, k int) []Hit {
+// ties break on lower document id. It resolves the tokens to term ids in
+// sc — an unknown token has no postings and is dropped — and runs
+// AppendTopK, so the only allocation is the returned slice.
+func (idx *Index) TopK(sc *Scratch, query []string, k int) []Hit {
 	if k <= 0 {
 		return nil
 	}
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
 	terms := sc.terms[:0]
 	for _, tok := range query {
 		if t, ok := idx.vocab.ID(tok); ok {
@@ -391,28 +390,21 @@ func (idx *Index) TopK(query []string, k int) []Hit {
 		}
 	}
 	sc.terms = terms
-	return idx.topK(sc, terms, nil, k)
+	return idx.AppendTopK(sc, nil, terms, k)
 }
 
 // AppendTopK appends to dst the k highest-scoring documents for a query
 // spelled as term ids of Vocab, best first, ties on lower document id.
 // Repeated ids count once, at their first occurrence, so the result
 // equals TopK over the same tokens hit for hit and bit for bit. Scoring
-// accumulates into a pooled dense array with a touched-doc list (no
+// accumulates into sc's dense array with a touched-doc list (no
 // per-query map), and selection keeps a partial top-k instead of sorting
-// every hit: with a reused dst it allocates nothing.
-func (idx *Index) AppendTopK(dst []Hit, terms []uint32, k int) []Hit {
+// every hit: with a reused dst and a scratch that has scored an index at
+// least this large, it allocates nothing.
+func (idx *Index) AppendTopK(sc *Scratch, dst []Hit, terms []uint32, k int) []Hit {
 	if k <= 0 {
 		return dst
 	}
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
-	return idx.topK(sc, terms, dst, k)
-}
-
-// topK is the one selection: it scores the terms and appends the best k
-// to dst, growing it at most once.
-func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
 	touched := idx.scoreInto(sc, terms)
 
 	// Partial selection: keep the best k in a sorted prefix by bounded
@@ -424,7 +416,9 @@ func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
 		k = len(touched)
 	}
 	base := len(dst)
-	dst = slices.Grow(dst, k)
+	if cap(dst)-base < k {
+		dst = append(make([]Hit, 0, base+k), dst...) // slices.Grow makes two under -race
+	}
 	hits := dst[base : base : base+k]
 	for _, d := range touched {
 		h := Hit{Doc: int(d), Score: sc.scores[d]}
@@ -440,7 +434,7 @@ func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
 		hits[n] = h
 	}
 
-	// Reset only what this query touched before pooling the scratch.
+	// Reset only what this query touched.
 	for _, d := range touched {
 		sc.scores[d] = 0
 		sc.marked[d] = false
@@ -449,68 +443,28 @@ func (idx *Index) topK(sc *scratch, terms []uint32, dst []Hit, k int) []Hit {
 	return dst[:base+len(hits)]
 }
 
-// Scorer is a batch scoring session over one index: it checks a dense
-// scratch out of the pool once for its whole lifetime and returns hits
-// in a buffer it owns, so callers scoring many queries back to back
-// (describe's per-query sweep) pay the pool round-trip once and allocate
-// nothing per query. Scores are bit-identical to TopK's — the
-// accumulation order is the same. Not safe for concurrent use; call
-// Close when done to return the scratch to the pool.
-type Scorer struct {
-	idx  *Index
-	sc   *scratch
-	hits []Hit
-}
-
-// NewScorer begins a batch scoring session.
-func (idx *Index) NewScorer() *Scorer {
-	return &Scorer{idx: idx, sc: idx.getScratch()}
-}
-
 // ScoreIDs returns the BM25 relevance of a query spelled as term ids of
 // Vocab against every document that shares at least one term, as hits
 // in ascending document order; a repeated id counts once, at its first
 // occurrence. Documents sharing no term are absent (their score is
 // exactly 0). This sparse form is what §2.3 needs: the concentration
 // denominator adds exp(0) = 1 for every untouched topic in closed form,
-// and the ascending order fixes its float summation order. The returned
-// slice is the session's own buffer, valid until the next call.
-func (s *Scorer) ScoreIDs(terms []uint32) []Hit {
-	sc := s.sc
-	touched := s.idx.scoreInto(sc, terms)
+// and the ascending order fixes its float summation order. Scores are
+// bit-identical to TopK's — the accumulation order is the same. The
+// returned slice is sc's own buffer, valid until sc's next call.
+func (idx *Index) ScoreIDs(sc *Scratch, terms []uint32) []Hit {
+	touched := idx.scoreInto(sc, terms)
 	slices.Sort(touched)
-	hits := s.hits[:0]
+	hits := sc.hits[:0]
 	for _, d := range touched {
 		hits = append(hits, Hit{Doc: int(d), Score: sc.scores[d]})
 		sc.scores[d] = 0
 		sc.marked[d] = false
 	}
 	sc.touched = touched[:0]
-	s.hits = hits
+	sc.hits = hits
 	return hits
 }
-
-// Close returns the session's scratch to the pool. The Scorer must not
-// be used afterwards.
-func (s *Scorer) Close() {
-	if s.sc != nil {
-		s.idx.putScratch(s.sc)
-		s.sc = nil
-	}
-}
-
-// getScratch pops (or builds) dense scoring state sized to the corpus.
-func (idx *Index) getScratch() *scratch {
-	if sc, ok := idx.scratchPool.Get().(*scratch); ok {
-		return sc
-	}
-	return &scratch{
-		scores: make([]float64, idx.n),
-		marked: make([]bool, idx.n),
-	}
-}
-
-func (idx *Index) putScratch(sc *scratch) { idx.scratchPool.Put(sc) }
 
 // Hit is a scored document.
 type Hit struct {

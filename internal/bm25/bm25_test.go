@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,9 +38,7 @@ func termIDs(idx *Index, query []string) []uint32 {
 // scoreOf is the query's BM25 relevance to document doc, read from
 // ScoreIDs' sparse hits: 0 when the document shares no term.
 func scoreOf(idx *Index, query []string, doc int) float64 {
-	sc := idx.NewScorer()
-	defer sc.Close()
-	for _, h := range sc.ScoreIDs(termIDs(idx, query)) {
+	for _, h := range idx.ScoreIDs(new(Scratch), termIDs(idx, query)) {
 		if h.Doc == doc {
 			return h.Score
 		}
@@ -76,25 +75,21 @@ func TestScoreRanksRelevantDocFirst(t *testing.T) {
 
 func TestScoreUnknownTermIsZero(t *testing.T) {
 	idx := buildIdx(t)
-	sc := idx.NewScorer()
-	defer sc.Close()
-	if hits := sc.ScoreIDs(termIDs(idx, []string{"zebra"})); len(hits) != 0 {
+	if hits := idx.ScoreIDs(new(Scratch), termIDs(idx, []string{"zebra"})); len(hits) != 0 {
 		t.Fatalf("ScoreIDs(zebra) = %v, want no hits", hits)
 	}
 }
 
 func TestScoreAllSparse(t *testing.T) {
 	idx := buildIdx(t)
-	sc := idx.NewScorer()
-	defer sc.Close()
-	hits := sc.ScoreIDs(termIDs(idx, []string{"beach"}))
+	hits := idx.ScoreIDs(new(Scratch), termIDs(idx, []string{"beach"}))
 	if len(hits) != 2 {
 		t.Fatalf("ScoreIDs(beach) touched %d docs, want 2", len(hits))
 	}
 	// ScoreIDs must agree with TopK exactly: both accumulate per
 	// document in first-occurrence term order.
 	top := make(map[int]float64)
-	for _, h := range idx.TopK([]string{"beach"}, idx.N()) {
+	for _, h := range idx.TopK(new(Scratch), []string{"beach"}, idx.N()) {
 		top[h.Doc] = h.Score
 	}
 	for i, h := range hits {
@@ -110,30 +105,26 @@ func TestScoreAllSparse(t *testing.T) {
 	}
 }
 
-// TestScoreAllPooledScratch: repeated TopK calls reuse the pooled dense
-// scratch, allocating only the returned hit slice, and a Scorer session
-// allocates nothing per query.
+// TestScoreAllPooledScratch: repeated TopK calls through one scratch
+// allocate only the returned hit slice, and ScoreIDs allocates nothing
+// per query.
 func TestScoreAllPooledScratch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool caching is disabled under the race detector")
-	}
 	idx := buildIdx(t)
 	q := []string{"beach", "swimwear", "boots"}
-	idx.TopK(q, 5) // warm the pool
-	if allocs := testing.AllocsPerRun(50, func() { idx.TopK(q, 5) }); allocs > 1 {
+	sc := new(Scratch)
+	idx.TopK(sc, q, 5) // size the scratch
+	if allocs := testing.AllocsPerRun(50, func() { idx.TopK(sc, q, 5) }); allocs > 1 {
 		t.Fatalf("TopK allocated %.1f objects per call, want <= 1 (the result slice)", allocs)
 	}
 	// Scratch reuse must not leak scores across calls.
-	first := idx.TopK(q, 5)
-	second := idx.TopK(q, 5)
+	first := idx.TopK(sc, q, 5)
+	second := idx.TopK(sc, q, 5)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("TopK not idempotent: %v vs %v", first, second)
 	}
-	sc := idx.NewScorer()
-	defer sc.Close()
 	ids := termIDs(idx, q)
-	sc.ScoreIDs(ids) // size the hit buffer
-	if allocs := testing.AllocsPerRun(50, func() { sc.ScoreIDs(ids) }); allocs != 0 {
+	idx.ScoreIDs(sc, ids) // size the hit buffer
+	if allocs := testing.AllocsPerRun(50, func() { idx.ScoreIDs(sc, ids) }); allocs != 0 {
 		t.Fatalf("ScoreIDs allocated %.1f objects per call, want 0", allocs)
 	}
 }
@@ -141,16 +132,63 @@ func TestScoreAllPooledScratch(t *testing.T) {
 // TestAppendTopKAllocFree: the id form with a reused dst is what a
 // search request runs, and it allocates nothing.
 func TestAppendTopKAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool caching is disabled under the race detector")
-	}
 	idx := buildIdx(t)
 	terms := termIDs(idx, []string{"beach", "swimwear", "beach"})
-	dst := idx.AppendTopK(nil, terms, 5) // warm the pool, size dst
+	sc := new(Scratch)
+	dst := idx.AppendTopK(sc, nil, terms, 5) // size the scratch and dst
 	if allocs := testing.AllocsPerRun(50, func() {
-		dst = idx.AppendTopK(dst[:0], terms, 5)
+		dst = idx.AppendTopK(sc, dst[:0], terms, 5)
 	}); allocs != 0 {
 		t.Fatalf("AppendTopK allocated %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestFreshIndexesScoreAllocFree scores several freshly built indexes in
+// turn through one scratch that has already served the largest of them:
+// an index brings no scoring state of its own, so even the first query
+// on each allocates nothing, and every hit equals a fresh scratch's.
+func TestFreshIndexesScoreAllocFree(t *testing.T) {
+	sizes := []int{300, 40, 170, 300, 90}
+	idxs := make([]*Index, len(sizes))
+	terms := make([][]uint32, len(sizes))
+	for i, n := range sizes {
+		docs := make([][]string, n)
+		for d := range docs {
+			docs[d] = []string{"beach", fmt.Sprintf("w%d", d%17), fmt.Sprintf("w%d", d%5)}
+		}
+		idx, err := Build(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxs[i], terms[i] = idx, termIDs(idx, []string{"w3", "beach", "w3"})
+	}
+	sc := new(Scratch)
+	dst := idxs[0].AppendTopK(sc, nil, terms[0], 10)
+	idxs[0].ScoreIDs(sc, terms[0]) // every document: sizes the hit buffer
+	var tops, all [][]Hit
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, idx := range idxs[1:] {
+		dst = idx.AppendTopK(sc, dst[:0], terms[i+1], 10)
+		if len(idx.ScoreIDs(sc, terms[i+1])) != sizes[i+1] {
+			t.Fatal("ScoreIDs missed a document holding the query's terms")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("scoring %d fresh indexes through a sized scratch allocated %d objects, want 0", len(idxs)-1, n)
+	}
+	for i, idx := range idxs {
+		tops = append(tops, idx.AppendTopK(sc, nil, terms[i], 10))
+		all = append(all, slices.Clone(idx.ScoreIDs(sc, terms[i])))
+	}
+	for i, idx := range idxs {
+		if err := sameHits(tops[i], idx.TopK(new(Scratch), []string{"w3", "beach"}, 10)); err != nil {
+			t.Fatalf("index %d: AppendTopK through the shared scratch: %v", i, err)
+		}
+		if err := sameHits(all[i], idx.ScoreIDs(new(Scratch), terms[i])); err != nil {
+			t.Fatalf("index %d: ScoreIDs through the shared scratch: %v", i, err)
+		}
 	}
 }
 
@@ -165,7 +203,8 @@ func TestScoreDedupsQueryTerms(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	idx := buildIdx(t)
-	hits := idx.TopK([]string{"beach", "swimwear"}, 2)
+	sc := new(Scratch)
+	hits := idx.TopK(sc, []string{"beach", "swimwear"}, 2)
 	if len(hits) != 2 {
 		t.Fatalf("TopK returned %d hits, want 2", len(hits))
 	}
@@ -175,7 +214,7 @@ func TestTopK(t *testing.T) {
 	if hits[0].Score < hits[1].Score {
 		t.Fatal("TopK not sorted descending")
 	}
-	if got := idx.TopK([]string{"zebra"}, 5); len(got) != 0 {
+	if got := idx.TopK(sc, []string{"zebra"}, 5); len(got) != 0 {
 		t.Fatalf("TopK(zebra) = %v, want empty", got)
 	}
 }
@@ -221,15 +260,14 @@ func TestLengthNormalizationPrefersShortDocs(t *testing.T) {
 // Property: scores are non-negative and finite for arbitrary query shapes.
 func TestScoreNonNegativeProperty(t *testing.T) {
 	idx := buildIdx(t)
-	sc := idx.NewScorer()
-	defer sc.Close()
+	sc := new(Scratch)
 	vocabs := []string{"beach", "dress", "swimwear", "hiking", "zebra", "router", ""}
 	f := func(picks []uint8) bool {
 		q := make([]string, 0, len(picks))
 		for _, p := range picks {
 			q = append(q, vocabs[int(p)%len(vocabs)])
 		}
-		for _, h := range sc.ScoreIDs(termIDs(idx, q)) {
+		for _, h := range idx.ScoreIDs(sc, termIDs(idx, q)) {
 			if h.Score < 0 || math.IsInf(h.Score, 0) || math.IsNaN(h.Score) {
 				return false
 			}
@@ -248,10 +286,10 @@ func TestEmptyDocNeverMatches(t *testing.T) {
 	}
 }
 
-// TestScorerMatchesScoreAll holds the batch Scorer's ScoreIDs to the
-// map-based reference bit for bit across many queries in one session,
-// including repeated terms and sessions resumed after Close returned a
-// scratch to the pool.
+// TestScorerMatchesScoreAll holds ScoreIDs to the map-based reference
+// bit for bit across many queries through one scratch, including
+// repeated terms and rounds that a TopK through the same scratch
+// separates.
 func TestScorerMatchesScoreAll(t *testing.T) {
 	docs := [][]string{
 		{"red", "shoes", "leather", "red"},
@@ -273,15 +311,15 @@ func TestScorerMatchesScoreAll(t *testing.T) {
 		{"red", "shoes"}, // repeated query
 		nil,
 	}
+	sc := new(Scratch)
 	for round := 0; round < 3; round++ {
-		sc := idx.NewScorer()
 		for _, q := range queries {
 			ids := termIDs(idx, q)
-			if err := sameHits(sc.ScoreIDs(ids), ref.scoreAll(q)); err != nil {
+			if err := sameHits(idx.ScoreIDs(sc, ids), ref.scoreAll(q)); err != nil {
 				t.Fatalf("round %d query %v: ScoreIDs(%v): %v", round, q, ids, err)
 			}
 		}
-		sc.Close()
+		idx.TopK(sc, []string{"red", "hat", "leather"}, 2)
 	}
 }
 

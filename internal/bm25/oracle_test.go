@@ -104,9 +104,11 @@ func sameHits(a, b []Hit) error {
 // TestIndexMatchesReference holds Build and BuildFrom bit-identical to the
 // map-based reference on random collections: skewed term frequencies,
 // empty documents, repeated terms inside documents and queries, and
-// out-of-vocabulary query terms.
+// out-of-vocabulary query terms. One scratch scores every index of every
+// trial, larger and smaller ones in turn.
 func TestIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	sc := new(Scratch)
 	for trial := 0; trial < 20; trial++ {
 		nTerms := 5 + rng.Intn(60)
 		word := func() string {
@@ -149,7 +151,6 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 
 		for name, idx := range map[string]*Index{"Build": fromStrings, "BuildFrom": fromIDs} {
-			sc := idx.NewScorer()
 			for qi := 0; qi < 30; qi++ {
 				query := make([]string, rng.Intn(6))
 				for i := range query {
@@ -167,16 +168,16 @@ func TestIndexMatchesReference(t *testing.T) {
 					}
 				}
 				k := 1 + rng.Intn(8)
-				if err := sameHits(idx.TopK(query, k), ref.topK(query, k)); err != nil {
+				if err := sameHits(idx.TopK(sc, query, k), ref.topK(query, k)); err != nil {
 					t.Fatalf("trial %d %s TopK(%v, %d): %v", trial, name, query, k, err)
 				}
 				// The id form: known terms with their repeats, appended
 				// behind a prefix it must keep.
 				ids := termIDs(idx, query)
-				if err := sameHits(sc.ScoreIDs(ids), ref.scoreAll(query)); err != nil {
-					t.Fatalf("trial %d %s Scorer.ScoreIDs(%v): %v", trial, name, ids, err)
+				if err := sameHits(idx.ScoreIDs(sc, ids), ref.scoreAll(query)); err != nil {
+					t.Fatalf("trial %d %s ScoreIDs(%v): %v", trial, name, ids, err)
 				}
-				got := idx.AppendTopK([]Hit{{Doc: -1}}, ids, k)
+				got := idx.AppendTopK(sc, []Hit{{Doc: -1}}, ids, k)
 				if got[0].Doc != -1 {
 					t.Fatalf("trial %d %s AppendTopK overwrote its prefix: %v", trial, name, got)
 				}
@@ -184,7 +185,6 @@ func TestIndexMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d %s AppendTopK(%v, %d): %v", trial, name, ids, k, err)
 				}
 			}
-			sc.Close()
 		}
 	}
 }

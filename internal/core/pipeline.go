@@ -6,8 +6,8 @@
 // run writes the schedule out as one fork-join: independent stages —
 // word2vec next to the click-graph and entity formation, describe next
 // to category correlation — run concurrently, and a stage is called only
-// after every stage it reads has returned, so the concurrent schedule
-// produces output identical to the sequential one.
+// after every stage it reads has returned, so the output is the same
+// whichever of two concurrent stages finishes first.
 //
 // Every build is a rebuild over a cache: the corpus-static entities and
 // embeddings plus the previous build's entity-graph state. A one-shot
@@ -64,10 +64,6 @@ type Config struct {
 	// TrainEmbeddings enables the word2vec content signal. When false,
 	// similarity is query-driven only (entitygraph handles the blend).
 	TrainEmbeddings bool
-	// Sequential runs stages one at a time, in schedule order, instead of
-	// concurrently. Output is identical either way; this is the
-	// debugging / benchmark baseline.
-	Sequential bool
 	// Shards is read by nothing, written only by the frozen
 	// benchmark/replay.go: the graph substrate is one CSR. The next
 	// benchmark-archetype PR deletes it.
@@ -229,7 +225,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	}
 	ws := cache.ws
 	// Declaration order is the order of b.StageTimings.
-	fj := newForkJoin(ctx, b.Trace, cfg.Sequential)
+	fj := newForkJoin(ctx, b.Trace)
 	var inputs []func()
 	if clicks == nil {
 		inputs = append(inputs, fj.stage("click-graph", func(context.Context) error {

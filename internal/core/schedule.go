@@ -15,11 +15,10 @@ import (
 // error cancels the shared context, so running stages abort and stages
 // called after it do not start.
 type forkJoin struct {
-	ctx        context.Context
-	cancel     context.CancelFunc
-	trace      *obs.Trace
-	sequential bool
-	start      time.Time
+	ctx    context.Context
+	cancel context.CancelFunc
+	trace  *obs.Trace
+	start  time.Time
 	// timings holds one slot per declared stage, in declaration order.
 	timings []StageTiming
 
@@ -27,9 +26,9 @@ type forkJoin struct {
 	err error
 }
 
-func newForkJoin(ctx context.Context, trace *obs.Trace, sequential bool) *forkJoin {
+func newForkJoin(ctx context.Context, trace *obs.Trace) *forkJoin {
 	ctx, cancel := context.WithCancel(ctx)
-	return &forkJoin{ctx: ctx, cancel: cancel, trace: trace, sequential: sequential, start: time.Now()}
+	return &forkJoin{ctx: ctx, cancel: cancel, trace: trace, start: time.Now()}
 }
 
 // stage declares a stage and returns the call that runs it: fn runs
@@ -67,15 +66,8 @@ func (fj *forkJoin) fail(name string, err error) {
 	}
 }
 
-// parallel runs calls concurrently and returns once all have returned;
-// under Sequential it runs them one at a time, in order.
+// parallel runs calls concurrently and returns once all have returned.
 func (fj *forkJoin) parallel(calls ...func()) {
-	if fj.sequential {
-		for _, call := range calls {
-			call()
-		}
-		return
-	}
 	var wg sync.WaitGroup
 	for _, call := range calls {
 		wg.Add(1)

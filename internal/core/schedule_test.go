@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,51 +15,16 @@ import (
 	"shoal/internal/synth"
 )
 
-// TestEngineSequentialOrder checks that Sequential runs parallel calls
-// one at a time in call order, and that timings come back in
-// declaration order regardless of the order the stages ran in.
-func TestEngineSequentialOrder(t *testing.T) {
-	var order []string
-	running := 0
-	fj := newForkJoin(context.Background(), nil, true)
-	rec := func(name string) func() {
-		return fj.stage(name, func(context.Context) error {
-			running++
-			if running != 1 {
-				t.Errorf("stage %s ran alongside another stage", name)
-			}
-			order = append(order, name)
-			running--
-			return nil
-		})
-	}
-	c, a, b, d := rec("c"), rec("a"), rec("b"), rec("d")
-	fj.parallel(a, b)
-	fj.parallel(c, d)
-	timings, err := fj.wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a", "b", "c", "d"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("execution order = %v, want %v", order, want)
-	}
-	var names []string
-	for _, st := range timings {
-		names = append(names, st.Stage)
-	}
-	if want := []string{"c", "a", "b", "d"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("timing order = %v, want %v", names, want)
-	}
-}
-
 // TestEngineSchedulerStress runs run's schedule shape with stub stages
 // many times to shake out scheduling races (meaningful under -race):
-// every stage must find each stage it reads already finished.
+// every stage must find each stage it reads already finished, and the
+// timings come back in declaration order — here the reverse of the
+// schedule — whatever order the concurrent stages finished in.
 func TestEngineSchedulerStress(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		var mu sync.Mutex
 		seen := make(map[string]bool)
-		fj := newForkJoin(context.Background(), nil, false)
+		fj := newForkJoin(context.Background(), nil)
 		requires := func(name string, deps ...string) func() {
 			return fj.stage(name, func(context.Context) error {
 				mu.Lock()
@@ -74,26 +38,35 @@ func TestEngineSchedulerStress(t *testing.T) {
 				return nil
 			})
 		}
-		clickGraph := requires("click-graph")
-		entities := requires("entities")
-		word2vec := requires("word2vec")
-		entityGraph := requires("entity-graph", "entities", "click-graph", "word2vec")
-		cluster := requires("parallel-hac", "entity-graph")
-		cut := requires("taxonomy", "parallel-hac")
-		describeTopics := requires("describe", "taxonomy")
-		correlate := requires("category-correlation", "taxonomy")
 		index := requires("search-index", "describe")
+		correlate := requires("category-correlation", "taxonomy")
+		describeTopics := requires("describe", "taxonomy")
+		cut := requires("taxonomy", "parallel-hac")
+		cluster := requires("parallel-hac", "entity-graph")
+		entityGraph := requires("entity-graph", "entities", "click-graph", "word2vec")
+		word2vec := requires("word2vec")
+		entities := requires("entities")
+		clickGraph := requires("click-graph")
 
 		fj.parallel(clickGraph, entities, word2vec)
 		entityGraph()
 		cluster()
 		cut()
 		fj.parallel(func() { describeTopics(); index() }, correlate)
-		if _, err := fj.wait(); err != nil {
+		timings, err := fj.wait()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(seen) != 9 {
 			t.Fatalf("ran %d stages, want 9", len(seen))
+		}
+		var names []string
+		for _, st := range timings {
+			names = append(names, st.Stage)
+		}
+		if want := []string{"search-index", "category-correlation", "describe", "taxonomy", "parallel-hac",
+			"entity-graph", "word2vec", "entities", "click-graph"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("timing order = %v, want declaration order %v", names, want)
 		}
 	}
 }
@@ -119,7 +92,7 @@ func TestEngineConcurrentExecution(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	fj := newForkJoin(ctx, nil, false)
+	fj := newForkJoin(ctx, nil)
 	fj.parallel(fj.stage("left", rendezvous), fj.stage("right", rendezvous))
 	if _, err := fj.wait(); err != nil {
 		t.Fatalf("concurrent rendezvous failed: %v", err)
@@ -134,7 +107,7 @@ func TestEngineStageError(t *testing.T) {
 	running := make(chan struct{})
 	siblingErr := make(chan error, 1)
 	afterRan := false
-	fj := newForkJoin(context.Background(), nil, false)
+	fj := newForkJoin(context.Background(), nil)
 	sibling := fj.stage("sibling", func(ctx context.Context) error {
 		close(running)
 		select {
@@ -172,7 +145,7 @@ func TestEngineStageError(t *testing.T) {
 
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	fj := newForkJoin(ctx, nil, false)
+	fj := newForkJoin(ctx, nil)
 	block := fj.stage("block", func(ctx context.Context) error {
 		<-ctx.Done()
 		return ctx.Err()
@@ -276,9 +249,9 @@ var stageEdges = [][2]string{
 }
 
 // TestStageSchedule holds the real pipeline's schedule to the stage
-// diagram on every build path, under both schedules: the timings list
-// the stages in declaration order, every stage starts after each stage
-// it reads has finished, and Sequential runs no two stages at once.
+// diagram on every build path: the timings list the stages in
+// declaration order, and every stage starts after each stage it reads
+// has finished.
 func TestStageSchedule(t *testing.T) {
 	corpus := scheduleCorpus(t)
 	all := []string{"click-graph", "entities", "word2vec", "entity-graph", "parallel-hac",
@@ -312,111 +285,27 @@ func TestStageSchedule(t *testing.T) {
 		{"daily-slide", func(t *testing.T, cfg Config) (*Build, error) { return slide(t, corpus, cfg), nil }, without("click-graph")},
 	}
 	for _, tc := range cases {
-		for _, sequential := range []bool{false, true} {
-			name := tc.name
-			if sequential {
-				name += "-sequential"
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := tc.build(t, scheduleTestConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				cfg := scheduleTestConfig()
-				cfg.Sequential = sequential
-				b, err := tc.build(t, cfg)
-				if err != nil {
-					t.Fatal(err)
+			var names []string
+			at := map[string]StageTiming{}
+			for _, st := range b.StageTimings {
+				names = append(names, st.Stage)
+				at[st.Stage] = st
+			}
+			if !reflect.DeepEqual(names, tc.want) {
+				t.Fatalf("stages = %v, want %v", names, tc.want)
+			}
+			for _, e := range stageEdges {
+				w, okW := at[e[0]]
+				r, okR := at[e[1]]
+				if okW && okR && r.Start < w.Start+w.Elapsed {
+					t.Errorf("%s started at %v, before %s finished at %v", e[1], r.Start, e[0], w.Start+w.Elapsed)
 				}
-				var names []string
-				at := map[string]StageTiming{}
-				for _, st := range b.StageTimings {
-					names = append(names, st.Stage)
-					at[st.Stage] = st
-				}
-				if !reflect.DeepEqual(names, tc.want) {
-					t.Fatalf("stages = %v, want %v", names, tc.want)
-				}
-				for _, e := range stageEdges {
-					w, okW := at[e[0]]
-					r, okR := at[e[1]]
-					if okW && okR && r.Start < w.Start+w.Elapsed {
-						t.Errorf("%s started at %v, before %s finished at %v", e[1], r.Start, e[0], w.Start+w.Elapsed)
-					}
-				}
-				if !sequential {
-					return
-				}
-				for i, a := range b.StageTimings {
-					for _, c := range b.StageTimings[i+1:] {
-						if a.Start < c.Start+c.Elapsed && c.Start < a.Start+a.Elapsed {
-							t.Errorf("sequential %s [%v, %v] overlaps %s [%v, %v]",
-								a.Stage, a.Start, a.Start+a.Elapsed, c.Stage, c.Start, c.Start+c.Elapsed)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestConcurrentMatchesSequential is the schedule's determinism
-// guarantee: the concurrent schedule must produce a byte-identical
-// taxonomy (same topics, same order) and identical descriptions and
-// correlations to the sequential schedule, with embeddings on, on a
-// one-shot build and on a patched slide.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	corpus := scheduleCorpus(t)
-	cfg := scheduleTestConfig()
-	cfg.Sequential = true
-	seq, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSlide := slide(t, corpus, cfg)
-	cfg.Sequential = false
-	conc, err := Run(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concSlide := slide(t, corpus, cfg)
-
-	sameOutput(t, "one-shot", seq, conc)
-	sameOutput(t, "slide", seqSlide, concSlide)
-	if seq.Searcher == nil || conc.Searcher == nil {
-		t.Fatal("missing searcher")
-	}
-	for _, probe := range []string{"beach dress", "laptop stand", corpus.Queries[0].Text} {
-		if !reflect.DeepEqual(seq.Searcher.Search(probe, 5), conc.Searcher.Search(probe, 5)) {
-			t.Fatalf("search results differ for %q", probe)
-		}
-	}
-	// Both runs report one timing per executed stage, same stage set.
-	if len(seq.StageTimings) != len(conc.StageTimings) {
-		t.Fatalf("timing count differs: %d vs %d", len(seq.StageTimings), len(conc.StageTimings))
-	}
-	for i := range seq.StageTimings {
-		if seq.StageTimings[i].Stage != conc.StageTimings[i].Stage {
-			t.Fatalf("stage %d: %q vs %q", i, seq.StageTimings[i].Stage, conc.StageTimings[i].Stage)
-		}
-	}
-}
-
-// sameOutput fails unless the sequential and concurrent builds saved the
-// same taxonomy bytes and produced equal descriptions and correlations.
-func sameOutput(t *testing.T, what string, seq, conc *Build) {
-	t.Helper()
-	var seqBytes, concBytes bytes.Buffer
-	if err := seq.Taxonomy.Save(&seqBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := conc.Taxonomy.Save(&concBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqBytes.Bytes(), concBytes.Bytes()) {
-		t.Fatalf("%s: taxonomies differ: sequential %d topics, concurrent %d topics",
-			what, len(seq.Taxonomy.Topics), len(conc.Taxonomy.Topics))
-	}
-	if !reflect.DeepEqual(seq.Descriptions, conc.Descriptions) {
-		t.Fatalf("%s: descriptions differ between sequential and concurrent runs", what)
-	}
-	if !reflect.DeepEqual(seq.Correlations.Pairs(), conc.Correlations.Pairs()) {
-		t.Fatalf("%s: correlations differ between sequential and concurrent runs", what)
+			}
+		})
 	}
 }

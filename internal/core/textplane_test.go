@@ -138,10 +138,10 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 // per extra worker, and equals it at width 2) plus the extra range's
 // goroutine, which allocates a descriptor when the runtime has no free
 // one (it often has none under -race). In Describe, also each extra
-// range's own state — a bm25 Scorer with its scratch and hit buffer,
-// its share of the index's count arrays and its walk callbacks, its
-// ranking buffer — at most describeRangeAllocs objects; the candidate
-// arrays are the workspace's. Describe forks describeForks loops (the
+// range's own state — its share of the index's count arrays and its
+// walk callbacks, its ranking buffer — at most describeRangeAllocs
+// objects; the candidate arrays and the ranges' BM25 scoring scratch are
+// the workspace's. Describe forks describeForks loops (the
 // index's count and fill, the candidates' count and fill, scoring and
 // ranking); the search index forks two (its count and fill), and each
 // extra range adds its count arrays and walk callbacks.

@@ -27,7 +27,7 @@
 // query texts are read as term ids from the corpus text plane
 // (model.Corpus.Text), streamed into BM25 postings with bm25.BuildFrom —
 // D_k is never laid out as one array — and scored with
-// bm25.Scorer.ScoreIDs: nothing is tokenized or hashed per call. rel is
+// bm25.Index.ScoreIDs: nothing is tokenized or hashed per call. rel is
 // plain BM25 at its package's constant k1 and b; only the number of
 // queries kept per topic is configured.
 //
@@ -91,9 +91,9 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 
 // Workspace keeps a Describe call's scratch — the BM25 index over D_k,
 // the candidate matrix and its transpose, the ranges' stamp and
-// accumulator arrays, con — for the next call to re-slice instead of
-// allocating. The descriptions never alias it. The zero value is empty;
-// one serves one call at a time.
+// accumulator arrays and BM25 scoring scratch, con — for the next call
+// to re-slice instead of allocating. The descriptions never alias it.
+// The zero value is empty; one serves one call at a time.
 type Workspace struct {
 	idx  *bm25.Index
 	c    candidates
@@ -104,7 +104,9 @@ type Workspace struct {
 	// per query.
 	stamps [][]int32
 	accs   [][]float64
-	con    []float64
+	// scratch[w] is query range w's BM25 scoring state.
+	scratch []bm25.Scratch
+	con     []float64
 }
 
 // Describe is the package-level Describe in ws's arrays; the
@@ -320,7 +322,7 @@ func (d *describer) fillCandidates(w, lo, hi int) error {
 // distinct candidate queries, with one scoring pass per distinct query
 // — softmax of BM25 over the touched topics, the untouched mass added in
 // closed form — split into query ranges balanced by slot count, each
-// with a bm25.Scorer of its own. ScoreIDs returns hits in ascending
+// with a bm25.Scratch of its own. ScoreIDs returns hits in ascending
 // topic order, which fixes the denominator's summation order (float
 // addition is not associative) no matter which topic the value is for;
 // the query's candidate topics ascend too, so one merge walk reads
@@ -333,6 +335,7 @@ func (d *describer) concentration() (distinct int, err error) {
 	d.con = reuse.Grow(d.ws.con, len(c.query))
 	d.ws.con = d.con
 	d.distinct = make([]int, len(bounds)-1)
+	d.ws.scratch = reuse.Grow(d.ws.scratch, len(bounds)-1)
 	if err := par.Run(bounds, d, (*describer).scoreQueries); err != nil {
 		return 0, err
 	}
@@ -346,8 +349,9 @@ func (d *describer) scoreQueries(w, lo, hi int) error {
 	c, con, text := &d.c, d.con, d.text
 	queryOff, slotsOf, topic := c.queryOff, c.slots, c.topic
 	k := len(c.topicOff) - 1
-	scorer := d.idx.NewScorer()
-	defer scorer.Close()
+	// The scratch is recycled: zero it before its first score.
+	sc := &d.ws.scratch[w]
+	sc.Reset()
 	distinct := 0
 	for q := lo; q < hi; q++ {
 		slots := slotsOf[queryOff[q]:queryOff[q+1]]
@@ -360,7 +364,7 @@ func (d *describer) scoreQueries(w, lo, hi int) error {
 			}
 		}
 		distinct++
-		rels := scorer.ScoreIDs(text.Query(model.QueryID(q)))
+		rels := d.idx.ScoreIDs(sc, text.Query(model.QueryID(q)))
 		// con[s] first holds the numerator exp(rel(q, D_t)): exp(0) = 1
 		// unless the walk finds the slot's topic among the hits.
 		for _, s := range slots {

@@ -21,7 +21,7 @@ import (
 // describeOracle is the reference implementation Describe is held
 // bit-identical to: topic-major (one scoring pass per (topic, candidate)
 // pair), tokenizing every title and query text with textutil, a map and
-// a sort per topic, a string-built BM25 index scored through a Scorer
+// a sort per topic, a string-built BM25 index scored through one scratch
 // with the tokens resolved in its own vocabulary.
 func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *bipartite.Graph, cfg describe.Config) ([]describe.Description, error) {
 	k := len(tx.Topics)
@@ -37,8 +37,7 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 	if err != nil {
 		return nil, err
 	}
-	scorer := idx.NewScorer()
-	defer scorer.Close()
+	sc := new(bm25.Scratch)
 	out := make([]describe.Description, 0, k)
 	for t := range tx.Topics {
 		acc := make(map[model.QueryID]float64)
@@ -78,7 +77,7 @@ func describeOracle(tx *taxonomy.Taxonomy, corpus *model.Corpus, clicks *biparti
 					terms = append(terms, uint32(id))
 				}
 			}
-			rels := scorer.ScoreIDs(terms)
+			rels := idx.ScoreIDs(sc, terms)
 			relK := 0.0
 			var den float64 = 1
 			for _, h := range rels {

@@ -188,39 +188,42 @@ type SearchCacheStat struct {
 // the query's terms, and the server's header limit alone admits ≈16 KB.
 const maxQueryBytes = 1024
 
-// searchScratch is a miss's pooled scratch: the searcher's hits, and the
-// records of an answer that is not stored.
+// searchScratch is a miss's pooled scratch: the search's own, the
+// searcher's hits, and the records of an answer that is not stored. It
+// serves any snapshot, so its scoring arrays outlive swaps.
 type searchScratch struct {
-	hits []taxonomy.Hit
-	recs []hitRecord
+	search taxonomy.SearchScratch
+	hits   []taxonomy.Hit
+	recs   []hitRecord
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// searchHits parses a search's parameters from raw and appends the
-// snapshot's hits to dst. A request it refuses returns the 400 message.
-func (s *snapshot) searchHits(dst []taxonomy.Hit, raw string) ([]taxonomy.Hit, string) {
+// searchHits parses a search's parameters from raw and searches the
+// snapshot into sc.hits. A request it refuses returns the 400 message.
+func (s *snapshot) searchHits(sc *searchScratch, raw string) string {
 	var p [2]string
 	queryParams(raw, []string{"q", "k"}, p[:])
 	q, ks := p[0], p[1]
 	if q == "" {
-		return nil, "missing query parameter q"
+		return "missing query parameter q"
 	}
 	if len(q) > maxQueryBytes {
-		return nil, "query parameter q is longer than " + strconv.Itoa(maxQueryBytes) + " bytes"
+		return "query parameter q is longer than " + strconv.Itoa(maxQueryBytes) + " bytes"
 	}
 	k := 5
 	if ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v <= 0 || v > 100 {
-			return nil, "k must be an integer in [1,100]"
+			return "k must be an integer in [1,100]"
 		}
 		k = v
 	}
-	if s.build.Searcher == nil {
-		return dst, ""
+	sc.hits = sc.hits[:0]
+	if s.build.Searcher != nil {
+		sc.hits = s.build.Searcher.AppendSearch(&sc.search, sc.hits, q, k)
 	}
-	return s.build.Searcher.AppendSearch(dst, q, k), ""
+	return ""
 }
 
 // sendHits writes hits as the search response, each hit's summary head

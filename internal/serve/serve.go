@@ -357,12 +357,11 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request, _ string) int {
 	}
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
-	hits, refused := snap.searchHits(sc.hits[:0], raw)
-	sc.hits = hits
-	if refused != "" {
+	if refused := snap.searchHits(sc, raw); refused != "" {
 		h.searchResults[resultBypass].Inc()
 		return httpError(w, http.StatusBadRequest, refused)
 	}
+	hits := sc.hits
 	var recs []hitRecord
 	if storable(r, len(hits)) {
 		recs = appendRecords(make([]hitRecord, 0, len(hits)), hits)

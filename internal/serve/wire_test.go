@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"shoal/internal/bm25"
 	"shoal/internal/core"
 	"shoal/internal/model"
 	"shoal/internal/taxonomy"
@@ -421,6 +423,52 @@ func TestServeAllocs(t *testing.T) {
 		t.Errorf("%d distinct searches stored %d answers", len(distinct), got)
 	}
 	t.Logf("%d distinct searches: %.1f allocs", len(distinct)-1, n)
+}
+
+// TestMissAfterSwapAllocs swaps in a build with a freshly built search
+// index before each of 20 searches, every one a miss on its snapshot:
+// the miss's pooled scratch scores any index, so a swap plus the first
+// miss on a new index allocates no more than TestSwapAllocs's four
+// objects and TestServeAllocs's three of a distinct search.
+func TestMissAfterSwapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool caching is disabled under the race detector")
+	}
+	b := getBuild(t)
+	h, err := NewHandler(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	builds := make([]*core.Build, runs+1)
+	for i := range builds {
+		s, err := taxonomy.NewSearcherFrom(context.Background(), b.Taxonomy,
+			bm25.IDs(b.SearchDocIDs(core.DefaultConfig().SearchDocTokenCap)), b.Corpus.Text().Vocab())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := *b
+		fresh.Searcher = s
+		builds[i] = &fresh
+	}
+	req := httptest.NewRequest("GET", "/api/search?q="+url.QueryEscape("beach dress")+"&k=5", nil)
+	w := &sink{h: make(http.Header)}
+	h.ServeHTTP(w, req) // warm the pool
+	misses := h.searchResults[resultMiss].Value()
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		if err := h.Swap(builds[next]); err != nil {
+			t.Fatal(err)
+		}
+		h.ServeHTTP(w, req)
+		next++
+	})
+	if n > 4+3 {
+		t.Errorf("a swap to a fresh index and its first search allocated %.1f objects, want <= 7", n)
+	}
+	if got := h.searchResults[resultMiss].Value() - misses; got != runs+1 {
+		t.Errorf("%d searches on fresh snapshots stored %d answers", runs+1, got)
+	}
 }
 
 // The reference allocations of TestSwapAllocs, kept on the heap.

@@ -65,30 +65,36 @@ type Hit struct {
 	Score float64
 }
 
-// searchScratch is one request's tokenizer output, resolved term ids and
-// index hits, pooled so that a search allocates only what it returns.
-type searchScratch struct {
+// SearchScratch is one search's scratch: the tokenizer output, the
+// resolved term ids, the index hits and the BM25 scoring state. Its
+// caller owns it; one serves any Searcher, one search at a time, and a
+// caller that keeps one searches allocating only what it returns. The
+// zero value is ready to use.
+type SearchScratch struct {
 	buf   []byte
 	ends  []int
 	terms []uint32
 	hits  []bm25.Hit
+	score bm25.Scratch
 }
 
-var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+var searchPool = sync.Pool{New: func() any { return new(SearchScratch) }}
 
 // Search returns the k best-matching topics for a free-text query: the
 // index's top k for textutil.TokenizeFiltered(query), hit for hit and
-// bit for bit, computed without spelling a token as a string. The only
-// allocation is the returned slice.
+// bit for bit, computed without spelling a token as a string. It
+// searches in a pooled SearchScratch, so the only allocation is the
+// returned slice.
 func (s *Searcher) Search(query string, k int) []Hit {
-	return s.AppendSearch([]Hit{}, query, k)
+	sc := searchPool.Get().(*SearchScratch)
+	defer searchPool.Put(sc)
+	return s.AppendSearch(sc, []Hit{}, query, k)
 }
 
-// AppendSearch appends Search(query, k)'s hits to dst and returns the
-// extended slice. It allocates only when dst has too little room.
-func (s *Searcher) AppendSearch(dst []Hit, query string, k int) []Hit {
-	sc := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(sc)
+// AppendSearch appends Search(query, k)'s hits to dst in sc and returns
+// the extended slice. It allocates only when dst has too little room or
+// sc has not yet served an index this large.
+func (s *Searcher) AppendSearch(sc *SearchScratch, dst []Hit, query string, k int) []Hit {
 	sc.buf, sc.ends = textutil.DropStopwords(textutil.AppendTokens(sc.buf[:0], sc.ends[:0], query))
 	vocab := s.idx.Vocab()
 	terms, start := sc.terms[:0], 0
@@ -100,7 +106,7 @@ func (s *Searcher) AppendSearch(dst []Hit, query string, k int) []Hit {
 	}
 	sc.terms = terms
 	// AppendTopK counts a repeated term once, at its first occurrence.
-	sc.hits = s.idx.AppendTopK(sc.hits[:0], terms, k)
+	sc.hits = s.idx.AppendTopK(&sc.score, sc.hits[:0], terms, k)
 	dst = slices.Grow(dst, len(sc.hits))
 	for _, h := range sc.hits {
 		dst = append(dst, Hit{Topic: model.TopicID(h.Doc), Score: h.Score})

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"shoal/internal/bm25"
 	"shoal/internal/model"
 	"shoal/internal/synth"
 	"shoal/internal/textutil"
@@ -66,7 +67,7 @@ func TestSearchMatchesStringPath(t *testing.T) {
 	for _, p := range probes {
 		for _, k := range []int{1, 5, 100} {
 			got := s.Search(p, k)
-			want := s.idx.TopK(textutil.TokenizeFiltered(p), k)
+			want := s.idx.TopK(new(bm25.Scratch), textutil.TokenizeFiltered(p), k)
 			if len(got) != len(want) {
 				t.Fatalf("Search(%q, %d): %d hits, string path %d", p, k, len(got), len(want))
 			}
@@ -102,7 +103,7 @@ func FuzzSearchMatchesTokenizeFiltered(f *testing.F) {
 				terms = append(terms, uint32(id))
 			}
 		}
-		want := s.idx.AppendTopK(nil, terms, int(k))
+		want := s.idx.AppendTopK(new(bm25.Scratch), nil, terms, int(k))
 		got := s.Search(query, int(k))
 		if len(got) != len(want) {
 			t.Fatalf("Search(%q, %d): %d hits, spelled-out path %d", query, k, len(got), len(want))
@@ -117,27 +118,30 @@ func FuzzSearchMatchesTokenizeFiltered(f *testing.F) {
 
 // TestSearchAllocs: a search allocates only the hits it returns.
 func TestSearchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool caching is disabled under the race detector")
-	}
 	s, c := searchFixture(t)
 	q := c.Queries[0].Text + " for the " + c.Items[0].Title
-	s.Search(q, 5) // warm the pools
-	if allocs := testing.AllocsPerRun(100, func() { s.Search(q, 5) }); allocs > 1 {
-		t.Fatalf("Search allocated %.1f objects per call, want <= 1 (the hits)", allocs)
-	}
-	// AppendSearch into a buffer with room keeps dst's prefix, appends
-	// Search's hits and allocates nothing.
 	want := s.Search(q, 5)
 	if len(want) == 0 {
 		t.Fatal("the fixture query has no hits")
 	}
+	// AppendSearch into a buffer with room, in a scratch that has
+	// searched before, keeps dst's prefix, appends Search's hits and
+	// allocates nothing.
+	sc := new(SearchScratch)
 	buf := make([]Hit, 1, 1+len(want))
 	buf[0] = Hit{Topic: -1}
-	if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendSearch(buf[:1], q, 5) }); allocs != 0 {
+	buf = s.AppendSearch(sc, buf[:1], q, 5)
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.AppendSearch(sc, buf[:1], q, 5) }); allocs != 0 {
 		t.Fatalf("AppendSearch into a buffer with room allocated %.1f objects per call", allocs)
 	}
 	if buf[0] != (Hit{Topic: -1}) || !slices.Equal(buf[1:], want) {
 		t.Fatalf("AppendSearch = %v, want [{-1 0}] + %v", buf, want)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool caching is disabled under the race detector")
+	}
+	s.Search(q, 5) // warm the pool
+	if allocs := testing.AllocsPerRun(100, func() { s.Search(q, 5) }); allocs > 1 {
+		t.Fatalf("Search allocated %.1f objects per call, want <= 1 (the hits)", allocs)
 	}
 }

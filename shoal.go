@@ -125,8 +125,7 @@ type System struct {
 }
 
 // Build runs the full SHOAL pipeline over the corpus. Stages that read
-// none of each other's output run concurrently (set cfg.Sequential for
-// the one-at-a-time baseline); output is identical either way.
+// none of each other's output run concurrently.
 func Build(corpus *Corpus, cfg Config) (*System, error) {
 	return BuildContext(context.Background(), corpus, cfg)
 }
