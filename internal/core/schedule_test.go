@@ -15,6 +15,56 @@ import (
 	"shoal/internal/synth"
 )
 
+// TestEngineSequentialOrder checks that stage calls made one after
+// another outside parallel — run's entity-graph, parallel-hac, taxonomy
+// chain — run one at a time in call order, each starting after the last
+// finished, and that timings come back in declaration order regardless
+// of the order the stages ran in.
+func TestEngineSequentialOrder(t *testing.T) {
+	var order []string
+	running := 0
+	fj := newForkJoin(context.Background(), nil)
+	rec := func(name string) func() {
+		return fj.stage(name, func(context.Context) error {
+			running++
+			if running != 1 {
+				t.Errorf("stage %s ran alongside another stage", name)
+			}
+			order = append(order, name)
+			time.Sleep(time.Millisecond)
+			running--
+			return nil
+		})
+	}
+	c, a, b, d := rec("c"), rec("a"), rec("b"), rec("d")
+	a()
+	b()
+	c()
+	d()
+	timings, err := fj.wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "b", "c", "d"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order = %v, want %v", order, want)
+	}
+	var names []string
+	at := map[string]StageTiming{}
+	for _, st := range timings {
+		names = append(names, st.Stage)
+		at[st.Stage] = st
+	}
+	if want := []string{"c", "a", "b", "d"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("timing order = %v, want %v", names, want)
+	}
+	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		w, r := at[e[0]], at[e[1]]
+		if r.Start < w.Start+w.Elapsed {
+			t.Errorf("%s started at %v, before %s finished at %v", e[1], r.Start, e[0], w.Start+w.Elapsed)
+		}
+	}
+}
+
 // TestEngineSchedulerStress runs run's schedule shape with stub stages
 // many times to shake out scheduling races (meaningful under -race):
 // every stage must find each stage it reads already finished, and the
