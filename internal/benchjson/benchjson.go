@@ -104,9 +104,10 @@ func NewSuite() (*Suite, error) {
 		return nil, err
 	}
 	query := textutil.Tokenize(b.Corpus.Queries[0].Text)
-	// The scoring scratch and describe's workspace are the timed ops'
-	// callers' own, made once here as a pipeline and a server keep them.
-	sc, dws := new(bm25.Scratch), new(describe.Workspace)
+	// The scoring scratch, describe's workspace and the search index's
+	// builder are the timed ops' callers' own, made once here as a
+	// pipeline and a server keep them.
+	sc, dws, sbld := new(bm25.Scratch), new(describe.Workspace), new(bm25.Builder)
 	edges := g.Edges() // materialized once: csr-from-edges times CSR construction only
 	ctx := context.Background()
 	cfg := fixedWorldConfig()
@@ -166,14 +167,14 @@ func NewSuite() (*Suite, error) {
 		}},
 		// The rest of the slide's tail, as the pipeline's stages run it:
 		// three dendrogram cuts assembled into the topic tree, and the
-		// search documents assembled as text-plane term ids and indexed.
+		// search documents streamed as text-plane term ids into the
+		// index, through the builder the last call left.
 		{"taxonomy-build", func() error {
 			_, err := taxonomy.Build(ctx, b.Dendrogram, b.Entities, b.Corpus, cfg.Taxonomy)
 			return err
 		}},
 		{"search-index", func() error {
-			docs := b.SearchDocIDs(cfg.SearchDocTokenCap)
-			_, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, bm25.IDs(docs), b.Corpus.Text().Vocab())
+			_, err := b.SearchIndex(ctx, sbld, cfg.SearchDocTokenCap)
 			return err
 		}},
 	}}

@@ -9,19 +9,21 @@
 // string documents into a vocabulary of its own; BuildFrom takes
 // documents already spelled in a caller's vocabulary (the corpus text
 // plane), shares that vocabulary for query-time lookups, and streams
-// them: a Docs source walks each one as consecutive id lists, once to
-// count and once to fill, so a document need never be materialized (IDs
-// is the source over documents that are). Both feed one count-then-fill
-// builder, as does Rebuild: no per-document map, no per-term slice
-// growth, no sorting — visiting documents in ascending order already
-// yields each term's postings in ascending document order, which is the
-// only order scoring depends on. The builder splits the documents into
-// GOMAXPROCS contiguous ranges (internal/par): each range counts its own
-// document frequencies, a serial pass gives every (term, range) pair its
-// offset in the term's span, and each range fills its own slots, so the
+// them: a Docs source walks each one once, as consecutive id lists, so a
+// document need never be materialized (IDs is the source over documents
+// that are). Both go through a Builder, whose Rebuild can also write into
+// a dead index's arrays: no per-document map, no per-term slice growth,
+// no sorting — visiting documents in ascending order already yields each
+// term's postings in ascending document order, which is the only order
+// scoring depends on. The builder splits the documents into GOMAXPROCS
+// contiguous ranges (internal/par): each range's one walk counts its own
+// document frequencies and gathers its postings doc-major, a serial pass
+// gives every (term, range) pair its offset in the term's span, and each
+// range scatters its gathered postings into its own slots, so the
 // postings — and every score — are the same at any width. A built index
-// is immutable data: every scoring call works in a Scratch its caller
-// owns, and one Scratch serves any index. The Okapi parameters are
+// is immutable data that references none of its builder's scratch, and
+// every scoring call works in a Scratch its caller owns: one Builder
+// serves any build and one Scratch any index. The Okapi parameters are
 // constants, k1 = 1.2 and b = 0.75.
 package bm25
 
@@ -72,10 +74,6 @@ type Index struct {
 	avgLen float64
 	n      int
 	tokens int
-	// ranges are the build's per-range count arrays (vocabulary-sized),
-	// kept by Rebuild for the next Rebuild into this index; the index
-	// BuildFrom returns keeps none.
-	ranges []buildRange
 }
 
 // Scratch is one caller's dense scoring state: a score and a touched
@@ -130,27 +128,35 @@ func (docs IDs) Cost(d int) int                      { return len(docs[d]) + 1 }
 func (docs IDs) Walk(d int, part func(ids []uint32)) { part(docs[d]) }
 
 // BuildFrom indexes a collection whose tokens are already term ids of
-// vocab (every id must be below vocab.Size()). The builder walks every
-// document twice, once to count and once to fill the postings. The index
-// keeps vocab for query-time lookups and never modifies it; the caller
-// must not Add to it while the index is in use. Scores equal those of
-// Build over the same documents spelled as strings, bit for bit, however
-// the documents are split into lists.
+// vocab (every id must be below vocab.Size()): Builder.Rebuild into fresh
+// arrays, through a fresh builder. The index keeps vocab for query-time
+// lookups and never modifies it; the caller must not Add to it while the
+// index is in use. Scores equal those of Build over the same documents
+// spelled as strings, bit for bit, however the documents are split into
+// lists.
 func BuildFrom(docs Docs, vocab *textutil.Vocab) (*Index, error) {
-	idx, err := Rebuild(nil, docs, vocab)
-	if idx != nil {
-		idx.ranges = nil
-	}
-	return idx, err
+	return new(Builder).Rebuild(nil, docs, vocab)
 }
 
-// Rebuild is BuildFrom in the arrays of old, an index its caller is done
-// with: the term records, postings, document lengths and the build's
-// per-range count arrays are re-sliced where they fit. old must not be
-// used afterwards; nil builds a fresh index. The index is
-// BuildFrom's, bit for bit, and keeps its count arrays for the next
-// Rebuild.
-func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
+// Builder is a BM25 build's scratch, kept for the next build to re-slice:
+// per range of documents, two vocabulary-sized arrays (each term's
+// posting count in the range, then where its next posting goes; the
+// buffer position of its last posting), the range's postings gathered
+// doc-major and its documents' ends among them. Its caller owns it, and
+// no index it builds references it. The zero value is ready to use; one
+// serves one build at a time.
+type Builder struct {
+	ranges []buildRange
+}
+
+// Rebuild indexes docs as BuildFrom does, in the arrays of old, an index
+// its caller is done with: the term records, postings and document
+// lengths are re-sliced where they fit. old must not be used afterwards;
+// nil builds into fresh arrays. The index is BuildFrom's, bit for bit,
+// whatever bl or old held before. Every document is walked once: each
+// range gathers its postings doc-major as it counts, and scatters them
+// into the term-major spans once the offsets are known.
+func (bl *Builder) Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	n := docs.Len()
 	if n == 0 {
 		return nil, errors.New("bm25: empty document collection")
@@ -165,15 +171,15 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 		docLen: reuse.Grow(old.docLen, n),
 		n:      n,
 	}
-	b := build{docs: docs, nTerms: nTerms, docLen: idx.docLen}
 	bounds := par.Split(nil, n, docs.Cost)
-	b.ranges = reuse.Grow(old.ranges, len(bounds)-1)
+	bl.ranges = reuse.Grow(bl.ranges, len(bounds)-1)
+	b := build{docs: docs, nTerms: nTerms, ranges: bl.ranges, docLen: idx.docLen}
 	if err := par.Run(bounds, &b, (*build).count); err != nil {
 		return nil, err
 	}
 
 	// Term t's span holds range 0's postings, then range 1's, and so on:
-	// each range's count becomes the offset its fill starts at, so the
+	// each range's count becomes the offset its scatter starts at, so the
 	// postings come out ascending by document at any width.
 	var nPosts int32
 	ranges := b.ranges
@@ -195,7 +201,7 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	b.posts = idx.posts
 	_ = par.Run(bounds, &b, (*build).fill) // fill has no failure to report
 
-	idx.tokens, idx.ranges = total, ranges
+	idx.tokens = total
 	idx.avgLen = float64(total) / float64(n)
 	if idx.avgLen == 0 {
 		idx.avgLen = 1
@@ -203,7 +209,7 @@ func Rebuild(old *Index, docs Docs, vocab *textutil.Vocab) (*Index, error) {
 	return idx, nil
 }
 
-// build is BuildFrom's state shared by its ranges of documents.
+// build is one Rebuild's state shared by its ranges of documents.
 type build struct {
 	docs   Docs
 	nTerms int
@@ -212,54 +218,67 @@ type build struct {
 	docLen []int32
 }
 
-// buildRange is one range's own arrays and the walk position its id-list
+// gathered is one posting as a range's count walk gathers it, doc-major:
+// the document is implied by the range's document ends.
+type gathered struct {
+	term uint32
+	tf   int32
+}
+
+// buildRange is one range's arrays and the walk position its id-list
 // callbacks share. next[t] first counts the range's documents holding
-// term t, then is where its next posting of t goes. seen[t] holds the
-// last document that counted t, offset by one so the zero value means
-// "none"; fill reuses it with the sign flipped, so no clearing pass sits
-// between the two.
+// term t, then is where its next posting of t goes. seen[t] is 1 + the
+// position in buf of the range's last posting of t, so the zero value
+// means "none"; a position at or past the current document's first
+// posting is a repeat. ends[i] is the end in buf of the range's i-th
+// document's postings.
 type buildRange struct {
 	next, seen []int32
-	posts      []posting
+	buf        []gathered
+	ends       []int32
 	tokens     int
-	// doc is the document being walked and stamp its seen mark; dl counts
+	// start is the current document's first position in buf; dl counts
 	// its tokens. bad is 1 + the first term id outside the vocabulary.
-	doc, stamp int32
-	dl         int
-	nTerms     int
-	bad        int64
+	start  int32
+	dl     int
+	nTerms int
+	bad    int64
 	// pad keeps two ranges' walk positions, written per id list, off
 	// one cache line.
 	_ [64]byte
 }
 
-// count fills range w's df counts, document lengths and token total,
-// and reports the range's first document holding a term id outside the
+// count walks range w's documents once: it fills the range's df counts,
+// document lengths and token total, gathers its postings doc-major, and
+// reports the range's first document holding a term id outside the
 // vocabulary.
 func (b *build) count(w, lo, hi int) error {
 	r := &b.ranges[w]
 	next, seen := reuse.Grow(r.next, b.nTerms), reuse.Grow(r.seen, b.nTerms)
 	clear(next)
 	clear(seen)
-	*r = buildRange{next: next, seen: seen, nTerms: b.nTerms}
+	*r = buildRange{next: next, seen: seen, buf: r.buf[:0], ends: r.ends[:0], nTerms: b.nTerms}
 	part := r.countIDs
 	for d := lo; d < hi; d++ {
-		r.stamp, r.dl = int32(d)+1, 0
+		r.start, r.dl = int32(len(r.buf)), 0
 		b.docs.Walk(d, part)
 		if r.bad != 0 {
 			return fmt.Errorf("bm25: document %d holds term id %d outside the vocabulary [0,%d)", d, r.bad-1, b.nTerms)
 		}
 		b.docLen[d] = int32(r.dl)
 		r.tokens += r.dl
+		r.ends = append(r.ends, int32(len(r.buf)))
 	}
 	return nil
 }
 
-// countIDs counts one id list of the current document. The loop reads
+// countIDs counts and gathers one id list of the current document: a
+// term's first occurrence in the document appends a posting and counts
+// toward its df, a repeat bumps that posting's tf. The loop reads
 // locals: a store through a slice may alias a field read through a
 // pointer, which the compiler would load again.
 func (r *buildRange) countIDs(ids []uint32) {
-	next, seen, stamp, nTerms := r.next, r.seen, r.stamp, r.nTerms
+	next, seen, buf, start, nTerms := r.next, r.seen, r.buf, r.start, r.nTerms
 	r.dl += len(ids)
 	for _, t := range ids {
 		if int(t) >= nTerms {
@@ -268,39 +287,32 @@ func (r *buildRange) countIDs(ids []uint32) {
 			}
 			continue
 		}
-		if seen[t] != stamp {
-			seen[t] = stamp
-			next[t]++
+		if p := seen[t]; p > start {
+			buf[p-1].tf++
+			continue
 		}
+		buf = append(buf, gathered{term: t, tf: 1})
+		seen[t] = int32(len(buf))
+		next[t]++
 	}
+	r.buf = buf
 }
 
-// fill writes range w's postings: a term's first occurrence in a
-// document claims the next slot of the range's part of its span,
-// repeats bump that slot's tf.
-func (b *build) fill(w, lo, hi int) error {
+// fill scatters range w's gathered postings into the range's part of
+// each term's span, in document order, without walking a document.
+func (b *build) fill(w, lo, _ int) error {
 	r := &b.ranges[w]
-	r.posts = b.posts
-	part := r.fillIDs
-	for d := lo; d < hi; d++ {
-		r.doc, r.stamp = int32(d), -int32(d)-1
-		b.docs.Walk(d, part)
+	next, buf, posts := r.next, r.buf, b.posts
+	from := int32(0)
+	for i, end := range r.ends {
+		doc := int32(lo + i)
+		for _, g := range buf[from:end] {
+			posts[next[g.term]] = posting{doc: doc, tf: g.tf}
+			next[g.term]++
+		}
+		from = end
 	}
 	return nil
-}
-
-// fillIDs writes one id list of the current document's postings.
-func (r *buildRange) fillIDs(ids []uint32) {
-	next, seen, posts, doc, stamp := r.next, r.seen, r.posts, r.doc, r.stamp
-	for _, t := range ids {
-		if seen[t] != stamp {
-			seen[t] = stamp
-			posts[next[t]] = posting{doc: doc, tf: 1}
-			next[t]++
-		} else {
-			posts[next[t]-1].tf++
-		}
-	}
 }
 
 // N returns the number of indexed documents.

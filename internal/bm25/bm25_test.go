@@ -345,8 +345,8 @@ func (l lists) Walk(d int, part func(ids []uint32)) {
 // TestBuildFromMatchesBuildIDs streams random collections in lists of
 // every width, at every par width, and holds the index to BuildFrom's over
 // the documents laid out as IDs: the same postings, lengths and idf bits —
-// also when Rebuild writes it into the arrays of the index before, which
-// indexed another collection.
+// also when a kept Builder's Rebuild writes it into the arrays of the
+// index before, which indexed another collection.
 func TestBuildFromMatchesBuildIDs(t *testing.T) {
 	vocab := textutil.NewVocab()
 	for i := range 50 {
@@ -354,6 +354,7 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(3, 5))
 	var prev *Index
+	var bl Builder
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for trial := range 40 {
 		docs := make([][]uint32, 1+rng.IntN(60))
@@ -370,7 +371,7 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 		for _, width := range []int{1, 2, 7, 100} {
 			build := BuildFrom
 			if width%2 == 1 {
-				build = func(docs Docs, vocab *textutil.Vocab) (*Index, error) { return Rebuild(prev, docs, vocab) }
+				build = func(docs Docs, vocab *textutil.Vocab) (*Index, error) { return bl.Rebuild(prev, docs, vocab) }
 			}
 			got, err := build(lists{docs, width}, vocab)
 			if err != nil {
@@ -388,10 +389,10 @@ func TestBuildFromMatchesBuildIDs(t *testing.T) {
 	}
 }
 
-// TestRebuildReusesCountArrays holds Rebuild to the arrays of the index
-// it rebuilds into: over the same vocabulary it allocates nothing
-// vocabulary-sized, the per-range count arrays included, while the index
-// BuildFrom publishes keeps no count arrays at all.
+// TestRebuildReusesCountArrays holds a kept Builder to its arrays and
+// Rebuild to those of the index it rebuilds into: over the same
+// vocabulary a second build allocates nothing vocabulary-sized, the
+// per-range count arrays and gathered postings included.
 func TestRebuildReusesCountArrays(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations blur the byte count")
@@ -407,27 +408,21 @@ func TestRebuildReusesCountArrays(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	idx, err := Rebuild(nil, IDs(docs), vocab)
+	var bl Builder
+	idx, err := bl.Rebuild(nil, IDs(docs), vocab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx.ranges) == 0 {
-		t.Fatal("Rebuild kept no count arrays for the next Rebuild")
+	if len(bl.ranges) == 0 || len(bl.ranges[0].next) != vocab.Size() {
+		t.Fatal("the builder kept no count arrays for the next build")
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Rebuild(idx, IDs(docs), vocab); err != nil {
+	if _, err := bl.Rebuild(idx, IDs(docs), vocab); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= uint64(4*vocab.Size()) {
 		t.Errorf("Rebuild over the same %d-term vocabulary allocated %d bytes, want less than one int32 per term", vocab.Size(), grew)
-	}
-	built, err := BuildFrom(IDs(docs), vocab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built.ranges != nil {
-		t.Error("the index BuildFrom returns keeps its count arrays")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"shoal/internal/textutil"
@@ -261,6 +262,175 @@ func TestBuildIDsIdenticalAcrossWidths(t *testing.T) {
 		}
 		if math.Float64bits(idx.avgLen) != math.Float64bits(want.avgLen) {
 			t.Errorf("GOMAXPROCS=%d: avgLen %v, GOMAXPROCS=1 %v", procs, idx.avgLen, want.avgLen)
+		}
+	}
+}
+
+// walkCounter is a streamed collection that counts the walks of each
+// document: document d is docs[d] in id lists of at most width ids.
+type walkCounter struct {
+	lists
+	walks []atomic.Int32
+}
+
+func (c *walkCounter) Walk(d int, part func(ids []uint32)) {
+	c.walks[d].Add(1)
+	c.lists.Walk(d, part)
+}
+
+// sameAsRef holds idx to the map-based reference over the same documents
+// spelled in vocab: every term's postings, each document's length, the
+// average length's bits, and TopK's hits and score bits for queries of
+// the collection's own terms.
+func sameAsRef(idx *Index, ref *refIndex, vocab *textutil.Vocab, queries [][]string) error {
+	for tid, word := range vocab.Words() {
+		plist, _ := idx.postings(uint32(tid))
+		if want := ref.postings[word]; !slices.Equal(plist, want) {
+			return fmt.Errorf("term %q: postings %v, want %v", word, plist, want)
+		}
+	}
+	for d, dl := range ref.docLen {
+		if idx.DocLen(d) != dl {
+			return fmt.Errorf("document %d: length %d, want %d", d, idx.DocLen(d), dl)
+		}
+	}
+	if math.Float64bits(idx.avgLen) != math.Float64bits(ref.avgLen) {
+		return fmt.Errorf("avgLen %v, want %v", idx.avgLen, ref.avgLen)
+	}
+	sc := new(Scratch)
+	for _, q := range queries {
+		if err := sameHits(idx.TopK(sc, q, 5), ref.topK(q, 5)); err != nil {
+			return fmt.Errorf("TopK(%v): %v", q, err)
+		}
+	}
+	return nil
+}
+
+// TestBuildWalksEachDocumentOnce streams a collection through a source
+// that counts walks per document, at widths 1, 2, 3 and 7: the build
+// must walk every document exactly once — each range gathers its
+// postings as it counts and scatters them without a second walk — and
+// the index must equal the map-based reference's.
+func TestBuildWalksEachDocumentOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(29))
+	const nTerms = 80
+	vocab := textutil.NewVocab()
+	for i := range nTerms {
+		vocab.Add(fmt.Sprintf("w%d", i))
+	}
+	docs := make([][]string, 300)
+	ids := make([][]uint32, len(docs))
+	for d := range docs {
+		if rng.Intn(7) == 0 {
+			continue // empty document
+		}
+		for range 1 + rng.Intn(1+d%40) {
+			f := rng.Float64()
+			id := int(f * f * nTerms) // skewed: repeats inside documents
+			docs[d] = append(docs[d], vocab.Words()[id])
+			ids[d] = append(ids[d], uint32(id))
+		}
+	}
+	ref := buildRef(docs)
+	queries := [][]string{{"w0"}, {"w1", "w5", "w1"}, {"w79", "w3"}, {"w2", "w40", "w11", "w0"}}
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		src := &walkCounter{lists: lists{ids, 3}, walks: make([]atomic.Int32, len(ids))}
+		idx, err := BuildFrom(src, vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range src.walks {
+			if n := src.walks[d].Load(); n != 1 {
+				t.Fatalf("GOMAXPROCS=%d: document %d walked %d times, want once", procs, d, n)
+			}
+		}
+		if err := sameAsRef(idx, ref, vocab, queries); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
+}
+
+// TestBuilderReuseMatchesFresh runs one Builder, rebuilding into the
+// index it built before, over collections whose document count,
+// vocabulary and GOMAXPROCS width first grow and then shrink. Each index must equal
+// a fresh BuildFrom's bit for bit — term records with idf bits,
+// postings, lengths, average length, TopK scores — and so must the
+// reference's: the first document repeats a term across its id lists. A
+// collection with foreign term ids must report the lowest offending
+// document, and the builder must build the next collection as if fresh.
+func TestBuilderReuseMatchesFresh(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(31))
+	steps := []struct{ docs, terms, procs int }{
+		{4, 6, 1}, {40, 50, 2}, {300, 400, 3}, {700, 900, 7}, {120, 150, 3}, {25, 30, 2}, {6, 8, 1}, {200, 260, 7},
+	}
+	var bl Builder
+	var prev *Index
+	for i, st := range steps {
+		runtime.GOMAXPROCS(st.procs)
+		vocab := textutil.NewVocab()
+		for id := range st.terms {
+			vocab.Add(fmt.Sprintf("w%d", id))
+		}
+		docs := make([][]string, st.docs)
+		ids := make([][]uint32, st.docs)
+		for d := range docs {
+			n := rng.Intn(1 + d%50)
+			if d == 0 {
+				n = 0
+				ids[0] = []uint32{2, 2, 1, 2, 3, 2} // lists [2 2] [1 2] [3 2]
+				for _, id := range ids[0] {
+					docs[0] = append(docs[0], vocab.Words()[id])
+				}
+			}
+			for range n {
+				f := rng.Float64()
+				id := int(f * f * float64(st.terms))
+				docs[d] = append(docs[d], vocab.Words()[id])
+				ids[d] = append(ids[d], uint32(id))
+			}
+		}
+		if i == 4 {
+			// Foreign ids in three documents; the build fails and leaves the
+			// builder to the next step.
+			foreign := slices.Clone(ids)
+			for _, d := range []int{97, 41, 42} {
+				foreign[d] = append(slices.Clone(ids[d]), uint32(st.terms+d))
+			}
+			_, err := bl.Rebuild(prev, lists{foreign, 2}, vocab)
+			want := fmt.Sprintf("bm25: document 41 holds term id %d outside the vocabulary [0,%d)", st.terms+41, st.terms)
+			if err == nil || err.Error() != want {
+				t.Fatalf("step %d: error %v, want %q", i, err, want)
+			}
+			prev = nil // Rebuild's contract: old is not used afterwards
+		}
+		got, err := bl.Rebuild(prev, lists{ids, 2}, vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = got
+		fresh, err := BuildFrom(IDs(ids), vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.terms) != len(fresh.terms) {
+			t.Fatalf("step %d: %d term records, fresh %d", i, len(got.terms), len(fresh.terms))
+		}
+		for tid := range fresh.terms {
+			g, w := got.terms[tid], fresh.terms[tid]
+			if g.off != w.off || g.df != w.df || math.Float64bits(g.idf) != math.Float64bits(w.idf) {
+				t.Fatalf("step %d: term %d = %+v, fresh %+v", i, tid, g, w)
+			}
+		}
+		if !slices.Equal(got.posts, fresh.posts) || !slices.Equal(got.docLen, fresh.docLen) ||
+			math.Float64bits(got.avgLen) != math.Float64bits(fresh.avgLen) || got.tokens != fresh.tokens {
+			t.Fatalf("step %d: postings, lengths or average length differ from a fresh build", i)
+		}
+		queries := [][]string{{"w2"}, {"w2", "w1", "w2"}, {"w0", "w3"}, {"w5", "w4", "w1"}}
+		if err := sameAsRef(got, buildRef(docs), vocab, queries); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"shoal/internal/bm25"
 	"shoal/internal/describe"
 	"shoal/internal/entitygraph"
 	"shoal/internal/phac"
@@ -67,9 +68,11 @@ type rebuildCache struct {
 
 // workspaces are the stages' workspaces: each stage that runs in one
 // re-slices the arrays the last build left instead of allocating. The
-// stages that share a workspace never run concurrently.
+// stages that share a workspace never run concurrently. search is the
+// search-index stage's BM25 builder; the index it builds is fresh.
 type workspaces struct {
 	graph    entitygraph.Workspace
 	hac      phac.Workspace
 	describe describe.Workspace
+	search   bm25.Builder
 }

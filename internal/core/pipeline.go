@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"shoal/internal/bipartite"
+	"shoal/internal/bm25"
 	"shoal/internal/catcorr"
 	"shoal/internal/dendrogram"
 	"shoal/internal/describe"
@@ -333,7 +334,7 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 		if len(b.Taxonomy.Topics) == 0 {
 			return nil
 		}
-		s, err := b.searchIndex(ctx, cfg.SearchDocTokenCap)
+		s, err := b.SearchIndex(ctx, &ws.search, cfg.SearchDocTokenCap)
 		b.Searcher = s
 		return err
 	})
@@ -351,18 +352,18 @@ func run(ctx context.Context, corpus *model.Corpus, clicks *bipartite.Graph, cfg
 	return b, nil
 }
 
-// searchIndex is the search-index stage: it streams the per-topic search
+// SearchIndex is the search-index stage: bld streams the per-topic search
 // documents SearchDocIDs would assemble straight into the searcher's BM25
-// postings, walking each twice (a count and a fill) and laying none of
-// them out as an array. Under a traced context its one phase is the
-// child span "build", with the ranges the build split into and the
-// tokens it indexed.
-func (b *Build) searchIndex(ctx context.Context, tokenCap int) (*taxonomy.Searcher, error) {
+// postings, walking each once and laying none of them out as an array.
+// The searcher never references bld, which a pipeline keeps for its next
+// build. Under a traced context its one phase is the child span "build",
+// with the ranges the build split into and the tokens it indexed.
+func (b *Build) SearchIndex(ctx context.Context, bld *bm25.Builder, tokenCap int) (*taxonomy.Searcher, error) {
 	a := b.searchDocs(tokenCap)
 	sp := obs.SpanFromContext(ctx).Child("build")
 	defer sp.End()
 	sp.SetAttr("workers", par.Width(len(a.topics)))
-	s, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, &a, b.Corpus.Text().Vocab())
+	s, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, bld, &a, b.Corpus.Text().Vocab())
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 	for i := 0; i < len(corpus.Items); i += 7 {
 		probes = append(probes, corpus.Items[i].Title)
 	}
-	ids, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, bm25.IDs(b.SearchDocIDs(cfg.SearchDocTokenCap)), plane)
+	ids, err := taxonomy.NewSearcherFrom(ctx, b.Taxonomy, new(bm25.Builder), bm25.IDs(b.SearchDocIDs(cfg.SearchDocTokenCap)), plane)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +138,13 @@ func TestSearcherIDsMatchesStrings(t *testing.T) {
 // per extra worker, and equals it at width 2) plus the extra range's
 // goroutine, which allocates a descriptor when the runtime has no free
 // one (it often has none under -race). In Describe, also each extra
-// range's own state — its share of the index's count arrays and its
-// walk callbacks, its ranking buffer — at most describeRangeAllocs
-// objects; the candidate arrays and the ranges' BM25 scoring scratch are
-// the workspace's. Describe forks describeForks loops (the
-// index's count and fill, the candidates' count and fill, scoring and
-// ranking); the search index forks two (its count and fill), and each
-// extra range adds its count arrays and walk callbacks.
+// range's own state — its walk callbacks, its ranking buffer — at most
+// describeRangeAllocs objects; the candidate arrays, the ranges' BM25
+// build arrays and scoring scratch are the workspace's. Describe forks
+// describeForks loops (the index's count and scatter, the candidates'
+// count and fill, scoring and ranking); the search index forks two (its
+// count and scatter), and each extra range adds its walk callbacks: its
+// build arrays are the kept builder's.
 const (
 	forkAllocs            = 2 + 1 + 1
 	describeForks         = 6
@@ -196,8 +196,11 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The search index builds through a kept builder, as a pipeline's
+	// workspaces keep it.
+	var bld bm25.Builder
 	indexOnce := func() {
-		if _, err := b.searchIndex(ctx, cfg.SearchDocTokenCap); err != nil {
+		if _, err := b.SearchIndex(ctx, &bld, cfg.SearchDocTokenCap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,9 +219,9 @@ func TestSlideTailDoesNoTextWork(t *testing.T) {
 }
 
 // What Describe through a warm workspace and the search-index stage
-// allocate at width 1: the published descriptions' arrays and the BM25
-// indexes' (describe's dies with the call), their count arrays, the
-// walk callbacks and a few records.
+// through a kept builder allocate at width 1: the published
+// descriptions' arrays and the BM25 indexes' (describe's dies with the
+// call), the walk callbacks and a few records.
 const (
 	describeAllocs    = 56
 	searchIndexAllocs = 18

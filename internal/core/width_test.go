@@ -64,7 +64,7 @@ func runTail(t *testing.T, b *core.Build, clicks *bipartite.Graph, cfg core.Conf
 	tail := &core.Build{Corpus: b.Corpus, QuerySets: b.QuerySets, Taxonomy: tx, Descriptions: descs}
 	docs := tail.SearchDocIDs(cfg.SearchDocTokenCap)
 	out.docs = docs
-	s, err := taxonomy.NewSearcherFrom(ctx, tx, bm25.IDs(docs), b.Corpus.Text().Vocab())
+	s, err := taxonomy.NewSearcherFrom(ctx, tx, new(bm25.Builder), bm25.IDs(docs), b.Corpus.Text().Vocab())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@
 // scoring each (topic, candidate) pair on its own; extra memory is one
 // float per candidate pair, never a per-query hit vector. Titles and
 // query texts are read as term ids from the corpus text plane
-// (model.Corpus.Text), streamed into BM25 postings with bm25.BuildFrom —
-// D_k is never laid out as one array — and scored with
+// (model.Corpus.Text), streamed into BM25 postings by a bm25.Builder in
+// one walk — D_k is never laid out as one array — and scored with
 // bm25.Index.ScoreIDs: nothing is tokenized or hashed per call. rel is
 // plain BM25 at its package's constant k1 and b; only the number of
 // queries kept per topic is configured.
@@ -89,13 +89,14 @@ func Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus *model.Corpus, 
 	return new(Workspace).Describe(ctx, tx, corpus, clicks, cfg)
 }
 
-// Workspace keeps a Describe call's scratch — the BM25 index over D_k,
-// the candidate matrix and its transpose, the ranges' stamp and
-// accumulator arrays and BM25 scoring scratch, con — for the next call
-// to re-slice instead of allocating. The descriptions never alias it.
-// The zero value is empty; one serves one call at a time.
+// Workspace keeps a Describe call's scratch — the BM25 index over D_k
+// and its builder, the candidate matrix and its transpose, the ranges'
+// stamp and accumulator arrays and BM25 scoring scratch, con — for the
+// next call to re-slice instead of allocating. The descriptions never
+// alias it. The zero value is empty; one serves one call at a time.
 type Workspace struct {
 	idx  *bm25.Index
+	bld  bm25.Builder
 	c    candidates
 	next []int32
 	// stamps[w] is what topic range w carries from its candidate count
@@ -128,8 +129,9 @@ func (ws *Workspace) Describe(ctx context.Context, tx *taxonomy.Taxonomy, corpus
 
 	sp := parent.Child("index")
 	sp.SetAttr("workers", par.Width(k))
-	// The index dies with the call: the next call rebuilds in its arrays.
-	idx, err := bm25.Rebuild(ws.idx, pseudoDocs{tx.Topics, text}, text.Vocab())
+	// The index dies with the call: the next call rebuilds in its arrays,
+	// through the same builder.
+	idx, err := ws.bld.Rebuild(ws.idx, pseudoDocs{tx.Topics, text}, text.Vocab())
 	ws.idx = idx
 	if err != nil {
 		sp.End()

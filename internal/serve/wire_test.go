@@ -442,7 +442,7 @@ func TestMissAfterSwapAllocs(t *testing.T) {
 	const runs = 20
 	builds := make([]*core.Build, runs+1)
 	for i := range builds {
-		s, err := taxonomy.NewSearcherFrom(context.Background(), b.Taxonomy,
+		s, err := taxonomy.NewSearcherFrom(context.Background(), b.Taxonomy, new(bm25.Builder),
 			bm25.IDs(b.SearchDocIDs(core.DefaultConfig().SearchDocTokenCap)), b.Corpus.Text().Vocab())
 		if err != nil {
 			t.Fatal(err)

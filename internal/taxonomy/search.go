@@ -25,21 +25,23 @@ type Searcher struct {
 // document of tx.Topics[i] (typically: description queries + member query
 // texts + category names). Topics with empty documents are searchable but
 // never match. It interns the tokens into a vocabulary of its own and
-// calls NewSearcherFrom.
+// calls NewSearcherFrom through a fresh builder.
 func NewSearcher(ctx context.Context, tx *Taxonomy, topicDocs [][]string) (*Searcher, error) {
 	ids, vocab := textutil.Intern(topicDocs)
-	return NewSearcherFrom(ctx, tx, bm25.IDs(ids), vocab)
+	return NewSearcherFrom(ctx, tx, new(bm25.Builder), bm25.IDs(ids), vocab)
 }
 
 // NewSearcherFrom is NewSearcher over documents already spelled as term
 // ids of vocab — the corpus text plane's in a pipeline build — streamed
-// into the postings (bm25.BuildFrom), so they need never exist as arrays
-// (bm25.IDs is the source over ones that do). Document i is topic i's.
+// into the postings by bld, its caller's builder, so they need never exist
+// as arrays (bm25.IDs is the source over ones that do). The searcher's
+// index is fresh arrays: it never references bld, which the caller may
+// build with again at once. Document i is topic i's.
 // The searcher resolves query tokens in vocab, which must not change
 // while it is in use. Hits and scores equal NewSearcher's over the same
 // documents spelled as strings, bit for bit: BM25 depends on which tokens
 // match, not on how terms are numbered.
-func NewSearcherFrom(ctx context.Context, tx *Taxonomy, topicDocs bm25.Docs, vocab *textutil.Vocab) (*Searcher, error) {
+func NewSearcherFrom(ctx context.Context, tx *Taxonomy, bld *bm25.Builder, topicDocs bm25.Docs, vocab *textutil.Vocab) (*Searcher, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -49,7 +51,7 @@ func NewSearcherFrom(ctx context.Context, tx *Taxonomy, topicDocs bm25.Docs, voc
 	if len(tx.Topics) == 0 {
 		return nil, fmt.Errorf("taxonomy: no topics to index")
 	}
-	idx, err := bm25.BuildFrom(topicDocs, vocab)
+	idx, err := bld.Rebuild(nil, topicDocs, vocab)
 	if err != nil {
 		return nil, err
 	}
